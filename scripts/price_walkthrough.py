@@ -10,8 +10,8 @@ Usage:
 
 import argparse
 
-from dynprice import (best_bundles, generate_instance, market_graph, multi_round,
-                      oracle_opt_value, refine_covering, restrict_market,
+from dynprice import (StructuredCovering, best_bundles, generate_instance,
+                      market_graph, multi_round, oracle_opt_value, restrict_market,
                       tight_subgraph)
 from dynprice.orderings import adequate_bidemand
 
@@ -35,14 +35,13 @@ def main() -> None:
     total = 0
     for round_no, t in enumerate(m.buyers, start=1):
         rp = multi_round(residual)
-        g = market_graph(rp.trimmed)
-        sc = refine_covering(g)
-        gpi = tight_subgraph(sc, g)
         trace = []
         if all(rp.trimmed.demand[x] <= 2 for x in rp.trimmed.buyers):
-            adequate_bidemand(gpi, trace)
+            g = market_graph(rp.trimmed)
+            sc = StructuredCovering(rp.pi, rp.pi.tight_edges(g), None)
+            adequate_bidemand(tight_subgraph(sc, g), trace)
         print(f"\nround {round_no}: pi = "
-              + " ".join(f"{v}={sc.pi.pi[v]}" for v in rp.trimmed.items + rp.trimmed.buyers))
+              + " ".join(f"{v}={rp.pi.pi[v]}" for v in rp.trimmed.items + rp.trimmed.buyers))
         print(f"  sigma = {list(rp.sigma.items_in_order())}, delta = {rp.prices.delta}")
         if trace:
             print("  case trace:", [e["case"] for e in trace])

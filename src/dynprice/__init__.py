@@ -13,7 +13,7 @@ from .matching import (BipartiteGraph, BMatching, Covering, bfactor_exists,
 from .model import (Allocation, Market, OptReport, Rational, check_opt_property,
                     market_graph, restrict_market, trim_items, welfare)
 from .dual import (StructuredCovering, compute_slack, is_legal_edge,
-                   refine_covering, slack_of, tight_subgraph)
+                   refine_covering, tight_subgraph)
 from .sets import (SurplusQuery, feasible_bundle, legal_classes_3,
                    maximal_dangerous_set, min_surplus_set,
                    minimal_dangerous_disjoint)

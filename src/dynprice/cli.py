@@ -5,7 +5,7 @@ Markets travel as JSON with rationals encoded as decimal integer strings or
 "p/q" strings; the value matrix must be complete.  All outputs are
 machine-readable JSON (``--pretty`` for humans).  Exit codes: 0 success /
 all-optimal, 1 verified-false (counterexample emitted), 2 usage or model
-error.
+error, 3 internal error (a failed self-check, i.e. a bug in the engine).
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from .pricing import multi_round, unit_round
 from .simulation import RunTrace, run_exhaustive, run_sampled
 
 _USAGE_ERROR = 2
+_INTERNAL_ERROR = 3
 
 
 def rational_to_str(x: Fraction) -> str:
@@ -351,6 +352,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             OracleCapError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _USAGE_ERROR
+    except InternalConsistencyError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return _INTERNAL_ERROR
 
 
 if __name__ == "__main__":

@@ -5,20 +5,41 @@ The refined covering pi satisfies, with respect to the original weights:
       b-matching), and
   (b) pi(v) = 0 iff some maximum-weight b-matching leaves v unsaturated.
 
-The construction follows the two-phase perturbation scheme: phase one raises
-the weight of each non-legal edge by half its legality gap, phase two lowers
-the weights around each always-saturated vertex by delta/(b(v)+1) and adds the
-same amount back to the final dual.  Both phases keep the set of optimal
-b-matchings invariant, which justifies two exact shortcuts used here for
-speed: an edge that is slack under the current optimal dual is certainly
-non-legal with gap at least its slack, and a vertex with a positive current
-dual is certainly always-saturated with delta at least that dual value.  Only
-the remaining tight-but-unmatched edges and zero-dual vertices are probed with
-dedicated solves.  A verification pass of both properties runs on every call.
+Together (a) and (b) are strict complementarity for the b-matching LP
+(Goldman-Tucker), whose optimal face is integral, so one optimal pair
+(M, pi) from a single solve determines a structured covering:
+
+* Face constraints.  With potentials p(s) = pi(s), p(t) = -pi(t) and a ground
+  node z with p(z) = 0, the optimal duals are exactly the solutions of the
+  difference constraints p(head) <= p(tail) + length over the arcs
+  s->t (-w) for every edge, t->s (+w) for every M-edge, s->z and z->t (0)
+  for pi >= 0, and z->s / t->z (0) for M-unsaturated items / buyers, which
+  force pi = 0 there.  An arc is tight in every optimal dual iff it lies on a
+  zero-length cycle.
+* Seller-optimal start.  One Dijkstra from z over the (non-negative) reduced
+  costs of the solver's dual moves p to the shortest-path distances from z:
+  the highest item prices and lowest buyer utilities on the face.
+* SCC shift.  The zero-reduced-cost arcs are condensed with Tarjan's
+  algorithm, which numbers sink components first; every node moves by
+  eps * (its component index - z's index).  Arcs between components become
+  strictly slack, arcs inside one stay tight, and eps (the least positive
+  reduced cost over #SCCs + 1) keeps every other arc feasible.
+* Witness verification, on every call.  The result must be an optimal
+  covering, which certifies slack edges as non-legal and positive duals as
+  always saturated.  Every tight non-M edge (s, t) needs an alternating
+  t ~> s path in the tight graph with z, and every saturated zero-dual
+  vertex a path from or to z; flipping the closed cycle gives a b-matching
+  that is checked for capacities and for weight equal to the optimum.
+
+The construction runs on integers: weights and duals scaled by the least
+common denominator, with one extra factor (#SCCs + 1) for the shift.
 """
 
 from __future__ import annotations
 
+import heapq
+import math
+from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -26,8 +47,6 @@ from typing import Optional
 from . import matching
 from .errors import InternalConsistencyError, ModelError
 from .matching import BipartiteGraph, Covering, Edge
-
-INFINITE_SLACK = None  # slack sentinel when no constraint binds
 
 
 @dataclass(frozen=True)
@@ -53,10 +72,6 @@ def compute_slack(g: BipartiteGraph, pi: Covering) -> Optional[Fraction]:
     return best
 
 
-def slack_of(sc: StructuredCovering) -> Optional[Fraction]:
-    return sc.slack
-
-
 def is_legal_edge(g: BipartiteGraph, e: Edge) -> bool:
     """Whether some maximum-weight b-matching contains e."""
     if e not in g.edge_set:
@@ -74,122 +89,236 @@ def tight_subgraph(sc: StructuredCovering, g: BipartiteGraph) -> BipartiteGraph:
     )
 
 
-def refine_covering(g: BipartiteGraph) -> StructuredCovering:
-    original_w = dict(g.weight)
-    cur_w = dict(original_w)
+Arcs = list[list[tuple[int, int]]]  # node -> [(head, scaled length)]
 
-    def resolve():
-        res = matching.solve_with_covering(g.with_weights(cur_w))
-        return dict(res.covering.pi), res.matching.edges, res.value
 
-    pi_cur, m_cur, opt_cur = resolve()
-    opt_original = opt_cur
-    legal: dict[Edge, bool] = {}
-
-    # Phase one: edges in canonical order (items major, input order).
-    dirty = False
+def _face_arcs(g: BipartiteGraph, m_edges: frozenset[Edge], degree: Counter,
+               weight: dict[Edge, int], node: dict[str, int], z: int) -> Arcs:
+    """Difference constraints whose solutions with p(z) = 0 are the optimal duals."""
+    out: Arcs = [[] for _ in range(z + 1)]
     for e in g.edges:
-        s, t = e
-        gap = pi_cur[s] + pi_cur[t] - cur_w[e]
-        if gap > 0:
-            legal[e] = False
-            cur_w[e] += gap / 2
-            dirty = True
+        s, t = node[e[0]], node[e[1]]
+        out[s].append((t, -weight[e]))
+        if e in m_edges:
+            out[t].append((s, weight[e]))
+    for v in g.items:
+        out[node[v]].append((z, 0))
+        if degree[v] < g.capacity[v]:
+            out[z].append((node[v], 0))
+    for v in g.buyers:
+        out[z].append((node[v], 0))
+        if degree[v] < g.capacity[v]:
+            out[node[v]].append((z, 0))
+    return out
+
+
+def _seller_optimal(p: list[int], out: Arcs, z: int) -> list[int]:
+    """Shortest-path distances from z (Dijkstra on the reduced costs of p)."""
+    dist: list[Optional[int]] = [None] * len(p)
+    dist[z] = 0
+    heap = [(0, z)]
+    done = [False] * len(p)
+    while heap:
+        d, a = heapq.heappop(heap)
+        if done[a]:
             continue
-        if e in m_cur:
-            legal[e] = True
+        done[a] = True
+        for b, length in out[a]:
+            rc = length + p[a] - p[b]
+            if rc < 0:
+                raise InternalConsistencyError("solver dual outside the optimal face")
+            if dist[b] is None or d + rc < dist[b]:
+                dist[b] = d + rc
+                heapq.heappush(heap, (d + rc, b))
+    if not all(done):
+        raise InternalConsistencyError("face node unreachable from the ground node")
+    return [pa + da for pa, da in zip(p, dist)]
+
+
+def _sink_first_components(succ: list[list[int]]) -> list[int]:
+    """Iterative Tarjan; component numbers are in reverse topological order."""
+    n = len(succ)
+    index = [-1] * n
+    low = [0] * n
+    comp = [-1] * n
+    on_stack = [False] * n
+    stack: list[int] = []
+    counter = ncomp = 0
+    for root in range(n):
+        if index[root] >= 0:
             continue
-        if dirty:
-            pi_cur, m_cur, value = resolve()
-            dirty = False
-            if value != opt_cur:
-                raise InternalConsistencyError("phase-one optimum drifted")
-            gap = pi_cur[s] + pi_cur[t] - cur_w[e]
-            if gap > 0:
-                legal[e] = False
-                cur_w[e] += gap / 2
-                dirty = True
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack[root] = True
+        work = [(root, 0)]
+        while work:
+            v, i = work[-1]
+            if i < len(succ[v]):
+                work[-1] = (v, i + 1)
+                w = succ[v][i]
+                if index[w] < 0:
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    on_stack[w] = True
+                    work.append((w, 0))
+                elif on_stack[w]:
+                    low[v] = min(low[v], index[w])
                 continue
-            if e in m_cur:
-                legal[e] = True
-                continue
-        eps = opt_cur - matching.max_weight_forced_edge(g.with_weights(cur_w), e)
-        if eps < 0:
-            raise InternalConsistencyError("forced-edge value above optimum")
-        if eps > 0:
-            legal[e] = False
-            cur_w[e] += eps / 2
-            pi_cur, m_cur, value = resolve()
-            if value != opt_cur:
-                raise InternalConsistencyError("phase-one optimum drifted")
-        else:
-            legal[e] = True
-    if dirty:
-        pi_cur, m_cur, value = resolve()
-        if value != opt_cur:
-            raise InternalConsistencyError("phase-one optimum drifted")
+            work.pop()
+            if work:
+                parent = work[-1][0]
+                low[parent] = min(low[parent], low[v])
+            if low[v] == index[v]:
+                while True:
+                    w = stack.pop()
+                    on_stack[w] = False
+                    comp[w] = ncomp
+                    if w == v:
+                        break
+                ncomp += 1
+    return comp
 
-    # Phase two: vertices (items then buyers, input order).
-    vertices = tuple(g.items) + tuple(g.buyers)
-    addback: dict[str, Fraction] = {v: Fraction(0) for v in vertices}
-    saturated: dict[str, bool] = {}
 
-    bulk = {v: pi_cur[v] for v in vertices if pi_cur[v] > 0}
-    if bulk:
-        for e in g.edges:
-            s, t = e
-            dec = Fraction(0)
-            if s in bulk:
-                dec += bulk[s] / (g.capacity[s] + 1)
-            if t in bulk:
-                dec += bulk[t] / (g.capacity[t] + 1)
-            if dec:
-                cur_w[e] -= dec
-        for v, dv in bulk.items():
-            step = dv / (g.capacity[v] + 1)
-            addback[v] += step
-            saturated[v] = True
-            opt_cur -= step * g.capacity[v]
-        pi_cur, m_cur, value = resolve()
-        if value != opt_cur:
-            raise InternalConsistencyError("phase-two bulk step drifted")
+def _shift_by_scc(p: list[int], out: Arcs, z: int) -> tuple[list[int], int]:
+    """Potentials made strictly complementary, scaled by the returned factor.
 
-    for v in vertices:
-        if v in bulk:
-            continue
-        delta = opt_cur - matching.max_weight_reduced_capacity(g.with_weights(cur_w), v)
-        if delta < 0:
-            raise InternalConsistencyError("reduced-capacity value above optimum")
-        if delta == 0:
-            saturated[v] = False
-            continue
-        saturated[v] = True
-        step = delta / (g.capacity[v] + 1)
-        for e in g.edges:
-            if v in e:
-                cur_w[e] -= step
-        addback[v] += step
-        opt_cur -= step * g.capacity[v]
-        pi_cur, m_cur, value = resolve()
-        if value != opt_cur:
-            raise InternalConsistencyError("phase-two step drifted")
+    Moves node v by eps * (comp(v) - comp(z)) with eps = the least positive
+    reduced cost / (#SCCs + 1); the factor #SCCs + 1 keeps the result integral.
+    """
+    succ: list[list[int]] = [[] for _ in p]
+    least: Optional[int] = None
+    for a, arcs in enumerate(out):
+        for b, length in arcs:
+            rc = length + p[a] - p[b]
+            if rc == 0:
+                succ[a].append(b)
+            elif least is None or rc < least:
+                least = rc
+    comp = _sink_first_components(succ)
+    factor = max(comp) + 2
+    step = 1 if least is None else least
+    return [pa * factor + (ca - comp[z]) * step for pa, ca in zip(p, comp)], factor
 
-    pi_prime = {v: pi_cur[v] + addback[v] for v in vertices}
+
+def _bfs(src: int, succ: list[list[int]]) -> list[Optional[int]]:
+    """Parent of every node reached by a breadth-first search from src."""
+    parent: list[Optional[int]] = [None] * len(succ)
+    parent[src] = src
+    queue = deque([src])
+    while queue:
+        a = queue.popleft()
+        for b in succ[a]:
+            if parent[b] is None:
+                parent[b] = a
+                queue.append(b)
+    return parent
+
+
+def _path(parent: list[Optional[int]], end: int) -> list[int]:
+    path = [end]
+    while parent[path[-1]] != path[-1]:
+        path.append(parent[path[-1]])
+    return path[::-1]
+
+
+def refine_covering(g: BipartiteGraph) -> StructuredCovering:
+    """Structured optimal covering of g from one solve (see the module notes)."""
+    res = matching.solve_with_covering(g)
+    m_edges = res.matching.edges
+    opt = res.value
+    vertices = g.items + g.buyers
+    z = len(vertices)
+    node = {v: k for k, v in enumerate(vertices)}
+    degree = Counter(v for e in m_edges for v in e)
+
+    pi = res.covering.pi
+    scale = math.lcm(1, *(w.denominator for w in g.weight.values()),
+                     *(x.denominator for x in pi.values()))
+    weight = {e: w.numerator * (scale // w.denominator) for e, w in g.weight.items()}
+    sign = {v: 1 for v in g.items} | {v: -1 for v in g.buyers}
+    p = [sign[v] * pi[v].numerator * (scale // pi[v].denominator) for v in vertices] + [0]
+
+    out = _face_arcs(g, m_edges, degree, weight, node, z)
+    p, factor = _shift_by_scc(_seller_optimal(p, out, z), out, z)
+    pi_prime = {v: Fraction(sign[v] * p[node[v]], scale * factor) for v in vertices}
     covering = Covering(pi_prime)
 
-    # Verification: both structured properties plus optimality, always on.
+    # Verification, always on.  An optimal covering certifies slack edges as
+    # non-legal and positive duals as always saturated; M certifies its own
+    # edges and unsaturated vertices; every other tight edge and zero dual
+    # needs a witness b-matching, checked exactly.
     tight: set[Edge] = set()
     for e in g.edges:
-        s, t = e
-        gap = pi_prime[s] + pi_prime[t] - original_w[e]
+        gap = pi_prime[e[0]] + pi_prime[e[1]] - g.weight[e]
         if gap < 0:
             raise InternalConsistencyError("refined dual is not a covering")
         if gap == 0:
             tight.add(e)
-        if (gap == 0) != legal[e]:
-            raise InternalConsistencyError("tight/legal mismatch after refinement")
-    if covering.total_value(g) != opt_original:
+    if any(x < 0 for x in pi_prime.values()):
+        raise InternalConsistencyError("refined dual has a negative value")
+    if covering.total_value(g) != opt:
         raise InternalConsistencyError("refined dual is not optimal")
+
+    scaled_opt = int(opt * scale)
+    legal = {e: e in m_edges for e in g.edges}
+    saturated = {v: degree[v] == g.capacity[v] for v in vertices}
+    # Tight graph of the face arcs: a cycle through z or through a non-M
+    # edge alternates, and flipping it gives the witness.
+    succ = [[b for b, length in arcs if length * factor + p[a] - p[b] == 0]
+            for a, arcs in enumerate(out)]
+
+    def witness_degree(path: list[int], closing: Optional[Edge]) -> Counter:
+        """Check the b-matching M xor (path + closing edge); return its degrees."""
+        add = set() if closing is None else {closing}
+        drop = set()
+        for a, b in zip(path, path[1:]):
+            if a < len(g.items) and b != z:
+                add.add((vertices[a], vertices[b]))
+            elif b < len(g.items) and a != z:
+                drop.add((vertices[b], vertices[a]))
+        if not drop <= m_edges or add & m_edges or not add <= g.edge_set:
+            raise InternalConsistencyError("witness cycle does not alternate")
+        witness = (m_edges - drop) | add
+        deg = Counter(v for e in witness for v in e)
+        if any(deg[v] > g.capacity[v] for v in deg):
+            raise InternalConsistencyError("witness violates a capacity")
+        if sum(weight[e] for e in witness) != scaled_opt:
+            raise InternalConsistencyError("witness is not a maximum-weight b-matching")
+        return deg
+
+    by_buyer: dict[str, list[str]] = {}
+    for s, t in g.edges:
+        if (s, t) in tight and (s, t) not in m_edges:
+            by_buyer.setdefault(t, []).append(s)
+    for t, items in by_buyer.items():
+        parent = _bfs(node[t], succ)
+        for s in items:
+            if parent[node[s]] is not None:
+                witness_degree(_path(parent, node[s]), (s, t))
+                legal[(s, t)] = True
+    # A saturated zero-dual item closes a cycle z ~> s -> z, a buyer t ~> z -> t.
+    pred: list[list[int]] = [[] for _ in succ]
+    for a, heads in enumerate(succ):
+        for b in heads:
+            pred[b].append(a)
+    from_z, to_z = _bfs(z, succ), _bfs(z, pred)
+    for v in vertices:
+        if pi_prime[v] != 0 or not saturated[v]:
+            continue
+        k = node[v]
+        if k < len(g.items) and from_z[k] is not None:
+            path = _path(from_z, k)
+        elif k >= len(g.items) and to_z[k] is not None:
+            path = _path(to_z, k)[::-1]
+        else:
+            continue
+        saturated[v] = witness_degree(path, None)[v] == g.capacity[v]
+
+    for e in g.edges:
+        if (e in tight) != legal[e]:
+            raise InternalConsistencyError("tight/legal mismatch after refinement")
     for v in vertices:
         if (pi_prime[v] > 0) != saturated[v]:
             raise InternalConsistencyError("zero-dual/saturation mismatch")

@@ -73,6 +73,10 @@ def multi_round(m: Market, ordering_strategy: Optional[OrderingStrategy] = None
     if len(trimmed.items) != trimmed.total_demand():
         raise UnsupportedMarketError(
             "saturation property fails: optimum leaves a buyer short of b(t) items")
+    if not trimmed.items:  # nothing worth selling, so no buyer is left either
+        price = {s: prohibitive_price(m, s) for s in removed}
+        return RoundPricing(PriceVector(price, Fraction(0)), Covering({}),
+                            Ordering.from_sequence(()), trimmed, removed)
     g = market_graph(trimmed)
     sc = refine_covering(g)
     for t in trimmed.buyers:

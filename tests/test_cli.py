@@ -183,3 +183,26 @@ def test_cli_unsupported_market(tmp_path, capsys):
     m = generate_instance(5, 4, 3, (1, 4))
     path = write_market(tmp_path, m, "big.json")
     assert main(["price", "--input", path]) == 2
+
+
+def test_cli_internal_error_exit_code(tmp_path, capsys, monkeypatch, e2):
+    # a failed self-check must not look like a counterexample (exit 1)
+    import dynprice.cli as cli
+    from dynprice.errors import InternalConsistencyError
+
+    def broken(m):
+        raise InternalConsistencyError("refined dual is not optimal")
+
+    monkeypatch.setattr(cli, "multi_round", broken)
+    path = write_market(tmp_path, e2)
+    assert main(["price", "--input", path, "--mode", "multi"]) == 3
+    err = capsys.readouterr().err
+    assert err.strip() == "internal error: refined dual is not optimal"
+
+
+def test_cli_price_market_without_buyers(tmp_path, capsys):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"items": ["s1"], "buyers": []}))
+    assert main(["price", "--input", str(path), "--mode", "multi"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["trimmed_away"] == ["s1"] and out["delta"] == "0"

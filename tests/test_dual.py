@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from dynprice import (BipartiteGraph, Market, compute_slack, is_legal_edge,
-                      market_graph, refine_covering, slack_of, tight_subgraph)
+                      market_graph, refine_covering, tight_subgraph)
 from dynprice.errors import ModelError
 from dynprice.matching import Covering
 from dynprice.simulation import (oracle_buyer_sometimes_short, oracle_edge_legal,
@@ -105,8 +105,7 @@ def test_slack_recomputed_by_definition(e2):
     gaps = [sc.pi.pi[s] + sc.pi.pi[t] - g.weight[(s, t)]
             for (s, t) in g.edges if (s, t) not in sc.tight_edges]
     positives = [v for v in sc.pi.pi.values() if v > 0]
-    assert slack_of(sc) == min(gaps + positives)
-    assert slack_of(sc) == sc.slack
+    assert sc.slack == min(gaps + positives)
 
 
 def test_refined_total_equals_optimum():
@@ -119,3 +118,59 @@ def test_refined_total_equals_optimum():
         _, opt = max_weight_bmatching(g)
         assert sc.pi.total_value(g) == opt
         assert sc.pi.is_covering(g)
+
+
+def differential_corpus(seed=2024, count=240):
+    """Tie-rich and zero-rich markets plus sparse fractional graphs, with
+    empty sides included."""
+    rng = random.Random(seed)
+    out = [market_graph(Market.build([], [], {}, {})),
+           market_graph(Market.build(["s1", "s2"], [], {}, {})),
+           market_graph(Market.build([], ["t1"], {"t1": 2}, {}))]
+    while len(out) < count:
+        kind = len(out) % 3
+        if kind < 2:
+            nb, ns = rng.randint(0, 4), rng.randint(0, 6)
+            buyers = [f"t{i}" for i in range(nb)]
+            items = [f"s{i}" for i in range(ns)]
+            hi = 2 if kind == 0 else 4
+            vals = {(t, s): (0 if rng.random() < 0.35 else rng.randint(1, hi))
+                    for t in buyers for s in items}
+            demand = {t: rng.randint(1, 3) for t in buyers}
+            out.append(market_graph(Market.build(items, buyers, demand, vals)))
+        else:
+            items = [f"s{i}" for i in range(rng.randint(1, 6))]
+            buyers = [f"t{i}" for i in range(rng.randint(1, 4))]
+            weight = {(s, t): Fraction(rng.randint(0, 6), rng.choice((1, 2, 3)))
+                      for s in items for t in buyers if rng.random() < 0.6}
+            cap = {s: 1 for s in items} | {t: rng.randint(1, 3) for t in buyers}
+            out.append(BipartiteGraph.build(items, buyers, weight, cap))
+    return out
+
+
+def test_refine_matches_slow_probes_on_corpus():
+    from dynprice import max_weight_bmatching, max_weight_reduced_capacity
+    corpus = differential_corpus()
+    assert len(corpus) >= 200
+    for g in corpus:
+        sc = refine_covering(g)
+        _, opt = max_weight_bmatching(g)
+        assert sc.tight_edges == {e for e in g.edges if is_legal_edge(g, e)}
+        for v in g.items + g.buyers:
+            assert (sc.pi.pi[v] == 0) == (max_weight_reduced_capacity(g, v) == opt)
+
+
+def test_verification_trips_without_scc_shift(monkeypatch):
+    import dynprice.dual as dual
+    from dynprice.errors import InternalConsistencyError
+    # t1 likes both items equally; the unique optimum gives s1 to t2, so the
+    # tight edge (s1, t1) at the seller-optimal point is not legal
+    m = Market.build(["s1", "s2"], ["t1", "t2"], {"t1": 1, "t2": 1},
+                     {("t1", "s1"): 3, ("t1", "s2"): 3,
+                      ("t2", "s1"): 3, ("t2", "s2"): 1})
+    g = market_graph(m)
+    assert not is_legal_edge(g, ("s1", "t1"))
+    refine_covering(g)
+    monkeypatch.setattr(dual, "_shift_by_scc", lambda p, out, z: (p, 1))
+    with pytest.raises(InternalConsistencyError):
+        refine_covering(g)

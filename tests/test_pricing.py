@@ -124,3 +124,14 @@ def test_multi_handles_untrimmed_input():
     assert len(bundle) == 1 and len(bundle[0]) == 1
     chosen = next(iter(bundle[0]))
     assert m.value[("t1", chosen)] == 5
+
+
+def test_multi_trivial_round_without_buyers():
+    # no buyer means no item survives trimming: price everything out of reach
+    m = Market.build(["s1", "s2"], [], {}, {})
+    rp = multi_round(m)
+    assert rp.removed == frozenset({"s1", "s2"})
+    assert rp.prices.delta == 0
+    assert all(p > 0 for p in rp.prices.price.values())
+    assert set(rp.prices.price) == {"s1", "s2"}
+    assert multi_round(Market.build([], [], {}, {})).prices.price == {}
