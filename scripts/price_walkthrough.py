@@ -10,10 +10,9 @@ Usage:
 
 import argparse
 
-from dynprice import (StructuredCovering, best_bundles, generate_instance,
-                      market_graph, multi_round, oracle_opt_value, restrict_market,
-                      tight_subgraph)
-from dynprice.orderings import adequate_bidemand
+from dynprice import (best_bundles, generate_instance, multi_round, oracle_opt_value,
+                      restrict_market)
+from dynprice.pricing import dispatch_ordering
 
 
 def main() -> None:
@@ -34,12 +33,9 @@ def main() -> None:
     residual = m
     total = 0
     for round_no, t in enumerate(m.buyers, start=1):
-        rp = multi_round(residual)
         trace = []
-        if all(rp.trimmed.demand[x] <= 2 for x in rp.trimmed.buyers):
-            g = market_graph(rp.trimmed)
-            sc = StructuredCovering(rp.pi, rp.pi.tight_edges(g), None)
-            adequate_bidemand(tight_subgraph(sc, g), trace)
+        rp = multi_round(residual, lambda trimmed, gpi, sc:
+                         dispatch_ordering(trimmed, gpi, sc, trace))
         print(f"\nround {round_no}: pi = "
               + " ".join(f"{v}={rp.pi.pi[v]}" for v in rp.trimmed.items + rp.trimmed.buyers))
         print(f"  sigma = {list(rp.sigma.items_in_order())}, delta = {rp.prices.delta}")

@@ -10,7 +10,7 @@ from .errors import (ContractViolationError, InternalConsistencyError, ModelErro
 from .matching import (BipartiteGraph, BMatching, Covering, bfactor_exists,
                        max_weight_bmatching, max_weight_forced_edge,
                        max_weight_reduced_capacity, optimal_covering)
-from .model import (Allocation, Market, OptReport, Rational, check_opt_property,
+from .model import (Allocation, Market, OptReport, check_opt_property,
                     market_graph, restrict_market, trim_items, welfare)
 from .dual import (StructuredCovering, compute_slack, is_legal_edge,
                    refine_covering, tight_subgraph)
@@ -20,8 +20,7 @@ from .sets import (SurplusQuery, feasible_bundle, legal_classes_3,
 from .orderings import (Labeling3, Ordering, adequate_bidemand,
                         adequate_three_buyers, adequate_two_buyers, combine,
                         verify_adequate)
-from .pricing import (PriceVector, RoundPricing, multi_round, round_prices_multi,
-                      round_prices_unit, unit_round)
+from .pricing import PriceVector, RoundPricing, multi_round, unit_round
 from .simulation import (RunTrace, Step, Verdict, best_bundles, oracle_feasible,
                          oracle_opt, oracle_opt_value, run_exhaustive, run_once,
                          run_sampled)

@@ -23,11 +23,10 @@ from . import sets
 from .dual import refine_covering, tight_subgraph
 from .errors import (ContractViolationError, InternalConsistencyError, ModelError,
                      OracleCapError, UnsupportedMarketError)
-from .matching import max_weight_bmatching, optimal_covering
+from .matching import solve_with_covering
 from .model import Market, check_opt_property, market_graph, trim_items
-from .orderings import adequate_bidemand, adequate_three_buyers
-from .pricing import multi_round, unit_round
-from .simulation import RunTrace, run_exhaustive, run_sampled
+from .pricing import dispatch_ordering, infer_mode, multi_round, ordering_method, unit_round
+from .simulation import RunTrace, reversed_ordering_strategy, run_exhaustive, run_sampled
 
 _USAGE_ERROR = 2
 _INTERNAL_ERROR = 3
@@ -178,14 +177,13 @@ def _cmd_generate(args) -> int:
 
 def _cmd_solve(args) -> int:
     m = _load_market(args)
-    g = market_graph(m)
-    bm, value = max_weight_bmatching(g)
-    pi = optimal_covering(g)
+    res = solve_with_covering(market_graph(m))
+    bm = res.matching
     _dump({
-        "welfare": rational_to_str(value),
+        "welfare": rational_to_str(res.value),
         "matching": sorted([s, t] for s, t in bm.edges),
         "allocation": {t: sorted(bm.bundle(t)) for t in m.buyers},
-        "pi": _pi_json(pi),
+        "pi": _pi_json(res.covering),
     }, args)
     return 0
 
@@ -206,18 +204,10 @@ def _cmd_order(args) -> int:
     trimmed, removed = trim_items(m)
     g = market_graph(trimmed)
     sc = refine_covering(g)
-    gpi = tight_subgraph(sc, g)
     trace: list = []
-    if len(trimmed.buyers) <= 3:
-        sigma = adequate_three_buyers(gpi)
-        method = "three-buyer"
-    elif all(trimmed.demand[t] <= 2 for t in trimmed.buyers):
-        sigma = adequate_bidemand(gpi, trace)
-        method = "bi-demand"
-    else:
-        raise UnsupportedMarketError("no adequate-ordering construction applies")
+    sigma = dispatch_ordering(trimmed, tight_subgraph(sc, g), sc, trace)
     _dump({
-        "method": method,
+        "method": ordering_method(trimmed),
         "ordering": list(sigma.items_in_order()),
         "trimmed_away": sorted(removed),
         "case_trace": trace,
@@ -227,9 +217,7 @@ def _cmd_order(args) -> int:
 
 def _cmd_price(args) -> int:
     m = _load_market(args)
-    mode = args.mode
-    if mode == "auto":
-        mode = "unit" if all(m.demand[t] == 1 for t in m.buyers) else "multi"
+    mode = infer_mode(m) if args.mode == "auto" else args.mode
     rp = unit_round(m) if mode == "unit" else multi_round(m)
     _dump({
         "mode": mode,
@@ -244,13 +232,8 @@ def _cmd_price(args) -> int:
 
 def _cmd_simulate(args) -> int:
     m = _load_market(args)
-    mode = args.mode
-    if mode == "auto":
-        mode = "unit" if all(m.demand[t] == 1 for t in m.buyers) else "multi"
-    strategy = None
-    if args.sabotage == "reversed":
-        from .simulation import reversed_ordering_strategy
-        strategy = reversed_ordering_strategy
+    mode = infer_mode(m) if args.mode == "auto" else args.mode
+    strategy = reversed_ordering_strategy if args.sabotage == "reversed" else None
     if args.orders:
         verdict = run_sampled(m, args.orders, args.seed, mode=mode,
                               ordering_strategy=strategy, instance_id=args.input)
@@ -328,13 +311,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sim = with_io(sub.add_parser("simulate", help="adversarial dynamic runs"))
     sim.add_argument("--mode", choices=["auto", "unit", "multi"], default="auto")
-    sim.add_argument("--exhaustive", action="store_true", default=True,
-                     help="explore all orders and tie-breaks (default)")
     sim.add_argument("--orders", type=int, default=0,
                      help="sample this many random orders instead")
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--budget", type=int, default=200000)
-    sim.add_argument("--format", choices=["json"], default="json")
     sim.add_argument("--sabotage", choices=["none", "reversed"], default="none",
                      help="negative control: price with a reversed ordering")
     sim.set_defaults(fn=_cmd_simulate)

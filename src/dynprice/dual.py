@@ -31,14 +31,14 @@ Together (a) and (b) are strict complementarity for the b-matching LP
   vertex a path from or to z; flipping the closed cycle gives a b-matching
   that is checked for capacities and for weight equal to the optimum.
 
-The construction runs on integers: weights and duals scaled by the least
-common denominator, with one extra factor (#SCCs + 1) for the shift.
+The construction runs on integers: it reuses the graph's scaled weights
+(`g.scaled`), whose denominator every solver dual divides, with one extra
+factor (#SCCs + 1) for the shift.
 """
 
 from __future__ import annotations
 
 import heapq
-import math
 from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -234,9 +234,7 @@ def refine_covering(g: BipartiteGraph) -> StructuredCovering:
     degree = Counter(v for e in m_edges for v in e)
 
     pi = res.covering.pi
-    scale = math.lcm(1, *(w.denominator for w in g.weight.values()),
-                     *(x.denominator for x in pi.values()))
-    weight = {e: w.numerator * (scale // w.denominator) for e, w in g.weight.items()}
+    weight, scale = g.scaled
     sign = {v: 1 for v in g.items} | {v: -1 for v in g.buyers}
     p = [sign[v] * pi[v].numerator * (scale // pi[v].denominator) for v in vertices] + [0]
 

@@ -7,9 +7,13 @@ assignment problem exactly.  The potentials translate directly into an optimal
 non-negative weighted covering pi with pi . b equal to the optimum, and copies
 of the same buyer provably share one dual value.
 
-All arithmetic is exact.  Weights are fractions.Fraction (or any ordered
-additive value type such as LexWeight, used for lexicographic objectives);
-Fraction inputs are scaled to integers internally for speed.
+All arithmetic is exact and the Hungarian algorithm runs on integers only.
+Each graph scales its Fraction weights once, by their least common
+denominator D (`BipartiteGraph.scaled`), so every dual value has a
+denominator dividing D.  The trim objective "maximum weight, then fewest
+edges" is the integer weight w * D * K - 1 with K = |S| + 1: a b-matching has
+at most |S| edges, so a weight gap of 1/D always outweighs any difference in
+edge count.
 """
 
 from __future__ import annotations
@@ -71,6 +75,13 @@ class BipartiteGraph:
     @cached_property
     def edge_set(self) -> frozenset[Edge]:
         return frozenset(self.edges)
+
+    @cached_property
+    def scaled(self) -> tuple[dict[Edge, int], int]:
+        """Integer weights w * D and their common denominator D."""
+        denom = math.lcm(1, *(w.denominator for w in self.weight.values()))
+        return ({e: w.numerator * (denom // w.denominator) for e, w in self.weight.items()},
+                denom)
 
     @cached_property
     def buyer_adj(self) -> dict[BuyerId, tuple[ItemId, ...]]:
@@ -159,45 +170,14 @@ class Covering:
 
 
 @dataclass(frozen=True)
-class LexWeight:
-    """Pair (weight, tiebreak) ordered lexicographically; supports +, -, min.
-
-    Used for the maximize-weight-then-minimize-edge-count objective without
-    scaling weights into a single number.
-    """
-
-    w: Fraction
-    tie: int
-
-    def __add__(self, other: "LexWeight") -> "LexWeight":
-        return LexWeight(self.w + other.w, self.tie + other.tie)
-
-    def __sub__(self, other: "LexWeight") -> "LexWeight":
-        return LexWeight(self.w - other.w, self.tie - other.tie)
-
-    def __mul__(self, k: int) -> "LexWeight":
-        return LexWeight(self.w * k, self.tie * k)
-
-    def __lt__(self, other: "LexWeight") -> bool:
-        return (self.w, self.tie) < (other.w, other.tie)
-
-    def __le__(self, other: "LexWeight") -> bool:
-        return (self.w, self.tie) <= (other.w, other.tie)
-
-    @staticmethod
-    def zero() -> "LexWeight":
-        return LexWeight(Fraction(0), 0)
-
-
-@dataclass(frozen=True)
 class SolveResult:
     matching: BMatching
     value: Fraction
     covering: Covering
 
 
-def _hungarian(n_rows: int, n_cols: int, adj: list[list[tuple[int, object]]], zero):
-    """Row-perfect max-weight assignment with one zero-weight dummy column per row.
+def _hungarian(n_rows: int, n_cols: int, adj: list[list[tuple[int, int]]]):
+    """Row-perfect max-weight integer assignment with one zero-weight dummy column per row.
 
     Returns (match_row, u, v) where match_row[i] is the real column matched to
     row i or -1 (row absorbed by a dummy), and (u, v) are non-negative
@@ -208,17 +188,17 @@ def _hungarian(n_rows: int, n_cols: int, adj: list[list[tuple[int, object]]], ze
     total_cols = n_cols + n_rows  # dummies occupy indices n_cols..
     u = []
     for i in range(n_rows):
-        best = zero
+        best = 0
         for _, w in adj[i]:
             if best < w:
                 best = w
         u.append(best)
-    v = [zero] * total_cols
+    v = [0] * total_cols
     match_row = [-1] * n_rows         # row -> col (real or dummy)
     match_col = [-1] * total_cols     # col -> row
 
     for root in range(n_rows):
-        slack_val: list[object] = [None] * total_cols
+        slack_val: list[Optional[int]] = [None] * total_cols
         slack_row = [-1] * total_cols
         in_tree_col = [False] * total_cols
         tree_rows = [root]
@@ -252,7 +232,7 @@ def _hungarian(n_rows: int, n_cols: int, adj: list[list[tuple[int, object]]], ze
                     j_star = j
             if theta is None:
                 raise InternalConsistencyError("hungarian search stalled")
-            if zero < theta:
+            if theta > 0:
                 for i in tree_rows:
                     u[i] = u[i] - theta
                 for j in range(total_cols):
@@ -282,13 +262,15 @@ def _hungarian(n_rows: int, n_cols: int, adj: list[list[tuple[int, object]]], ze
     return match_row, u, v
 
 
-def _solve(g: BipartiteGraph, weights: Optional[Mapping[Edge, object]] = None,
-           zero=Fraction(0), want_dual: bool = True):
+def _solve(g: BipartiteGraph, weights: Optional[Mapping[Edge, int]] = None,
+           want_dual: bool = True):
     """Solve max-weight b-matching via buyer-copy expansion.
 
-    Returns (edges, value, pi_or_None); value is in the weight domain.
+    Runs on `g.scaled` unless integer `weights` are given.  Returns (edges,
+    value, pi_or_None), with value and pi in the units of g.weight, or of
+    `weights` when those are given.
     """
-    w = g.weight if weights is None else weights
+    scaled, denom = g.scaled if weights is None else (weights, 1)
     rows: list[BuyerId] = []
     row_of_buyer: dict[BuyerId, list[int]] = {}
     for t in g.buyers:
@@ -298,23 +280,13 @@ def _solve(g: BipartiteGraph, weights: Optional[Mapping[Edge, object]] = None,
             rows.append(t)
     col_of_item = {s: k for k, s in enumerate(g.items)}
 
-    use_int = zero == Fraction(0) and all(isinstance(x, (Fraction, int)) for x in w.values())
-    if use_int:
-        denom = math.lcm(1, *(Fraction(x).denominator for x in w.values())) if w else 1
-        scaled = {e: int(Fraction(x) * denom) for e, x in w.items()}
-        solver_zero = 0
-    else:
-        denom = 1
-        scaled = dict(w)
-        solver_zero = zero
-
-    adj: list[list[tuple[int, object]]] = [[] for _ in rows]
+    adj: list[list[tuple[int, int]]] = [[] for _ in rows]
     for (s, t), wx in scaled.items():
         j = col_of_item[s]
         for i in row_of_buyer[t]:
             adj[i].append((j, wx))
 
-    match_row, u, v = _hungarian(len(rows), len(g.items), adj, solver_zero)
+    match_row, u, v = _hungarian(len(rows), len(g.items), adj)
 
     edges = []
     for i, j in enumerate(match_row):
@@ -323,7 +295,7 @@ def _solve(g: BipartiteGraph, weights: Optional[Mapping[Edge, object]] = None,
     edge_set = frozenset(edges)
     if len(edge_set) != len(edges):
         raise InternalConsistencyError("expansion produced a repeated edge")
-    value = sum((w[e] for e in edge_set), zero)
+    value = Fraction(sum(scaled[e] for e in edge_set), denom)
 
     if not want_dual:
         return edge_set, value, None
@@ -333,11 +305,9 @@ def _solve(g: BipartiteGraph, weights: Optional[Mapping[Edge, object]] = None,
         vals = {u[i] for i in row_of_buyer[t]}
         if len(vals) > 1:
             raise InternalConsistencyError(f"copies of buyer {t} got unequal duals")
-        raw = vals.pop() if vals else 0
-        pi[t] = Fraction(raw, denom) if use_int else raw
+        pi[t] = Fraction(vals.pop() if vals else 0, denom)
     for s in g.items:
-        raw = v[col_of_item[s]]
-        pi[s] = Fraction(raw, denom) if use_int else raw
+        pi[s] = Fraction(v[col_of_item[s]], denom)
     return edge_set, value, pi
 
 
@@ -420,8 +390,7 @@ def bfactor_exists(g: BipartiteGraph) -> tuple[bool, Optional[frozenset[BuyerId]
     demand = g.buyer_capacity_total()
     if len(g.items) != demand:
         return False, None
-    unit = {e: Fraction(1) for e in g.edges}
-    edges, value, _ = _solve(g, weights=unit, want_dual=False)
+    edges, value, _ = _solve(g, weights=dict.fromkeys(g.edges, 1), want_dual=False)
     if value == demand:
         return True, None
     deficient = _deficient_set(g, edges)
@@ -460,8 +429,12 @@ def _deficient_set(g: BipartiteGraph, matched: frozenset[Edge]) -> frozenset[Buy
 def lexicographic_min_edge_optimum(g: BipartiteGraph) -> tuple[BMatching, Fraction]:
     """Maximum-weight b-matching using the fewest edges among all optima.
 
-    Solved over lexicographic (weight, -edge count) values; no weight scaling.
+    Solved over the integer weights w * D * K - 1 with K = |S| + 1 (see the
+    module notes), which order b-matchings by weight first and edge count second.
     """
-    lex = {e: LexWeight(g.weight[e], -1) for e in g.edges}
-    edges, value, _ = _solve(g, weights=lex, zero=LexWeight.zero(), want_dual=False)
-    return BMatching(edges), value.w
+    scaled, _ = g.scaled
+    k = len(g.items) + 1
+    edges, _, _ = _solve(g, weights={e: w * k - 1 for e, w in scaled.items()},
+                         want_dual=False)
+    best = BMatching(edges)
+    return best, best.weight(g)

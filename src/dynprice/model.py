@@ -10,13 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional
+from typing import AbstractSet, Iterable, Mapping, Optional
 
 from . import matching
 from .errors import InternalConsistencyError, ModelError
 from .matching import BipartiteGraph, BuyerId, ItemId
-
-Rational = Fraction
 
 
 @dataclass(frozen=True)
@@ -55,9 +53,6 @@ class Market:
     def total_demand(self) -> int:
         return sum(self.demand[t] for t in self.buyers)
 
-    def values_of(self, buyer: BuyerId) -> dict[ItemId, Fraction]:
-        return {s: self.value[(buyer, s)] for s in self.items}
-
 
 @dataclass(frozen=True)
 class Allocation:
@@ -75,6 +70,15 @@ class OptReport:
     opt_welfare: Fraction
     opt_property_holds: bool
     witness: Optional[tuple[BuyerId, Allocation]] = None
+
+
+def submarket(m: Market, items: AbstractSet[ItemId],
+              buyers: AbstractSet[BuyerId]) -> Market:
+    """The market on the given items and buyers, kept in m's order."""
+    its = tuple(s for s in m.items if s in items)
+    bys = tuple(t for t in m.buyers if t in buyers)
+    return Market(its, bys, {t: m.demand[t] for t in bys},
+                  {(t, s): m.value[(t, s)] for t in bys for s in its})
 
 
 def market_graph(m: Market) -> BipartiteGraph:
@@ -150,9 +154,7 @@ def trim_items(m: Market) -> tuple[Market, frozenset[ItemId]]:
     removed = frozenset(s for s in m.items if s not in used)
     if not removed:
         return m, removed
-    kept = tuple(s for s in m.items if s in used)
-    sub = Market(kept, m.buyers, m.demand,
-                 {(t, s): m.value[(t, s)] for t in m.buyers for s in kept})
+    sub = submarket(m, used, set(m.buyers))
     if matching.max_weight_value(market_graph(sub)) != opt:
         raise InternalConsistencyError("trimming changed the optimum welfare")
     return sub, removed
@@ -166,8 +168,4 @@ def restrict_market(m: Market, departed: BuyerId, sold: Iterable[ItemId]) -> Mar
     unknown = sold - set(m.items)
     if unknown:
         raise ModelError(f"unknown items {sorted(unknown)!r}")
-    items = tuple(s for s in m.items if s not in sold)
-    buyers = tuple(t for t in m.buyers if t != departed)
-    return Market(items, buyers,
-                  {t: m.demand[t] for t in buyers},
-                  {(t, s): m.value[(t, s)] for t in buyers for s in items})
+    return submarket(m, set(m.items) - sold, set(m.buyers) - {departed})

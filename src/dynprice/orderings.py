@@ -232,7 +232,8 @@ def adequate_bidemand(h: BipartiteGraph, trace: Optional[list] = None) -> Orderi
 
 
 def _bidemand_wrapper(h: BipartiteGraph, trace: list, depth: int) -> Ordering:
-    _require_factor(h, InternalConsistencyError)
+    if depth > 0:  # adequate_bidemand has checked the top-level graph
+        _require_factor(h, InternalConsistencyError)
     unit = h.unit_weights()
     sc = refine_covering(unit)
     hp = tight_subgraph(sc, unit)

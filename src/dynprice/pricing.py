@@ -45,14 +45,27 @@ def prohibitive_price(m: Market, s: ItemId) -> Fraction:
     return top + 1
 
 
-def dispatch_ordering(trimmed: Market, gpi: BipartiteGraph,
-                      sc: StructuredCovering) -> Ordering:
+def infer_mode(m: Market) -> str:
+    """The pricing mode: "unit" when every demand is one, else "multi"."""
+    return "unit" if all(m.demand[t] == 1 for t in m.buyers) else "multi"
+
+
+def ordering_method(trimmed: Market) -> str:
+    """The adequate-ordering construction that applies to a trimmed market."""
     if len(trimmed.buyers) <= 3:
-        return adequate_three_buyers(gpi)
+        return "three-buyer"
     if all(trimmed.demand[t] <= 2 for t in trimmed.buyers):
-        return adequate_bidemand(gpi)
+        return "bi-demand"
     raise UnsupportedMarketError(
         "no adequate-ordering construction for >3 buyers with demands above two")
+
+
+def dispatch_ordering(trimmed: Market, gpi: BipartiteGraph, sc: StructuredCovering,
+                      trace: Optional[list] = None) -> Ordering:
+    """Adequate ordering by `ordering_method`; `trace` collects bi-demand cases."""
+    if ordering_method(trimmed) == "three-buyer":
+        return adequate_three_buyers(gpi)
+    return adequate_bidemand(gpi, trace)
 
 
 def unit_round(m: Market) -> RoundPricing:
@@ -95,11 +108,3 @@ def multi_round(m: Market, ordering_strategy: Optional[OrderingStrategy] = None
     price = {s: sc.pi.pi[s] + delta * sigma.rank[s] for s in trimmed.items}
     price.update({s: prohibitive_price(m, s) for s in removed})
     return RoundPricing(PriceVector(price, delta), sc.pi, sigma, trimmed, removed)
-
-
-def round_prices_unit(m: Market) -> PriceVector:
-    return unit_round(m).prices
-
-
-def round_prices_multi(m: Market) -> PriceVector:
-    return multi_round(m).prices

@@ -21,10 +21,11 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import (ContractViolationError, InternalConsistencyError, ModelError,
                      OracleCapError, UnsupportedMarketError)
-from .matching import BuyerId, ItemId
-from .model import Allocation, Market, restrict_market
-from .pricing import (OrderingStrategy, PriceVector, RoundPricing, multi_round,
-                      unit_round)
+from .matching import BuyerId, Covering, ItemId
+from .model import Allocation, Market, restrict_market, submarket
+from .orderings import Ordering
+from .pricing import (OrderingStrategy, PriceVector, RoundPricing, dispatch_ordering,
+                      infer_mode, multi_round, prohibitive_price, unit_round)
 
 ORACLE_ITEM_CAP = 12
 
@@ -229,15 +230,9 @@ class Verdict:
 TieBreak = Callable[[BuyerId, Sequence[frozenset[ItemId]], int], frozenset[ItemId]]
 
 
-def _infer_mode(m: Market) -> str:
-    return "unit" if all(m.demand[t] == 1 for t in m.buyers) else "multi"
-
-
 def _prohibitive_round(m: Market) -> RoundPricing:
     """Everything priced out of reach; used only when a sabotaged run breaks
     the saturation property mid-run and still has to finish."""
-    from .matching import Covering
-    from .pricing import prohibitive_price
     price = {s: prohibitive_price(m, s) for s in m.items}
     zeros = Covering({v: Fraction(0) for v in m.items + m.buyers})
     return RoundPricing(PriceVector(price, Fraction(0)), zeros, None, m,
@@ -268,7 +263,7 @@ def run_once(m: Market, order: Sequence[BuyerId], tiebreak: Optional[TieBreak] =
     """One dynamic run: price, let the arriving buyer pick, shrink the market."""
     if sorted(order) != sorted(m.buyers):
         raise ModelError("order must be a permutation of the buyers")
-    mode = mode or _infer_mode(m)
+    mode = mode or infer_mode(m)
     residual = m
     steps: list[Step] = []
     welfare_total = Fraction(0)
@@ -291,13 +286,6 @@ class _BudgetExceeded(Exception):
     pass
 
 
-def _submarket(m: Market, items: frozenset[ItemId], buyers: frozenset[BuyerId]) -> Market:
-    its = tuple(s for s in m.items if s in items)
-    bys = tuple(t for t in m.buyers if t in buyers)
-    return Market(its, bys, {t: m.demand[t] for t in bys},
-                  {(t, s): m.value[(t, s)] for t in bys for s in its})
-
-
 def run_exhaustive(m: Market, mode: Optional[str] = None, budget: int = 200000,
                    ordering_strategy: Optional[OrderingStrategy] = None,
                    instance_id: str = "", oracle_cap: int = ORACLE_ITEM_CAP) -> Verdict:
@@ -306,7 +294,7 @@ def run_exhaustive(m: Market, mode: Optional[str] = None, budget: int = 200000,
     Exceeding the state budget yields an explicit partial verdict
     (complete=False, no counterexample trace) rather than silent truncation.
     """
-    mode = mode or _infer_mode(m)
+    mode = mode or infer_mode(m)
     opt_value = oracle_opt_value(m, oracle_cap)
     price_cache: dict[tuple, RoundPricing] = {}
     memo: dict[tuple, tuple[Fraction, Fraction, int]] = {}
@@ -319,7 +307,7 @@ def run_exhaustive(m: Market, mode: Optional[str] = None, budget: int = 200000,
         hit = price_cache.get(key)
         if hit is None:
             root = buyers == frozenset(m.buyers) and items == frozenset(m.items)
-            hit = _price_round(_submarket(m, items, buyers), mode, ordering_strategy,
+            hit = _price_round(submarket(m, items, buyers), mode, ordering_strategy,
                                is_root=root)
             price_cache[key] = hit
         return hit
@@ -341,7 +329,7 @@ def run_exhaustive(m: Market, mode: Optional[str] = None, budget: int = 200000,
         expansions += 1
         if expansions > budget:
             raise _BudgetExceeded
-        residual = _submarket(m, items, buyers)
+        residual = submarket(m, items, buyers)
         rp = price_state(items, buyers)
         mn = mx = None
         count = 0
@@ -371,19 +359,18 @@ def run_exhaustive(m: Market, mode: Optional[str] = None, budget: int = 200000,
     all_optimal = mn == opt_value
     counterexample = None
     if not all_optimal:
-        counterexample = _walk_min_trace(m, mode, memo, price_state, ordering_strategy)
+        counterexample = _walk_min_trace(m, memo, price_state)
     return Verdict(instance_id, count, all_optimal, counterexample, True, opt_value)
 
 
-def _walk_min_trace(m: Market, mode: str, memo, price_state,
-                    ordering_strategy) -> RunTrace:
+def _walk_min_trace(m: Market, memo, price_state) -> RunTrace:
     """Reconstruct one minimum-welfare run from the memo table."""
     items = frozenset(m.items)
     buyers = frozenset(m.buyers)
     steps: list[Step] = []
     total = Fraction(0)
     while buyers:
-        residual = _submarket(m, items, buyers)
+        residual = submarket(m, items, buyers)
         rp = price_state(items, buyers)
         target = memo[(buyers, items)][0]
         found = None
@@ -408,10 +395,8 @@ def _walk_min_trace(m: Market, mode: str, memo, price_state,
     return RunTrace(tuple(steps), total, items)
 
 
-def reversed_ordering_strategy(trimmed: Market, gpi, sc) -> "Ordering":
+def reversed_ordering_strategy(trimmed: Market, gpi, sc) -> Ordering:
     """Negative control: the standard adequate ordering, reversed."""
-    from .orderings import Ordering
-    from .pricing import dispatch_ordering
     base = dispatch_ordering(trimmed, gpi, sc)
     return Ordering.from_sequence(tuple(reversed(base.items_in_order())))
 
@@ -420,7 +405,7 @@ def run_sampled(m: Market, n_orders: int, seed: int, mode: Optional[str] = None,
                 ordering_strategy: Optional[OrderingStrategy] = None,
                 instance_id: str = "", oracle_cap: int = ORACLE_ITEM_CAP) -> Verdict:
     """Seeded random arrival orders and tie-breaks; complete is always False."""
-    mode = mode or _infer_mode(m)
+    mode = mode or infer_mode(m)
     opt_value = oracle_opt_value(m, oracle_cap)
     rng = random.Random(seed)
     counterexample = None

@@ -109,6 +109,8 @@ def test_cli_solve_dual_order_price(tmp_path, capsys, e2):
     out = json.loads(capsys.readouterr().out)
     assert out["welfare"] == "14"
     assert sorted(out["allocation"]["t1"]) == ["s1", "s2"]
+    capacity = {s: 1 for s in e2.items} | dict(e2.demand)
+    assert sum(Fraction(x) * capacity[v] for v, x in out["pi"].items()) == 14
 
     assert main(["dual", "--input", path]) == 0
     out = json.loads(capsys.readouterr().out)
@@ -140,6 +142,9 @@ def test_cli_order_methods(tmp_path, capsys, d1_market):
     assert out["method"] == "bi-demand"
     assert out["case_trace"]  # at least one recursion level recorded
     assert sorted(out["ordering"]) == sorted(m4.items)
+    # `order` and `price` pick the same construction, so the same ordering
+    assert main(["price", "--input", path4]) == 0
+    assert json.loads(capsys.readouterr().out)["sigma"] == out["ordering"]
 
 
 def test_cli_simulate_exit_codes(tmp_path, capsys, e2, d1_market):
@@ -183,6 +188,7 @@ def test_cli_unsupported_market(tmp_path, capsys):
     m = generate_instance(5, 4, 3, (1, 4))
     path = write_market(tmp_path, m, "big.json")
     assert main(["price", "--input", path]) == 2
+    assert main(["order", "--input", path]) == 2
 
 
 def test_cli_internal_error_exit_code(tmp_path, capsys, monkeypatch, e2):

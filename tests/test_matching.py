@@ -9,7 +9,7 @@ from dynprice import (BipartiteGraph, bfactor_exists, market_graph,
                       max_weight_bmatching, max_weight_forced_edge,
                       max_weight_reduced_capacity, optimal_covering)
 from dynprice.errors import ModelError
-from dynprice.matching import LexWeight, lexicographic_min_edge_optimum, solve_with_covering
+from dynprice.matching import lexicographic_min_edge_optimum, solve_with_covering
 
 from conftest import brute_bfactor_exists, naive_opt_value
 
@@ -176,25 +176,24 @@ def test_lexicographic_prefers_fewer_edges():
 def test_lexicographic_matches_oracle_min_edge_count():
     from dynprice import Market, oracle_opt
     rng = random.Random(10)
-    for _ in range(30):
-        nb = rng.randint(1, 3)
-        ns = rng.randint(1, 6)
-        buyers = [f"t{i}" for i in range(nb)]
-        items = [f"s{i}" for i in range(ns)]
-        vals = {(t, s): Fraction(rng.randint(0, 3)) for t in buyers for s in items}
-        m = Market.build(items, buyers, {t: rng.randint(1, 2) for t in buyers}, vals)
-        bm, val = lexicographic_min_edge_optimum(market_graph(m))
-        opt, allocs = oracle_opt(m)
-        assert val == opt
-        assert len(bm.edges) == min(
-            sum(len(b) for b in a.bundle.values()) for a in allocs)
-
-
-def test_lexweight_algebra():
-    a = LexWeight(Fraction(3), -1)
-    b = LexWeight(Fraction(3), -2)
-    assert b < a and a + b == LexWeight(Fraction(6), -3)
-    assert a * 2 == LexWeight(Fraction(6), -2)
+    # Integer values, then fractional ones on up to 8 items: more items than
+    # total demand, so the integer trim objective w * D * K - 1 must rank a
+    # weight gap of 1/D above any difference in edge count.
+    integral = (6, lambda: Fraction(rng.randint(0, 3)))
+    fractional = (8, lambda: Fraction(rng.randint(0, 6), rng.choice((1, 2, 3, 6))))
+    for max_items, value in (integral, fractional):
+        for _ in range(30):
+            nb = rng.randint(1, 3)
+            ns = rng.randint(1, max_items)
+            buyers = [f"t{i}" for i in range(nb)]
+            items = [f"s{i}" for i in range(ns)]
+            vals = {(t, s): value() for t in buyers for s in items}
+            m = Market.build(items, buyers, {t: rng.randint(1, 2) for t in buyers}, vals)
+            bm, val = lexicographic_min_edge_optimum(market_graph(m))
+            opt, allocs = oracle_opt(m)
+            assert val == opt
+            assert len(bm.edges) == min(
+                sum(len(b) for b in a.bundle.values()) for a in allocs)
 
 
 @settings(max_examples=30, deadline=None)

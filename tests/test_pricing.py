@@ -2,8 +2,7 @@ import random
 import pytest
 
 from dynprice import (Market, best_bundles, generate_instance, market_graph,
-                      multi_round, refine_covering, round_prices_multi,
-                      round_prices_unit, unit_round)
+                      multi_round, refine_covering, unit_round)
 from dynprice.errors import ContractViolationError, UnsupportedMarketError
 from dynprice.simulation import oracle_feasible
 
@@ -37,7 +36,7 @@ def test_unit_prices_zero_market():
 
 def test_unit_rejects_multi(e2):
     with pytest.raises(ContractViolationError):
-        round_prices_unit(e2)
+        unit_round(e2).prices
 
 
 def test_unit_zero_slack_choices_feasible():
@@ -57,7 +56,7 @@ def test_multi_prices_e2(e2):
     assert best_bundles(e2, "t1", rp.prices) == [frozenset({"s1", "s2"})]
     assert best_bundles(e2, "t2", rp.prices) == [frozenset({"s3", "s4"})]
     assert rp.prices.delta > 0
-    vec = round_prices_multi(e2)
+    vec = multi_round(e2).prices
     assert vec.price == rp.prices.price
 
 

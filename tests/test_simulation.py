@@ -9,8 +9,8 @@ from dynprice import (Market, PriceVector, best_bundles, generate_instance,
                       oracle_feasible, oracle_opt, oracle_opt_value, run_exhaustive,
                       run_once, run_sampled, verify_adequate)
 from dynprice.errors import ModelError, OracleCapError
-from dynprice.simulation import (_submarket, oracle_edge_legal,
-                                 reversed_ordering_strategy)
+from dynprice.model import submarket
+from dynprice.simulation import oracle_edge_legal, reversed_ordering_strategy
 
 from conftest import naive_opt_value
 
@@ -246,5 +246,5 @@ def test_run_sampled_deterministic(e2):
 
 
 def test_submarket_preserves_order(e2):
-    sub = _submarket(e2, frozenset({"s3", "s1"}), frozenset({"t2"}))
+    sub = submarket(e2, frozenset({"s3", "s1"}), frozenset({"t2"}))
     assert sub.items == ("s1", "s3") and sub.buyers == ("t2",)
