@@ -20,12 +20,13 @@ from itertools import combinations
 from typing import Optional, Sequence
 
 from . import sets
-from .dual import refine_covering, tight_subgraph
+from .dual import refine_covering
 from .errors import (ContractViolationError, InternalConsistencyError, ModelError,
                      OracleCapError, UnsupportedMarketError)
 from .matching import solve_with_covering
-from .model import Market, check_opt_property, market_graph, trim_items
-from .pricing import dispatch_ordering, infer_mode, multi_round, ordering_method, unit_round
+from .model import Market, check_opt_property, market_graph
+from .pricing import (dispatch_ordering, infer_mode, multi_round, ordering_method,
+                      tight_market, unit_round)
 from .simulation import RunTrace, reversed_ordering_strategy, run_exhaustive, run_sampled
 
 _USAGE_ERROR = 2
@@ -200,16 +201,13 @@ def _cmd_dual(args) -> int:
 
 
 def _cmd_order(args) -> int:
-    m = _load_market(args)
-    trimmed, removed = trim_items(m)
-    g = market_graph(trimmed)
-    sc = refine_covering(g)
+    tm = tight_market(_load_market(args))
     trace: list = []
-    sigma = dispatch_ordering(trimmed, tight_subgraph(sc, g), sc, trace)
+    sigma = dispatch_ordering(tm.trimmed, tm.gpi, tm.sc, trace)
     _dump({
-        "method": ordering_method(trimmed),
+        "method": ordering_method(tm.trimmed),
         "ordering": list(sigma.items_in_order()),
-        "trimmed_away": sorted(removed),
+        "trimmed_away": sorted(tm.removed),
         "case_trace": trace,
     }, args)
     return 0
@@ -254,12 +252,9 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    m = _load_market(args)
-    trimmed, removed = trim_items(m)
-    g = market_graph(trimmed)
-    sc = refine_covering(g)
-    gpi = tight_subgraph(sc, g)
-    out: dict = {"trimmed_away": sorted(removed)}
+    tm = tight_market(_load_market(args))
+    gpi = tm.gpi
+    out: dict = {"trimmed_away": sorted(tm.removed)}
     ms = sets.min_surplus_set(gpi)
     out["min_surplus"] = None if ms is None else ms[1]
     out["dangerous_sets"] = [sorted(Y) for Y in sets.all_dangerous_sets(gpi)]

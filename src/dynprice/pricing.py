@@ -79,18 +79,31 @@ def unit_round(m: Market) -> RoundPricing:
     return RoundPricing(PriceVector(price, Fraction(0)), sc.pi, None, trimmed, removed)
 
 
-def multi_round(m: Market, ordering_strategy: Optional[OrderingStrategy] = None
-                ) -> RoundPricing:
-    """Multi-demand round; refuses markets where some buyer can be left short."""
+@dataclass(frozen=True)
+class TightMarket:
+    """A trimmed market that meets the multi-demand preconditions, with its
+    structured covering and tight graph (both empty when no item is left)."""
+
+    trimmed: Market
+    removed: frozenset[ItemId]
+    sc: StructuredCovering
+    gpi: BipartiteGraph
+
+
+def tight_market(m: Market) -> TightMarket:
+    """Trim m, check the saturation property and build the tight graph.
+
+    Multi-demand pricing, `dynprice order` and `dynprice verify` all start
+    here, so they accept and refuse the same markets.
+    """
     trimmed, removed = trim_items(m)
     if len(trimmed.items) != trimmed.total_demand():
         raise UnsupportedMarketError(
             "saturation property fails: optimum leaves a buyer short of b(t) items")
-    if not trimmed.items:  # nothing worth selling, so no buyer is left either
-        price = {s: prohibitive_price(m, s) for s in removed}
-        return RoundPricing(PriceVector(price, Fraction(0)), Covering({}),
-                            Ordering.from_sequence(()), trimmed, removed)
     g = market_graph(trimmed)
+    if not trimmed.items:  # nothing worth selling, so no buyer is left either
+        empty = StructuredCovering(Covering({}), frozenset(), None)
+        return TightMarket(trimmed, removed, empty, g)
     sc = refine_covering(g)
     for t in trimmed.buyers:
         if sc.pi.pi[t] == 0:
@@ -99,9 +112,20 @@ def multi_round(m: Market, ordering_strategy: Optional[OrderingStrategy] = None
     for s in trimmed.items:
         if sc.pi.pi[s] == 0:
             raise InternalConsistencyError("trimmed item with zero dual")
-    gpi = tight_subgraph(sc, g)
+    return TightMarket(trimmed, removed, sc, tight_subgraph(sc, g))
+
+
+def multi_round(m: Market, ordering_strategy: Optional[OrderingStrategy] = None
+                ) -> RoundPricing:
+    """Multi-demand round; refuses markets where some buyer can be left short."""
+    tm = tight_market(m)
+    trimmed, removed, sc = tm.trimmed, tm.removed, tm.sc
+    if not trimmed.items:
+        price = {s: prohibitive_price(m, s) for s in removed}
+        return RoundPricing(PriceVector(price, Fraction(0)), sc.pi,
+                            Ordering.from_sequence(()), trimmed, removed)
     strategy = ordering_strategy or dispatch_ordering
-    sigma = strategy(trimmed, gpi, sc)
+    sigma = strategy(trimmed, tm.gpi, sc)
     if sc.slack is None:
         raise InternalConsistencyError("finite slack expected under saturation")
     delta = sc.slack / (len(trimmed.items) + 1)

@@ -2,23 +2,33 @@
 
 The surplus of a buyer set Y in the tight graph is |N(Y)| - b(Y); a set is
 dangerous when its surplus is exactly one (|N(Y)| = 2|Y| + 1 in the pure
-bi-demand case).  Surplus is minimized by a min-cut computation on a small
-capacitated network (source -> buyer at b(t), buyer -> item at infinity,
-item -> sink at 1); forced inclusion uses an infinite source arc, forced
-exclusion removes the buyer.  Non-emptiness and properness are enforced by
-looping over one forced-in and one forced-out buyer.
+bi-demand case).
+
+Surplus is minimized by augmenting b-matchings.  Force some buyers into Y,
+each free to take any number of its tight items, and some out.  A maximum
+b-matching of the remaining buyers then holds b(remaining) plus the least
+surplus (König), and the buyers reachable from spare capacity along
+alternating paths (buyer -> tight item -> its owner) form the smallest
+minimizer: the minimal min cut, which every maximum matching shares.  Each
+public call computes one maximum b-matching and warm-starts every search
+from it with the forced-out buyers' items released; with a b-factor, a
+search then takes at most b(forced-out) augmentations.
 """
 
 from __future__ import annotations
 
-from collections import deque
+import math
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Iterable, Optional
+from operator import itemgetter
+from typing import Iterable, Mapping, Optional
 
 from . import matching
 from .errors import ContractViolationError, ModelError
 from .matching import BipartiteGraph, BuyerId, ItemId
+
+# A b-matching as the owner of each matched item and the load of each buyer.
+BaseMatching = tuple[dict[ItemId, BuyerId], dict[BuyerId, int]]
 
 
 @dataclass(frozen=True)
@@ -53,81 +63,68 @@ def is_dangerous(gpi: BipartiteGraph, Y: Iterable[BuyerId]) -> bool:
     return bool(Y) and Y != frozenset(gpi.buyers) and surplus(gpi, Y) == 1
 
 
-def _max_flow(adj: dict[str, list[str]], cap: dict[tuple[str, str], int],
-              source: str, sink: str) -> tuple[int, frozenset[str]]:
-    """Edmonds-Karp; returns (flow value, source side of the min cut)."""
-    residual = dict(cap)
-    for (u, v) in cap:
-        residual.setdefault((v, u), 0)
-    total = 0
+def _augment(adj: Mapping[BuyerId, tuple[ItemId, ...]], cap: Mapping[BuyerId, float],
+             owner: dict[ItemId, BuyerId], load: dict[BuyerId, int]) -> set[BuyerId]:
+    """Augment the b-matching (owner, load) in place until it is maximum.
+
+    Buyers are the keys of `load`; items without an owner are free.  Returns
+    the buyers reachable from one with spare capacity along alternating paths.
+    """
     while True:
-        parent: dict[str, Optional[str]] = {source: None}
-        queue = deque([source])
-        while queue and sink not in parent:
-            u = queue.popleft()
-            for v in adj[u]:
-                if v not in parent and residual.get((u, v), 0) > 0:
-                    parent[v] = u
-                    queue.append(v)
-        if sink not in parent:
+        reached = [t for t in load if load[t] < cap[t]]
+        came = dict.fromkeys(reached)     # buyer -> (item, buyer) it was reached by
+        for t in reached:                 # grows while scanned: breadth first
+            for s in adj[t]:
+                u = owner.get(s)
+                if u is None:
+                    break                 # s is free: augment along the path to it
+                if u not in came:
+                    came[u] = (s, t)
+                    reached.append(u)
+            else:
+                continue
             break
-        bottleneck = None
-        v = sink
-        while parent[v] is not None:
-            u = parent[v]
-            r = residual[(u, v)]
-            if bottleneck is None or r < bottleneck:
-                bottleneck = r
-            v = u
-        v = sink
-        while parent[v] is not None:
-            u = parent[v]
-            residual[(u, v)] -= bottleneck
-            residual[(v, u)] += bottleneck
-            v = u
-        total += bottleneck
-    reachable = {source}
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        for v in adj[u]:
-            if v not in reachable and residual.get((u, v), 0) > 0:
-                reachable.add(v)
-                queue.append(v)
-    return total, frozenset(reachable)
+        else:
+            return set(came)
+        while True:                       # each item on the path moves to its reacher
+            owner[s] = t
+            if came[t] is None:
+                load[t] += 1
+                break
+            s, t = came[t]
 
 
-def _surplus_cut(gpi: BipartiteGraph, include: frozenset[BuyerId],
-                 exclude: frozenset[BuyerId]) -> tuple[int, frozenset[BuyerId]]:
-    """Minimum surplus over sets Y with include <= Y <= buyers - exclude."""
-    present = [t for t in gpi.buyers if t not in exclude]
-    inf = sum(gpi.capacity[t] for t in present) + len(gpi.items) + 1
-    source, sink = "@source", "@sink"
-    adj: dict[str, list[str]] = {source: [], sink: []}
-    cap: dict[tuple[str, str], int] = {}
-    for s in gpi.items:
-        adj[s] = [sink]
-        cap[(s, sink)] = 1
-        adj[sink].append(s)
-    for t in present:
-        adj[source].append(t)
-        adj[t] = [source]
-        cap[(source, t)] = inf if t in include else gpi.capacity[t]
-        for s in gpi.buyer_adj[t]:
-            adj[t].append(s)
-            adj[s].append(t)
-            cap[(t, s)] = inf
-    flow, reachable = _max_flow(adj, cap, source, sink)
-    Y = frozenset(t for t in present if t in reachable)
-    return flow - sum(gpi.capacity[t] for t in present), Y
+def _base_matching(gpi: BipartiteGraph) -> BaseMatching:
+    owner, load = {}, dict.fromkeys(gpi.buyers, 0)
+    _augment(gpi.buyer_adj, gpi.capacity, owner, load)
+    return owner, load
 
 
-def min_surplus_set(gpi: BipartiteGraph, q: SurplusQuery = SurplusQuery()
+def _surplus_cut(gpi: BipartiteGraph, base: BaseMatching, include: frozenset[BuyerId],
+                 exclude: frozenset[BuyerId]) -> tuple[frozenset[BuyerId], int]:
+    """(smallest Y of least surplus with include <= Y <= buyers - exclude, the surplus)."""
+    base_owner, base_load = base
+    owner = {s: t for s, t in base_owner.items() if t not in exclude}
+    load = {t: base_load[t] for t in gpi.buyers if t not in exclude}
+    cap = {t: math.inf if t in include else gpi.capacity[t] for t in load}
+    Y = _augment(gpi.buyer_adj, cap, owner, load)
+    return frozenset(Y), sum(load.values()) - sum(gpi.capacity[t] for t in load)
+
+
+def min_surplus_set(gpi: BipartiteGraph, q: SurplusQuery = SurplusQuery(),
+                    base: Optional[BaseMatching] = None
                     ) -> Optional[tuple[frozenset[BuyerId], int]]:
     """A nonempty proper buyer set minimizing |N(Y)| - b(Y) subject to q.
 
-    Returns None when the constraints leave no candidate.  Deterministic:
-    probes run in buyer input order and the first minimizer wins.
+    Returns None when the constraints leave no candidate.  Each search forces
+    one more buyer in or out, in buyer order; with no constraints, t1 (the
+    first buyer) in and each t out, then each t in and t1 out.  The answer is
+    the smallest minimizer of the first search that attains the least value,
+    as over the full |T|(|T|-1) grid of (in, out) pairs: if a minimizer has
+    t1, the grid's first minimizing pair is in row t1, searched first and in
+    full; if none has, the first row t attaining the minimum does so at
+    (t, t1), and no earlier (t', t1) does.  `base`, a maximum b-matching of
+    gpi to warm-start from, lets a dangerous-set search compute only one.
     """
     include = frozenset(q.must_include)
     exclude = frozenset(q.must_exclude)
@@ -136,19 +133,19 @@ def min_surplus_set(gpi: BipartiteGraph, q: SurplusQuery = SurplusQuery()
         raise ModelError(f"unknown buyers {sorted(unknown)!r}")
     if include & exclude:
         raise ModelError("must_include and must_exclude overlap")
-    include_opts = [include] if include else \
-        [include | {t} for t in gpi.buyers if t not in exclude]
-    best: Optional[tuple[frozenset[BuyerId], int]] = None
-    for inc in include_opts:
-        if exclude:
-            exclude_opts = [exclude]
-        else:
-            exclude_opts = [exclude | {t} for t in gpi.buyers if t not in inc]
-        for exc in exclude_opts:
-            value, Y = _surplus_cut(gpi, inc, exc)
-            if best is None or value < best[1]:
-                best = (Y, value)
-    return best
+    if include and exclude:
+        pairs = [(include, exclude)]
+    elif include:
+        pairs = [(include, frozenset({t})) for t in gpi.buyers if t not in include]
+    elif exclude:
+        pairs = [(frozenset({t}), exclude) for t in gpi.buyers if t not in exclude]
+    else:
+        t1, rest = frozenset(gpi.buyers[:1]), [frozenset({t}) for t in gpi.buyers[1:]]
+        pairs = [(t1, t) for t in rest] + [(t, t1) for t in rest]
+    if base is None:
+        base = _base_matching(gpi)
+    cuts = [_surplus_cut(gpi, base, inc, exc) for inc, exc in pairs]
+    return min(cuts, key=itemgetter(1), default=None)  # the first on ties
 
 
 def maximal_dangerous_set(gpi: BipartiteGraph) -> Optional[frozenset[BuyerId]]:
@@ -156,10 +153,11 @@ def maximal_dangerous_set(gpi: BipartiteGraph) -> Optional[frozenset[BuyerId]]:
 
     Precondition: no nonempty proper subset has surplus zero (Case-2 regime).
     """
-    base = min_surplus_set(gpi)
-    if base is None:
+    base = _base_matching(gpi)
+    found = min_surplus_set(gpi, base=base)
+    if found is None:
         return None
-    Y, value = base
+    Y, value = found
     if value <= 0:
         raise ContractViolationError("surplus-zero set exists; graph splits instead")
     if value >= 2:
@@ -167,7 +165,7 @@ def maximal_dangerous_set(gpi: BipartiteGraph) -> Optional[frozenset[BuyerId]]:
     for t in gpi.buyers:
         if t in Y:
             continue
-        probe = min_surplus_set(gpi, SurplusQuery.of(include=Y | {t}))
+        probe = min_surplus_set(gpi, SurplusQuery.of(include=Y | {t}), base)
         if probe is not None and probe[1] == 1:
             Y = probe[0]
     return Y
@@ -179,7 +177,8 @@ def minimal_dangerous_disjoint(gpi: BipartiteGraph, Z: Iterable[BuyerId]
     Z = frozenset(Z)
     if not is_dangerous(gpi, Z):
         raise ContractViolationError("Z must be dangerous")
-    probe = min_surplus_set(gpi, SurplusQuery.of(exclude=Z))
+    base = _base_matching(gpi)
+    probe = min_surplus_set(gpi, SurplusQuery.of(exclude=Z), base)
     if probe is None:
         return None
     Y, value = probe
@@ -195,7 +194,7 @@ def minimal_dangerous_disjoint(gpi: BipartiteGraph, Z: Iterable[BuyerId]
         for t_in in gpi.buyers:
             if t_in not in Y or t_in == t:
                 continue
-            sub = min_surplus_set(gpi, SurplusQuery.of(include={t_in}, exclude=outside))
+            sub = min_surplus_set(gpi, SurplusQuery.of({t_in}, outside), base)
             if sub is not None and sub[1] == 1:
                 Y = sub[0]
                 break

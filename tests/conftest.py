@@ -161,3 +161,29 @@ def brute_dangerous_sets(g: BipartiteGraph) -> list[frozenset]:
             if len(g.neighbors(Y)) == sum(g.capacity[t] for t in Y) + 1:
                 out.append(Y)
     return out
+
+
+def brute_first_min_surplus(g: BipartiteGraph, include=frozenset(), exclude=frozenset()):
+    """`min_surplus_set`'s documented answer over the full (in, out) grid.
+
+    Each pair forces one more buyer in (when `include` is empty) or out (when
+    `exclude` is empty), walked in buyer order.  The first pair whose
+    enumerated minimum is the least over all pairs gives the answer: the
+    intersection of that pair's minimizers, which is its smallest one.
+    Returns (set, value), or None when no pair has a candidate.
+    """
+    buyers = g.buyers
+    ins = [include] if include else [frozenset({t}) for t in buyers if t not in exclude]
+    pairs = [(inc, out) for inc in ins
+             for out in ([exclude] if exclude else
+                         [frozenset({t}) for t in buyers if t not in inc])]
+    value = {Y: len(g.neighbors(Y)) - sum(g.capacity[t] for t in Y)
+             for k in range(len(buyers) + 1) for Y in map(frozenset, combinations(buyers, k))}
+    firsts = []
+    for inc, out in pairs:
+        allowed = [Y for Y in value if inc <= Y and not Y & out]
+        least = min(value[Y] for Y in allowed)
+        smallest = frozenset.intersection(*(Y for Y in allowed if value[Y] == least))
+        assert value[smallest] == least  # minimizers of a submodular function meet
+        firsts.append((smallest, least))
+    return min(firsts, key=lambda f: f[1], default=None)

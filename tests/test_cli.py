@@ -212,3 +212,21 @@ def test_cli_price_market_without_buyers(tmp_path, capsys):
     assert main(["price", "--input", str(path), "--mode", "multi"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["trimmed_away"] == ["s1"] and out["delta"] == "0"
+
+
+def test_cli_order_and_verify_refuse_what_price_refuses(tmp_path, capsys):
+    # t2 is left short in every optimum, so the saturation property fails
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps({"items": ["s1", "s2"], "buyers": [
+        {"id": "t1", "demand": 2, "values": {"s1": "1", "s2": "0"}},
+        {"id": "t2", "demand": 1, "values": {"s1": "1", "s2": "0"}}]}))
+    errors = []
+    for verb in ("price", "order", "verify"):
+        assert main([verb, "--input", str(path)]) == 2
+        errors.append(capsys.readouterr().err)
+    assert errors[0].startswith("error: saturation property fails")
+    assert errors == [errors[0]] * 3
+    empty = tmp_path / "empty.json"
+    empty.write_text(json.dumps({"items": ["s1"], "buyers": []}))
+    assert main(["order", "--input", str(empty)]) == 0
+    assert json.loads(capsys.readouterr().out)["ordering"] == []

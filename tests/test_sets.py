@@ -11,8 +11,8 @@ from dynprice.errors import ContractViolationError
 from dynprice.sets import all_dangerous_sets, is_dangerous, surplus
 from dynprice.simulation import oracle_feasible
 
-from conftest import (brute_dangerous_sets, brute_feasible, brute_min_surplus,
-                      figure_market)
+from conftest import (brute_dangerous_sets, brute_feasible, brute_first_min_surplus,
+                      brute_min_surplus, figure_market)
 
 
 def fig1_tight():
@@ -98,6 +98,62 @@ def test_min_surplus_matches_brute_force():
             assert got_c is None
         else:
             assert got_c[1] == want_val_c and got_c[0] in want_sets_c
+
+
+def random_capacitated(rng, with_factor):
+    """Random graph with 0-8 buyers of capacity 0-3; with a b-factor built in,
+    or with a random item count and edges only."""
+    buyers = [f"t{k}" for k in range(rng.randint(0, 8))]
+    cap = {t: rng.randint(0, 3) for t in buyers}
+    edges = set()
+    if with_factor:
+        items = []
+        for t in buyers:
+            for _ in range(cap[t]):
+                items.append(f"s{len(items)}")
+                edges.add((items[-1], t))
+    else:
+        items = [f"s{k}" for k in range(rng.randint(0, 2 * len(buyers) + 3))]
+    density = rng.random() * 0.6
+    edges |= {(s, t) for s in items for t in buyers if rng.random() < density}
+    rng.shuffle(items)
+    return BipartiteGraph.build(items, buyers, {e: Fraction(1) for e in edges},
+                                {**{s: 1 for s in items}, **cap})
+
+
+def test_min_surplus_is_the_documented_first_minimizer():
+    rng = random.Random(43)
+    shapes = {"none": 0, "include": 0, "exclude": 0, "both": 0}
+    for k in range(400):
+        g = random_capacitated(rng, with_factor=k % 2 == 0)
+        buyers = list(g.buyers)
+        queries = [("none", (), ())]
+        if buyers:
+            queries.append(("include", rng.sample(buyers, rng.randint(1, len(buyers))), ()))
+            queries.append(("exclude", (), rng.sample(buyers, rng.randint(1, len(buyers)))))
+        if len(buyers) >= 2:
+            split = rng.randint(1, len(buyers) - 1)
+            stop = rng.randint(split + 1, len(buyers))
+            perm = rng.sample(buyers, len(buyers))
+            queries.append(("both", perm[:split], perm[split:stop]))
+        for shape, inc, exc in queries:
+            want = brute_first_min_surplus(g, frozenset(inc), frozenset(exc))
+            assert min_surplus_set(g, SurplusQuery.of(inc, exc)) == want, (g, inc, exc)
+            shapes[shape] += want is not None
+    assert min(shapes.values()) >= 100
+
+
+def test_min_surplus_needs_the_column_searches():
+    # t1 sees four items on its own, so every minimizer avoids t1 and the
+    # searches that force t1 in (the first row of the grid) miss the minimum
+    items = ["s1", "s2", "s3", "s4", "s5"]
+    edges = [("s1", "t1"), ("s2", "t1"), ("s3", "t1"), ("s4", "t1"),
+             ("s5", "t2"), ("s5", "t3")]
+    g = BipartiteGraph.build(items, ["t1", "t2", "t3"], {e: Fraction(1) for e in edges},
+                             {**{s: 1 for s in items}, "t1": 1, "t2": 1, "t3": 1})
+    got = min_surplus_set(g)
+    assert got == brute_first_min_surplus(g) == (frozenset({"t2", "t3"}), -1)
+    assert min_surplus_set(g, SurplusQuery.of(include=["t1"]))[1] == 3
 
 
 def test_min_surplus_no_candidates(d1_graph):
