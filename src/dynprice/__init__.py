@@ -14,9 +14,8 @@ from .model import (Allocation, Market, OptReport, check_opt_property,
                     market_graph, restrict_market, trim_items, welfare)
 from .dual import (StructuredCovering, compute_slack, is_legal_edge,
                    refine_covering, tight_subgraph)
-from .sets import (SurplusQuery, feasible_bundle, legal_classes_3,
-                   maximal_dangerous_set, min_surplus_set,
-                   minimal_dangerous_disjoint)
+from .sets import (feasible_bundle, legal_classes_3, maximal_dangerous_set,
+                   min_surplus_set, minimal_dangerous_disjoint)
 from .orderings import (Labeling3, Ordering, adequate_bidemand,
                         adequate_three_buyers, adequate_two_buyers, combine,
                         verify_adequate)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import re
 import sys
@@ -266,9 +267,8 @@ def _cmd_verify(args) -> int:
     for t in gpi.buyers:
         nbrs = gpi.buyer_adj[t]
         table: dict[str, bool] = {}
-        combos = list(combinations(nbrs, gpi.capacity[t]))
-        if len(combos) <= 512:
-            for F in combos:
+        if math.comb(len(nbrs), gpi.capacity[t]) <= 512:
+            for F in combinations(nbrs, gpi.capacity[t]):
                 table[",".join(F)] = sets.feasible_bundle(gpi, t, F)
         feas[t] = table
     out["feasibility"] = feas

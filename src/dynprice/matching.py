@@ -1,11 +1,19 @@
-"""Exact maximum-weight b-matching on bipartite graphs with optimal dual coverings.
+"""Exact b-matching on bipartite graphs: maximum weight with optimal dual
+coverings, and maximum cardinality with Hall witnesses.
 
-The solver works on the buyer-copy expansion: every buyer vertex t with
-capacity b(t) becomes b(t) unit-capacity copies, items keep capacity one, and
-a rectangular Hungarian algorithm with potentials solves the resulting
-assignment problem exactly.  The potentials translate directly into an optimal
-non-negative weighted covering pi with pi . b equal to the optimum, and copies
-of the same buyer provably share one dual value.
+Two engines answer the two kinds of question.  Cardinality questions (is
+there a b-factor, which buyer set breaks Hall's condition, which buyer set has
+the least surplus) go to `augment`, which grows a b-matching along
+alternating paths and returns the buyers reachable from spare capacity: by
+König's theorem, the smallest set of largest deficiency.  Weighted questions
+go to the Hungarian solver.
+
+The Hungarian solver works on the buyer-copy expansion: every buyer vertex
+t with capacity b(t) becomes b(t) unit-capacity copies, items keep capacity
+one, and a rectangular Hungarian algorithm with potentials solves the
+resulting assignment problem exactly.  The potentials translate directly
+into an optimal non-negative weighted covering pi with pi . b equal to the
+optimum, and copies of the same buyer provably share one dual value.
 
 All arithmetic is exact and the Hungarian algorithm runs on integers only.
 Each graph scales its Fraction weights once, by their least common
@@ -381,49 +389,56 @@ def max_weight_reduced_capacity(g: BipartiteGraph, vertex: str) -> Fraction:
     return max_weight_value(g.with_capacity(vertex, g.capacity[vertex] - 1))
 
 
+def augment(adj: Mapping[BuyerId, tuple[ItemId, ...]], cap: Mapping[BuyerId, float],
+            owner: dict[ItemId, BuyerId], load: dict[BuyerId, int]) -> set[BuyerId]:
+    """Augment the b-matching (owner, load) in place until it is maximum.
+
+    Buyers are the keys of `load`; items without an owner are free.  Returns
+    the buyers reachable from one with spare capacity along alternating paths.
+    """
+    while True:
+        reached = [t for t in load if load[t] < cap[t]]
+        came = dict.fromkeys(reached)     # buyer -> (item, buyer) it was reached by
+        for t in reached:                 # grows while scanned: breadth first
+            for s in adj[t]:
+                u = owner.get(s)
+                if u is None:
+                    break                 # s is free: augment along the path to it
+                if u not in came:
+                    came[u] = (s, t)
+                    reached.append(u)
+            else:
+                continue
+            break
+        else:
+            return set(came)
+        while True:                       # each item on the path moves to its reacher
+            owner[s] = t
+            if came[t] is None:
+                load[t] += 1
+                break
+            s, t = came[t]
+
+
 def bfactor_exists(g: BipartiteGraph) -> tuple[bool, Optional[frozenset[BuyerId]]]:
     """Whether g has a b-factor (degree = capacity everywhere).
 
     On failure returns a deficient buyer set Y with |N(Y)| < b(Y), or None when
-    the counting condition |S| = b(T) already fails.
+    the counting condition |S| = b(T) already fails.  The witness is the set
+    of buyers a maximum b-matching reaches from spare capacity: the smallest
+    set of largest deficiency b(Y) - |N(Y)|.
     """
     demand = g.buyer_capacity_total()
     if len(g.items) != demand:
         return False, None
-    edges, value, _ = _solve(g, weights=dict.fromkeys(g.edges, 1), want_dual=False)
-    if value == demand:
+    load = dict.fromkeys(g.buyers, 0)
+    reached = augment(g.buyer_adj, g.capacity, {}, load)
+    if sum(load.values()) == demand:
         return True, None
-    deficient = _deficient_set(g, edges)
-    return False, deficient
-
-
-def _deficient_set(g: BipartiteGraph, matched: frozenset[Edge]) -> frozenset[BuyerId]:
-    """Hall violator extraction by alternating reachability from unmatched demand."""
-    matched_of_item: dict[ItemId, list[BuyerId]] = {}
-    used: dict[BuyerId, int] = {t: 0 for t in g.buyers}
-    for s, t in matched:
-        matched_of_item.setdefault(s, []).append(t)
-        used[t] += 1
-    frontier = [t for t in g.buyers if used[t] < g.capacity[t]]
-    reached_buyers = set(frontier)
-    reached_items: set[ItemId] = set()
-    while frontier:
-        nxt = []
-        for t in frontier:
-            for s in g.buyer_adj[t]:
-                if s in reached_items:
-                    continue
-                reached_items.add(s)
-                for t2 in matched_of_item.get(s, ()):
-                    if t2 not in reached_buyers:
-                        reached_buyers.add(t2)
-                        nxt.append(t2)
-        frontier = nxt
-    witness = frozenset(reached_buyers)
-    nb = g.neighbors(witness)
-    if not witness or len(nb) >= sum(g.capacity[t] for t in witness):
+    witness = frozenset(reached)
+    if len(g.neighbors(witness)) >= sum(g.capacity[t] for t in witness):
         raise InternalConsistencyError("deficient-set extraction failed")
-    return witness
+    return False, witness
 
 
 def lexicographic_min_edge_optimum(g: BipartiteGraph) -> tuple[BMatching, Fraction]:

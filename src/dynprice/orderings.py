@@ -256,18 +256,13 @@ def _bidemand_cases(hp: BipartiteGraph, trace: list, depth: int) -> list[ItemId]
             seq.extend(_bidemand_wrapper(sub, trace, depth + 1).items_in_order())
         return seq
 
-    found = sets.min_surplus_set(hp)
-    if found is None:
-        raise InternalConsistencyError("no candidate buyer subset")
-    if found[1] >= 2:
+    try:
+        Z = sets.maximal_dangerous_set(hp)
+    except ContractViolationError as exc:
+        raise InternalConsistencyError("connected tight graph with surplus-zero set") from exc
+    if Z is None:
         trace.append({"depth": depth, "case": "1"})
         return list(hp.items)
-    if found[1] <= 0:
-        raise InternalConsistencyError("connected tight graph with surplus-zero set")
-
-    Z = sets.maximal_dangerous_set(hp)
-    if Z is None:
-        raise InternalConsistencyError("dangerous set vanished")
     X = sets.minimal_dangerous_disjoint(hp, Z)
     if X is None:
         return _subcase_no_disjoint(hp, Z, trace, depth)

@@ -4,7 +4,8 @@ The surplus of a buyer set Y in the tight graph is |N(Y)| - b(Y); a set is
 dangerous when its surplus is exactly one (|N(Y)| = 2|Y| + 1 in the pure
 bi-demand case).
 
-Surplus is minimized by augmenting b-matchings.  Force some buyers into Y,
+Surplus is minimized by augmenting b-matchings with `matching.augment`, the
+package's one engine for cardinality b-matching.  Force some buyers into Y,
 each free to take any number of its tight items, and some out.  A maximum
 b-matching of the remaining buyers then holds b(remaining) plus the least
 surplus (König), and the buyers reachable from spare capacity along
@@ -18,27 +19,16 @@ search then takes at most b(forced-out) augmentations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from itertools import combinations
 from operator import itemgetter
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Optional
 
 from . import matching
 from .errors import ContractViolationError, ModelError
-from .matching import BipartiteGraph, BuyerId, ItemId
+from .matching import BipartiteGraph, BuyerId, ItemId, augment
 
 # A b-matching as the owner of each matched item and the load of each buyer.
 BaseMatching = tuple[dict[ItemId, BuyerId], dict[BuyerId, int]]
-
-
-@dataclass(frozen=True)
-class SurplusQuery:
-    must_include: frozenset[BuyerId] = field(default_factory=frozenset)
-    must_exclude: frozenset[BuyerId] = field(default_factory=frozenset)
-
-    @staticmethod
-    def of(include: Iterable[BuyerId] = (), exclude: Iterable[BuyerId] = ()) -> "SurplusQuery":
-        return SurplusQuery(frozenset(include), frozenset(exclude))
 
 
 def feasible_bundle(gpi: BipartiteGraph, t: BuyerId, F: Iterable[ItemId]) -> bool:
@@ -63,40 +53,9 @@ def is_dangerous(gpi: BipartiteGraph, Y: Iterable[BuyerId]) -> bool:
     return bool(Y) and Y != frozenset(gpi.buyers) and surplus(gpi, Y) == 1
 
 
-def _augment(adj: Mapping[BuyerId, tuple[ItemId, ...]], cap: Mapping[BuyerId, float],
-             owner: dict[ItemId, BuyerId], load: dict[BuyerId, int]) -> set[BuyerId]:
-    """Augment the b-matching (owner, load) in place until it is maximum.
-
-    Buyers are the keys of `load`; items without an owner are free.  Returns
-    the buyers reachable from one with spare capacity along alternating paths.
-    """
-    while True:
-        reached = [t for t in load if load[t] < cap[t]]
-        came = dict.fromkeys(reached)     # buyer -> (item, buyer) it was reached by
-        for t in reached:                 # grows while scanned: breadth first
-            for s in adj[t]:
-                u = owner.get(s)
-                if u is None:
-                    break                 # s is free: augment along the path to it
-                if u not in came:
-                    came[u] = (s, t)
-                    reached.append(u)
-            else:
-                continue
-            break
-        else:
-            return set(came)
-        while True:                       # each item on the path moves to its reacher
-            owner[s] = t
-            if came[t] is None:
-                load[t] += 1
-                break
-            s, t = came[t]
-
-
 def _base_matching(gpi: BipartiteGraph) -> BaseMatching:
     owner, load = {}, dict.fromkeys(gpi.buyers, 0)
-    _augment(gpi.buyer_adj, gpi.capacity, owner, load)
+    augment(gpi.buyer_adj, gpi.capacity, owner, load)
     return owner, load
 
 
@@ -107,32 +66,33 @@ def _surplus_cut(gpi: BipartiteGraph, base: BaseMatching, include: frozenset[Buy
     owner = {s: t for s, t in base_owner.items() if t not in exclude}
     load = {t: base_load[t] for t in gpi.buyers if t not in exclude}
     cap = {t: math.inf if t in include else gpi.capacity[t] for t in load}
-    Y = _augment(gpi.buyer_adj, cap, owner, load)
+    Y = augment(gpi.buyer_adj, cap, owner, load)
     return frozenset(Y), sum(load.values()) - sum(gpi.capacity[t] for t in load)
 
 
-def min_surplus_set(gpi: BipartiteGraph, q: SurplusQuery = SurplusQuery(),
-                    base: Optional[BaseMatching] = None
+def min_surplus_set(gpi: BipartiteGraph, include: Iterable[BuyerId] = (),
+                    exclude: Iterable[BuyerId] = (), base: Optional[BaseMatching] = None
                     ) -> Optional[tuple[frozenset[BuyerId], int]]:
-    """A nonempty proper buyer set minimizing |N(Y)| - b(Y) subject to q.
+    """A nonempty proper buyer set minimizing |N(Y)| - b(Y) with include <= Y.
 
-    Returns None when the constraints leave no candidate.  Each search forces
-    one more buyer in or out, in buyer order; with no constraints, t1 (the
-    first buyer) in and each t out, then each t in and t1 out.  The answer is
-    the smallest minimizer of the first search that attains the least value,
-    as over the full |T|(|T|-1) grid of (in, out) pairs: if a minimizer has
-    t1, the grid's first minimizing pair is in row t1, searched first and in
-    full; if none has, the first row t attaining the minimum does so at
-    (t, t1), and no earlier (t', t1) does.  `base`, a maximum b-matching of
-    gpi to warm-start from, lets a dangerous-set search compute only one.
+    Y avoids every buyer in `exclude`.  Returns None when the constraints
+    leave no candidate.  Each search forces one more buyer in or out, in
+    buyer order; with no constraints, t1 (the first buyer) in and each t
+    out, then each t in and t1 out.  The answer is the smallest minimizer of
+    the first search that attains the least value, as over the full
+    |T|(|T|-1) grid of (in, out) pairs: if a minimizer has t1, the grid's
+    first minimizing pair is in row t1, searched first and in full; if none
+    has, the first row t attaining the minimum does so at (t, t1), and no
+    earlier (t', t1) does.  `base`, a maximum b-matching of gpi to
+    warm-start from, lets a dangerous-set search compute only one.
     """
-    include = frozenset(q.must_include)
-    exclude = frozenset(q.must_exclude)
+    include = frozenset(include)
+    exclude = frozenset(exclude)
     unknown = (include | exclude) - set(gpi.buyers)
     if unknown:
         raise ModelError(f"unknown buyers {sorted(unknown)!r}")
     if include & exclude:
-        raise ModelError("must_include and must_exclude overlap")
+        raise ModelError("include and exclude overlap")
     if include and exclude:
         pairs = [(include, exclude)]
     elif include:
@@ -165,7 +125,7 @@ def maximal_dangerous_set(gpi: BipartiteGraph) -> Optional[frozenset[BuyerId]]:
     for t in gpi.buyers:
         if t in Y:
             continue
-        probe = min_surplus_set(gpi, SurplusQuery.of(include=Y | {t}), base)
+        probe = min_surplus_set(gpi, include=Y | {t}, base=base)
         if probe is not None and probe[1] == 1:
             Y = probe[0]
     return Y
@@ -178,7 +138,7 @@ def minimal_dangerous_disjoint(gpi: BipartiteGraph, Z: Iterable[BuyerId]
     if not is_dangerous(gpi, Z):
         raise ContractViolationError("Z must be dangerous")
     base = _base_matching(gpi)
-    probe = min_surplus_set(gpi, SurplusQuery.of(exclude=Z), base)
+    probe = min_surplus_set(gpi, exclude=Z, base=base)
     if probe is None:
         return None
     Y, value = probe
@@ -194,7 +154,7 @@ def minimal_dangerous_disjoint(gpi: BipartiteGraph, Z: Iterable[BuyerId]
         for t_in in gpi.buyers:
             if t_in not in Y or t_in == t:
                 continue
-            sub = min_surplus_set(gpi, SurplusQuery.of({t_in}, outside), base)
+            sub = min_surplus_set(gpi, include={t_in}, exclude=outside, base=base)
             if sub is not None and sub[1] == 1:
                 Y = sub[0]
                 break

@@ -120,6 +120,21 @@ def brute_bfactor_exists(g: BipartiteGraph) -> bool:
     return rec(0)
 
 
+def brute_hall_witness(g: BipartiteGraph) -> frozenset:
+    """The smallest buyer set of largest deficiency b(Y) - |N(Y)|, by enumeration.
+
+    Deficiency is supermodular, so its maximizers are closed under
+    intersection and the intersection of all of them is the smallest one.
+    """
+    deficiency = {Y: sum(g.capacity[t] for t in Y) - len(g.neighbors(Y))
+                  for k in range(len(g.buyers) + 1)
+                  for Y in map(frozenset, combinations(g.buyers, k))}
+    most = max(deficiency.values())
+    smallest = frozenset.intersection(*(Y for Y in deficiency if deficiency[Y] == most))
+    assert deficiency[smallest] == most
+    return smallest
+
+
 def brute_feasible(g: BipartiteGraph, t, F) -> bool:
     return brute_bfactor_exists(g.without(frozenset(F) | {t}))
 

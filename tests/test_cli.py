@@ -177,6 +177,31 @@ def test_cli_verify(tmp_path, capsys):
     assert out["feasibility"]["t1"]["s3,s4"] is False
 
 
+def test_cli_verify_draws_no_bundle_over_the_cap(tmp_path, capsys, monkeypatch):
+    # each buyer has C(24, 8) = 735 471 candidate bundles, over the cap of 512
+    import dynprice.cli as cli
+    items = [f"s{k}" for k in range(24)]
+    market = {"items": items,
+              "buyers": [{"id": t, "demand": 8, "values": dict.fromkeys(items, "1")}
+                         for t in ("t1", "t2", "t3")]}
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(market))
+    drawn = 0
+    real = cli.combinations
+
+    def counting(pool, r):
+        nonlocal drawn
+        for combo in real(pool, r):
+            drawn += 1
+            yield combo
+
+    monkeypatch.setattr(cli, "combinations", counting)
+    assert main(["verify", "--input", str(path)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["feasibility"] == {"t1": {}, "t2": {}, "t3": {}}
+    assert drawn == 0
+
+
 def test_cli_model_error(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{\"items\": 3}")

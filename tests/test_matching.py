@@ -11,7 +11,7 @@ from dynprice import (BipartiteGraph, bfactor_exists, market_graph,
 from dynprice.errors import ModelError
 from dynprice.matching import lexicographic_min_edge_optimum, solve_with_covering
 
-from conftest import brute_bfactor_exists, naive_opt_value
+from conftest import brute_bfactor_exists, brute_hall_witness, naive_opt_value
 
 
 def graph_of(items, buyers, caps, weights):
@@ -161,6 +161,27 @@ def test_bfactor_matches_brute_force():
         assert ok == brute_bfactor_exists(g)
         if not ok and witness is not None:
             assert len(g.neighbors(witness)) < sum(g.capacity[t] for t in witness)
+
+
+def test_bfactor_witness_is_the_smallest_most_deficient_set():
+    rng = random.Random(29)
+    failures = 0
+    for k in range(300):
+        buyers = [f"t{i}" for i in range(rng.randint(1, 7))]
+        caps = {t: rng.randint(0, 3) for t in buyers}
+        items = [f"s{i}" for i in range(sum(caps.values()))]
+        density = 0.15 if k % 2 else 0.7
+        weights = {(s, t): Fraction(1) for s in items for t in buyers
+                   if rng.random() < density}
+        g = graph_of(items, buyers, caps, weights)
+        ok, witness = bfactor_exists(g)
+        assert ok == brute_bfactor_exists(g)
+        if ok:
+            assert witness is None and brute_hall_witness(g) == frozenset()
+        else:
+            assert witness == brute_hall_witness(g), g
+            failures += 1
+    assert 50 <= failures <= 250
 
 
 def test_lexicographic_prefers_fewer_edges():

@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from dynprice import (BipartiteGraph, SurplusQuery, feasible_bundle, legal_classes_3,
+from dynprice import (BipartiteGraph, feasible_bundle, legal_classes_3,
                       market_graph, maximal_dangerous_set, min_surplus_set,
                       minimal_dangerous_disjoint, refine_covering, tight_subgraph)
 from dynprice.errors import ContractViolationError
@@ -65,7 +65,7 @@ def test_min_surplus_d1(d1_graph):
     Y, val = min_surplus_set(d1_graph)
     assert val == 1
     assert Y in (frozenset({"t1"}), frozenset({"t3"}), frozenset({"t2", "t3"}))
-    Y2, val2 = min_surplus_set(d1_graph, SurplusQuery.of(include=["t2"]))
+    Y2, val2 = min_surplus_set(d1_graph, include=["t2"])
     assert (Y2, val2) == (frozenset({"t2", "t3"}), 1)
 
 
@@ -92,7 +92,7 @@ def test_min_surplus_matches_brute_force():
         inc = frozenset({rng.choice(buyers)})
         exc_pool = [t for t in buyers if t not in inc]
         exc = frozenset({rng.choice(exc_pool)}) if exc_pool else frozenset()
-        got_c = min_surplus_set(gpi, SurplusQuery.of(inc, exc))
+        got_c = min_surplus_set(gpi, include=inc, exclude=exc)
         want_val_c, want_sets_c = brute_min_surplus(gpi, inc, exc)
         if want_val_c is None:
             assert got_c is None
@@ -138,7 +138,7 @@ def test_min_surplus_is_the_documented_first_minimizer():
             queries.append(("both", perm[:split], perm[split:stop]))
         for shape, inc, exc in queries:
             want = brute_first_min_surplus(g, frozenset(inc), frozenset(exc))
-            assert min_surplus_set(g, SurplusQuery.of(inc, exc)) == want, (g, inc, exc)
+            assert min_surplus_set(g, include=inc, exclude=exc) == want, (g, inc, exc)
             shapes[shape] += want is not None
     assert min(shapes.values()) >= 100
 
@@ -153,11 +153,11 @@ def test_min_surplus_needs_the_column_searches():
                              {**{s: 1 for s in items}, "t1": 1, "t2": 1, "t3": 1})
     got = min_surplus_set(g)
     assert got == brute_first_min_surplus(g) == (frozenset({"t2", "t3"}), -1)
-    assert min_surplus_set(g, SurplusQuery.of(include=["t1"]))[1] == 3
+    assert min_surplus_set(g, include=["t1"])[1] == 3
 
 
 def test_min_surplus_no_candidates(d1_graph):
-    assert min_surplus_set(d1_graph, SurplusQuery.of(include=d1_graph.buyers)) is None
+    assert min_surplus_set(d1_graph, include=d1_graph.buyers) is None
 
 
 def test_maximal_dangerous_d1(d1_graph):
