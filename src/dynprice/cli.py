@@ -258,7 +258,8 @@ def _cmd_verify(args) -> int:
     out: dict = {"trimmed_away": sorted(tm.removed)}
     ms = sets.min_surplus_set(gpi)
     out["min_surplus"] = None if ms is None else ms[1]
-    out["dangerous_sets"] = [sorted(Y) for Y in sets.all_dangerous_sets(gpi)]
+    out["dangerous_sets"] = (None if len(gpi.buyers) > sets.DANGEROUS_SETS_BUYER_CAP
+                             else [sorted(Y) for Y in sets.all_dangerous_sets(gpi)])
     if ms is not None and ms[1] == 1:
         out["maximal_dangerous"] = sorted(sets.maximal_dangerous_set(gpi))
     else:

@@ -23,7 +23,9 @@ Together (a) and (b) are strict complementarity for the b-matching LP
   algorithm, which numbers sink components first; every node moves by
   eps * (its component index - z's index).  Arcs between components become
   strictly slack, arcs inside one stay tight, and eps (the least positive
-  reduced cost over #SCCs + 1) keeps every other arc feasible.
+  reduced cost over #SCCs + 1) keeps every other arc feasible.  The
+  numbering follows M's arcs, so pi depends on which optimal M the
+  construction starts from; it always starts from the solver's M.
 * Witness verification, on every call.  The result must be an optimal
   covering, which certifies slack edges as non-legal and positive duals as
   always saturated.  Every tight non-M edge (s, t) needs an alternating

@@ -13,6 +13,7 @@ from fractions import Fraction
 from typing import AbstractSet, Iterable, Mapping, Optional
 
 from . import matching
+from .dual import refine_covering
 from .errors import InternalConsistencyError, ModelError
 from .matching import BipartiteGraph, BuyerId, ItemId
 
@@ -125,21 +126,22 @@ def allocation_from_matching(bm: matching.BMatching, m: Market) -> Allocation:
 def check_opt_property(m: Market) -> OptReport:
     """Does every buyer receive exactly b(t) items in every optimal allocation?
 
-    Holds iff lowering any single buyer's demand by one strictly lowers the
-    optimum welfare.
+    Read off the structured dual of the market graph: its value pi . b is the
+    optimum, and pi(t) = 0 exactly when some optimum leaves buyer t short.
+    For the first such buyer in buyer order, the witness is an optimum of the
+    market with t's demand lowered by one.
     """
     g = market_graph(m)
-    best, opt = matching.max_weight_bmatching(g)
-    for t in m.buyers:
-        if m.demand[t] == 1:
-            reduced = g.without([t])
-        else:
-            reduced = g.with_capacity(t, m.demand[t] - 1)
-        wit_matching, wit_value = matching.max_weight_bmatching(reduced)
-        if wit_value == opt:
-            witness = allocation_from_matching(wit_matching, m)
-            return OptReport(opt, False, (t, witness))
-    return OptReport(opt, True, None)
+    pi = refine_covering(g).pi
+    opt = pi.total_value(g)
+    t = next((t for t in m.buyers if pi.pi[t] == 0), None)
+    if t is None:
+        return OptReport(opt, True, None)
+    reduced = g.without([t]) if m.demand[t] == 1 else g.with_capacity(t, m.demand[t] - 1)
+    wit_matching, wit_value = matching.max_weight_bmatching(reduced)
+    if wit_value != opt:
+        raise InternalConsistencyError("zero buyer dual without a short optimum")
+    return OptReport(opt, False, (t, allocation_from_matching(wit_matching, m)))
 
 
 def trim_items(m: Market) -> tuple[Market, frozenset[ItemId]]:

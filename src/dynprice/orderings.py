@@ -73,10 +73,10 @@ def verify_adequate(gpi: BipartiteGraph, sigma: Ordering) -> bool:
     return True
 
 
-def _require_factor(g: BipartiteGraph, exc_type) -> None:
+def _require_factor(g: BipartiteGraph) -> None:
     exists, _ = matching.bfactor_exists(g)
     if not exists:
-        raise exc_type("graph admits no b-factor")
+        raise ContractViolationError("graph admits no b-factor")
 
 
 def adequate_two_buyers(gpi: BipartiteGraph) -> Ordering:
@@ -86,7 +86,7 @@ def adequate_two_buyers(gpi: BipartiteGraph) -> Ordering:
     t1, t2 = gpi.buyers
     if len(gpi.items) != gpi.capacity[t1] + gpi.capacity[t2]:
         raise ContractViolationError("item count must equal total demand")
-    _require_factor(gpi, ContractViolationError)
+    _require_factor(gpi)
     n1 = set(gpi.buyer_adj[t1])
     n2 = set(gpi.buyer_adj[t2])
     shared = n1 & n2
@@ -147,7 +147,7 @@ def adequate_three_buyers(gpi: BipartiteGraph) -> Ordering:
         raise ContractViolationError("at most three buyers supported")
     if len(gpi.items) != gpi.buyer_capacity_total():
         raise ContractViolationError("item count must equal total demand")
-    _require_factor(gpi, ContractViolationError)
+    _require_factor(gpi)
     if nb <= 1:
         return Ordering.from_sequence(gpi.items)
     if nb == 2:
@@ -222,20 +222,22 @@ def adequate_bidemand(h: BipartiteGraph, trace: Optional[list] = None) -> Orderi
 
     Wrapper of the recursive case analysis: refine a structured dual of h
     under all-unit weights, restrict to its tight subgraph, run the case
-    analysis there, and lift the result through `combine`.
+    analysis there, and lift the result through `combine`.  The same dual
+    tells whether h has a b-factor; without one, ContractViolationError.
     """
     for t in h.buyers:
         if not 1 <= h.capacity[t] <= 2:
             raise ContractViolationError("demands must be one or two")
-    _require_factor(h, ContractViolationError)
     return _bidemand_wrapper(h, trace if trace is not None else [], 0)
 
 
 def _bidemand_wrapper(h: BipartiteGraph, trace: list, depth: int) -> Ordering:
-    if depth > 0:  # adequate_bidemand has checked the top-level graph
-        _require_factor(h, InternalConsistencyError)
     unit = h.unit_weights()
     sc = refine_covering(unit)
+    # A zero dual marks a vertex that some largest b-matching leaves unsaturated.
+    if 0 in sc.pi.pi.values():
+        raise (ContractViolationError if depth == 0 else InternalConsistencyError)(
+            "graph admits no b-factor")
     hp = tight_subgraph(sc, unit)
     seq = _bidemand_cases(hp, trace, depth)
     return combine(sc.pi, Ordering.from_sequence(seq))

@@ -27,6 +27,8 @@ from . import matching
 from .errors import ContractViolationError, ModelError
 from .matching import BipartiteGraph, BuyerId, ItemId, augment
 
+DANGEROUS_SETS_BUYER_CAP = 16  # all_dangerous_sets enumerates 2^|T| buyer sets
+
 # A b-matching as the owner of each matched item and the load of each buyer.
 BaseMatching = tuple[dict[ItemId, BuyerId], dict[BuyerId, int]]
 
@@ -181,8 +183,8 @@ def legal_classes_3(gpi: BipartiteGraph) -> dict[frozenset[int], frozenset[ItemI
 
 def all_dangerous_sets(gpi: BipartiteGraph) -> list[frozenset[BuyerId]]:
     """Every dangerous set, by direct enumeration (desk scale |T| only)."""
-    if len(gpi.buyers) > 16:
-        raise ContractViolationError("enumeration limited to 16 buyers")
+    if len(gpi.buyers) > DANGEROUS_SETS_BUYER_CAP:
+        raise ContractViolationError(f"enumeration limited to {DANGEROUS_SETS_BUYER_CAP} buyers")
     out = []
     for k in range(1, len(gpi.buyers)):
         for combo in combinations(gpi.buyers, k):

@@ -28,6 +28,7 @@ from .pricing import (OrderingStrategy, PriceVector, RoundPricing, dispatch_orde
                       infer_mode, multi_round, prohibitive_price, unit_round)
 
 ORACLE_ITEM_CAP = 12
+ORACLE_OPTIMA_CAP = 500000
 
 
 # ---------------------------------------------------------------------------
@@ -37,9 +38,9 @@ ORACLE_ITEM_CAP = 12
 class _Oracle:
     """Exhaustive welfare DP over item-to-buyer assignments."""
 
-    def __init__(self, m: Market, cap: int = ORACLE_ITEM_CAP):
-        if len(m.items) > cap:
-            raise OracleCapError(f"oracle limited to {cap} items")
+    def __init__(self, m: Market):
+        if len(m.items) > ORACLE_ITEM_CAP:
+            raise OracleCapError(f"oracle limited to {ORACLE_ITEM_CAP} items")
         self.m = m
         self.items = m.items
         self.buyers = m.buyers
@@ -86,13 +87,13 @@ class _Oracle:
             layers.append(nxt)
         return layers
 
-    def enumerate_optima(self, limit: int = 500000) -> list[Allocation]:
+    def enumerate_optima(self) -> list[Allocation]:
         opt = self.opt()
         out: list[Allocation] = []
         assign: dict[BuyerId, set[ItemId]] = {t: set() for t in self.buyers}
 
         def walk(i: int, caps: tuple[int, ...], acc: Fraction) -> None:
-            if len(out) >= limit:
+            if len(out) >= ORACLE_OPTIMA_CAP:
                 raise OracleCapError("too many optimal allocations to enumerate")
             if i == len(self.items):
                 out.append(Allocation.of({t: set(v) for t, v in assign.items()}))
@@ -113,19 +114,19 @@ class _Oracle:
         return out
 
 
-def oracle_opt_value(m: Market, cap: int = ORACLE_ITEM_CAP) -> Fraction:
-    return _Oracle(m, cap).opt()
+def oracle_opt_value(m: Market) -> Fraction:
+    return _Oracle(m).opt()
 
 
-def oracle_opt(m: Market, cap: int = ORACLE_ITEM_CAP) -> tuple[Fraction, tuple[Allocation, ...]]:
+def oracle_opt(m: Market) -> tuple[Fraction, tuple[Allocation, ...]]:
     """Exhaustive optimum welfare and the complete set of optimal allocations."""
-    oracle = _Oracle(m, cap)
+    oracle = _Oracle(m)
     return oracle.opt(), tuple(oracle.enumerate_optima())
 
 
-def oracle_edge_legal(m: Market, s: ItemId, t: BuyerId, cap: int = ORACLE_ITEM_CAP) -> bool:
+def oracle_edge_legal(m: Market, s: ItemId, t: BuyerId) -> bool:
     """Is item s given to buyer t in some optimal allocation (oracle route)?"""
-    oracle = _Oracle(m, cap)
+    oracle = _Oracle(m)
     opt = oracle.opt()
     layers = oracle.forward()
     i = m.items.index(s)
@@ -138,16 +139,16 @@ def oracle_edge_legal(m: Market, s: ItemId, t: BuyerId, cap: int = ORACLE_ITEM_C
     return False
 
 
-def oracle_buyer_sometimes_short(m: Market, t: BuyerId, cap: int = ORACLE_ITEM_CAP) -> bool:
+def oracle_buyer_sometimes_short(m: Market, t: BuyerId) -> bool:
     """Does some optimal allocation give t fewer than b(t) items?"""
-    oracle = _Oracle(m, cap)
+    oracle = _Oracle(m)
     j = m.buyers.index(t)
     caps = oracle.start[:j] + (oracle.start[j] - 1,) + oracle.start[j + 1:]
     return oracle.opt(caps) == oracle.opt()
 
 
-def oracle_item_sometimes_unused(m: Market, s: ItemId, cap: int = ORACLE_ITEM_CAP) -> bool:
-    oracle = _Oracle(m, cap)
+def oracle_item_sometimes_unused(m: Market, s: ItemId) -> bool:
+    oracle = _Oracle(m)
     opt = oracle.opt()
     layers = oracle.forward()
     i = m.items.index(s)
@@ -155,15 +156,14 @@ def oracle_item_sometimes_unused(m: Market, s: ItemId, cap: int = ORACLE_ITEM_CA
                for caps, val in layers[i].items())
 
 
-def oracle_feasible(m: Market, t: BuyerId, F: Iterable[ItemId],
-                    cap: int = ORACLE_ITEM_CAP) -> bool:
+def oracle_feasible(m: Market, t: BuyerId, F: Iterable[ItemId]) -> bool:
     """Does some optimal allocation give t exactly the bundle F?"""
     F = frozenset(F)
     if len(F) > m.demand[t]:
         return False
     bundle_value = sum((m.value[(t, s)] for s in F), Fraction(0))
     rest = restrict_market(m, t, F)
-    return bundle_value + oracle_opt_value(rest, cap) == oracle_opt_value(m, cap)
+    return bundle_value + oracle_opt_value(rest) == oracle_opt_value(m)
 
 
 # ---------------------------------------------------------------------------
@@ -227,6 +227,7 @@ class Verdict:
     optimum: Fraction
 
 
+Move = tuple[BuyerId, frozenset[ItemId], Fraction]  # buyer, bundle, welfare gained
 TieBreak = Callable[[BuyerId, Sequence[frozenset[ItemId]], int], frozenset[ItemId]]
 
 
@@ -288,16 +289,17 @@ class _BudgetExceeded(Exception):
 
 def run_exhaustive(m: Market, mode: Optional[str] = None, budget: int = 200000,
                    ordering_strategy: Optional[OrderingStrategy] = None,
-                   instance_id: str = "", oracle_cap: int = ORACLE_ITEM_CAP) -> Verdict:
+                   instance_id: str = "") -> Verdict:
     """DFS over every arrival order and every tie-break; verdict against the oracle.
 
     Exceeding the state budget yields an explicit partial verdict
     (complete=False, no counterexample trace) rather than silent truncation.
     """
     mode = mode or infer_mode(m)
-    opt_value = oracle_opt_value(m, oracle_cap)
+    opt_value = oracle_opt_value(m)
     price_cache: dict[tuple, RoundPricing] = {}
-    memo: dict[tuple, tuple[Fraction, Fraction, int]] = {}
+    # state -> (least welfare, greatest welfare, run count, first least move)
+    memo: dict[tuple, tuple[Fraction, Fraction, int, Move]] = {}
     expansions = 0
     runs_walked = 0
     violation_seen = False
@@ -313,13 +315,13 @@ def run_exhaustive(m: Market, mode: Optional[str] = None, budget: int = 200000,
         return hit
 
     def explore(items: frozenset[ItemId], buyers: frozenset[BuyerId], acc: Fraction
-                ) -> tuple[Fraction, Fraction, int]:
+                ) -> tuple[Fraction, Fraction, int, Optional[Move]]:
         nonlocal expansions, runs_walked, violation_seen
         if not buyers:
             runs_walked += 1
             if acc != opt_value:
                 violation_seen = True
-            return Fraction(0), Fraction(0), 1
+            return Fraction(0), Fraction(0), 1, None
         key = (buyers, items)
         hit = memo.get(key)
         if hit is not None:
@@ -331,7 +333,7 @@ def run_exhaustive(m: Market, mode: Optional[str] = None, budget: int = 200000,
             raise _BudgetExceeded
         residual = submarket(m, items, buyers)
         rp = price_state(items, buyers)
-        mn = mx = None
+        mn = mx = move = None
         count = 0
         for t in residual.buyers:
             bundles = best_bundles(residual, t, rp.prices)
@@ -339,18 +341,19 @@ def run_exhaustive(m: Market, mode: Optional[str] = None, budget: int = 200000,
                 raise InternalConsistencyError("multi-demand prices must pin a unique bundle")
             for bundle in bundles:
                 gain = sum((residual.value[(t, s)] for s in bundle), Fraction(0))
-                sub_mn, sub_mx, sub_n = explore(items - bundle, buyers - {t}, acc + gain)
+                sub_mn, sub_mx, sub_n, _ = explore(items - bundle, buyers - {t}, acc + gain)
                 lo, hi = gain + sub_mn, gain + sub_mx
-                mn = lo if mn is None or lo < mn else mn
+                if mn is None or lo < mn:
+                    mn, move = lo, (t, bundle, gain)
                 mx = hi if mx is None or hi > mx else mx
                 count += sub_n
-        memo[key] = (mn, mx, count)
+        memo[key] = (mn, mx, count, move)
         return memo[key]
 
     items0 = frozenset(m.items)
     buyers0 = frozenset(m.buyers)
     try:
-        mn, mx, count = explore(items0, buyers0, Fraction(0))
+        mn, mx, count, _ = explore(items0, buyers0, Fraction(0))
     except _BudgetExceeded:
         # Partial verdict: runs_walked is a lower bound on verified runs.
         return Verdict(instance_id, runs_walked, not violation_seen, None, False, opt_value)
@@ -364,29 +367,14 @@ def run_exhaustive(m: Market, mode: Optional[str] = None, budget: int = 200000,
 
 
 def _walk_min_trace(m: Market, memo, price_state) -> RunTrace:
-    """Reconstruct one minimum-welfare run from the memo table."""
+    """Follow each state's first least-welfare move from the root."""
     items = frozenset(m.items)
     buyers = frozenset(m.buyers)
     steps: list[Step] = []
     total = Fraction(0)
     while buyers:
-        residual = submarket(m, items, buyers)
+        t, bundle, gain = memo[(buyers, items)][3]
         rp = price_state(items, buyers)
-        target = memo[(buyers, items)][0]
-        found = None
-        for t in residual.buyers:
-            for bundle in best_bundles(residual, t, rp.prices):
-                gain = sum((residual.value[(t, s)] for s in bundle), Fraction(0))
-                child = (buyers - {t}, items - bundle)
-                child_mn = memo[child][0] if child[0] else Fraction(0)
-                if gain + child_mn == target:
-                    found = (t, bundle, gain)
-                    break
-            if found:
-                break
-        if found is None:
-            raise InternalConsistencyError("trace reconstruction lost the minimum path")
-        t, bundle, gain = found
         paid = sum((rp.prices.price[s] for s in bundle), Fraction(0))
         steps.append(Step(t, rp.prices, bundle, paid, rp.removed))
         total += gain
@@ -403,10 +391,10 @@ def reversed_ordering_strategy(trimmed: Market, gpi, sc) -> Ordering:
 
 def run_sampled(m: Market, n_orders: int, seed: int, mode: Optional[str] = None,
                 ordering_strategy: Optional[OrderingStrategy] = None,
-                instance_id: str = "", oracle_cap: int = ORACLE_ITEM_CAP) -> Verdict:
+                instance_id: str = "") -> Verdict:
     """Seeded random arrival orders and tie-breaks; complete is always False."""
     mode = mode or infer_mode(m)
-    opt_value = oracle_opt_value(m, oracle_cap)
+    opt_value = oracle_opt_value(m)
     rng = random.Random(seed)
     counterexample = None
     for _ in range(n_orders):

@@ -202,6 +202,17 @@ def test_cli_verify_draws_no_bundle_over_the_cap(tmp_path, capsys, monkeypatch):
     assert drawn == 0
 
 
+def test_cli_verify_over_the_dangerous_set_cap(tmp_path, capsys):
+    # 17 buyers: one more than all_dangerous_sets enumerates
+    assert main(["generate", "--seed", "1", "--buyers", "17"]) == 0
+    path = tmp_path / "m17.json"
+    path.write_text(capsys.readouterr().out)
+    assert main(["verify", "--input", str(path)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["dangerous_sets"] is None
+    assert isinstance(out["min_surplus"], int)
+
+
 def test_cli_model_error(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{\"items\": 3}")

@@ -69,8 +69,13 @@ def test_check_opt_property_against_oracle():
         m = Market.build(items, buyers, demands, vals)
         rep = check_opt_property(m)
         assert rep.opt_welfare == oracle_opt_value(m)
-        oracle_holds = not any(oracle_buyer_sometimes_short(m, t) for t in buyers)
-        assert rep.opt_property_holds == oracle_holds
+        short = [t for t in buyers if oracle_buyer_sometimes_short(m, t)]
+        assert rep.opt_property_holds == (not short)
+        if short:
+            t, witness = rep.witness
+            assert t == short[0]
+            assert len(witness.bundle.get(t, frozenset())) < m.demand[t]
+            assert welfare(m, witness) == rep.opt_welfare
 
 
 def test_trim_identity(e2):

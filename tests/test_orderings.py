@@ -265,6 +265,20 @@ def test_bidemand_rejects_big_demand():
         adequate_bidemand(g)
 
 
+def test_bidemand_rejects_graph_without_factor():
+    # |S| = 3 differs from b(T) = 4
+    uneven = unit_graph(["s1", "s2", "s3"], ["t1", "t2"], {"t1": 2, "t2": 2},
+                        [("s1", "t1"), ("s2", "t1"), ("s2", "t2"), ("s3", "t2")])
+    # |S| = b(T) = 6, but t1 and t2 need four items out of {s1, s2, s3}
+    items = [f"s{i}" for i in range(1, 7)]
+    hall = unit_graph(items, ["t1", "t2", "t3"], {"t1": 2, "t2": 2, "t3": 2},
+                      [(s, t) for s in items[:3] for t in ("t1", "t2")]
+                      + [(s, "t3") for s in items[2:]])
+    for g in (uneven, hall):
+        with pytest.raises(ContractViolationError, match="graph admits no b-factor"):
+            adequate_bidemand(g)
+
+
 def test_verify_adequate_single_buyer():
     g = unit_graph(["s1", "s2"], ["t1"], {"t1": 2}, [("s1", "t1"), ("s2", "t1")])
     assert verify_adequate(g, Ordering.from_sequence(["s1", "s2"]))

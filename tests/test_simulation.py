@@ -9,7 +9,7 @@ from dynprice import (Market, PriceVector, best_bundles, generate_instance,
                       oracle_feasible, oracle_opt, oracle_opt_value, run_exhaustive,
                       run_once, run_sampled, verify_adequate)
 from dynprice.errors import ModelError, OracleCapError
-from dynprice.model import submarket
+from dynprice.model import restrict_market, submarket
 from dynprice.simulation import oracle_edge_legal, reversed_ordering_strategy
 
 from conftest import naive_opt_value
@@ -159,12 +159,15 @@ def test_negative_control_d1(d1_market, d1_graph):
     assert not v.all_optimal
     cx = v.counterexample
     assert cx is not None and cx.final_welfare < v.optimum
-    # the trace replays: disjoint bundles within demand, welfare adds up
+    # the trace replays: disjoint best bundles within demand, welfare adds up
     seen = set()
+    residual = d1_market
     for st in cx.steps:
         assert len(st.bundle) <= d1_market.demand[st.buyer]
         assert not (st.bundle & seen)
+        assert st.bundle in best_bundles(residual, st.buyer, st.prices)
         seen |= st.bundle
+        residual = restrict_market(residual, st.buyer, st.bundle)
     total = sum((sum((d1_market.value[(st.buyer, s)] for s in st.bundle), Fraction(0))
                  for st in cx.steps), Fraction(0))
     assert total == cx.final_welfare
