@@ -167,11 +167,12 @@ def _trace_json(trace: RunTrace) -> dict:
 
 
 def _cmd_generate(args) -> int:
-    demands: int | list[int]
-    if "," in args.demands:
+    try:
         demands = [int(x) for x in args.demands.split(",")]
-    else:
-        demands = int(args.demands)
+    except ValueError:
+        raise ModelError(f"--demands: not an integer or comma list: {args.demands!r}") from None
+    if "," not in args.demands:
+        demands = demands[0]
     m = generate_instance(args.seed, args.buyers, demands, (args.value_lo, args.value_hi))
     _dump(serialize_market(m), args)
     return 0

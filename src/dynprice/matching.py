@@ -5,8 +5,9 @@ Two engines answer the two kinds of question.  Cardinality questions (is
 there a b-factor, which buyer set breaks Hall's condition, which buyer set has
 the least surplus) go to `augment`, which grows a b-matching along
 alternating paths and returns the buyers reachable from spare capacity: by
-König's theorem, the smallest set of largest deficiency.  Weighted questions
-go to the Hungarian solver.
+König's theorem, the smallest set of largest deficiency.  Each graph keeps
+one grown from empty (`max_cardinality_bmatching`) that all such questions
+share.  Weighted questions go to the Hungarian solver.
 
 The Hungarian solver works on the buyer-copy expansion: every buyer vertex
 t with capacity b(t) becomes b(t) unit-capacity copies, items keep capacity
@@ -30,6 +31,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from types import MappingProxyType
 from typing import Iterable, Mapping, Optional
 
 from .errors import InternalConsistencyError, ModelError
@@ -106,6 +108,14 @@ class BipartiteGraph:
             adj[s].append(t)
         order = {t: k for k, t in enumerate(self.buyers)}
         return {s: tuple(sorted(v, key=order.__getitem__)) for s, v in adj.items()}
+
+    @cached_property
+    def max_cardinality_bmatching(self) -> tuple[Mapping[ItemId, BuyerId],
+                                                 Mapping[BuyerId, int], frozenset[BuyerId]]:
+        """Read-only maximum b-matching from `augment`: owners, loads, reached buyers."""
+        owner, load = {}, dict.fromkeys(self.buyers, 0)
+        reached = augment(self.buyer_adj, self.capacity, owner, load)
+        return MappingProxyType(owner), MappingProxyType(load), frozenset(reached)
 
     def neighbors(self, buyers: Iterable[BuyerId]) -> frozenset[ItemId]:
         out: set[ItemId] = set()
@@ -425,17 +435,15 @@ def bfactor_exists(g: BipartiteGraph) -> tuple[bool, Optional[frozenset[BuyerId]
 
     On failure returns a deficient buyer set Y with |N(Y)| < b(Y), or None when
     the counting condition |S| = b(T) already fails.  The witness is the set
-    of buyers a maximum b-matching reaches from spare capacity: the smallest
-    set of largest deficiency b(Y) - |N(Y)|.
+    of buyers the graph's maximum b-matching reaches from spare capacity: the
+    smallest set of largest deficiency b(Y) - |N(Y)|.
     """
     demand = g.buyer_capacity_total()
     if len(g.items) != demand:
         return False, None
-    load = dict.fromkeys(g.buyers, 0)
-    reached = augment(g.buyer_adj, g.capacity, {}, load)
+    _, load, witness = g.max_cardinality_bmatching
     if sum(load.values()) == demand:
         return True, None
-    witness = frozenset(reached)
     if len(g.neighbors(witness)) >= sum(g.capacity[t] for t in witness):
         raise InternalConsistencyError("deficient-set extraction failed")
     return False, witness

@@ -10,9 +10,9 @@ each free to take any number of its tight items, and some out.  A maximum
 b-matching of the remaining buyers then holds b(remaining) plus the least
 surplus (König), and the buyers reachable from spare capacity along
 alternating paths (buyer -> tight item -> its owner) form the smallest
-minimizer: the minimal min cut, which every maximum matching shares.  Each
-public call computes one maximum b-matching and warm-starts every search
-from it with the forced-out buyers' items released; with a b-factor, a
+minimizer: the minimal min cut, which every maximum matching shares.  Every
+search warm-starts from a copy of the graph's maximum b-matching (grown once
+per graph) with the forced-out buyers' items released; with a b-factor, a
 search then takes at most b(forced-out) augmentations.
 """
 
@@ -28,9 +28,6 @@ from .errors import ContractViolationError, ModelError
 from .matching import BipartiteGraph, BuyerId, ItemId, augment
 
 DANGEROUS_SETS_BUYER_CAP = 16  # all_dangerous_sets enumerates 2^|T| buyer sets
-
-# A b-matching as the owner of each matched item and the load of each buyer.
-BaseMatching = tuple[dict[ItemId, BuyerId], dict[BuyerId, int]]
 
 
 def feasible_bundle(gpi: BipartiteGraph, t: BuyerId, F: Iterable[ItemId]) -> bool:
@@ -55,16 +52,10 @@ def is_dangerous(gpi: BipartiteGraph, Y: Iterable[BuyerId]) -> bool:
     return bool(Y) and Y != frozenset(gpi.buyers) and surplus(gpi, Y) == 1
 
 
-def _base_matching(gpi: BipartiteGraph) -> BaseMatching:
-    owner, load = {}, dict.fromkeys(gpi.buyers, 0)
-    augment(gpi.buyer_adj, gpi.capacity, owner, load)
-    return owner, load
-
-
-def _surplus_cut(gpi: BipartiteGraph, base: BaseMatching, include: frozenset[BuyerId],
+def _surplus_cut(gpi: BipartiteGraph, include: frozenset[BuyerId],
                  exclude: frozenset[BuyerId]) -> tuple[frozenset[BuyerId], int]:
     """(smallest Y of least surplus with include <= Y <= buyers - exclude, the surplus)."""
-    base_owner, base_load = base
+    base_owner, base_load, _ = gpi.max_cardinality_bmatching
     owner = {s: t for s, t in base_owner.items() if t not in exclude}
     load = {t: base_load[t] for t in gpi.buyers if t not in exclude}
     cap = {t: math.inf if t in include else gpi.capacity[t] for t in load}
@@ -73,8 +64,7 @@ def _surplus_cut(gpi: BipartiteGraph, base: BaseMatching, include: frozenset[Buy
 
 
 def min_surplus_set(gpi: BipartiteGraph, include: Iterable[BuyerId] = (),
-                    exclude: Iterable[BuyerId] = (), base: Optional[BaseMatching] = None
-                    ) -> Optional[tuple[frozenset[BuyerId], int]]:
+                    exclude: Iterable[BuyerId] = ()) -> Optional[tuple[frozenset[BuyerId], int]]:
     """A nonempty proper buyer set minimizing |N(Y)| - b(Y) with include <= Y.
 
     Y avoids every buyer in `exclude`.  Returns None when the constraints
@@ -85,8 +75,7 @@ def min_surplus_set(gpi: BipartiteGraph, include: Iterable[BuyerId] = (),
     |T|(|T|-1) grid of (in, out) pairs: if a minimizer has t1, the grid's
     first minimizing pair is in row t1, searched first and in full; if none
     has, the first row t attaining the minimum does so at (t, t1), and no
-    earlier (t', t1) does.  `base`, a maximum b-matching of gpi to
-    warm-start from, lets a dangerous-set search compute only one.
+    earlier (t', t1) does.
     """
     include = frozenset(include)
     exclude = frozenset(exclude)
@@ -104,9 +93,7 @@ def min_surplus_set(gpi: BipartiteGraph, include: Iterable[BuyerId] = (),
     else:
         t1, rest = frozenset(gpi.buyers[:1]), [frozenset({t}) for t in gpi.buyers[1:]]
         pairs = [(t1, t) for t in rest] + [(t, t1) for t in rest]
-    if base is None:
-        base = _base_matching(gpi)
-    cuts = [_surplus_cut(gpi, base, inc, exc) for inc, exc in pairs]
+    cuts = [_surplus_cut(gpi, inc, exc) for inc, exc in pairs]
     return min(cuts, key=itemgetter(1), default=None)  # the first on ties
 
 
@@ -115,8 +102,7 @@ def maximal_dangerous_set(gpi: BipartiteGraph) -> Optional[frozenset[BuyerId]]:
 
     Precondition: no nonempty proper subset has surplus zero (Case-2 regime).
     """
-    base = _base_matching(gpi)
-    found = min_surplus_set(gpi, base=base)
+    found = min_surplus_set(gpi)
     if found is None:
         return None
     Y, value = found
@@ -127,7 +113,7 @@ def maximal_dangerous_set(gpi: BipartiteGraph) -> Optional[frozenset[BuyerId]]:
     for t in gpi.buyers:
         if t in Y:
             continue
-        probe = min_surplus_set(gpi, include=Y | {t}, base=base)
+        probe = min_surplus_set(gpi, include=Y | {t})
         if probe is not None and probe[1] == 1:
             Y = probe[0]
     return Y
@@ -139,8 +125,7 @@ def minimal_dangerous_disjoint(gpi: BipartiteGraph, Z: Iterable[BuyerId]
     Z = frozenset(Z)
     if not is_dangerous(gpi, Z):
         raise ContractViolationError("Z must be dangerous")
-    base = _base_matching(gpi)
-    probe = min_surplus_set(gpi, exclude=Z, base=base)
+    probe = min_surplus_set(gpi, exclude=Z)
     if probe is None:
         return None
     Y, value = probe
@@ -148,18 +133,14 @@ def minimal_dangerous_disjoint(gpi: BipartiteGraph, Z: Iterable[BuyerId]
         raise ContractViolationError("surplus-zero set exists; graph splits instead")
     if value >= 2:
         return None
+    # Every set avoiding Z has surplus >= 1: the first search to reach 1 is the least.
     buyers_all = frozenset(gpi.buyers)
     for t in gpi.buyers:
         if t not in Y or len(Y) == 1:
             continue
-        outside = (buyers_all - Y) | Z | {t}
-        for t_in in gpi.buyers:
-            if t_in not in Y or t_in == t:
-                continue
-            sub = min_surplus_set(gpi, include={t_in}, exclude=outside, base=base)
-            if sub is not None and sub[1] == 1:
-                Y = sub[0]
-                break
+        sub, value = min_surplus_set(gpi, exclude=(buyers_all - Y) | Z | {t})
+        if value == 1:
+            Y = sub
     return Y
 
 

@@ -7,8 +7,8 @@ backs every derived expected value in the test suite.
 
 `run_exhaustive` explores every arrival order and, at each step, every
 utility-maximizing bundle.  Prices depend only on the residual market, so
-states are memoized on (remaining buyers, remaining items); the run count
-still reflects all distinct order/tie-break combinations.
+states are memoized, with their priced round, on (remaining buyers, remaining
+items); the run count still reflects all distinct order/tie-break combinations.
 """
 
 from __future__ import annotations
@@ -295,33 +295,24 @@ def run_exhaustive(m: Market, mode: Optional[str] = None, budget: int = 200000,
     Exceeding the state budget yields an explicit partial verdict
     (complete=False, no counterexample trace) rather than silent truncation.
     """
+    if budget < 0:
+        raise ModelError("budget must be non-negative")
     mode = mode or infer_mode(m)
     opt_value = oracle_opt_value(m)
-    price_cache: dict[tuple, RoundPricing] = {}
-    # state -> (least welfare, greatest welfare, run count, first least move)
-    memo: dict[tuple, tuple[Fraction, Fraction, int, Move]] = {}
+    # state -> (least welfare, greatest welfare, run count, first least move, priced round)
+    memo: dict[tuple, tuple[Fraction, Fraction, int, Move, RoundPricing]] = {}
     expansions = 0
     runs_walked = 0
     violation_seen = False
 
-    def price_state(items: frozenset[ItemId], buyers: frozenset[BuyerId]) -> RoundPricing:
-        key = (buyers, items)
-        hit = price_cache.get(key)
-        if hit is None:
-            root = buyers == frozenset(m.buyers) and items == frozenset(m.items)
-            hit = _price_round(submarket(m, items, buyers), mode, ordering_strategy,
-                               is_root=root)
-            price_cache[key] = hit
-        return hit
-
     def explore(items: frozenset[ItemId], buyers: frozenset[BuyerId], acc: Fraction
-                ) -> tuple[Fraction, Fraction, int, Optional[Move]]:
+                ) -> tuple[Fraction, Fraction, int, Optional[Move], Optional[RoundPricing]]:
         nonlocal expansions, runs_walked, violation_seen
         if not buyers:
             runs_walked += 1
             if acc != opt_value:
                 violation_seen = True
-            return Fraction(0), Fraction(0), 1, None
+            return Fraction(0), Fraction(0), 1, None, None
         key = (buyers, items)
         hit = memo.get(key)
         if hit is not None:
@@ -332,7 +323,7 @@ def run_exhaustive(m: Market, mode: Optional[str] = None, budget: int = 200000,
         if expansions > budget:
             raise _BudgetExceeded
         residual = submarket(m, items, buyers)
-        rp = price_state(items, buyers)
+        rp = _price_round(residual, mode, ordering_strategy, is_root=len(buyers) == len(m.buyers))
         mn = mx = move = None
         count = 0
         for t in residual.buyers:
@@ -341,19 +332,19 @@ def run_exhaustive(m: Market, mode: Optional[str] = None, budget: int = 200000,
                 raise InternalConsistencyError("multi-demand prices must pin a unique bundle")
             for bundle in bundles:
                 gain = sum((residual.value[(t, s)] for s in bundle), Fraction(0))
-                sub_mn, sub_mx, sub_n, _ = explore(items - bundle, buyers - {t}, acc + gain)
+                sub_mn, sub_mx, sub_n, _, _ = explore(items - bundle, buyers - {t}, acc + gain)
                 lo, hi = gain + sub_mn, gain + sub_mx
                 if mn is None or lo < mn:
                     mn, move = lo, (t, bundle, gain)
                 mx = hi if mx is None or hi > mx else mx
                 count += sub_n
-        memo[key] = (mn, mx, count, move)
+        memo[key] = (mn, mx, count, move, rp)
         return memo[key]
 
     items0 = frozenset(m.items)
     buyers0 = frozenset(m.buyers)
     try:
-        mn, mx, count, _ = explore(items0, buyers0, Fraction(0))
+        mn, mx, count, _, _ = explore(items0, buyers0, Fraction(0))
     except _BudgetExceeded:
         # Partial verdict: runs_walked is a lower bound on verified runs.
         return Verdict(instance_id, runs_walked, not violation_seen, None, False, opt_value)
@@ -362,19 +353,18 @@ def run_exhaustive(m: Market, mode: Optional[str] = None, budget: int = 200000,
     all_optimal = mn == opt_value
     counterexample = None
     if not all_optimal:
-        counterexample = _walk_min_trace(m, memo, price_state)
+        counterexample = _walk_min_trace(m, memo)
     return Verdict(instance_id, count, all_optimal, counterexample, True, opt_value)
 
 
-def _walk_min_trace(m: Market, memo, price_state) -> RunTrace:
+def _walk_min_trace(m: Market, memo) -> RunTrace:
     """Follow each state's first least-welfare move from the root."""
     items = frozenset(m.items)
     buyers = frozenset(m.buyers)
     steps: list[Step] = []
     total = Fraction(0)
     while buyers:
-        t, bundle, gain = memo[(buyers, items)][3]
-        rp = price_state(items, buyers)
+        _, _, _, (t, bundle, gain), rp = memo[(buyers, items)]
         paid = sum((rp.prices.price[s] for s in bundle), Fraction(0))
         steps.append(Step(t, rp.prices, bundle, paid, rp.removed))
         total += gain
@@ -393,6 +383,8 @@ def run_sampled(m: Market, n_orders: int, seed: int, mode: Optional[str] = None,
                 ordering_strategy: Optional[OrderingStrategy] = None,
                 instance_id: str = "") -> Verdict:
     """Seeded random arrival orders and tie-breaks; complete is always False."""
+    if n_orders < 0:
+        raise ModelError("n_orders must be non-negative")
     mode = mode or infer_mode(m)
     opt_value = oracle_opt_value(m)
     rng = random.Random(seed)

@@ -103,6 +103,12 @@ def test_cli_generate(capsys):
     assert m.demand == {"t1": 2, "t2": 1} and len(m.items) == 3
 
 
+def test_cli_generate_rejects_malformed_demands(capsys):
+    for raw in ("2,x", "x", ""):
+        assert main(["generate", "--seed", "4", "--buyers", "2", "--demands", raw]) == 2
+        assert "--demands" in capsys.readouterr().err
+
+
 def test_cli_solve_dual_order_price(tmp_path, capsys, e2):
     path = write_market(tmp_path, e2)
     assert main(["solve", "--input", path]) == 0
@@ -166,6 +172,13 @@ def test_cli_simulate_sampled(tmp_path, capsys, e1):
     assert main(["simulate", "--input", path, "--orders", "4", "--seed", "9"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["runs_checked"] == 4 and out["complete"] is False
+
+
+def test_cli_simulate_rejects_negative_counts(tmp_path, capsys, e1):
+    path = write_market(tmp_path, e1)
+    assert main(["simulate", "--input", path, "--orders", "-3"]) == 2
+    assert main(["simulate", "--input", path, "--budget", "-1"]) == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_cli_verify(tmp_path, capsys):

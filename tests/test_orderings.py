@@ -4,7 +4,7 @@ from itertools import permutations
 
 import pytest
 
-from dynprice import (BipartiteGraph, Ordering, adequate_bidemand,
+from dynprice import (BipartiteGraph, Ordering, adequate_bidemand, matching,
                       adequate_three_buyers, adequate_two_buyers, combine,
                       generate_instance, market_graph, refine_covering,
                       tight_subgraph, verify_adequate)
@@ -118,6 +118,25 @@ def test_two_buyers_contract():
                    [("s1", "t1"), ("s2", "t2"), ("s3", "t1")])
     with pytest.raises(ContractViolationError):
         adequate_two_buyers(g)  # |S| != b(T)
+
+
+def test_three_buyers_on_two_buyers_grows_one_bmatching(monkeypatch):
+    # adequate_three_buyers and the adequate_two_buyers it hands off to both
+    # test for a b-factor; the graph grows its maximum b-matching only once
+    grown = []
+    augment = matching.augment
+
+    def counting(adj, cap, owner, load):
+        if not owner:
+            grown.append(dict(load))
+        return augment(adj, cap, owner, load)
+
+    monkeypatch.setattr(matching, "augment", counting)
+    g = unit_graph(["s1", "s2", "s3"], ["t1", "t2"], {"t1": 2, "t2": 1},
+                   [("s1", "t1"), ("s2", "t1"), ("s3", "t1"), ("s3", "t2")])
+    sigma = adequate_three_buyers(g)
+    assert sigma.rank["s3"] == 3
+    assert len(grown) == 1
 
 
 def test_three_buyers_figure_market(fig1):

@@ -239,6 +239,30 @@ def test_dangerous_finders_match_enumeration():
             assert X in disjoint and not any(Y < X for Y in disjoint)
 
 
+def test_searches_leave_the_graphs_matching_untouched():
+    """Every surplus search copies the graph's cached maximum b-matching; none
+    may change it, so it must stay what a freshly built graph computes."""
+    rng = random.Random(71)
+    both_finders_ran = 0
+    while both_finders_ran < 200:
+        gpi = random_bidemand_tight(rng, 6)
+        first, last = gpi.buyers[:1], gpi.buyers[-1:]
+        for inc, exc in (((), ()), (first, ()), ((), last), (first, last)):
+            min_surplus_set(gpi, include=inc, exclude=exc)
+        try:
+            Z = maximal_dangerous_set(gpi)
+            if Z is not None:
+                minimal_dangerous_disjoint(gpi, Z)
+                both_finders_ran += 1
+        except ContractViolationError:
+            pass  # a surplus-zero set: the finders' searches still ran
+        fresh = BipartiteGraph(gpi.items, gpi.buyers, gpi.edges, gpi.weight, gpi.capacity)
+        owner, load, reached = gpi.max_cardinality_bmatching
+        want_owner, want_load, want_reached = fresh.max_cardinality_bmatching
+        assert dict(owner) == dict(want_owner) and dict(load) == dict(want_load)
+        assert reached == want_reached
+
+
 def test_uncrossing_claims_case2():
     """Dangerous-set uncrossing: disjoint pairs share at most one neighbor and
     union stays dangerous; intersecting pairs have dangerous meet and join.

@@ -147,6 +147,14 @@ def test_run_exhaustive_budget(e2):
     assert v.counterexample is None
 
 
+def test_negative_counts_are_model_errors(e2):
+    with pytest.raises(ModelError, match="budget"):
+        run_exhaustive(e2, budget=-1)
+    with pytest.raises(ModelError, match="n_orders"):
+        run_sampled(e2, -3, seed=0)
+    assert run_sampled(e2, 0, seed=0).runs_checked == 0
+
+
 def test_negative_control_d1(d1_market, d1_graph):
     # the reversed ordering must actually be inadequate on this instance
     from dynprice import market_graph, refine_covering, tight_subgraph
