@@ -25,7 +25,7 @@ from .dual import refine_covering
 from .errors import (ContractViolationError, InternalConsistencyError, ModelError,
                      OracleCapError, UnsupportedMarketError)
 from .matching import solve_with_covering
-from .model import Market, check_opt_property, market_graph
+from .model import Market, market_graph
 from .pricing import (dispatch_ordering, infer_mode, multi_round, ordering_method,
                       tight_market, unit_round)
 from .simulation import RunTrace, reversed_ordering_strategy, run_exhaustive, run_sampled
@@ -114,8 +114,9 @@ def generate_instance(seed: int, buyers: int, demand_profile: int | Sequence[int
                       value_range: tuple[int, int] = (1, 20)) -> Market:
     """Deterministic random market with |S| = total demand and positive values.
 
-    Positive values plus enough items make the saturation property hold; it is
-    still verified, with a deterministic re-draw on failure.
+    Such a market always has the saturation property: an optimum that left a
+    buyer short would leave an item unsold, since |S| = b(T), and giving that
+    item to the buyer would raise welfare, since every value is at least one.
     """
     lo, hi = value_range
     if lo < 1 or hi < lo:
@@ -129,12 +130,8 @@ def generate_instance(seed: int, buyers: int, demand_profile: int | Sequence[int
     names_t = [f"t{k + 1}" for k in range(buyers)]
     names_s = [f"s{k + 1}" for k in range(sum(demands))]
     rng = random.Random(seed)
-    for _ in range(16):
-        value = {(t, s): Fraction(rng.randint(lo, hi)) for t in names_t for s in names_s}
-        m = Market.build(names_s, names_t, dict(zip(names_t, demands)), value)
-        if check_opt_property(m).opt_property_holds:
-            return m
-    raise InternalConsistencyError("generator failed to hit the saturation property")
+    value = {(t, s): Fraction(rng.randint(lo, hi)) for t in names_t for s in names_s}
+    return Market.build(names_s, names_t, dict(zip(names_t, demands)), value)
 
 
 def _dump(obj, args) -> None:
@@ -217,7 +214,7 @@ def _cmd_order(args) -> int:
 
 def _cmd_price(args) -> int:
     m = _load_market(args)
-    mode = infer_mode(m) if args.mode == "auto" else args.mode
+    mode = infer_mode(m)
     rp = unit_round(m) if mode == "unit" else multi_round(m)
     _dump({
         "mode": mode,
@@ -232,17 +229,16 @@ def _cmd_price(args) -> int:
 
 def _cmd_simulate(args) -> int:
     m = _load_market(args)
-    mode = infer_mode(m) if args.mode == "auto" else args.mode
     strategy = reversed_ordering_strategy if args.sabotage == "reversed" else None
     if args.orders:
-        verdict = run_sampled(m, args.orders, args.seed, mode=mode,
-                              ordering_strategy=strategy, instance_id=args.input)
+        verdict = run_sampled(m, args.orders, args.seed, ordering_strategy=strategy)
     else:
-        verdict = run_exhaustive(m, mode=mode, budget=args.budget,
-                                 ordering_strategy=strategy, instance_id=args.input)
+        verdict = run_exhaustive(m, budget=args.budget, ordering_strategy=strategy)
+    if verdict.runs_checked == 0:
+        raise ModelError("--budget: the search stopped before any run finished")
     _dump({
-        "instance": verdict.instance_id,
-        "mode": mode,
+        "instance": args.input,
+        "mode": infer_mode(m),
         "runs_checked": verdict.runs_checked,
         "all_optimal": verdict.all_optimal,
         "complete": verdict.complete,
@@ -302,12 +298,9 @@ def _build_parser() -> argparse.ArgumentParser:
     with_io(sub.add_parser("dual", help="structured covering")).set_defaults(fn=_cmd_dual)
     with_io(sub.add_parser("order", help="adequate item ordering")).set_defaults(fn=_cmd_order)
 
-    price = with_io(sub.add_parser("price", help="one round of posted prices"))
-    price.add_argument("--mode", choices=["auto", "unit", "multi"], default="auto")
-    price.set_defaults(fn=_cmd_price)
+    with_io(sub.add_parser("price", help="one round of posted prices")).set_defaults(fn=_cmd_price)
 
     sim = with_io(sub.add_parser("simulate", help="adversarial dynamic runs"))
-    sim.add_argument("--mode", choices=["auto", "unit", "multi"], default="auto")
     sim.add_argument("--orders", type=int, default=0,
                      help="sample this many random orders instead")
     sim.add_argument("--seed", type=int, default=0)

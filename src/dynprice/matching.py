@@ -10,11 +10,11 @@ one grown from empty (`max_cardinality_bmatching`) that all such questions
 share.  Weighted questions go to the Hungarian solver.
 
 The Hungarian solver works on the buyer-copy expansion: every buyer vertex
-t with capacity b(t) becomes b(t) unit-capacity copies, items keep capacity
-one, and a rectangular Hungarian algorithm with potentials solves the
-resulting assignment problem exactly.  The potentials translate directly
-into an optimal non-negative weighted covering pi with pi . b equal to the
-optimum, and copies of the same buyer provably share one dual value.
+t with capacity b(t) becomes min(b(t), |S| + 1) unit-capacity copies, items
+keep capacity one, and a rectangular Hungarian algorithm with potentials
+solves the resulting assignment problem exactly.  The potentials translate
+directly into an optimal non-negative weighted covering pi with pi . b equal
+to the optimum, and copies of the same buyer provably share one dual value.
 
 All arithmetic is exact and the Hungarian algorithm runs on integers only.
 Each graph scales its Fraction weights once, by their least common
@@ -293,7 +293,8 @@ def _solve(g: BipartiteGraph, weights: Optional[Mapping[Edge, int]] = None,
     row_of_buyer: dict[BuyerId, list[int]] = {}
     for t in g.buyers:
         row_of_buyer[t] = []
-        for _ in range(g.capacity[t]):
+        # t holds at most |S| items; one more copy, never matched, keeps pi(t) = 0
+        for _ in range(min(g.capacity[t], len(g.items) + 1)):
             row_of_buyer[t].append(len(rows))
             rows.append(t)
     col_of_item = {s: k for k, s in enumerate(g.items)}

@@ -3,12 +3,15 @@ the brute-force oracles.
 
 The oracle is an exhaustive dynamic program over items with per-buyer residual
 capacities; it is independent of the matching solver and of LP duality, and
-backs every derived expected value in the test suite.
+backs every derived expected value in the test suite.  `oracle_structure`
+reads both structured-dual facts off one DP pass.
 
-`run_exhaustive` explores every arrival order and, at each step, every
-utility-maximizing bundle.  Prices depend only on the residual market, so
-states are memoized, with their priced round, on (remaining buyers, remaining
-items); the run count still reflects all distinct order/tie-break combinations.
+`infer_mode` on the root market picks each run's pricing path, kept to the end
+even when only demand-one buyers remain.  `run_exhaustive` explores every
+arrival order and, at each step, every utility-maximizing bundle.  Prices
+depend only on the residual market, so states are memoized, with their priced
+round, on (remaining buyers, remaining items); the run count still reflects
+all distinct order/tie-break combinations.
 """
 
 from __future__ import annotations
@@ -68,25 +71,6 @@ class _Oracle:
     def opt(self, caps: Optional[tuple[int, ...]] = None) -> Fraction:
         return self.best_from(0, self.start if caps is None else caps)
 
-    def forward(self) -> list[dict[tuple[int, ...], Fraction]]:
-        """reachable capacity vectors before item i -> best prefix welfare."""
-        layers: list[dict[tuple[int, ...], Fraction]] = [{self.start: Fraction(0)}]
-        for i, s in enumerate(self.items):
-            nxt: dict[tuple[int, ...], Fraction] = {}
-
-            def relax(caps, val):
-                if caps not in nxt or val > nxt[caps]:
-                    nxt[caps] = val
-
-            for caps, val in layers[i].items():
-                relax(caps, val)
-                for j, t in enumerate(self.buyers):
-                    if caps[j] > 0:
-                        relax(caps[:j] + (caps[j] - 1,) + caps[j + 1:],
-                              val + self.m.value[(t, s)])
-            layers.append(nxt)
-        return layers
-
     def enumerate_optima(self) -> list[Allocation]:
         opt = self.opt()
         out: list[Allocation] = []
@@ -124,36 +108,35 @@ def oracle_opt(m: Market) -> tuple[Fraction, tuple[Allocation, ...]]:
     return oracle.opt(), tuple(oracle.enumerate_optima())
 
 
-def oracle_edge_legal(m: Market, s: ItemId, t: BuyerId) -> bool:
-    """Is item s given to buyer t in some optimal allocation (oracle route)?"""
+def oracle_structure(m: Market) -> tuple[frozenset[tuple[ItemId, BuyerId]],
+                                          frozenset[BuyerId], frozenset[ItemId]]:
+    """The (item, buyer) edges some optimum uses, the buyers some optimum
+    leaves short and the items some optimum leaves unused.  The forward pass
+    keeps the capacity vectors on optimal paths; a move from one is optimal
+    when its value plus the best completion after it is the best before it."""
     oracle = _Oracle(m)
     opt = oracle.opt()
-    layers = oracle.forward()
-    i = m.items.index(s)
-    j = m.buyers.index(t)
-    for caps, val in layers[i].items():
-        if caps[j] > 0:
-            nxt = caps[:j] + (caps[j] - 1,) + caps[j + 1:]
-            if val + m.value[(t, s)] + oracle.best_from(i + 1, nxt) == opt:
-                return True
-    return False
-
-
-def oracle_buyer_sometimes_short(m: Market, t: BuyerId) -> bool:
-    """Does some optimal allocation give t fewer than b(t) items?"""
-    oracle = _Oracle(m)
-    j = m.buyers.index(t)
-    caps = oracle.start[:j] + (oracle.start[j] - 1,) + oracle.start[j + 1:]
-    return oracle.opt(caps) == oracle.opt()
-
-
-def oracle_item_sometimes_unused(m: Market, s: ItemId) -> bool:
-    oracle = _Oracle(m)
-    opt = oracle.opt()
-    layers = oracle.forward()
-    i = m.items.index(s)
-    return any(val + oracle.best_from(i + 1, caps) == opt
-               for caps, val in layers[i].items())
+    legal: set[tuple[ItemId, BuyerId]] = set()
+    unused: set[ItemId] = set()
+    layer = {oracle.start}
+    for i, s in enumerate(m.items):
+        nxt: set[tuple[int, ...]] = set()
+        for caps in layer:
+            rest = oracle.best_from(i, caps)
+            if oracle.best_from(i + 1, caps) == rest:
+                unused.add(s)
+                nxt.add(caps)
+            for j, t in enumerate(m.buyers):
+                if caps[j] > 0:
+                    after = caps[:j] + (caps[j] - 1,) + caps[j + 1:]
+                    if m.value[(t, s)] + oracle.best_from(i + 1, after) == rest:
+                        legal.add((s, t))
+                        nxt.add(after)
+        layer = nxt
+    start = oracle.start
+    short = frozenset(t for j, t in enumerate(m.buyers)
+                      if oracle.opt(start[:j] + (start[j] - 1,) + start[j + 1:]) == opt)
+    return frozenset(legal), short, frozenset(unused)
 
 
 def oracle_feasible(m: Market, t: BuyerId, F: Iterable[ItemId]) -> bool:
@@ -219,7 +202,6 @@ class RunTrace:
 
 @dataclass(frozen=True)
 class Verdict:
-    instance_id: str
     runs_checked: int
     all_optimal: bool
     counterexample: Optional[RunTrace]
@@ -246,8 +228,7 @@ def _price_round(m: Market, mode: str,
     try:
         if mode == "unit":
             return unit_round(m)
-        if mode == "multi":
-            return multi_round(m, ordering_strategy)
+        return multi_round(m, ordering_strategy)
     except UnsupportedMarketError as exc:
         if is_root:
             raise
@@ -255,16 +236,14 @@ def _price_round(m: Market, mode: str,
             raise InternalConsistencyError(
                 "residual market lost the saturation property mid-run") from exc
         return _prohibitive_round(m)
-    raise ModelError(f"unknown mode {mode!r}")
 
 
 def run_once(m: Market, order: Sequence[BuyerId], tiebreak: Optional[TieBreak] = None,
-             mode: Optional[str] = None,
              ordering_strategy: Optional[OrderingStrategy] = None) -> RunTrace:
     """One dynamic run: price, let the arriving buyer pick, shrink the market."""
     if sorted(order) != sorted(m.buyers):
         raise ModelError("order must be a permutation of the buyers")
-    mode = mode or infer_mode(m)
+    mode = infer_mode(m)
     residual = m
     steps: list[Step] = []
     welfare_total = Fraction(0)
@@ -287,9 +266,8 @@ class _BudgetExceeded(Exception):
     pass
 
 
-def run_exhaustive(m: Market, mode: Optional[str] = None, budget: int = 200000,
-                   ordering_strategy: Optional[OrderingStrategy] = None,
-                   instance_id: str = "") -> Verdict:
+def run_exhaustive(m: Market, budget: int = 200000,
+                   ordering_strategy: Optional[OrderingStrategy] = None) -> Verdict:
     """DFS over every arrival order and every tie-break; verdict against the oracle.
 
     Exceeding the state budget yields an explicit partial verdict
@@ -297,7 +275,7 @@ def run_exhaustive(m: Market, mode: Optional[str] = None, budget: int = 200000,
     """
     if budget < 0:
         raise ModelError("budget must be non-negative")
-    mode = mode or infer_mode(m)
+    mode = infer_mode(m)
     opt_value = oracle_opt_value(m)
     # state -> (least welfare, greatest welfare, run count, first least move, priced round)
     memo: dict[tuple, tuple[Fraction, Fraction, int, Move, RoundPricing]] = {}
@@ -347,14 +325,14 @@ def run_exhaustive(m: Market, mode: Optional[str] = None, budget: int = 200000,
         mn, mx, count, _, _ = explore(items0, buyers0, Fraction(0))
     except _BudgetExceeded:
         # Partial verdict: runs_walked is a lower bound on verified runs.
-        return Verdict(instance_id, runs_walked, not violation_seen, None, False, opt_value)
+        return Verdict(runs_walked, not violation_seen, None, False, opt_value)
     if mx > opt_value:
         raise InternalConsistencyError("a run exceeded the oracle optimum")
     all_optimal = mn == opt_value
     counterexample = None
     if not all_optimal:
         counterexample = _walk_min_trace(m, memo)
-    return Verdict(instance_id, count, all_optimal, counterexample, True, opt_value)
+    return Verdict(count, all_optimal, counterexample, True, opt_value)
 
 
 def _walk_min_trace(m: Market, memo) -> RunTrace:
@@ -379,13 +357,11 @@ def reversed_ordering_strategy(trimmed: Market, gpi, sc) -> Ordering:
     return Ordering.from_sequence(tuple(reversed(base.items_in_order())))
 
 
-def run_sampled(m: Market, n_orders: int, seed: int, mode: Optional[str] = None,
-                ordering_strategy: Optional[OrderingStrategy] = None,
-                instance_id: str = "") -> Verdict:
+def run_sampled(m: Market, n_orders: int, seed: int,
+                ordering_strategy: Optional[OrderingStrategy] = None) -> Verdict:
     """Seeded random arrival orders and tie-breaks; complete is always False."""
     if n_orders < 0:
         raise ModelError("n_orders must be non-negative")
-    mode = mode or infer_mode(m)
     opt_value = oracle_opt_value(m)
     rng = random.Random(seed)
     counterexample = None
@@ -393,8 +369,7 @@ def run_sampled(m: Market, n_orders: int, seed: int, mode: Optional[str] = None,
         order = list(m.buyers)
         rng.shuffle(order)
         trace = run_once(m, order, tiebreak=lambda t, bs, i: rng.choice(bs),
-                         mode=mode, ordering_strategy=ordering_strategy)
+                         ordering_strategy=ordering_strategy)
         if trace.final_welfare != opt_value and counterexample is None:
             counterexample = trace
-    return Verdict(instance_id, n_orders, counterexample is None, counterexample,
-                   False, opt_value)
+    return Verdict(n_orders, counterexample is None, counterexample, False, opt_value)

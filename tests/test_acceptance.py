@@ -18,8 +18,7 @@ from dynprice import (adequate_bidemand, adequate_three_buyers,
                       run_exhaustive, tight_subgraph, verify_adequate)
 from dynprice.orderings import Ordering
 from dynprice.sets import all_dangerous_sets, is_dangerous
-from dynprice.simulation import (oracle_buyer_sometimes_short, oracle_edge_legal,
-                                 oracle_feasible, oracle_item_sometimes_unused,
+from dynprice.simulation import (oracle_feasible, oracle_structure,
                                  reversed_ordering_strategy)
 
 from conftest import (brute_dangerous_sets, brute_min_surplus,
@@ -77,14 +76,15 @@ def test_criterion_2_structured_dual(small_corpus):
     for m in small_corpus:
         g = market_graph(m)
         sc = refine_covering(g)
+        legal, short, unused = oracle_structure(m)
         for (s, t) in g.edges:
-            assert ((s, t) in sc.tight_edges) == oracle_edge_legal(m, s, t)
+            assert ((s, t) in sc.tight_edges) == ((s, t) in legal)
             edges += 1
         for t in m.buyers:
-            assert (sc.pi.pi[t] == 0) == oracle_buyer_sometimes_short(m, t)
+            assert (sc.pi.pi[t] == 0) == (t in short)
             verts += 1
         for s in m.items:
-            assert (sc.pi.pi[s] == 0) == oracle_item_sometimes_unused(m, s)
+            assert (sc.pi.pi[s] == 0) == (s in unused)
             verts += 1
     report(2, True,
            f"tight<->legal on {edges} edges, zero<->unsaturated on {verts} vertices")
@@ -184,7 +184,7 @@ def test_criterion_5_unit_demand_end_to_end():
     t0 = time.perf_counter()
     runs = 0
     for m in instances:
-        v = run_exhaustive(m, mode="unit")
+        v = run_exhaustive(m)
         assert v.all_optimal and v.complete
         assert v.runs_checked >= math.factorial(len(m.buyers))  # every order covered
         runs += v.runs_checked
@@ -216,9 +216,9 @@ def test_criterion_7_bidemand_end_to_end():
         instances.append(generate_instance(53000 + k, nb, 2, (1, hi)))
     runs = 0
     for m in instances:
-        # multi mode raises if any step's best bundle is not unique, so a
-        # completed sweep has exactly |T|! runs, one per arrival order
-        v = run_exhaustive(m, mode="multi")
+        # multi-demand pricing raises if any step's best bundle is not unique,
+        # so a completed sweep has exactly |T|! runs, one per arrival order
+        v = run_exhaustive(m)
         assert v.all_optimal and v.complete
         assert v.runs_checked == math.factorial(len(m.buyers))
         runs += v.runs_checked
@@ -239,8 +239,9 @@ def test_criterion_8_figure_regression():
     got = {frozenset((t, s) for t, bun in a.bundle.items() for s in bun)
            for a in allocs}
     assert got == want, "reconstruction must have exactly the two listed optima"
-    assert oracle_edge_legal(m, "s1", "t1")
-    assert oracle_edge_legal(m, "s3", "t1") and oracle_edge_legal(m, "s4", "t1")
+    legal, _, _ = oracle_structure(m)
+    assert ("s1", "t1") in legal
+    assert ("s3", "t1") in legal and ("s4", "t1") in legal
     assert not oracle_feasible(m, "t1", {"s3", "s4"})
     rp = multi_round(m)
     assert frozenset({"s3", "s4"}) not in best_bundles(m, "t1", rp.prices)

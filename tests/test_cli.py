@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -87,6 +88,14 @@ def test_generate_satisfies_saturation():
     from dynprice import check_opt_property
     for seed in range(25):
         m = generate_instance(seed, 2 + seed % 3, 2, (1, 3))
+        assert check_opt_property(m).opt_property_holds
+    rng = random.Random(8)
+    for seed in range(60):
+        nb = rng.randint(1, 5)
+        profile = [rng.randint(1, 4) for _ in range(nb)]
+        lo = rng.randint(1, 4)
+        hi = lo if seed % 2 else lo + rng.randint(1, 6)
+        m = generate_instance(seed, nb, profile, (lo, hi))
         assert check_opt_property(m).opt_property_holds
 
 
@@ -178,6 +187,7 @@ def test_cli_simulate_rejects_negative_counts(tmp_path, capsys, e1):
     path = write_market(tmp_path, e1)
     assert main(["simulate", "--input", path, "--orders", "-3"]) == 2
     assert main(["simulate", "--input", path, "--budget", "-1"]) == 2
+    assert main(["simulate", "--input", path, "--budget", "0"]) == 2
     assert capsys.readouterr().out == ""
 
 
@@ -250,7 +260,7 @@ def test_cli_internal_error_exit_code(tmp_path, capsys, monkeypatch, e2):
 
     monkeypatch.setattr(cli, "multi_round", broken)
     path = write_market(tmp_path, e2)
-    assert main(["price", "--input", path, "--mode", "multi"]) == 3
+    assert main(["price", "--input", path]) == 3
     err = capsys.readouterr().err
     assert err.strip() == "internal error: refined dual is not optimal"
 
@@ -258,7 +268,7 @@ def test_cli_internal_error_exit_code(tmp_path, capsys, monkeypatch, e2):
 def test_cli_price_market_without_buyers(tmp_path, capsys):
     path = tmp_path / "empty.json"
     path.write_text(json.dumps({"items": ["s1"], "buyers": []}))
-    assert main(["price", "--input", str(path), "--mode", "multi"]) == 0
+    assert main(["price", "--input", str(path)]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["trimmed_away"] == ["s1"] and out["delta"] == "0"
 

@@ -7,8 +7,7 @@ from dynprice import (BipartiteGraph, Market, compute_slack, is_legal_edge,
                       market_graph, refine_covering, tight_subgraph)
 from dynprice.errors import ModelError
 from dynprice.matching import Covering
-from dynprice.simulation import (oracle_buyer_sometimes_short, oracle_edge_legal,
-                                 oracle_item_sometimes_unused)
+from dynprice.simulation import oracle_structure
 
 
 def random_market(rng, max_items=6, max_buyers=3, max_demand=3, hi=5):
@@ -51,12 +50,13 @@ def test_refine_matches_oracle_on_corpus():
         m = random_market(rng)
         g = market_graph(m)
         sc = refine_covering(g)
+        legal, short, unused = oracle_structure(m)
         for (s, t) in g.edges:
-            assert ((s, t) in sc.tight_edges) == oracle_edge_legal(m, s, t)
+            assert ((s, t) in sc.tight_edges) == ((s, t) in legal)
         for t in m.buyers:
-            assert (sc.pi.pi[t] == 0) == oracle_buyer_sometimes_short(m, t)
+            assert (sc.pi.pi[t] == 0) == (t in short)
         for s in m.items:
-            assert (sc.pi.pi[s] == 0) == oracle_item_sometimes_unused(m, s)
+            assert (sc.pi.pi[s] == 0) == (s in unused)
 
 
 def test_tight_subgraph_shape(e1, e2):

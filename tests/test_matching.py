@@ -122,6 +122,25 @@ def test_buyer_copy_expansion_equivalence():
         assert v_orig == v_exp
 
 
+def test_expansion_caps_copies_at_items_plus_one(monkeypatch):
+    # a buyer holds at most |S| items, so |S| + 1 copies answer any larger demand
+    import dynprice.matching as matching_mod
+    rows = []
+    hungarian = matching_mod._hungarian
+
+    def counting(n_rows, n_cols, adj):
+        rows.append(n_rows)
+        return hungarian(n_rows, n_cols, adj)
+
+    monkeypatch.setattr(matching_mod, "_hungarian", counting)
+    g = graph_of(["s1", "s2"], ["t1", "t2"], {"t1": 50, "t2": 2},
+                 {("s1", "t1"): 3, ("s2", "t1"): 1, ("s1", "t2"): 2, ("s2", "t2"): 2})
+    res = solve_with_covering(g)
+    assert rows == [3 + 2]
+    assert res.value == 5 and res.covering.pi["t1"] == 0
+    assert res.matching.edges == {("s1", "t1"), ("s2", "t2")}
+
+
 def test_determinism(e2):
     g = market_graph(e2)
     a = solve_with_covering(g)

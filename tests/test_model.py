@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 from dynprice import (Allocation, Market, check_opt_property, restrict_market,
                       trim_items, welfare)
 from dynprice.errors import ModelError
-from dynprice.simulation import (oracle_buyer_sometimes_short, oracle_opt,
-                                 oracle_opt_value)
+from dynprice.simulation import oracle_opt, oracle_opt_value, oracle_structure
 
 from conftest import naive_opt_value
 
@@ -69,7 +68,8 @@ def test_check_opt_property_against_oracle():
         m = Market.build(items, buyers, demands, vals)
         rep = check_opt_property(m)
         assert rep.opt_welfare == oracle_opt_value(m)
-        short = [t for t in buyers if oracle_buyer_sometimes_short(m, t)]
+        _, sometimes_short, _ = oracle_structure(m)
+        short = [t for t in buyers if t in sometimes_short]
         assert rep.opt_property_holds == (not short)
         if short:
             t, witness = rep.witness

@@ -10,7 +10,7 @@ from dynprice import (Market, PriceVector, best_bundles, generate_instance,
                       run_once, run_sampled, verify_adequate)
 from dynprice.errors import ModelError, OracleCapError
 from dynprice.model import restrict_market, submarket
-from dynprice.simulation import oracle_edge_legal, reversed_ordering_strategy
+from dynprice.simulation import oracle_structure, reversed_ordering_strategy
 
 from conftest import naive_opt_value
 
@@ -52,6 +52,33 @@ def test_oracle_matches_naive_recursion():
         assert all(welfare(m, a) == opt for a in allocs)
 
 
+def _lowered(m, item=None, buyer=None):
+    """m without `item` and with `buyer`'s demand lowered by one (gone at zero)."""
+    items = [s for s in m.items if s != item]
+    demand = {t: m.demand[t] - (t == buyer) for t in m.buyers}
+    buyers = [t for t in m.buyers if demand[t] > 0]
+    return Market.build(items, buyers, {t: demand[t] for t in buyers},
+                        {(t, s): m.value[(t, s)] for t in buyers for s in items})
+
+
+def test_oracle_structure_matches_naive_recursion():
+    # empty sides, zero and fractional values, and |S| != b(T) all occur
+    rng = random.Random(202)
+    for _ in range(300):
+        buyers = [f"t{i}" for i in range(rng.randint(0, 3))]
+        items = [f"s{i}" for i in range(rng.randint(0, 5))]
+        vals = {(t, s): rng.choice([Fraction(0), Fraction(rng.randint(1, 3)),
+                                    Fraction(rng.randint(1, 7), rng.randint(2, 3))])
+                for t in buyers for s in items}
+        m = Market.build(items, buyers, {t: rng.randint(1, 3) for t in buyers}, vals)
+        opt = naive_opt_value(m)
+        legal, short, unused = oracle_structure(m)
+        assert legal == {(s, t) for s in items for t in buyers
+                         if m.value[(t, s)] + naive_opt_value(_lowered(m, s, t)) == opt}
+        assert short == {t for t in buyers if naive_opt_value(_lowered(m, buyer=t)) == opt}
+        assert unused == {s for s in items if naive_opt_value(_lowered(m, item=s)) == opt}
+
+
 def test_oracle_cap():
     items = [f"s{i}" for i in range(13)]
     m = Market.build(items, ["t1"], {"t1": 1}, {("t1", s): 1 for s in items})
@@ -60,9 +87,10 @@ def test_oracle_cap():
 
 
 def test_oracle_edge_legal_and_feasible(fig1):
-    assert oracle_edge_legal(fig1, "s1", "t1")
-    assert oracle_edge_legal(fig1, "s3", "t1")
-    assert not oracle_edge_legal(fig1, "s2", "t1")
+    legal, _, _ = oracle_structure(fig1)
+    assert ("s1", "t1") in legal
+    assert ("s3", "t1") in legal
+    assert ("s2", "t1") not in legal
     assert oracle_feasible(fig1, "t1", {"s1", "s3"})
     assert not oracle_feasible(fig1, "t1", {"s3", "s4"})
 
@@ -242,7 +270,7 @@ def test_oversupplied_market_leftovers_are_trimmed():
                      {("t1", "s1"): 7, ("t1", "s2"): 1, ("t1", "s3"): 1, ("t1", "s4"): 2,
                       ("t2", "s1"): 6, ("t2", "s2"): 5, ("t2", "s3"): 1, ("t2", "s4"): 2})
     for order in (["t1", "t2"], ["t2", "t1"]):
-        trace = run_once(m, order, mode="unit")
+        trace = run_once(m, order)
         assert trace.final_welfare == oracle_opt_value(m) == 12
         trimmed_union = frozenset().union(*(step.trimmed_away for step in trace.steps))
         assert trace.leftover_items == trimmed_union == frozenset({"s3", "s4"})
