@@ -230,8 +230,12 @@ def _cmd_price(args) -> int:
 def _cmd_simulate(args) -> int:
     m = _load_market(args)
     strategy = reversed_ordering_strategy if args.sabotage == "reversed" else None
+    if args.orders and args.budget is not None:
+        raise ModelError("--budget bounds the exhaustive search and cannot go with --orders")
     if args.orders:
         verdict = run_sampled(m, args.orders, args.seed, ordering_strategy=strategy)
+    elif args.budget is None:
+        verdict = run_exhaustive(m, ordering_strategy=strategy)
     else:
         verdict = run_exhaustive(m, budget=args.budget, ordering_strategy=strategy)
     if verdict.runs_checked == 0:
@@ -258,7 +262,7 @@ def _cmd_verify(args) -> int:
     out["dangerous_sets"] = (None if len(gpi.buyers) > sets.DANGEROUS_SETS_BUYER_CAP
                              else [sorted(Y) for Y in sets.all_dangerous_sets(gpi)])
     if ms is not None and ms[1] == 1:
-        out["maximal_dangerous"] = sorted(sets.maximal_dangerous_set(gpi))
+        out["maximal_dangerous"] = sorted(sets.grow_dangerous_set(gpi, ms[0]))
     else:
         out["maximal_dangerous"] = None
     feas: dict[str, dict[str, bool]] = {}
@@ -304,7 +308,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--orders", type=int, default=0,
                      help="sample this many random orders instead")
     sim.add_argument("--seed", type=int, default=0)
-    sim.add_argument("--budget", type=int, default=200000)
+    sim.add_argument("--budget", type=int, default=None,
+                     help="state budget of the exhaustive search (default 200000); not with --orders")
     sim.add_argument("--sabotage", choices=["none", "reversed"], default="none",
                      help="negative control: price with a reversed ordering")
     sim.set_defaults(fn=_cmd_simulate)

@@ -30,12 +30,19 @@ Together (a) and (b) are strict complementarity for the b-matching LP
   covering, which certifies slack edges as non-legal and positive duals as
   always saturated.  Every tight non-M edge (s, t) needs an alternating
   t ~> s path in the tight graph with z, and every saturated zero-dual
-  vertex a path from or to z; flipping the closed cycle gives a b-matching
-  that is checked for capacities and for weight equal to the optimum.
+  vertex a path from or to z.  Flipping the closed cycle gives a witness
+  b-matching, checked in O(cycle length): degrees change only on the cycle,
+  so capacities are checked there, and the witness is maximum iff the edges
+  it adds weigh what the edges it drops weigh.  That M itself is a
+  b-matching of g is checked once per call.
 
-The construction runs on integers: it reuses the graph's scaled weights
-(`g.scaled`), whose denominator every solver dual divides, with one extra
-factor (#SCCs + 1) for the shift.
+The construction and every check run on integers.  The solver's duals arrive
+in units of 1/D, the denominator of the graph's scaled weights (`g.scaled`);
+the shift multiplies by one more factor, #SCCs + 1, so pi is held in units of
+1/(D * factor), and one pass over it checks the gaps, tightness,
+non-negativity and optimality and finds the slack.  The Fractions of pi and
+the slack are built once, on return.  `compute_slack` is the Fraction
+reference the tests hold that slack to.
 """
 
 from __future__ import annotations
@@ -61,7 +68,10 @@ class StructuredCovering:
 
 
 def compute_slack(g: BipartiteGraph, pi: Covering) -> Optional[Fraction]:
-    """min over non-tight edge gaps and positive dual values; None when empty."""
+    """min over non-tight edge gaps and positive dual values; None when empty.
+
+    The Fraction reference for the slack that `refine_covering` finds on integers.
+    """
     best: Optional[Fraction] = None
     for s, t in g.edges:
         gap = pi.pi[s] + pi.pi[t] - g.weight[(s, t)]
@@ -229,64 +239,73 @@ def refine_covering(g: BipartiteGraph) -> StructuredCovering:
     """Structured optimal covering of g from one solve (see the module notes)."""
     res = matching.solve_with_covering(g)
     m_edges = res.matching.edges
-    opt = res.value
     vertices = g.items + g.buyers
+    n_items = len(g.items)
     z = len(vertices)
     node = {v: k for k, v in enumerate(vertices)}
     degree = Counter(v for e in m_edges for v in e)
+    if not m_edges <= g.edge_set or any(degree[v] > g.capacity[v] for v in degree):
+        raise InternalConsistencyError("optimal matching is not a b-matching of the graph")
 
-    pi = res.covering.pi
     weight, scale = g.scaled
-    sign = {v: 1 for v in g.items} | {v: -1 for v in g.buyers}
-    p = [sign[v] * pi[v].numerator * (scale // pi[v].denominator) for v in vertices] + [0]
-
+    sign = [1] * n_items + [-1] * len(g.buyers)
+    p = [sg * res.scaled_pi[v] for sg, v in zip(sign, vertices)] + [0]
     out = _face_arcs(g, m_edges, degree, weight, node, z)
     p, factor = _shift_by_scc(_seller_optimal(p, out, z), out, z)
-    pi_prime = {v: Fraction(sign[v] * p[node[v]], scale * factor) for v in vertices}
-    covering = Covering(pi_prime)
+    q = [sg * pa for sg, pa in zip(sign, p)]   # pi' in units of 1/(D * factor)
 
     # Verification, always on.  An optimal covering certifies slack edges as
     # non-legal and positive duals as always saturated; M certifies its own
     # edges and unsaturated vertices; every other tight edge and zero dual
     # needs a witness b-matching, checked exactly.
     tight: set[Edge] = set()
+    least: Optional[int] = None
     for e in g.edges:
-        gap = pi_prime[e[0]] + pi_prime[e[1]] - g.weight[e]
+        gap = q[node[e[0]]] + q[node[e[1]]] - weight[e] * factor
         if gap < 0:
             raise InternalConsistencyError("refined dual is not a covering")
         if gap == 0:
             tight.add(e)
-    if any(x < 0 for x in pi_prime.values()):
-        raise InternalConsistencyError("refined dual has a negative value")
-    if covering.total_value(g) != opt:
+        elif least is None or gap < least:
+            least = gap
+    for x in q:
+        if x < 0:
+            raise InternalConsistencyError("refined dual has a negative value")
+        if x > 0 and (least is None or x < least):
+            least = x
+    if sum(x * g.capacity[v] for x, v in zip(q, vertices)) != res.scaled_value * factor:
         raise InternalConsistencyError("refined dual is not optimal")
 
-    scaled_opt = int(opt * scale)
     legal = {e: e in m_edges for e in g.edges}
-    saturated = {v: degree[v] == g.capacity[v] for v in vertices}
+    saturated = [degree[v] == g.capacity[v] for v in vertices]
     # Tight graph of the face arcs: a cycle through z or through a non-M
     # edge alternates, and flipping it gives the witness.
     succ = [[b for b, length in arcs if length * factor + p[a] - p[b] == 0]
             for a, arcs in enumerate(out)]
 
-    def witness_degree(path: list[int], closing: Optional[Edge]) -> Counter:
-        """Check the b-matching M xor (path + closing edge); return its degrees."""
+    def witness_change(path: list[int], closing: Optional[Edge]) -> Counter:
+        """Check the b-matching M xor (path + closing edge); return its degree change.
+
+        Only the cycle's vertices change degree, and its weight is w(M) plus
+        w(added) - w(dropped), where w(M) is the optimum the solve certified,
+        so a witness is maximum iff the two are equal.
+        """
         add = set() if closing is None else {closing}
         drop = set()
         for a, b in zip(path, path[1:]):
-            if a < len(g.items) and b != z:
+            if a < n_items and b != z:
                 add.add((vertices[a], vertices[b]))
-            elif b < len(g.items) and a != z:
+            elif b < n_items and a != z:
                 drop.add((vertices[b], vertices[a]))
         if not drop <= m_edges or add & m_edges or not add <= g.edge_set:
             raise InternalConsistencyError("witness cycle does not alternate")
-        witness = (m_edges - drop) | add
-        deg = Counter(v for e in witness for v in e)
-        if any(deg[v] > g.capacity[v] for v in deg):
+        change = Counter(v for e in add for v in e)
+        change.subtract(v for e in drop for v in e)
+        if any(degree[v] + d > g.capacity[v] for v, d in change.items()):
             raise InternalConsistencyError("witness violates a capacity")
-        if sum(weight[e] for e in witness) != scaled_opt:
+        if sum(weight[e] for e in add) != sum(weight[e] for e in drop):
             raise InternalConsistencyError("witness is not a maximum-weight b-matching")
-        return deg
+        return change
 
     by_buyer: dict[str, list[str]] = {}
     for s, t in g.edges:
@@ -296,7 +315,7 @@ def refine_covering(g: BipartiteGraph) -> StructuredCovering:
         parent = _bfs(node[t], succ)
         for s in items:
             if parent[node[s]] is not None:
-                witness_degree(_path(parent, node[s]), (s, t))
+                witness_change(_path(parent, node[s]), (s, t))
                 legal[(s, t)] = True
     # A saturated zero-dual item closes a cycle z ~> s -> z, a buyer t ~> z -> t.
     pred: list[list[int]] = [[] for _ in succ]
@@ -304,24 +323,25 @@ def refine_covering(g: BipartiteGraph) -> StructuredCovering:
         for b in heads:
             pred[b].append(a)
     from_z, to_z = _bfs(z, succ), _bfs(z, pred)
-    for v in vertices:
-        if pi_prime[v] != 0 or not saturated[v]:
+    for k, v in enumerate(vertices):
+        if q[k] != 0 or not saturated[k]:
             continue
-        k = node[v]
-        if k < len(g.items) and from_z[k] is not None:
+        if k < n_items and from_z[k] is not None:
             path = _path(from_z, k)
-        elif k >= len(g.items) and to_z[k] is not None:
+        elif k >= n_items and to_z[k] is not None:
             path = _path(to_z, k)[::-1]
         else:
             continue
-        saturated[v] = witness_degree(path, None)[v] == g.capacity[v]
+        saturated[k] = degree[v] + witness_change(path, None)[v] == g.capacity[v]
 
     for e in g.edges:
         if (e in tight) != legal[e]:
             raise InternalConsistencyError("tight/legal mismatch after refinement")
-    for v in vertices:
-        if (pi_prime[v] > 0) != saturated[v]:
+    for k in range(z):
+        if (q[k] > 0) != saturated[k]:
             raise InternalConsistencyError("zero-dual/saturation mismatch")
 
-    slack = compute_slack(g, covering)
+    denom = scale * factor
+    covering = Covering({v: Fraction(x, denom) for v, x in zip(vertices, q)})
+    slack = None if least is None else Fraction(least, denom)
     return StructuredCovering(covering, frozenset(tight), slack)

@@ -18,11 +18,14 @@ to the optimum, and copies of the same buyer provably share one dual value.
 
 All arithmetic is exact and the Hungarian algorithm runs on integers only.
 Each graph scales its Fraction weights once, by their least common
-denominator D (`BipartiteGraph.scaled`), so every dual value has a
-denominator dividing D.  The trim objective "maximum weight, then fewest
-edges" is the integer weight w * D * K - 1 with K = |S| + 1: a b-matching has
-at most |S| edges, so a weight gap of 1/D always outweighs any difference in
-edge count.
+denominator D (`BipartiteGraph.scaled`), so the solver returns its value and
+its duals as integers in units of 1/D.  `_check_optimal_pair` checks them as
+integers, and `SolveResult` keeps them (`scaled_value`, `scaled_pi`) for
+callers that stay on integers, such as `dual.refine_covering`; its Fraction
+`value` and `covering` are built from them once, on first use.  The trim
+objective "maximum weight, then fewest edges" is the integer weight
+w * D * K - 1 with K = |S| + 1: a b-matching has at most |S| edges, so a
+weight gap of 1/D always outweighs any difference in edge count.
 """
 
 from __future__ import annotations
@@ -189,9 +192,20 @@ class Covering:
 
 @dataclass(frozen=True)
 class SolveResult:
+    """A verified optimal pair, held as the solver's integers in units of 1/D."""
+
     matching: BMatching
-    value: Fraction
-    covering: Covering
+    scaled_value: int               # w(M) * D
+    scaled_pi: Mapping[str, int]    # pi * D
+    denom: int                      # D, the denominator of `BipartiteGraph.scaled`
+
+    @cached_property
+    def value(self) -> Fraction:
+        return Fraction(self.scaled_value, self.denom)
+
+    @cached_property
+    def covering(self) -> Covering:
+        return Covering({v: Fraction(x, self.denom) for v, x in self.scaled_pi.items()})
 
 
 def _hungarian(n_rows: int, n_cols: int, adj: list[list[tuple[int, int]]]):
@@ -285,10 +299,10 @@ def _solve(g: BipartiteGraph, weights: Optional[Mapping[Edge, int]] = None,
     """Solve max-weight b-matching via buyer-copy expansion.
 
     Runs on `g.scaled` unless integer `weights` are given.  Returns (edges,
-    value, pi_or_None), with value and pi in the units of g.weight, or of
-    `weights` when those are given.
+    value, pi_or_None) as integers: in units of 1/D for `g.scaled`, in the
+    units of `weights` when those are given.
     """
-    scaled, denom = g.scaled if weights is None else (weights, 1)
+    scaled = g.scaled[0] if weights is None else weights
     rows: list[BuyerId] = []
     row_of_buyer: dict[BuyerId, list[int]] = {}
     for t in g.buyers:
@@ -314,38 +328,39 @@ def _solve(g: BipartiteGraph, weights: Optional[Mapping[Edge, int]] = None,
     edge_set = frozenset(edges)
     if len(edge_set) != len(edges):
         raise InternalConsistencyError("expansion produced a repeated edge")
-    value = Fraction(sum(scaled[e] for e in edge_set), denom)
+    value = sum(scaled[e] for e in edge_set)
 
     if not want_dual:
         return edge_set, value, None
 
-    pi: dict[str, Fraction] = {}
+    pi: dict[str, int] = {}
     for t in g.buyers:
         vals = {u[i] for i in row_of_buyer[t]}
         if len(vals) > 1:
             raise InternalConsistencyError(f"copies of buyer {t} got unequal duals")
-        pi[t] = Fraction(vals.pop() if vals else 0, denom)
+        pi[t] = vals.pop() if vals else 0
     for s in g.items:
-        pi[s] = Fraction(v[col_of_item[s]], denom)
+        pi[s] = v[col_of_item[s]]
     return edge_set, value, pi
 
 
-def _check_optimal_pair(g: BipartiteGraph, matching: BMatching, value: Fraction,
-                        covering: Covering) -> None:
-    pi = covering.pi
+def _check_optimal_pair(g: BipartiteGraph, edges: frozenset[Edge], value: int,
+                        pi: Mapping[str, int]) -> None:
+    """Check (M, pi) optimal on the solver's integers, in units of 1/D."""
+    weight, _ = g.scaled
     for vx in g.items + g.buyers:
         if pi[vx] < 0:
             raise InternalConsistencyError("negative dual value")
-    for s, t in g.edges:
-        if pi[s] + pi[t] < g.weight[(s, t)]:
+    for (s, t), w in weight.items():
+        if pi[s] + pi[t] < w:
             raise InternalConsistencyError("dual is not a covering")
-    for e in matching.edges:
-        if pi[e[0]] + pi[e[1]] != g.weight[e]:
+    for s, t in edges:
+        if pi[s] + pi[t] != weight.get((s, t)):
             raise InternalConsistencyError("matched edge not tight")
-    if covering.total_value(g) != value:
+    if sum(pi[vx] * g.capacity[vx] for vx in g.items + g.buyers) != value:
         raise InternalConsistencyError("strong duality gap")
     deg: dict[str, int] = {}
-    for s, t in matching.edges:
+    for s, t in edges:
         deg[s] = deg.get(s, 0) + 1
         deg[t] = deg.get(t, 0) + 1
     for vx in g.items + g.buyers:
@@ -356,9 +371,8 @@ def _check_optimal_pair(g: BipartiteGraph, matching: BMatching, value: Fraction,
 def solve_with_covering(g: BipartiteGraph) -> SolveResult:
     """Maximum-weight b-matching together with an optimal covering (verified)."""
     edges, value, pi = _solve(g)
-    result = SolveResult(BMatching(edges), value, Covering(pi))
-    _check_optimal_pair(g, result.matching, result.value, result.covering)
-    return result
+    _check_optimal_pair(g, edges, value, pi)
+    return SolveResult(BMatching(edges), value, pi, g.scaled[1])
 
 
 def max_weight_bmatching(g: BipartiteGraph) -> tuple[BMatching, Fraction]:
@@ -368,8 +382,8 @@ def max_weight_bmatching(g: BipartiteGraph) -> tuple[BMatching, Fraction]:
 
 
 def max_weight_value(g: BipartiteGraph) -> Fraction:
-    edges, value, _ = _solve(g, want_dual=False)
-    return value
+    _, value, _ = _solve(g, want_dual=False)
+    return Fraction(value, g.scaled[1])
 
 
 def optimal_covering(g: BipartiteGraph) -> Covering:
@@ -456,9 +470,8 @@ def lexicographic_min_edge_optimum(g: BipartiteGraph) -> tuple[BMatching, Fracti
     Solved over the integer weights w * D * K - 1 with K = |S| + 1 (see the
     module notes), which order b-matchings by weight first and edge count second.
     """
-    scaled, _ = g.scaled
+    scaled, denom = g.scaled
     k = len(g.items) + 1
     edges, _, _ = _solve(g, weights={e: w * k - 1 for e, w in scaled.items()},
                          want_dual=False)
-    best = BMatching(edges)
-    return best, best.weight(g)
+    return BMatching(edges), Fraction(sum(scaled[e] for e in edges), denom)

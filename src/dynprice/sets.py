@@ -110,6 +110,16 @@ def maximal_dangerous_set(gpi: BipartiteGraph) -> Optional[frozenset[BuyerId]]:
         raise ContractViolationError("surplus-zero set exists; graph splits instead")
     if value >= 2:
         return None
+    return grow_dangerous_set(gpi, Y)
+
+
+def grow_dangerous_set(gpi: BipartiteGraph, Y: Iterable[BuyerId]) -> frozenset[BuyerId]:
+    """An inclusionwise maximal dangerous set containing the dangerous set Y.
+
+    Adds each buyer outside Y, in buyer order, whenever some dangerous set
+    holds both; same precondition as `maximal_dangerous_set`.
+    """
+    Y = frozenset(Y)
     for t in gpi.buyers:
         if t in Y:
             continue

@@ -191,6 +191,39 @@ def test_cli_simulate_rejects_negative_counts(tmp_path, capsys, e1):
     assert capsys.readouterr().out == ""
 
 
+def test_cli_simulate_rejects_budget_with_orders(tmp_path, capsys, e1):
+    # sampled runs have no budget, so a --budget there would be ignored
+    path = write_market(tmp_path, e1)
+    for budget in ("0", "200000"):
+        assert main(["simulate", "--input", path, "--orders", "3", "--budget", budget]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--budget" in captured.err and "--orders" in captured.err
+
+
+def test_cli_verify_searches_unconstrained_surplus_once(tmp_path, capsys, monkeypatch,
+                                                        d1_market):
+    # the growth of the maximal dangerous set starts from verify's own minimizer
+    import dynprice.sets as sets
+    from dynprice import maximal_dangerous_set
+    from dynprice.pricing import tight_market
+    unconstrained = 0
+    real = sets._surplus_cut
+
+    def counting(gpi, include, exclude):
+        nonlocal unconstrained
+        unconstrained += len(include) == 1 and len(exclude) == 1
+        return real(gpi, include, exclude)
+
+    monkeypatch.setattr(sets, "_surplus_cut", counting)
+    path = write_market(tmp_path, d1_market, "d1.json")
+    assert main(["verify", "--input", path]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["min_surplus"] == 1
+    assert unconstrained == 2 * (len(d1_market.buyers) - 1)
+    assert out["maximal_dangerous"] == sorted(maximal_dangerous_set(tight_market(d1_market).gpi))
+
+
 def test_cli_verify(tmp_path, capsys):
     path = write_market(tmp_path, figure_market(), "fig.json")
     assert main(["verify", "--input", path]) == 0

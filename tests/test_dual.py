@@ -174,3 +174,132 @@ def test_verification_trips_without_scc_shift(monkeypatch):
     monkeypatch.setattr(dual, "_shift_by_scc", lambda p, out, z: (p, 1))
     with pytest.raises(InternalConsistencyError):
         refine_covering(g)
+
+
+@pytest.fixture(scope="module")
+def pinning_corpus():
+    """The differential corpus plus 200 unit-weight tight graphs that the
+    bi-demand recursion refines while pricing bi-demand markets."""
+    import dynprice.orderings as orderings
+    from dynprice import generate_instance, multi_round
+    recursion: list[BipartiteGraph] = []
+    real = orderings.refine_covering
+
+    def recording(g):
+        recursion.append(g)
+        return real(g)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(orderings, "refine_covering", recording)
+        seed = 0
+        while len(recursion) < 200:
+            multi_round(generate_instance(seed, 4 + seed % 6, 2, (1, 1 + seed % 3)))
+            seed += 1
+    return differential_corpus() + recursion[:200]
+
+
+def test_integer_refine_matches_fraction_references(pinning_corpus):
+    from dynprice.matching import max_weight_value
+    for g in pinning_corpus:
+        sc = refine_covering(g)
+        assert sc.slack == compute_slack(g, sc.pi)
+        assert sc.tight_edges == sc.pi.tight_edges(g)
+        assert sc.pi.total_value(g) == max_weight_value(g)
+        assert sc.pi.is_covering(g)
+
+
+def test_solve_fractions_are_the_integer_duals_over_d(pinning_corpus):
+    from dynprice.matching import solve_with_covering
+    for g in pinning_corpus:
+        res = solve_with_covering(g)
+        denom = g.scaled[1]
+        assert res.denom == denom
+        assert res.covering.pi == {v: Fraction(x, denom) for v, x in res.scaled_pi.items()}
+        assert res.value == Fraction(res.scaled_value, denom) == res.matching.weight(g)
+        assert res.covering.total_value(g) == res.value
+
+
+def test_matching_over_a_capacity_trips(monkeypatch):
+    # t1 takes both items at zero dual: every optimality check of the solve
+    # passes, so only refine's own b-matching check can refuse it
+    import dynprice.matching as matching_mod
+    from dynprice.errors import InternalConsistencyError
+    from dynprice.matching import solve_with_covering
+    g = BipartiteGraph.build(["s1", "s2"], ["t1"],
+                             {("s1", "t1"): Fraction(1), ("s2", "t1"): Fraction(1)},
+                             {"s1": 1, "s2": 1, "t1": 1})
+    refine_covering(g)
+    monkeypatch.setattr(matching_mod, "_solve", lambda g, weights=None, want_dual=True: (
+        frozenset(g.edges), 2, {"s1": 1, "s2": 1, "t1": 0}))
+    solve_with_covering(g)
+    with pytest.raises(InternalConsistencyError,
+                       match="^optimal matching is not a b-matching of the graph$"):
+        refine_covering(g)
+
+
+@pytest.mark.parametrize("route, message", [
+    # t1 -> s_M (drop) -> t2 (add, slack) -> s3 (drop) -> z -> s_off: alternates,
+    # keeps every capacity, but adds 2 + 0 and drops 2 + 1
+    (("t1", "matched", "t2", "s3", "z", "other"),
+     "witness is not a maximum-weight b-matching"),
+    (("t1", "z", "other"), "witness violates a capacity"),
+    (("t1", "other"), "witness cycle does not alternate"),
+])
+def test_witness_checks_trip_on_a_mutant_path(monkeypatch, route, message):
+    import dynprice.dual as dual
+    from dynprice.errors import InternalConsistencyError
+    from dynprice.matching import solve_with_covering
+    # t1 values s1 and s2 alike, so whichever it is matched to, the other
+    # edge to t1 is tight off M and refine asks `_path` for its witness
+    g = market_graph(Market.build(["s1", "s2", "s3"], ["t1", "t2"], {"t1": 1, "t2": 1},
+                                  {("t1", "s1"): 2, ("t1", "s2"): 2, ("t1", "s3"): 0,
+                                   ("t2", "s1"): 0, ("t2", "s2"): 0, ("t2", "s3"): 1}))
+    refine_covering(g)
+    matched = next(s for s, t in solve_with_covering(g).matching.edges if t == "t1")
+    name = {"matched": matched, "other": "s2" if matched == "s1" else "s1"}
+    node = {v: k for k, v in enumerate(g.items + g.buyers)} | {"z": len(g.items + g.buyers)}
+    path = [node[name.get(v, v)] for v in route]
+    monkeypatch.setattr(dual, "_path", lambda parent, end: path)
+    with pytest.raises(InternalConsistencyError, match=f"^{message}$"):
+        refine_covering(g)
+
+
+@pytest.mark.parametrize("vertex, nudge, message", [
+    (0, -10, "refined dual is not a covering"),
+    (0, 1, "refined dual is not optimal"),
+    (1, -1, "refined dual has a negative value"),   # s2 has no edge: only the sign check sees it
+])
+def test_refined_dual_checks_trip_on_a_mutant_shift(monkeypatch, vertex, nudge, message):
+    # moving one item off the shifted point breaks the covering, the optimum or the sign
+    import dynprice.dual as dual
+    from dynprice.errors import InternalConsistencyError
+    g = BipartiteGraph.build(["s1", "s2"], ["t1"], {("s1", "t1"): Fraction(2)},
+                             {"s1": 1, "s2": 1, "t1": 1})
+    real = dual._shift_by_scc
+
+    def mutant(p, out, z):
+        p, factor = real(p, out, z)
+        p[vertex] += nudge * factor
+        return p, factor
+
+    monkeypatch.setattr(dual, "_shift_by_scc", mutant)
+    with pytest.raises(InternalConsistencyError, match=f"^{message}$"):
+        refine_covering(g)
+
+
+@pytest.mark.parametrize("values, demand, message", [
+    # (s0, t1) is tight at the seller-optimal point but in no optimum
+    ({("t0", "s0"): 2, ("t0", "s1"): 0, ("t1", "s0"): 2, ("t1", "s1"): 1},
+     {"t0": 2, "t1": 1}, "tight/legal mismatch after refinement"),
+    # the items take all the surplus, leaving t0 a zero dual, yet every optimum fills t0
+    ({("t0", "s0"): 2, ("t0", "s1"): 1, ("t1", "s0"): 0, ("t1", "s1"): 0},
+     {"t0": 2, "t1": 1}, "zero-dual/saturation mismatch"),
+])
+def test_structure_checks_trip_without_scc_shift(monkeypatch, values, demand, message):
+    import dynprice.dual as dual
+    from dynprice.errors import InternalConsistencyError
+    g = market_graph(Market.build(["s0", "s1"], ["t0", "t1"], demand, values))
+    refine_covering(g)
+    monkeypatch.setattr(dual, "_shift_by_scc", lambda p, out, z: (p, 1))
+    with pytest.raises(InternalConsistencyError, match=f"^{message}$"):
+        refine_covering(g)

@@ -247,3 +247,35 @@ def test_weak_duality_property(vals):
     res = solve_with_covering(g)
     assert res.covering.is_covering(g)
     assert res.matching.weight(g) == res.covering.total_value(g)
+
+
+def _drop_one_matched_edge(edges, value, pi):
+    # the value stays w(M), so only complementary slackness can see the loss
+    return edges - {min(edges)}, value, pi
+
+
+@pytest.mark.parametrize("perturb, message", [
+    (lambda edges, value, pi: (edges, value, pi | {"t1": -1}), "negative dual value"),
+    (lambda edges, value, pi: (edges, value, dict.fromkeys(pi, 0)), "dual is not a covering"),
+    (lambda edges, value, pi: (edges, value, pi | {"s1": pi["s1"] + 1}),
+     "matched edge not tight"),
+    (lambda edges, value, pi: (edges, value + 1, pi), "strong duality gap"),
+    (_drop_one_matched_edge, "complementary slackness violated"),
+])
+def test_optimal_pair_check_trips_on_a_perturbed_solve(monkeypatch, perturb, message):
+    # each mutant breaks exactly one of the five checks, in units of 1/D (D = 2)
+    import dynprice.matching as matching_mod
+    from dynprice.errors import InternalConsistencyError
+    g = graph_of(["s1", "s2"], ["t1", "t2"], {"t1": 1, "t2": 1},
+                 {("s1", "t1"): Fraction(3), ("s2", "t1"): Fraction(1, 2),
+                  ("s1", "t2"): Fraction(2), ("s2", "t2"): Fraction(2)})
+    assert g.scaled[1] == 2
+    assert solve_with_covering(g).matching.edges == {("s1", "t1"), ("s2", "t2")}
+    real = matching_mod._solve
+
+    def perturbed(g, weights=None, want_dual=True):
+        return perturb(*real(g, weights, want_dual))
+
+    monkeypatch.setattr(matching_mod, "_solve", perturbed)
+    with pytest.raises(InternalConsistencyError, match=f"^{message}$"):
+        solve_with_covering(g)
