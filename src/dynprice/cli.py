@@ -32,6 +32,8 @@ from .simulation import RunTrace, reversed_ordering_strategy, run_exhaustive, ru
 
 _USAGE_ERROR = 2
 _INTERNAL_ERROR = 3
+# Largest value matrix (buyers x items) `generate_instance` builds.
+GENERATE_CELL_CAP = 100_000
 
 
 def rational_to_str(x: Fraction) -> str:
@@ -112,7 +114,8 @@ def serialize_market(m: Market) -> dict:
 
 def generate_instance(seed: int, buyers: int, demand_profile: int | Sequence[int],
                       value_range: tuple[int, int] = (1, 20)) -> Market:
-    """Deterministic random market with |S| = total demand and positive values.
+    """Deterministic random market with |S| = total demand and positive values,
+    refused (ModelError) beyond GENERATE_CELL_CAP values, before anything is built.
 
     Such a market always has the saturation property: an optimum that left a
     buyer short would leave an item unsold, since |S| = b(T), and giving that
@@ -121,6 +124,11 @@ def generate_instance(seed: int, buyers: int, demand_profile: int | Sequence[int
     lo, hi = value_range
     if lo < 1 or hi < lo:
         raise ModelError("value range must satisfy 1 <= lo <= hi")
+    n_items = (demand_profile * buyers if isinstance(demand_profile, int)
+               else sum(demand_profile))
+    if buyers * n_items > GENERATE_CELL_CAP:
+        raise ModelError(f"{buyers} buyers x {n_items} items is over the limit of "
+                         f"{GENERATE_CELL_CAP} values for a generated market")
     if isinstance(demand_profile, int):
         demands = [demand_profile] * buyers
     else:

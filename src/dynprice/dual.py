@@ -92,13 +92,9 @@ def is_legal_edge(g: BipartiteGraph, e: Edge) -> bool:
 
 
 def tight_subgraph(sc: StructuredCovering, g: BipartiteGraph) -> BipartiteGraph:
-    """Subgraph of tight edges; weights dropped (treated as unit)."""
-    return BipartiteGraph.build(
-        g.items, g.buyers,
-        {e: Fraction(1) for e in sc.tight_edges},
-        dict(g.capacity),
-        edges=sc.tight_edges,
-    )
+    """The spanning subgraph of g on the tight edges, in g's order, with unit
+    weights; derived from g, so a tight edge that g lacks raises ModelError."""
+    return g.unit_subgraph(sc.tight_edges)
 
 
 Arcs = list[list[tuple[int, int]]]  # node -> [(head, scaled length)]

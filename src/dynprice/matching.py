@@ -9,6 +9,12 @@ König's theorem, the smallest set of largest deficiency.  Each graph keeps
 one grown from empty (`max_cardinality_bmatching`) that all such questions
 share.  Weighted questions go to the Hungarian solver.
 
+`BipartiteGraph.build` is for outside input: it validates the vertices,
+sorts the edges by item, then buyer, and makes weights Fractions.  In the
+package only `model.market_graph` calls it.  Every other graph is derived
+from a built one (`induced`, `unit_subgraph`, ...) and keeps its edge order,
+so nothing is validated or sorted twice.
+
 The Hungarian solver works on the buyer-copy expansion: every buyer vertex
 t with capacity b(t) becomes min(b(t), |S| + 1) unit-capacity copies, items
 keep capacity one, and a rectangular Hungarian algorithm with potentials
@@ -35,7 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from types import MappingProxyType
-from typing import Iterable, Mapping, Optional
+from typing import AbstractSet, Iterable, Mapping, Optional
 
 from .errors import InternalConsistencyError, ModelError
 
@@ -46,7 +52,8 @@ Edge = tuple[ItemId, BuyerId]
 
 @dataclass(frozen=True)
 class BipartiteGraph:
-    """Edge-weighted bipartite graph with vertex capacities (items always 1)."""
+    """Edge-weighted bipartite graph with vertex capacities (items always 1);
+    edges are in canonical order, by item, then buyer (`build` sorts them)."""
 
     items: tuple[ItemId, ...]
     buyers: tuple[BuyerId, ...]
@@ -57,23 +64,20 @@ class BipartiteGraph:
     @staticmethod
     def build(items: Iterable[ItemId], buyers: Iterable[BuyerId],
               weight: Mapping[Edge, Fraction | int],
-              capacity: Mapping[str, int],
-              edges: Optional[Iterable[Edge]] = None) -> "BipartiteGraph":
+              capacity: Mapping[str, int]) -> "BipartiteGraph":
         items = tuple(items)
         buyers = tuple(buyers)
         if len(set(items)) != len(items) or len(set(buyers)) != len(buyers):
             raise ModelError("duplicate vertex ids")
         if set(items) & set(buyers):
             raise ModelError("item and buyer ids must be distinct")
-        if edges is None:
-            edges = weight.keys()
         item_pos = {s: k for k, s in enumerate(items)}
         buyer_pos = {t: k for k, t in enumerate(buyers)}
         try:
-            canon = tuple(sorted(set(edges), key=lambda e: (item_pos[e[0]], buyer_pos[e[1]])))
+            canon = tuple(sorted(weight, key=lambda e: (item_pos[e[0]], buyer_pos[e[1]])))
         except KeyError as exc:
             raise ModelError(f"edge references unknown vertex {exc}") from exc
-        w = {e: Fraction(weight[e]) for e in canon}
+        w = {e: x if isinstance(x := weight[e], Fraction) else Fraction(x) for e in canon}
         cap = dict(capacity)
         for s in items:
             if cap.get(s, 1) != 1:
@@ -99,18 +103,16 @@ class BipartiteGraph:
     @cached_property
     def buyer_adj(self) -> dict[BuyerId, tuple[ItemId, ...]]:
         adj: dict[BuyerId, list[ItemId]] = {t: [] for t in self.buyers}
-        for s, t in self.edges:
+        for s, t in self.edges:     # canonical order: each buyer's items come sorted
             adj[t].append(s)
-        order = {s: k for k, s in enumerate(self.items)}
-        return {t: tuple(sorted(v, key=order.__getitem__)) for t, v in adj.items()}
+        return {t: tuple(v) for t, v in adj.items()}
 
     @cached_property
     def item_adj(self) -> dict[ItemId, tuple[BuyerId, ...]]:
         adj: dict[ItemId, list[BuyerId]] = {s: [] for s in self.items}
-        for s, t in self.edges:
+        for s, t in self.edges:     # canonical order: each item's buyers come sorted
             adj[s].append(t)
-        order = {t: k for k, t in enumerate(self.buyers)}
-        return {s: tuple(sorted(v, key=order.__getitem__)) for s, v in adj.items()}
+        return {s: tuple(v) for s, v in adj.items()}
 
     @cached_property
     def max_cardinality_bmatching(self) -> tuple[Mapping[ItemId, BuyerId],
@@ -129,11 +131,13 @@ class BipartiteGraph:
     def buyer_capacity_total(self) -> int:
         return sum(self.capacity[t] for t in self.buyers)
 
-    def with_weights(self, weight: Mapping[Edge, Fraction]) -> "BipartiteGraph":
-        return BipartiteGraph(self.items, self.buyers, self.edges, dict(weight), self.capacity)
-
-    def unit_weights(self) -> "BipartiteGraph":
-        return self.with_weights({e: Fraction(1) for e in self.edges})
+    def unit_subgraph(self, edges: AbstractSet[Edge]) -> "BipartiteGraph":
+        """The spanning subgraph on `edges`, kept in this graph's order, with unit weights."""
+        if not edges <= self.edge_set:
+            raise ModelError(f"edges not in graph: {sorted(edges - self.edge_set)!r}")
+        kept = tuple(e for e in self.edges if e in edges)
+        return BipartiteGraph(self.items, self.buyers, kept, dict.fromkeys(kept, Fraction(1)),
+                              self.capacity)
 
     def induced(self, items: Iterable[ItemId], buyers: Iterable[BuyerId]) -> "BipartiteGraph":
         keep_s = set(items)

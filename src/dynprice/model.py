@@ -144,22 +144,26 @@ def check_opt_property(m: Market) -> OptReport:
     return OptReport(opt, False, (t, allocation_from_matching(wit_matching, m)))
 
 
-def trim_items(m: Market) -> tuple[Market, frozenset[ItemId]]:
+def trim_items(m: Market) -> tuple[Market, BipartiteGraph, frozenset[ItemId]]:
     """Drop items unused by a minimum-cardinality maximum-welfare allocation.
 
-    The returned submarket has the same optimum welfare, and all its optima
-    use every remaining item.
+    Returns the trimmed market, its graph and the removed items.  The trimmed
+    market has the same optimum welfare, and all its optima use every
+    remaining item.  Its graph equals `market_graph` of the trimmed market
+    without a second build: m's graph, induced on the kept items when some
+    item was removed.
     """
     g = market_graph(m)
     best, opt = matching.lexicographic_min_edge_optimum(g)
     used = {s for s, _ in best.edges}
     removed = frozenset(s for s in m.items if s not in used)
     if not removed:
-        return m, removed
+        return m, g, removed
     sub = submarket(m, used, set(m.buyers))
-    if matching.max_weight_value(market_graph(sub)) != opt:
+    sub_g = g.induced(used, m.buyers)
+    if matching.max_weight_value(sub_g) != opt:
         raise InternalConsistencyError("trimming changed the optimum welfare")
-    return sub, removed
+    return sub, sub_g, removed
 
 
 def restrict_market(m: Market, departed: BuyerId, sold: Iterable[ItemId]) -> Market:

@@ -7,7 +7,8 @@ difference rule, the three-buyer labeling, and the recursive case analysis for
 bi-demand markets driven by dangerous sets.  Every recursive descent of the
 bi-demand construction re-derives a fresh structured dual under unit weights
 and lifts the inner ordering with `combine`, which prunes edges that lie in no
-factor of the subgraph.
+factor of the subgraph.  Only the input graph is given unit weights, at
+depth 0: every deeper graph is cut from a tight subgraph, which has them.
 """
 
 from __future__ import annotations
@@ -110,9 +111,8 @@ def three_buyer_labeling(gpi: BipartiteGraph,
     theta: dict[ItemId, int] = {}
     for s in classes[frozenset((1, 2, 3))]:
         theta[s] = 5
-    item_pos = {s: k for k, s in enumerate(gpi.items)}
     for a, b in combinations((1, 2, 3), 2):
-        cls = sorted(classes[frozenset((a, b))], key=item_pos.__getitem__)
+        cls = [s for s in gpi.items if s in classes[frozenset((a, b))]]
         i, j = sorted((rank_of[a], rank_of[b]))
         r_hi = r[order[i - 1]]
         r_lo = r[order[j - 1]]
@@ -172,8 +172,7 @@ def adequate_three_buyers(gpi: BipartiteGraph) -> Ordering:
         raise ContractViolationError("class sizes inconsistent with demands")
 
     lab = three_buyer_labeling(gpi, reduced)
-    item_pos = {s: k for k, s in enumerate(gpi.items)}
-    rest.sort(key=lambda s: (lab.theta[s], item_pos[s]))
+    rest.sort(key=lab.theta.__getitem__)        # stable: ties stay in item order
     ordering = Ordering.from_sequence(head + rest)
 
     # First-choice sets on the reduced instance leave enough for the others.
@@ -228,17 +227,17 @@ def adequate_bidemand(h: BipartiteGraph, trace: Optional[list] = None) -> Orderi
     for t in h.buyers:
         if not 1 <= h.capacity[t] <= 2:
             raise ContractViolationError("demands must be one or two")
-    return _bidemand_wrapper(h, trace if trace is not None else [], 0)
+    return _bidemand_wrapper(h.unit_subgraph(h.edge_set),
+                             trace if trace is not None else [], 0)
 
 
 def _bidemand_wrapper(h: BipartiteGraph, trace: list, depth: int) -> Ordering:
-    unit = h.unit_weights()
-    sc = refine_covering(unit)
+    sc = refine_covering(h)
     # A zero dual marks a vertex that some largest b-matching leaves unsaturated.
     if 0 in sc.pi.pi.values():
         raise (ContractViolationError if depth == 0 else InternalConsistencyError)(
             "graph admits no b-factor")
-    hp = tight_subgraph(sc, unit)
+    hp = tight_subgraph(sc, h)
     seq = _bidemand_cases(hp, trace, depth)
     return combine(sc.pi, Ordering.from_sequence(seq))
 
@@ -323,8 +322,7 @@ def _subcase_blocking_pair(hp: BipartiteGraph, Z: frozenset[BuyerId],
     t0, F = bad
     if len(F) != 2:
         raise InternalConsistencyError("blocking bundle is not a pair")
-    item_pos = {s: k for k, s in enumerate(hp.items)}
-    s1, s2 = sorted(F, key=item_pos.__getitem__)
+    s1, s2 = F      # a pair of t0's neighbors, so in item order
     nx = hp.neighbors(X)
     nz = hp.neighbors(Z)
     if X | Z != set(hp.buyers) or nx & nz != {s1, s2}:

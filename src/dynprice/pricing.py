@@ -3,6 +3,9 @@
 Multi-demand prices are pi(s) + delta * sigma(s) with delta = slack/(|S|+1);
 unit-demand prices are pi itself.  Both variants trim the market first and
 price trimmed-away items prohibitively so no buyer ever takes them.
+
+One graph per round: `trim_items` builds it and returns the trimmed market's
+graph, which the structured dual refines and the tight graph is cut from.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from typing import Callable, Mapping, Optional
 from .dual import StructuredCovering, refine_covering, tight_subgraph
 from .errors import ContractViolationError, InternalConsistencyError, UnsupportedMarketError
 from .matching import BipartiteGraph, Covering, ItemId
-from .model import Market, market_graph, trim_items
+from .model import Market, trim_items
 from .orderings import Ordering, adequate_bidemand, adequate_three_buyers
 
 OrderingStrategy = Callable[[Market, BipartiteGraph, StructuredCovering], Ordering]
@@ -72,8 +75,8 @@ def unit_round(m: Market) -> RoundPricing:
     """Unit-demand round: prices are the structured dual restricted to items."""
     if any(m.demand[t] != 1 for t in m.buyers):
         raise ContractViolationError("unit pricing requires all demands equal to one")
-    trimmed, removed = trim_items(m)
-    sc = refine_covering(market_graph(trimmed))
+    trimmed, g, removed = trim_items(m)
+    sc = refine_covering(g)
     price = {s: sc.pi.pi[s] for s in trimmed.items}
     price.update({s: prohibitive_price(m, s) for s in removed})
     return RoundPricing(PriceVector(price, Fraction(0)), sc.pi, None, trimmed, removed)
@@ -96,14 +99,10 @@ def tight_market(m: Market) -> TightMarket:
     Multi-demand pricing, `dynprice order` and `dynprice verify` all start
     here, so they accept and refuse the same markets.
     """
-    trimmed, removed = trim_items(m)
+    trimmed, g, removed = trim_items(m)
     if len(trimmed.items) != trimmed.total_demand():
         raise UnsupportedMarketError(
             "saturation property fails: optimum leaves a buyer short of b(t) items")
-    g = market_graph(trimmed)
-    if not trimmed.items:  # nothing worth selling, so no buyer is left either
-        empty = StructuredCovering(Covering({}), frozenset(), None)
-        return TightMarket(trimmed, removed, empty, g)
     sc = refine_covering(g)
     for t in trimmed.buyers:
         if sc.pi.pi[t] == 0:

@@ -9,9 +9,10 @@ reads both structured-dual facts off one DP pass.
 `infer_mode` on the root market picks each run's pricing path, kept to the end
 even when only demand-one buyers remain.  `run_exhaustive` explores every
 arrival order and, at each step, every utility-maximizing bundle.  Prices
-depend only on the residual market, so states are memoized, with their priced
-round, on (remaining buyers, remaining items); the run count still reflects
-all distinct order/tie-break combinations.
+depend only on the residual market, so states are memoized, with their first
+least-welfare move, on (remaining buyers, remaining items); the run count
+still reflects all distinct order/tie-break combinations.  A counterexample
+replays those moves from the root through `run_once`.
 """
 
 from __future__ import annotations
@@ -209,7 +210,7 @@ class Verdict:
     optimum: Fraction
 
 
-Move = tuple[BuyerId, frozenset[ItemId], Fraction]  # buyer, bundle, welfare gained
+Move = tuple[BuyerId, frozenset[ItemId]]  # buyer, bundle
 TieBreak = Callable[[BuyerId, Sequence[frozenset[ItemId]], int], frozenset[ItemId]]
 
 
@@ -277,20 +278,20 @@ def run_exhaustive(m: Market, budget: int = 200000,
         raise ModelError("budget must be non-negative")
     mode = infer_mode(m)
     opt_value = oracle_opt_value(m)
-    # state -> (least welfare, greatest welfare, run count, first least move, priced round)
-    memo: dict[tuple, tuple[Fraction, Fraction, int, Move, RoundPricing]] = {}
+    # state -> (least welfare, greatest welfare, run count, first least move)
+    memo: dict[tuple, tuple[Fraction, Fraction, int, Move]] = {}
     expansions = 0
     runs_walked = 0
     violation_seen = False
 
     def explore(items: frozenset[ItemId], buyers: frozenset[BuyerId], acc: Fraction
-                ) -> tuple[Fraction, Fraction, int, Optional[Move], Optional[RoundPricing]]:
+                ) -> tuple[Fraction, Fraction, int, Optional[Move]]:
         nonlocal expansions, runs_walked, violation_seen
         if not buyers:
             runs_walked += 1
             if acc != opt_value:
                 violation_seen = True
-            return Fraction(0), Fraction(0), 1, None, None
+            return Fraction(0), Fraction(0), 1, None
         key = (buyers, items)
         hit = memo.get(key)
         if hit is not None:
@@ -310,45 +311,33 @@ def run_exhaustive(m: Market, budget: int = 200000,
                 raise InternalConsistencyError("multi-demand prices must pin a unique bundle")
             for bundle in bundles:
                 gain = sum((residual.value[(t, s)] for s in bundle), Fraction(0))
-                sub_mn, sub_mx, sub_n, _, _ = explore(items - bundle, buyers - {t}, acc + gain)
+                sub_mn, sub_mx, sub_n, _ = explore(items - bundle, buyers - {t}, acc + gain)
                 lo, hi = gain + sub_mn, gain + sub_mx
                 if mn is None or lo < mn:
-                    mn, move = lo, (t, bundle, gain)
+                    mn, move = lo, (t, bundle)
                 mx = hi if mx is None or hi > mx else mx
                 count += sub_n
-        memo[key] = (mn, mx, count, move, rp)
+        memo[key] = (mn, mx, count, move)
         return memo[key]
 
-    items0 = frozenset(m.items)
-    buyers0 = frozenset(m.buyers)
     try:
-        mn, mx, count, _, _ = explore(items0, buyers0, Fraction(0))
+        mn, mx, count, _ = explore(frozenset(m.items), frozenset(m.buyers), Fraction(0))
     except _BudgetExceeded:
         # Partial verdict: runs_walked is a lower bound on verified runs.
         return Verdict(runs_walked, not violation_seen, None, False, opt_value)
     if mx > opt_value:
         raise InternalConsistencyError("a run exceeded the oracle optimum")
-    all_optimal = mn == opt_value
-    counterexample = None
-    if not all_optimal:
-        counterexample = _walk_min_trace(m, memo)
-    return Verdict(count, all_optimal, counterexample, True, opt_value)
-
-
-def _walk_min_trace(m: Market, memo) -> RunTrace:
-    """Follow each state's first least-welfare move from the root."""
-    items = frozenset(m.items)
-    buyers = frozenset(m.buyers)
-    steps: list[Step] = []
-    total = Fraction(0)
-    while buyers:
-        _, _, _, (t, bundle, gain), rp = memo[(buyers, items)]
-        paid = sum((rp.prices.price[s] for s in bundle), Fraction(0))
-        steps.append(Step(t, rp.prices, bundle, paid, rp.removed))
-        total += gain
-        items -= bundle
-        buyers -= {t}
-    return RunTrace(tuple(steps), total, items)
+    if mn == opt_value:
+        return Verdict(count, True, None, True, opt_value)
+    items, buyers = frozenset(m.items), frozenset(m.buyers)
+    order, picks = [], []
+    while buyers:       # each state's first least-welfare move, from the root
+        t, bundle = memo[(buyers, items)][3]
+        order.append(t)
+        picks.append(bundle)
+        items, buyers = items - bundle, buyers - {t}
+    trace = run_once(m, order, lambda t, bundles, k: picks[k], ordering_strategy)
+    return Verdict(count, False, trace, True, opt_value)
 
 
 def reversed_ordering_strategy(trimmed: Market, gpi, sc) -> Ordering:

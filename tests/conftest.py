@@ -77,6 +77,22 @@ def fig1() -> Market:
 
 
 # ---------------------------------------------------------------------------
+# Graph references
+
+
+def graph_fields(g: BipartiteGraph) -> tuple:
+    """Every field of g in its own order, with the weights' types and `scaled`."""
+    return (g.items, g.buyers, g.edges, list(g.weight.items()),
+            [type(w) for w in g.weight.values()], list(g.capacity.items()), g.scaled)
+
+
+def reference_tight_subgraph(sc, g: BipartiteGraph) -> BipartiteGraph:
+    """The tight graph built from scratch: validated, sorted, unit weights."""
+    return BipartiteGraph.build(g.items, g.buyers, {e: Fraction(1) for e in sc.tight_edges},
+                                dict(g.capacity))
+
+
+# ---------------------------------------------------------------------------
 # Independent brute force (no solver, no DP)
 
 def naive_opt_value(m: Market) -> Fraction:

@@ -112,6 +112,22 @@ def test_cli_generate(capsys):
     assert m.demand == {"t1": 2, "t2": 1} and len(m.items) == 3
 
 
+@pytest.mark.parametrize("size", [["--buyers", "1", "--demands", "1000000000"],
+                                  ["--buyers", "1000000000"]], ids=["demand", "buyers"])
+def test_cli_generate_refuses_an_oversized_market(capsys, size):
+    # refused before any list of that size is built
+    assert main(["generate", "--seed", "1", *size]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "over the limit" in err
+
+
+def test_generate_refuses_only_past_the_cell_cap():
+    from dynprice.cli import GENERATE_CELL_CAP
+    assert len(generate_instance(0, 1, GENERATE_CELL_CAP).items) == GENERATE_CELL_CAP
+    with pytest.raises(ModelError):
+        generate_instance(0, 1, GENERATE_CELL_CAP + 1)
+
+
 def test_cli_generate_rejects_malformed_demands(capsys):
     for raw in ("2,x", "x", ""):
         assert main(["generate", "--seed", "4", "--buyers", "2", "--demands", raw]) == 2

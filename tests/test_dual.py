@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from dynprice import (BipartiteGraph, Market, compute_slack, is_legal_edge,
-                      market_graph, refine_covering, tight_subgraph)
+from dynprice import (BipartiteGraph, Market, StructuredCovering, compute_slack,
+                      is_legal_edge, market_graph, refine_covering, tight_subgraph)
 from dynprice.errors import ModelError
 from dynprice.matching import Covering
 from dynprice.simulation import oracle_structure
@@ -69,6 +69,17 @@ def test_tight_subgraph_shape(e1, e2):
     g1 = market_graph(e1)
     gpi1 = tight_subgraph(refine_covering(g1), g1)
     assert set(gpi1.edges) == {("s1", "t1"), ("s2", "t2")}
+
+
+@pytest.mark.parametrize("foreign", [("s2", "t1"), ("s9", "t1")],
+                         ids=["non-edge", "unknown-vertex"])
+def test_tight_subgraph_refuses_a_foreign_edge(foreign):
+    # ("s2", "t1") joins two vertices of g but is no edge of it
+    g = BipartiteGraph.build(["s1", "s2"], ["t1"], {("s1", "t1"): Fraction(2)},
+                             {"s1": 1, "s2": 1, "t1": 1})
+    sc = StructuredCovering(refine_covering(g).pi, frozenset({("s1", "t1"), foreign}), None)
+    with pytest.raises(ModelError):
+        tight_subgraph(sc, g)
 
 
 def test_tight_subgraph_symmetric_market():

@@ -32,6 +32,14 @@ def random_market_graph(rng, max_items=6, max_buyers=3, max_demand=3, hi=6):
     return m, market_graph(m)
 
 
+def test_build_sorts_edges_and_wraps_only_non_fractions():
+    half = Fraction(3, 2)
+    g = graph_of(["s1", "s2"], ["t1"], {"t1": 1}, {("s2", "t1"): 2, ("s1", "t1"): half})
+    assert g.edges == (("s1", "t1"), ("s2", "t1"))
+    assert g.weight[("s1", "t1")] is half
+    assert type(g.weight[("s2", "t1")]) is Fraction and g.weight[("s2", "t1")] == 2
+
+
 def test_empty_edge_set():
     g = graph_of(["s1"], ["t1"], {"t1": 1}, {})
     bm, value = max_weight_bmatching(g)

@@ -23,7 +23,7 @@ def unit_graph(items, buyers, caps, edges):
     cap = {s: 1 for s in items}
     cap.update(caps)
     return BipartiteGraph.build(items, buyers,
-                                {e: Fraction(1) for e in edges}, cap, edges=edges)
+                                {e: Fraction(1) for e in edges}, cap)
 
 
 def random_factor_graph(rng, nb=None):

@@ -1,10 +1,18 @@
+import importlib.util
 import random
+import sys
+from fractions import Fraction
+from pathlib import Path
+
 import pytest
 
-from dynprice import (Market, best_bundles, generate_instance, market_graph,
-                      multi_round, refine_covering, unit_round)
+from dynprice import (Market, best_bundles, dual, generate_instance, market_graph, model,
+                      multi_round, orderings, pricing, refine_covering, tight_subgraph,
+                      trim_items, unit_round)
 from dynprice.errors import ContractViolationError, UnsupportedMarketError
 from dynprice.simulation import oracle_feasible
+
+from conftest import graph_fields, reference_tight_subgraph
 
 
 def test_unit_prices_e1(e1):
@@ -134,3 +142,73 @@ def test_multi_trivial_round_without_buyers():
     assert all(p > 0 for p in rp.prices.price.values())
     assert set(rp.prices.price) == {"s1", "s2"}
     assert multi_round(Market.build([], [], {}, {})).prices.price == {}
+
+
+def _benchmark_workloads():
+    """perfbench/workloads.py, which builds the benchmark's market pools."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module     # its dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("workload", ["price-bidemand", "price-unit"])
+def test_rounds_refine_the_trimmed_graph_on_price_pools(monkeypatch, workload):
+    # Every round refines the graph trim_items returns, which equals
+    # market_graph of the trimmed market field for field; every tight graph,
+    # the bi-demand recursion's included, equals the from-scratch reference.
+    workloads = _benchmark_workloads()
+    last_trim: list = []
+    counts = {"refine": 0, "tight": 0}
+
+    def trim(m):
+        trimmed, g, removed = model.trim_items(m)
+        assert graph_fields(g) == graph_fields(market_graph(trimmed))
+        last_trim[:] = [g]
+        return trimmed, g, removed
+
+    def refine(g):
+        assert g is last_trim[0]
+        counts["refine"] += 1
+        return dual.refine_covering(g)
+
+    def tight(sc, g):
+        gpi = dual.tight_subgraph(sc, g)
+        assert graph_fields(gpi) == graph_fields(reference_tight_subgraph(sc, g))
+        counts["tight"] += 1
+        return gpi
+
+    monkeypatch.setattr(workloads, "probe", lambda: workloads.REFERENCE_S)  # no timing here
+    monkeypatch.setattr(pricing, "trim_items", trim)
+    monkeypatch.setattr(pricing, "refine_covering", refine)
+    monkeypatch.setattr(pricing, "tight_subgraph", tight)
+    monkeypatch.setattr(orderings, "tight_subgraph", tight)
+    mode = "unit" if workload == "price-unit" else "multi"
+    rounds = 0
+    for seed in (3, 41):
+        for case in workloads.set_up(workload, seed):
+            out = workloads.dynamic_run(case, mode)
+            assert out.error is None
+            rounds += len(out.rounds)
+    assert counts["refine"] == rounds
+    assert (counts["tight"] > rounds) == (mode == "multi")
+
+
+def test_trimmed_and_tight_graphs_match_references_on_trimmed_markets():
+    # |S| > b(T) and zero-rich values: trimming removes an item every time
+    rng = random.Random(4242)
+    for _ in range(3000):
+        buyers = [f"t{k}" for k in range(rng.randint(0, 4))]
+        demand = {t: rng.randint(1, 2) for t in buyers}
+        items = [f"s{k}" for k in range(sum(demand.values()) + rng.randint(1, 2))]
+        rng.shuffle(items)
+        rng.shuffle(buyers)
+        vals = {(t, s): 0 if rng.random() < 0.4 else Fraction(rng.randint(1, 4), rng.randint(1, 2))
+                for t in buyers for s in items}
+        trimmed, g, removed = trim_items(Market.build(items, buyers, demand, vals))
+        assert removed
+        assert graph_fields(g) == graph_fields(market_graph(trimmed))
+        sc = refine_covering(g)
+        assert graph_fields(tight_subgraph(sc, g)) == graph_fields(reference_tight_subgraph(sc, g))
