@@ -33,8 +33,8 @@ Together (a) and (b) are strict complementarity for the b-matching LP
   vertex a path from or to z.  Flipping the closed cycle gives a witness
   b-matching, checked in O(cycle length): degrees change only on the cycle,
   so capacities are checked there, and the witness is maximum iff the edges
-  it adds weigh what the edges it drops weigh.  That M itself is a
-  b-matching of g is checked once per call.
+  it adds weigh what the edges it drops weigh.  M itself arrives certified
+  by the solve.
 
 The construction and every check run on integers.  The solver's duals arrive
 in units of 1/D, the denominator of the graph's scaled weights (`g.scaled`);
@@ -240,8 +240,6 @@ def refine_covering(g: BipartiteGraph) -> StructuredCovering:
     z = len(vertices)
     node = {v: k for k, v in enumerate(vertices)}
     degree = Counter(v for e in m_edges for v in e)
-    if not m_edges <= g.edge_set or any(degree[v] > g.capacity[v] for v in degree):
-        raise InternalConsistencyError("optimal matching is not a b-matching of the graph")
 
     weight, scale = g.scaled
     sign = [1] * n_items + [-1] * len(g.buyers)

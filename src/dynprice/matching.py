@@ -25,13 +25,19 @@ to the optimum, and copies of the same buyer provably share one dual value.
 All arithmetic is exact and the Hungarian algorithm runs on integers only.
 Each graph scales its Fraction weights once, by their least common
 denominator D (`BipartiteGraph.scaled`), so the solver returns its value and
-its duals as integers in units of 1/D.  `_check_optimal_pair` checks them as
-integers, and `SolveResult` keeps them (`scaled_value`, `scaled_pi`) for
-callers that stay on integers, such as `dual.refine_covering`; its Fraction
-`value` and `covering` are built from them once, on first use.  The trim
-objective "maximum weight, then fewest edges" is the integer weight
-w * D * K - 1 with K = |S| + 1: a b-matching has at most |S| edges, so a
-weight gap of 1/D always outweighs any difference in edge count.
+its duals as integers in units of 1/D.  `SolveResult` keeps them
+(`scaled_value`, `scaled_pi`) for callers that stay on integers, such as
+`dual.refine_covering`; its Fraction `value` and `covering` are built from
+them once, on first use.  The trim objective "maximum weight, then fewest
+edges" is the integer weight w * D * K - 1 with K = |S| + 1: a b-matching
+has at most |S| edges, so a weight gap of 1/D always outweighs any
+difference in edge count.
+
+Every solve is certified before use: `_check_optimal_pair` proves, on the
+integer weights the solve ran on, that M is a b-matching of g and pi a
+non-negative covering of equal value, tight on M, with complementary
+slackness.  On the trim weights that proves M of maximum weight and, among
+those, of fewest edges, so trimming needs no second solve.
 """
 
 from __future__ import annotations
@@ -168,9 +174,6 @@ class BMatching:
 
     edges: frozenset[Edge]
 
-    def degree(self, vertex: str) -> int:
-        return sum(1 for e in self.edges if vertex in e)
-
     def bundle(self, buyer: BuyerId) -> frozenset[ItemId]:
         return frozenset(s for s, t in self.edges if t == buyer)
 
@@ -298,15 +301,12 @@ def _hungarian(n_rows: int, n_cols: int, adj: list[list[tuple[int, int]]]):
     return match_row, u, v
 
 
-def _solve(g: BipartiteGraph, weights: Optional[Mapping[Edge, int]] = None,
-           want_dual: bool = True):
+def _solve(g: BipartiteGraph, weights: Mapping[Edge, int]):
     """Solve max-weight b-matching via buyer-copy expansion.
 
-    Runs on `g.scaled` unless integer `weights` are given.  Returns (edges,
-    value, pi_or_None) as integers: in units of 1/D for `g.scaled`, in the
-    units of `weights` when those are given.
+    Takes an integer weight per edge of g and returns (edges, value, pi) as
+    integers in the units of `weights`; `_check_optimal_pair` certifies them.
     """
-    scaled = g.scaled[0] if weights is None else weights
     rows: list[BuyerId] = []
     row_of_buyer: dict[BuyerId, list[int]] = {}
     for t in g.buyers:
@@ -318,7 +318,7 @@ def _solve(g: BipartiteGraph, weights: Optional[Mapping[Edge, int]] = None,
     col_of_item = {s: k for k, s in enumerate(g.items)}
 
     adj: list[list[tuple[int, int]]] = [[] for _ in rows]
-    for (s, t), wx in scaled.items():
+    for (s, t), wx in weights.items():
         j = col_of_item[s]
         for i in row_of_buyer[t]:
             adj[i].append((j, wx))
@@ -332,10 +332,7 @@ def _solve(g: BipartiteGraph, weights: Optional[Mapping[Edge, int]] = None,
     edge_set = frozenset(edges)
     if len(edge_set) != len(edges):
         raise InternalConsistencyError("expansion produced a repeated edge")
-    value = sum(scaled[e] for e in edge_set)
-
-    if not want_dual:
-        return edge_set, value, None
+    value = sum(weights[e] for e in edge_set)
 
     pi: dict[str, int] = {}
     for t in g.buyers:
@@ -348,10 +345,16 @@ def _solve(g: BipartiteGraph, weights: Optional[Mapping[Edge, int]] = None,
     return edge_set, value, pi
 
 
-def _check_optimal_pair(g: BipartiteGraph, edges: frozenset[Edge], value: int,
-                        pi: Mapping[str, int]) -> None:
-    """Check (M, pi) optimal on the solver's integers, in units of 1/D."""
-    weight, _ = g.scaled
+def _check_optimal_pair(g: BipartiteGraph, weight: Mapping[Edge, int],
+                        edges: frozenset[Edge], value: int, pi: Mapping[str, int]) -> None:
+    """Certify (M, pi) optimal for the integer `weight` the solve ran on: M a b-matching
+    of g, pi a non-negative covering tight on M, equal values, complementary slackness."""
+    deg: dict[str, int] = {}
+    for s, t in edges:
+        deg[s] = deg.get(s, 0) + 1
+        deg[t] = deg.get(t, 0) + 1
+    if not edges <= g.edge_set or any(d > g.capacity[vx] for vx, d in deg.items()):
+        raise InternalConsistencyError("optimal matching is not a b-matching of the graph")
     for vx in g.items + g.buyers:
         if pi[vx] < 0:
             raise InternalConsistencyError("negative dual value")
@@ -359,14 +362,10 @@ def _check_optimal_pair(g: BipartiteGraph, edges: frozenset[Edge], value: int,
         if pi[s] + pi[t] < w:
             raise InternalConsistencyError("dual is not a covering")
     for s, t in edges:
-        if pi[s] + pi[t] != weight.get((s, t)):
+        if pi[s] + pi[t] != weight[(s, t)]:
             raise InternalConsistencyError("matched edge not tight")
     if sum(pi[vx] * g.capacity[vx] for vx in g.items + g.buyers) != value:
         raise InternalConsistencyError("strong duality gap")
-    deg: dict[str, int] = {}
-    for s, t in edges:
-        deg[s] = deg.get(s, 0) + 1
-        deg[t] = deg.get(t, 0) + 1
     for vx in g.items + g.buyers:
         if pi[vx] > 0 and deg.get(vx, 0) != g.capacity[vx]:
             raise InternalConsistencyError("complementary slackness violated")
@@ -374,9 +373,10 @@ def _check_optimal_pair(g: BipartiteGraph, edges: frozenset[Edge], value: int,
 
 def solve_with_covering(g: BipartiteGraph) -> SolveResult:
     """Maximum-weight b-matching together with an optimal covering (verified)."""
-    edges, value, pi = _solve(g)
-    _check_optimal_pair(g, edges, value, pi)
-    return SolveResult(BMatching(edges), value, pi, g.scaled[1])
+    weight, denom = g.scaled
+    edges, value, pi = _solve(g, weight)
+    _check_optimal_pair(g, weight, edges, value, pi)
+    return SolveResult(BMatching(edges), value, pi, denom)
 
 
 def max_weight_bmatching(g: BipartiteGraph) -> tuple[BMatching, Fraction]:
@@ -386,8 +386,7 @@ def max_weight_bmatching(g: BipartiteGraph) -> tuple[BMatching, Fraction]:
 
 
 def max_weight_value(g: BipartiteGraph) -> Fraction:
-    _, value, _ = _solve(g, want_dual=False)
-    return Fraction(value, g.scaled[1])
+    return solve_with_covering(g).value
 
 
 def optimal_covering(g: BipartiteGraph) -> Covering:
@@ -471,11 +470,12 @@ def bfactor_exists(g: BipartiteGraph) -> tuple[bool, Optional[frozenset[BuyerId]
 def lexicographic_min_edge_optimum(g: BipartiteGraph) -> tuple[BMatching, Fraction]:
     """Maximum-weight b-matching using the fewest edges among all optima.
 
-    Solved over the integer weights w * D * K - 1 with K = |S| + 1 (see the
-    module notes), which order b-matchings by weight first and edge count second.
+    Solved and certified over the integer weights w * D * K - 1, K = |S| + 1 (see
+    the module notes), which order b-matchings by weight first and edge count second.
     """
     scaled, denom = g.scaled
     k = len(g.items) + 1
-    edges, _, _ = _solve(g, weights={e: w * k - 1 for e, w in scaled.items()},
-                         want_dual=False)
+    weight = {e: w * k - 1 for e, w in scaled.items()}
+    edges, value, pi = _solve(g, weight)
+    _check_optimal_pair(g, weight, edges, value, pi)
     return BMatching(edges), Fraction(sum(scaled[e] for e in edges), denom)

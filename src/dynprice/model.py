@@ -147,23 +147,19 @@ def check_opt_property(m: Market) -> OptReport:
 def trim_items(m: Market) -> tuple[Market, BipartiteGraph, frozenset[ItemId]]:
     """Drop items unused by a minimum-cardinality maximum-welfare allocation.
 
-    Returns the trimmed market, its graph and the removed items.  The trimmed
-    market has the same optimum welfare, and all its optima use every
-    remaining item.  Its graph equals `market_graph` of the trimmed market
-    without a second build: m's graph, induced on the kept items when some
-    item was removed.
+    Returns the trimmed market, its graph and the removed items.  The solve
+    certifies its allocation optimal on m, and the trimmed market holds it, so
+    both have the same optimum welfare; all its optima use every remaining
+    item.  Its graph is `market_graph` of the trimmed market without a second
+    build: m's graph, induced on the kept items when some item was removed.
     """
     g = market_graph(m)
-    best, opt = matching.lexicographic_min_edge_optimum(g)
+    best, _ = matching.lexicographic_min_edge_optimum(g)
     used = {s for s, _ in best.edges}
     removed = frozenset(s for s in m.items if s not in used)
     if not removed:
         return m, g, removed
-    sub = submarket(m, used, set(m.buyers))
-    sub_g = g.induced(used, m.buyers)
-    if matching.max_weight_value(sub_g) != opt:
-        raise InternalConsistencyError("trimming changed the optimum welfare")
-    return sub, sub_g, removed
+    return submarket(m, used, set(m.buyers)), g.induced(used, m.buyers), removed
 
 
 def restrict_market(m: Market, departed: BuyerId, sold: Iterable[ItemId]) -> Market:

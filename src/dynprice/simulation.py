@@ -17,6 +17,7 @@ replays those moves from the root through `run_once`.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -40,44 +41,46 @@ ORACLE_OPTIMA_CAP = 500000
 
 
 class _Oracle:
-    """Exhaustive welfare DP over item-to-buyer assignments."""
+    """Exhaustive welfare DP over item-to-buyer assignments, on integers: w[i][j]
+    is item i's value to buyer j times D, the values' least common denominator."""
 
     def __init__(self, m: Market):
         if len(m.items) > ORACLE_ITEM_CAP:
             raise OracleCapError(f"oracle limited to {ORACLE_ITEM_CAP} items")
-        self.m = m
         self.items = m.items
         self.buyers = m.buyers
         self.start = tuple(m.demand[t] for t in m.buyers)
-        self._memo: dict[tuple[int, tuple[int, ...]], Fraction] = {}
+        self.denom = math.lcm(1, *(x.denominator for x in m.value.values()))
+        self.w = [[m.value[(t, s)].numerator * (self.denom // m.value[(t, s)].denominator)
+                   for t in m.buyers] for s in m.items]
+        self._memo: dict[tuple[int, tuple[int, ...]], int] = {}
 
-    def best_from(self, i: int, caps: tuple[int, ...]) -> Fraction:
+    def best_from(self, i: int, caps: tuple[int, ...]) -> int:
         if i == len(self.items):
-            return Fraction(0)
+            return 0
         key = (i, caps)
         hit = self._memo.get(key)
         if hit is not None:
             return hit
-        s = self.items[i]
-        best = self.best_from(i + 1, caps)  # leave s unallocated
-        for j, t in enumerate(self.buyers):
+        best = self.best_from(i + 1, caps)  # leave item i unallocated
+        for j, wj in enumerate(self.w[i]):
             if caps[j] > 0:
                 nxt = caps[:j] + (caps[j] - 1,) + caps[j + 1:]
-                cand = self.m.value[(t, s)] + self.best_from(i + 1, nxt)
+                cand = wj + self.best_from(i + 1, nxt)
                 if cand > best:
                     best = cand
         self._memo[key] = best
         return best
 
-    def opt(self, caps: Optional[tuple[int, ...]] = None) -> Fraction:
-        return self.best_from(0, self.start if caps is None else caps)
+    def opt(self) -> Fraction:
+        return Fraction(self.best_from(0, self.start), self.denom)
 
     def enumerate_optima(self) -> list[Allocation]:
-        opt = self.opt()
+        opt = self.best_from(0, self.start)
         out: list[Allocation] = []
         assign: dict[BuyerId, set[ItemId]] = {t: set() for t in self.buyers}
 
-        def walk(i: int, caps: tuple[int, ...], acc: Fraction) -> None:
+        def walk(i: int, caps: tuple[int, ...], acc: int) -> None:
             if len(out) >= ORACLE_OPTIMA_CAP:
                 raise OracleCapError("too many optimal allocations to enumerate")
             if i == len(self.items):
@@ -89,13 +92,13 @@ class _Oracle:
             for j, t in enumerate(self.buyers):
                 if caps[j] > 0:
                     nxt = caps[:j] + (caps[j] - 1,) + caps[j + 1:]
-                    v2 = acc + self.m.value[(t, s)]
+                    v2 = acc + self.w[i][j]
                     if v2 + self.best_from(i + 1, nxt) == opt:
                         assign[t].add(s)
                         walk(i + 1, nxt, v2)
                         assign[t].remove(s)
 
-        walk(0, self.start, Fraction(0))
+        walk(0, self.start, 0)
         return out
 
 
@@ -116,7 +119,7 @@ def oracle_structure(m: Market) -> tuple[frozenset[tuple[ItemId, BuyerId]],
     keeps the capacity vectors on optimal paths; a move from one is optimal
     when its value plus the best completion after it is the best before it."""
     oracle = _Oracle(m)
-    opt = oracle.opt()
+    opt = oracle.best_from(0, oracle.start)
     legal: set[tuple[ItemId, BuyerId]] = set()
     unused: set[ItemId] = set()
     layer = {oracle.start}
@@ -130,13 +133,13 @@ def oracle_structure(m: Market) -> tuple[frozenset[tuple[ItemId, BuyerId]],
             for j, t in enumerate(m.buyers):
                 if caps[j] > 0:
                     after = caps[:j] + (caps[j] - 1,) + caps[j + 1:]
-                    if m.value[(t, s)] + oracle.best_from(i + 1, after) == rest:
+                    if oracle.w[i][j] + oracle.best_from(i + 1, after) == rest:
                         legal.add((s, t))
                         nxt.add(after)
         layer = nxt
     start = oracle.start
     short = frozenset(t for j, t in enumerate(m.buyers)
-                      if oracle.opt(start[:j] + (start[j] - 1,) + start[j + 1:]) == opt)
+                      if oracle.best_from(0, start[:j] + (start[j] - 1,) + start[j + 1:]) == opt)
     return frozenset(legal), short, frozenset(unused)
 
 

@@ -231,8 +231,8 @@ def test_solve_fractions_are_the_integer_duals_over_d(pinning_corpus):
 
 
 def test_matching_over_a_capacity_trips(monkeypatch):
-    # t1 takes both items at zero dual: every optimality check of the solve
-    # passes, so only refine's own b-matching check can refuse it
+    # t1 takes both items at zero dual: every other check of the solve passes,
+    # so only its b-matching check can refuse it, before refine sees M
     import dynprice.matching as matching_mod
     from dynprice.errors import InternalConsistencyError
     from dynprice.matching import solve_with_covering
@@ -240,12 +240,12 @@ def test_matching_over_a_capacity_trips(monkeypatch):
                              {("s1", "t1"): Fraction(1), ("s2", "t1"): Fraction(1)},
                              {"s1": 1, "s2": 1, "t1": 1})
     refine_covering(g)
-    monkeypatch.setattr(matching_mod, "_solve", lambda g, weights=None, want_dual=True: (
+    monkeypatch.setattr(matching_mod, "_solve", lambda g, weights: (
         frozenset(g.edges), 2, {"s1": 1, "s2": 1, "t1": 0}))
-    solve_with_covering(g)
-    with pytest.raises(InternalConsistencyError,
-                       match="^optimal matching is not a b-matching of the graph$"):
-        refine_covering(g)
+    for call in (solve_with_covering, refine_covering):
+        with pytest.raises(InternalConsistencyError,
+                           match="^optimal matching is not a b-matching of the graph$"):
+            call(g)
 
 
 @pytest.mark.parametrize("route, message", [

@@ -107,8 +107,10 @@ def test_duality_and_slackness():
         assert res.covering.total_value(g) == res.value
         assert res.matching.edges <= res.covering.tight_edges(g)
         for v in g.items + g.buyers:
+            degree = sum(1 for e in res.matching.edges if v in e)
+            assert degree <= g.capacity[v]
             if res.covering.pi[v] > 0:
-                assert res.matching.degree(v) == g.capacity[v]
+                assert degree == g.capacity[v]
 
 
 def test_buyer_copy_expansion_equivalence():
@@ -262,6 +264,12 @@ def _drop_one_matched_edge(edges, value, pi):
     return edges - {min(edges)}, value, pi
 
 
+def _sell_s1_twice(edges, value, pi):
+    # s1 (dual 0) goes to both buyers and s2 to none: every edge stays tight,
+    # each buyer keeps one item and w(M) is unchanged, only s1's capacity breaks
+    return edges - {("s2", "t2")} | {("s1", "t2")}, value, pi
+
+
 @pytest.mark.parametrize("perturb, message", [
     (lambda edges, value, pi: (edges, value, pi | {"t1": -1}), "negative dual value"),
     (lambda edges, value, pi: (edges, value, dict.fromkeys(pi, 0)), "dual is not a covering"),
@@ -269,9 +277,10 @@ def _drop_one_matched_edge(edges, value, pi):
      "matched edge not tight"),
     (lambda edges, value, pi: (edges, value + 1, pi), "strong duality gap"),
     (_drop_one_matched_edge, "complementary slackness violated"),
+    (_sell_s1_twice, "optimal matching is not a b-matching of the graph"),
 ])
 def test_optimal_pair_check_trips_on_a_perturbed_solve(monkeypatch, perturb, message):
-    # each mutant breaks exactly one of the five checks, in units of 1/D (D = 2)
+    # each mutant breaks exactly one of the six checks, in units of 1/D (D = 2)
     import dynprice.matching as matching_mod
     from dynprice.errors import InternalConsistencyError
     g = graph_of(["s1", "s2"], ["t1", "t2"], {"t1": 1, "t2": 1},
@@ -281,8 +290,8 @@ def test_optimal_pair_check_trips_on_a_perturbed_solve(monkeypatch, perturb, mes
     assert solve_with_covering(g).matching.edges == {("s1", "t1"), ("s2", "t2")}
     real = matching_mod._solve
 
-    def perturbed(g, weights=None, want_dual=True):
-        return perturb(*real(g, weights, want_dual))
+    def perturbed(g, weights):
+        return perturb(*real(g, weights))
 
     monkeypatch.setattr(matching_mod, "_solve", perturbed)
     with pytest.raises(InternalConsistencyError, match=f"^{message}$"):

@@ -142,6 +142,37 @@ def test_trim_leaves_all_items_used():
             assert used == set(trimmed.items)
 
 
+def test_a_wrong_trim_optimum_is_an_internal_error(monkeypatch, tmp_path, capsys):
+    # For trim's objective only, the solver answers g without its last item,
+    # with a dual on every vertex.  Its certificate must refuse the answer:
+    # unchecked, the trimmed market prices below the optimum and the wrong
+    # answer reads as a verified counterexample (exit 1).
+    import json
+
+    import dynprice.matching as matching_mod
+    from dynprice.cli import generate_instance, main, serialize_market
+    from dynprice.errors import InternalConsistencyError
+    from dynprice.simulation import run_exhaustive
+    real = matching_mod._solve
+
+    def wrong(g, weights):
+        if weights is g.scaled[0] or not g.items:
+            return real(g, weights)
+        sub = g.without([g.items[-1]])
+        edges, value, pi = real(sub, {e: weights[e] for e in sub.edges})
+        return edges, value, pi | {g.items[-1]: 0}
+
+    m = generate_instance(7, 3, 1, (1, 9))
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(serialize_market(m)))
+    assert run_exhaustive(m).all_optimal
+    monkeypatch.setattr(matching_mod, "_solve", wrong)
+    with pytest.raises(InternalConsistencyError, match="^dual is not a covering$"):
+        run_exhaustive(m)
+    assert main(["simulate", "--input", str(path)]) == 3
+    assert capsys.readouterr().err.strip() == "internal error: dual is not a covering"
+
+
 def test_restrict_market(e1, e2):
     r = restrict_market(e1, "t1", {"s1"})
     assert r.buyers == ("t2",) and r.items == ("s2",)

@@ -36,20 +36,25 @@ def test_oracle_symmetric_market():
     assert len(allocs) == 6  # all item permutations across the three buyers
 
 
+def _mixed_denominators(rng):
+    # one market's values over 1, 2, 3 and 6: the DP's integer scale is their lcm
+    return Fraction(rng.randint(0, 12), rng.choice((1, 2, 3, 6)))
+
+
 def test_oracle_matches_naive_recursion():
-    rng = random.Random(201)
-    for _ in range(30):
-        nb = rng.randint(1, 3)
-        ns = rng.randint(1, 5)
-        buyers = [f"t{i}" for i in range(nb)]
-        items = [f"s{i}" for i in range(ns)]
-        m = Market.build(items, buyers, {t: rng.randint(1, 2) for t in buyers},
-                         {(t, s): Fraction(rng.randint(0, 4))
-                          for t in buyers for s in items})
-        assert oracle_opt_value(m) == naive_opt_value(m)
-        opt, allocs = oracle_opt(m)
-        from dynprice import welfare
-        assert all(welfare(m, a) == opt for a in allocs)
+    for value in (lambda rng: Fraction(rng.randint(0, 4)), _mixed_denominators):
+        rng = random.Random(201)
+        for _ in range(30):
+            nb = rng.randint(1, 3)
+            ns = rng.randint(1, 5)
+            buyers = [f"t{i}" for i in range(nb)]
+            items = [f"s{i}" for i in range(ns)]
+            m = Market.build(items, buyers, {t: rng.randint(1, 2) for t in buyers},
+                             {(t, s): value(rng) for t in buyers for s in items})
+            assert oracle_opt_value(m) == naive_opt_value(m)
+            opt, allocs = oracle_opt(m)
+            from dynprice import welfare
+            assert all(welfare(m, a) == opt for a in allocs)
 
 
 def _lowered(m, item=None, buyer=None):
@@ -63,20 +68,22 @@ def _lowered(m, item=None, buyer=None):
 
 def test_oracle_structure_matches_naive_recursion():
     # empty sides, zero and fractional values, and |S| != b(T) all occur
-    rng = random.Random(202)
-    for _ in range(300):
-        buyers = [f"t{i}" for i in range(rng.randint(0, 3))]
-        items = [f"s{i}" for i in range(rng.randint(0, 5))]
-        vals = {(t, s): rng.choice([Fraction(0), Fraction(rng.randint(1, 3)),
-                                    Fraction(rng.randint(1, 7), rng.randint(2, 3))])
-                for t in buyers for s in items}
-        m = Market.build(items, buyers, {t: rng.randint(1, 3) for t in buyers}, vals)
-        opt = naive_opt_value(m)
-        legal, short, unused = oracle_structure(m)
-        assert legal == {(s, t) for s in items for t in buyers
-                         if m.value[(t, s)] + naive_opt_value(_lowered(m, s, t)) == opt}
-        assert short == {t for t in buyers if naive_opt_value(_lowered(m, buyer=t)) == opt}
-        assert unused == {s for s in items if naive_opt_value(_lowered(m, item=s)) == opt}
+    fractional = (lambda rng: rng.choice([Fraction(0), Fraction(rng.randint(1, 3)),
+                                          Fraction(rng.randint(1, 7), rng.randint(2, 3))]))
+    for value in (fractional, _mixed_denominators):
+        rng = random.Random(202)
+        for _ in range(300):
+            buyers = [f"t{i}" for i in range(rng.randint(0, 3))]
+            items = [f"s{i}" for i in range(rng.randint(0, 5))]
+            vals = {(t, s): value(rng) for t in buyers for s in items}
+            m = Market.build(items, buyers, {t: rng.randint(1, 3) for t in buyers}, vals)
+            opt = naive_opt_value(m)
+            legal, short, unused = oracle_structure(m)
+            assert legal == {(s, t) for s in items for t in buyers
+                             if m.value[(t, s)] + naive_opt_value(_lowered(m, s, t)) == opt}
+            assert short == {t for t in buyers
+                             if naive_opt_value(_lowered(m, buyer=t)) == opt}
+            assert unused == {s for s in items if naive_opt_value(_lowered(m, item=s)) == opt}
 
 
 def test_oracle_cap():
