@@ -4,11 +4,14 @@ An ordering of the items is adequate for a tight graph when, for every buyer,
 matching the buyer to its first b(t) tight neighbors still leaves a graph with
 a b-factor.  Constructions implemented here: the two-buyer symmetric
 difference rule, the three-buyer labeling, and the recursive case analysis for
-bi-demand markets driven by dangerous sets.  Every recursive descent of the
-bi-demand construction re-derives a fresh structured dual under unit weights
-and lifts the inner ordering with `combine`, which prunes edges that lie in no
-factor of the subgraph.  Only the input graph is given unit weights, at
-depth 0: every deeper graph is cut from a tight subgraph, which has them.
+bi-demand markets driven by dangerous sets.  `pricing.dispatch_ordering`
+certifies each result with `verify_adequate`, so no construction re-proves
+parts of adequacy.  The bi-demand recursion refines a unit-weight structured
+dual at depth 0 (the only graph given unit weights) and after each descent
+that cuts the graph, and lifts the inner ordering with `combine`, which prunes
+edges in no factor of the subgraph.  Case 3 refines nothing: every edge of a
+tight graph lies in a b-factor, so each component is strongly connected and
+its dual constant.
 """
 
 from __future__ import annotations
@@ -65,11 +68,7 @@ def verify_adequate(gpi: BipartiteGraph, sigma: Ordering) -> bool:
         raise ModelError("ordering domain does not match graph items")
     for t in gpi.buyers:
         nbrs = sorted(gpi.buyer_adj[t], key=sigma.rank.__getitem__)
-        if len(nbrs) < gpi.capacity[t]:
-            return False
-        first = nbrs[:gpi.capacity[t]]
-        exists, _ = matching.bfactor_exists(gpi.without(set(first) | {t}))
-        if not exists:
+        if len(nbrs) < gpi.capacity[t] or not sets.feasible_bundle(gpi, t, nbrs[:gpi.capacity[t]]):
             return False
     return True
 
@@ -173,23 +172,7 @@ def adequate_three_buyers(gpi: BipartiteGraph) -> Ordering:
 
     lab = three_buyer_labeling(gpi, reduced)
     rest.sort(key=lab.theta.__getitem__)        # stable: ties stay in item order
-    ordering = Ordering.from_sequence(head + rest)
-
-    # First-choice sets on the reduced instance leave enough for the others.
-    head_set = set(head)
-    for t in buyers:
-        nbrs = [s for s in gpi.buyer_adj[t] if s not in head_set]
-        nbrs.sort(key=ordering.rank.__getitem__)
-        first = set(nbrs[:reduced[t]])
-        if len(first) != reduced[t]:
-            raise InternalConsistencyError("buyer short of tight neighbors")
-        for t2 in buyers:
-            if t2 == t:
-                continue
-            left = [s for s in gpi.buyer_adj[t2] if s not in head_set and s not in first]
-            if len(left) < reduced[t2]:
-                raise InternalConsistencyError("labeling starves another buyer")
-    return ordering
+    return Ordering.from_sequence(head + rest)
 
 
 def _components(g: BipartiteGraph) -> list[tuple[list[ItemId], list[BuyerId]]]:
@@ -217,26 +200,22 @@ def _components(g: BipartiteGraph) -> list[tuple[list[ItemId], list[BuyerId]]]:
 
 
 def adequate_bidemand(h: BipartiteGraph, trace: Optional[list] = None) -> Ordering:
-    """Adequate ordering for markets where every demand is at most two.
-
-    Wrapper of the recursive case analysis: refine a structured dual of h
-    under all-unit weights, restrict to its tight subgraph, run the case
-    analysis there, and lift the result through `combine`.  The same dual
-    tells whether h has a b-factor; without one, ContractViolationError.
-    """
+    """Adequate ordering for markets where every demand is at most two;
+    ContractViolationError when h has no b-factor."""
     for t in h.buyers:
         if not 1 <= h.capacity[t] <= 2:
             raise ContractViolationError("demands must be one or two")
+    _require_factor(h)
     return _bidemand_wrapper(h.unit_subgraph(h.edge_set),
                              trace if trace is not None else [], 0)
 
 
 def _bidemand_wrapper(h: BipartiteGraph, trace: list, depth: int) -> Ordering:
+    """Refine h's dual, run the case analysis on its tight subgraph, lift by `combine`."""
     sc = refine_covering(h)
     # A zero dual marks a vertex that some largest b-matching leaves unsaturated.
     if 0 in sc.pi.pi.values():
-        raise (ContractViolationError if depth == 0 else InternalConsistencyError)(
-            "graph admits no b-factor")
+        raise InternalConsistencyError("graph admits no b-factor")
     hp = tight_subgraph(sc, h)
     seq = _bidemand_cases(hp, trace, depth)
     return combine(sc.pi, Ordering.from_sequence(seq))
@@ -254,7 +233,7 @@ def _bidemand_cases(hp: BipartiteGraph, trace: list, depth: int) -> list[ItemId]
         seq: list[ItemId] = []
         for items_c, buyers_c in comps:
             sub = hp.induced(items_c, buyers_c)
-            seq.extend(_bidemand_wrapper(sub, trace, depth + 1).items_in_order())
+            seq.extend(_bidemand_cases(sub, trace, depth + 1))
         return seq
 
     try:

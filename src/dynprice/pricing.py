@@ -18,7 +18,7 @@ from .dual import StructuredCovering, refine_covering, tight_subgraph
 from .errors import ContractViolationError, InternalConsistencyError, UnsupportedMarketError
 from .matching import BipartiteGraph, Covering, ItemId
 from .model import Market, trim_items
-from .orderings import Ordering, adequate_bidemand, adequate_three_buyers
+from .orderings import Ordering, adequate_bidemand, adequate_three_buyers, verify_adequate
 
 OrderingStrategy = Callable[[Market, BipartiteGraph, StructuredCovering], Ordering]
 
@@ -65,10 +65,12 @@ def ordering_method(trimmed: Market) -> str:
 
 def dispatch_ordering(trimmed: Market, gpi: BipartiteGraph, sc: StructuredCovering,
                       trace: Optional[list] = None) -> Ordering:
-    """Adequate ordering by `ordering_method`; `trace` collects bi-demand cases."""
-    if ordering_method(trimmed) == "three-buyer":
-        return adequate_three_buyers(gpi)
-    return adequate_bidemand(gpi, trace)
+    """Adequate ordering by `ordering_method`, certified; `trace` collects bi-demand cases."""
+    three = ordering_method(trimmed) == "three-buyer"
+    sigma = adequate_three_buyers(gpi) if three else adequate_bidemand(gpi, trace)
+    if not verify_adequate(gpi, sigma):
+        raise InternalConsistencyError("constructed ordering is not adequate")
+    return sigma
 
 
 def unit_round(m: Market) -> RoundPricing:

@@ -13,7 +13,8 @@ alternating paths (buyer -> tight item -> its owner) form the smallest
 minimizer: the minimal min cut, which every maximum matching shares.  Every
 search warm-starts from a copy of the graph's maximum b-matching (grown once
 per graph) with the forced-out buyers' items released; with a b-factor, a
-search then takes at most b(forced-out) augmentations.
+search then takes at most b(forced-out) augmentations.  `feasible_bundle`
+starts from it too, with t holding exactly F and a dead end: at most b(t).
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from itertools import combinations
 from operator import itemgetter
 from typing import Iterable, Optional
 
-from . import matching
 from .errors import ContractViolationError, ModelError
 from .matching import BipartiteGraph, BuyerId, ItemId, augment
 
@@ -31,15 +31,22 @@ DANGEROUS_SETS_BUYER_CAP = 16  # all_dangerous_sets enumerates 2^|T| buyer sets
 
 
 def feasible_bundle(gpi: BipartiteGraph, t: BuyerId, F: Iterable[ItemId]) -> bool:
-    """Whether bundle F can go to t in some b-factor of the tight graph."""
+    """Whether bundle F can go to t in some b-factor: whether G - t - F has one."""
     F = frozenset(F)
-    if t not in gpi.capacity or any(s not in gpi.capacity for s in F):
+    if t not in gpi.buyer_adj or any(s not in gpi.item_adj for s in F):
         raise ModelError("unknown buyer or item")
     if not F <= set(gpi.buyer_adj[t]) or len(F) != gpi.capacity[t]:
         raise ContractViolationError(
             f"bundle for {t} must be {gpi.capacity[t]} of its tight neighbors")
-    exists, _ = matching.bfactor_exists(gpi.without(F | {t}))
-    return exists
+    if len(gpi.items) != gpi.buyer_capacity_total():
+        return False
+    base_owner = gpi.max_cardinality_bmatching[0]
+    owner = {s: u for s, u in base_owner.items() if u != t and s not in F} | dict.fromkeys(F, t)
+    load = dict.fromkeys(gpi.buyers, 0)
+    for u in owner.values():
+        load[u] += 1
+    augment({**gpi.buyer_adj, t: ()}, gpi.capacity, owner, load)
+    return sum(load.values()) == len(gpi.items)
 
 
 def surplus(gpi: BipartiteGraph, Y: Iterable[BuyerId]) -> int:

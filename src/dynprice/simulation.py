@@ -146,10 +146,10 @@ def oracle_structure(m: Market) -> tuple[frozenset[tuple[ItemId, BuyerId]],
 def oracle_feasible(m: Market, t: BuyerId, F: Iterable[ItemId]) -> bool:
     """Does some optimal allocation give t exactly the bundle F?"""
     F = frozenset(F)
+    rest = restrict_market(m, t, F)     # ModelError on an unknown buyer or item
     if len(F) > m.demand[t]:
         return False
     bundle_value = sum((m.value[(t, s)] for s in F), Fraction(0))
-    rest = restrict_market(m, t, F)
     return bundle_value + oracle_opt_value(rest) == oracle_opt_value(m)
 
 
@@ -270,12 +270,19 @@ class _BudgetExceeded(Exception):
     pass
 
 
+def _below_optimum(ordering_strategy: Optional[OrderingStrategy]) -> None:
+    """Below the optimum with the certified default orderings, a run is a bug."""
+    if ordering_strategy is None:
+        raise InternalConsistencyError("a run with the default orderings ended below the optimum")
+
+
 def run_exhaustive(m: Market, budget: int = 200000,
                    ordering_strategy: Optional[OrderingStrategy] = None) -> Verdict:
     """DFS over every arrival order and every tie-break; verdict against the oracle.
 
     Exceeding the state budget yields an explicit partial verdict
     (complete=False, no counterexample trace) rather than silent truncation.
+    Only an explicit `ordering_strategy` can make a counterexample (`_below_optimum`).
     """
     if budget < 0:
         raise ModelError("budget must be non-negative")
@@ -327,11 +334,14 @@ def run_exhaustive(m: Market, budget: int = 200000,
         mn, mx, count, _ = explore(frozenset(m.items), frozenset(m.buyers), Fraction(0))
     except _BudgetExceeded:
         # Partial verdict: runs_walked is a lower bound on verified runs.
+        if violation_seen:
+            _below_optimum(ordering_strategy)
         return Verdict(runs_walked, not violation_seen, None, False, opt_value)
     if mx > opt_value:
         raise InternalConsistencyError("a run exceeded the oracle optimum")
     if mn == opt_value:
         return Verdict(count, True, None, True, opt_value)
+    _below_optimum(ordering_strategy)
     items, buyers = frozenset(m.items), frozenset(m.buyers)
     order, picks = [], []
     while buyers:       # each state's first least-welfare move, from the root
@@ -363,5 +373,6 @@ def run_sampled(m: Market, n_orders: int, seed: int,
         trace = run_once(m, order, tiebreak=lambda t, bs, i: rng.choice(bs),
                          ordering_strategy=ordering_strategy)
         if trace.final_welfare != opt_value and counterexample is None:
+            _below_optimum(ordering_strategy)
             counterexample = trace
     return Verdict(n_orders, counterexample is None, counterexample, False, opt_value)

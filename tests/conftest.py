@@ -9,7 +9,7 @@ from itertools import combinations
 
 import pytest
 
-from dynprice import BipartiteGraph, Market
+from dynprice import BipartiteGraph, Market, bfactor_exists
 
 
 # ---------------------------------------------------------------------------
@@ -90,6 +90,20 @@ def reference_tight_subgraph(sc, g: BipartiteGraph) -> BipartiteGraph:
     """The tight graph built from scratch: validated, sorted, unit weights."""
     return BipartiteGraph.build(g.items, g.buyers, {e: Fraction(1) for e in sc.tight_edges},
                                 dict(g.capacity))
+
+
+def reference_feasible_bundle(g: BipartiteGraph, t, F) -> bool:
+    """Bundle feasibility from a cold start: a b-factor of a copy of g without t and F."""
+    return bfactor_exists(g.without(frozenset(F) | {t}))[0]
+
+
+def reference_verify_adequate(g: BipartiteGraph, sigma) -> bool:
+    """Adequacy with every buyer's first b(t) neighbors checked by the cold start."""
+    for t in g.buyers:
+        nbrs = sorted(g.buyer_adj[t], key=sigma.rank.__getitem__)
+        if len(nbrs) < g.capacity[t] or not reference_feasible_bundle(g, t, nbrs[:g.capacity[t]]):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 
 from dynprice import (BipartiteGraph, Ordering, adequate_bidemand, matching,
                       adequate_three_buyers, adequate_two_buyers, combine,
-                      generate_instance, market_graph, refine_covering,
+                      generate_instance, market_graph, orderings, refine_covering,
                       tight_subgraph, verify_adequate)
 from dynprice.errors import ContractViolationError, ModelError
 from dynprice.matching import Covering
@@ -217,13 +217,19 @@ def test_bidemand_d1(d1_graph):
     assert trace[1]["pair"] == ["s2", "s3"]
 
 
-def test_bidemand_two_components():
+def test_bidemand_two_components(monkeypatch):
+    # case 3 recurses into each component without refining it again: the
+    # depth-0 refine is the only one
     g = unit_graph(["s1", "s2", "s3", "s4"], ["t1", "t2"], {"t1": 2, "t2": 2},
                    [("s1", "t1"), ("s2", "t1"), ("s3", "t2"), ("s4", "t2")])
+    refines = []
+    real = orderings.refine_covering
+    monkeypatch.setattr(orderings, "refine_covering", lambda h: refines.append(h) or real(h))
     trace = []
     sigma = adequate_bidemand(g, trace)
     assert verify_adequate(g, sigma)
     assert any(e["case"] == "3" for e in trace)
+    assert len(refines) == 1
 
 
 def test_bidemand_complete_case1():

@@ -2,17 +2,19 @@ import importlib.util
 import random
 import sys
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 import pytest
 
-from dynprice import (Market, best_bundles, dual, generate_instance, market_graph, model,
-                      multi_round, orderings, pricing, refine_covering, tight_subgraph,
-                      trim_items, unit_round)
+from dynprice import (Market, Ordering, best_bundles, dual, feasible_bundle, generate_instance,
+                      market_graph, model, multi_round, orderings, pricing, refine_covering,
+                      tight_subgraph, trim_items, unit_round, verify_adequate)
 from dynprice.errors import ContractViolationError, UnsupportedMarketError
 from dynprice.simulation import oracle_feasible
 
-from conftest import graph_fields, reference_tight_subgraph
+from conftest import (graph_fields, reference_feasible_bundle, reference_tight_subgraph,
+                      reference_verify_adequate)
 
 
 def test_unit_prices_e1(e1):
@@ -194,6 +196,60 @@ def test_rounds_refine_the_trimmed_graph_on_price_pools(monkeypatch, workload):
             rounds += len(out.rounds)
     assert counts["refine"] == rounds
     assert (counts["tight"] > rounds) == (mode == "multi")
+
+
+def test_adequacy_certificate_matches_the_cold_reference_on_price_pools(monkeypatch):
+    # verify_adequate and the warm-started feasible_bundle against the cold
+    # graph-copy reference: every ordering the bi-demand pool's rounds certify,
+    # its reverse and random permutations, and every bundle of the tight graph
+    workloads = _benchmark_workloads()
+    monkeypatch.setattr(workloads, "probe", lambda: workloads.REFERENCE_S)  # no timing here
+    seen = []
+
+    def recording(trimmed, gpi, sc):
+        sigma = pricing.dispatch_ordering(trimmed, gpi, sc)
+        seen.append((gpi, sigma))
+        return sigma
+
+    for case in workloads.set_up("price-bidemand", 3):
+        assert workloads.dynamic_run(case, "multi", recording).error is None
+    rng = random.Random(12)
+    checked = rejected = bundles = 0
+    for gpi, sigma in seen:
+        real = sigma.items_in_order()
+        seqs = [real, real[::-1]] + [rng.sample(gpi.items, len(gpi.items)) for _ in range(7)]
+        for seq in map(Ordering.from_sequence, seqs):
+            got = verify_adequate(gpi, seq)
+            assert got == reference_verify_adequate(gpi, seq)
+            checked += 1
+            rejected += not got
+        for t in gpi.buyers:
+            for F in combinations(gpi.buyer_adj[t], gpi.capacity[t]):
+                assert feasible_bundle(gpi, t, F) == reference_feasible_bundle(gpi, t, F)
+                bundles += 1
+    assert checked >= 2000 and 0 < rejected < checked and bundles >= 2000
+
+
+def test_an_inadequate_construction_is_an_internal_error(monkeypatch, tmp_path, capsys):
+    # Both default constructions return their ordering reversed.  The
+    # certificate must refuse it: unchecked, `price` posts wrong prices
+    # (exit 0) and `simulate` reads the bug as a counterexample (exit 1).
+    import json
+
+    from dynprice.cli import main, serialize_market
+
+    def reversing(fn):
+        return lambda gpi, *rest: Ordering.from_sequence(fn(gpi, *rest).items_in_order()[::-1])
+
+    for name in ("adequate_three_buyers", "adequate_bidemand"):
+        monkeypatch.setattr(pricing, name, reversing(getattr(pricing, name)))
+    for seed, buyers in ((500001, 3), (500000, 4)):   # three-buyer, then bi-demand
+        path = tmp_path / f"m{buyers}.json"
+        path.write_text(json.dumps(serialize_market(generate_instance(seed, buyers, 2, (1, 3)))))
+        for verb in ("price", "simulate"):
+            assert main([verb, "--input", str(path)]) == 3
+            assert capsys.readouterr().err.strip() == (
+                "internal error: constructed ordering is not adequate")
 
 
 def test_trimmed_and_tight_graphs_match_references_on_trimmed_markets():

@@ -7,7 +7,7 @@ import pytest
 from dynprice import (BipartiteGraph, feasible_bundle, legal_classes_3,
                       market_graph, maximal_dangerous_set, min_surplus_set,
                       minimal_dangerous_disjoint, refine_covering, tight_subgraph)
-from dynprice.errors import ContractViolationError
+from dynprice.errors import ContractViolationError, ModelError
 from dynprice.sets import all_dangerous_sets, is_dangerous, surplus
 from dynprice.simulation import oracle_feasible
 
@@ -51,6 +51,10 @@ def test_feasible_bundle_contract(d1_graph):
         feasible_bundle(d1_graph, "t1", ["s1"])  # wrong size
     with pytest.raises(ContractViolationError):
         feasible_bundle(d1_graph, "t3", ["s1", "s4"])  # s1 not tight for t3
+    with pytest.raises(ModelError):
+        feasible_bundle(d1_graph, "s1", ["s2", "s3"])  # an item as the buyer
+    with pytest.raises(ModelError):
+        feasible_bundle(d1_graph, "t1", ["s1", "nope"])
 
 
 def test_feasible_matches_brute_and_oracle(d1_market, d1_graph):
@@ -240,8 +244,9 @@ def test_dangerous_finders_match_enumeration():
 
 
 def test_searches_leave_the_graphs_matching_untouched():
-    """Every surplus search copies the graph's cached maximum b-matching; none
-    may change it, so it must stay what a freshly built graph computes."""
+    """Every surplus search and feasibility check copies the graph's cached
+    maximum b-matching; none may change it, so it must stay what a freshly
+    built graph computes."""
     rng = random.Random(71)
     both_finders_ran = 0
     while both_finders_ran < 200:
@@ -256,6 +261,9 @@ def test_searches_leave_the_graphs_matching_untouched():
                 both_finders_ran += 1
         except ContractViolationError:
             pass  # a surplus-zero set: the finders' searches still ran
+        for t in gpi.buyers:
+            for F in combinations(gpi.buyer_adj[t], gpi.capacity[t]):
+                feasible_bundle(gpi, t, F)
         fresh = BipartiteGraph(gpi.items, gpi.buyers, gpi.edges, gpi.weight, gpi.capacity)
         owner, load, reached = gpi.max_cardinality_bmatching
         want_owner, want_load, want_reached = fresh.max_cardinality_bmatching

@@ -100,6 +100,10 @@ def test_oracle_edge_legal_and_feasible(fig1):
     assert ("s2", "t1") not in legal
     assert oracle_feasible(fig1, "t1", {"s1", "s3"})
     assert not oracle_feasible(fig1, "t1", {"s3", "s4"})
+    with pytest.raises(ModelError):
+        oracle_feasible(fig1, "nobody", {"s1"})
+    with pytest.raises(ModelError):
+        oracle_feasible(fig1, "t1", ["nope"])
 
 
 # ---------------------------------------------------------------------------
@@ -214,6 +218,22 @@ def test_negative_control_d1(d1_market, d1_graph):
     total = sum((sum((d1_market.value[(st.buyer, s)] for s in st.bundle), Fraction(0))
                  for st in cx.steps), Fraction(0))
     assert total == cx.final_welfare
+
+
+def test_a_default_run_below_the_optimum_is_an_internal_error(monkeypatch):
+    # A bug past the ordering certificate (here multi_round's default ordering
+    # reversed after it) must not read as a counterexample: complete, partial
+    # and sampled verdicts all refuse it.  Only an explicit strategy gets one.
+    from dynprice import pricing
+    from dynprice.errors import InternalConsistencyError
+    m = generate_instance(500001, 3, 2, (1, 3))     # the CLI's sabotage market
+    assert not run_exhaustive(m, ordering_strategy=reversed_ordering_strategy).all_optimal
+    monkeypatch.setattr(pricing, "dispatch_ordering", reversed_ordering_strategy)
+    for run in (lambda: run_exhaustive(m), lambda: run_exhaustive(m, budget=3),
+                lambda: run_sampled(m, 5, seed=0)):
+        with pytest.raises(InternalConsistencyError,
+                           match="^a run with the default orderings ended below the optimum$"):
+            run()
 
 
 def test_sabotage_always_caught():
