@@ -19,13 +19,13 @@ Together (a) and (b) are strict complementarity for the b-matching LP
 * Seller-optimal start.  One Dijkstra from z over the (non-negative) reduced
   costs of the solver's dual moves p to the shortest-path distances from z:
   the highest item prices and lowest buyer utilities on the face.
-* SCC shift.  The zero-reduced-cost arcs are condensed with Tarjan's
-  algorithm, which numbers sink components first; every node moves by
-  eps * (its component index - z's index).  Arcs between components become
-  strictly slack, arcs inside one stay tight, and eps (the least positive
-  reduced cost over #SCCs + 1) keeps every other arc feasible.  The
-  numbering follows M's arcs, so pi depends on which optimal M the
-  construction starts from; it always starts from the solver's M.
+* SCC shift.  Nodes that reach the same nodes over the zero-reduced-cost arcs
+  form a component (a fixpoint over reach bitsets), and each node moves by
+  eps * (h(v) - h(z)), h the height of its component in the condensation.
+  Arcs between components become strictly slack, arcs inside one stay tight,
+  and eps (the least positive reduced cost over max h + 2) keeps every other
+  arc feasible.  The seller-optimal point is unique and every M-dependent arc
+  lies on a zero cycle, so pi is a function of the graph, not of M or names.
 * Witness verification, on every call.  The result must be an optimal
   covering, which certifies slack edges as non-legal and positive duals as
   always saturated.  Every tight non-M edge (s, t) needs an alternating
@@ -38,7 +38,7 @@ Together (a) and (b) are strict complementarity for the b-matching LP
 
 The construction and every check run on integers.  The solver's duals arrive
 in units of 1/D, the denominator of the graph's scaled weights (`g.scaled`);
-the shift multiplies by one more factor, #SCCs + 1, so pi is held in units of
+the shift multiplies by one more factor, max h + 2, so pi is held in units of
 1/(D * factor), and one pass over it checks the gaps, tightness,
 non-negativity and optimality and finds the slack.  The Fractions of pi and
 the slack are built once, on return.  `compute_slack` is the Fraction
@@ -143,57 +143,13 @@ def _seller_optimal(p: list[int], out: Arcs, z: int) -> list[int]:
     return [pa + da for pa, da in zip(p, dist)]
 
 
-def _sink_first_components(succ: list[list[int]]) -> list[int]:
-    """Iterative Tarjan; component numbers are in reverse topological order."""
-    n = len(succ)
-    index = [-1] * n
-    low = [0] * n
-    comp = [-1] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    counter = ncomp = 0
-    for root in range(n):
-        if index[root] >= 0:
-            continue
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack[root] = True
-        work = [(root, 0)]
-        while work:
-            v, i = work[-1]
-            if i < len(succ[v]):
-                work[-1] = (v, i + 1)
-                w = succ[v][i]
-                if index[w] < 0:
-                    index[w] = low[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    on_stack[w] = True
-                    work.append((w, 0))
-                elif on_stack[w]:
-                    low[v] = min(low[v], index[w])
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-            if low[v] == index[v]:
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp[w] = ncomp
-                    if w == v:
-                        break
-                ncomp += 1
-    return comp
-
-
 def _shift_by_scc(p: list[int], out: Arcs, z: int) -> tuple[list[int], int]:
     """Potentials made strictly complementary, scaled by the returned factor.
 
-    Moves node v by eps * (comp(v) - comp(z)) with eps = the least positive
-    reduced cost / (#SCCs + 1); the factor #SCCs + 1 keeps the result integral.
+    Moves node v by eps * (h(v) - h(z)), where h is the height of v's component
+    (the nodes that reach the same nodes) in the condensation of the tight arcs,
+    and eps = the least positive reduced cost / (max h + 2); the factor max h + 2
+    keeps the result integral.
     """
     succ: list[list[int]] = [[] for _ in p]
     least: Optional[int] = None
@@ -204,10 +160,28 @@ def _shift_by_scc(p: list[int], out: Arcs, z: int) -> tuple[list[int], int]:
                 succ[a].append(b)
             elif least is None or rc < least:
                 least = rc
-    comp = _sink_first_components(succ)
-    factor = max(comp) + 2
+    reach = [1 << a for a in range(len(p))]
+    changed = True
+    while changed:
+        changed = False
+        for a, heads in enumerate(succ):
+            r = reach[a]
+            for b in heads:
+                r |= reach[b]
+            changed |= r != reach[a]
+            reach[a] = r
+    height = [0] * len(p)
+    changed = True
+    while changed:   # only arcs inside a component close cycles, and they add 0
+        changed = False
+        for a, heads in enumerate(succ):
+            for b in heads:
+                h = height[b] + (reach[a] != reach[b])
+                if h > height[a]:
+                    height[a], changed = h, True
+    factor = max(height) + 2
     step = 1 if least is None else least
-    return [pa * factor + (ca - comp[z]) * step for pa, ca in zip(p, comp)], factor
+    return [pa * factor + (h - height[z]) * step for pa, h in zip(p, height)], factor
 
 
 def _bfs(src: int, succ: list[list[int]]) -> list[Optional[int]]:

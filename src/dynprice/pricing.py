@@ -15,7 +15,8 @@ from fractions import Fraction
 from typing import Callable, Mapping, Optional
 
 from .dual import StructuredCovering, refine_covering, tight_subgraph
-from .errors import ContractViolationError, InternalConsistencyError, UnsupportedMarketError
+from .errors import (ContractViolationError, InternalConsistencyError, ModelError,
+                     UnsupportedMarketError)
 from .matching import BipartiteGraph, Covering, ItemId
 from .model import Market, trim_items
 from .orderings import Ordering, adequate_bidemand, adequate_three_buyers, verify_adequate
@@ -127,6 +128,8 @@ def multi_round(m: Market, ordering_strategy: Optional[OrderingStrategy] = None
                             Ordering.from_sequence(()), trimmed, removed)
     strategy = ordering_strategy or dispatch_ordering
     sigma = strategy(trimmed, tm.gpi, sc)
+    if sigma.rank.keys() != set(trimmed.items):
+        raise ModelError("the ordering must rank exactly the trimmed items")
     if sc.slack is None:
         raise InternalConsistencyError("finite slack expected under saturation")
     delta = sc.slack / (len(trimmed.items) + 1)

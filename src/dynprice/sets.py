@@ -49,13 +49,21 @@ def feasible_bundle(gpi: BipartiteGraph, t: BuyerId, F: Iterable[ItemId]) -> boo
     return sum(load.values()) == len(gpi.items)
 
 
-def surplus(gpi: BipartiteGraph, Y: Iterable[BuyerId]) -> int:
+def _known_buyers(gpi: BipartiteGraph, Y: Iterable[BuyerId]) -> frozenset[BuyerId]:
     Y = frozenset(Y)
+    unknown = Y.difference(gpi.buyer_adj)
+    if unknown:
+        raise ModelError(f"unknown buyers {sorted(unknown)!r}")
+    return Y
+
+
+def surplus(gpi: BipartiteGraph, Y: Iterable[BuyerId]) -> int:
+    Y = _known_buyers(gpi, Y)
     return len(gpi.neighbors(Y)) - sum(gpi.capacity[t] for t in Y)
 
 
 def is_dangerous(gpi: BipartiteGraph, Y: Iterable[BuyerId]) -> bool:
-    Y = frozenset(Y)
+    Y = _known_buyers(gpi, Y)
     return bool(Y) and Y != frozenset(gpi.buyers) and surplus(gpi, Y) == 1
 
 
@@ -84,11 +92,8 @@ def min_surplus_set(gpi: BipartiteGraph, include: Iterable[BuyerId] = (),
     has, the first row t attaining the minimum does so at (t, t1), and no
     earlier (t', t1) does.
     """
-    include = frozenset(include)
-    exclude = frozenset(exclude)
-    unknown = (include | exclude) - set(gpi.buyers)
-    if unknown:
-        raise ModelError(f"unknown buyers {sorted(unknown)!r}")
+    include = _known_buyers(gpi, include)
+    exclude = _known_buyers(gpi, exclude)
     if include & exclude:
         raise ModelError("include and exclude overlap")
     if include and exclude:

@@ -4,8 +4,11 @@ The helpers here deliberately avoid the package's solver and DP oracle: plain
 recursion and full enumeration only, so they can arbitrate disagreements.
 """
 
+import importlib.util
+import sys
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -74,6 +77,20 @@ def figure_market() -> Market:
 @pytest.fixture
 def fig1() -> Market:
     return figure_market()
+
+
+# ---------------------------------------------------------------------------
+# Benchmark pools
+
+
+def benchmark_workloads():
+    """perfbench/workloads.py, which builds the benchmark's market pools."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module     # its dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
 
 
 # ---------------------------------------------------------------------------

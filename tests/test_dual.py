@@ -314,3 +314,98 @@ def test_structure_checks_trip_without_scc_shift(monkeypatch, values, demand, me
     monkeypatch.setattr(dual, "_shift_by_scc", lambda p, out, z: (p, 1))
     with pytest.raises(InternalConsistencyError, match=f"^{message}$"):
         refine_covering(g)
+
+
+def random_graph(rng):
+    """1-9 items and 1-6 buyers of capacity 1-3, values 0..4 over denominators 1-3."""
+    items = [f"s{i}" for i in range(rng.randint(1, 9))]
+    buyers = [f"t{i}" for i in range(rng.randint(1, 6))]
+    weight = {(s, t): Fraction(rng.randint(0, 4), rng.randint(1, 3))
+              for s in items for t in buyers}
+    cap = {s: 1 for s in items} | {t: rng.randint(1, 3) for t in buyers}
+    return BipartiteGraph.build(items, buyers, weight, cap)
+
+
+def test_refine_commutes_with_relabelling():
+    # shuffling and renaming the vertices renames pi and the tight edges, and keeps the slack
+    rng = random.Random(13)
+    for _ in range(1500):
+        g = random_graph(rng)
+        vertices = g.items + g.buyers
+        fresh = rng.sample(range(len(vertices)), len(vertices))
+        name = {v: f"{v[0]}{k}" for v, k in zip(vertices, fresh)}
+        h = BipartiteGraph.build(rng.sample([name[s] for s in g.items], len(g.items)),
+                                 rng.sample([name[t] for t in g.buyers], len(g.buyers)),
+                                 {(name[s], name[t]): w for (s, t), w in g.weight.items()},
+                                 {name[v]: c for v, c in g.capacity.items()})
+        sc, renamed = refine_covering(g), refine_covering(h)
+        assert renamed.pi.pi == {name[v]: x for v, x in sc.pi.pi.items()}
+        assert renamed.tight_edges == {(name[s], name[t]) for s, t in sc.tight_edges}
+        assert renamed.slack == sc.slack
+
+
+def refine_from(g, m_edges):
+    """refine_covering started from the optimal b-matching m_edges with the solver's duals."""
+    import dataclasses
+
+    import dynprice.dual as dual
+    from dynprice.matching import BMatching
+    real = dual.matching.solve_with_covering
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dual.matching, "solve_with_covering", lambda g: dataclasses.replace(
+            real(g), matching=BMatching(frozenset(m_edges))))
+        return refine_covering(g)
+
+
+@pytest.fixture(scope="module")
+def bidemand_recursion():
+    """The graphs the bi-demand recursion refines on the `price-bidemand` pool (seed 3)."""
+    import dynprice.orderings as orderings
+    from conftest import benchmark_workloads
+    workloads = benchmark_workloads()
+    recursion: list[BipartiteGraph] = []
+    real = orderings.refine_covering
+
+    def recording(g):
+        recursion.append(g)
+        return real(g)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(workloads, "probe", lambda: workloads.REFERENCE_S)  # no timing here
+        mp.setattr(orderings, "refine_covering", recording)
+        for case in workloads.set_up("price-bidemand", 3):
+            assert workloads.dynamic_run(case, "multi").error is None
+    return recursion
+
+
+def test_refine_is_the_same_from_any_optimal_matching(bidemand_recursion):
+    # the fewest-edge optimum, and augment's b-factor of a unit-weight recursion graph
+    from dynprice.matching import lexicographic_min_edge_optimum, solve_with_covering
+    rng = random.Random(17)
+    starts = [(g, lexicographic_min_edge_optimum(g)[0].edges)
+              for g in (random_graph(rng) for _ in range(3000))]
+    starts += [(g, g.max_cardinality_bmatching[0].items()) for g in bidemand_recursion]
+    other = 0
+    for g, m_edges in starts:
+        sc, given = refine_covering(g), refine_from(g, m_edges)
+        assert (given.pi, given.tight_edges, given.slack) == (sc.pi, sc.tight_edges, sc.slack)
+        other += frozenset(m_edges) != solve_with_covering(g).matching.edges
+    assert len(bidemand_recursion) >= 300 and other >= 250
+
+
+def test_all_tight_unit_graphs_with_a_factor_get_the_constant_dual(pinning_corpus,
+                                                                    bidemand_recursion):
+    # every edge lies in some b-factor (tight = legal): one component per piece
+    # of the graph, all at height 0, below z's own component
+    from dynprice import bfactor_exists
+    checked = 0
+    for g in pinning_corpus + bidemand_recursion:
+        if not g.edges or set(g.weight.values()) != {1} or not bfactor_exists(g)[0]:
+            continue
+        sc = refine_covering(g)
+        if sc.tight_edges != g.edge_set:
+            continue
+        assert sc.pi.pi == (dict.fromkeys(g.items, Fraction(2, 3))
+                            | dict.fromkeys(g.buyers, Fraction(1, 3)))
+        checked += 1
+    assert checked >= 400

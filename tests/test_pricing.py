@@ -1,20 +1,17 @@
-import importlib.util
 import random
-import sys
 from fractions import Fraction
 from itertools import combinations
-from pathlib import Path
 
 import pytest
 
 from dynprice import (Market, Ordering, best_bundles, dual, feasible_bundle, generate_instance,
                       market_graph, model, multi_round, orderings, pricing, refine_covering,
                       tight_subgraph, trim_items, unit_round, verify_adequate)
-from dynprice.errors import ContractViolationError, UnsupportedMarketError
+from dynprice.errors import ContractViolationError, ModelError, UnsupportedMarketError
 from dynprice.simulation import oracle_feasible
 
-from conftest import (graph_fields, reference_feasible_bundle, reference_tight_subgraph,
-                      reference_verify_adequate)
+from conftest import (benchmark_workloads, graph_fields, reference_feasible_bundle,
+                      reference_tight_subgraph, reference_verify_adequate)
 
 
 def test_unit_prices_e1(e1):
@@ -123,6 +120,16 @@ def test_multi_refuses_unsupported_regime():
         multi_round(m)
 
 
+@pytest.mark.parametrize("foreign", [
+    lambda items: items[:-1],          # one trimmed item left unranked
+    lambda items: items + ("s99",),    # an item the trimmed market lacks
+], ids=["missing-item", "extra-item"])
+def test_multi_refuses_an_ordering_of_other_items(foreign):
+    m = generate_instance(500001, 3, 2, (1, 3))
+    with pytest.raises(ModelError, match="^the ordering must rank exactly the trimmed items$"):
+        multi_round(m, lambda tr, g, sc: Ordering.from_sequence(foreign(tr.items)))
+
+
 def test_multi_handles_untrimmed_input():
     # saturation holds but an extra item must be trimmed before pricing
     m = Market.build(["s1", "s2", "s3"], ["t1"], {"t1": 1},
@@ -146,22 +153,12 @@ def test_multi_trivial_round_without_buyers():
     assert multi_round(Market.build([], [], {}, {})).prices.price == {}
 
 
-def _benchmark_workloads():
-    """perfbench/workloads.py, which builds the benchmark's market pools."""
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module     # its dataclasses look their module up there
-    spec.loader.exec_module(module)
-    return module
-
-
 @pytest.mark.parametrize("workload", ["price-bidemand", "price-unit"])
 def test_rounds_refine_the_trimmed_graph_on_price_pools(monkeypatch, workload):
     # Every round refines the graph trim_items returns, which equals
     # market_graph of the trimmed market field for field; every tight graph,
     # the bi-demand recursion's included, equals the from-scratch reference.
-    workloads = _benchmark_workloads()
+    workloads = benchmark_workloads()
     last_trim: list = []
     counts = {"refine": 0, "tight": 0}
 
@@ -202,7 +199,7 @@ def test_adequacy_certificate_matches_the_cold_reference_on_price_pools(monkeypa
     # verify_adequate and the warm-started feasible_bundle against the cold
     # graph-copy reference: every ordering the bi-demand pool's rounds certify,
     # its reverse and random permutations, and every bundle of the tight graph
-    workloads = _benchmark_workloads()
+    workloads = benchmark_workloads()
     monkeypatch.setattr(workloads, "probe", lambda: workloads.REFERENCE_S)  # no timing here
     seen = []
 

@@ -164,6 +164,16 @@ def test_min_surplus_no_candidates(d1_graph):
     assert min_surplus_set(d1_graph, include=d1_graph.buyers) is None
 
 
+def test_set_queries_refuse_unknown_buyers():
+    from dynprice import generate_instance
+    g = market_graph(generate_instance(500001, 3, 2, (1, 3)))
+    for query in (lambda: surplus(g, ["s1"]), lambda: is_dangerous(g, ["nobody"]),
+                  lambda: min_surplus_set(g, include=["s1"]),
+                  lambda: min_surplus_set(g, exclude=["nobody"])):
+        with pytest.raises(ModelError, match="^unknown buyers"):
+            query()
+
+
 def test_maximal_dangerous_d1(d1_graph):
     assert all_dangerous_sets(d1_graph) == [frozenset({"t1"}), frozenset({"t3"}),
                                             frozenset({"t2", "t3"})]
