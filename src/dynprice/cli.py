@@ -5,7 +5,7 @@ Markets travel as JSON with rationals encoded as decimal integer strings or
 "p/q" strings; the value matrix must be complete.  All outputs are
 machine-readable JSON (``--pretty`` for humans).  Exit codes: 0 success /
 all-optimal, 1 verified-false (counterexample emitted), 2 usage or model
-error, 3 internal error (a failed self-check, i.e. a bug in the engine).
+error, 3 internal error (a failed self-check or any other bug in the engine).
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import math
 import random
 import re
 import sys
+import traceback
 from fractions import Fraction
 from itertools import combinations
 from typing import Optional, Sequence
@@ -49,8 +50,10 @@ def rational_from_str(raw: object, path: str = "value") -> Fraction:
     if not _RATIONAL_RE.fullmatch(raw):
         raise ModelError(f"{path}: malformed rational {raw!r}")
     num, slash, den = raw.partition("/")
-    n = int(num)
-    d = int(den) if slash else 1
+    try:
+        n, d = int(num), int(den) if slash else 1
+    except ValueError as exc:     # past the interpreter's limit on integer digits
+        raise ModelError(f"{path}: {exc}") from None
     if d == 0:
         raise ModelError(f"{path}: denominator must be positive in {raw!r}")
     return Fraction(n, d)
@@ -60,7 +63,7 @@ def parse_instance(raw: bytes | str) -> Market:
     """Validated market from JSON; errors pinpoint field paths."""
     try:
         data = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:   # also a number too long, or nesting too deep
         raise ModelError(f"invalid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ModelError("top level must be an object")
@@ -335,8 +338,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             OracleCapError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _USAGE_ERROR
-    except InternalConsistencyError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
+    except Exception as exc:    # a failed self-check or any other bug: never exit 1
+        kind = "" if isinstance(exc, InternalConsistencyError) else f"{type(exc).__name__}: "
+        if kind:                # no self-check named it, so the traceback locates it
+            traceback.print_exc()
+        print(f"internal error: {kind}{exc}", file=sys.stderr)
         return _INTERNAL_ERROR
 
 

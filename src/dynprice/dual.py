@@ -6,8 +6,8 @@ The refined covering pi satisfies, with respect to the original weights:
   (b) pi(v) = 0 iff some maximum-weight b-matching leaves v unsaturated.
 
 Together (a) and (b) are strict complementarity for the b-matching LP
-(Goldman-Tucker), whose optimal face is integral, so one optimal pair
-(M, pi) from a single solve determines a structured covering:
+(Goldman-Tucker), whose optimal face is integral, so one maximum-weight
+b-matching M determines a structured covering:
 
 * Face constraints.  With potentials p(s) = pi(s), p(t) = -pi(t) and a ground
   node z with p(z) = 0, the optimal duals are exactly the solutions of the
@@ -16,9 +16,9 @@ Together (a) and (b) are strict complementarity for the b-matching LP
   for pi >= 0, and z->s / t->z (0) for M-unsaturated items / buyers, which
   force pi = 0 there.  An arc is tight in every optimal dual iff it lies on a
   zero-length cycle.
-* Seller-optimal start.  One Dijkstra from z over the (non-negative) reduced
-  costs of the solver's dual moves p to the shortest-path distances from z:
-  the highest item prices and lowest buyer utilities on the face.
+* Seller-optimal start.  A queue-based Bellman-Ford from z sets p to the
+  shortest-path distances from z: the highest item prices and lowest buyer
+  utilities on the face.  M is maximum iff the arcs have no negative cycle.
 * SCC shift.  Nodes that reach the same nodes over the zero-reduced-cost arcs
   form a component (a fixpoint over reach bitsets), and each node moves by
   eps * (h(v) - h(z)), h the height of its component in the condensation.
@@ -33,11 +33,11 @@ Together (a) and (b) are strict complementarity for the b-matching LP
   vertex a path from or to z.  Flipping the closed cycle gives a witness
   b-matching, checked in O(cycle length): degrees change only on the cycle,
   so capacities are checked there, and the witness is maximum iff the edges
-  it adds weigh what the edges it drops weigh.  M itself arrives certified
-  by the solve.
+  it adds weigh what the edges it drops weigh.  M arrives certified by its
+  caller or one solve; a covering of value w(M) proves it and pi optimal.
 
-The construction and every check run on integers.  The solver's duals arrive
-in units of 1/D, the denominator of the graph's scaled weights (`g.scaled`);
+The construction and every check run on integers.  The distances come in
+units of 1/D, the denominator of the graph's scaled weights (`g.scaled`);
 the shift multiplies by one more factor, max h + 2, so pi is held in units of
 1/(D * factor), and one pass over it checks the gaps, tightness,
 non-negativity and optimality and finds the slack.  The Fractions of pi and
@@ -47,7 +47,6 @@ reference the tests hold that slack to.
 
 from __future__ import annotations
 
-import heapq
 from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -120,27 +119,23 @@ def _face_arcs(g: BipartiteGraph, m_edges: frozenset[Edge], degree: Counter,
     return out
 
 
-def _seller_optimal(p: list[int], out: Arcs, z: int) -> list[int]:
-    """Shortest-path distances from z (Dijkstra on the reduced costs of p)."""
-    dist: list[Optional[int]] = [None] * len(p)
-    dist[z] = 0
-    heap = [(0, z)]
-    done = [False] * len(p)
-    while heap:
-        d, a = heapq.heappop(heap)
-        if done[a]:
-            continue
-        done[a] = True
+def _seller_optimal(out: Arcs, z: int) -> list[int]:
+    """Shortest-path distances from z (queue-based Bellman-Ford); a distance
+    set along a path of as many arcs as nodes closes a negative cycle."""
+    dist: list[Optional[int]] = [None] * len(out)
+    dist[z], arcs, queue = 0, [0] * len(out), deque([z])
+    while queue:
+        a = queue.popleft()
         for b, length in out[a]:
-            rc = length + p[a] - p[b]
-            if rc < 0:
-                raise InternalConsistencyError("solver dual outside the optimal face")
-            if dist[b] is None or d + rc < dist[b]:
-                dist[b] = d + rc
-                heapq.heappush(heap, (d + rc, b))
-    if not all(done):
+            if dist[b] is None or dist[a] + length < dist[b]:
+                dist[b], arcs[b] = dist[a] + length, arcs[a] + 1
+                if arcs[b] == len(out):
+                    raise InternalConsistencyError(
+                        "negative cycle on the face arcs: the matching is not maximum")
+                queue.append(b)
+    if None in dist:
         raise InternalConsistencyError("face node unreachable from the ground node")
-    return [pa + da for pa, da in zip(p, dist)]
+    return dist
 
 
 def _shift_by_scc(p: list[int], out: Arcs, z: int) -> tuple[list[int], int]:
@@ -205,27 +200,28 @@ def _path(parent: list[Optional[int]], end: int) -> list[int]:
     return path[::-1]
 
 
-def refine_covering(g: BipartiteGraph) -> StructuredCovering:
-    """Structured optimal covering of g from one solve (see the module notes)."""
-    res = matching.solve_with_covering(g)
-    m_edges = res.matching.edges
+def refine_covering(g: BipartiteGraph, m: Optional[frozenset[Edge]] = None
+                    ) -> StructuredCovering:
+    """Structured optimal covering of g from m, a maximum-weight b-matching of g
+    (one solve supplies it when omitted; see the module notes)."""
+    m_edges = matching.solve_with_covering(g).matching.edges if m is None else m
+    degree = matching.check_bmatching(g, m_edges)
     vertices = g.items + g.buyers
     n_items = len(g.items)
     z = len(vertices)
     node = {v: k for k, v in enumerate(vertices)}
-    degree = Counter(v for e in m_edges for v in e)
 
     weight, scale = g.scaled
     sign = [1] * n_items + [-1] * len(g.buyers)
-    p = [sg * res.scaled_pi[v] for sg, v in zip(sign, vertices)] + [0]
     out = _face_arcs(g, m_edges, degree, weight, node, z)
-    p, factor = _shift_by_scc(_seller_optimal(p, out, z), out, z)
+    p, factor = _shift_by_scc(_seller_optimal(out, z), out, z)
     q = [sg * pa for sg, pa in zip(sign, p)]   # pi' in units of 1/(D * factor)
 
-    # Verification, always on.  An optimal covering certifies slack edges as
-    # non-legal and positive duals as always saturated; M certifies its own
-    # edges and unsaturated vertices; every other tight edge and zero dual
-    # needs a witness b-matching, checked exactly.
+    # Verification, always on.  A covering of value w(M) is optimal, and
+    # certifies slack edges as non-legal and positive duals as always saturated;
+    # M certifies its own edges and unsaturated vertices; every other tight edge
+    # and zero dual needs a witness b-matching, checked exactly.
+    optimum = sum(weight[e] for e in m_edges)
     tight: set[Edge] = set()
     least: Optional[int] = None
     for e in g.edges:
@@ -241,7 +237,7 @@ def refine_covering(g: BipartiteGraph) -> StructuredCovering:
             raise InternalConsistencyError("refined dual has a negative value")
         if x > 0 and (least is None or x < least):
             least = x
-    if sum(x * g.capacity[v] for x, v in zip(q, vertices)) != res.scaled_value * factor:
+    if sum(x * g.capacity[v] for x, v in zip(q, vertices)) != optimum * factor:
         raise InternalConsistencyError("refined dual is not optimal")
 
     legal = {e: e in m_edges for e in g.edges}
@@ -255,7 +251,7 @@ def refine_covering(g: BipartiteGraph) -> StructuredCovering:
         """Check the b-matching M xor (path + closing edge); return its degree change.
 
         Only the cycle's vertices change degree, and its weight is w(M) plus
-        w(added) - w(dropped), where w(M) is the optimum the solve certified,
+        w(added) - w(dropped), where w(M) is the optimum the covering certified,
         so a witness is maximum iff the two are equal.
         """
         add = set() if closing is None else {closing}

@@ -25,24 +25,23 @@ to the optimum, and copies of the same buyer provably share one dual value.
 All arithmetic is exact and the Hungarian algorithm runs on integers only.
 Each graph scales its Fraction weights once, by their least common
 denominator D (`BipartiteGraph.scaled`), so the solver returns its value and
-its duals as integers in units of 1/D.  `SolveResult` keeps them
-(`scaled_value`, `scaled_pi`) for callers that stay on integers, such as
-`dual.refine_covering`; its Fraction `value` and `covering` are built from
-them once, on first use.  The trim objective "maximum weight, then fewest
-edges" is the integer weight w * D * K - 1 with K = |S| + 1: a b-matching
-has at most |S| edges, so a weight gap of 1/D always outweighs any
-difference in edge count.
+its duals as integers in units of 1/D.  The trim objective "maximum weight,
+then fewest edges" is the integer weight w * D * K - 1 with K = |S| + 1: a
+b-matching has at most |S| edges, so a weight gap of 1/D always outweighs
+any difference in edge count.
 
 Every solve is certified before use: `_check_optimal_pair` proves, on the
-integer weights the solve ran on, that M is a b-matching of g and pi a
-non-negative covering of equal value, tight on M, with complementary
-slackness.  On the trim weights that proves M of maximum weight and, among
-those, of fewest edges, so trimming needs no second solve.
+integer weights the solve ran on, that M is a b-matching of g
+(`check_bmatching`) and pi a non-negative covering of equal value, tight on
+M, with complementary slackness.  On the trim weights that proves M of
+maximum weight and, among those, of fewest edges, so neither trimming nor the
+structured dual, which starts from M (`dual.refine_covering`), solves again.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -199,20 +198,11 @@ class Covering:
 
 @dataclass(frozen=True)
 class SolveResult:
-    """A verified optimal pair, held as the solver's integers in units of 1/D."""
+    """A verified optimal pair: M, its weight and an optimal covering."""
 
     matching: BMatching
-    scaled_value: int               # w(M) * D
-    scaled_pi: Mapping[str, int]    # pi * D
-    denom: int                      # D, the denominator of `BipartiteGraph.scaled`
-
-    @cached_property
-    def value(self) -> Fraction:
-        return Fraction(self.scaled_value, self.denom)
-
-    @cached_property
-    def covering(self) -> Covering:
-        return Covering({v: Fraction(x, self.denom) for v, x in self.scaled_pi.items()})
+    value: Fraction
+    covering: Covering
 
 
 def _hungarian(n_rows: int, n_cols: int, adj: list[list[tuple[int, int]]]):
@@ -345,16 +335,19 @@ def _solve(g: BipartiteGraph, weights: Mapping[Edge, int]):
     return edge_set, value, pi
 
 
+def check_bmatching(g: BipartiteGraph, edges: frozenset[Edge]) -> Counter:
+    """The degrees of M, certified: every edge in g, no degree above capacity."""
+    deg = Counter(vx for e in edges for vx in e)
+    if not edges <= g.edge_set or any(d > g.capacity[vx] for vx, d in deg.items()):
+        raise InternalConsistencyError("optimal matching is not a b-matching of the graph")
+    return deg
+
+
 def _check_optimal_pair(g: BipartiteGraph, weight: Mapping[Edge, int],
                         edges: frozenset[Edge], value: int, pi: Mapping[str, int]) -> None:
     """Certify (M, pi) optimal for the integer `weight` the solve ran on: M a b-matching
     of g, pi a non-negative covering tight on M, equal values, complementary slackness."""
-    deg: dict[str, int] = {}
-    for s, t in edges:
-        deg[s] = deg.get(s, 0) + 1
-        deg[t] = deg.get(t, 0) + 1
-    if not edges <= g.edge_set or any(d > g.capacity[vx] for vx, d in deg.items()):
-        raise InternalConsistencyError("optimal matching is not a b-matching of the graph")
+    deg = check_bmatching(g, edges)
     for vx in g.items + g.buyers:
         if pi[vx] < 0:
             raise InternalConsistencyError("negative dual value")
@@ -367,7 +360,7 @@ def _check_optimal_pair(g: BipartiteGraph, weight: Mapping[Edge, int],
     if sum(pi[vx] * g.capacity[vx] for vx in g.items + g.buyers) != value:
         raise InternalConsistencyError("strong duality gap")
     for vx in g.items + g.buyers:
-        if pi[vx] > 0 and deg.get(vx, 0) != g.capacity[vx]:
+        if pi[vx] > 0 and deg[vx] != g.capacity[vx]:
             raise InternalConsistencyError("complementary slackness violated")
 
 
@@ -376,7 +369,8 @@ def solve_with_covering(g: BipartiteGraph) -> SolveResult:
     weight, denom = g.scaled
     edges, value, pi = _solve(g, weight)
     _check_optimal_pair(g, weight, edges, value, pi)
-    return SolveResult(BMatching(edges), value, pi, denom)
+    return SolveResult(BMatching(edges), Fraction(value, denom),
+                       Covering({v: Fraction(x, denom) for v, x in pi.items()}))
 
 
 def max_weight_bmatching(g: BipartiteGraph) -> tuple[BMatching, Fraction]:

@@ -144,22 +144,23 @@ def check_opt_property(m: Market) -> OptReport:
     return OptReport(opt, False, (t, allocation_from_matching(wit_matching, m)))
 
 
-def trim_items(m: Market) -> tuple[Market, BipartiteGraph, frozenset[ItemId]]:
+def trim_items(m: Market) -> tuple[Market, BipartiteGraph, frozenset[ItemId],
+                                   frozenset[matching.Edge]]:
     """Drop items unused by a minimum-cardinality maximum-welfare allocation.
 
-    Returns the trimmed market, its graph and the removed items.  The solve
-    certifies its allocation optimal on m, and the trimmed market holds it, so
-    both have the same optimum welfare; all its optima use every remaining
-    item.  Its graph is `market_graph` of the trimmed market without a second
-    build: m's graph, induced on the kept items when some item was removed.
+    Returns the trimmed market, its graph, the removed items and the edges of
+    that allocation, which the solve certifies optimal on m and so on the
+    trimmed market, whose optima all use every remaining item.  The graph is
+    `market_graph` of the trimmed market without a second build: m's graph,
+    induced on the kept items when some item was removed.
     """
     g = market_graph(m)
     best, _ = matching.lexicographic_min_edge_optimum(g)
     used = {s for s, _ in best.edges}
     removed = frozenset(s for s in m.items if s not in used)
-    if not removed:
-        return m, g, removed
-    return submarket(m, used, set(m.buyers)), g.induced(used, m.buyers), removed
+    if removed:
+        m, g = submarket(m, used, set(m.buyers)), g.induced(used, m.buyers)
+    return m, g, removed, best.edges
 
 
 def restrict_market(m: Market, departed: BuyerId, sold: Iterable[ItemId]) -> Market:

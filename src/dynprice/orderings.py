@@ -8,10 +8,10 @@ bi-demand markets driven by dangerous sets.  `pricing.dispatch_ordering`
 certifies each result with `verify_adequate`, so no construction re-proves
 parts of adequacy.  The bi-demand recursion refines a unit-weight structured
 dual at depth 0 (the only graph given unit weights) and after each descent
-that cuts the graph, and lifts the inner ordering with `combine`, which prunes
-edges in no factor of the subgraph.  Case 3 refines nothing: every edge of a
-tight graph lies in a b-factor, so each component is strongly connected and
-its dual constant.
+that cuts the graph, from the graph's maximum b-matching (no solve), and lifts
+the inner ordering with `combine`, which prunes edges in no factor of the
+subgraph.  Case 3 refines nothing: every edge of a tight graph lies in a
+b-factor, so each component is strongly connected and its dual constant.
 """
 
 from __future__ import annotations
@@ -211,8 +211,9 @@ def adequate_bidemand(h: BipartiteGraph, trace: Optional[list] = None) -> Orderi
 
 
 def _bidemand_wrapper(h: BipartiteGraph, trace: list, depth: int) -> Ordering:
-    """Refine h's dual, run the case analysis on its tight subgraph, lift by `combine`."""
-    sc = refine_covering(h)
+    """Refine h's dual from its maximum b-matching (of maximum weight: h has unit
+    weights), run the case analysis on its tight subgraph, lift by `combine`."""
+    sc = refine_covering(h, frozenset(h.max_cardinality_bmatching[0].items()))
     # A zero dual marks a vertex that some largest b-matching leaves unsaturated.
     if 0 in sc.pi.pi.values():
         raise InternalConsistencyError("graph admits no b-factor")

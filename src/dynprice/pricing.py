@@ -4,8 +4,9 @@ Multi-demand prices are pi(s) + delta * sigma(s) with delta = slack/(|S|+1);
 unit-demand prices are pi itself.  Both variants trim the market first and
 price trimmed-away items prohibitively so no buyer ever takes them.
 
-One graph per round: `trim_items` builds it and returns the trimmed market's
-graph, which the structured dual refines and the tight graph is cut from.
+One graph and one weighted solve per round: `trim_items` returns the trimmed
+market's graph and its certified optimum, from which the structured dual
+starts, and the tight graph is cut from that graph.
 """
 
 from __future__ import annotations
@@ -78,8 +79,8 @@ def unit_round(m: Market) -> RoundPricing:
     """Unit-demand round: prices are the structured dual restricted to items."""
     if any(m.demand[t] != 1 for t in m.buyers):
         raise ContractViolationError("unit pricing requires all demands equal to one")
-    trimmed, g, removed = trim_items(m)
-    sc = refine_covering(g)
+    trimmed, g, removed, best = trim_items(m)
+    sc = refine_covering(g, best)
     price = {s: sc.pi.pi[s] for s in trimmed.items}
     price.update({s: prohibitive_price(m, s) for s in removed})
     return RoundPricing(PriceVector(price, Fraction(0)), sc.pi, None, trimmed, removed)
@@ -102,11 +103,11 @@ def tight_market(m: Market) -> TightMarket:
     Multi-demand pricing, `dynprice order` and `dynprice verify` all start
     here, so they accept and refuse the same markets.
     """
-    trimmed, g, removed = trim_items(m)
+    trimmed, g, removed, best = trim_items(m)
     if len(trimmed.items) != trimmed.total_demand():
         raise UnsupportedMarketError(
             "saturation property fails: optimum leaves a buyer short of b(t) items")
-    sc = refine_covering(g)
+    sc = refine_covering(g, best)
     for t in trimmed.buyers:
         if sc.pi.pi[t] == 0:
             raise UnsupportedMarketError(

@@ -57,6 +57,15 @@ def test_parse_errors():
     broken["buyers"][0]["values"]["s1"] = "-2"
     with pytest.raises(ModelError, match="non-negative"):
         parse_instance(json.dumps(broken))
+    # past the interpreter's 4300-digit limit on int conversion, and nested too deep
+    broken = json.loads(json.dumps(base))
+    broken["buyers"][0]["values"]["s1"] = "1" * 5000
+    with pytest.raises(ModelError, match=r"^buyers\[0\]\.values\.s1: "):
+        parse_instance(json.dumps(broken))
+    with pytest.raises(ModelError, match="^invalid JSON: "):
+        parse_instance(json.dumps(base).replace('"demand": 1', '"demand": ' + "9" * 5000))
+    with pytest.raises(ModelError, match="^invalid JSON: "):
+        parse_instance("[" * 100000 + "]" * 100000)
 
 
 @settings(max_examples=40, deadline=None)
@@ -312,6 +321,20 @@ def test_cli_internal_error_exit_code(tmp_path, capsys, monkeypatch, e2):
     assert main(["price", "--input", path]) == 3
     err = capsys.readouterr().err
     assert err.strip() == "internal error: refined dual is not optimal"
+
+
+def test_cli_any_other_exception_is_an_internal_error(tmp_path, capsys, monkeypatch, e2):
+    # an engine bug that no self-check names still exits 3, never 1
+    import dynprice.cli as cli
+
+    def broken(m):
+        raise KeyError("s9")
+
+    monkeypatch.setattr(cli, "multi_round", broken)
+    assert main(["price", "--input", write_market(tmp_path, e2)]) == 3
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err[0] == "Traceback (most recent call last):" and "KeyError" in err[-2]
+    assert err[-1] == "internal error: KeyError: 's9'"
 
 
 def test_cli_price_market_without_buyers(tmp_path, capsys):

@@ -196,9 +196,9 @@ def pinning_corpus():
     recursion: list[BipartiteGraph] = []
     real = orderings.refine_covering
 
-    def recording(g):
+    def recording(g, m):
         recursion.append(g)
-        return real(g)
+        return real(g, m)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(orderings, "refine_covering", recording)
@@ -219,20 +219,19 @@ def test_integer_refine_matches_fraction_references(pinning_corpus):
         assert sc.pi.is_covering(g)
 
 
-def test_solve_fractions_are_the_integer_duals_over_d(pinning_corpus):
+def test_solve_value_and_covering_agree_with_the_matching_weight(pinning_corpus):
     from dynprice.matching import solve_with_covering
     for g in pinning_corpus:
         res = solve_with_covering(g)
-        denom = g.scaled[1]
-        assert res.denom == denom
-        assert res.covering.pi == {v: Fraction(x, denom) for v, x in res.scaled_pi.items()}
-        assert res.value == Fraction(res.scaled_value, denom) == res.matching.weight(g)
-        assert res.covering.total_value(g) == res.value
+        assert res.value == res.matching.weight(g) == res.covering.total_value(g)
+        assert res.covering.is_covering(g)
+        assert res.matching.edges <= res.covering.tight_edges(g)
 
 
 def test_matching_over_a_capacity_trips(monkeypatch):
     # t1 takes both items at zero dual: every other check of the solve passes,
-    # so only its b-matching check can refuse it, before refine sees M
+    # so only its b-matching check can refuse it, before refine sees M; an M
+    # handed to refine goes through the same check
     import dynprice.matching as matching_mod
     from dynprice.errors import InternalConsistencyError
     from dynprice.matching import solve_with_covering
@@ -240,12 +239,31 @@ def test_matching_over_a_capacity_trips(monkeypatch):
                              {("s1", "t1"): Fraction(1), ("s2", "t1"): Fraction(1)},
                              {"s1": 1, "s2": 1, "t1": 1})
     refine_covering(g)
+    refine_covering(g, frozenset({("s1", "t1")}))
+    over = "^optimal matching is not a b-matching of the graph$"
+    for m in (frozenset(g.edges), frozenset({("s1", "t9")})):
+        with pytest.raises(InternalConsistencyError, match=over):
+            refine_covering(g, m)
     monkeypatch.setattr(matching_mod, "_solve", lambda g, weights: (
         frozenset(g.edges), 2, {"s1": 1, "s2": 1, "t1": 0}))
     for call in (solve_with_covering, refine_covering):
-        with pytest.raises(InternalConsistencyError,
-                           match="^optimal matching is not a b-matching of the graph$"):
+        with pytest.raises(InternalConsistencyError, match=over):
             call(g)
+
+
+@pytest.mark.parametrize("m", [frozenset(), frozenset({("s1", "t1")})],
+                         ids=["empty", "lighter"])
+def test_a_matching_below_the_optimum_trips_the_negative_cycle(m):
+    # the face arcs close a negative cycle: z -> s1 -> t2 -> z (-2) without M,
+    # z -> t1 -> s1 -> t2 -> z (-1) with the lighter edge in M
+    from dynprice.errors import InternalConsistencyError
+    g = BipartiteGraph.build(["s1"], ["t1", "t2"],
+                             {("s1", "t1"): Fraction(1), ("s1", "t2"): Fraction(2)},
+                             {"s1": 1, "t1": 1, "t2": 1})
+    refine_covering(g, frozenset({("s1", "t2")}))
+    with pytest.raises(InternalConsistencyError,
+                       match="^negative cycle on the face arcs: the matching is not maximum$"):
+        refine_covering(g, m)
 
 
 @pytest.mark.parametrize("route, message", [
@@ -344,19 +362,6 @@ def test_refine_commutes_with_relabelling():
         assert renamed.slack == sc.slack
 
 
-def refine_from(g, m_edges):
-    """refine_covering started from the optimal b-matching m_edges with the solver's duals."""
-    import dataclasses
-
-    import dynprice.dual as dual
-    from dynprice.matching import BMatching
-    real = dual.matching.solve_with_covering
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(dual.matching, "solve_with_covering", lambda g: dataclasses.replace(
-            real(g), matching=BMatching(frozenset(m_edges))))
-        return refine_covering(g)
-
-
 @pytest.fixture(scope="module")
 def bidemand_recursion():
     """The graphs the bi-demand recursion refines on the `price-bidemand` pool (seed 3)."""
@@ -366,9 +371,9 @@ def bidemand_recursion():
     recursion: list[BipartiteGraph] = []
     real = orderings.refine_covering
 
-    def recording(g):
+    def recording(g, m):
         recursion.append(g)
-        return real(g)
+        return real(g, m)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(workloads, "probe", lambda: workloads.REFERENCE_S)  # no timing here
@@ -384,12 +389,13 @@ def test_refine_is_the_same_from_any_optimal_matching(bidemand_recursion):
     rng = random.Random(17)
     starts = [(g, lexicographic_min_edge_optimum(g)[0].edges)
               for g in (random_graph(rng) for _ in range(3000))]
-    starts += [(g, g.max_cardinality_bmatching[0].items()) for g in bidemand_recursion]
+    starts += [(g, frozenset(g.max_cardinality_bmatching[0].items()))
+               for g in bidemand_recursion]
     other = 0
-    for g, m_edges in starts:
-        sc, given = refine_covering(g), refine_from(g, m_edges)
+    for g, m in starts:
+        sc, given = refine_covering(g), refine_covering(g, m)
         assert (given.pi, given.tight_edges, given.slack) == (sc.pi, sc.tight_edges, sc.slack)
-        other += frozenset(m_edges) != solve_with_covering(g).matching.edges
+        other += m != solve_with_covering(g).matching.edges
     assert len(bidemand_recursion) >= 300 and other >= 250
 
 

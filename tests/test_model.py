@@ -79,7 +79,7 @@ def test_check_opt_property_against_oracle():
 
 
 def test_trim_identity(e2):
-    trimmed, g, removed = trim_items(e2)
+    trimmed, g, removed, _ = trim_items(e2)
     assert removed == frozenset()
     assert trimmed is e2
     assert g == market_graph(e2)
@@ -90,8 +90,9 @@ def test_trim_drops_useless_item(e1):
     vals[("t1", "s3")] = Fraction(0)
     vals[("t2", "s3")] = Fraction(0)
     m = Market.build(["s1", "s2", "s3"], ["t1", "t2"], dict(e1.demand), vals)
-    trimmed, g, removed = trim_items(m)
+    trimmed, g, removed, best = trim_items(m)
     assert removed == frozenset({"s3"})
+    assert best <= g.edge_set
     assert trimmed.items == ("s1", "s2")
     assert g == market_graph(trimmed)
     assert oracle_opt_value(trimmed) == oracle_opt_value(m)
@@ -99,8 +100,8 @@ def test_trim_drops_useless_item(e1):
 
 def test_trim_no_buyers():
     m = Market.build(["s1", "s2"], [], {}, {})
-    trimmed, g, removed = trim_items(m)
-    assert removed == frozenset({"s1", "s2"})
+    trimmed, g, removed, best = trim_items(m)
+    assert removed == frozenset({"s1", "s2"}) and best == frozenset()
     assert g.items == () and g.edges == ()
     assert trimmed.items == ()
 
@@ -115,13 +116,15 @@ def test_trim_preserves_optimum_and_min_cardinality():
         demands = {t: rng.randint(1, 2) for t in buyers}
         vals = {(t, s): Fraction(rng.randint(0, 3)) for t in buyers for s in items}
         m = Market.build(items, buyers, demands, vals)
-        trimmed, _, removed = trim_items(m)
+        trimmed, _, removed, best = trim_items(m)
         opt, optima = oracle_opt(m)
         assert oracle_opt_value(trimmed) == opt
+        assert sum(m.value[(t, s)] for s, t in best) == opt
+        assert {s for s, _ in best} == set(trimmed.items)
         min_items = min(sum(len(b) for b in a.bundle.values()) for a in optima)
         assert len(trimmed.items) == min_items
         # idempotent
-        again, _, removed2 = trim_items(trimmed)
+        again, _, removed2, _ = trim_items(trimmed)
         assert removed2 == frozenset()
 
 
@@ -135,7 +138,7 @@ def test_trim_leaves_all_items_used():
         items = [f"s{i}" for i in range(ns)]
         vals = {(t, s): Fraction(rng.randint(0, 3)) for t in buyers for s in items}
         m = Market.build(items, buyers, {t: rng.randint(1, 2) for t in buyers}, vals)
-        trimmed, _, _ = trim_items(m)
+        trimmed, _, _, _ = trim_items(m)
         _, optima = oracle_opt(trimmed)
         for a in optima:
             used = set().union(*a.bundle.values()) if a.bundle else set()

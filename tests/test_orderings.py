@@ -224,7 +224,8 @@ def test_bidemand_two_components(monkeypatch):
                    [("s1", "t1"), ("s2", "t1"), ("s3", "t2"), ("s4", "t2")])
     refines = []
     real = orderings.refine_covering
-    monkeypatch.setattr(orderings, "refine_covering", lambda h: refines.append(h) or real(h))
+    monkeypatch.setattr(orderings, "refine_covering",
+                        lambda h, m: refines.append(h) or real(h, m))
     trace = []
     sigma = adequate_bidemand(g, trace)
     assert verify_adequate(g, sigma)

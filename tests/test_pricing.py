@@ -156,22 +156,23 @@ def test_multi_trivial_round_without_buyers():
 @pytest.mark.parametrize("workload", ["price-bidemand", "price-unit"])
 def test_rounds_refine_the_trimmed_graph_on_price_pools(monkeypatch, workload):
     # Every round refines the graph trim_items returns, which equals
-    # market_graph of the trimmed market field for field; every tight graph,
-    # the bi-demand recursion's included, equals the from-scratch reference.
+    # market_graph of the trimmed market field for field, starting from trim's
+    # optimum; every tight graph, the bi-demand recursion's included, equals
+    # the from-scratch reference.
     workloads = benchmark_workloads()
     last_trim: list = []
     counts = {"refine": 0, "tight": 0}
 
     def trim(m):
-        trimmed, g, removed = model.trim_items(m)
+        trimmed, g, removed, best = model.trim_items(m)
         assert graph_fields(g) == graph_fields(market_graph(trimmed))
-        last_trim[:] = [g]
-        return trimmed, g, removed
+        last_trim[:] = [g, best]
+        return trimmed, g, removed, best
 
-    def refine(g):
-        assert g is last_trim[0]
+    def refine(g, m):
+        assert g is last_trim[0] and m is last_trim[1]
         counts["refine"] += 1
-        return dual.refine_covering(g)
+        return dual.refine_covering(g, m)
 
     def tight(sc, g):
         gpi = dual.tight_subgraph(sc, g)
@@ -193,6 +194,41 @@ def test_rounds_refine_the_trimmed_graph_on_price_pools(monkeypatch, workload):
             rounds += len(out.rounds)
     assert counts["refine"] == rounds
     assert (counts["tight"] > rounds) == (mode == "multi")
+
+
+def test_one_hungarian_solve_per_round(monkeypatch):
+    # trim's solve is a round's only weighted solve: the structured duals, the
+    # bi-demand recursion's included, start from optima their callers hold
+    import dynprice.matching as matching_mod
+    solves = []
+    hungarian = matching_mod._hungarian
+    recursions = []
+
+    def counting(*args):
+        solves.append(1)
+        return hungarian(*args)
+
+    def bidemand(gpi, trace=None):
+        before = len(solves)
+        sigma = orderings.adequate_bidemand(gpi, trace)
+        recursions.append(len(solves) - before)
+        return sigma
+
+    monkeypatch.setattr(matching_mod, "_hungarian", counting)
+    monkeypatch.setattr(pricing, "adequate_bidemand", bidemand)
+    rounds = 0
+    for seed in range(24):
+        for m, price in ((generate_instance(seed, 4 + seed % 5, 2, (1, 3)), multi_round),
+                         (generate_instance(seed, 3, [1, 2, 3], (1, 4)), multi_round),
+                         (generate_instance(seed, 6 + seed % 4, 1, (1, 3)), unit_round)):
+            while m.buyers:
+                before = len(solves)
+                rp = price(m)
+                assert len(solves) - before == 1
+                rounds += 1
+                t = m.buyers[seed % len(m.buyers)]
+                m = model.restrict_market(m, t, best_bundles(m, t, rp.prices)[0])
+    assert rounds > 350 and len(recursions) > 50 and set(recursions) == {0}
 
 
 def test_adequacy_certificate_matches_the_cold_reference_on_price_pools(monkeypatch):
@@ -260,8 +296,8 @@ def test_trimmed_and_tight_graphs_match_references_on_trimmed_markets():
         rng.shuffle(buyers)
         vals = {(t, s): 0 if rng.random() < 0.4 else Fraction(rng.randint(1, 4), rng.randint(1, 2))
                 for t in buyers for s in items}
-        trimmed, g, removed = trim_items(Market.build(items, buyers, demand, vals))
+        trimmed, g, removed, best = trim_items(Market.build(items, buyers, demand, vals))
         assert removed
         assert graph_fields(g) == graph_fields(market_graph(trimmed))
-        sc = refine_covering(g)
+        sc = refine_covering(g, best)
         assert graph_fields(tight_subgraph(sc, g)) == graph_fields(reference_tight_subgraph(sc, g))
