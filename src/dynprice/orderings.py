@@ -5,13 +5,15 @@ matching the buyer to its first b(t) tight neighbors still leaves a graph with
 a b-factor.  Constructions implemented here: the two-buyer symmetric
 difference rule, the three-buyer labeling, and the recursive case analysis for
 bi-demand markets driven by dangerous sets.  `pricing.dispatch_ordering`
-certifies each result with `verify_adequate`, so no construction re-proves
-parts of adequacy.  The bi-demand recursion refines a unit-weight structured
-dual at depth 0 (the only graph given unit weights) and after each descent
-that cuts the graph, from the graph's maximum b-matching (no solve), and lifts
-the inner ordering with `combine`, which prunes edges in no factor of the
-subgraph.  Case 3 refines nothing: every edge of a tight graph lies in a
-b-factor, so each component is strongly connected and its dual constant.
+certifies each result with `verify_adequate`; each construction checks its
+input once, by `_require_factor`.  The case analysis starts from the caller's
+tight graph (unit weights, every edge in a b-factor), with no refine: its dual
+is constant.  An edge in no b-factor means a buyer set of surplus zero, which
+`sets.maximal_dangerous_set` refuses as a contract error.  After a descent
+that cuts the graph, `_bidemand_wrapper` refines the part from its maximum
+b-matching (no solve), runs the cases on its tight subgraph and lifts them by
+`combine`; a contract error there is an InternalConsistencyError.  Case 3
+refines nothing: each component of a tight graph has a constant dual.
 """
 
 from __future__ import annotations
@@ -46,13 +48,6 @@ class Ordering:
         return tuple(sorted(self.rank, key=self.rank.__getitem__))
 
 
-@dataclass(frozen=True)
-class Labeling3:
-    """Item labels 1..5 for the three-buyer construction."""
-
-    theta: Mapping[ItemId, int]
-
-
 def combine(pi: Covering, sigma: Ordering) -> Ordering:
     """Pre-order by pi values non-decreasing, break ties by sigma."""
     try:
@@ -84,8 +79,6 @@ def adequate_two_buyers(gpi: BipartiteGraph) -> Ordering:
     if len(gpi.buyers) != 2:
         raise ContractViolationError("exactly two buyers required")
     t1, t2 = gpi.buyers
-    if len(gpi.items) != gpi.capacity[t1] + gpi.capacity[t2]:
-        raise ContractViolationError("item count must equal total demand")
     _require_factor(gpi)
     n1 = set(gpi.buyer_adj[t1])
     n2 = set(gpi.buyer_adj[t2])
@@ -94,15 +87,14 @@ def adequate_two_buyers(gpi: BipartiteGraph) -> Ordering:
     return Ordering.from_sequence(seq)
 
 
-def three_buyer_labeling(gpi: BipartiteGraph,
-                         reduced: Mapping[BuyerId, int]) -> Labeling3:
-    """Labeling of the non-exclusive items given reduced demands.
+def three_buyer_labeling(gpi: BipartiteGraph, classes: Mapping[frozenset[int], frozenset[ItemId]],
+                         reduced: Mapping[BuyerId, int]) -> dict[ItemId, int]:
+    """Labels 1..5 of the non-exclusive items given `legal_classes_3` and reduced demands.
 
     Buyers are handled in non-increasing order of reduced demand; for the
     buyer of rank i, the number of items labeled <= 4 - i inside each of its
     pair classes is exactly max(0, class size - other demand).
     """
-    classes = sets.legal_classes_3(gpi)
     buyers = gpi.buyers
     r = {i + 1: reduced[buyers[i]] for i in range(3)}
     order = sorted((1, 2, 3), key=lambda a: (-r[a], a))
@@ -116,9 +108,6 @@ def three_buyer_labeling(gpi: BipartiteGraph,
         r_hi = r[order[i - 1]]
         r_lo = r[order[j - 1]]
         size = len(cls)
-        if size > r_hi + r_lo:
-            raise ContractViolationError(
-                "pair class larger than combined demand; saturation or legality bug upstream")
         mid_label = 3 if (i, j) == (1, 2) else 2
         n4 = min(size, r_lo)
         nmid = max(0, min(size, r_hi) - r_lo)
@@ -132,7 +121,7 @@ def three_buyer_labeling(gpi: BipartiteGraph,
                    for s in classes[frozenset((a, b))] if theta[s] <= 4 - i)
         if grab > r[pos]:
             raise InternalConsistencyError("labeling overcommits a buyer")
-    return Labeling3(theta)
+    return theta
 
 
 def adequate_three_buyers(gpi: BipartiteGraph) -> Ordering:
@@ -144,34 +133,24 @@ def adequate_three_buyers(gpi: BipartiteGraph) -> Ordering:
     nb = len(gpi.buyers)
     if nb > 3:
         raise ContractViolationError("at most three buyers supported")
-    if len(gpi.items) != gpi.buyer_capacity_total():
-        raise ContractViolationError("item count must equal total demand")
     _require_factor(gpi)
     if nb <= 1:
         return Ordering.from_sequence(gpi.items)
     if nb == 2:
         return adequate_two_buyers(gpi)
 
+    # A b-factor saturates every item, gives each buyer all of its exclusive
+    # items and each pair-class item to one of the pair: the labeling's inputs fit.
     classes = sets.legal_classes_3(gpi)
-    if classes[frozenset()]:
-        raise ContractViolationError("item with no tight edge")
     buyers = gpi.buyers
     exclusive: dict[BuyerId, frozenset[ItemId]] = {
         buyers[i]: classes[frozenset((i + 1,))] for i in range(3)
     }
-    reduced = {}
-    for t in buyers:
-        reduced[t] = gpi.capacity[t] - len(exclusive[t])
-        if reduced[t] < 0:
-            raise ContractViolationError(
-                "buyer has more exclusive items than demand; saturation bug upstream")
+    reduced = {t: gpi.capacity[t] - len(exclusive[t]) for t in buyers}
     head = [s for s in gpi.items if any(s in xs for xs in exclusive.values())]
     rest = [s for s in gpi.items if s not in set(head)]
-    if len(rest) != sum(reduced.values()):
-        raise ContractViolationError("class sizes inconsistent with demands")
-
-    lab = three_buyer_labeling(gpi, reduced)
-    rest.sort(key=lab.theta.__getitem__)        # stable: ties stay in item order
+    theta = three_buyer_labeling(gpi, classes, reduced)
+    rest.sort(key=theta.__getitem__)        # stable: ties stay in item order
     return Ordering.from_sequence(head + rest)
 
 
@@ -200,14 +179,18 @@ def _components(g: BipartiteGraph) -> list[tuple[list[ItemId], list[BuyerId]]]:
 
 
 def adequate_bidemand(h: BipartiteGraph, trace: Optional[list] = None) -> Ordering:
-    """Adequate ordering for markets where every demand is at most two;
-    ContractViolationError when h has no b-factor."""
+    """Adequate ordering of a tight graph where every demand is one or two.
+
+    h must have unit weights and a b-factor, and every edge must lie in one
+    (tight = legal); ContractViolationError otherwise.
+    """
     for t in h.buyers:
         if not 1 <= h.capacity[t] <= 2:
             raise ContractViolationError("demands must be one or two")
+    if any(w != 1 for w in h.weight.values()):
+        raise ContractViolationError("tight graph weights must be one")
     _require_factor(h)
-    return _bidemand_wrapper(h.unit_subgraph(h.edge_set),
-                             trace if trace is not None else [], 0)
+    return Ordering.from_sequence(_bidemand_cases(h, trace if trace is not None else [], 0))
 
 
 def _bidemand_wrapper(h: BipartiteGraph, trace: list, depth: int) -> Ordering:
@@ -217,8 +200,11 @@ def _bidemand_wrapper(h: BipartiteGraph, trace: list, depth: int) -> Ordering:
     # A zero dual marks a vertex that some largest b-matching leaves unsaturated.
     if 0 in sc.pi.pi.values():
         raise InternalConsistencyError("graph admits no b-factor")
-    hp = tight_subgraph(sc, h)
-    seq = _bidemand_cases(hp, trace, depth)
+    hp = h if sc.tight_edges == h.edge_set else tight_subgraph(sc, h)
+    try:
+        seq = _bidemand_cases(hp, trace, depth)
+    except ContractViolationError as exc:
+        raise InternalConsistencyError(f"refined graph refused: {exc}") from exc
     return combine(sc.pi, Ordering.from_sequence(seq))
 
 
@@ -237,10 +223,7 @@ def _bidemand_cases(hp: BipartiteGraph, trace: list, depth: int) -> list[ItemId]
             seq.extend(_bidemand_cases(sub, trace, depth + 1))
         return seq
 
-    try:
-        Z = sets.maximal_dangerous_set(hp)
-    except ContractViolationError as exc:
-        raise InternalConsistencyError("connected tight graph with surplus-zero set") from exc
+    Z = sets.maximal_dangerous_set(hp)
     if Z is None:
         trace.append({"depth": depth, "case": "1"})
         return list(hp.items)

@@ -104,10 +104,9 @@ def tight_market(m: Market) -> TightMarket:
     here, so they accept and refuse the same markets.
     """
     trimmed, g, removed, best = trim_items(m)
-    if len(trimmed.items) != trimmed.total_demand():
-        raise UnsupportedMarketError(
-            "saturation property fails: optimum leaves a buyer short of b(t) items")
     sc = refine_covering(g, best)
+    # best uses every kept item, so |S| = |best| <= b(T), and a buyer that best
+    # leaves short has pi(t) = 0: this one test also refuses |S| != b(T).
     for t in trimmed.buyers:
         if sc.pi.pi[t] == 0:
             raise UnsupportedMarketError(

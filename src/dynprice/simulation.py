@@ -167,6 +167,9 @@ def best_bundles(m: Market, t: BuyerId, p: PriceVector) -> list[frozenset[ItemId
     """
     if t not in m.demand:
         raise ModelError(f"unknown buyer {t!r}")
+    missing = [s for s in m.items if s not in p.price]
+    if missing:
+        raise ModelError(f"no price for items {missing!r}")
     margin = {s: m.value[(t, s)] - p.price[s] for s in m.items}
     cands = [s for s in m.items if margin[s] >= 0]
     if len(cands) > 22:

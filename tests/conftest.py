@@ -93,6 +93,33 @@ def benchmark_workloads():
     return module
 
 
+@pytest.fixture(scope="session")
+def bidemand_recursion() -> list[BipartiteGraph]:
+    """The graphs the bi-demand ordering receives on the `price-bidemand` pool
+    (seed 3): each round's tight graph, and each graph the recursion refines."""
+    import dynprice.orderings as orderings
+    import dynprice.pricing as pricing
+    workloads = benchmark_workloads()
+    graphs: list[BipartiteGraph] = []
+    adequate, refine = orderings.adequate_bidemand, orderings.refine_covering
+
+    def receiving(g, trace=None):
+        graphs.append(g)
+        return adequate(g, trace)
+
+    def refining(g, m):
+        graphs.append(g)
+        return refine(g, m)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(workloads, "probe", lambda: workloads.REFERENCE_S)  # no timing here
+        mp.setattr(pricing, "adequate_bidemand", receiving)
+        mp.setattr(orderings, "refine_covering", refining)
+        for case in workloads.set_up("price-bidemand", 3):
+            assert workloads.dynamic_run(case, "multi").error is None
+    return graphs
+
+
 # ---------------------------------------------------------------------------
 # Graph references
 

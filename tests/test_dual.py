@@ -362,29 +362,9 @@ def test_refine_commutes_with_relabelling():
         assert renamed.slack == sc.slack
 
 
-@pytest.fixture(scope="module")
-def bidemand_recursion():
-    """The graphs the bi-demand recursion refines on the `price-bidemand` pool (seed 3)."""
-    import dynprice.orderings as orderings
-    from conftest import benchmark_workloads
-    workloads = benchmark_workloads()
-    recursion: list[BipartiteGraph] = []
-    real = orderings.refine_covering
-
-    def recording(g, m):
-        recursion.append(g)
-        return real(g, m)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(workloads, "probe", lambda: workloads.REFERENCE_S)  # no timing here
-        mp.setattr(orderings, "refine_covering", recording)
-        for case in workloads.set_up("price-bidemand", 3):
-            assert workloads.dynamic_run(case, "multi").error is None
-    return recursion
-
-
 def test_refine_is_the_same_from_any_optimal_matching(bidemand_recursion):
-    # the fewest-edge optimum, and augment's b-factor of a unit-weight recursion graph
+    # the fewest-edge optimum, and augment's b-factor of a unit-weight graph the
+    # bi-demand ordering receives
     from dynprice.matching import lexicographic_min_edge_optimum, solve_with_covering
     rng = random.Random(17)
     starts = [(g, lexicographic_min_edge_optimum(g)[0].edges)

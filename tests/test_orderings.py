@@ -8,7 +8,7 @@ from dynprice import (BipartiteGraph, Ordering, adequate_bidemand, matching,
                       adequate_three_buyers, adequate_two_buyers, combine,
                       generate_instance, market_graph, orderings, refine_covering,
                       tight_subgraph, verify_adequate)
-from dynprice.errors import ContractViolationError, ModelError
+from dynprice.errors import ContractViolationError, InternalConsistencyError, ModelError
 from dynprice.matching import Covering
 
 from conftest import brute_verify_adequate
@@ -116,8 +116,28 @@ def test_two_buyers_shared_tail():
 def test_two_buyers_contract():
     g = unit_graph(["s1", "s2", "s3"], ["t1", "t2"], {"t1": 1, "t2": 1},
                    [("s1", "t1"), ("s2", "t2"), ("s3", "t1")])
-    with pytest.raises(ContractViolationError):
+    with pytest.raises(ContractViolationError, match="graph admits no b-factor"):
         adequate_two_buyers(g)  # |S| != b(T)
+
+
+@pytest.mark.parametrize("items, caps, edges", [
+    # |S| = 4 differs from b(T) = 3
+    (4, (1, 1, 1), [("s1", "t1"), ("s2", "t2"), ("s3", "t3"), ("s4", "t3")]),
+    # s3 has no tight edge
+    (3, (1, 1, 1), [("s1", "t1"), ("s2", "t2"), ("s2", "t3")]),
+    # t1 has two exclusive items and demand one
+    (3, (1, 1, 1), [("s1", "t1"), ("s2", "t1"), ("s3", "t2"), ("s3", "t3")]),
+    # the {t1, t2} class holds three items, their combined demand is two
+    (3, (1, 1, 1), [(s, t) for s in ("s1", "s2", "s3") for t in ("t1", "t2")]),
+])
+def test_three_buyers_refuse_inputs_without_a_factor(items, caps, edges):
+    # each input trips one of the labeling's former input checks (item count,
+    # an item with no tight edge, too many exclusive items, an oversized pair
+    # class); the b-factor test refuses them all
+    names = [f"s{k}" for k in range(1, items + 1)]
+    g = unit_graph(names, ["t1", "t2", "t3"], dict(zip(("t1", "t2", "t3"), caps)), edges)
+    with pytest.raises(ContractViolationError, match="graph admits no b-factor"):
+        adequate_three_buyers(g)
 
 
 def test_three_buyers_on_two_buyers_grows_one_bmatching(monkeypatch):
@@ -202,7 +222,7 @@ def test_three_buyers_planted_factor_graphs():
         classes = legal_classes_3(gpi)
         reduced = {buyers[i]: caps[buyers[i]] - len(classes[frozenset((i + 1,))])
                    for i in range(3)}
-        hist.update(three_buyer_labeling(gpi, reduced).theta.values())
+        hist.update(three_buyer_labeling(gpi, classes, reduced).values())
     assert all(hist[label] > 0 for label in (1, 2, 3, 4))
 
 
@@ -218,8 +238,8 @@ def test_bidemand_d1(d1_graph):
 
 
 def test_bidemand_two_components(monkeypatch):
-    # case 3 recurses into each component without refining it again: the
-    # depth-0 refine is the only one
+    # the case analysis runs on the tight graph itself, and case 3 recurses
+    # into each component without refining it: nothing is refined
     g = unit_graph(["s1", "s2", "s3", "s4"], ["t1", "t2"], {"t1": 2, "t2": 2},
                    [("s1", "t1"), ("s2", "t1"), ("s3", "t2"), ("s4", "t2")])
     refines = []
@@ -230,7 +250,7 @@ def test_bidemand_two_components(monkeypatch):
     sigma = adequate_bidemand(g, trace)
     assert verify_adequate(g, sigma)
     assert any(e["case"] == "3" for e in trace)
-    assert len(refines) == 1
+    assert refines == []
 
 
 def test_bidemand_complete_case1():
@@ -303,6 +323,71 @@ def test_bidemand_rejects_graph_without_factor():
     for g in (uneven, hall):
         with pytest.raises(ContractViolationError, match="graph admits no b-factor"):
             adequate_bidemand(g)
+
+
+def test_bidemand_is_the_refined_pipeline_on_tight_graphs(bidemand_recursion):
+    # The former depth-0 pipeline written out: refine, cut the tight subgraph,
+    # run the case analysis on it and lift by combine.  Where every edge lies
+    # in a b-factor, the case analysis on the graph itself gives the same
+    # ordering and trace; a graph with an edge in no b-factor (the recursion
+    # refines such graphs before it cuts them) is the caller's error.
+    same = refused = 0
+    for g in bidemand_recursion:
+        sc = refine_covering(g)
+        old_trace, trace = [], []
+        old = combine(sc.pi, Ordering.from_sequence(
+            orderings._bidemand_cases(tight_subgraph(sc, g), old_trace, 0)))
+        if sc.tight_edges == g.edge_set:
+            assert adequate_bidemand(g, trace) == old and trace == old_trace
+            same += 1
+        else:
+            with pytest.raises(ContractViolationError):
+                adequate_bidemand(g)
+            refused += 1
+    assert same >= 300 and refused >= 50
+
+
+def test_bidemand_refuses_an_edge_in_no_factor():
+    # t1 must take s1 and s2, so the edge (s1, t2) lies in no b-factor; the
+    # graph is refused whole and with a disconnected third buyer alongside
+    edges = [("s1", "t1"), ("s2", "t1"), ("s1", "t2"), ("s3", "t2")]
+    connected = unit_graph(["s1", "s2", "s3"], ["t1", "t2"], {"t1": 2, "t2": 1}, edges)
+    split = unit_graph(["s1", "s2", "s3", "s4", "s5"], ["t1", "t2", "t3"],
+                       {"t1": 2, "t2": 1, "t3": 2}, edges + [("s4", "t3"), ("s5", "t3")])
+    for g in (connected, split):
+        assert matching.bfactor_exists(g)[0]
+        with pytest.raises(ContractViolationError):
+            adequate_bidemand(g)
+
+
+def test_bidemand_refuses_weights_other_than_one():
+    items = ["s1", "s2", "s3", "s4"]
+    weight = {(s, t): Fraction(1) for s in items for t in ("t1", "t2")}
+    weight[("s1", "t1")] = Fraction(2)
+    cap = dict.fromkeys(items, 1) | {"t1": 2, "t2": 2}
+    g = BipartiteGraph.build(items, ["t1", "t2"], weight, cap)
+    with pytest.raises(ContractViolationError, match="weights must be one"):
+        adequate_bidemand(g)
+
+
+def test_an_unpruned_recursion_graph_is_an_internal_error(fig1, monkeypatch):
+    # the figure market's recursion refines a graph with an edge in no
+    # b-factor; handed on unpruned, the case analysis refuses it, and that is
+    # the engine's fault, not the caller's
+    gpi = tight_of(fig1)
+    pruned = []
+    real = orderings.refine_covering
+
+    def refine(h, m):
+        sc = real(h, m)
+        pruned.append(sc.tight_edges != h.edge_set)
+        return sc
+
+    monkeypatch.setattr(orderings, "refine_covering", refine)
+    assert verify_adequate(gpi, adequate_bidemand(gpi)) and any(pruned)
+    monkeypatch.setattr(orderings, "tight_subgraph", lambda sc, h: h)
+    with pytest.raises(InternalConsistencyError, match="refined graph refused"):
+        adequate_bidemand(gpi)
 
 
 def test_verify_adequate_single_buyer():

@@ -107,11 +107,19 @@ def test_multi_utility_invariants():
 
 
 def test_multi_refuses_without_saturation():
-    # a zero-value item makes the single buyer's saturation fail after trimming
-    m = Market.build(["s1", "s2"], ["t1"], {"t1": 2},
-                     {("t1", "s1"): 3, ("t1", "s2"): 0})
-    with pytest.raises(UnsupportedMarketError):
-        multi_round(m)
+    for items, demand, values in [
+        # a zero-value item makes the single buyer's saturation fail after trimming
+        (["s1", "s2"], {"t1": 2}, {("t1", "s1"): 3, ("t1", "s2"): 0}),
+        # no items at all, and only zero values: |S| = 0 after trimming
+        ([], {"t1": 2}, {}),
+        (["s1", "s2"], {"t1": 2}, {("t1", "s1"): 0, ("t1", "s2"): 0}),
+        # three items for a total demand of four: an optimum leaves t2 short
+        (["s1", "s2", "s3"], {"t1": 2, "t2": 2},
+         {("t1", "s1"): 3, ("t1", "s2"): 1, ("t1", "s3"): 1,
+          ("t2", "s1"): 1, ("t2", "s2"): 0, ("t2", "s3"): 0}),
+    ]:
+        with pytest.raises(UnsupportedMarketError, match="saturation property fails"):
+            multi_round(Market.build(items, list(demand), demand, values))
 
 
 def test_multi_refuses_unsupported_regime():
@@ -229,6 +237,39 @@ def test_one_hungarian_solve_per_round(monkeypatch):
                 t = m.buyers[seed % len(m.buyers)]
                 m = model.restrict_market(m, t, best_bundles(m, t, rp.prices)[0])
     assert rounds > 350 and len(recursions) > 50 and set(recursions) == {0}
+
+
+def test_no_round_grows_the_same_bmatching_twice(monkeypatch):
+    # every graph of a round, the tight graph and the bi-demand recursion's
+    # graphs included, grows its maximum b-matching once: no copy regrows it
+    from functools import cached_property
+
+    from dynprice import BipartiteGraph
+    workloads = benchmark_workloads()
+    grown: list = []
+    rounds = []
+    grow = BipartiteGraph.max_cardinality_bmatching.func
+    price = pricing.multi_round
+
+    def counting(g):
+        grown.append((g.edges, frozenset(g.capacity.items())))
+        return grow(g)
+
+    def round_(m, strategy=None):
+        grown.clear()
+        rp = price(m, strategy)
+        rounds.append(len(grown))
+        assert len(set(grown)) == len(grown)
+        return rp
+
+    prop = cached_property(counting)
+    prop.__set_name__(BipartiteGraph, "max_cardinality_bmatching")
+    monkeypatch.setattr(BipartiteGraph, "max_cardinality_bmatching", prop)
+    monkeypatch.setattr(workloads, "probe", lambda: workloads.REFERENCE_S)  # no timing here
+    monkeypatch.setattr(pricing, "multi_round", round_)
+    for case in workloads.set_up("price-bidemand", 3):
+        assert workloads.dynamic_run(case, "multi").error is None
+    assert len(rounds) == 240 and sum(rounds) >= 600
 
 
 def test_adequacy_certificate_matches_the_cold_reference_on_price_pools(monkeypatch):

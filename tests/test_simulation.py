@@ -120,6 +120,12 @@ def test_best_bundles_all_priced_out(e1):
     assert best_bundles(e1, "t1", high) == [frozenset()]
 
 
+def test_best_bundles_refuses_a_price_vector_missing_items():
+    m = generate_instance(1, 2, 1)
+    with pytest.raises(ModelError, match=r"no price for items \['s2'\]"):
+        best_bundles(m, "t1", PriceVector({"s1": Fraction(1)}, Fraction(0)))
+
+
 def test_best_bundles_unique_under_multi_prices(e2):
     from dynprice import multi_round
     rp = multi_round(e2)
