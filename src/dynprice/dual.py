@@ -26,15 +26,18 @@ b-matching M determines a structured covering:
   and eps (the least positive reduced cost over max h + 2) keeps every other
   arc feasible.  The seller-optimal point is unique and every M-dependent arc
   lies on a zero cycle, so pi is a function of the graph, not of M or names.
-* Witness verification, on every call.  The result must be an optimal
-  covering, which certifies slack edges as non-legal and positive duals as
-  always saturated.  Every tight non-M edge (s, t) needs an alternating
-  t ~> s path in the tight graph with z, and every saturated zero-dual
-  vertex a path from or to z.  Flipping the closed cycle gives a witness
-  b-matching, checked in O(cycle length): degrees change only on the cycle,
-  so capacities are checked there, and the witness is maximum iff the edges
-  it adds weigh what the edges it drops weigh.  M arrives certified by its
-  caller or one solve; a covering of value w(M) proves it and pi optimal.
+* Certificate, on every call.  A covering of value w(M) proves M and pi
+  optimal, slack edges non-legal and positive duals always saturated.  One
+  integer b-matching X = K * M + f proves the rest in O(n + m): f is a
+  circulation positive inside the strong components of the tight residual
+  arcs (the tight face arcs less each M-edge's s->t), and K = max f + 1.
+  The checks 0 <= X_e <= K, degree <= K * b(v) and w . X = K * w(M) make
+  X / K optimal for the b-matching LP, whose polytope is integral (Egervary;
+  Schrijver 2003, ch. 21): X_e > 0 puts e in a maximum-weight b-matching,
+  and a degree below K * b(v) leaves v short in one.  M xor any optimum is
+  zero-length alternating cycles through z on those arcs, so X reaches every
+  legal edge and short vertex.  If M holds every tight edge and no zero dual
+  is saturated, X = M and K = 1.
 
 The construction and every check run on integers.  The distances come in
 units of 1/D, the denominator of the graph's scaled weights (`g.scaled`);
@@ -71,16 +74,8 @@ def compute_slack(g: BipartiteGraph, pi: Covering) -> Optional[Fraction]:
 
     The Fraction reference for the slack that `refine_covering` finds on integers.
     """
-    best: Optional[Fraction] = None
-    for s, t in g.edges:
-        gap = pi.pi[s] + pi.pi[t] - g.weight[(s, t)]
-        if gap > 0 and (best is None or gap < best):
-            best = gap
-    for v in g.items + g.buyers:
-        val = pi.pi[v]
-        if val > 0 and (best is None or val < best):
-            best = val
-    return best
+    gaps = [pi.pi[s] + pi.pi[t] - g.weight[(s, t)] for s, t in g.edges]
+    return min((x for x in gaps + [pi.pi[v] for v in g.items + g.buyers] if x > 0), default=None)
 
 
 def is_legal_edge(g: BipartiteGraph, e: Edge) -> bool:
@@ -179,25 +174,59 @@ def _shift_by_scc(p: list[int], out: Arcs, z: int) -> tuple[list[int], int]:
     return [pa * factor + (h - height[z]) * step for pa, h in zip(p, height)], factor
 
 
-def _bfs(src: int, succ: list[list[int]]) -> list[Optional[int]]:
-    """Parent of every node reached by a breadth-first search from src."""
-    parent: list[Optional[int]] = [None] * len(succ)
-    parent[src] = src
-    queue = deque([src])
-    while queue:
-        a = queue.popleft()
-        for b in succ[a]:
-            if parent[b] is None:
-                parent[b] = a
-                queue.append(b)
-    return parent
+def _circulation(heads: list[list[int]]) -> dict[tuple[int, int], int]:
+    """A circulation on the arcs a -> b, b in heads[a], positive on every arc
+    inside a strong component, in O(n + m).  Kosaraju's searches find the
+    components; the one over reversed arcs gives each root an in-tree, and with
+    a breadth-first out-tree one unit per arc runs root ~> a -> b ~> root, so
+    each tree arc carries the units of the arcs whose ends lie below it."""
+    n = len(heads)
+    tails: list[list[int]] = [[] for _ in heads]
+    for a, hs in enumerate(heads):
+        for b in hs:
+            tails[b].append(a)
+    finished, seen, stack = [], [False] * n, list(range(n))
+    while stack:                           # depth first; ~a finishes a
+        a = stack.pop()
+        if a < 0:
+            finished.append(~a)
+        elif not seen[a]:
+            seen[a] = True
+            stack.append(~a)
+            stack.extend(heads[a])
+    comp, towards, away = [-1] * n, [-1] * n, [-1] * n   # root; in- and out-tree parents
+    tail_units, head_units = [0] * n, [0] * n
+    flow: dict[tuple[int, int], int] = {}
+    for root in reversed(finished):
+        if comp[root] >= 0:
+            continue
+        comp[root], away[root], members, reached = root, root, [root], [root]
+        for b in members:                  # in-tree: a -> towards[a] leads to root
+            for a in tails[b]:
+                if comp[a] < 0:
+                    comp[a], towards[a] = root, b
+                    members.append(a)
+        for a in reached:                  # out-tree: away[b] -> b leads from root
+            for b in heads[a]:
+                if comp[b] == root:
+                    flow[(a, b)] = 1
+                    tail_units[a] += 1
+                    head_units[b] += 1
+                    if away[b] < 0:
+                        away[b] = a
+                        reached.append(b)
+        for b in reversed(reached[1:]):
+            flow[(away[b], b)] += tail_units[b]
+            tail_units[away[b]] += tail_units[b]
+        for a in reversed(members[1:]):
+            flow[(a, towards[a])] += head_units[a]
+            head_units[towards[a]] += head_units[a]
+    return flow
 
 
-def _path(parent: list[Optional[int]], end: int) -> list[int]:
-    path = [end]
-    while parent[path[-1]] != path[-1]:
-        path.append(parent[path[-1]])
-    return path[::-1]
+def _m_alone(n_tight: int, m_edges: frozenset[Edge], zero_saturated: bool) -> bool:
+    """X = M, K = 1 is the certificate: M holds every tight edge, no zero dual is saturated."""
+    return n_tight == len(m_edges) and not zero_saturated
 
 
 def refine_covering(g: BipartiteGraph, m: Optional[frozenset[Edge]] = None
@@ -217,10 +246,8 @@ def refine_covering(g: BipartiteGraph, m: Optional[frozenset[Edge]] = None
     p, factor = _shift_by_scc(_seller_optimal(out, z), out, z)
     q = [sg * pa for sg, pa in zip(sign, p)]   # pi' in units of 1/(D * factor)
 
-    # Verification, always on.  A covering of value w(M) is optimal, and
-    # certifies slack edges as non-legal and positive duals as always saturated;
-    # M certifies its own edges and unsaturated vertices; every other tight edge
-    # and zero dual needs a witness b-matching, checked exactly.
+    # Verification, always on: an optimal covering, then the certificate
+    # X = K * M + f (module notes), checked exactly on integers.
     optimum = sum(weight[e] for e in m_edges)
     tight: set[Edge] = set()
     least: Optional[int] = None
@@ -240,72 +267,38 @@ def refine_covering(g: BipartiteGraph, m: Optional[frozenset[Edge]] = None
     if sum(x * g.capacity[v] for x, v in zip(q, vertices)) != optimum * factor:
         raise InternalConsistencyError("refined dual is not optimal")
 
-    legal = {e: e in m_edges for e in g.edges}
-    saturated = [degree[v] == g.capacity[v] for v in vertices]
-    # Tight graph of the face arcs: a cycle through z or through a non-M
-    # edge alternates, and flipping it gives the witness.
-    succ = [[b for b, length in arcs if length * factor + p[a] - p[b] == 0]
-            for a, arcs in enumerate(out)]
+    cert, mult = dict.fromkeys(m_edges, 1), 1   # X, K
+    if not _m_alone(len(tight), m_edges, any(x == 0 and degree[v] == g.capacity[v]
+                                             for x, v in zip(q, vertices))):
+        # Tight residual arcs: the tight face arcs less each M edge's s -> t,
+        # so that s -> t adds a non-M edge and t -> s drops an M edge.
+        heads = [[b for b, length in arcs if length * factor + p[a] - p[b] == 0]
+                 for a, arcs in enumerate(out)]
+        for s, t in m_edges:
+            heads[node[s]].remove(node[t])
+        flow = _circulation(heads)
+        mult = max(flow.values(), default=0) + 1
+        for e in tight:
+            a, b = node[e[0]], node[e[1]]
+            cert[e] = mult - flow.get((b, a), 0) if e in m_edges else flow.get((a, b), 0)
+    load = dict.fromkeys(vertices, 0)
+    for (s, t), x in cert.items():
+        if not 0 <= x <= mult:
+            raise InternalConsistencyError("certificate violates an edge bound")
+        load[s] += x
+        load[t] += x
+    if any(load[v] > mult * g.capacity[v] for v in vertices):
+        raise InternalConsistencyError("certificate violates a capacity")
+    if sum(weight[e] * x for e, x in cert.items()) != mult * optimum:
+        raise InternalConsistencyError("certificate is not a maximum-weight b-matching")
 
-    def witness_change(path: list[int], closing: Optional[Edge]) -> Counter:
-        """Check the b-matching M xor (path + closing edge); return its degree change.
-
-        Only the cycle's vertices change degree, and its weight is w(M) plus
-        w(added) - w(dropped), where w(M) is the optimum the covering certified,
-        so a witness is maximum iff the two are equal.
-        """
-        add = set() if closing is None else {closing}
-        drop = set()
-        for a, b in zip(path, path[1:]):
-            if a < n_items and b != z:
-                add.add((vertices[a], vertices[b]))
-            elif b < n_items and a != z:
-                drop.add((vertices[b], vertices[a]))
-        if not drop <= m_edges or add & m_edges or not add <= g.edge_set:
-            raise InternalConsistencyError("witness cycle does not alternate")
-        change = Counter(v for e in add for v in e)
-        change.subtract(v for e in drop for v in e)
-        if any(degree[v] + d > g.capacity[v] for v, d in change.items()):
-            raise InternalConsistencyError("witness violates a capacity")
-        if sum(weight[e] for e in add) != sum(weight[e] for e in drop):
-            raise InternalConsistencyError("witness is not a maximum-weight b-matching")
-        return change
-
-    by_buyer: dict[str, list[str]] = {}
-    for s, t in g.edges:
-        if (s, t) in tight and (s, t) not in m_edges:
-            by_buyer.setdefault(t, []).append(s)
-    for t, items in by_buyer.items():
-        parent = _bfs(node[t], succ)
-        for s in items:
-            if parent[node[s]] is not None:
-                witness_change(_path(parent, node[s]), (s, t))
-                legal[(s, t)] = True
-    # A saturated zero-dual item closes a cycle z ~> s -> z, a buyer t ~> z -> t.
-    pred: list[list[int]] = [[] for _ in succ]
-    for a, heads in enumerate(succ):
-        for b in heads:
-            pred[b].append(a)
-    from_z, to_z = _bfs(z, succ), _bfs(z, pred)
-    for k, v in enumerate(vertices):
-        if q[k] != 0 or not saturated[k]:
-            continue
-        if k < n_items and from_z[k] is not None:
-            path = _path(from_z, k)
-        elif k >= n_items and to_z[k] is not None:
-            path = _path(to_z, k)[::-1]
-        else:
-            continue
-        saturated[k] = degree[v] + witness_change(path, None)[v] == g.capacity[v]
-
-    for e in g.edges:
-        if (e in tight) != legal[e]:
-            raise InternalConsistencyError("tight/legal mismatch after refinement")
-    for k in range(z):
-        if (q[k] > 0) != saturated[k]:
-            raise InternalConsistencyError("zero-dual/saturation mismatch")
+    tight_edges = frozenset(tight)
+    if tight_edges != {e for e, x in cert.items() if x > 0}:
+        raise InternalConsistencyError("tight/legal mismatch after refinement")
+    if any((x > 0) != (load[v] == mult * g.capacity[v]) for x, v in zip(q, vertices)):
+        raise InternalConsistencyError("zero-dual/saturation mismatch")
 
     denom = scale * factor
     covering = Covering({v: Fraction(x, denom) for v, x in zip(vertices, q)})
     slack = None if least is None else Fraction(least, denom)
-    return StructuredCovering(covering, frozenset(tight), slack)
+    return StructuredCovering(covering, tight_edges, slack)

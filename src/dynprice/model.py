@@ -51,9 +51,6 @@ class Market:
                 vals[(t, s)] = v
         return Market(items, buyers, {t: demand[t] for t in buyers}, vals)
 
-    def total_demand(self) -> int:
-        return sum(self.demand[t] for t in self.buyers)
-
 
 @dataclass(frozen=True)
 class Allocation:

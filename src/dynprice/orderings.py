@@ -68,6 +68,11 @@ def verify_adequate(gpi: BipartiteGraph, sigma: Ordering) -> bool:
     return True
 
 
+def _require_unit_weights(g: BipartiteGraph) -> None:
+    if any(w != 1 for w in g.weight.values()):
+        raise ContractViolationError("tight graph weights must be one")
+
+
 def _require_factor(g: BipartiteGraph) -> None:
     exists, _ = matching.bfactor_exists(g)
     if not exists:
@@ -128,11 +133,13 @@ def adequate_three_buyers(gpi: BipartiteGraph) -> Ordering:
     """Adequate ordering for at most three buyers with arbitrary demands.
 
     Items tight for a single buyer go first with demands reduced accordingly;
-    the remaining items are ordered by the labeling.
+    the remaining items are ordered by the labeling.  gpi must have unit
+    weights and a b-factor; ContractViolationError otherwise.
     """
     nb = len(gpi.buyers)
     if nb > 3:
         raise ContractViolationError("at most three buyers supported")
+    _require_unit_weights(gpi)
     _require_factor(gpi)
     if nb <= 1:
         return Ordering.from_sequence(gpi.items)
@@ -187,8 +194,7 @@ def adequate_bidemand(h: BipartiteGraph, trace: Optional[list] = None) -> Orderi
     for t in h.buyers:
         if not 1 <= h.capacity[t] <= 2:
             raise ContractViolationError("demands must be one or two")
-    if any(w != 1 for w in h.weight.values()):
-        raise ContractViolationError("tight graph weights must be one")
+    _require_unit_weights(h)
     _require_factor(h)
     return Ordering.from_sequence(_bidemand_cases(h, trace if trace is not None else [], 0))
 

@@ -170,6 +170,8 @@ def best_bundles(m: Market, t: BuyerId, p: PriceVector) -> list[frozenset[ItemId
     missing = [s for s in m.items if s not in p.price]
     if missing:
         raise ModelError(f"no price for items {missing!r}")
+    if any(type(p.price[s]) not in (Fraction, int) for s in m.items):
+        raise ModelError("prices must be ints or Fractions")
     margin = {s: m.value[(t, s)] - p.price[s] for s in m.items}
     cands = [s for s in m.items if margin[s] >= 0]
     if len(cands) > 22:
@@ -287,8 +289,8 @@ def run_exhaustive(m: Market, budget: int = 200000,
     (complete=False, no counterexample trace) rather than silent truncation.
     Only an explicit `ordering_strategy` can make a counterexample (`_below_optimum`).
     """
-    if budget < 0:
-        raise ModelError("budget must be non-negative")
+    if type(budget) is not int or budget < 0:
+        raise ModelError("budget must be a non-negative int")
     mode = infer_mode(m)
     opt_value = oracle_opt_value(m)
     # state -> (least welfare, greatest welfare, run count, first least move)
@@ -365,8 +367,8 @@ def reversed_ordering_strategy(trimmed: Market, gpi, sc) -> Ordering:
 def run_sampled(m: Market, n_orders: int, seed: int,
                 ordering_strategy: Optional[OrderingStrategy] = None) -> Verdict:
     """Seeded random arrival orders and tie-breaks; complete is always False."""
-    if n_orders < 0:
-        raise ModelError("n_orders must be non-negative")
+    if type(n_orders) is not int or n_orders < 0:
+        raise ModelError("n_orders must be a non-negative int")
     opt_value = oracle_opt_value(m)
     rng = random.Random(seed)
     counterexample = None

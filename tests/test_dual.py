@@ -266,31 +266,86 @@ def test_a_matching_below_the_optimum_trips_the_negative_cycle(m):
         refine_covering(g, m)
 
 
-@pytest.mark.parametrize("route, message", [
-    # t1 -> s_M (drop) -> t2 (add, slack) -> s3 (drop) -> z -> s_off: alternates,
-    # keeps every capacity, but adds 2 + 0 and drops 2 + 1
-    (("t1", "matched", "t2", "s3", "z", "other"),
-     "witness is not a maximum-weight b-matching"),
-    (("t1", "z", "other"), "witness violates a capacity"),
-    (("t1", "other"), "witness cycle does not alternate"),
-])
-def test_witness_checks_trip_on_a_mutant_path(monkeypatch, route, message):
+@pytest.mark.parametrize("arc, change, message", [
+    # the added edge below zero
+    ("add", lambda f: -f, "certificate violates an edge bound"),
+    # one unit more on the added edge alone: t1 ends one above K * b(t1)
+    ("add", lambda f: f + 1, "certificate violates a capacity"),
+    # one unit more on the dropped M edge alone: every degree falls, and so does the weight
+    ("drop", lambda f: f + 1, "certificate is not a maximum-weight b-matching"),
+], ids=["edge-bound", "capacity", "weight"])
+def test_certificate_checks_trip_on_a_mutant_circulation(monkeypatch, arc, change, message):
     import dynprice.dual as dual
     from dynprice.errors import InternalConsistencyError
-    from dynprice.matching import solve_with_covering
-    # t1 values s1 and s2 alike, so whichever it is matched to, the other
-    # edge to t1 is tight off M and refine asks `_path` for its witness
+    # t1 values s1 and s2 alike and M gives it s1, so the tight edge (s2, t1) and
+    # the zero dual of s1 need the circulation z -> s2 -> t1 -> s1 -> z: the
+    # arc s2 -> t1 adds (s2, t1), the arc t1 -> s1 drops (s1, t1)
     g = market_graph(Market.build(["s1", "s2", "s3"], ["t1", "t2"], {"t1": 1, "t2": 1},
                                   {("t1", "s1"): 2, ("t1", "s2"): 2, ("t1", "s3"): 0,
                                    ("t2", "s1"): 0, ("t2", "s2"): 0, ("t2", "s3"): 1}))
-    refine_covering(g)
-    matched = next(s for s, t in solve_with_covering(g).matching.edges if t == "t1")
-    name = {"matched": matched, "other": "s2" if matched == "s1" else "s1"}
-    node = {v: k for k, v in enumerate(g.items + g.buyers)} | {"z": len(g.items + g.buyers)}
-    path = [node[name.get(v, v)] for v in route]
-    monkeypatch.setattr(dual, "_path", lambda parent, end: path)
+    m = frozenset({("s1", "t1"), ("s3", "t2")})
+    refine_covering(g, m)
+    s1, s2, t1 = 0, 1, 3
+    key = (s2, t1) if arc == "add" else (t1, s1)
+    real = dual._circulation
+
+    def mutant(heads):
+        flow = real(heads)
+        flow[key] = change(flow[key])
+        return flow
+
+    monkeypatch.setattr(dual, "_circulation", mutant)
     with pytest.raises(InternalConsistencyError, match=f"^{message}$"):
-        refine_covering(g)
+        refine_covering(g, m)
+
+
+def test_circulation_is_positive_exactly_inside_strong_components():
+    from dynprice.dual import _circulation
+    rng = random.Random(5)
+    for _ in range(400):
+        n = rng.randint(1, 9)
+        heads = [[b for b in range(n) if b != a and rng.random() < rng.choice((0.15, 0.3))]
+                 for a in range(n)]
+        reach = [{a} for a in range(n)]
+        for _ in range(n):
+            for a in range(n):
+                for b in heads[a]:
+                    reach[a] |= reach[b]
+        flow = _circulation(heads)
+        assert all(b in heads[a] for a, b in flow)
+        for a in range(n):
+            assert (sum(flow.get((a, b), 0) for b in heads[a])
+                    == sum(flow.get((c, a), 0) for c in range(n) if a in heads[c]))
+            for b in heads[a]:
+                assert (flow.get((a, b), 0) > 0) == (a in reach[b])
+
+
+def test_m_alone_is_the_degenerate_certificate(monkeypatch, pinning_corpus, bidemand_recursion):
+    # X = M with K = 1 accepts exactly what the circulation accepts, on graphs
+    # where the circulation path runs often
+    import dynprice.dual as dual
+    graphs = pinning_corpus + bidemand_recursion
+    built = []
+    real = dual._circulation
+    monkeypatch.setattr(dual, "_circulation", lambda heads: built.append(heads) or real(heads))
+    default = [refine_covering(g) for g in graphs]
+    assert 100 <= len(built) < len(graphs)
+    built.clear()
+    monkeypatch.setattr(dual, "_m_alone", lambda *args: False)
+    assert [refine_covering(g) for g in graphs] == default
+    assert len(built) == len(graphs)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_refine_matches_slow_probes_at_pricing_scale(seed):
+    # a tie-rich 17-buyer unit market, the size the price-unit rounds refine
+    from dynprice import generate_instance, max_weight_bmatching, max_weight_reduced_capacity
+    g = market_graph(generate_instance(seed, 17, 1, (1, 3)))
+    sc = refine_covering(g)
+    _, opt = max_weight_bmatching(g)
+    assert sc.tight_edges == {e for e in g.edges if is_legal_edge(g, e)}
+    for v in g.items + g.buyers:
+        assert (sc.pi.pi[v] == 0) == (max_weight_reduced_capacity(g, v) == opt)
 
 
 @pytest.mark.parametrize("vertex, nudge, message", [

@@ -140,6 +140,18 @@ def test_three_buyers_refuse_inputs_without_a_factor(items, caps, edges):
         adequate_three_buyers(g)
 
 
+@pytest.mark.parametrize("buyers", [["t1"], ["t1", "t2"], ["t1", "t2", "t3"]])
+def test_three_buyers_refuse_weights_other_than_one(buyers):
+    # a factor exists, so only the weight check can refuse the graph
+    items = [f"s{k}" for k in range(1, len(buyers) + 1)]
+    weight = {(s, t): Fraction(1) for s, t in zip(items, buyers)}
+    weight[("s1", "t1")] = Fraction(2)
+    g = BipartiteGraph.build(items, buyers, weight, dict.fromkeys(items + buyers, 1))
+    assert matching.bfactor_exists(g)[0]
+    with pytest.raises(ContractViolationError, match="^tight graph weights must be one$"):
+        adequate_three_buyers(g)
+
+
 def test_three_buyers_on_two_buyers_grows_one_bmatching(monkeypatch):
     # adequate_three_buyers and the adequate_two_buyers it hands off to both
     # test for a b-factor; the graph grows its maximum b-matching only once

@@ -126,6 +126,16 @@ def test_best_bundles_refuses_a_price_vector_missing_items():
         best_bundles(m, "t1", PriceVector({"s1": Fraction(1)}, Fraction(0)))
 
 
+def test_best_bundles_refuses_inexact_prices():
+    # 1/10 - 0.1 is the float 0.0, though the exact margin of the float price is negative
+    m = Market.build(["s1"], ["t1"], {"t1": 1}, {("t1", "s1"): Fraction(1, 10)})
+    for price in (Fraction(1, 10), 0):
+        assert frozenset({"s1"}) in best_bundles(m, "t1", PriceVector({"s1": price}, Fraction(0)))
+    for price in (0.1, True, "1/10"):
+        with pytest.raises(ModelError, match="^prices must be ints or Fractions$"):
+            best_bundles(m, "t1", PriceVector({"s1": price}, Fraction(0)))
+
+
 def test_best_bundles_unique_under_multi_prices(e2):
     from dynprice import multi_round
     rp = multi_round(e2)
@@ -198,6 +208,14 @@ def test_negative_counts_are_model_errors(e2):
     with pytest.raises(ModelError, match="n_orders"):
         run_sampled(e2, -3, seed=0)
     assert run_sampled(e2, 0, seed=0).runs_checked == 0
+
+
+@pytest.mark.parametrize("count", ["5", 1.5, True, None])
+def test_counts_that_are_not_ints_are_model_errors(e2, count):
+    with pytest.raises(ModelError, match="^budget must be a non-negative int$"):
+        run_exhaustive(e2, budget=count)
+    with pytest.raises(ModelError, match="^n_orders must be a non-negative int$"):
+        run_sampled(e2, count, seed=0)
 
 
 def test_negative_control_d1(d1_market, d1_graph):
