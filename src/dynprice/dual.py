@@ -28,16 +28,18 @@ b-matching M determines a structured covering:
   lies on a zero cycle, so pi is a function of the graph, not of M or names.
 * Certificate, on every call.  A covering of value w(M) proves M and pi
   optimal, slack edges non-legal and positive duals always saturated.  One
-  integer b-matching X = K * M + f proves the rest in O(n + m): f is a
-  circulation positive inside the strong components of the tight residual
-  arcs (the tight face arcs less each M-edge's s->t), and K = max f + 1.
-  The checks 0 <= X_e <= K, degree <= K * b(v) and w . X = K * w(M) make
-  X / K optimal for the b-matching LP, whose polytope is integral (Egervary;
-  Schrijver 2003, ch. 21): X_e > 0 puts e in a maximum-weight b-matching,
-  and a degree below K * b(v) leaves v short in one.  M xor any optimum is
-  zero-length alternating cycles through z on those arcs, so X reaches every
-  legal edge and short vertex.  If M holds every tight edge and no zero dual
-  is saturated, X = M and K = 1.
+  integer b-matching proves the rest in O(n + m): X_e = K * [e in M] +
+  f(s->t) - f(t->s) on each tight edge, where f is a circulation positive on
+  every tight face arc (each lies in a strong component after the shift) and
+  K = max f + 1.  No arc is removed: an M-edge's item has no z->s arc, so its
+  X-degree is K - f(s->z) and X_e <= K; f adds no weight, the reduced length
+  of a tight arc being zero.  The checks 0 <= X_e <= K, degree <= K * b(v)
+  and w . X = K * w(M) make X / K optimal for the b-matching LP, whose
+  polytope is integral (Egervary; Schrijver 2003, ch. 21): X_e > 0 puts e in
+  a maximum-weight b-matching, and a degree below K * b(v) leaves v short in
+  one.  X is positive on every tight edge, and the tight arc between z and a
+  zero-dual vertex lowers its degree.  If M holds every tight edge and no
+  zero dual is saturated, X = M and K = 1.
 
 The construction and every check run on integers.  The distances come in
 units of 1/D, the denominator of the graph's scaled weights (`g.scaled`);
@@ -176,48 +178,47 @@ def _shift_by_scc(p: list[int], out: Arcs, z: int) -> tuple[list[int], int]:
 
 def _circulation(heads: list[list[int]]) -> dict[tuple[int, int], int]:
     """A circulation on the arcs a -> b, b in heads[a], positive on every arc
-    inside a strong component, in O(n + m).  Kosaraju's searches find the
-    components; the one over reversed arcs gives each root an in-tree, and with
-    a breadth-first out-tree one unit per arc runs root ~> a -> b ~> root, so
-    each tree arc carries the units of the arcs whose ends lie below it."""
+    inside a strong component.  From each node not yet placed, a breadth-first
+    out-tree over the unplaced nodes, then an in-tree over the out-tree's nodes,
+    find the root's component (forward-backward); one unit per arc inside it
+    runs root ~> a -> b ~> root along the trees, so each tree arc carries the
+    units of the arcs whose ends lie below it.  O(n + m) when every arc lies
+    inside a component, as every tight arc does after the shift."""
     n = len(heads)
     tails: list[list[int]] = [[] for _ in heads]
     for a, hs in enumerate(heads):
         for b in hs:
             tails[b].append(a)
-    finished, seen, stack = [], [False] * n, list(range(n))
-    while stack:                           # depth first; ~a finishes a
-        a = stack.pop()
-        if a < 0:
-            finished.append(~a)
-        elif not seen[a]:
-            seen[a] = True
-            stack.append(~a)
-            stack.extend(heads[a])
     comp, towards, away = [-1] * n, [-1] * n, [-1] * n   # root; in- and out-tree parents
     tail_units, head_units = [0] * n, [0] * n
     flow: dict[tuple[int, int], int] = {}
-    for root in reversed(finished):
+    for root in range(n):
         if comp[root] >= 0:
             continue
-        comp[root], away[root], members, reached = root, root, [root], [root]
+        away[root], reached = root, [root]
+        for a in reached:                  # out-tree: away[b] -> b leads from root
+            for b in heads[a]:
+                if comp[b] < 0 and away[b] < 0:
+                    away[b] = a
+                    reached.append(b)
+        comp[root], members = root, [root]
         for b in members:                  # in-tree: a -> towards[a] leads to root
             for a in tails[b]:
-                if comp[a] < 0:
+                if comp[a] < 0 and away[a] >= 0:
                     comp[a], towards[a] = root, b
                     members.append(a)
-        for a in reached:                  # out-tree: away[b] -> b leads from root
+        for a in members:
             for b in heads[a]:
                 if comp[b] == root:
                     flow[(a, b)] = 1
                     tail_units[a] += 1
                     head_units[b] += 1
-                    if away[b] < 0:
-                        away[b] = a
-                        reached.append(b)
         for b in reversed(reached[1:]):
-            flow[(away[b], b)] += tail_units[b]
-            tail_units[away[b]] += tail_units[b]
+            if comp[b] != root:
+                away[b] = -1               # outside the component: free for a later root
+            else:
+                flow[(away[b], b)] += tail_units[b]
+                tail_units[away[b]] += tail_units[b]
         for a in reversed(members[1:]):
             flow[(a, towards[a])] += head_units[a]
             head_units[towards[a]] += head_units[a]
@@ -247,7 +248,7 @@ def refine_covering(g: BipartiteGraph, m: Optional[frozenset[Edge]] = None
     q = [sg * pa for sg, pa in zip(sign, p)]   # pi' in units of 1/(D * factor)
 
     # Verification, always on: an optimal covering, then the certificate
-    # X = K * M + f (module notes), checked exactly on integers.
+    # X = K * [e in M] + f(s->t) - f(t->s) (module notes), checked exactly on integers.
     optimum = sum(weight[e] for e in m_edges)
     tight: set[Edge] = set()
     least: Optional[int] = None
@@ -270,17 +271,13 @@ def refine_covering(g: BipartiteGraph, m: Optional[frozenset[Edge]] = None
     cert, mult = dict.fromkeys(m_edges, 1), 1   # X, K
     if not _m_alone(len(tight), m_edges, any(x == 0 and degree[v] == g.capacity[v]
                                              for x, v in zip(q, vertices))):
-        # Tight residual arcs: the tight face arcs less each M edge's s -> t,
-        # so that s -> t adds a non-M edge and t -> s drops an M edge.
         heads = [[b for b, length in arcs if length * factor + p[a] - p[b] == 0]
                  for a, arcs in enumerate(out)]
-        for s, t in m_edges:
-            heads[node[s]].remove(node[t])
         flow = _circulation(heads)
         mult = max(flow.values(), default=0) + 1
         for e in tight:
             a, b = node[e[0]], node[e[1]]
-            cert[e] = mult - flow.get((b, a), 0) if e in m_edges else flow.get((a, b), 0)
+            cert[e] = mult * (e in m_edges) + flow.get((a, b), 0) - flow.get((b, a), 0)
     load = dict.fromkeys(vertices, 0)
     for (s, t), x in cert.items():
         if not 0 <= x <= mult:

@@ -55,6 +55,13 @@ BuyerId = str
 Edge = tuple[ItemId, BuyerId]
 
 
+def int_fraction(x, what: str) -> Fraction:
+    """x, an int, as a Fraction; the callers pass Fractions through themselves."""
+    if type(x) is not int:
+        raise ModelError(f"{what} must be ints or Fractions")
+    return Fraction(x)
+
+
 @dataclass(frozen=True)
 class BipartiteGraph:
     """Edge-weighted bipartite graph with vertex capacities (items always 1);
@@ -82,16 +89,16 @@ class BipartiteGraph:
             canon = tuple(sorted(weight, key=lambda e: (item_pos[e[0]], buyer_pos[e[1]])))
         except KeyError as exc:
             raise ModelError(f"edge references unknown vertex {exc}") from exc
-        w = {e: x if isinstance(x := weight[e], Fraction) else Fraction(x) for e in canon}
+        w = {e: x if type(x := weight[e]) is Fraction else int_fraction(x, "weights")
+             for e in canon}
         cap = dict(capacity)
         for s in items:
-            if cap.get(s, 1) != 1:
+            if type(c := cap.get(s, 1)) is not int or c != 1:
                 raise ModelError(f"item {s} must have capacity 1")
             cap[s] = 1
         for t in buyers:
-            c = cap.get(t)
-            if c is None or c < 0:
-                raise ModelError(f"buyer {t} needs a non-negative capacity")
+            if type(c := cap.get(t)) is not int or c < 0:
+                raise ModelError(f"buyer {t} needs a non-negative int capacity")
         return BipartiteGraph(items, buyers, canon, w, cap)
 
     @cached_property
@@ -329,7 +336,9 @@ def _solve(g: BipartiteGraph, weights: Mapping[Edge, int]):
         vals = {u[i] for i in row_of_buyer[t]}
         if len(vals) > 1:
             raise InternalConsistencyError(f"copies of buyer {t} got unequal duals")
-        pi[t] = vals.pop() if vals else 0
+        # capacity 0 leaves t no copy: the least dual that covers its edges
+        pi[t] = vals.pop() if vals else max([0] + [weights[(s, t)] - v[col_of_item[s]]
+                                                   for s in g.buyer_adj[t]])
     for s in g.items:
         pi[s] = v[col_of_item[s]]
     return edge_set, value, pi

@@ -38,14 +38,15 @@ class Market:
         if set(items) & set(buyers):
             raise ModelError("item and buyer ids must be distinct")
         for t in buyers:
-            if t not in demand or demand[t] < 1:
-                raise ModelError(f"buyer {t} needs a demand >= 1")
+            if t not in demand or type(demand[t]) is not int or demand[t] < 1:
+                raise ModelError(f"buyer {t} needs an int demand >= 1")
         vals: dict[tuple[BuyerId, ItemId], Fraction] = {}
         for t in buyers:
             for s in items:
                 if (t, s) not in value:
                     raise ModelError(f"missing value for buyer {t}, item {s}")
-                v = Fraction(value[(t, s)])
+                if type(v := value[(t, s)]) is not Fraction:
+                    v = matching.int_fraction(v, "values")
                 if v < 0:
                     raise ModelError(f"negative value for buyer {t}, item {s}")
                 vals[(t, s)] = v

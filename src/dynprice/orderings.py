@@ -84,6 +84,7 @@ def adequate_two_buyers(gpi: BipartiteGraph) -> Ordering:
     if len(gpi.buyers) != 2:
         raise ContractViolationError("exactly two buyers required")
     t1, t2 = gpi.buyers
+    _require_unit_weights(gpi)
     _require_factor(gpi)
     n1 = set(gpi.buyer_adj[t1])
     n2 = set(gpi.buyer_adj[t2])

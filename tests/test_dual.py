@@ -450,3 +450,42 @@ def test_all_tight_unit_graphs_with_a_factor_get_the_constant_dual(pinning_corpu
                             | dict.fromkeys(g.buyers, Fraction(1, 3)))
         checked += 1
     assert checked >= 400
+
+
+def arcs_off_cycles(heads):
+    """The arcs a -> b, b in heads[a], whose head does not reach their tail."""
+    reach = []
+    for a in range(len(heads)):
+        seen, stack = {a}, [a]
+        while stack:
+            for b in heads[stack.pop()]:
+                if b not in seen:
+                    seen.add(b)
+                    stack.append(b)
+        reach.append(seen)
+    return [(a, b) for a, hs in enumerate(heads) for b in hs if a not in reach[b]]
+
+
+def test_every_tight_arc_lies_on_a_tight_cycle_after_the_shift(monkeypatch, pinning_corpus,
+                                                                bidemand_recursion):
+    # _circulation is linear only when every arc it gets lies inside a strong component
+    import dynprice.dual as dual
+    from dynprice.errors import InternalConsistencyError
+    graphs = pinning_corpus + bidemand_recursion
+    built = []
+    real = dual._circulation
+    monkeypatch.setattr(dual, "_circulation", lambda heads: built.append(heads) or real(heads))
+    monkeypatch.setattr(dual, "_m_alone", lambda *args: False)
+    for g in graphs:
+        refine_covering(g)
+    assert len(built) == len(graphs)
+    assert not any(arcs_off_cycles(heads) for heads in built)
+    # without the shift, the tight arc s1 -> t1 of this graph closes no cycle
+    built.clear()
+    g = market_graph(Market.build(["s1", "s2"], ["t1", "t2"], {"t1": 1, "t2": 1},
+                                  {("t1", "s1"): 3, ("t1", "s2"): 3,
+                                   ("t2", "s1"): 3, ("t2", "s2"): 1}))
+    monkeypatch.setattr(dual, "_shift_by_scc", lambda p, out, z: (p, 1))
+    with pytest.raises(InternalConsistencyError):
+        refine_covering(g)
+    assert len(built) == 1 and (0, 2) in arcs_off_cycles(built[0])

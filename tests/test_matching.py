@@ -151,6 +151,27 @@ def test_expansion_caps_copies_at_items_plus_one(monkeypatch):
     assert res.matching.edges == {("s1", "t1"), ("s2", "t2")}
 
 
+def test_zero_capacity_buyers_change_no_value_and_refine_certifies():
+    # a buyer of capacity 0 gets no copy in the expansion, yet needs a covering dual
+    from dynprice import refine_covering
+    g = BipartiteGraph.build(["s1"], ["t1"], {("s1", "t1"): 1}, {"t1": 0})
+    assert solve_with_covering(g).value == 0
+    assert refine_covering(g).tight_edges == frozenset()
+    rng = random.Random(17)
+    for _ in range(150):
+        items = [f"s{i}" for i in range(rng.randint(1, 5))]
+        buyers = [f"t{i}" for i in range(rng.randint(1, 4))]
+        weights = {(s, t): Fraction(rng.randint(0, 4), rng.randint(1, 2))
+                   for s in items for t in buyers if rng.random() < 0.7}
+        g = graph_of(items, buyers, {t: rng.choice((0, 0, 1, 2)) for t in buyers}, weights)
+        rest = g.without(t for t in buyers if g.capacity[t] == 0)
+        assert solve_with_covering(g).value == solve_with_covering(rest).value
+        assert lexicographic_min_edge_optimum(g) == lexicographic_min_edge_optimum(rest)
+        sc, sc_rest = refine_covering(g), refine_covering(rest)
+        assert sc.tight_edges == sc_rest.tight_edges
+        assert all((sc.pi.pi[v] == 0) == (sc_rest.pi.pi[v] == 0) for v in rest.items + rest.buyers)
+
+
 def test_determinism(e2):
     g = market_graph(e2)
     a = solve_with_covering(g)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dynprice import (Allocation, Market, check_opt_property, market_graph,
+from dynprice import (Allocation, BipartiteGraph, Market, check_opt_property, market_graph,
                       restrict_market, trim_items, welfare)
 from dynprice.errors import ModelError
 from dynprice.simulation import oracle_opt, oracle_opt_value, oracle_structure
@@ -42,6 +42,25 @@ def test_market_build_validation():
         Market.build(["s1", "s1"], ["t1"], {"t1": 1}, {("t1", "s1"): 1})
     with pytest.raises(ModelError):
         Market.build(["s1"], ["t1"], {"t1": 1}, {("t1", "s1"): -1})
+
+
+def build_market(count, value):
+    return Market.build(["s1"], ["t1"], {"t1": count}, {("t1", "s1"): value})
+
+
+def build_graph(count, value):
+    return BipartiteGraph.build(["s1"], ["t1"], {("s1", "t1"): value}, {"t1": count})
+
+
+@pytest.mark.parametrize("build", [build_market, build_graph], ids=["market", "graph"])
+@pytest.mark.parametrize("count, value", [
+    (1.5, 1), ("2", 1), (True, 1),                                      # demand or capacity
+    (1, "x"), (1, float("nan")), (1, "1/3"), (1, 1.5), (1, True),       # value or weight
+])
+def test_constructors_refuse_counts_and_values_of_other_types(build, count, value):
+    build(2, Fraction(1, 3))
+    with pytest.raises(ModelError):
+        build(count, value)
 
 
 def test_check_opt_property_examples(e1, e2):

@@ -152,6 +152,15 @@ def test_three_buyers_refuse_weights_other_than_one(buyers):
         adequate_three_buyers(g)
 
 
+def test_two_buyers_refuse_weights_other_than_one():
+    g = BipartiteGraph.build(["s1", "s2"], ["t1", "t2"],
+                             {("s1", "t1"): 5, ("s2", "t2"): 1, ("s2", "t1"): Fraction(1, 2)},
+                             dict.fromkeys(["s1", "s2", "t1", "t2"], 1))
+    assert matching.bfactor_exists(g)[0]
+    with pytest.raises(ContractViolationError, match="^tight graph weights must be one$"):
+        adequate_two_buyers(g)
+
+
 def test_three_buyers_on_two_buyers_grows_one_bmatching(monkeypatch):
     # adequate_three_buyers and the adequate_two_buyers it hands off to both
     # test for a b-factor; the graph grows its maximum b-matching only once
