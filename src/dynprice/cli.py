@@ -118,24 +118,30 @@ def serialize_market(m: Market) -> dict:
 def generate_instance(seed: int, buyers: int, demand_profile: int | Sequence[int],
                       value_range: tuple[int, int] = (1, 20)) -> Market:
     """Deterministic random market with |S| = total demand and positive values,
-    refused (ModelError) beyond GENERATE_CELL_CAP values, before anything is built.
+    refused (ModelError) beyond GENERATE_CELL_CAP values, before anything is built,
+    and for a buyer count, demand or value bound that is not an int (bool included).
 
     Such a market always has the saturation property: an optimum that left a
     buyer short would leave an item unsold, since |S| = b(T), and giving that
     item to the buyer would raise welfare, since every value is at least one.
     """
+    if type(buyers) is not int:
+        raise ModelError("buyers must be an int")
+    uniform = type(demand_profile) is int
+    if not uniform and (not isinstance(demand_profile, Sequence)
+                        or any(type(d) is not int for d in demand_profile)):
+        raise ModelError("demand profile must be an int or a sequence of ints")
+    if (not isinstance(value_range, Sequence) or len(value_range) != 2
+            or any(type(x) is not int for x in value_range)):
+        raise ModelError("value range must be two ints")
     lo, hi = value_range
     if lo < 1 or hi < lo:
         raise ModelError("value range must satisfy 1 <= lo <= hi")
-    n_items = (demand_profile * buyers if isinstance(demand_profile, int)
-               else sum(demand_profile))
+    n_items = demand_profile * buyers if uniform else sum(demand_profile)
     if buyers * n_items > GENERATE_CELL_CAP:
         raise ModelError(f"{buyers} buyers x {n_items} items is over the limit of "
                          f"{GENERATE_CELL_CAP} values for a generated market")
-    if isinstance(demand_profile, int):
-        demands = [demand_profile] * buyers
-    else:
-        demands = list(demand_profile)
+    demands = [demand_profile] * buyers if uniform else list(demand_profile)
     if len(demands) != buyers or any(d < 1 for d in demands):
         raise ModelError("demand profile must list a positive demand per buyer")
     names_t = [f"t{k + 1}" for k in range(buyers)]

@@ -6,13 +6,20 @@ capacities; it is independent of the matching solver and of LP duality, and
 backs every derived expected value in the test suite.  `oracle_structure`
 reads both structured-dual facts off one DP pass.
 
+`best_bundles` compares margins as ints and builds the best bundles from the
+margin order: the items above the b(t)-th largest margin are fixed, and only
+the tie class at it, or the zero-margin padding, is enumerated.  It keeps the
+full enumeration's cap of 22 non-negative-margin items.
+
 `infer_mode` on the root market picks each run's pricing path, kept to the end
 even when only demand-one buyers remain.  `run_exhaustive` explores every
 arrival order and, at each step, every utility-maximizing bundle.  Prices
 depend only on the residual market, so states are memoized, with their first
 least-welfare move, on (remaining buyers, remaining items); the run count
-still reflects all distinct order/tie-break combinations.  A counterexample
-replays those moves from the root through `run_once`.
+still reflects all distinct order/tie-break combinations.  Its welfare sums
+run in the DP oracle's integer units, and only the verdict's optimum is a
+Fraction.  A counterexample replays those moves from the root through
+`run_once`.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import (ContractViolationError, InternalConsistencyError, ModelError,
@@ -158,35 +165,46 @@ def oracle_feasible(m: Market, t: BuyerId, F: Iterable[ItemId]) -> bool:
 
 
 def best_bundles(m: Market, t: BuyerId, p: PriceVector) -> list[frozenset[ItemId]]:
-    """All utility-maximizing bundles of size at most b(t), in canonical order.
+    """All utility-maximizing bundles of size at most b(t), in canonical order:
+    by size, then by the items' index tuple in `m.items`.
 
-    Items with negative margin never help, so enumeration runs over the
-    non-negative-margin candidates only; zero-margin items generate the
-    zero-utility padding freedom, and the empty bundle appears whenever zero
-    utility is maximal.
+    Margins are compared as ints: the buyer's values and the prices are scaled
+    by the lcm of their denominators.  When more than b(t) margins are
+    positive, every best bundle holds the items above the b(t)-th largest
+    margin and fills its other slots from the items tied at it.  Otherwise it
+    holds every positive-margin item, padded with any few enough zero-margin
+    items; the empty bundle appears whenever zero utility is maximal.  More
+    than 22 non-negative-margin items is refused, as for a full enumeration.
     """
     if t not in m.demand:
         raise ModelError(f"unknown buyer {t!r}")
     missing = [s for s in m.items if s not in p.price]
     if missing:
         raise ModelError(f"no price for items {missing!r}")
-    if any(type(p.price[s]) not in (Fraction, int) for s in m.items):
+    prices = [p.price[s] for s in m.items]
+    if any(type(x) not in (Fraction, int) for x in prices):
         raise ModelError("prices must be ints or Fractions")
-    margin = {s: m.value[(t, s)] - p.price[s] for s in m.items}
-    cands = [s for s in m.items if margin[s] >= 0]
+    values = [m.value[(t, s)] for s in m.items]
+    d = math.lcm(1, *(x.denominator for x in values), *(x.denominator for x in prices))
+    margin = [v.numerator * (d // v.denominator) - x.numerator * (d // x.denominator)
+              for v, x in zip(values, prices)]
+    cands = [i for i, x in enumerate(margin) if x >= 0]
     if len(cands) > 22:
         raise ContractViolationError("bundle enumeration beyond desk scale")
-    best = Fraction(0)
-    out: list[frozenset[ItemId]] = []
-    for k in range(0, min(m.demand[t], len(cands)) + 1):
-        for combo in combinations(cands, k):
-            u = sum((margin[s] for s in combo), Fraction(0))
-            if u > best:
-                best = u
-                out = [frozenset(combo)]
-            elif u == best:
-                out.append(frozenset(combo))
-    return out
+    b = m.demand[t]
+    positive = sorted((margin[i] for i in cands if margin[i] > 0), reverse=True)
+    if len(positive) > b:
+        cut = positive[b - 1]
+        fixed = [i for i in cands if margin[i] > cut]
+        fills = combinations([i for i in cands if margin[i] == cut], b - len(fixed))
+    else:
+        fixed = [i for i in cands if margin[i] > 0]
+        zero = [i for i in cands if margin[i] == 0]
+        fills = chain.from_iterable(combinations(zero, k)
+                                    for k in range(min(b - len(fixed), len(zero)) + 1))
+    # Every bundle holds the same fixed items, so `combinations` over index
+    # order already yields the bundles in canonical order.
+    return [frozenset(m.items[i] for i in (*fixed, *fill)) for fill in fills]
 
 
 # ---------------------------------------------------------------------------
@@ -292,25 +310,30 @@ def run_exhaustive(m: Market, budget: int = 200000,
     if type(budget) is not int or budget < 0:
         raise ModelError("budget must be a non-negative int")
     mode = infer_mode(m)
-    opt_value = oracle_opt_value(m)
+    # Welfare runs on the oracle's integers: values times its denominator.
+    oracle = _Oracle(m)
+    opt = oracle.best_from(0, oracle.start)
+    opt_value = Fraction(opt, oracle.denom)
+    value = {(t, s): oracle.w[i][j]
+             for i, s in enumerate(m.items) for j, t in enumerate(m.buyers)}
     # state -> (least welfare, greatest welfare, run count, first least move)
-    memo: dict[tuple, tuple[Fraction, Fraction, int, Move]] = {}
+    memo: dict[tuple, tuple[int, int, int, Move]] = {}
     expansions = 0
     runs_walked = 0
     violation_seen = False
 
-    def explore(items: frozenset[ItemId], buyers: frozenset[BuyerId], acc: Fraction
-                ) -> tuple[Fraction, Fraction, int, Optional[Move]]:
+    def explore(items: frozenset[ItemId], buyers: frozenset[BuyerId], acc: int
+                ) -> tuple[int, int, int, Optional[Move]]:
         nonlocal expansions, runs_walked, violation_seen
         if not buyers:
             runs_walked += 1
-            if acc != opt_value:
+            if acc != opt:
                 violation_seen = True
-            return Fraction(0), Fraction(0), 1, None
+            return 0, 0, 1, None
         key = (buyers, items)
         hit = memo.get(key)
         if hit is not None:
-            if acc + hit[0] != opt_value:
+            if acc + hit[0] != opt:
                 violation_seen = True
             return hit
         expansions += 1
@@ -325,7 +348,7 @@ def run_exhaustive(m: Market, budget: int = 200000,
             if mode == "multi" and len(bundles) != 1:
                 raise InternalConsistencyError("multi-demand prices must pin a unique bundle")
             for bundle in bundles:
-                gain = sum((residual.value[(t, s)] for s in bundle), Fraction(0))
+                gain = sum(value[(t, s)] for s in bundle)
                 sub_mn, sub_mx, sub_n, _ = explore(items - bundle, buyers - {t}, acc + gain)
                 lo, hi = gain + sub_mn, gain + sub_mx
                 if mn is None or lo < mn:
@@ -336,15 +359,15 @@ def run_exhaustive(m: Market, budget: int = 200000,
         return memo[key]
 
     try:
-        mn, mx, count, _ = explore(frozenset(m.items), frozenset(m.buyers), Fraction(0))
+        mn, mx, count, _ = explore(frozenset(m.items), frozenset(m.buyers), 0)
     except _BudgetExceeded:
         # Partial verdict: runs_walked is a lower bound on verified runs.
         if violation_seen:
             _below_optimum(ordering_strategy)
         return Verdict(runs_walked, not violation_seen, None, False, opt_value)
-    if mx > opt_value:
+    if mx > opt:
         raise InternalConsistencyError("a run exceeded the oracle optimum")
-    if mn == opt_value:
+    if mn == opt:
         return Verdict(count, True, None, True, opt_value)
     _below_optimum(ordering_strategy)
     items, buyers = frozenset(m.items), frozenset(m.buyers)

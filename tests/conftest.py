@@ -172,6 +172,25 @@ def naive_opt_value(m: Market) -> Fraction:
     return rec(0, tuple(m.demand[t] for t in buyers))
 
 
+def reference_best_bundles(m: Market, t, p) -> list[frozenset]:
+    """Every utility-maximizing bundle of size at most b(t), by full enumeration
+    in `Fraction`s over the non-negative-margin items, in canonical order: by
+    size, then by index tuple in `m.items`."""
+    margin = {s: m.value[(t, s)] - p.price[s] for s in m.items}
+    cands = [s for s in m.items if margin[s] >= 0]
+    best = Fraction(0)
+    out: list[frozenset] = []
+    for k in range(0, min(m.demand[t], len(cands)) + 1):
+        for combo in combinations(cands, k):
+            u = sum((margin[s] for s in combo), Fraction(0))
+            if u > best:
+                best = u
+                out = [frozenset(combo)]
+            elif u == best:
+                out.append(frozenset(combo))
+    return out
+
+
 def brute_bfactor_exists(g: BipartiteGraph) -> bool:
     """Backtracking search for a b-factor: every item assigned, caps met exactly."""
     if len(g.items) != sum(g.capacity[t] for t in g.buyers):

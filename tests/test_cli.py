@@ -137,6 +137,18 @@ def test_generate_refuses_only_past_the_cell_cap():
         generate_instance(0, 1, GENERATE_CELL_CAP + 1)
 
 
+@pytest.mark.parametrize("args", [
+    (1.5, 2), ("2", 2), (True, 2),
+    (2, 1.5), (2, True), (2, [1.5, 2]), (2, [2, "1"]), (2, [True, 2]),
+    (2, 2, (1.5, 3)), (2, 2, (1, "3")), (2, 2, (True, 3)), (2, 2, (1, 2, 3)), (2, 2, 5)],
+    ids=["buyers-float", "buyers-str", "buyers-bool", "profile-float", "profile-bool",
+         "entry-float", "entry-str", "entry-bool", "lo-float", "hi-str", "lo-bool",
+         "range-three", "range-int"])
+def test_generate_refuses_counts_and_bounds_that_are_not_ints(args):
+    with pytest.raises(ModelError):
+        generate_instance(1, *args)
+
+
 def test_cli_generate_rejects_malformed_demands(capsys):
     for raw in ("2,x", "x", ""):
         assert main(["generate", "--seed", "4", "--buyers", "2", "--demands", raw]) == 2

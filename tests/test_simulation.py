@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 from dynprice import (Market, PriceVector, best_bundles, generate_instance,
                       oracle_feasible, oracle_opt, oracle_opt_value, run_exhaustive,
                       run_once, run_sampled, verify_adequate)
-from dynprice.errors import ModelError, OracleCapError
+from dynprice.errors import ContractViolationError, ModelError, OracleCapError
 from dynprice.model import restrict_market, submarket
 from dynprice.simulation import oracle_structure, reversed_ordering_strategy
 
-from conftest import naive_opt_value
+from conftest import naive_opt_value, reference_best_bundles
 
 
 # ---------------------------------------------------------------------------
@@ -136,6 +136,45 @@ def test_best_bundles_refuses_inexact_prices():
             best_bundles(m, "t1", PriceVector({"s1": price}, Fraction(0)))
 
 
+# Few distinct values and prices make zero margins, tie classes at the cut and
+# more positive margins than b(t) common; ints and Fractions are mixed.
+_TIE_VALUES = (0, 1, 2, 3, Fraction(1, 2), Fraction(3, 2), Fraction(1, 3), Fraction(2, 7))
+_TIE_PRICES = (0, 1, 2, Fraction(0), Fraction(1), Fraction(1, 2), Fraction(3, 2),
+               Fraction(1, 3), Fraction(5, 7))
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(st.data())
+def test_best_bundles_matches_the_full_enumeration(data):
+    # b(t) runs past |S|, and the items are listed out of name order, so the
+    # canonical order must come from positions in m.items
+    n = data.draw(st.integers(0, 9))
+    items = data.draw(st.permutations([f"s{k}" for k in range(n)]))
+    buyers = ["t1", "t2"]
+    demand = {t: data.draw(st.integers(1, 5)) for t in buyers}
+    value = {(t, s): data.draw(st.sampled_from(_TIE_VALUES)) for t in buyers for s in items}
+    m = Market.build(items, buyers, demand, value)
+    p = PriceVector({s: data.draw(st.sampled_from(_TIE_PRICES)) for s in items}, Fraction(0))
+    for t in buyers:
+        assert best_bundles(m, t, p) == reference_best_bundles(m, t, p)
+
+
+def test_best_bundles_answers_22_candidates_and_refuses_23():
+    # margin 1 on s0 and s1, 0 on the next `zeros` items and -1 on the rest:
+    # only the non-negative margins count towards the cap
+    items = [f"s{k}" for k in range(24)]
+    m = Market.build(items, ["t1"], {"t1": 3}, {("t1", s): 1 for s in items})
+
+    def prices(zeros):
+        return PriceVector({s: 0 if k < 2 else 1 if k < 2 + zeros else 2
+                            for k, s in enumerate(items)}, Fraction(0))
+
+    got = best_bundles(m, "t1", prices(20))
+    assert got == reference_best_bundles(m, "t1", prices(20)) and len(got) == 21
+    with pytest.raises(ContractViolationError, match="^bundle enumeration beyond desk scale$"):
+        best_bundles(m, "t1", prices(21))
+
+
 def test_best_bundles_unique_under_multi_prices(e2):
     from dynprice import multi_round
     rp = multi_round(e2)
@@ -200,6 +239,37 @@ def test_run_exhaustive_budget(e2):
     v = run_exhaustive(e2, budget=1)
     assert not v.complete
     assert v.counterexample is None
+
+
+def _divided(m, denominators):
+    """m with buyer j's values divided by denominators[j]."""
+    return Market.build(m.items, m.buyers, dict(m.demand),
+                        {(t, s): m.value[(t, s)] / d
+                         for t, d in zip(m.buyers, denominators) for s in m.items})
+
+
+@pytest.mark.parametrize("seed, buyers, profile, hi, runs, caught", [
+    (500001, 3, 2, 3, 6, True), (7, 4, 1, 3, 48, False), (11, 3, [3, 2, 1], 4, 6, True)],
+    ids=["bi-demand", "unit", "three-buyer"])
+def test_run_exhaustive_on_fractional_values(seed, buyers, profile, hi, runs, caught):
+    # values over 3 and 7, so D = 21: the search sums welfare in the oracle's
+    # integer units, and none of them may reach the verdict
+    m = _divided(generate_instance(seed, buyers, profile, (1, hi)), (3, 7, 1, 3))
+    v = run_exhaustive(m)
+    assert type(v.optimum) is Fraction and v.optimum == naive_opt_value(m)
+    assert v.optimum.denominator > 1
+    assert v.all_optimal and v.complete and v.runs_checked == runs
+    bad = run_exhaustive(m, ordering_strategy=reversed_ordering_strategy)
+    assert bad.complete and bad.runs_checked == runs and bad.optimum == v.optimum
+    assert bad.all_optimal is not caught
+    if caught:
+        cx = bad.counterexample
+        assert type(cx.final_welfare) is Fraction and cx.final_welfare < bad.optimum
+        assert cx.final_welfare == sum((m.value[(st.buyer, s)] for st in cx.steps
+                                        for s in st.bundle), Fraction(0))
+    partial = run_exhaustive(m, budget=1)
+    assert not partial.complete and partial.counterexample is None
+    assert type(partial.optimum) is Fraction and partial.optimum == v.optimum
 
 
 def test_negative_counts_are_model_errors(e2):
