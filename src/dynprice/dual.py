@@ -20,17 +20,18 @@ b-matching M determines a structured covering:
   shortest-path distances from z: the highest item prices and lowest buyer
   utilities on the face.  M is maximum iff the arcs have no negative cycle.
 * SCC shift.  Nodes that reach the same nodes over the zero-reduced-cost arcs
-  form a component (a fixpoint over reach bitsets), and each node moves by
-  eps * (h(v) - h(z)), h the height of its component in the condensation.
-  Arcs between components become strictly slack, arcs inside one stay tight,
-  and eps (the least positive reduced cost over max h + 2) keeps every other
-  arc feasible.  The seller-optimal point is unique and every M-dependent arc
-  lies on a zero cycle, so pi is a function of the graph, not of M or names.
+  form a component (reach bitsets, the one component search of a refine), and
+  each node moves by eps * (h(v) - h(z)), h the height of its component in the
+  condensation.  Arcs between components become strictly slack, arcs inside
+  one stay tight, and eps (the least positive reduced cost over max h + 2)
+  keeps every other arc feasible.  The seller-optimal point is unique and
+  every M-dependent arc lies on a zero cycle, so pi is a function of the
+  graph, not of M or names.
 * Certificate, on every call.  A covering of value w(M) proves M and pi
   optimal, slack edges non-legal and positive duals always saturated.  One
   integer b-matching proves the rest in O(n + m): X_e = K * [e in M] +
   f(s->t) - f(t->s) on each tight edge, where f is a circulation positive on
-  every tight face arc (each lies in a strong component after the shift) and
+  every tight face arc (the shift's arcs whose ends share a reach set) and
   K = max f + 1.  No arc is removed: an M-edge's item has no z->s arc, so its
   X-degree is K - f(s->z) and X_e <= K; f adds no weight, the reduced length
   of a tight arc being zero.  The checks 0 <= X_e <= K, degree <= K * b(v)
@@ -58,7 +59,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import matching
-from .errors import InternalConsistencyError, ModelError
+from .errors import ContractViolationError, InternalConsistencyError, ModelError
 from .matching import BipartiteGraph, Covering, Edge
 
 
@@ -135,13 +136,15 @@ def _seller_optimal(out: Arcs, z: int) -> list[int]:
     return dist
 
 
-def _shift_by_scc(p: list[int], out: Arcs, z: int) -> tuple[list[int], int]:
-    """Potentials made strictly complementary, scaled by the returned factor.
+def _shift_by_scc(p: list[int], out: Arcs, z: int
+                  ) -> tuple[list[int], int, list[list[int]], list[int]]:
+    """Potentials made strictly complementary, scaled by the returned factor, and
+    the tight arcs at p (succ: node -> heads) with each node's reach set over them.
 
-    Moves node v by eps * (h(v) - h(z)), where h is the height of v's component
-    (the nodes that reach the same nodes) in the condensation of the tight arcs,
-    and eps = the least positive reduced cost / (max h + 2); the factor max h + 2
-    keeps the result integral.
+    Nodes of equal reach set form a strong component.  Node v moves by
+    eps * (h(v) - h(z)), h the height of its component in the condensation, and
+    eps = the least positive reduced cost / (max h + 2); the factor max h + 2 keeps
+    the result integral.  The arcs of succ inside a component stay tight, no other.
     """
     succ: list[list[int]] = [[] for _ in p]
     least: Optional[int] = None
@@ -173,52 +176,43 @@ def _shift_by_scc(p: list[int], out: Arcs, z: int) -> tuple[list[int], int]:
                     height[a], changed = h, True
     factor = max(height) + 2
     step = 1 if least is None else least
-    return [pa * factor + (h - height[z]) * step for pa, h in zip(p, height)], factor
+    shifted = [pa * factor + (h - height[z]) * step for pa, h in zip(p, height)]
+    return shifted, factor, succ, reach
 
 
 def _circulation(heads: list[list[int]]) -> dict[tuple[int, int], int]:
-    """A circulation on the arcs a -> b, b in heads[a], positive on every arc
-    inside a strong component.  From each node not yet placed, a breadth-first
-    out-tree over the unplaced nodes, then an in-tree over the out-tree's nodes,
-    find the root's component (forward-backward); one unit per arc inside it
-    runs root ~> a -> b ~> root along the trees, so each tree arc carries the
-    units of the arcs whose ends lie below it.  O(n + m) when every arc lies
-    inside a component, as every tight arc does after the shift."""
+    """A circulation positive on every arc a -> b, b in heads[a], when every arc
+    lies inside a strong component.  From each node not yet placed, a breadth-first
+    out-tree spans the root's component and an in-tree over it leads back; one
+    unit per arc runs root ~> a -> b ~> root along the trees, so each tree arc
+    carries the units of the arcs whose ends lie below it.  O(n + m)."""
     n = len(heads)
     tails: list[list[int]] = [[] for _ in heads]
-    for a, hs in enumerate(heads):
-        for b in hs:
-            tails[b].append(a)
-    comp, towards, away = [-1] * n, [-1] * n, [-1] * n   # root; in- and out-tree parents
+    towards, away = [-1] * n, [-1] * n   # in- and out-tree parents
     tail_units, head_units = [0] * n, [0] * n
     flow: dict[tuple[int, int], int] = {}
     for root in range(n):
-        if comp[root] >= 0:
+        if away[root] >= 0:
             continue
         away[root], reached = root, [root]
         for a in reached:                  # out-tree: away[b] -> b leads from root
             for b in heads[a]:
-                if comp[b] < 0 and away[b] < 0:
+                if away[b] < 0:
                     away[b] = a
                     reached.append(b)
-        comp[root], members = root, [root]
+                flow[(a, b)] = 1
+                tails[b].append(a)         # the component's arcs are all seen here
+                tail_units[a] += 1
+                head_units[b] += 1
+        towards[root], members = root, [root]
         for b in members:                  # in-tree: a -> towards[a] leads to root
             for a in tails[b]:
-                if comp[a] < 0 and away[a] >= 0:
-                    comp[a], towards[a] = root, b
+                if towards[a] < 0:
+                    towards[a] = b
                     members.append(a)
-        for a in members:
-            for b in heads[a]:
-                if comp[b] == root:
-                    flow[(a, b)] = 1
-                    tail_units[a] += 1
-                    head_units[b] += 1
         for b in reversed(reached[1:]):
-            if comp[b] != root:
-                away[b] = -1               # outside the component: free for a later root
-            else:
-                flow[(away[b], b)] += tail_units[b]
-                tail_units[away[b]] += tail_units[b]
+            flow[(away[b], b)] += tail_units[b]
+            tail_units[away[b]] += tail_units[b]
         for a in reversed(members[1:]):
             flow[(a, towards[a])] += head_units[a]
             head_units[towards[a]] += head_units[a]
@@ -233,18 +227,24 @@ def _m_alone(n_tight: int, m_edges: frozenset[Edge], zero_saturated: bool) -> bo
 def refine_covering(g: BipartiteGraph, m: Optional[frozenset[Edge]] = None
                     ) -> StructuredCovering:
     """Structured optimal covering of g from m, a maximum-weight b-matching of g
-    (one solve supplies it when omitted; see the module notes)."""
+    (one solve supplies it when omitted; see the module notes).  A caller's m
+    that is not one raises ContractViolationError."""
+    if m is not None and not (isinstance(m, (set, frozenset)) and m <= g.edge_set):
+        raise ContractViolationError("m is not a set of the graph's edges")
     m_edges = matching.solve_with_covering(g).matching.edges if m is None else m
-    degree = matching.check_bmatching(g, m_edges)
     vertices = g.items + g.buyers
-    n_items = len(g.items)
     z = len(vertices)
     node = {v: k for k, v in enumerate(vertices)}
-
     weight, scale = g.scaled
-    sign = [1] * n_items + [-1] * len(g.buyers)
-    out = _face_arcs(g, m_edges, degree, weight, node, z)
-    p, factor = _shift_by_scc(_seller_optimal(out, z), out, z)
+    sign = [1] * len(g.items) + [-1] * len(g.buyers)
+    try:   # past a capacity or below the optimum: the caller's m, or an engine bug
+        degree = matching.check_bmatching(g, m_edges)
+        out = _face_arcs(g, m_edges, degree, weight, node, z)
+        p, factor, succ, reach = _shift_by_scc(_seller_optimal(out, z), out, z)
+    except InternalConsistencyError as exc:
+        if m is None:
+            raise
+        raise ContractViolationError(str(exc)) from exc
     q = [sg * pa for sg, pa in zip(sign, p)]   # pi' in units of 1/(D * factor)
 
     # Verification, always on: an optimal covering, then the certificate
@@ -271,9 +271,8 @@ def refine_covering(g: BipartiteGraph, m: Optional[frozenset[Edge]] = None
     cert, mult = dict.fromkeys(m_edges, 1), 1   # X, K
     if not _m_alone(len(tight), m_edges, any(x == 0 and degree[v] == g.capacity[v]
                                              for x, v in zip(q, vertices))):
-        heads = [[b for b, length in arcs if length * factor + p[a] - p[b] == 0]
-                 for a, arcs in enumerate(out)]
-        flow = _circulation(heads)
+        flow = _circulation([[b for b in heads if reach[b] == reach[a]]
+                             for a, heads in enumerate(succ)])
         mult = max(flow.values(), default=0) + 1
         for e in tight:
             a, b = node[e[0]], node[e[1]]

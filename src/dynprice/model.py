@@ -162,11 +162,13 @@ def trim_items(m: Market) -> tuple[Market, BipartiteGraph, frozenset[ItemId],
 
 
 def restrict_market(m: Market, departed: BuyerId, sold: Iterable[ItemId]) -> Market:
-    """The market after a buyer leaves with (possibly zero) sold items."""
+    """The market after a buyer leaves with (possibly zero, at most its demand) sold items."""
     sold = frozenset(sold)
     if departed not in m.demand:
         raise ModelError(f"unknown buyer {departed!r}")
     unknown = sold - set(m.items)
     if unknown:
         raise ModelError(f"unknown items {sorted(unknown)!r}")
+    if len(sold) > m.demand[departed]:
+        raise ModelError(f"bundle of {departed} exceeds demand")
     return submarket(m, set(m.items) - sold, set(m.buyers) - {departed})

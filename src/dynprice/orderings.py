@@ -203,12 +203,12 @@ def adequate_bidemand(h: BipartiteGraph, trace: Optional[list] = None) -> Orderi
 def _bidemand_wrapper(h: BipartiteGraph, trace: list, depth: int) -> Ordering:
     """Refine h's dual from its maximum b-matching (of maximum weight: h has unit
     weights), run the case analysis on its tight subgraph, lift by `combine`."""
-    sc = refine_covering(h, frozenset(h.max_cardinality_bmatching[0].items()))
-    # A zero dual marks a vertex that some largest b-matching leaves unsaturated.
-    if 0 in sc.pi.pi.values():
-        raise InternalConsistencyError("graph admits no b-factor")
-    hp = h if sc.tight_edges == h.edge_set else tight_subgraph(sc, h)
     try:
+        sc = refine_covering(h, frozenset(h.max_cardinality_bmatching[0].items()))
+        # A zero dual marks a vertex that some largest b-matching leaves unsaturated.
+        if 0 in sc.pi.pi.values():
+            raise InternalConsistencyError("graph admits no b-factor")
+        hp = h if sc.tight_edges == h.edge_set else tight_subgraph(sc, h)
         seq = _bidemand_cases(hp, trace, depth)
     except ContractViolationError as exc:
         raise InternalConsistencyError(f"refined graph refused: {exc}") from exc

@@ -153,9 +153,9 @@ def oracle_structure(m: Market) -> tuple[frozenset[tuple[ItemId, BuyerId]],
 def oracle_feasible(m: Market, t: BuyerId, F: Iterable[ItemId]) -> bool:
     """Does some optimal allocation give t exactly the bundle F?"""
     F = frozenset(F)
-    rest = restrict_market(m, t, F)     # ModelError on an unknown buyer or item
-    if len(F) > m.demand[t]:
+    if len(F) > m.demand.get(t, len(F)) and F <= set(m.items):
         return False
+    rest = restrict_market(m, t, F)     # ModelError on an unknown buyer or item
     bundle_value = sum((m.value[(t, s)] for s in F), Fraction(0))
     return bundle_value + oracle_opt_value(rest) == oracle_opt_value(m)
 

@@ -11,8 +11,13 @@ from itertools import combinations
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from dynprice import BipartiteGraph, Market, bfactor_exists
+
+# every run draws the same examples and keeps no example database
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 
 # ---------------------------------------------------------------------------

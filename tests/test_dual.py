@@ -171,6 +171,14 @@ def test_refine_matches_slow_probes_on_corpus():
             assert (sc.pi.pi[v] == 0) == (max_weight_reduced_capacity(g, v) == opt)
 
 
+def unshifted(shift):
+    """`_shift_by_scc` with its tight arcs and components, but p left unshifted."""
+    def keep(p, out, z):
+        _, _, succ, reach = shift(p, out, z)
+        return p, 1, succ, reach
+    return keep
+
+
 def test_verification_trips_without_scc_shift(monkeypatch):
     import dynprice.dual as dual
     from dynprice.errors import InternalConsistencyError
@@ -182,7 +190,7 @@ def test_verification_trips_without_scc_shift(monkeypatch):
     g = market_graph(m)
     assert not is_legal_edge(g, ("s1", "t1"))
     refine_covering(g)
-    monkeypatch.setattr(dual, "_shift_by_scc", lambda p, out, z: (p, 1))
+    monkeypatch.setattr(dual, "_shift_by_scc", unshifted(dual._shift_by_scc))
     with pytest.raises(InternalConsistencyError):
         refine_covering(g)
 
@@ -231,9 +239,9 @@ def test_solve_value_and_covering_agree_with_the_matching_weight(pinning_corpus)
 def test_matching_over_a_capacity_trips(monkeypatch):
     # t1 takes both items at zero dual: every other check of the solve passes,
     # so only its b-matching check can refuse it, before refine sees M; an M
-    # handed to refine goes through the same check
+    # handed to refine goes through the same check, and is the caller's error
     import dynprice.matching as matching_mod
-    from dynprice.errors import InternalConsistencyError
+    from dynprice.errors import ContractViolationError, InternalConsistencyError
     from dynprice.matching import solve_with_covering
     g = BipartiteGraph.build(["s1", "s2"], ["t1"],
                              {("s1", "t1"): Fraction(1), ("s2", "t1"): Fraction(1)},
@@ -241,9 +249,8 @@ def test_matching_over_a_capacity_trips(monkeypatch):
     refine_covering(g)
     refine_covering(g, frozenset({("s1", "t1")}))
     over = "^optimal matching is not a b-matching of the graph$"
-    for m in (frozenset(g.edges), frozenset({("s1", "t9")})):
-        with pytest.raises(InternalConsistencyError, match=over):
-            refine_covering(g, m)
+    with pytest.raises(ContractViolationError, match=over):
+        refine_covering(g, frozenset(g.edges))
     monkeypatch.setattr(matching_mod, "_solve", lambda g, weights: (
         frozenset(g.edges), 2, {"s1": 1, "s2": 1, "t1": 0}))
     for call in (solve_with_covering, refine_covering):
@@ -255,14 +262,27 @@ def test_matching_over_a_capacity_trips(monkeypatch):
                          ids=["empty", "lighter"])
 def test_a_matching_below_the_optimum_trips_the_negative_cycle(m):
     # the face arcs close a negative cycle: z -> s1 -> t2 -> z (-2) without M,
-    # z -> t1 -> s1 -> t2 -> z (-1) with the lighter edge in M
-    from dynprice.errors import InternalConsistencyError
+    # z -> t1 -> s1 -> t2 -> z (-1) with the lighter edge in M; the caller's error
+    from dynprice.errors import ContractViolationError
     g = BipartiteGraph.build(["s1"], ["t1", "t2"],
                              {("s1", "t1"): Fraction(1), ("s1", "t2"): Fraction(2)},
                              {"s1": 1, "t1": 1, "t2": 1})
     refine_covering(g, frozenset({("s1", "t2")}))
-    with pytest.raises(InternalConsistencyError,
+    with pytest.raises(ContractViolationError,
                        match="^negative cycle on the face arcs: the matching is not maximum$"):
+        refine_covering(g, m)
+
+
+@pytest.mark.parametrize("m", [frozenset({("s1", "t9")}), [("s1", "t2")], frozenset({5}),
+                               ("s1", "t2")],
+                         ids=["foreign-edge", "list", "not-edges", "one-edge"])
+def test_a_callers_m_that_is_not_a_set_of_the_graphs_edges_is_refused(m):
+    from dynprice.errors import ContractViolationError
+    g = BipartiteGraph.build(["s1"], ["t1", "t2"],
+                             {("s1", "t1"): Fraction(1), ("s1", "t2"): Fraction(2)},
+                             {"s1": 1, "t1": 1, "t2": 1})
+    refine_covering(g, {("s1", "t2")})
+    with pytest.raises(ContractViolationError, match="^m is not a set of the graph's edges$"):
         refine_covering(g, m)
 
 
@@ -300,6 +320,8 @@ def test_certificate_checks_trip_on_a_mutant_circulation(monkeypatch, arc, chang
 
 
 def test_circulation_is_positive_exactly_inside_strong_components():
+    # random digraphs cut to the arcs inside their strong components, as refine
+    # hands over the tight arcs whose ends share a reach set
     from dynprice.dual import _circulation
     rng = random.Random(5)
     for _ in range(400):
@@ -311,13 +333,13 @@ def test_circulation_is_positive_exactly_inside_strong_components():
             for a in range(n):
                 for b in heads[a]:
                     reach[a] |= reach[b]
-        flow = _circulation(heads)
-        assert all(b in heads[a] for a, b in flow)
+        inner = [[b for b in heads[a] if a in reach[b]] for a in range(n)]
+        flow = _circulation(inner)
+        assert set(flow) == {(a, b) for a in range(n) for b in inner[a]}
+        assert all(x > 0 for x in flow.values())
         for a in range(n):
-            assert (sum(flow.get((a, b), 0) for b in heads[a])
-                    == sum(flow.get((c, a), 0) for c in range(n) if a in heads[c]))
-            for b in heads[a]:
-                assert (flow.get((a, b), 0) > 0) == (a in reach[b])
+            assert (sum(flow[(a, b)] for b in inner[a])
+                    == sum(flow[(c, a)] for c in range(n) if a in inner[c]))
 
 
 def test_m_alone_is_the_degenerate_certificate(monkeypatch, pinning_corpus, bidemand_recursion):
@@ -362,9 +384,9 @@ def test_refined_dual_checks_trip_on_a_mutant_shift(monkeypatch, vertex, nudge, 
     real = dual._shift_by_scc
 
     def mutant(p, out, z):
-        p, factor = real(p, out, z)
+        p, factor, succ, reach = real(p, out, z)
         p[vertex] += nudge * factor
-        return p, factor
+        return p, factor, succ, reach
 
     monkeypatch.setattr(dual, "_shift_by_scc", mutant)
     with pytest.raises(InternalConsistencyError, match=f"^{message}$"):
@@ -384,7 +406,7 @@ def test_structure_checks_trip_without_scc_shift(monkeypatch, values, demand, me
     from dynprice.errors import InternalConsistencyError
     g = market_graph(Market.build(["s0", "s1"], ["t0", "t1"], demand, values))
     refine_covering(g)
-    monkeypatch.setattr(dual, "_shift_by_scc", lambda p, out, z: (p, 1))
+    monkeypatch.setattr(dual, "_shift_by_scc", unshifted(dual._shift_by_scc))
     with pytest.raises(InternalConsistencyError, match=f"^{message}$"):
         refine_covering(g)
 
@@ -468,24 +490,41 @@ def arcs_off_cycles(heads):
 
 def test_every_tight_arc_lies_on_a_tight_cycle_after_the_shift(monkeypatch, pinning_corpus,
                                                                 bidemand_recursion):
-    # _circulation is linear only when every arc it gets lies inside a strong component
+    # the circulation gets the arcs tight at the shifted potentials, every one
+    # inside a strong component, without a rescan of the face arcs
     import dynprice.dual as dual
     from dynprice.errors import InternalConsistencyError
     graphs = pinning_corpus + bidemand_recursion
-    built = []
-    real = dual._circulation
+    built, rescans = [], []
+    real, shift = dual._circulation, dual._shift_by_scc
     monkeypatch.setattr(dual, "_circulation", lambda heads: built.append(heads) or real(heads))
     monkeypatch.setattr(dual, "_m_alone", lambda *args: False)
+
+    def rescanning(shift):
+        def scan(p, out, z):
+            shifted = shift(p, out, z)
+            q, factor = shifted[:2]
+            rescans.append([[b for b, length in arcs if length * factor + q[a] - q[b] == 0]
+                            for a, arcs in enumerate(out)])
+            return shifted
+        return scan
+
+    monkeypatch.setattr(dual, "_shift_by_scc", rescanning(shift))
     for g in graphs:
         refine_covering(g)
     assert len(built) == len(graphs)
+    assert built == rescans
     assert not any(arcs_off_cycles(heads) for heads in built)
-    # without the shift, the tight arc s1 -> t1 of this graph closes no cycle
+    # without the shift, the tight arc s1 -> t1 of this graph closes no cycle:
+    # the rescan has it, the circulation does not
     built.clear()
+    rescans.clear()
     g = market_graph(Market.build(["s1", "s2"], ["t1", "t2"], {"t1": 1, "t2": 1},
                                   {("t1", "s1"): 3, ("t1", "s2"): 3,
                                    ("t2", "s1"): 3, ("t2", "s2"): 1}))
-    monkeypatch.setattr(dual, "_shift_by_scc", lambda p, out, z: (p, 1))
+    monkeypatch.setattr(dual, "_shift_by_scc", rescanning(unshifted(shift)))
     with pytest.raises(InternalConsistencyError):
         refine_covering(g)
-    assert len(built) == 1 and (0, 2) in arcs_off_cycles(built[0])
+    assert len(built) == len(rescans) == 1
+    assert (0, 2) in arcs_off_cycles(rescans[0]) and 2 in rescans[0][0]
+    assert 2 not in built[0][0]

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dynprice import (Allocation, BipartiteGraph, Market, check_opt_property, market_graph,
-                      restrict_market, trim_items, welfare)
+from dynprice import (Allocation, BipartiteGraph, Market, check_opt_property,
+                      generate_instance, market_graph, restrict_market, trim_items, welfare)
 from dynprice.errors import ModelError
 from dynprice.simulation import oracle_opt, oracle_opt_value, oracle_structure
 
@@ -206,6 +206,10 @@ def test_restrict_market(e1, e2):
         restrict_market(e1, "t9", set())
     with pytest.raises(ModelError):
         restrict_market(e1, "t1", {"zzz"})
+    m = generate_instance(1, 3, 2, (1, 3))
+    assert restrict_market(m, "t1", ["s1", "s2"]).buyers == ("t2", "t3")
+    with pytest.raises(ModelError, match="^bundle of t1 exceeds demand$"):
+        restrict_market(m, "t1", ["s1", "s2", "s3"])
 
 
 @settings(max_examples=30, deadline=None)

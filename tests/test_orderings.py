@@ -411,6 +411,16 @@ def test_an_unpruned_recursion_graph_is_an_internal_error(fig1, monkeypatch):
         adequate_bidemand(gpi)
 
 
+def test_a_non_maximum_matching_in_the_recursion_is_an_internal_error(fig1, monkeypatch):
+    # refine refuses a caller's non-maximum m as the caller's error; when the
+    # caller is the bi-demand recursion, that is the engine's fault
+    gpi = tight_of(fig1)
+    real = orderings.refine_covering
+    monkeypatch.setattr(orderings, "refine_covering", lambda h, m: real(h, frozenset()))
+    with pytest.raises(InternalConsistencyError, match="^refined graph refused: negative cycle"):
+        adequate_bidemand(gpi)
+
+
 def test_verify_adequate_single_buyer():
     g = unit_graph(["s1", "s2"], ["t1"], {"t1": 2}, [("s1", "t1"), ("s2", "t1")])
     assert verify_adequate(g, Ordering.from_sequence(["s1", "s2"]))

@@ -100,10 +100,13 @@ def test_oracle_edge_legal_and_feasible(fig1):
     assert ("s2", "t1") not in legal
     assert oracle_feasible(fig1, "t1", {"s1", "s3"})
     assert not oracle_feasible(fig1, "t1", {"s3", "s4"})
+    assert not oracle_feasible(fig1, "t1", {"s1", "s3", "s4"})   # past t1's demand of 2
     with pytest.raises(ModelError):
         oracle_feasible(fig1, "nobody", {"s1"})
     with pytest.raises(ModelError):
         oracle_feasible(fig1, "t1", ["nope"])
+    with pytest.raises(ModelError):
+        oracle_feasible(fig1, "t1", ["s1", "s3", "nope"])
 
 
 # ---------------------------------------------------------------------------
