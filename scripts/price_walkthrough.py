@@ -3,19 +3,21 @@
 
 Shows the structured dual, the tight graph, the adequate ordering with the
 case trace, the posted prices, and the arriving buyer's unique best bundle.
+Exits 1 when the run's final welfare differs from the optimum.
 
 Usage:
     python scripts/price_walkthrough.py [--seed 3] [--buyers 3] [--demand 2]
 """
 
 import argparse
+import sys
 
 from dynprice import (best_bundles, generate_instance, multi_round, oracle_opt_value,
                       restrict_market)
 from dynprice.pricing import dispatch_ordering
 
 
-def main() -> None:
+def main() -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("--seed", type=int, default=3)
     ap.add_argument("--buyers", type=int, default=3)
@@ -49,8 +51,10 @@ def main() -> None:
               f"{sum(rp.prices.price[s] for s in bundle)} (welfare +{gain})")
         residual = restrict_market(residual, t, bundle)
 
-    print(f"\nfinal welfare {total} (optimum {oracle_opt_value(m)})")
+    optimum = oracle_opt_value(m)
+    print(f"\nfinal welfare {total} (optimum {optimum})")
+    return 0 if total == optimum else 1
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -85,6 +85,8 @@ class BipartiteGraph:
             raise ModelError("item and buyer ids must be distinct")
         item_pos = {s: k for k, s in enumerate(items)}
         buyer_pos = {t: k for k, t in enumerate(buyers)}
+        if not all(type(e) is tuple and len(e) == 2 for e in weight):
+            raise ModelError("edge keys must be (item, buyer) pairs")
         try:
             canon = tuple(sorted(weight, key=lambda e: (item_pos[e[0]], buyer_pos[e[1]])))
         except KeyError as exc:

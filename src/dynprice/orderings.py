@@ -2,8 +2,9 @@
 
 An ordering of the items is adequate for a tight graph when, for every buyer,
 matching the buyer to its first b(t) tight neighbors still leaves a graph with
-a b-factor.  Constructions implemented here: the two-buyer symmetric
-difference rule, the three-buyer labeling, and the recursive case analysis for
+a b-factor.  `pricing.ordering_method` picks one of two constructions: one rule
+for up to three buyers (items tight for a single buyer first, then the rest,
+sorted by a labeling for three buyers), and the recursive case analysis for
 bi-demand markets driven by dangerous sets.  `pricing.dispatch_ordering`
 certifies each result with `verify_adequate`; each construction checks its
 input once, by `_require_factor`.  The case analysis starts from the caller's
@@ -79,20 +80,6 @@ def _require_factor(g: BipartiteGraph) -> None:
         raise ContractViolationError("graph admits no b-factor")
 
 
-def adequate_two_buyers(gpi: BipartiteGraph) -> Ordering:
-    """Symmetric difference of the two neighborhoods first, intersection last."""
-    if len(gpi.buyers) != 2:
-        raise ContractViolationError("exactly two buyers required")
-    t1, t2 = gpi.buyers
-    _require_unit_weights(gpi)
-    _require_factor(gpi)
-    n1 = set(gpi.buyer_adj[t1])
-    n2 = set(gpi.buyer_adj[t2])
-    shared = n1 & n2
-    seq = [s for s in gpi.items if s not in shared] + [s for s in gpi.items if s in shared]
-    return Ordering.from_sequence(seq)
-
-
 def three_buyer_labeling(gpi: BipartiteGraph, classes: Mapping[frozenset[int], frozenset[ItemId]],
                          reduced: Mapping[BuyerId, int]) -> dict[ItemId, int]:
     """Labels 1..5 of the non-exclusive items given `legal_classes_3` and reduced demands.
@@ -105,9 +92,7 @@ def three_buyer_labeling(gpi: BipartiteGraph, classes: Mapping[frozenset[int], f
     r = {i + 1: reduced[buyers[i]] for i in range(3)}
     order = sorted((1, 2, 3), key=lambda a: (-r[a], a))
     rank_of = {pos: k + 1 for k, pos in enumerate(order)}
-    theta: dict[ItemId, int] = {}
-    for s in classes[frozenset((1, 2, 3))]:
-        theta[s] = 5
+    theta: dict[ItemId, int] = dict.fromkeys(classes[frozenset((1, 2, 3))], 5)
     for a, b in combinations((1, 2, 3), 2):
         cls = [s for s in gpi.items if s in classes[frozenset((a, b))]]
         i, j = sorted((rank_of[a], rank_of[b]))
@@ -133,8 +118,8 @@ def three_buyer_labeling(gpi: BipartiteGraph, classes: Mapping[frozenset[int], f
 def adequate_three_buyers(gpi: BipartiteGraph) -> Ordering:
     """Adequate ordering for at most three buyers with arbitrary demands.
 
-    Items tight for a single buyer go first with demands reduced accordingly;
-    the remaining items are ordered by the labeling.  gpi must have unit
+    Items tight for a single buyer go first, then the others in item order,
+    sorted by the labeling when there are three buyers.  gpi must have unit
     weights and a b-factor; ContractViolationError otherwise.
     """
     nb = len(gpi.buyers)
@@ -142,24 +127,24 @@ def adequate_three_buyers(gpi: BipartiteGraph) -> Ordering:
         raise ContractViolationError("at most three buyers supported")
     _require_unit_weights(gpi)
     _require_factor(gpi)
-    if nb <= 1:
-        return Ordering.from_sequence(gpi.items)
-    if nb == 2:
-        return adequate_two_buyers(gpi)
-
-    # A b-factor saturates every item, gives each buyer all of its exclusive
+    # A b-factor saturates every item, gives each buyer all of its single-buyer
     # items and each pair-class item to one of the pair: the labeling's inputs fit.
-    classes = sets.legal_classes_3(gpi)
-    buyers = gpi.buyers
-    exclusive: dict[BuyerId, frozenset[ItemId]] = {
-        buyers[i]: classes[frozenset((i + 1,))] for i in range(3)
-    }
-    reduced = {t: gpi.capacity[t] - len(exclusive[t]) for t in buyers}
-    head = [s for s in gpi.items if any(s in xs for xs in exclusive.values())]
-    rest = [s for s in gpi.items if s not in set(head)]
-    theta = three_buyer_labeling(gpi, classes, reduced)
-    rest.sort(key=theta.__getitem__)        # stable: ties stay in item order
+    head = [s for s in gpi.items if len(gpi.item_adj[s]) == 1]
+    rest = [s for s in gpi.items if len(gpi.item_adj[s]) != 1]
+    if nb == 3:
+        classes = sets.legal_classes_3(gpi)
+        reduced = {t: gpi.capacity[t] - len(classes[frozenset((i + 1,))])
+                   for i, t in enumerate(gpi.buyers)}
+        theta = three_buyer_labeling(gpi, classes, reduced)
+        rest.sort(key=theta.__getitem__)    # stable: ties stay in item order
     return Ordering.from_sequence(head + rest)
+
+
+def adequate_two_buyers(gpi: BipartiteGraph) -> Ordering:
+    """`adequate_three_buyers` on exactly two buyers: items tight for both go last."""
+    if len(gpi.buyers) != 2:
+        raise ContractViolationError("exactly two buyers required")
+    return adequate_three_buyers(gpi)
 
 
 def _components(g: BipartiteGraph) -> list[tuple[list[ItemId], list[BuyerId]]]:
@@ -200,9 +185,9 @@ def adequate_bidemand(h: BipartiteGraph, trace: Optional[list] = None) -> Orderi
     return Ordering.from_sequence(_bidemand_cases(h, trace if trace is not None else [], 0))
 
 
-def _bidemand_wrapper(h: BipartiteGraph, trace: list, depth: int) -> Ordering:
+def _bidemand_wrapper(h: BipartiteGraph, trace: list, depth: int) -> list[ItemId]:
     """Refine h's dual from its maximum b-matching (of maximum weight: h has unit
-    weights), run the case analysis on its tight subgraph, lift by `combine`."""
+    weights), run the case analysis on its tight subgraph, return it lifted by `combine`."""
     try:
         sc = refine_covering(h, frozenset(h.max_cardinality_bmatching[0].items()))
         # A zero dual marks a vertex that some largest b-matching leaves unsaturated.
@@ -212,7 +197,7 @@ def _bidemand_wrapper(h: BipartiteGraph, trace: list, depth: int) -> Ordering:
         seq = _bidemand_cases(hp, trace, depth)
     except ContractViolationError as exc:
         raise InternalConsistencyError(f"refined graph refused: {exc}") from exc
-    return combine(sc.pi, Ordering.from_sequence(seq))
+    return list(combine(sc.pi, Ordering.from_sequence(seq)).items_in_order())
 
 
 def _bidemand_cases(hp: BipartiteGraph, trace: list, depth: int) -> list[ItemId]:
@@ -253,8 +238,7 @@ def _subcase_no_disjoint(hp: BipartiteGraph, Z: frozenset[BuyerId],
     trace.append({"depth": depth, "case": "2.1", "Z": sorted(Z), "s0": s0})
     head = [s for s in hp.items if s not in nz]
     inner = hp.induced([s for s in hp.items if s in nz and s != s0], Z)
-    middle = _bidemand_wrapper(inner, trace, depth + 1).items_in_order()
-    return head + list(middle) + [s0]
+    return head + _bidemand_wrapper(inner, trace, depth + 1) + [s0]
 
 
 def _find_infeasible_bundle(hp: BipartiteGraph, X: frozenset[BuyerId]
@@ -280,9 +264,8 @@ def _subcase_feasible_disjoint(hp: BipartiteGraph, Z: frozenset[BuyerId],
     trace.append({"depth": depth, "case": "2.2.1",
                   "Z": sorted(Z), "X": sorted(X), "s0": s0})
     outer = hp.without(X | (nx - {s0}))
-    head = _bidemand_wrapper(outer, trace, depth + 1).items_in_order()
     tail = [s for s in hp.items if s in nx and s != s0]
-    return list(head) + tail
+    return _bidemand_wrapper(outer, trace, depth + 1) + tail
 
 
 def _subcase_blocking_pair(hp: BipartiteGraph, Z: frozenset[BuyerId],
@@ -300,6 +283,5 @@ def _subcase_blocking_pair(hp: BipartiteGraph, Z: frozenset[BuyerId],
     trace.append({"depth": depth, "case": "2.2.2", "Z": sorted(Z),
                   "X": sorted(X), "pair": [s1, s2]})
     outer = hp.without(X | (nx - {s1}))
-    head = _bidemand_wrapper(outer, trace, depth + 1).items_in_order()
     middle = [s for s in hp.items if s in nx and s not in (s1, s2)]
-    return list(head) + middle + [s2]
+    return _bidemand_wrapper(outer, trace, depth + 1) + middle + [s2]

@@ -265,10 +265,15 @@ def _price_round(m: Market, mode: str,
         return _prohibitive_round(m)
 
 
-def run_once(m: Market, order: Sequence[BuyerId], tiebreak: Optional[TieBreak] = None,
+def run_once(m: Market, order: Iterable[BuyerId], tiebreak: Optional[TieBreak] = None,
              ordering_strategy: Optional[OrderingStrategy] = None) -> RunTrace:
     """One dynamic run: price, let the arriving buyer pick, shrink the market."""
-    if sorted(order) != sorted(m.buyers):
+    try:
+        order = tuple(order)                # read an iterator once
+        permutation = len(order) == len(m.buyers) and set(order) == set(m.buyers)
+    except TypeError:                       # not iterable, or an unhashable entry
+        permutation = False
+    if not permutation:
         raise ModelError("order must be a permutation of the buyers")
     mode = infer_mode(m)
     residual = m

@@ -155,6 +155,18 @@ def reference_verify_adequate(g: BipartiteGraph, sigma) -> bool:
     return True
 
 
+def reference_two_buyers(g: BipartiteGraph) -> dict:
+    """The ranks of the former orderings for one or two buyers: the identity
+    for one buyer; for two, the symmetric difference of the neighborhoods
+    first and their intersection last, each part in item order."""
+    if len(g.buyers) == 1:
+        return {s: k + 1 for k, s in enumerate(g.items)}
+    t1, t2 = g.buyers
+    shared = set(g.buyer_adj[t1]) & set(g.buyer_adj[t2])
+    seq = [s for s in g.items if s not in shared] + [s for s in g.items if s in shared]
+    return {s: k + 1 for k, s in enumerate(seq)}
+
+
 # ---------------------------------------------------------------------------
 # Independent brute force (no solver, no DP)
 

@@ -40,6 +40,14 @@ def test_build_sorts_edges_and_wraps_only_non_fractions():
     assert type(g.weight[("s2", "t1")]) is Fraction and g.weight[("s2", "t1")] == 2
 
 
+@pytest.mark.parametrize("key", ["at", ("a", "t", "x"), ("a",)])
+def test_build_refuses_an_edge_key_that_is_not_an_item_buyer_pair(key):
+    # a two-letter string would unpack as a pair; the other two would fail
+    # later, in the solve or inside build, with a bare error
+    with pytest.raises(ModelError, match="^edge keys must be \\(item, buyer\\) pairs$"):
+        BipartiteGraph.build(["a"], ["t"], {key: 1}, {"a": 1, "t": 1})
+
+
 def test_empty_edge_set():
     g = graph_of(["s1"], ["t1"], {"t1": 1}, {})
     bm, value = max_weight_bmatching(g)

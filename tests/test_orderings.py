@@ -11,7 +11,7 @@ from dynprice import (BipartiteGraph, Ordering, adequate_bidemand, matching,
 from dynprice.errors import ContractViolationError, InternalConsistencyError, ModelError
 from dynprice.matching import Covering
 
-from conftest import brute_verify_adequate
+from conftest import brute_verify_adequate, reference_two_buyers
 
 
 def tight_of(m):
@@ -162,8 +162,8 @@ def test_two_buyers_refuse_weights_other_than_one():
 
 
 def test_three_buyers_on_two_buyers_grows_one_bmatching(monkeypatch):
-    # adequate_three_buyers and the adequate_two_buyers it hands off to both
-    # test for a b-factor; the graph grows its maximum b-matching only once
+    # adequate_three_buyers tests for a b-factor once, through the graph's
+    # cached maximum b-matching, which it grows from empty only once
     grown = []
     augment = matching.augment
 
@@ -178,6 +178,44 @@ def test_three_buyers_on_two_buyers_grows_one_bmatching(monkeypatch):
     sigma = adequate_three_buyers(g)
     assert sigma.rank["s3"] == 3
     assert len(grown) == 1
+
+
+def planted_graph(rng, nb):
+    """Sparse unit graph around a planted b-factor, demands one to five; item
+    names are shuffled, so item order and name order differ."""
+    buyers = [f"t{i + 1}" for i in range(nb)]
+    caps = {t: rng.randint(1, 5) for t in buyers}
+    items = [f"s{i}" for i in range(sum(caps.values()))]
+    rng.shuffle(items)
+    planted = iter(items)
+    edges = {(next(planted), t) for t in buyers for _ in range(caps[t])}
+    edges |= {(s, t) for s in items for t in buyers if rng.random() < 0.45}
+    return unit_graph(items, buyers, caps, edges)
+
+
+def test_one_rule_is_the_former_rule_for_one_and_two_buyers():
+    # adequate_three_buyers on one buyer is the identity and on two buyers
+    # the symmetric difference rule, which adequate_two_buyers also follows
+    rng = random.Random(29)
+    graphs = []
+    for _ in range(60):
+        nb = rng.randint(1, 2)
+        m = generate_instance(rng.randint(0, 10**6), nb,
+                              [rng.randint(1, 4) for _ in range(nb)], (1, 4))
+        graphs.extend((tight_of(m), planted_graph(rng, nb)))
+    moved = unsorted_shared = 0
+    for g in graphs:
+        want = reference_two_buyers(g)
+        assert adequate_three_buyers(g).rank == want
+        if len(g.buyers) == 2:
+            assert adequate_two_buyers(g).rank == want
+            shared = [s for s in g.items if len(g.item_adj[s]) == 2]
+            unsorted_shared += shared != sorted(shared)
+        moved += sorted(want, key=want.__getitem__) != list(g.items)
+    # enough graphs where the shared items move to the end, and where their
+    # item order is not their name order
+    assert sum(len(g.buyers) == 1 for g in graphs) >= 40
+    assert moved >= 25 and unsorted_shared >= 10
 
 
 def test_three_buyers_figure_market(fig1):
@@ -366,6 +404,39 @@ def test_bidemand_is_the_refined_pipeline_on_tight_graphs(bidemand_recursion):
                 adequate_bidemand(g)
             refused += 1
     assert same >= 300 and refused >= 50
+
+
+def test_bidemand_item_lists_are_the_ordering_returning_wrapper(bidemand_recursion, monkeypatch):
+    # The former wrapper returned each lift as an Ordering and its callers
+    # listed it again; run with it, the recursion gives the same lifts,
+    # orderings and traces on every graph the bi-demand ordering receives
+    def ordering_wrapper(h, trace, depth):
+        try:
+            sc = refine_covering(h, frozenset(h.max_cardinality_bmatching[0].items()))
+            if 0 in sc.pi.pi.values():
+                raise InternalConsistencyError("graph admits no b-factor")
+            hp = h if sc.tight_edges == h.edge_set else tight_subgraph(sc, h)
+            seq = orderings._bidemand_cases(hp, trace, depth)
+        except ContractViolationError as exc:
+            raise InternalConsistencyError(f"refined graph refused: {exc}") from exc
+        return combine(sc.pi, Ordering.from_sequence(seq))
+
+    def run(g):
+        lift_trace, trace = [], []
+        lift = orderings._bidemand_wrapper(g, lift_trace, 0)
+        try:
+            sigma = adequate_bidemand(g, trace)
+        except ContractViolationError:
+            sigma = None
+        return list(lift), lift_trace, sigma, trace
+
+    new = [run(g) for g in bidemand_recursion]
+    monkeypatch.setattr(orderings, "_bidemand_wrapper", lambda h, trace, depth:
+                        list(ordering_wrapper(h, trace, depth).items_in_order()))
+    old = [run(g) for g in bidemand_recursion]
+    assert new == old
+    assert sum(sigma is not None for _, _, sigma, _ in new) >= 300
+    assert sum(len(lift_trace) > 1 for _, lift_trace, _, _ in new) >= 300
 
 
 def test_bidemand_refuses_an_edge_in_no_factor():

@@ -214,6 +214,24 @@ def test_run_once_validates_order(e1):
         run_once(e1, ["t1"])
 
 
+def test_run_once_reads_an_iterator_order_once():
+    # the permutation check must not use an iterator up before the run
+    m = generate_instance(3, 3, 2, (1, 4))
+    order = ["t3", "t1", "t2"]
+    trace = run_once(m, order)
+    assert len(trace.steps) == 3 and trace.final_welfare == naive_opt_value(m)
+    assert run_once(m, iter(order)) == trace
+    assert run_once(m, (t for t in order)) == trace
+
+
+@pytest.mark.parametrize("order", [["t1", 2, "t3"], 5, ["t1", "t1", "t2"],
+                                   [["t1"], "t2", "t3"], "t1t2t3"])
+def test_run_once_refuses_an_order_that_is_not_a_permutation(order):
+    m = generate_instance(3, 3, 2, (1, 4))
+    with pytest.raises(ModelError, match="^order must be a permutation of the buyers$"):
+        run_once(m, order)
+
+
 def test_run_once_welfare_accounting(e2):
     trace = run_once(e2, ["t2", "t1"])
     total = sum((sum((e2.value[(st.buyer, s)] for s in st.bundle), Fraction(0))
