@@ -21,6 +21,15 @@ keep capacity one, and a rectangular Hungarian algorithm with potentials
 solves the resulting assignment problem exactly.  The potentials translate
 directly into an optimal non-negative weighted covering pi with pi . b equal
 to the optimum, and copies of the same buyer provably share one dual value.
+A copy may also stay unmatched, on a zero-weight dummy column; the solver
+holds the dummies matched so far and one free one.  Each buyer's copies share
+one dense row of weights, in which an item the buyer has no edge to weighs
+-1 - 3W, W the largest weight magnitude.  The search never takes such a pair:
+u starts at most W, only falls and stays non-negative against the free
+dummy; v starts at 0, only rises and is w - u <= W on a matched column; so a
+real slack u + v - w is at most 3W, below the pair's, and theta, at most the
+free dummy's slack u <= W, never reaches it.  An int weight keeps the
+arithmetic exact at any size, where a float -inf would overflow past 1e308.
 
 All arithmetic is exact and the Hungarian algorithm runs on integers only.
 Each graph scales its Fraction weights once, by their least common
@@ -214,90 +223,71 @@ class SolveResult:
     covering: Covering
 
 
-def _hungarian(n_rows: int, n_cols: int, adj: list[list[tuple[int, int]]]):
-    """Row-perfect max-weight integer assignment with one zero-weight dummy column per row.
+def _hungarian(n_rows: int, n_cols: int, weight: list[list[int]]):
+    """Row-perfect max-weight integer assignment where a row may take a zero-weight
+    dummy column instead of a real one; weight[i][j] is row i's weight on real column j.
+
+    The columns are the real ones, then the dummies matched so far, then one
+    free dummy.  Free dummies would all have v = 0 and the same slack, and the
+    search takes the lowest index on ties, so only the first could be chosen:
+    the next opens when it is taken.
 
     Returns (match_row, u, v) where match_row[i] is the real column matched to
     row i or -1 (row absorbed by a dummy), and (u, v) are non-negative
-    potentials forming an optimal covering: u[i] + v[j] >= w(i, j) on real
-    edges, tight on matched edges, v = 0 on unmatched real columns, u = 0 on
-    dummy-matched rows.
+    potentials, the real columns first in v, forming an optimal covering:
+    u[i] + v[j] >= w(i, j), tight on matched edges, v = 0 on unmatched real
+    columns, u = 0 on dummy-matched rows.
     """
-    total_cols = n_cols + n_rows  # dummies occupy indices n_cols..
-    u = []
-    for i in range(n_rows):
-        best = 0
-        for _, w in adj[i]:
-            if best < w:
-                best = w
-        u.append(best)
-    v = [0] * total_cols
-    match_row = [-1] * n_rows         # row -> col (real or dummy)
-    match_col = [-1] * total_cols     # col -> row
+    u = [max([0, *row]) for row in weight]
+    v = [0] * (n_cols + 1)
+    match_row = [-1] * n_rows             # row -> column (real or dummy)
+    match_col = [-1] * (n_cols + 1)       # column -> row
 
     for root in range(n_rows):
-        slack_val: list[Optional[int]] = [None] * total_cols
-        slack_row = [-1] * total_cols
-        in_tree_col = [False] * total_cols
-        tree_rows = [root]
-
-        def add_row(i: int) -> None:
-            ui = u[i]
-            for j, w in adj[i]:
-                if in_tree_col[j]:
-                    continue
-                s = ui + v[j] - w
-                if slack_val[j] is None or s < slack_val[j]:
-                    slack_val[j] = s
-                    slack_row[j] = i
-            for j in range(n_cols, total_cols):
-                if in_tree_col[j]:
-                    continue
-                s = ui + v[j]
-                if slack_val[j] is None or s < slack_val[j]:
-                    slack_val[j] = s
-                    slack_row[j] = i
-
-        add_row(root)
+        n = len(v)
+        dummy_weights = [0] * (n - n_cols)
+        slack = [math.inf] * n
+        slack_row = [-1] * n
+        in_tree = [False] * n
+        tree_rows = []
+        i = root
         while True:
-            theta = None
-            j_star = -1
-            for j in range(total_cols):
-                if in_tree_col[j] or slack_val[j] is None:
+            # row i joins the tree: one pass adds its slacks and picks theta
+            tree_rows.append(i)
+            ui, row = u[i], weight[i] + dummy_weights
+            theta, j_star = math.inf, -1
+            for j in range(n):
+                if in_tree[j]:
                     continue
-                if theta is None or slack_val[j] < theta:
-                    theta = slack_val[j]
-                    j_star = j
-            if theta is None:
+                s = ui + v[j] - row[j]
+                if s < slack[j]:
+                    slack[j], slack_row[j] = s, i
+                if slack[j] < theta:
+                    theta, j_star = slack[j], j
+            if j_star < 0:
                 raise InternalConsistencyError("hungarian search stalled")
             if theta > 0:
-                for i in tree_rows:
-                    u[i] = u[i] - theta
-                for j in range(total_cols):
-                    if in_tree_col[j]:
-                        v[j] = v[j] + theta
-                    elif slack_val[j] is not None:
-                        slack_val[j] = slack_val[j] - theta
-            mate = match_col[j_star]
-            if mate == -1:
-                j = j_star
-                while True:
-                    i = slack_row[j]
-                    prev = match_row[i]
-                    match_row[i] = j
-                    match_col[j] = i
-                    if i == root:
-                        break
-                    j = prev
+                for r in tree_rows:
+                    u[r] -= theta
+                for j in range(n):
+                    if in_tree[j]:
+                        v[j] += theta
+                    else:
+                        slack[j] -= theta
+            i = match_col[j_star]
+            if i == -1:
                 break
-            in_tree_col[j_star] = True
-            tree_rows.append(mate)
-            add_row(mate)
+            in_tree[j_star] = True
+        j = j_star
+        while j != -1:                    # flip the path back to the root, which is free
+            i = slack_row[j]
+            match_col[j] = i
+            match_row[i], j = j, match_row[i]
+        if match_col[-1] != -1:           # the free dummy was taken: open the next
+            v.append(0)
+            match_col.append(-1)
 
-    for i in range(n_rows):
-        if match_row[i] >= n_cols:
-            match_row[i] = -1
-    return match_row, u, v
+    return [j if j < n_cols else -1 for j in match_row], u, v
 
 
 def _solve(g: BipartiteGraph, weights: Mapping[Edge, int]):
@@ -306,41 +296,34 @@ def _solve(g: BipartiteGraph, weights: Mapping[Edge, int]):
     Takes an integer weight per edge of g and returns (edges, value, pi) as
     integers in the units of `weights`; `_check_optimal_pair` certifies them.
     """
-    rows: list[BuyerId] = []
-    row_of_buyer: dict[BuyerId, list[int]] = {}
-    for t in g.buyers:
-        row_of_buyer[t] = []
-        # t holds at most |S| items; one more copy, never matched, keeps pi(t) = 0
-        for _ in range(min(g.capacity[t], len(g.items) + 1)):
-            row_of_buyer[t].append(len(rows))
-            rows.append(t)
     col_of_item = {s: k for k, s in enumerate(g.items)}
-
-    adj: list[list[tuple[int, int]]] = [[] for _ in rows]
+    # one dense row per buyer, shared by its copies; a non-edge gets a weight
+    # that the search never takes (see the module notes)
+    absent = -1 - 3 * max(map(abs, weights.values()), default=0)
+    dense = {t: [absent] * len(g.items) for t in g.buyers}
     for (s, t), wx in weights.items():
-        j = col_of_item[s]
-        for i in row_of_buyer[t]:
-            adj[i].append((j, wx))
+        dense[t][col_of_item[s]] = wx
+    # t holds at most |S| items; one more copy, never matched, keeps pi(t) = 0
+    rows = [t for t in g.buyers for _ in range(min(g.capacity[t], len(g.items) + 1))]
 
-    match_row, u, v = _hungarian(len(rows), len(g.items), adj)
+    match_row, u, v = _hungarian(len(rows), len(g.items), [dense[t] for t in rows])
 
-    edges = []
-    for i, j in enumerate(match_row):
-        if j >= 0:
-            edges.append((g.items[j], rows[i]))
+    edges = [(g.items[j], rows[i]) for i, j in enumerate(match_row) if j >= 0]
     edge_set = frozenset(edges)
     if len(edge_set) != len(edges):
         raise InternalConsistencyError("expansion produced a repeated edge")
     value = sum(weights[e] for e in edge_set)
 
+    duals: dict[BuyerId, set[int]] = {t: set() for t in g.buyers}
+    for t, ui in zip(rows, u):
+        duals[t].add(ui)
     pi: dict[str, int] = {}
     for t in g.buyers:
-        vals = {u[i] for i in row_of_buyer[t]}
-        if len(vals) > 1:
+        if len(duals[t]) > 1:
             raise InternalConsistencyError(f"copies of buyer {t} got unequal duals")
         # capacity 0 leaves t no copy: the least dual that covers its edges
-        pi[t] = vals.pop() if vals else max([0] + [weights[(s, t)] - v[col_of_item[s]]
-                                                   for s in g.buyer_adj[t]])
+        pi[t] = duals[t].pop() if duals[t] else max([0] + [weights[(s, t)] - v[col_of_item[s]]
+                                                          for s in g.buyer_adj[t]])
     for s in g.items:
         pi[s] = v[col_of_item[s]]
     return edge_set, value, pi

@@ -9,11 +9,13 @@ import sys
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
+from typing import Optional
 
 import pytest
 from hypothesis import settings
 
 from dynprice import BipartiteGraph, Market, bfactor_exists
+from dynprice.errors import InternalConsistencyError
 
 # every run draws the same examples and keeps no example database
 settings.register_profile("deterministic", derandomize=True, database=None)
@@ -165,6 +167,97 @@ def reference_two_buyers(g: BipartiteGraph) -> dict:
     shared = set(g.buyer_adj[t1]) & set(g.buyer_adj[t2])
     seq = [s for s in g.items if s not in shared] + [s for s in g.items if s in shared]
     return {s: k + 1 for k, s in enumerate(seq)}
+
+
+# ---------------------------------------------------------------------------
+# Solver reference
+
+# The weighted solver as it was with one zero-weight dummy column per row, kept
+# to pin `matching._hungarian`, which keeps only the first free dummy, to it.
+def reference_hungarian(n_rows: int, n_cols: int, adj: list[list[tuple[int, int]]]):
+    """Row-perfect max-weight integer assignment with one zero-weight dummy column per row.
+
+    Returns (match_row, u, v) where match_row[i] is the real column matched to
+    row i or -1 (row absorbed by a dummy), and (u, v) are non-negative
+    potentials forming an optimal covering: u[i] + v[j] >= w(i, j) on real
+    edges, tight on matched edges, v = 0 on unmatched real columns, u = 0 on
+    dummy-matched rows.
+    """
+    total_cols = n_cols + n_rows  # dummies occupy indices n_cols..
+    u = []
+    for i in range(n_rows):
+        best = 0
+        for _, w in adj[i]:
+            if best < w:
+                best = w
+        u.append(best)
+    v = [0] * total_cols
+    match_row = [-1] * n_rows         # row -> col (real or dummy)
+    match_col = [-1] * total_cols     # col -> row
+
+    for root in range(n_rows):
+        slack_val: list[Optional[int]] = [None] * total_cols
+        slack_row = [-1] * total_cols
+        in_tree_col = [False] * total_cols
+        tree_rows = [root]
+
+        def add_row(i: int) -> None:
+            ui = u[i]
+            for j, w in adj[i]:
+                if in_tree_col[j]:
+                    continue
+                s = ui + v[j] - w
+                if slack_val[j] is None or s < slack_val[j]:
+                    slack_val[j] = s
+                    slack_row[j] = i
+            for j in range(n_cols, total_cols):
+                if in_tree_col[j]:
+                    continue
+                s = ui + v[j]
+                if slack_val[j] is None or s < slack_val[j]:
+                    slack_val[j] = s
+                    slack_row[j] = i
+
+        add_row(root)
+        while True:
+            theta = None
+            j_star = -1
+            for j in range(total_cols):
+                if in_tree_col[j] or slack_val[j] is None:
+                    continue
+                if theta is None or slack_val[j] < theta:
+                    theta = slack_val[j]
+                    j_star = j
+            if theta is None:
+                raise InternalConsistencyError("hungarian search stalled")
+            if theta > 0:
+                for i in tree_rows:
+                    u[i] = u[i] - theta
+                for j in range(total_cols):
+                    if in_tree_col[j]:
+                        v[j] = v[j] + theta
+                    elif slack_val[j] is not None:
+                        slack_val[j] = slack_val[j] - theta
+            mate = match_col[j_star]
+            if mate == -1:
+                j = j_star
+                while True:
+                    i = slack_row[j]
+                    prev = match_row[i]
+                    match_row[i] = j
+                    match_col[j] = i
+                    if i == root:
+                        break
+                    j = prev
+                break
+            in_tree_col[j_star] = True
+            tree_rows.append(mate)
+            add_row(mate)
+
+    for i in range(n_rows):
+        if match_row[i] >= n_cols:
+            match_row[i] = -1
+    return match_row, u, v
 
 
 # ---------------------------------------------------------------------------

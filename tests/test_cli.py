@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -373,3 +374,18 @@ def test_cli_order_and_verify_refuse_what_price_refuses(tmp_path, capsys):
     empty.write_text(json.dumps({"items": ["s1"], "buyers": []}))
     assert main(["order", "--input", str(empty)]) == 0
     assert json.loads(capsys.readouterr().out)["ordering"] == []
+
+
+@pytest.mark.parametrize("raw, message", [
+    ([], "top level must be an object"),
+    ({"items": [], "buyers": {}}, "buyers: must be a list"),
+    ({"items": [], "buyers": [1]}, "buyers[0]: must be an object"),
+    ({"items": [], "buyers": [{"id": 1}]}, "buyers[0].id: must be a string"),
+    ({"items": [], "buyers": [{"id": "t1", "demand": 1, "values": []}]},
+     "buyers[0].values: must be an object"),
+    ({"items": ["s1"], "buyers": [{"id": "t1", "demand": 1, "values": {"s1": "1", "s9": "1"}}]},
+     "buyers[0].values: unknown items ['s9']"),
+])
+def test_parse_refusals_name_the_field(raw, message):
+    with pytest.raises(ModelError, match=f"^{re.escape(message)}$"):
+        parse_instance(json.dumps(raw))

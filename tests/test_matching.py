@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,8 @@ from dynprice import (BipartiteGraph, bfactor_exists, market_graph,
 from dynprice.errors import ModelError
 from dynprice.matching import lexicographic_min_edge_optimum, solve_with_covering
 
-from conftest import brute_bfactor_exists, brute_hall_witness, naive_opt_value
+from conftest import (brute_bfactor_exists, brute_hall_witness, naive_opt_value,
+                      reference_hungarian)
 
 
 def graph_of(items, buyers, caps, weights):
@@ -157,6 +159,33 @@ def test_expansion_caps_copies_at_items_plus_one(monkeypatch):
     assert rows == [3 + 2]
     assert res.value == 5 and res.covering.pi["t1"] == 0
     assert res.matching.edges == {("s1", "t1"), ("s2", "t2")}
+
+
+def test_hungarian_is_the_per_row_dummy_reference():
+    # (match_row, u, v[:n_cols]) on 3000 random expansions: each buyer's copies
+    # share one row; weights negative, zero or past float range; rows dense,
+    # sparse or empty; no rows or no columns.  A non-edge weighs -1 - 3W in the
+    # dense rows, W the largest weight magnitude, as `_solve` gives it.
+    import dynprice.matching as matching_mod
+    rng = random.Random(2101)
+    for _ in range(3000):
+        n_cols = rng.randint(0, 7)
+        scale = rng.choice([1, 1, 1, 10 ** 400])
+        lo = rng.choice([0, -3, -10])
+        density = rng.choice([0.0, 0.3, 0.7, 1.0])
+        buyers = [([(j, scale * rng.randint(lo, 6)) for j in range(n_cols) if rng.random() < density],
+                   rng.randint(1, 3)) for _ in range(rng.randint(0, 5))]
+        top = max((abs(w) for edges, _ in buyers for _, w in edges), default=0)
+        adj, dense = [], []
+        for edges, copies in buyers:
+            row = [-1 - 3 * top] * n_cols
+            for j, w in edges:
+                row[j] = w
+            adj += [edges] * copies
+            dense += [row] * copies
+        match_row, u, v = matching_mod._hungarian(len(adj), n_cols, dense)
+        want_row, want_u, want_v = reference_hungarian(len(adj), n_cols, adj)
+        assert (match_row, u, v[:n_cols]) == (want_row, want_u, want_v[:n_cols])
 
 
 def test_zero_capacity_buyers_change_no_value_and_refine_certifies():
@@ -325,3 +354,20 @@ def test_optimal_pair_check_trips_on_a_perturbed_solve(monkeypatch, perturb, mes
     monkeypatch.setattr(matching_mod, "_solve", perturbed)
     with pytest.raises(InternalConsistencyError, match=f"^{message}$"):
         solve_with_covering(g)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda g: BipartiteGraph.build(["s1", "s1"], ["t1"], {}, {"t1": 1}), "duplicate vertex ids"),
+    (lambda g: BipartiteGraph.build(["s1"], ["s1"], {}, {"s1": 1}),
+     "item and buyer ids must be distinct"),
+    (lambda g: BipartiteGraph.build(["s1"], ["t1"], {("s2", "t1"): 1}, {"t1": 1}),
+     "edge references unknown vertex 's2'"),
+    (lambda g: BipartiteGraph.build(["s1"], ["t1"], {}, {"s1": 2, "t1": 1}),
+     "item s1 must have capacity 1"),
+    (lambda g: g.with_capacity("nobody", 1), "unknown vertex 'nobody'"),
+    (lambda g: max_weight_reduced_capacity(g, "nobody"), "unknown vertex 'nobody'"),
+])
+def test_graph_refusals_are_model_errors(call, message):
+    g = graph_of(["s1"], ["t1"], {"t1": 1}, {("s1", "t1"): 1})
+    with pytest.raises(ModelError, match=f"^{re.escape(message)}$"):
+        call(g)

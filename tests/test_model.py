@@ -230,3 +230,8 @@ def test_welfare_additive_under_bundle_growth(vals, demand):
 def test_solver_agrees_with_naive(e1, e2):
     for m in (e1, e2):
         assert check_opt_property(m).opt_welfare == naive_opt_value(m)
+
+
+def test_market_refuses_an_id_that_is_both_item_and_buyer():
+    with pytest.raises(ModelError, match="^item and buyer ids must be distinct$"):
+        Market.build(["s1"], ["s1"], {"s1": 1}, {("s1", "s1"): 1})

@@ -516,3 +516,17 @@ def test_verify_adequate_matches_brute_force():
         assert got == brute_verify_adequate(g, sigma)
         agree_false += not got
     assert agree_false > 0  # random orderings do fail sometimes
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: verify_adequate(tight_of(generate_instance(1, 3, 2, (1, 3))),
+                             Ordering.from_sequence(["x1", "x2"])),
+     ModelError, "ordering domain does not match graph items"),
+    (lambda: adequate_three_buyers(tight_of(generate_instance(1, 4, 1, (1, 3)))),
+     ContractViolationError, "at most three buyers supported"),
+    (lambda: adequate_two_buyers(tight_of(generate_instance(1, 3, 2, (1, 3)))),
+     ContractViolationError, "exactly two buyers required"),
+])
+def test_ordering_refusals_are_typed(call, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        call()

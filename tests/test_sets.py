@@ -368,3 +368,24 @@ def test_surplus_values(d1_graph):
     assert surplus(d1_graph, ["t1"]) == 1
     assert surplus(d1_graph, ["t2"]) == 3
     assert surplus(d1_graph, ["t1", "t2", "t3"]) == 0
+
+
+def test_feasible_bundle_is_false_when_items_and_demand_differ():
+    # three items, demand four: G - t1 - {s1, s2} still matches s3 to t2, so
+    # only the counting check |S| = b(T) tells that no b-factor exists
+    g = BipartiteGraph.build(["s1", "s2", "s3"], ["t1", "t2"],
+                             {("s1", "t1"): 1, ("s2", "t1"): 1, ("s1", "t2"): 1, ("s3", "t2"): 1},
+                             {"s1": 1, "s2": 1, "s3": 1, "t1": 2, "t2": 2})
+    assert feasible_bundle(g, "t1", ["s1", "s2"]) is False
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda g: min_surplus_set(g, include=["t1"], exclude=["t1", "t2"]), ModelError,
+     "include and exclude overlap"),
+    (lambda g: all_dangerous_sets(g), ContractViolationError, "enumeration limited to 16 buyers"),
+])
+def test_set_refusals_are_typed(call, error, message):
+    from dynprice import generate_instance
+    g = market_graph(generate_instance(1, 17, 1, (1, 3)))
+    with pytest.raises(error, match=f"^{message}$"):
+        call(g)

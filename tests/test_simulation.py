@@ -429,3 +429,29 @@ def test_run_sampled_deterministic(e2):
 def test_submarket_preserves_order(e2):
     sub = submarket(e2, frozenset({"s3", "s1"}), frozenset({"t2"}))
     assert sub.items == ("s1", "s3") and sub.buyers == ("t2",)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda m: best_bundles(m, "nobody", PriceVector(dict.fromkeys(m.items, Fraction(0)),
+                                                     Fraction(0))),
+     "unknown buyer 'nobody'"),
+    (lambda m: run_once(m, m.buyers, lambda t, bundles, k: frozenset({"s1", "s2", "s3"})),
+     "tiebreak selected a non-maximizing bundle"),
+])
+def test_simulation_refusals_are_model_errors(call, message):
+    m = generate_instance(1, 3, 1, (1, 3))
+    with pytest.raises(ModelError, match=f"^{message}$"):
+        call(m)
+
+
+def test_sampled_runs_catch_the_reversed_ordering():
+    # the sampled negative control: on the CLI's sabotage market the reversed
+    # ordering ends below the optimum within 20 orders, and the trace shows it
+    m = generate_instance(500001, 3, 2, (1, 3))
+    assert run_sampled(m, 20, 0).all_optimal
+    v = run_sampled(m, 20, 0, reversed_ordering_strategy)
+    assert (v.runs_checked, v.all_optimal, v.complete) == (20, False, False)
+    trace = v.counterexample
+    assert trace is not None and trace.final_welfare < v.optimum
+    assert trace.final_welfare == sum((m.value[(st.buyer, s)] for st in trace.steps
+                                       for s in st.bundle), Fraction(0))
