@@ -3,7 +3,9 @@
 
 Shows the structured dual, the tight graph, the adequate ordering with the
 case trace, the posted prices, and the arriving buyer's unique best bundle.
-Exits 1 when the run's final welfare differs from the optimum.
+Exits 1 when the run's final welfare differs from the optimum, and 2 with one
+`error:` line on a market it cannot walk: one the engine refuses, or one past
+the oracle's 12 items, which the optimum needs.
 
 Usage:
     python scripts/price_walkthrough.py [--seed 3] [--buyers 3] [--demand 2]
@@ -14,6 +16,8 @@ import sys
 
 from dynprice import (best_bundles, generate_instance, multi_round, oracle_opt_value,
                       restrict_market)
+from dynprice.errors import (ContractViolationError, ModelError, OracleCapError,
+                            UnsupportedMarketError)
 from dynprice.pricing import dispatch_ordering
 
 
@@ -24,10 +28,18 @@ def main() -> int:
     ap.add_argument("--demand", type=int, default=2)
     ap.add_argument("--value-hi", type=int, default=4)
     args = ap.parse_args()
+    try:
+        return walk(args)
+    except (ModelError, ContractViolationError, UnsupportedMarketError, OracleCapError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
+
+def walk(args) -> int:
     m = generate_instance(args.seed, args.buyers, args.demand, (1, args.value_hi))
+    optimum = oracle_opt_value(m)
     print(f"market: {len(m.items)} items, {len(m.buyers)} buyers, "
-          f"optimum welfare {oracle_opt_value(m)}")
+          f"optimum welfare {optimum}")
     for t in m.buyers:
         print(f"  {t} (b={m.demand[t]}): "
               + " ".join(f"{s}={m.value[(t, s)]}" for s in m.items))
@@ -51,7 +63,6 @@ def main() -> int:
               f"{sum(rp.prices.price[s] for s in bundle)} (welfare +{gain})")
         residual = restrict_market(residual, t, bundle)
 
-    optimum = oracle_opt_value(m)
     print(f"\nfinal welfare {total} (optimum {optimum})")
     return 0 if total == optimum else 1
 

@@ -119,12 +119,14 @@ def generate_instance(seed: int, buyers: int, demand_profile: int | Sequence[int
                       value_range: tuple[int, int] = (1, 20)) -> Market:
     """Deterministic random market with |S| = total demand and positive values,
     refused (ModelError) beyond GENERATE_CELL_CAP values, before anything is built,
-    and for a buyer count, demand or value bound that is not an int (bool included).
+    and for a seed, buyer count, demand or value bound that is not an int (bool included).
 
     Such a market always has the saturation property: an optimum that left a
     buyer short would leave an item unsold, since |S| = b(T), and giving that
     item to the buyer would raise welfare, since every value is at least one.
     """
+    if type(seed) is not int:
+        raise ModelError("seed must be an int")
     if type(buyers) is not int:
         raise ModelError("buyers must be an int")
     uniform = type(demand_profile) is int

@@ -15,11 +15,24 @@ that cuts the graph, `_bidemand_wrapper` refines the part from its maximum
 b-matching (no solve), runs the cases on its tight subgraph and lifts them by
 `combine`; a contract error there is an InternalConsistencyError.  Case 3
 refines nothing: each component of a tight graph has a constant dual.
+
+`_bidemand_cases` tries the cases in this order; N(Y) is the items tight for
+some buyer in Y, Z a maximal dangerous set and X a minimal one disjoint from Z:
+- base: at most one buyer.  No cut; its items in item order.
+- 3: the graph splits.  Each component in turn, recursing on it as it stands.
+- 1: no dangerous set.  No cut; the items in item order.
+- 2.1: no X.  The items outside N(Z), then Z on N(Z) less s0 (the first item of
+  N(Z) tight for a buyer outside Z) through the wrapper, then s0.
+- 2.2.1: every bundle of every X-buyer is in a b-factor.  Cuts X and N(X) less
+  s0 (the first item of N(X) tight for a buyer outside X), recurses on the
+  rest through the wrapper, then the rest of N(X).
+- 2.2.2: some X-buyer's pair {s1, s2} is in none, so X and Z split the buyers
+  and share exactly s1 and s2.  The same descent keeping s1, then the rest of
+  N(X) but s2, then s2.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Mapping, Optional
@@ -32,11 +45,13 @@ from .matching import BipartiteGraph, BuyerId, Covering, ItemId
 
 @dataclass(frozen=True)
 class Ordering:
-    """Bijection from items to ranks 1..n; rank 1 is picked up first."""
+    """Bijection from items to int ranks 1..n; rank 1 is picked up first."""
 
     rank: Mapping[ItemId, int]
 
     def __post_init__(self):
+        if any(type(r) is not int for r in self.rank.values()):
+            raise ModelError("ordering ranks must be ints")
         ranks = sorted(self.rank.values())
         if ranks != list(range(1, len(self.rank) + 1)):
             raise ModelError("ordering ranks must be a bijection onto 1..n")
@@ -148,27 +163,23 @@ def adequate_two_buyers(gpi: BipartiteGraph) -> Ordering:
 
 
 def _components(g: BipartiteGraph) -> list[tuple[list[ItemId], list[BuyerId]]]:
-    seen: set[str] = set()
-    comps = []
+    comp: dict[str, int] = {}
+    n = 0
     for start in g.buyers:
-        if start in seen:
+        if start in comp:
             continue
-        queue = deque([start])
-        seen.add(start)
-        verts = {start}
-        while queue:
-            v = queue.popleft()
-            nbrs = g.buyer_adj.get(v) or g.item_adj.get(v) or ()
-            for w in nbrs:
-                if w not in seen:
-                    seen.add(w)
-                    verts.add(w)
-                    queue.append(w)
-        comps.append(([s for s in g.items if s in verts],
-                      [t for t in g.buyers if t in verts]))
-    if any(s not in seen for s in g.items):
+        comp[start] = n
+        frontier = [start]
+        for v in frontier:
+            for w in g.buyer_adj.get(v) or g.item_adj.get(v) or ():
+                if w not in comp:
+                    comp[w] = n
+                    frontier.append(w)
+        n += 1
+    if any(s not in comp for s in g.items):
         raise InternalConsistencyError("isolated item in tight graph")
-    return comps
+    return [([s for s in g.items if comp[s] == k], [t for t in g.buyers if comp[t] == k])
+            for k in range(n)]
 
 
 def adequate_bidemand(h: BipartiteGraph, trace: Optional[list] = None) -> Ordering:
@@ -211,77 +222,45 @@ def _bidemand_cases(hp: BipartiteGraph, trace: list, depth: int) -> list[ItemId]
                       "components": [sorted(ts) for _, ts in comps]})
         seq: list[ItemId] = []
         for items_c, buyers_c in comps:
-            sub = hp.induced(items_c, buyers_c)
-            seq.extend(_bidemand_cases(sub, trace, depth + 1))
+            seq += _bidemand_cases(hp.induced(items_c, buyers_c), trace, depth + 1)
         return seq
 
     Z = sets.maximal_dangerous_set(hp)
     if Z is None:
         trace.append({"depth": depth, "case": "1"})
         return list(hp.items)
+    nz = hp.neighbors(Z)
     X = sets.minimal_dangerous_disjoint(hp, Z)
     if X is None:
-        return _subcase_no_disjoint(hp, Z, trace, depth)
-    bad = _find_infeasible_bundle(hp, X)
+        s0 = next((s for s in hp.items
+                   if s in nz and any(t not in Z for t in hp.item_adj[s])), None)
+        if s0 is None:
+            raise InternalConsistencyError("dangerous neighborhood fully internal")
+        trace.append({"depth": depth, "case": "2.1", "Z": sorted(Z), "s0": s0})
+        head = [s for s in hp.items if s not in nz]
+        inner = hp.induced([s for s in hp.items if s in nz and s != s0], Z)
+        return head + _bidemand_wrapper(inner, trace, depth + 1) + [s0]
+
+    nx = hp.neighbors(X)
+    bad = next((F for t in hp.buyers if t in X
+                for F in combinations(hp.buyer_adj[t], hp.capacity[t])
+                if not sets.feasible_bundle(hp, t, F)), None)
     if bad is None:
-        return _subcase_feasible_disjoint(hp, Z, X, trace, depth)
-    return _subcase_blocking_pair(hp, Z, X, bad, trace, depth)
-
-
-def _subcase_no_disjoint(hp: BipartiteGraph, Z: frozenset[BuyerId],
-                         trace: list, depth: int) -> list[ItemId]:
-    nz = hp.neighbors(Z)
-    s0 = next((s for s in hp.items
-               if s in nz and any(t not in Z for t in hp.item_adj[s])), None)
-    if s0 is None:
-        raise InternalConsistencyError("dangerous neighborhood fully internal")
-    trace.append({"depth": depth, "case": "2.1", "Z": sorted(Z), "s0": s0})
-    head = [s for s in hp.items if s not in nz]
-    inner = hp.induced([s for s in hp.items if s in nz and s != s0], Z)
-    return head + _bidemand_wrapper(inner, trace, depth + 1) + [s0]
-
-
-def _find_infeasible_bundle(hp: BipartiteGraph, X: frozenset[BuyerId]
-                            ) -> Optional[tuple[BuyerId, tuple[ItemId, ...]]]:
-    for t in hp.buyers:
-        if t not in X:
-            continue
-        for F in combinations(hp.buyer_adj[t], hp.capacity[t]):
-            if not sets.feasible_bundle(hp, t, F):
-                return t, F
-    return None
-
-
-def _subcase_feasible_disjoint(hp: BipartiteGraph, Z: frozenset[BuyerId],
-                               X: frozenset[BuyerId], trace: list,
-                               depth: int) -> list[ItemId]:
-    nx = hp.neighbors(X)
-    pick = next(((t, s) for t in hp.buyers if t not in X
-                 for s in hp.buyer_adj[t] if s in nx), None)
-    if pick is None:
-        raise InternalConsistencyError("dangerous neighborhood fully internal")
-    t0, s0 = pick
-    trace.append({"depth": depth, "case": "2.2.1",
-                  "Z": sorted(Z), "X": sorted(X), "s0": s0})
-    outer = hp.without(X | (nx - {s0}))
-    tail = [s for s in hp.items if s in nx and s != s0]
-    return _bidemand_wrapper(outer, trace, depth + 1) + tail
-
-
-def _subcase_blocking_pair(hp: BipartiteGraph, Z: frozenset[BuyerId],
-                           X: frozenset[BuyerId],
-                           bad: tuple[BuyerId, tuple[ItemId, ...]],
-                           trace: list, depth: int) -> list[ItemId]:
-    t0, F = bad
-    if len(F) != 2:
-        raise InternalConsistencyError("blocking bundle is not a pair")
-    s1, s2 = F      # a pair of t0's neighbors, so in item order
-    nx = hp.neighbors(X)
-    nz = hp.neighbors(Z)
-    if X | Z != set(hp.buyers) or nx & nz != {s1, s2}:
-        raise InternalConsistencyError("blocking pair does not split the market")
-    trace.append({"depth": depth, "case": "2.2.2", "Z": sorted(Z),
-                  "X": sorted(X), "pair": [s1, s2]})
-    outer = hp.without(X | (nx - {s1}))
-    middle = [s for s in hp.items if s in nx and s not in (s1, s2)]
-    return _bidemand_wrapper(outer, trace, depth + 1) + middle + [s2]
+        keep = next((s for t in hp.buyers if t not in X
+                     for s in hp.buyer_adj[t] if s in nx), None)
+        if keep is None:
+            raise InternalConsistencyError("dangerous neighborhood fully internal")
+        trace.append({"depth": depth, "case": "2.2.1",
+                      "Z": sorted(Z), "X": sorted(X), "s0": keep})
+        last = []
+    else:
+        if len(bad) != 2:
+            raise InternalConsistencyError("blocking bundle is not a pair")
+        keep, s2 = bad      # a pair of an X-buyer's neighbors, so in item order
+        if X | Z != set(hp.buyers) or nx & nz != {keep, s2}:
+            raise InternalConsistencyError("blocking pair does not split the market")
+        trace.append({"depth": depth, "case": "2.2.2", "Z": sorted(Z),
+                      "X": sorted(X), "pair": [keep, s2]})
+        last = [s2]
+    rest = [s for s in hp.items if s in nx and s != keep and s not in last]
+    return _bidemand_wrapper(hp.without(X | (nx - {keep})), trace, depth + 1) + rest + last

@@ -75,12 +75,23 @@ def dispatch_ordering(trimmed: Market, gpi: BipartiteGraph, sc: StructuredCoveri
     return sigma
 
 
+def _trim_and_refine(m: Market
+                     ) -> tuple[Market, BipartiteGraph, frozenset[ItemId], StructuredCovering]:
+    """`trim_items`, then the structured dual from trim's certified optimum.  Refine
+    refusing that optimum is an engine fault, so it is an InternalConsistencyError."""
+    trimmed, g, removed, best = trim_items(m)
+    try:
+        sc = refine_covering(g, best)
+    except ContractViolationError as exc:
+        raise InternalConsistencyError(f"trimmed optimum refused: {exc}") from exc
+    return trimmed, g, removed, sc
+
+
 def unit_round(m: Market) -> RoundPricing:
     """Unit-demand round: prices are the structured dual restricted to items."""
     if any(m.demand[t] != 1 for t in m.buyers):
         raise ContractViolationError("unit pricing requires all demands equal to one")
-    trimmed, g, removed, best = trim_items(m)
-    sc = refine_covering(g, best)
+    trimmed, _, removed, sc = _trim_and_refine(m)
     price = {s: sc.pi.pi[s] for s in trimmed.items}
     price.update({s: prohibitive_price(m, s) for s in removed})
     return RoundPricing(PriceVector(price, Fraction(0)), sc.pi, None, trimmed, removed)
@@ -103,9 +114,8 @@ def tight_market(m: Market) -> TightMarket:
     Multi-demand pricing, `dynprice order` and `dynprice verify` all start
     here, so they accept and refuse the same markets.
     """
-    trimmed, g, removed, best = trim_items(m)
-    sc = refine_covering(g, best)
-    # best uses every kept item, so |S| = |best| <= b(T), and a buyer that best
+    trimmed, g, removed, sc = _trim_and_refine(m)
+    # Trim's optimum uses every kept item, so |S| <= b(T), and a buyer that it
     # leaves short has pi(t) = 0: this one test also refuses |S| != b(T).
     for t in trimmed.buyers:
         if sc.pi.pi[t] == 0:

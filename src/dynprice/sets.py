@@ -147,10 +147,7 @@ def minimal_dangerous_disjoint(gpi: BipartiteGraph, Z: Iterable[BuyerId]
     Z = frozenset(Z)
     if not is_dangerous(gpi, Z):
         raise ContractViolationError("Z must be dangerous")
-    probe = min_surplus_set(gpi, exclude=Z)
-    if probe is None:
-        return None
-    Y, value = probe
+    Y, value = min_surplus_set(gpi, exclude=Z)   # Z is proper: never None
     if value <= 0:
         raise ContractViolationError("surplus-zero set exists; graph splits instead")
     if value >= 2:

@@ -394,9 +394,12 @@ def reversed_ordering_strategy(trimmed: Market, gpi, sc) -> Ordering:
 
 def run_sampled(m: Market, n_orders: int, seed: int,
                 ordering_strategy: Optional[OrderingStrategy] = None) -> Verdict:
-    """Seeded random arrival orders and tie-breaks; complete is always False."""
+    """Seeded random arrival orders and tie-breaks; complete is always False.
+    A seed that is not an int (bool included) is a ModelError."""
     if type(n_orders) is not int or n_orders < 0:
         raise ModelError("n_orders must be a non-negative int")
+    if type(seed) is not int:
+        raise ModelError("seed must be an int")
     opt_value = oracle_opt_value(m)
     rng = random.Random(seed)
     counterexample = None

@@ -27,6 +27,9 @@ BIDEMAND = [(seed, buyers, 2, values) for seed, buyers, values in
             ((1, 8, (1, 3)), (2, 9, (1, 3)), (3, 10, (1, 3)), (4, 11, (1, 3)),
              (5, 9, (1, 12)), (6, 10, (1, 12)), (7, 11, (1, 12)), (8, 12, (1, 12)))]
 THREE = [(seed, 3, [3, 2, 1], (1, hi)) for seed in (1, 2, 3) for hi in (3, 8)]
+# Two bi-demand markets whose seeded runs each reach all six cases.
+CASES = [(7, 10, 2, (1, 3)), (32, 8, 2, (1, 2))]
+BIDEMAND_CASES = {"base", "1", "2.1", "2.2.1", "2.2.2", "3"}
 VERDICTS = [(seed, buyers, 1, (1, hi)) for seed, buyers, hi in
             ((1, 4, 4), (2, 5, 20), (3, 6, 4), (4, 6, 20))] + \
            [(seed, 3, demands, (1, 3)) for seed, demands in
@@ -37,6 +40,7 @@ VERDICTS = [(seed, buyers, 1, (1, hi)) for seed, buyers, hi in
 DIGESTS = {
     "unit": "863b10cf70bb15d3da77d593a592c35b55235e4ea29faae9aef0c8aa5647c8ff",
     "bidemand": "b29b7b1a1c46a04c8f9ca3424379b546239e1db7cbad7694e7f573c759634073",
+    "cases": "a5bb68f0f9ad76c1ebca5cb698ab58b40d8b687b8a1d36c321b7b434adb83aae",
     "three": "9b98a32e312b5c92780f634c7f84278b856807989728727810d371fdb97abb87",
     "verdicts": "54676255366fdf6bcd507ed709c9a411350a259b4942075d7a24c8f03f63dae3",
     "sabotage": "a5d8510a0514d5f8204af564bd078a5ba9afe1bf263b9769a7a7cd72a9953b04",
@@ -126,6 +130,7 @@ def sabotage_lines() -> list[str]:
 RECORDS = {
     "unit": lambda: round_lines(UNIT),
     "bidemand": lambda: round_lines(BIDEMAND),
+    "cases": lambda: round_lines(CASES),
     "three": lambda: round_lines(THREE),
     "verdicts": verdict_lines,
     "sabotage": sabotage_lines,
@@ -139,6 +144,13 @@ def digest(name: str) -> str:
 @pytest.mark.parametrize("name", sorted(DIGESTS))
 def test_answers_keep_their_digest(name):
     assert digest(name) == DIGESTS[name]
+
+
+@pytest.mark.parametrize("params", CASES)
+def test_cases_record_reaches_every_case(params):
+    seen = {entry["case"] for ln in round_lines([params])
+            for entry in json.loads(ln).get("case_trace") or ()}
+    assert seen == BIDEMAND_CASES
 
 
 if __name__ == "__main__":

@@ -1,7 +1,11 @@
+import ast
 import json
 import random
 import re
+import runpy
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -148,6 +152,13 @@ def test_generate_refuses_only_past_the_cell_cap():
 def test_generate_refuses_counts_and_bounds_that_are_not_ints(args):
     with pytest.raises(ModelError):
         generate_instance(1, *args)
+
+
+@pytest.mark.parametrize("seed", [1.5, "1", True, None, [1]],
+                         ids=["float", "str", "bool", "none", "list"])
+def test_generate_refuses_a_seed_that_is_not_an_int(seed):
+    with pytest.raises(ModelError, match="^seed must be an int$"):
+        generate_instance(seed, 3, 1)
 
 
 def test_cli_generate_rejects_malformed_demands(capsys):
@@ -348,6 +359,45 @@ def test_cli_any_other_exception_is_an_internal_error(tmp_path, capsys, monkeypa
     err = capsys.readouterr().err.strip().splitlines()
     assert err[0] == "Traceback (most recent call last):" and "KeyError" in err[-2]
     assert err[-1] == "internal error: KeyError: 's9'"
+
+
+@pytest.mark.parametrize("demand", [1, 2])
+def test_refine_refusing_trims_optimum_is_an_internal_error(tmp_path, capsys, monkeypatch, demand):
+    # trim's optimum less one edge is below the optimum: refine refuses it, and
+    # that is an engine fault, so exit 3, not the caller's exit 2
+    from dynprice import model, multi_round, pricing, unit_round
+    from dynprice.errors import InternalConsistencyError
+
+    def short_trim(m):
+        trimmed, g, removed, best = model.trim_items(m)
+        return trimmed, g, removed, best - {min(best)}
+
+    monkeypatch.setattr(pricing, "trim_items", short_trim)
+    m = generate_instance(1, 4, demand, (1, 4))
+    for round_fn in (unit_round if demand == 1 else multi_round, pricing.tight_market):
+        with pytest.raises(InternalConsistencyError, match="^trimmed optimum refused: "):
+            round_fn(m)
+    path = write_market(tmp_path, m)
+    for verb in ("price", "order", "verify", "simulate"):
+        assert main([verb, "--input", path]) == 3
+        assert capsys.readouterr().err.startswith("internal error: trimmed optimum refused: ")
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["--seed", "14", "--buyers", "6", "--demand", "2", "--value-hi", "2"], 0),
+    (["--buyers", "10", "--demand", "2"], 2)], ids=["all-cases", "past-oracle-cap"])
+def test_price_walkthrough_exit_codes(monkeypatch, capsys, argv, code):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "price_walkthrough.py"
+    monkeypatch.setattr(sys, "argv", [str(script), *argv])
+    assert runpy.run_path(str(script))["main"]() == code
+    out, err = capsys.readouterr()
+    if code:
+        assert err == "error: oracle limited to 12 items\n"
+    else:
+        cases = {c for ln in out.splitlines() if ln.startswith("  case trace:")
+                 for c in ast.literal_eval(ln.split(":", 1)[1])}
+        assert cases == {"base", "1", "2.1", "2.2.1", "2.2.2", "3"}
+        assert out.endswith("final welfare 24 (optimum 24)\n")
 
 
 def test_cli_price_market_without_buyers(tmp_path, capsys):

@@ -6,8 +6,8 @@ import pytest
 
 from dynprice import (BipartiteGraph, Ordering, adequate_bidemand, matching,
                       adequate_three_buyers, adequate_two_buyers, combine,
-                      generate_instance, market_graph, orderings, refine_covering,
-                      tight_subgraph, verify_adequate)
+                      generate_instance, market_graph, multi_round, orderings,
+                      refine_covering, tight_subgraph, verify_adequate)
 from dynprice.errors import ContractViolationError, InternalConsistencyError, ModelError
 from dynprice.matching import Covering
 
@@ -56,6 +56,18 @@ def brute_find_adequate(g):
 def test_ordering_validation():
     with pytest.raises(ModelError):
         Ordering({"s1": 1, "s2": 3})
+
+
+@pytest.mark.parametrize("to_rank", [float, Fraction, lambda k: k == 1 or k],
+                         ids=["float", "fraction", "bool"])
+def test_ordering_refuses_ranks_that_are_not_ints(to_rank):
+    # each sorts equal to [1, 2, ...], but a rank is a price step: it must stay an int
+    with pytest.raises(ModelError, match="^ordering ranks must be ints$"):
+        Ordering({"s1": to_rank(1), "s2": to_rank(2)})
+    m = generate_instance(1, 3, 2, (1, 5))
+    with pytest.raises(ModelError, match="^ordering ranks must be ints$"):
+        multi_round(m, lambda trimmed, gpi, sc: Ordering(
+            {s: to_rank(k + 1) for k, s in enumerate(trimmed.items)}))
 
 
 def test_combine_constant_pi():

@@ -231,6 +231,17 @@ def test_minimal_disjoint_none_when_unique():
     assert minimal_dangerous_disjoint(g, frozenset({"t1"})) is None
 
 
+def test_minimal_disjoint_refuses_a_surplus_zero_set():
+    # {t1} is dangerous (N = {s1, s2}); away from it, {t2} has surplus zero
+    g = BipartiteGraph.build(["s1", "s2", "s3"], ["t1", "t2", "t3"],
+                             {("s1", "t1"): Fraction(1), ("s2", "t1"): Fraction(1),
+                              ("s2", "t2"): Fraction(1), ("s3", "t3"): Fraction(1)},
+                             {"s1": 1, "s2": 1, "s3": 1, "t1": 1, "t2": 1, "t3": 1})
+    with pytest.raises(ContractViolationError,
+                       match="^surplus-zero set exists; graph splits instead$"):
+        minimal_dangerous_disjoint(g, frozenset({"t1"}))
+
+
 def test_dangerous_finders_match_enumeration():
     rng = random.Random(29)
     for _ in range(25):

@@ -309,6 +309,13 @@ def test_counts_that_are_not_ints_are_model_errors(e2, count):
         run_sampled(e2, count, seed=0)
 
 
+@pytest.mark.parametrize("seed", [1.5, "1", True, None, [1]],
+                         ids=["float", "str", "bool", "none", "list"])
+def test_run_sampled_refuses_a_seed_that_is_not_an_int(e2, seed):
+    with pytest.raises(ModelError, match="^seed must be an int$"):
+        run_sampled(e2, 2, seed)
+
+
 def test_negative_control_d1(d1_market, d1_graph):
     # the reversed ordering must actually be inadequate on this instance
     from dynprice import market_graph, refine_covering, tight_subgraph
