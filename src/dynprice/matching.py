@@ -11,9 +11,10 @@ share.  Weighted questions go to the Hungarian solver.
 
 `BipartiteGraph.build` is for outside input: it validates the vertices,
 sorts the edges by item, then buyer, and makes weights Fractions.  In the
-package only `model.market_graph` calls it.  Every other graph is derived
-from a built one (`induced`, `unit_subgraph`, ...) and keeps its edge order,
-so nothing is validated or sorted twice.
+package only `model.market_graph` and `with_capacity`, which keeps `build`'s
+rules for capacities, call it.  Every other graph is derived from a built one
+(`induced`, `unit_subgraph`, ...) and keeps its edge order, so nothing is
+validated or sorted twice.
 
 The Hungarian solver works on the buyer-copy expansion: every buyer vertex
 t with capacity b(t) becomes min(b(t), |S| + 1) unit-capacity copies, items
@@ -57,7 +58,7 @@ from functools import cached_property
 from types import MappingProxyType
 from typing import AbstractSet, Iterable, Mapping, Optional
 
-from .errors import InternalConsistencyError, ModelError
+from .errors import ContractViolationError, InternalConsistencyError, ModelError
 
 ItemId = str
 BuyerId = str
@@ -178,11 +179,11 @@ class BipartiteGraph:
                             (t for t in self.buyers if t not in drop))
 
     def with_capacity(self, vertex: str, cap: int) -> "BipartiteGraph":
+        """This graph with one capacity changed, refused as `build` refuses it."""
         if vertex not in self.capacity:
             raise ModelError(f"unknown vertex {vertex!r}")
-        new_cap = dict(self.capacity)
-        new_cap[vertex] = cap
-        return BipartiteGraph(self.items, self.buyers, self.edges, self.weight, new_cap)
+        return BipartiteGraph.build(self.items, self.buyers, self.weight,
+                                    {**self.capacity, vertex: cap})
 
 
 @dataclass(frozen=True)
@@ -385,11 +386,15 @@ def optimal_covering(g: BipartiteGraph) -> Covering:
 def max_weight_forced_edge(g: BipartiteGraph, edge: Edge) -> Fraction:
     """Maximum weight over b-matchings that contain the given edge.
 
-    Realized as capacity reduction on both endpoints plus the constant w(e).
+    Realized as capacity reduction on both endpoints plus the constant w(e).  No
+    b-matching contains an edge of a buyer of capacity 0: ContractViolationError.
     """
     if edge not in g.edge_set:
         raise ModelError(f"edge {edge!r} not in graph")
     s, t = edge
+    if g.capacity[t] == 0:
+        raise ContractViolationError(
+            f"edge {edge!r} is in no b-matching: buyer {t} has capacity 0")
     reduced = g.without([s]).with_capacity(t, g.capacity[t] - 1)
     if reduced.capacity[t] == 0:
         reduced = reduced.without([t])

@@ -7,7 +7,7 @@ for up to three buyers (items tight for a single buyer first, then the rest,
 sorted by a labeling for three buyers), and the recursive case analysis for
 bi-demand markets driven by dangerous sets.  `pricing.dispatch_ordering`
 certifies each result with `verify_adequate`; each construction checks its
-input once, by `_require_factor`.  The case analysis starts from the caller's
+input once, by `_require_tight`.  The case analysis starts from the caller's
 tight graph (unit weights, every edge in a b-factor), with no refine: its dual
 is constant.  An edge in no b-factor means a buyer set of surplus zero, which
 `sets.maximal_dangerous_set` refuses as a contract error.  After a descent
@@ -50,6 +50,8 @@ class Ordering:
     rank: Mapping[ItemId, int]
 
     def __post_init__(self):
+        if not isinstance(self.rank, Mapping):
+            raise ModelError("ordering ranks must be a mapping from items")
         if any(type(r) is not int for r in self.rank.values()):
             raise ModelError("ordering ranks must be ints")
         ranks = sorted(self.rank.values())
@@ -84,44 +86,39 @@ def verify_adequate(gpi: BipartiteGraph, sigma: Ordering) -> bool:
     return True
 
 
-def _require_unit_weights(g: BipartiteGraph) -> None:
+def _require_tight(g: BipartiteGraph) -> None:
+    """Refuse g unless it has unit weights and a b-factor."""
     if any(w != 1 for w in g.weight.values()):
         raise ContractViolationError("tight graph weights must be one")
-
-
-def _require_factor(g: BipartiteGraph) -> None:
-    exists, _ = matching.bfactor_exists(g)
-    if not exists:
+    if not matching.bfactor_exists(g)[0]:
         raise ContractViolationError("graph admits no b-factor")
 
 
-def three_buyer_labeling(gpi: BipartiteGraph, classes: Mapping[frozenset[int], frozenset[ItemId]],
-                         reduced: Mapping[BuyerId, int]) -> dict[ItemId, int]:
-    """Labels 1..5 of the non-exclusive items given `legal_classes_3` and reduced demands.
+def three_buyer_labeling(gpi: BipartiteGraph) -> dict[ItemId, int]:
+    """Labels 1..5 of a three-buyer tight graph's items tight for two or three buyers.
 
-    Buyers are handled in non-increasing order of reduced demand; for the
-    buyer of rank i, the number of items labeled <= 4 - i inside each of its
-    pair classes is exactly max(0, class size - other demand).
+    Buyer t's reduced demand r(t) is b(t) less its single-buyer class in
+    `legal_classes_3`; buyers rank by non-increasing r, ties by position.  Items
+    tight for all three buyers get 5.  The k-th item (from 0, in item order) of
+    the pair class of buyers a and b gets 4 if k < min(r(a), r(b)), else mid if
+    k < max(r(a), r(b)), else 1; mid is 2 when the pair holds the rank-3 buyer
+    and 3 when not.  As k < size always, a class of size items has
+    min(size, r_lo) labeled 4 and min(size, r_hi) labeled 4 or mid, where r_lo
+    and r_hi are the pair's smaller and larger reduced demand.  So for the buyer
+    of rank i the number of items labeled <= 4 - i inside each of its pair
+    classes is exactly max(0, class size - other demand).
     """
-    buyers = gpi.buyers
-    r = {i + 1: reduced[buyers[i]] for i in range(3)}
-    order = sorted((1, 2, 3), key=lambda a: (-r[a], a))
-    rank_of = {pos: k + 1 for k, pos in enumerate(order)}
+    classes = sets.legal_classes_3(gpi)
+    r = {i: gpi.capacity[t] - len(classes[frozenset((i,))]) for i, t in enumerate(gpi.buyers, 1)}
+    order = sorted(r, key=lambda a: (-r[a], a))
     theta: dict[ItemId, int] = dict.fromkeys(classes[frozenset((1, 2, 3))], 5)
     for a, b in combinations((1, 2, 3), 2):
+        mid = 2 if order[2] in (a, b) else 3
         cls = [s for s in gpi.items if s in classes[frozenset((a, b))]]
-        i, j = sorted((rank_of[a], rank_of[b]))
-        r_hi = r[order[i - 1]]
-        r_lo = r[order[j - 1]]
-        size = len(cls)
-        mid_label = 3 if (i, j) == (1, 2) else 2
-        n4 = min(size, r_lo)
-        nmid = max(0, min(size, r_hi) - r_lo)
         for k, s in enumerate(cls):
-            theta[s] = 4 if k < n4 else (mid_label if k < n4 + nmid else 1)
+            theta[s] = 4 if k < min(r[a], r[b]) else (mid if k < max(r[a], r[b]) else 1)
     # Claim-style sanity: the items a rank-i buyer must grab fit its demand.
-    for i in (1, 2, 3):
-        pos = order[i - 1]
+    for i, pos in enumerate(order, 1):
         grab = sum(1 for a, b in combinations((1, 2, 3), 2)
                    if pos in (a, b)
                    for s in classes[frozenset((a, b))] if theta[s] <= 4 - i)
@@ -137,22 +134,16 @@ def adequate_three_buyers(gpi: BipartiteGraph) -> Ordering:
     sorted by the labeling when there are three buyers.  gpi must have unit
     weights and a b-factor; ContractViolationError otherwise.
     """
-    nb = len(gpi.buyers)
-    if nb > 3:
+    if len(gpi.buyers) > 3:
         raise ContractViolationError("at most three buyers supported")
-    _require_unit_weights(gpi)
-    _require_factor(gpi)
+    _require_tight(gpi)
     # A b-factor saturates every item, gives each buyer all of its single-buyer
-    # items and each pair-class item to one of the pair: the labeling's inputs fit.
-    head = [s for s in gpi.items if len(gpi.item_adj[s]) == 1]
-    rest = [s for s in gpi.items if len(gpi.item_adj[s]) != 1]
-    if nb == 3:
-        classes = sets.legal_classes_3(gpi)
-        reduced = {t: gpi.capacity[t] - len(classes[frozenset((i + 1,))])
-                   for i, t in enumerate(gpi.buyers)}
-        theta = three_buyer_labeling(gpi, classes, reduced)
-        rest.sort(key=theta.__getitem__)    # stable: ties stay in item order
-    return Ordering.from_sequence(head + rest)
+    # items and each pair-class item to one of the pair: the labeling's inputs
+    # fit, and it labels every item tight for two buyers or more.
+    key = {s: 0 if len(gpi.item_adj[s]) == 1 else 1 for s in gpi.items}
+    if len(gpi.buyers) == 3:
+        key.update(three_buyer_labeling(gpi))
+    return Ordering.from_sequence(sorted(gpi.items, key=key.__getitem__))  # ties keep item order
 
 
 def adequate_two_buyers(gpi: BipartiteGraph) -> Ordering:
@@ -191,8 +182,7 @@ def adequate_bidemand(h: BipartiteGraph, trace: Optional[list] = None) -> Orderi
     for t in h.buyers:
         if not 1 <= h.capacity[t] <= 2:
             raise ContractViolationError("demands must be one or two")
-    _require_unit_weights(h)
-    _require_factor(h)
+    _require_tight(h)
     return Ordering.from_sequence(_bidemand_cases(h, trace if trace is not None else [], 0))
 
 

@@ -138,6 +138,9 @@ def multi_round(m: Market, ordering_strategy: Optional[OrderingStrategy] = None
                             Ordering.from_sequence(()), trimmed, removed)
     strategy = ordering_strategy or dispatch_ordering
     sigma = strategy(trimmed, tm.gpi, sc)
+    if not isinstance(sigma, Ordering):
+        raise ModelError(
+            f"the ordering strategy must return an Ordering, not {type(sigma).__name__}")
     if sigma.rank.keys() != set(trimmed.items):
         raise ModelError("the ordering must rank exactly the trimmed items")
     if sc.slack is None:

@@ -17,6 +17,7 @@ from fractions import Fraction
 
 import pytest
 
+import dynprice.orderings as orderings
 import dynprice.pricing as pricing
 from dynprice import generate_instance, run_exhaustive, run_once
 from dynprice.simulation import reversed_ordering_strategy
@@ -30,6 +31,8 @@ THREE = [(seed, 3, [3, 2, 1], (1, hi)) for seed in (1, 2, 3) for hi in (3, 8)]
 # Two bi-demand markets whose seeded runs each reach all six cases.
 CASES = [(7, 10, 2, (1, 3)), (32, 8, 2, (1, 2))]
 BIDEMAND_CASES = {"base", "1", "2.1", "2.2.1", "2.2.2", "3"}
+# Two three-buyer markets whose seeded runs together reach all five labels.
+LABELS = [(19, 3, [4, 3, 2], (1, 2)), (14, 3, [4, 3, 2], (1, 3))]
 VERDICTS = [(seed, buyers, 1, (1, hi)) for seed, buyers, hi in
             ((1, 4, 4), (2, 5, 20), (3, 6, 4), (4, 6, 20))] + \
            [(seed, 3, demands, (1, 3)) for seed, demands in
@@ -44,6 +47,7 @@ DIGESTS = {
     "three": "9b98a32e312b5c92780f634c7f84278b856807989728727810d371fdb97abb87",
     "verdicts": "54676255366fdf6bcd507ed709c9a411350a259b4942075d7a24c8f03f63dae3",
     "sabotage": "a5d8510a0514d5f8204af564bd078a5ba9afe1bf263b9769a7a7cd72a9953b04",
+    "labels": "98bf72f62e0cff40733112677886772bf54f1016a9e7f090811b845b70424529",
 }
 
 
@@ -132,6 +136,7 @@ RECORDS = {
     "bidemand": lambda: round_lines(BIDEMAND),
     "cases": lambda: round_lines(CASES),
     "three": lambda: round_lines(THREE),
+    "labels": lambda: round_lines(LABELS),
     "verdicts": verdict_lines,
     "sabotage": sabotage_lines,
 }
@@ -151,6 +156,20 @@ def test_cases_record_reaches_every_case(params):
     seen = {entry["case"] for ln in round_lines([params])
             for entry in json.loads(ln).get("case_trace") or ()}
     assert seen == BIDEMAND_CASES
+
+
+def test_labels_record_reaches_every_label(monkeypatch):
+    seen = set()
+    real = orderings.three_buyer_labeling
+
+    def labeling(gpi):
+        theta = real(gpi)
+        seen.update(theta.values())
+        return theta
+
+    monkeypatch.setattr(orderings, "three_buyer_labeling", labeling)
+    round_lines(LABELS)
+    assert seen == {1, 2, 3, 4, 5}
 
 
 if __name__ == "__main__":

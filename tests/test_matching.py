@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from dynprice import (BipartiteGraph, bfactor_exists, market_graph,
                       max_weight_bmatching, max_weight_forced_edge,
                       max_weight_reduced_capacity, optimal_covering)
-from dynprice.errors import ModelError
+from dynprice.errors import ContractViolationError, ModelError
 from dynprice.matching import lexicographic_min_edge_optimum, solve_with_covering
 
 from conftest import (brute_bfactor_exists, brute_hall_witness, naive_opt_value,
@@ -90,6 +90,16 @@ def test_forced_edge_examples(e1):
     assert max_weight_forced_edge(single, ("s1", "t1")) == 7
     with pytest.raises(ModelError):
         max_weight_forced_edge(single, ("s1", "t9"))
+
+
+def test_forced_edge_of_a_buyer_without_capacity_is_refused():
+    # no b-matching holds an edge of a capacity-0 buyer: refused before any solve
+    g = graph_of(["s1", "s2"], ["t1", "t2"], {"t1": 0, "t2": 1},
+                 {("s1", "t1"): 3, ("s2", "t2"): 1})
+    with pytest.raises(ContractViolationError, match=re.escape(
+            "edge ('s1', 't1') is in no b-matching: buyer t1 has capacity 0")):
+        max_weight_forced_edge(g, ("s1", "t1"))
+    assert max_weight_forced_edge(g, ("s2", "t2")) == 1
 
 
 def test_reduced_capacity_examples(e1, e2):
@@ -365,6 +375,10 @@ def test_optimal_pair_check_trips_on_a_perturbed_solve(monkeypatch, perturb, mes
     (lambda g: BipartiteGraph.build(["s1"], ["t1"], {}, {"s1": 2, "t1": 1}),
      "item s1 must have capacity 1"),
     (lambda g: g.with_capacity("nobody", 1), "unknown vertex 'nobody'"),
+    (lambda g: g.with_capacity("t1", -1), "buyer t1 needs a non-negative int capacity"),
+    (lambda g: g.with_capacity("t1", 1.5), "buyer t1 needs a non-negative int capacity"),
+    (lambda g: graph_of(["s2"], ["t1"], {"t1": 1}, {}).with_capacity("s2", 2),
+     "item s2 must have capacity 1"),
     (lambda g: max_weight_reduced_capacity(g, "nobody"), "unknown vertex 'nobody'"),
 ])
 def test_graph_refusals_are_model_errors(call, message):

@@ -263,7 +263,6 @@ def test_three_buyers_planted_factor_graphs():
     # overflow branches (labels 3, 2 and 1), unlike complete random markets
     from collections import Counter
     from dynprice.orderings import three_buyer_labeling
-    from dynprice.sets import legal_classes_3
     rng = random.Random(12)
     hist = Counter()
     for trial in range(60):
@@ -290,10 +289,7 @@ def test_three_buyers_planted_factor_graphs():
         gpi = tight_subgraph(sc, g)
         sigma = adequate_three_buyers(gpi)
         assert verify_adequate(gpi, sigma)
-        classes = legal_classes_3(gpi)
-        reduced = {buyers[i]: caps[buyers[i]] - len(classes[frozenset((i + 1,))])
-                   for i in range(3)}
-        hist.update(three_buyer_labeling(gpi, classes, reduced).values())
+        hist.update(three_buyer_labeling(gpi).values())
     assert all(hist[label] > 0 for label in (1, 2, 3, 4))
 
 
@@ -538,6 +534,8 @@ def test_verify_adequate_matches_brute_force():
      ContractViolationError, "at most three buyers supported"),
     (lambda: adequate_two_buyers(tight_of(generate_instance(1, 3, 2, (1, 3)))),
      ContractViolationError, "exactly two buyers required"),
+    (lambda: Ordering([1]), ModelError, "ordering ranks must be a mapping from items"),
+    (lambda: Ordering(None), ModelError, "ordering ranks must be a mapping from items"),
 ])
 def test_ordering_refusals_are_typed(call, error, message):
     with pytest.raises(error, match=f"^{message}$"):

@@ -6,7 +6,8 @@ import pytest
 
 from dynprice import (Market, Ordering, best_bundles, dual, feasible_bundle, generate_instance,
                       market_graph, model, multi_round, orderings, pricing, refine_covering,
-                      tight_subgraph, trim_items, unit_round, verify_adequate)
+                      run_exhaustive, run_once, run_sampled, tight_subgraph, trim_items,
+                      unit_round, verify_adequate)
 from dynprice.errors import ContractViolationError, ModelError, UnsupportedMarketError
 from dynprice.simulation import oracle_feasible
 
@@ -128,14 +129,28 @@ def test_multi_refuses_unsupported_regime():
         multi_round(m)
 
 
-@pytest.mark.parametrize("foreign", [
-    lambda items: items[:-1],          # one trimmed item left unranked
-    lambda items: items + ("s99",),    # an item the trimmed market lacks
-], ids=["missing-item", "extra-item"])
-def test_multi_refuses_an_ordering_of_other_items(foreign):
+@pytest.mark.parametrize("foreign, message", [
+    # one trimmed item left unranked, and an item the trimmed market lacks
+    (lambda items: Ordering.from_sequence(items[:-1]),
+     "the ordering must rank exactly the trimmed items"),
+    (lambda items: Ordering.from_sequence(items + ("s99",)),
+     "the ordering must rank exactly the trimmed items"),
+    # no Ordering at all, in every entry point that takes a strategy
+    (lambda items: list(items), "the ordering strategy must return an Ordering, not list"),
+    (lambda items: None, "the ordering strategy must return an Ordering, not NoneType"),
+], ids=["missing-item", "extra-item", "list", "none"])
+def test_multi_refuses_an_ordering_of_other_items(foreign, message):
     m = generate_instance(500001, 3, 2, (1, 3))
-    with pytest.raises(ModelError, match="^the ordering must rank exactly the trimmed items$"):
-        multi_round(m, lambda tr, g, sc: Ordering.from_sequence(foreign(tr.items)))
+
+    def strategy(tr, g, sc):
+        return foreign(tr.items)
+
+    for call in (lambda: multi_round(m, strategy),
+                 lambda: run_once(m, m.buyers, ordering_strategy=strategy),
+                 lambda: run_exhaustive(m, ordering_strategy=strategy),
+                 lambda: run_sampled(m, 2, 1, ordering_strategy=strategy)):
+        with pytest.raises(ModelError, match=f"^{message}$"):
+            call()
 
 
 def test_multi_handles_untrimmed_input():
