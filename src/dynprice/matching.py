@@ -395,10 +395,7 @@ def max_weight_forced_edge(g: BipartiteGraph, edge: Edge) -> Fraction:
     if g.capacity[t] == 0:
         raise ContractViolationError(
             f"edge {edge!r} is in no b-matching: buyer {t} has capacity 0")
-    reduced = g.without([s]).with_capacity(t, g.capacity[t] - 1)
-    if reduced.capacity[t] == 0:
-        reduced = reduced.without([t])
-    return g.weight[edge] + max_weight_value(reduced)
+    return g.weight[edge] + max_weight_reduced_capacity(g.without([s]), t)
 
 
 def max_weight_reduced_capacity(g: BipartiteGraph, vertex: str) -> Fraction:

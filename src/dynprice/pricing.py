@@ -130,6 +130,8 @@ def tight_market(m: Market) -> TightMarket:
 def multi_round(m: Market, ordering_strategy: Optional[OrderingStrategy] = None
                 ) -> RoundPricing:
     """Multi-demand round; refuses markets where some buyer can be left short."""
+    if ordering_strategy is not None and not callable(ordering_strategy):
+        raise ModelError("the ordering strategy must be callable")
     tm = tight_market(m)
     trimmed, removed, sc = tm.trimmed, tm.removed, tm.sc
     if not trimmed.items:

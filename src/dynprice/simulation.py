@@ -7,9 +7,10 @@ backs every derived expected value in the test suite.  `oracle_structure`
 reads both structured-dual facts off one DP pass.
 
 `best_bundles` compares margins as ints and builds the best bundles from the
-margin order: the items above the b(t)-th largest margin are fixed, and only
-the tie class at it, or the zero-margin padding, is enumerated.  It keeps the
-full enumeration's cap of 22 non-negative-margin items.
+margin order: the items above the cut (the b(t)-th largest positive margin,
+or 0) are fixed, and only the items at the cut are enumerated.  It counts the
+bundles before listing them and refuses more than `BUNDLE_CAP`, however many
+items have a non-negative margin.
 
 `infer_mode` on the root market picks each run's pricing path, kept to the end
 even when only demand-one buyers remain.  `run_exhaustive` explores every
@@ -40,6 +41,7 @@ from .pricing import (OrderingStrategy, PriceVector, RoundPricing, dispatch_orde
                       infer_mode, multi_round, prohibitive_price, unit_round)
 
 ORACLE_ITEM_CAP = 12
+BUNDLE_CAP = 2 ** 22        # most best bundles listed for one buyer: every subset of 22 items
 ORACLE_OPTIMA_CAP = 500000
 
 
@@ -169,15 +171,20 @@ def best_bundles(m: Market, t: BuyerId, p: PriceVector) -> list[frozenset[ItemId
     by size, then by the items' index tuple in `m.items`.
 
     Margins are compared as ints: the buyer's values and the prices are scaled
-    by the lcm of their denominators.  When more than b(t) margins are
-    positive, every best bundle holds the items above the b(t)-th largest
-    margin and fills its other slots from the items tied at it.  Otherwise it
-    holds every positive-margin item, padded with any few enough zero-margin
-    items; the empty bundle appears whenever zero utility is maximal.  More
-    than 22 non-negative-margin items is refused, as for a full enumeration.
+    by the lcm of their denominators.  The cut is the b(t)-th largest positive
+    margin, or 0 when fewer than b(t) margins are positive.  Every best bundle
+    holds the items above the cut and fills its other slots from the items at
+    it: all of them when the cut is positive, any few enough zero-margin items
+    otherwise, so the empty bundle appears whenever zero utility is maximal.
+    The bundles are counted before any is listed, and more than `BUNDLE_CAP`
+    is refused.
     """
-    if t not in m.demand:
-        raise ModelError(f"unknown buyer {t!r}")
+    if not isinstance(p, PriceVector):
+        raise ModelError("prices must be a PriceVector")
+    try:
+        b = m.demand[t]
+    except (KeyError, TypeError):           # unknown, or unhashable
+        raise ModelError(f"unknown buyer {t!r}") from None
     missing = [s for s in m.items if s not in p.price]
     if missing:
         raise ModelError(f"no price for items {missing!r}")
@@ -188,22 +195,16 @@ def best_bundles(m: Market, t: BuyerId, p: PriceVector) -> list[frozenset[ItemId
     d = math.lcm(1, *(x.denominator for x in values), *(x.denominator for x in prices))
     margin = [v.numerator * (d // v.denominator) - x.numerator * (d // x.denominator)
               for v, x in zip(values, prices)]
-    cands = [i for i, x in enumerate(margin) if x >= 0]
-    if len(cands) > 22:
+    positive = sorted((x for x in margin if x > 0), reverse=True)
+    cut = positive[b - 1] if len(positive) >= b else 0
+    fixed = [i for i, x in enumerate(margin) if x > cut]
+    tied = [i for i, x in enumerate(margin) if x == cut]
+    sizes = [b - len(fixed)] if cut > 0 else range(min(b - len(fixed), len(tied)) + 1)
+    if sum(math.comb(len(tied), k) for k in sizes) > BUNDLE_CAP:
         raise ContractViolationError("bundle enumeration beyond desk scale")
-    b = m.demand[t]
-    positive = sorted((margin[i] for i in cands if margin[i] > 0), reverse=True)
-    if len(positive) > b:
-        cut = positive[b - 1]
-        fixed = [i for i in cands if margin[i] > cut]
-        fills = combinations([i for i in cands if margin[i] == cut], b - len(fixed))
-    else:
-        fixed = [i for i in cands if margin[i] > 0]
-        zero = [i for i in cands if margin[i] == 0]
-        fills = chain.from_iterable(combinations(zero, k)
-                                    for k in range(min(b - len(fixed), len(zero)) + 1))
     # Every bundle holds the same fixed items, so `combinations` over index
     # order already yields the bundles in canonical order.
+    fills = chain.from_iterable(combinations(tied, k) for k in sizes)
     return [frozenset(m.items[i] for i in (*fixed, *fill)) for fill in fills]
 
 
@@ -275,6 +276,8 @@ def run_once(m: Market, order: Iterable[BuyerId], tiebreak: Optional[TieBreak] =
         permutation = False
     if not permutation:
         raise ModelError("order must be a permutation of the buyers")
+    if tiebreak is not None and not callable(tiebreak):
+        raise ModelError("the tiebreak must be callable")
     mode = infer_mode(m)
     residual = m
     steps: list[Step] = []

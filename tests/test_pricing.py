@@ -153,6 +153,19 @@ def test_multi_refuses_an_ordering_of_other_items(foreign, message):
             call()
 
 
+@pytest.mark.parametrize("strategy", ["x", 5])
+def test_multi_refuses_a_strategy_that_is_not_callable(strategy, monkeypatch):
+    # refused before any pricing, in every entry point that takes a strategy
+    m = generate_instance(500001, 3, 2, (1, 3))
+    monkeypatch.setattr(pricing, "tight_market", None)
+    for call in (lambda: multi_round(m, strategy),
+                 lambda: run_once(m, m.buyers, ordering_strategy=strategy),
+                 lambda: run_exhaustive(m, ordering_strategy=strategy),
+                 lambda: run_sampled(m, 2, 1, ordering_strategy=strategy)):
+        with pytest.raises(ModelError, match="^the ordering strategy must be callable$"):
+            call()
+
+
 def test_multi_handles_untrimmed_input():
     # saturation holds but an extra item must be trimmed before pricing
     m = Market.build(["s1", "s2", "s3"], ["t1"], {"t1": 1},

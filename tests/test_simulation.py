@@ -1,14 +1,16 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dynprice import (Market, PriceVector, best_bundles, generate_instance,
+from dynprice import (Market, PriceVector, best_bundles, generate_instance, market_graph,
                       oracle_feasible, oracle_opt, oracle_opt_value, run_exhaustive,
-                      run_once, run_sampled, verify_adequate)
+                      run_once, run_sampled, simulation, verify_adequate)
 from dynprice.errors import ContractViolationError, ModelError, OracleCapError
+from dynprice.matching import solve_with_covering
 from dynprice.model import restrict_market, submarket
 from dynprice.simulation import oracle_structure, reversed_ordering_strategy
 
@@ -162,9 +164,9 @@ def test_best_bundles_matches_the_full_enumeration(data):
         assert best_bundles(m, t, p) == reference_best_bundles(m, t, p)
 
 
-def test_best_bundles_answers_22_candidates_and_refuses_23():
+def test_best_bundles_answers_up_to_the_bundle_cap_and_refuses_past_it(monkeypatch):
     # margin 1 on s0 and s1, 0 on the next `zeros` items and -1 on the rest:
-    # only the non-negative margins count towards the cap
+    # b(t) = 3 leaves one slot for a zero-margin item, so there are zeros + 1 bundles
     items = [f"s{k}" for k in range(24)]
     m = Market.build(items, ["t1"], {"t1": 3}, {("t1", s): 1 for s in items})
 
@@ -172,10 +174,30 @@ def test_best_bundles_answers_22_candidates_and_refuses_23():
         return PriceVector({s: 0 if k < 2 else 1 if k < 2 + zeros else 2
                             for k, s in enumerate(items)}, Fraction(0))
 
-    got = best_bundles(m, "t1", prices(20))
-    assert got == reference_best_bundles(m, "t1", prices(20)) and len(got) == 21
+    for zeros in (20, 21, 22):      # 22 to 24 candidates: the count, not the candidates, is capped
+        got = best_bundles(m, "t1", prices(zeros))
+        assert got == reference_best_bundles(m, "t1", prices(zeros)) and len(got) == zeros + 1
+    monkeypatch.setattr(simulation, "BUNDLE_CAP", 21)
+    assert len(best_bundles(m, "t1", prices(20))) == 21
     with pytest.raises(ContractViolationError, match="^bundle enumeration beyond desk scale$"):
         best_bundles(m, "t1", prices(21))
+    monkeypatch.undo()
+    # 23 zero-margin items and b(t) = 23 would list 2^23 bundles: refused before listing any
+    wide = Market.build(items[:23], ["t1"], {"t1": 23}, {("t1", s): 1 for s in items[:23]})
+    monkeypatch.setattr(simulation, "combinations", None)
+    with pytest.raises(ContractViolationError, match="^bundle enumeration beyond desk scale$"):
+        best_bundles(wide, "t1", PriceVector(dict.fromkeys(items[:23], 1), Fraction(0)))
+
+
+@pytest.mark.parametrize("n, b, value, price", [
+    (30, 3, lambda k: k + 1, lambda k: 0),     # 30 distinct positive margins
+    (25, 2, lambda k: 2, lambda k: 1),         # 25 items tied at a positive cut
+], ids=["distinct", "tied"])
+def test_best_bundles_answers_past_22_candidates(n, b, value, price):
+    items = [f"s{k}" for k in range(n)]
+    m = Market.build(items, ["t1"], {"t1": b}, {("t1", s): value(k) for k, s in enumerate(items)})
+    p = PriceVector({s: price(k) for k, s in enumerate(items)}, Fraction(0))
+    assert best_bundles(m, "t1", p) == reference_best_bundles(m, "t1", p)
 
 
 def test_best_bundles_unique_under_multi_prices(e2):
@@ -230,6 +252,16 @@ def test_run_once_refuses_an_order_that_is_not_a_permutation(order):
     m = generate_instance(3, 3, 2, (1, 4))
     with pytest.raises(ModelError, match="^order must be a permutation of the buyers$"):
         run_once(m, order)
+
+
+@pytest.mark.parametrize("args", [(2, 30, 1, (1, 2)), (2, 16, 2, (1, 2))],
+                         ids=["unit-30", "bidemand-16"])
+def test_run_once_past_22_candidates_ends_at_the_optimum(args):
+    # in buyer order the second arrival sees more than 22 items of non-negative margin
+    m = generate_instance(*args)
+    opt = solve_with_covering(market_graph(m)).value
+    for order in (m.buyers, m.buyers[::-1]):
+        assert run_once(m, order).final_welfare == opt
 
 
 def test_run_once_welfare_accounting(e2):
@@ -442,12 +474,18 @@ def test_submarket_preserves_order(e2):
     (lambda m: best_bundles(m, "nobody", PriceVector(dict.fromkeys(m.items, Fraction(0)),
                                                      Fraction(0))),
      "unknown buyer 'nobody'"),
+    (lambda m: best_bundles(m, ["t1"], PriceVector(dict.fromkeys(m.items, Fraction(0)),
+                                                   Fraction(0))),
+     "unknown buyer ['t1']"),
+    (lambda m: best_bundles(m, "t1", dict.fromkeys(m.items, Fraction(0))),
+     "prices must be a PriceVector"),
     (lambda m: run_once(m, m.buyers, lambda t, bundles, k: frozenset({"s1", "s2", "s3"})),
      "tiebreak selected a non-maximizing bundle"),
+    (lambda m: run_once(m, m.buyers, 5), "the tiebreak must be callable"),
 ])
 def test_simulation_refusals_are_model_errors(call, message):
     m = generate_instance(1, 3, 1, (1, 3))
-    with pytest.raises(ModelError, match=f"^{message}$"):
+    with pytest.raises(ModelError, match=f"^{re.escape(message)}$"):
         call(m)
 
 
