@@ -48,8 +48,7 @@ def walk(args) -> int:
     total = 0
     for round_no, t in enumerate(m.buyers, start=1):
         trace = []
-        rp = multi_round(residual, lambda trimmed, gpi, sc:
-                         dispatch_ordering(trimmed, gpi, sc, trace))
+        rp = multi_round(residual, lambda gpi: dispatch_ordering(gpi, trace))
         print(f"\nround {round_no}: pi = "
               + " ".join(f"{v}={rp.pi.pi[v]}" for v in rp.trimmed.items + rp.trimmed.buyers))
         print(f"  sigma = {list(rp.sigma.items_in_order())}, delta = {rp.prices.delta}")

@@ -221,9 +221,9 @@ def _cmd_dual(args) -> int:
 def _cmd_order(args) -> int:
     tm = tight_market(_load_market(args))
     trace: list = []
-    sigma = dispatch_ordering(tm.trimmed, tm.gpi, tm.sc, trace)
+    sigma = dispatch_ordering(tm.gpi, trace)
     _dump({
-        "method": ordering_method(tm.trimmed),
+        "method": ordering_method(tm.gpi),
         "ordering": list(sigma.items_in_order()),
         "trimmed_away": sorted(tm.removed),
         "case_trace": trace,

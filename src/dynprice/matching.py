@@ -72,6 +72,14 @@ def int_fraction(x, what: str) -> Fraction:
     return Fraction(x)
 
 
+def frozen_ids(ids: Iterable, what: str) -> frozenset:
+    """frozenset(ids); ids that are not an iterable of hashables are a ModelError."""
+    try:
+        return frozenset(ids)
+    except TypeError:
+        raise ModelError(f"{what} must be hashable ids") from None
+
+
 @dataclass(frozen=True)
 class BipartiteGraph:
     """Edge-weighted bipartite graph with vertex capacities (items always 1);

@@ -15,7 +15,7 @@ from typing import AbstractSet, Iterable, Mapping, Optional
 from . import matching
 from .dual import refine_covering
 from .errors import InternalConsistencyError, ModelError
-from .matching import BipartiteGraph, BuyerId, ItemId
+from .matching import BipartiteGraph, BuyerId, ItemId, frozen_ids
 
 
 @dataclass(frozen=True)
@@ -61,7 +61,7 @@ class Allocation:
 
     @staticmethod
     def of(bundle: Mapping[BuyerId, Iterable[ItemId]]) -> "Allocation":
-        return Allocation({t: frozenset(items) for t, items in bundle.items()})
+        return Allocation({t: frozen_ids(items, "items") for t, items in bundle.items()})
 
 
 @dataclass(frozen=True)
@@ -163,8 +163,8 @@ def trim_items(m: Market) -> tuple[Market, BipartiteGraph, frozenset[ItemId],
 
 def restrict_market(m: Market, departed: BuyerId, sold: Iterable[ItemId]) -> Market:
     """The market after a buyer leaves with (possibly zero, at most its demand) sold items."""
-    sold = frozenset(sold)
-    if departed not in m.demand:
+    sold = frozen_ids(sold, "items")
+    if departed not in m.buyers:
         raise ModelError(f"unknown buyer {departed!r}")
     unknown = sold - set(m.items)
     if unknown:

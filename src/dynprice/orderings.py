@@ -2,10 +2,11 @@
 
 An ordering of the items is adequate for a tight graph when, for every buyer,
 matching the buyer to its first b(t) tight neighbors still leaves a graph with
-a b-factor.  `pricing.ordering_method` picks one of two constructions: one rule
-for up to three buyers (items tight for a single buyer first, then the rest,
-sorted by a labeling for three buyers), and the recursive case analysis for
-bi-demand markets driven by dangerous sets.  `pricing.dispatch_ordering`
+a b-factor.  Both constructions take the tight graph alone, and
+`pricing.ordering_method` picks one from that graph's buyers and capacities:
+one rule for up to three buyers (items tight for a single buyer first, then
+the rest, sorted by a labeling for three buyers), and the recursive case
+analysis for bi-demand graphs driven by dangerous sets.  `pricing.dispatch_ordering`
 certifies each result with `verify_adequate`; each construction checks its
 input once, by `_require_tight`.  The case analysis starts from the caller's
 tight graph (unit weights, every edge in a b-factor), with no refine: its dual
@@ -40,7 +41,7 @@ from typing import Iterable, Mapping, Optional
 from . import matching, sets
 from .dual import refine_covering, tight_subgraph
 from .errors import ContractViolationError, InternalConsistencyError, ModelError
-from .matching import BipartiteGraph, BuyerId, Covering, ItemId
+from .matching import BipartiteGraph, BuyerId, Covering, ItemId, frozen_ids
 
 
 @dataclass(frozen=True)
@@ -60,6 +61,8 @@ class Ordering:
 
     @staticmethod
     def from_sequence(items: Iterable[ItemId]) -> "Ordering":
+        items = tuple(items)
+        frozen_ids(items, "items")
         return Ordering({s: k + 1 for k, s in enumerate(items)})
 
     def items_in_order(self) -> tuple[ItemId, ...]:

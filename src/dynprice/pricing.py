@@ -6,7 +6,8 @@ price trimmed-away items prohibitively so no buyer ever takes them.
 
 One graph and one weighted solve per round: `trim_items` returns the trimmed
 market's graph and its certified optimum, from which the structured dual
-starts, and the tight graph is cut from that graph.
+starts, and the tight graph is cut from that graph.  The ordering layer takes
+that graph alone: `ordering_method` reads its buyers and capacities (the demands).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .matching import BipartiteGraph, Covering, ItemId
 from .model import Market, trim_items
 from .orderings import Ordering, adequate_bidemand, adequate_three_buyers, verify_adequate
 
-OrderingStrategy = Callable[[Market, BipartiteGraph, StructuredCovering], Ordering]
+OrderingStrategy = Callable[[BipartiteGraph], Ordering]
 
 
 @dataclass(frozen=True)
@@ -55,20 +56,19 @@ def infer_mode(m: Market) -> str:
     return "unit" if all(m.demand[t] == 1 for t in m.buyers) else "multi"
 
 
-def ordering_method(trimmed: Market) -> str:
-    """The adequate-ordering construction that applies to a trimmed market."""
-    if len(trimmed.buyers) <= 3:
+def ordering_method(gpi: BipartiteGraph) -> str:
+    """The adequate-ordering construction that applies to a tight graph."""
+    if len(gpi.buyers) <= 3:
         return "three-buyer"
-    if all(trimmed.demand[t] <= 2 for t in trimmed.buyers):
+    if all(gpi.capacity[t] <= 2 for t in gpi.buyers):
         return "bi-demand"
     raise UnsupportedMarketError(
         "no adequate-ordering construction for >3 buyers with demands above two")
 
 
-def dispatch_ordering(trimmed: Market, gpi: BipartiteGraph, sc: StructuredCovering,
-                      trace: Optional[list] = None) -> Ordering:
+def dispatch_ordering(gpi: BipartiteGraph, trace: Optional[list] = None) -> Ordering:
     """Adequate ordering by `ordering_method`, certified; `trace` collects bi-demand cases."""
-    three = ordering_method(trimmed) == "three-buyer"
+    three = ordering_method(gpi) == "three-buyer"
     sigma = adequate_three_buyers(gpi) if three else adequate_bidemand(gpi, trace)
     if not verify_adequate(gpi, sigma):
         raise InternalConsistencyError("constructed ordering is not adequate")
@@ -138,8 +138,7 @@ def multi_round(m: Market, ordering_strategy: Optional[OrderingStrategy] = None
         price = {s: prohibitive_price(m, s) for s in removed}
         return RoundPricing(PriceVector(price, Fraction(0)), sc.pi,
                             Ordering.from_sequence(()), trimmed, removed)
-    strategy = ordering_strategy or dispatch_ordering
-    sigma = strategy(trimmed, tm.gpi, sc)
+    sigma = (ordering_strategy or dispatch_ordering)(tm.gpi)
     if not isinstance(sigma, Ordering):
         raise ModelError(
             f"the ordering strategy must return an Ordering, not {type(sigma).__name__}")

@@ -25,15 +25,15 @@ from operator import itemgetter
 from typing import Iterable, Optional
 
 from .errors import ContractViolationError, ModelError
-from .matching import BipartiteGraph, BuyerId, ItemId, augment
+from .matching import BipartiteGraph, BuyerId, ItemId, augment, frozen_ids
 
 DANGEROUS_SETS_BUYER_CAP = 16  # all_dangerous_sets enumerates 2^|T| buyer sets
 
 
 def feasible_bundle(gpi: BipartiteGraph, t: BuyerId, F: Iterable[ItemId]) -> bool:
     """Whether bundle F can go to t in some b-factor: whether G - t - F has one."""
-    F = frozenset(F)
-    if t not in gpi.buyer_adj or any(s not in gpi.item_adj for s in F):
+    F = frozen_ids(F, "items")
+    if t not in gpi.buyers or any(s not in gpi.item_adj for s in F):
         raise ModelError("unknown buyer or item")
     if not F <= set(gpi.buyer_adj[t]) or len(F) != gpi.capacity[t]:
         raise ContractViolationError(
@@ -50,7 +50,7 @@ def feasible_bundle(gpi: BipartiteGraph, t: BuyerId, F: Iterable[ItemId]) -> boo
 
 
 def _known_buyers(gpi: BipartiteGraph, Y: Iterable[BuyerId]) -> frozenset[BuyerId]:
-    Y = frozenset(Y)
+    Y = frozen_ids(Y, "buyers")
     unknown = Y.difference(gpi.buyer_adj)
     if unknown:
         raise ModelError(f"unknown buyers {sorted(unknown)!r}")

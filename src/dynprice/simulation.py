@@ -13,7 +13,9 @@ bundles before listing them and refuses more than `BUNDLE_CAP`, however many
 items have a non-negative margin.
 
 `infer_mode` on the root market picks each run's pricing path, kept to the end
-even when only demand-one buyers remain.  `run_exhaustive` explores every
+even when only demand-one buyers remain.  An ordering strategy maps a round's
+tight graph to an ordering; a unit run refuses one before its first round, as
+unit prices have no ordering.  `run_exhaustive` explores every
 arrival order and, at each step, every utility-maximizing bundle.  Prices
 depend only on the residual market, so states are memoized, with their first
 least-welfare move, on (remaining buyers, remaining items); the run count
@@ -34,7 +36,7 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import (ContractViolationError, InternalConsistencyError, ModelError,
                      OracleCapError, UnsupportedMarketError)
-from .matching import BuyerId, Covering, ItemId
+from .matching import BipartiteGraph, BuyerId, Covering, ItemId, frozen_ids
 from .model import Allocation, Market, restrict_market, submarket
 from .orderings import Ordering
 from .pricing import (OrderingStrategy, PriceVector, RoundPricing, dispatch_ordering,
@@ -154,8 +156,8 @@ def oracle_structure(m: Market) -> tuple[frozenset[tuple[ItemId, BuyerId]],
 
 def oracle_feasible(m: Market, t: BuyerId, F: Iterable[ItemId]) -> bool:
     """Does some optimal allocation give t exactly the bundle F?"""
-    F = frozenset(F)
-    if len(F) > m.demand.get(t, len(F)) and F <= set(m.items):
+    F = frozen_ids(F, "items")
+    if t in m.buyers and len(F) > m.demand[t] and F <= set(m.items):
         return False
     rest = restrict_market(m, t, F)     # ModelError on an unknown buyer or item
     bundle_value = sum((m.value[(t, s)] for s in F), Fraction(0))
@@ -250,6 +252,14 @@ def _prohibitive_round(m: Market) -> RoundPricing:
                         frozenset(m.items))
 
 
+def _run_mode(m: Market, ordering_strategy: Optional[OrderingStrategy]) -> str:
+    """The run's pricing path; unit prices have no ordering, so no strategy."""
+    mode = infer_mode(m)
+    if mode == "unit" and ordering_strategy is not None:
+        raise ModelError("a unit-demand market takes no ordering strategy")
+    return mode
+
+
 def _price_round(m: Market, mode: str,
                  ordering_strategy: Optional[OrderingStrategy],
                  is_root: bool = True) -> RoundPricing:
@@ -278,7 +288,7 @@ def run_once(m: Market, order: Iterable[BuyerId], tiebreak: Optional[TieBreak] =
         raise ModelError("order must be a permutation of the buyers")
     if tiebreak is not None and not callable(tiebreak):
         raise ModelError("the tiebreak must be callable")
-    mode = infer_mode(m)
+    mode = _run_mode(m, ordering_strategy)
     residual = m
     steps: list[Step] = []
     welfare_total = Fraction(0)
@@ -317,7 +327,7 @@ def run_exhaustive(m: Market, budget: int = 200000,
     """
     if type(budget) is not int or budget < 0:
         raise ModelError("budget must be a non-negative int")
-    mode = infer_mode(m)
+    mode = _run_mode(m, ordering_strategy)
     # Welfare runs on the oracle's integers: values times its denominator.
     oracle = _Oracle(m)
     opt = oracle.best_from(0, oracle.start)
@@ -389,10 +399,9 @@ def run_exhaustive(m: Market, budget: int = 200000,
     return Verdict(count, False, trace, True, opt_value)
 
 
-def reversed_ordering_strategy(trimmed: Market, gpi, sc) -> Ordering:
+def reversed_ordering_strategy(gpi: BipartiteGraph) -> Ordering:
     """Negative control: the standard adequate ordering, reversed."""
-    base = dispatch_ordering(trimmed, gpi, sc)
-    return Ordering.from_sequence(tuple(reversed(base.items_in_order())))
+    return Ordering.from_sequence(dispatch_ordering(gpi).items_in_order()[::-1])
 
 
 def run_sampled(m: Market, n_orders: int, seed: int,
@@ -403,6 +412,7 @@ def run_sampled(m: Market, n_orders: int, seed: int,
         raise ModelError("n_orders must be a non-negative int")
     if type(seed) is not int:
         raise ModelError("seed must be an int")
+    _run_mode(m, ordering_strategy)
     opt_value = oracle_opt_value(m)
     rng = random.Random(seed)
     counterexample = None

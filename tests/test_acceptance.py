@@ -256,7 +256,7 @@ def test_criterion_9_negative_control(d1_market):
     g = market_graph(d1_market)
     sc = refine_covering(g)
     gpi = tight_subgraph(sc, g)
-    bad = reversed_ordering_strategy(d1_market, gpi, sc)
+    bad = reversed_ordering_strategy(gpi)
     assert not verify_adequate(gpi, bad), "control needs an inadequate ordering"
     v = run_exhaustive(d1_market, ordering_strategy=reversed_ordering_strategy)
     assert not v.all_optimal

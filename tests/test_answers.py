@@ -79,10 +79,10 @@ def round_lines(params) -> list[str]:
         duals.append(sc)
         return sc
 
-    def dispatch(trimmed, gpi, sc, trace=None):
+    def dispatch(gpi, trace=None):
         trace = []
-        sigma = real_dispatch(trimmed, gpi, sc, trace)
-        orderings[id(sc)] = (sigma.items_in_order(), trace)
+        sigma = real_dispatch(gpi, trace)
+        orderings[id(duals[-1])] = (sigma.items_in_order(), trace)
         return sigma
 
     lines = []

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dynprice import (Allocation, BipartiteGraph, Market, check_opt_property,
-                      generate_instance, market_graph, restrict_market, trim_items, welfare)
+from dynprice import (Allocation, BipartiteGraph, Market, Ordering, check_opt_property,
+                      feasible_bundle, generate_instance, market_graph, min_surplus_set,
+                      oracle_feasible, restrict_market, trim_items, welfare)
 from dynprice.errors import ModelError
 from dynprice.simulation import oracle_opt, oracle_opt_value, oracle_structure
 
@@ -210,6 +211,24 @@ def test_restrict_market(e1, e2):
     assert restrict_market(m, "t1", ["s1", "s2"]).buyers == ("t2", "t3")
     with pytest.raises(ModelError, match="^bundle of t1 exceeds demand$"):
         restrict_market(m, "t1", ["s1", "s2", "s3"])
+
+
+@pytest.mark.parametrize("call", [
+    lambda m, g: oracle_feasible(m, ["t1"], []),
+    lambda m, g: oracle_feasible(m, "t1", [["s1"]]),
+    lambda m, g: restrict_market(m, ["t1"], []),
+    lambda m, g: restrict_market(m, "t1", [["s1"]]),
+    lambda m, g: welfare(m, Allocation.of({"t1": [["s1"]]})),
+    lambda m, g: feasible_bundle(g, ["t1"], []),
+    lambda m, g: min_surplus_set(g, include=[["t1"]]),
+    lambda m, g: Ordering.from_sequence([["s1"]]),
+], ids=["oracle-buyer", "oracle-items", "restrict-buyer", "restrict-items", "welfare",
+        "feasible-buyer", "surplus-buyers", "ordering-items"])
+def test_unhashable_ids_are_model_errors(call):
+    # a list where an id belongs is bad input, not an engine fault
+    m = generate_instance(500001, 3, 2, (1, 3))
+    with pytest.raises(ModelError):
+        call(m, market_graph(m))
 
 
 @settings(max_examples=30, deadline=None)

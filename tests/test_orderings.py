@@ -66,8 +66,8 @@ def test_ordering_refuses_ranks_that_are_not_ints(to_rank):
         Ordering({"s1": to_rank(1), "s2": to_rank(2)})
     m = generate_instance(1, 3, 2, (1, 5))
     with pytest.raises(ModelError, match="^ordering ranks must be ints$"):
-        multi_round(m, lambda trimmed, gpi, sc: Ordering(
-            {s: to_rank(k + 1) for k, s in enumerate(trimmed.items)}))
+        multi_round(m, lambda gpi: Ordering(
+            {s: to_rank(k + 1) for k, s in enumerate(gpi.items)}))
 
 
 def test_combine_constant_pi():

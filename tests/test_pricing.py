@@ -4,10 +4,10 @@ from itertools import combinations
 
 import pytest
 
-from dynprice import (Market, Ordering, best_bundles, dual, feasible_bundle, generate_instance,
-                      market_graph, model, multi_round, orderings, pricing, refine_covering,
-                      run_exhaustive, run_once, run_sampled, tight_subgraph, trim_items,
-                      unit_round, verify_adequate)
+from dynprice import (BipartiteGraph, Market, Ordering, best_bundles, dual, feasible_bundle,
+                      generate_instance, market_graph, model, multi_round, orderings, pricing,
+                      refine_covering, run_exhaustive, run_once, run_sampled, tight_subgraph,
+                      trim_items, unit_round, verify_adequate)
 from dynprice.errors import ContractViolationError, ModelError, UnsupportedMarketError
 from dynprice.simulation import oracle_feasible
 
@@ -129,6 +129,35 @@ def test_multi_refuses_unsupported_regime():
         multi_round(m)
 
 
+@pytest.mark.parametrize("params", [(500001, 4, 2, (1, 3)), (1, 3, [3, 2, 1], (1, 3))],
+                         ids=["bi-demand", "three-buyer"])
+def test_a_strategy_receives_the_round_tight_graph(params):
+    m = generate_instance(*params)
+    seen = []
+
+    def strategy(gpi):
+        seen.append(gpi)
+        return pricing.dispatch_ordering(gpi)
+
+    assert multi_round(m, strategy).sigma == multi_round(m).sigma
+    assert [graph_fields(g) for g in seen] == [graph_fields(pricing.tight_market(m).gpi)]
+
+
+@pytest.mark.parametrize("caps, method", [
+    ((1, 1), "three-buyer"), ((5, 1, 3), "three-buyer"), ((3, 3, 3), "three-buyer"),
+    ((2, 1, 2, 2), "bi-demand"), ((1, 1, 1, 1, 1), "bi-demand"), ((2, 2, 3, 1), None)])
+def test_ordering_method_reads_the_graph_alone(caps, method):
+    buyers = [f"t{k + 1}" for k in range(len(caps))]
+    items = [f"s{k + 1}" for k in range(sum(caps))]
+    g = BipartiteGraph.build(items, buyers, {(s, t): 1 for s in items for t in buyers},
+                             dict(zip(buyers, caps)))
+    if method is None:
+        with pytest.raises(UnsupportedMarketError, match="demands above two"):
+            pricing.ordering_method(g)
+    else:
+        assert pricing.ordering_method(g) == method
+
+
 @pytest.mark.parametrize("foreign, message", [
     # one trimmed item left unranked, and an item the trimmed market lacks
     (lambda items: Ordering.from_sequence(items[:-1]),
@@ -142,8 +171,8 @@ def test_multi_refuses_unsupported_regime():
 def test_multi_refuses_an_ordering_of_other_items(foreign, message):
     m = generate_instance(500001, 3, 2, (1, 3))
 
-    def strategy(tr, g, sc):
-        return foreign(tr.items)
+    def strategy(gpi):
+        return foreign(gpi.items)
 
     for call in (lambda: multi_round(m, strategy),
                  lambda: run_once(m, m.buyers, ordering_strategy=strategy),
@@ -308,8 +337,8 @@ def test_adequacy_certificate_matches_the_cold_reference_on_price_pools(monkeypa
     monkeypatch.setattr(workloads, "probe", lambda: workloads.REFERENCE_S)  # no timing here
     seen = []
 
-    def recording(trimmed, gpi, sc):
-        sigma = pricing.dispatch_ordering(trimmed, gpi, sc)
+    def recording(gpi):
+        sigma = pricing.dispatch_ordering(gpi)
         seen.append((gpi, sigma))
         return sigma
 

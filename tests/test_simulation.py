@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from dynprice import (Market, PriceVector, best_bundles, generate_instance, market_graph,
                       oracle_feasible, oracle_opt, oracle_opt_value, run_exhaustive,
                       run_once, run_sampled, simulation, verify_adequate)
+from dynprice.cli import main
 from dynprice.errors import ContractViolationError, ModelError, OracleCapError
 from dynprice.matching import solve_with_covering
 from dynprice.model import restrict_market, submarket
@@ -312,10 +313,13 @@ def test_run_exhaustive_on_fractional_values(seed, buyers, profile, hi, runs, ca
     assert type(v.optimum) is Fraction and v.optimum == naive_opt_value(m)
     assert v.optimum.denominator > 1
     assert v.all_optimal and v.complete and v.runs_checked == runs
-    bad = run_exhaustive(m, ordering_strategy=reversed_ordering_strategy)
-    assert bad.complete and bad.runs_checked == runs and bad.optimum == v.optimum
-    assert bad.all_optimal is not caught
-    if caught:
+    if not caught:      # unit prices have no ordering, so the control is refused
+        with pytest.raises(ModelError, match="^a unit-demand market takes no ordering strategy$"):
+            run_exhaustive(m, ordering_strategy=reversed_ordering_strategy)
+    else:
+        bad = run_exhaustive(m, ordering_strategy=reversed_ordering_strategy)
+        assert bad.complete and bad.runs_checked == runs and bad.optimum == v.optimum
+        assert not bad.all_optimal
         cx = bad.counterexample
         assert type(cx.final_welfare) is Fraction and cx.final_welfare < bad.optimum
         assert cx.final_welfare == sum((m.value[(st.buyer, s)] for st in cx.steps
@@ -348,13 +352,35 @@ def test_run_sampled_refuses_a_seed_that_is_not_an_int(e2, seed):
         run_sampled(e2, 2, seed)
 
 
+def test_unit_runs_refuse_an_ordering_strategy(tmp_path, capsys, monkeypatch):
+    # unit prices have no ordering, so a strategy there would test nothing: it
+    # is refused before the first round, so `simulate --sabotage reversed` exits 2
+    message = "a unit-demand market takes no ordering strategy"
+    assert main(["generate", "--seed", "1", "--buyers", "3"]) == 0
+    path = tmp_path / "unit.json"
+    path.write_text(capsys.readouterr().out)
+    for extra in ([], ["--orders", "3"], ["--budget", "0"]):
+        assert main(["simulate", "--input", str(path), "--sabotage", "reversed", *extra]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+    m = generate_instance(1, 3, 1)
+    monkeypatch.setattr(simulation, "unit_round", None)     # no round may be priced
+    for strategy in (reversed_ordering_strategy, 5):
+        for call in (lambda: run_once(m, m.buyers, ordering_strategy=strategy),
+                     lambda: run_exhaustive(m, ordering_strategy=strategy),
+                     lambda: run_exhaustive(m, budget=0, ordering_strategy=strategy),
+                     lambda: run_sampled(m, 2, 1, ordering_strategy=strategy),
+                     lambda: run_sampled(m, 0, 1, ordering_strategy=strategy)):
+            with pytest.raises(ModelError, match=f"^{message}$"):
+                call()
+
+
 def test_negative_control_d1(d1_market, d1_graph):
     # the reversed ordering must actually be inadequate on this instance
     from dynprice import market_graph, refine_covering, tight_subgraph
     g = market_graph(d1_market)
     sc = refine_covering(g)
     gpi = tight_subgraph(sc, g)
-    bad = reversed_ordering_strategy(d1_market, gpi, sc)
+    bad = reversed_ordering_strategy(gpi)
     assert not verify_adequate(gpi, bad)
     v = run_exhaustive(d1_market, ordering_strategy=reversed_ordering_strategy)
     assert not v.all_optimal
@@ -399,7 +425,7 @@ def test_sabotage_always_caught():
         g = market_graph(m)
         sc = refine_covering(g)
         gpi = tight_subgraph(sc, g)
-        bad = reversed_ordering_strategy(m, gpi, sc)
+        bad = reversed_ordering_strategy(gpi)
         if verify_adequate(gpi, bad):
             continue
         v = run_exhaustive(m, ordering_strategy=reversed_ordering_strategy)
