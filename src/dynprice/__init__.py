@@ -7,11 +7,10 @@ price vectors, and adversarial simulation of dynamic runs.
 
 from .errors import (ContractViolationError, InternalConsistencyError, ModelError,
                      OracleCapError, UnsupportedMarketError)
-from .matching import (BipartiteGraph, BMatching, Covering, bfactor_exists,
-                       max_weight_bmatching, max_weight_forced_edge,
-                       max_weight_reduced_capacity, optimal_covering)
-from .model import (Allocation, Market, OptReport, check_opt_property,
-                    market_graph, restrict_market, trim_items, welfare)
+from .matching import (BipartiteGraph, Covering, bfactor_exists, max_weight_bmatching,
+                       max_weight_forced_edge, max_weight_reduced_capacity, optimal_covering)
+from .model import (Market, OptReport, check_opt_property, market_graph, restrict_market,
+                    trim_items, welfare)
 from .dual import (StructuredCovering, compute_slack, is_legal_edge,
                    refine_covering, tight_subgraph)
 from .sets import (feasible_bundle, legal_classes_3, maximal_dangerous_set,

@@ -197,11 +197,10 @@ def _cmd_generate(args) -> int:
 def _cmd_solve(args) -> int:
     m = _load_market(args)
     res = solve_with_covering(market_graph(m))
-    bm = res.matching
     _dump({
         "welfare": rational_to_str(res.value),
-        "matching": sorted([s, t] for s, t in bm.edges),
-        "allocation": {t: sorted(bm.bundle(t)) for t in m.buyers},
+        "matching": sorted([s, t] for s, t in res.matching),
+        "allocation": {t: sorted(s for s, u in res.matching if u == t) for t in m.buyers},
         "pi": _pi_json(res.covering),
     }, args)
     return 0

@@ -60,7 +60,7 @@ from typing import Optional
 
 from . import matching
 from .errors import ContractViolationError, InternalConsistencyError, ModelError
-from .matching import BipartiteGraph, Covering, Edge
+from .matching import BipartiteGraph, Covering, Edge, contains
 
 
 @dataclass(frozen=True)
@@ -83,7 +83,7 @@ def compute_slack(g: BipartiteGraph, pi: Covering) -> Optional[Fraction]:
 
 def is_legal_edge(g: BipartiteGraph, e: Edge) -> bool:
     """Whether some maximum-weight b-matching contains e."""
-    if e not in g.edge_set:
+    if not contains(g.edge_set, e):
         raise ModelError(f"edge {e!r} not in graph")
     return matching.max_weight_forced_edge(g, e) == matching.max_weight_value(g)
 
@@ -231,7 +231,7 @@ def refine_covering(g: BipartiteGraph, m: Optional[frozenset[Edge]] = None
     that is not one raises ContractViolationError."""
     if m is not None and not (isinstance(m, (set, frozenset)) and m <= g.edge_set):
         raise ContractViolationError("m is not a set of the graph's edges")
-    m_edges = matching.solve_with_covering(g).matching.edges if m is None else m
+    m_edges = matching.solve_with_covering(g).matching if m is None else m
     vertices = g.items + g.buyers
     z = len(vertices)
     node = {v: k for k, v in enumerate(vertices)}

@@ -56,7 +56,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from types import MappingProxyType
-from typing import AbstractSet, Iterable, Mapping, Optional
+from typing import AbstractSet, Container, Iterable, Mapping, Optional
 
 from .errors import ContractViolationError, InternalConsistencyError, ModelError
 
@@ -80,6 +80,24 @@ def frozen_ids(ids: Iterable, what: str) -> frozenset:
         raise ModelError(f"{what} must be hashable ids") from None
 
 
+def id_tuple(ids: Iterable, what: str) -> tuple:
+    """tuple(ids), refused as `frozen_ids` refuses it."""
+    try:
+        ids = tuple(ids)
+        hash(ids)
+    except TypeError:
+        raise ModelError(f"{what} must be hashable ids") from None
+    return ids
+
+
+def contains(known: Container, key) -> bool:
+    """key in known; an unhashable key is in nothing."""
+    try:
+        return key in known
+    except TypeError:
+        return False
+
+
 @dataclass(frozen=True)
 class BipartiteGraph:
     """Edge-weighted bipartite graph with vertex capacities (items always 1);
@@ -95,8 +113,9 @@ class BipartiteGraph:
     def build(items: Iterable[ItemId], buyers: Iterable[BuyerId],
               weight: Mapping[Edge, Fraction | int],
               capacity: Mapping[str, int]) -> "BipartiteGraph":
-        items = tuple(items)
-        buyers = tuple(buyers)
+        items, buyers = id_tuple(items, "items"), id_tuple(buyers, "buyers")
+        if not isinstance(weight, Mapping) or not isinstance(capacity, Mapping):
+            raise ModelError("weights and capacities must be mappings")
         if len(set(items)) != len(items) or len(set(buyers)) != len(buyers):
             raise ModelError("duplicate vertex ids")
         if set(items) & set(buyers):
@@ -188,23 +207,10 @@ class BipartiteGraph:
 
     def with_capacity(self, vertex: str, cap: int) -> "BipartiteGraph":
         """This graph with one capacity changed, refused as `build` refuses it."""
-        if vertex not in self.capacity:
+        if not contains(self.capacity, vertex):
             raise ModelError(f"unknown vertex {vertex!r}")
         return BipartiteGraph.build(self.items, self.buyers, self.weight,
                                     {**self.capacity, vertex: cap})
-
-
-@dataclass(frozen=True)
-class BMatching:
-    """Edge set with every vertex degree at most its capacity."""
-
-    edges: frozenset[Edge]
-
-    def bundle(self, buyer: BuyerId) -> frozenset[ItemId]:
-        return frozenset(s for s, t in self.edges if t == buyer)
-
-    def weight(self, g: BipartiteGraph) -> Fraction:
-        return sum((g.weight[e] for e in self.edges), Fraction(0))
 
 
 @dataclass(frozen=True)
@@ -225,9 +231,9 @@ class Covering:
 
 @dataclass(frozen=True)
 class SolveResult:
-    """A verified optimal pair: M, its weight and an optimal covering."""
+    """A verified optimal pair: M's edges, its weight and an optimal covering."""
 
-    matching: BMatching
+    matching: frozenset[Edge]
     value: Fraction
     covering: Covering
 
@@ -372,12 +378,12 @@ def solve_with_covering(g: BipartiteGraph) -> SolveResult:
     weight, denom = g.scaled
     edges, value, pi = _solve(g, weight)
     _check_optimal_pair(g, weight, edges, value, pi)
-    return SolveResult(BMatching(edges), Fraction(value, denom),
+    return SolveResult(edges, Fraction(value, denom),
                        Covering({v: Fraction(x, denom) for v, x in pi.items()}))
 
 
-def max_weight_bmatching(g: BipartiteGraph) -> tuple[BMatching, Fraction]:
-    """A maximum-weight b-matching of g and its total weight (deterministic)."""
+def max_weight_bmatching(g: BipartiteGraph) -> tuple[frozenset[Edge], Fraction]:
+    """The edges of a maximum-weight b-matching of g and its total weight (deterministic)."""
     res = solve_with_covering(g)
     return res.matching, res.value
 
@@ -397,7 +403,7 @@ def max_weight_forced_edge(g: BipartiteGraph, edge: Edge) -> Fraction:
     Realized as capacity reduction on both endpoints plus the constant w(e).  No
     b-matching contains an edge of a buyer of capacity 0: ContractViolationError.
     """
-    if edge not in g.edge_set:
+    if not contains(g.edge_set, edge):
         raise ModelError(f"edge {edge!r} not in graph")
     s, t = edge
     if g.capacity[t] == 0:
@@ -408,7 +414,7 @@ def max_weight_forced_edge(g: BipartiteGraph, edge: Edge) -> Fraction:
 
 def max_weight_reduced_capacity(g: BipartiteGraph, vertex: str) -> Fraction:
     """Maximum weight over b-matchings with capacity at `vertex` lowered by one."""
-    if vertex not in g.capacity:
+    if not contains(g.capacity, vertex):
         raise ModelError(f"unknown vertex {vertex!r}")
     if g.capacity[vertex] <= 1:
         return max_weight_value(g.without([vertex]))
@@ -465,7 +471,7 @@ def bfactor_exists(g: BipartiteGraph) -> tuple[bool, Optional[frozenset[BuyerId]
     return False, witness
 
 
-def lexicographic_min_edge_optimum(g: BipartiteGraph) -> tuple[BMatching, Fraction]:
+def lexicographic_min_edge_optimum(g: BipartiteGraph) -> tuple[frozenset[Edge], Fraction]:
     """Maximum-weight b-matching using the fewest edges among all optima.
 
     Solved and certified over the integer weights w * D * K - 1, K = |S| + 1 (see
@@ -476,4 +482,4 @@ def lexicographic_min_edge_optimum(g: BipartiteGraph) -> tuple[BMatching, Fracti
     weight = {e: w * k - 1 for e, w in scaled.items()}
     edges, value, pi = _solve(g, weight)
     _check_optimal_pair(g, weight, edges, value, pi)
-    return BMatching(edges), Fraction(sum(scaled[e] for e in edges), denom)
+    return edges, Fraction(sum(scaled[e] for e in edges), denom)

@@ -15,7 +15,7 @@ from typing import AbstractSet, Iterable, Mapping, Optional
 from . import matching
 from .dual import refine_covering
 from .errors import InternalConsistencyError, ModelError
-from .matching import BipartiteGraph, BuyerId, ItemId, frozen_ids
+from .matching import BipartiteGraph, BuyerId, ItemId, frozen_ids, id_tuple
 
 
 @dataclass(frozen=True)
@@ -31,8 +31,9 @@ class Market:
     def build(items: Iterable[ItemId], buyers: Iterable[BuyerId],
               demand: Mapping[BuyerId, int],
               value: Mapping[tuple[BuyerId, ItemId], Fraction | int]) -> "Market":
-        items = tuple(items)
-        buyers = tuple(buyers)
+        items, buyers = id_tuple(items, "items"), id_tuple(buyers, "buyers")
+        if not isinstance(demand, Mapping) or not isinstance(value, Mapping):
+            raise ModelError("demands and values must be mappings")
         if len(set(items)) != len(items) or len(set(buyers)) != len(buyers):
             raise ModelError("duplicate ids")
         if set(items) & set(buyers):
@@ -54,21 +55,10 @@ class Market:
 
 
 @dataclass(frozen=True)
-class Allocation:
-    """Disjoint bundles, one per buyer, each within the buyer's demand."""
-
-    bundle: Mapping[BuyerId, frozenset[ItemId]]
-
-    @staticmethod
-    def of(bundle: Mapping[BuyerId, Iterable[ItemId]]) -> "Allocation":
-        return Allocation({t: frozen_ids(items, "items") for t, items in bundle.items()})
-
-
-@dataclass(frozen=True)
 class OptReport:
     opt_welfare: Fraction
     opt_property_holds: bool
-    witness: Optional[tuple[BuyerId, Allocation]] = None
+    witness: Optional[tuple[BuyerId, Mapping[BuyerId, frozenset[ItemId]]]] = None
 
 
 def submarket(m: Market, items: AbstractSet[ItemId],
@@ -88,37 +78,27 @@ def market_graph(m: Market) -> BipartiteGraph:
     return BipartiteGraph.build(m.items, m.buyers, weight, capacity)
 
 
-def _validate_allocation(m: Market, a: Allocation) -> None:
+def welfare(m: Market, bundles: Mapping[BuyerId, Iterable[ItemId]]) -> Fraction:
+    """Total value of an allocation {buyer: bundle}: disjoint bundles of m's items,
+    each within its buyer's demand."""
+    if not isinstance(bundles, Mapping):
+        raise ModelError("an allocation must map buyers to bundles")
     seen: set[ItemId] = set()
-    items = set(m.items)
-    for t, bundle in a.bundle.items():
+    total = Fraction(0)
+    for t, items in bundles.items():
+        bundle = frozen_ids(items, "items")
         if t not in m.demand:
             raise ModelError(f"allocation references unknown buyer {t!r}")
         if len(bundle) > m.demand[t]:
             raise ModelError(f"bundle of {t} exceeds demand")
         for s in bundle:
-            if s not in items:
+            if (t, s) not in m.value:
                 raise ModelError(f"allocation references unknown item {s!r}")
             if s in seen:
                 raise ModelError(f"item {s} allocated twice")
             seen.add(s)
-
-
-def welfare(m: Market, a: Allocation) -> Fraction:
-    """Total value of the allocation, summed over buyers."""
-    _validate_allocation(m, a)
-    total = Fraction(0)
-    for t, bundle in a.bundle.items():
-        for s in bundle:
             total += m.value[(t, s)]
     return total
-
-
-def allocation_from_matching(bm: matching.BMatching, m: Market) -> Allocation:
-    out: dict[BuyerId, set[ItemId]] = {t: set() for t in m.buyers}
-    for s, t in bm.edges:
-        out[t].add(s)
-    return Allocation.of(out)
 
 
 def check_opt_property(m: Market) -> OptReport:
@@ -136,10 +116,11 @@ def check_opt_property(m: Market) -> OptReport:
     if t is None:
         return OptReport(opt, True, None)
     reduced = g.without([t]) if m.demand[t] == 1 else g.with_capacity(t, m.demand[t] - 1)
-    wit_matching, wit_value = matching.max_weight_bmatching(reduced)
+    edges, wit_value = matching.max_weight_bmatching(reduced)
     if wit_value != opt:
         raise InternalConsistencyError("zero buyer dual without a short optimum")
-    return OptReport(opt, False, (t, allocation_from_matching(wit_matching, m)))
+    return OptReport(opt, False, (t, {u: frozenset(s for s, v in edges if v == u)
+                                      for u in m.buyers}))
 
 
 def trim_items(m: Market) -> tuple[Market, BipartiteGraph, frozenset[ItemId],
@@ -154,11 +135,11 @@ def trim_items(m: Market) -> tuple[Market, BipartiteGraph, frozenset[ItemId],
     """
     g = market_graph(m)
     best, _ = matching.lexicographic_min_edge_optimum(g)
-    used = {s for s, _ in best.edges}
+    used = {s for s, _ in best}
     removed = frozenset(s for s in m.items if s not in used)
     if removed:
         m, g = submarket(m, used, set(m.buyers)), g.induced(used, m.buyers)
-    return m, g, removed, best.edges
+    return m, g, removed, best
 
 
 def restrict_market(m: Market, departed: BuyerId, sold: Iterable[ItemId]) -> Market:

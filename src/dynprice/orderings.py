@@ -41,7 +41,7 @@ from typing import Iterable, Mapping, Optional
 from . import matching, sets
 from .dual import refine_covering, tight_subgraph
 from .errors import ContractViolationError, InternalConsistencyError, ModelError
-from .matching import BipartiteGraph, BuyerId, Covering, ItemId, frozen_ids
+from .matching import BipartiteGraph, BuyerId, Covering, ItemId, id_tuple
 
 
 @dataclass(frozen=True)
@@ -61,8 +61,7 @@ class Ordering:
 
     @staticmethod
     def from_sequence(items: Iterable[ItemId]) -> "Ordering":
-        items = tuple(items)
-        frozen_ids(items, "items")
+        items = id_tuple(items, "items")
         return Ordering({s: k + 1 for k, s in enumerate(items)})
 
     def items_in_order(self) -> tuple[ItemId, ...]:

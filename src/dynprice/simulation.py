@@ -37,7 +37,7 @@ from typing import Callable, Iterable, Optional, Sequence
 from .errors import (ContractViolationError, InternalConsistencyError, ModelError,
                      OracleCapError, UnsupportedMarketError)
 from .matching import BipartiteGraph, BuyerId, Covering, ItemId, frozen_ids
-from .model import Allocation, Market, restrict_market, submarket
+from .model import Market, restrict_market, submarket
 from .orderings import Ordering
 from .pricing import (OrderingStrategy, PriceVector, RoundPricing, dispatch_ordering,
                       infer_mode, multi_round, prohibitive_price, unit_round)
@@ -86,16 +86,16 @@ class _Oracle:
     def opt(self) -> Fraction:
         return Fraction(self.best_from(0, self.start), self.denom)
 
-    def enumerate_optima(self) -> list[Allocation]:
+    def enumerate_optima(self) -> list[dict[BuyerId, frozenset[ItemId]]]:
         opt = self.best_from(0, self.start)
-        out: list[Allocation] = []
+        out: list[dict[BuyerId, frozenset[ItemId]]] = []
         assign: dict[BuyerId, set[ItemId]] = {t: set() for t in self.buyers}
 
         def walk(i: int, caps: tuple[int, ...], acc: int) -> None:
             if len(out) >= ORACLE_OPTIMA_CAP:
                 raise OracleCapError("too many optimal allocations to enumerate")
             if i == len(self.items):
-                out.append(Allocation.of({t: set(v) for t, v in assign.items()}))
+                out.append({t: frozenset(v) for t, v in assign.items()})
                 return
             s = self.items[i]
             if acc + self.best_from(i + 1, caps) == opt:
@@ -117,8 +117,8 @@ def oracle_opt_value(m: Market) -> Fraction:
     return _Oracle(m).opt()
 
 
-def oracle_opt(m: Market) -> tuple[Fraction, tuple[Allocation, ...]]:
-    """Exhaustive optimum welfare and the complete set of optimal allocations."""
+def oracle_opt(m: Market) -> tuple[Fraction, tuple[dict[BuyerId, frozenset[ItemId]], ...]]:
+    """Exhaustive optimum welfare and every optimal allocation, as {buyer: bundle}."""
     oracle = _Oracle(m)
     return oracle.opt(), tuple(oracle.enumerate_optima())
 

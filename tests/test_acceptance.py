@@ -236,7 +236,7 @@ def test_criterion_8_figure_regression():
         frozenset([("t1", "s1"), ("t1", "s4"), ("t2", "s2"), ("t2", "s3"),
                    ("t3", "s5"), ("t3", "s6")]),
     }
-    got = {frozenset((t, s) for t, bun in a.bundle.items() for s in bun)
+    got = {frozenset((t, s) for t, bun in a.items() for s in bun)
            for a in allocs}
     assert got == want, "reconstruction must have exactly the two listed optima"
     legal, _, _ = oracle_structure(m)

@@ -170,9 +170,13 @@ def test_cli_generate_rejects_malformed_demands(capsys):
 def test_cli_solve_dual_order_price(tmp_path, capsys, e2):
     path = write_market(tmp_path, e2)
     assert main(["solve", "--input", path]) == 0
-    out = json.loads(capsys.readouterr().out)
-    assert out["welfare"] == "14"
-    assert sorted(out["allocation"]["t1"]) == ["s1", "s2"]
+    text = capsys.readouterr().out
+    out = json.loads(text)
+    assert text == json.dumps({
+        "allocation": {"t1": ["s1", "s2"], "t2": ["s3", "s4"]},
+        "matching": [["s1", "t1"], ["s2", "t1"], ["s3", "t2"], ["s4", "t2"]],
+        "pi": {"s1": "0", "s2": "0", "s3": "0", "s4": "0", "t1": "4", "t2": "3"},
+        "welfare": "14"}, sort_keys=True) + "\n"
     capacity = {s: 1 for s in e2.items} | dict(e2.demand)
     assert sum(Fraction(x) * capacity[v] for v, x in out["pi"].items()) == 14
 
@@ -189,6 +193,21 @@ def test_cli_solve_dual_order_price(tmp_path, capsys, e2):
     assert main(["price", "--input", path]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["mode"] == "multi" and set(out["prices"]) == set(e2.items)
+
+
+def test_cli_solve_lists_an_empty_bundle(tmp_path, capsys):
+    # t3 values nothing and gets nothing: its bundle is listed, empty
+    path = tmp_path / "t3.json"
+    path.write_text(json.dumps({"items": ["s1", "s2"], "buyers": [
+        {"id": "t1", "demand": 1, "values": {"s1": "3", "s2": "1"}},
+        {"id": "t2", "demand": 1, "values": {"s1": "1", "s2": "0"}},
+        {"id": "t3", "demand": 1, "values": {"s1": "0", "s2": "0"}}]}))
+    assert main(["solve", "--input", str(path)]) == 0
+    assert capsys.readouterr().out == json.dumps({
+        "allocation": {"t1": ["s1"], "t2": ["s2"], "t3": []},
+        "matching": [["s1", "t1"], ["s2", "t2"]],
+        "pi": {"s1": "1", "s2": "0", "t1": "2", "t2": "0", "t3": "0"},
+        "welfare": "3"}, sort_keys=True) + "\n"
 
 
 def test_cli_order_methods(tmp_path, capsys, d1_market):

@@ -231,9 +231,9 @@ def test_solve_value_and_covering_agree_with_the_matching_weight(pinning_corpus)
     from dynprice.matching import solve_with_covering
     for g in pinning_corpus:
         res = solve_with_covering(g)
-        assert res.value == res.matching.weight(g) == res.covering.total_value(g)
+        assert res.value == sum(g.weight[e] for e in res.matching) == res.covering.total_value(g)
         assert res.covering.is_covering(g)
-        assert res.matching.edges <= res.covering.tight_edges(g)
+        assert res.matching <= res.covering.tight_edges(g)
 
 
 def test_matching_over_a_capacity_trips(monkeypatch):
@@ -444,7 +444,7 @@ def test_refine_is_the_same_from_any_optimal_matching(bidemand_recursion):
     # bi-demand ordering receives
     from dynprice.matching import lexicographic_min_edge_optimum, solve_with_covering
     rng = random.Random(17)
-    starts = [(g, lexicographic_min_edge_optimum(g)[0].edges)
+    starts = [(g, lexicographic_min_edge_optimum(g)[0])
               for g in (random_graph(rng) for _ in range(3000))]
     starts += [(g, frozenset(g.max_cardinality_bmatching[0].items()))
                for g in bidemand_recursion]
@@ -452,7 +452,7 @@ def test_refine_is_the_same_from_any_optimal_matching(bidemand_recursion):
     for g, m in starts:
         sc, given = refine_covering(g), refine_covering(g, m)
         assert (given.pi, given.tight_edges, given.slack) == (sc.pi, sc.tight_edges, sc.slack)
-        other += m != solve_with_covering(g).matching.edges
+        other += m != solve_with_covering(g).matching
     assert len(bidemand_recursion) >= 300 and other >= 250
 
 

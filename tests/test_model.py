@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dynprice import (Allocation, BipartiteGraph, Market, Ordering, check_opt_property,
-                      feasible_bundle, generate_instance, market_graph, min_surplus_set,
+from dynprice import (BipartiteGraph, Market, Ordering, check_opt_property,
+                      feasible_bundle, generate_instance, is_legal_edge, market_graph,
+                      max_weight_forced_edge, max_weight_reduced_capacity, min_surplus_set,
                       oracle_feasible, restrict_market, trim_items, welfare)
 from dynprice.errors import ModelError
 from dynprice.simulation import oracle_opt, oracle_opt_value, oracle_structure
@@ -15,23 +16,26 @@ from conftest import naive_opt_value
 
 
 def test_welfare_empty(e1):
-    assert welfare(e1, Allocation.of({})) == 0
+    assert welfare(e1, {}) == 0
 
 
 def test_welfare_examples(e1, e2):
-    assert welfare(e1, Allocation.of({"t1": {"s1"}, "t2": {"s2"}})) == 5
-    assert welfare(e2, Allocation.of({"t1": {"s1", "s2"}, "t2": {"s3", "s4"}})) == 14
+    assert welfare(e1, {"t1": {"s1"}, "t2": {"s2"}}) == 5
+    assert welfare(e2, {"t1": {"s1", "s2"}, "t2": {"s3", "s4"}}) == 14
+    assert welfare(e1, {"t1": ["s1"], "t2": ("s2",)}) == 5
 
 
 def test_welfare_rejects_bad_bundles(e1):
-    with pytest.raises(ModelError):
-        welfare(e1, Allocation.of({"t9": {"s1"}}))
-    with pytest.raises(ModelError):
-        welfare(e1, Allocation.of({"t1": {"nope"}}))
-    with pytest.raises(ModelError):
-        welfare(e1, Allocation.of({"t1": {"s1"}, "t2": {"s1"}}))
-    with pytest.raises(ModelError):
-        welfare(e1, Allocation.of({"t1": {"s1", "s2"}}))
+    with pytest.raises(ModelError, match="^allocation references unknown buyer 't9'$"):
+        welfare(e1, {"t9": {"s1"}})
+    with pytest.raises(ModelError, match="^allocation references unknown item 'nope'$"):
+        welfare(e1, {"t1": {"nope"}})
+    with pytest.raises(ModelError, match="^item s1 allocated twice$"):
+        welfare(e1, {"t1": {"s1"}, "t2": {"s1"}})
+    with pytest.raises(ModelError, match="^bundle of t1 exceeds demand$"):
+        welfare(e1, {"t1": {"s1", "s2"}})
+    with pytest.raises(ModelError, match="^an allocation must map buyers to bundles$"):
+        welfare(e1, [("t1", {"s1"})])
 
 
 def test_market_build_validation():
@@ -73,7 +77,7 @@ def test_check_opt_property_examples(e1, e2):
     t, witness = rep.witness
     assert t == "t1"
     assert welfare(zero, witness) == rep.opt_welfare
-    assert len(witness.bundle.get("t1", frozenset())) < 1
+    assert len(witness["t1"]) < 1
 
 
 def test_check_opt_property_against_oracle():
@@ -94,7 +98,7 @@ def test_check_opt_property_against_oracle():
         if short:
             t, witness = rep.witness
             assert t == short[0]
-            assert len(witness.bundle.get(t, frozenset())) < m.demand[t]
+            assert len(witness[t]) < m.demand[t]
             assert welfare(m, witness) == rep.opt_welfare
 
 
@@ -141,7 +145,7 @@ def test_trim_preserves_optimum_and_min_cardinality():
         assert oracle_opt_value(trimmed) == opt
         assert sum(m.value[(t, s)] for s, t in best) == opt
         assert {s for s, _ in best} == set(trimmed.items)
-        min_items = min(sum(len(b) for b in a.bundle.values()) for a in optima)
+        min_items = min(sum(len(b) for b in a.values()) for a in optima)
         assert len(trimmed.items) == min_items
         # idempotent
         again, _, removed2, _ = trim_items(trimmed)
@@ -161,7 +165,7 @@ def test_trim_leaves_all_items_used():
         trimmed, _, _, _ = trim_items(m)
         _, optima = oracle_opt(trimmed)
         for a in optima:
-            used = set().union(*a.bundle.values()) if a.bundle else set()
+            used = set().union(*a.values())
             assert used == set(trimmed.items)
 
 
@@ -218,12 +222,27 @@ def test_restrict_market(e1, e2):
     lambda m, g: oracle_feasible(m, "t1", [["s1"]]),
     lambda m, g: restrict_market(m, ["t1"], []),
     lambda m, g: restrict_market(m, "t1", [["s1"]]),
-    lambda m, g: welfare(m, Allocation.of({"t1": [["s1"]]})),
+    lambda m, g: welfare(m, {"t1": [["s1"]]}),
     lambda m, g: feasible_bundle(g, ["t1"], []),
     lambda m, g: min_surplus_set(g, include=[["t1"]]),
     lambda m, g: Ordering.from_sequence([["s1"]]),
+    lambda m, g: Ordering.from_sequence(5),
+    lambda m, g: Ordering.from_sequence(None),
+    lambda m, g: Market.build(5, [], {}, {}),
+    lambda m, g: Market.build([["s1"]], [], {}, {}),
+    lambda m, g: Market.build(["s1"], ["t1"], None, {}),
+    lambda m, g: Market.build(["s1"], ["t1"], {"t1": 1}, None),
+    lambda m, g: BipartiteGraph.build(5, ["t1"], {}, {"t1": 1}),
+    lambda m, g: BipartiteGraph.build(["s1"], ["t1"], None, {"t1": 1}),
+    lambda m, g: max_weight_forced_edge(g, ["s1", "t1"]),
+    lambda m, g: is_legal_edge(g, ["s1", "t1"]),
+    lambda m, g: max_weight_reduced_capacity(g, ["t1"]),
+    lambda m, g: g.with_capacity(["t1"], 1),
 ], ids=["oracle-buyer", "oracle-items", "restrict-buyer", "restrict-items", "welfare",
-        "feasible-buyer", "surplus-buyers", "ordering-items"])
+        "feasible-buyer", "surplus-buyers", "ordering-items", "ordering-int", "ordering-none",
+        "market-items-int", "market-items-unhashable", "market-demand-none",
+        "market-values-none", "graph-items-int", "graph-weights-none", "forced-edge",
+        "legal-edge", "reduced-capacity", "with-capacity"])
 def test_unhashable_ids_are_model_errors(call):
     # a list where an id belongs is bad input, not an engine fault
     m = generate_instance(500001, 3, 2, (1, 3))
@@ -239,9 +258,9 @@ def test_welfare_additive_under_bundle_growth(vals, demand):
     m = Market.build(items, ["t1", "t2"], {"t1": demand, "t2": demand},
                      {("t1", "s1"): vals[0], ("t1", "s2"): vals[1], ("t1", "s3"): vals[2],
                       ("t2", "s1"): vals[3], ("t2", "s2"): vals[4], ("t2", "s3"): vals[5]})
-    base = welfare(m, Allocation.of({"t1": {"s1"}}))
+    base = welfare(m, {"t1": {"s1"}})
     if demand >= 2:
-        grown = welfare(m, Allocation.of({"t1": {"s1", "s2"}}))
+        grown = welfare(m, {"t1": {"s1", "s2"}})
         assert grown == base + m.value[("t1", "s2")]
         assert grown >= base
 

@@ -24,7 +24,7 @@ from conftest import naive_opt_value, reference_best_bundles
 def test_oracle_examples(e1, e2):
     opt1, allocs1 = oracle_opt(e1)
     assert opt1 == 5 and len(allocs1) == 1
-    assert allocs1[0].bundle["t1"] == frozenset({"s1"})
+    assert allocs1[0]["t1"] == frozenset({"s1"})
     opt2, allocs2 = oracle_opt(e2)
     assert opt2 == 14 and len(allocs2) == 1
 
