@@ -11,10 +11,13 @@ share.  Weighted questions go to the Hungarian solver.
 
 `BipartiteGraph.build` is for outside input: it validates the vertices,
 sorts the edges by item, then buyer, and makes weights Fractions.  In the
-package only `model.market_graph` and `with_capacity`, which keeps `build`'s
-rules for capacities, call it.  Every other graph is derived from a built one
-(`induced`, `unit_subgraph`, ...) and keeps its edge order, so nothing is
-validated or sorted twice.
+package only `with_capacity`, which keeps `build`'s rules for capacities,
+calls it.  `model.market_graph` constructs a market's graph directly: the
+market was validated by `Market.build`, its values are Fractions already,
+and listing its pairs item by item, then buyer by buyer, is the canonical
+order.  Every other graph is derived from one of those (`induced`,
+`unit_subgraph`, ...) and keeps its edge order, so nothing is validated or
+sorted twice.
 
 The Hungarian solver works on the buyer-copy expansion: every buyer vertex
 t with capacity b(t) becomes min(b(t), |S| + 1) unit-capacity copies, items
@@ -73,7 +76,10 @@ def int_fraction(x, what: str) -> Fraction:
 
 
 def frozen_ids(ids: Iterable, what: str) -> frozenset:
-    """frozenset(ids); ids that are not an iterable of hashables are a ModelError."""
+    """frozenset(ids); ids that are not an iterable of hashables are a ModelError,
+    and so is a str, which would otherwise be read as its characters."""
+    if isinstance(ids, str):
+        raise ModelError(f"{what} must be a collection of ids, not a string")
     try:
         return frozenset(ids)
     except TypeError:
@@ -82,6 +88,8 @@ def frozen_ids(ids: Iterable, what: str) -> frozenset:
 
 def id_tuple(ids: Iterable, what: str) -> tuple:
     """tuple(ids), refused as `frozen_ids` refuses it."""
+    if isinstance(ids, str):
+        raise ModelError(f"{what} must be a collection of ids, not a string")
     try:
         ids = tuple(ids)
         hash(ids)
@@ -185,7 +193,7 @@ class BipartiteGraph:
     def unit_subgraph(self, edges: AbstractSet[Edge]) -> "BipartiteGraph":
         """The spanning subgraph on `edges`, kept in this graph's order, with unit weights."""
         if not edges <= self.edge_set:
-            raise ModelError(f"edges not in graph: {sorted(edges - self.edge_set)!r}")
+            raise ModelError(f"edges not in graph: {sorted(edges - self.edge_set, key=repr)!r}")
         kept = tuple(e for e in self.edges if e in edges)
         return BipartiteGraph(self.items, self.buyers, kept, dict.fromkeys(kept, Fraction(1)),
                               self.capacity)

@@ -71,26 +71,30 @@ def submarket(m: Market, items: AbstractSet[ItemId],
 
 
 def market_graph(m: Market) -> BipartiteGraph:
-    """The complete edge-weighted bipartite graph of the market."""
-    weight = {(s, t): m.value[(t, s)] for t in m.buyers for s in m.items}
-    capacity: dict[str, int] = {s: 1 for s in m.items}
+    """The complete edge-weighted bipartite graph of the market.
+
+    Constructed directly, not by `BipartiteGraph.build`: `Market.build`, whose
+    checks `submarket` keeps, has already proved the ids, demands and Fraction
+    values that `build` would check again, and the pairs listed item by item,
+    then buyer by buyer, are already in canonical edge order.
+    """
+    weight = {(s, t): m.value[(t, s)] for s in m.items for t in m.buyers}
+    capacity: dict[str, int] = dict.fromkeys(m.items, 1)
     capacity.update({t: m.demand[t] for t in m.buyers})
-    return BipartiteGraph.build(m.items, m.buyers, weight, capacity)
+    return BipartiteGraph(m.items, m.buyers, tuple(weight), weight, capacity)
 
 
 def welfare(m: Market, bundles: Mapping[BuyerId, Iterable[ItemId]]) -> Fraction:
     """Total value of an allocation {buyer: bundle}: disjoint bundles of m's items,
-    each within its buyer's demand."""
+    each within its buyer's demand, with no item listed twice."""
     if not isinstance(bundles, Mapping):
         raise ModelError("an allocation must map buyers to bundles")
     seen: set[ItemId] = set()
     total = Fraction(0)
     for t, items in bundles.items():
-        bundle = frozen_ids(items, "items")
+        bundle = id_tuple(items, "items")
         if t not in m.demand:
             raise ModelError(f"allocation references unknown buyer {t!r}")
-        if len(bundle) > m.demand[t]:
-            raise ModelError(f"bundle of {t} exceeds demand")
         for s in bundle:
             if (t, s) not in m.value:
                 raise ModelError(f"allocation references unknown item {s!r}")
@@ -98,6 +102,8 @@ def welfare(m: Market, bundles: Mapping[BuyerId, Iterable[ItemId]]) -> Fraction:
                 raise ModelError(f"item {s} allocated twice")
             seen.add(s)
             total += m.value[(t, s)]
+        if len(bundle) > m.demand[t]:
+            raise ModelError(f"bundle of {t} exceeds demand")
     return total
 
 
@@ -130,8 +136,10 @@ def trim_items(m: Market) -> tuple[Market, BipartiteGraph, frozenset[ItemId],
     Returns the trimmed market, its graph, the removed items and the edges of
     that allocation, which the solve certifies optimal on m and so on the
     trimmed market, whose optima all use every remaining item.  The graph is
-    `market_graph` of the trimmed market without a second build: m's graph,
-    induced on the kept items when some item was removed.
+    `market_graph` of the trimmed market, not made again: m's graph, induced
+    on the kept items when some item was removed.  Nor does `market_graph` go
+    through `BipartiteGraph.build`: m is a validated market, so there is
+    nothing to check again and its pairs are already in edge order.
     """
     g = market_graph(m)
     best, _ = matching.lexicographic_min_edge_optimum(g)
@@ -149,7 +157,7 @@ def restrict_market(m: Market, departed: BuyerId, sold: Iterable[ItemId]) -> Mar
         raise ModelError(f"unknown buyer {departed!r}")
     unknown = sold - set(m.items)
     if unknown:
-        raise ModelError(f"unknown items {sorted(unknown)!r}")
+        raise ModelError(f"unknown items {sorted(unknown, key=repr)!r}")
     if len(sold) > m.demand[departed]:
         raise ModelError(f"bundle of {departed} exceeds demand")
     return submarket(m, set(m.items) - sold, set(m.buyers) - {departed})

@@ -53,7 +53,7 @@ def _known_buyers(gpi: BipartiteGraph, Y: Iterable[BuyerId]) -> frozenset[BuyerI
     Y = frozen_ids(Y, "buyers")
     unknown = Y.difference(gpi.buyer_adj)
     if unknown:
-        raise ModelError(f"unknown buyers {sorted(unknown)!r}")
+        raise ModelError(f"unknown buyers {sorted(unknown, key=repr)!r}")
     return Y
 
 

@@ -380,6 +380,8 @@ def test_optimal_pair_check_trips_on_a_perturbed_solve(monkeypatch, perturb, mes
     (lambda g: graph_of(["s2"], ["t1"], {"t1": 1}, {}).with_capacity("s2", 2),
      "item s2 must have capacity 1"),
     (lambda g: max_weight_reduced_capacity(g, "nobody"), "unknown vertex 'nobody'"),
+    (lambda g: g.unit_subgraph({("s1", "t1"), ("s2", "t1"), (1, 2)}),
+     "edges not in graph: [('s2', 't1'), (1, 2)]"),
 ])
 def test_graph_refusals_are_model_errors(call, message):
     g = graph_of(["s1"], ["t1"], {"t1": 1}, {("s1", "t1"): 1})

@@ -12,7 +12,7 @@ from dynprice import (BipartiteGraph, Market, Ordering, check_opt_property,
 from dynprice.errors import ModelError
 from dynprice.simulation import oracle_opt, oracle_opt_value, oracle_structure
 
-from conftest import naive_opt_value
+from conftest import graph_fields, naive_opt_value
 
 
 def test_welfare_empty(e1):
@@ -32,6 +32,8 @@ def test_welfare_rejects_bad_bundles(e1):
         welfare(e1, {"t1": {"nope"}})
     with pytest.raises(ModelError, match="^item s1 allocated twice$"):
         welfare(e1, {"t1": {"s1"}, "t2": {"s1"}})
+    with pytest.raises(ModelError, match="^item s1 allocated twice$"):
+        welfare(e1, {"t1": ["s1", "s1"]})                   # twice in one bundle
     with pytest.raises(ModelError, match="^bundle of t1 exceeds demand$"):
         welfare(e1, {"t1": {"s1", "s2"}})
     with pytest.raises(ModelError, match="^an allocation must map buyers to bundles$"):
@@ -211,6 +213,8 @@ def test_restrict_market(e1, e2):
         restrict_market(e1, "t9", set())
     with pytest.raises(ModelError):
         restrict_market(e1, "t1", {"zzz"})
+    with pytest.raises(ModelError, match=r"^unknown items \['x', 1\]$"):
+        restrict_market(e1, "t1", [1, "x"])             # ids of mixed types
     m = generate_instance(1, 3, 2, (1, 3))
     assert restrict_market(m, "t1", ["s1", "s2"]).buyers == ("t2", "t3")
     with pytest.raises(ModelError, match="^bundle of t1 exceeds demand$"):
@@ -248,6 +252,53 @@ def test_unhashable_ids_are_model_errors(call):
     m = generate_instance(500001, 3, 2, (1, 3))
     with pytest.raises(ModelError):
         call(m, market_graph(m))
+
+
+@pytest.mark.parametrize("call, what", [
+    (lambda m, g: Market.build("ab", ["t1"], {"t1": 1}, {("t1", "a"): 1, ("t1", "b"): 1}),
+     "items"),
+    (lambda m, g: Market.build(["s1"], "t1", {"t1": 1}, {("t1", "s1"): 1}), "buyers"),
+    (lambda m, g: restrict_market(m, "t1", "s1"), "items"),
+    (lambda m, g: welfare(m, {"t1": "s1"}), "items"),
+    (lambda m, g: feasible_bundle(g, "t1", "s1"), "items"),
+    (lambda m, g: Ordering.from_sequence("s1"), "items"),
+], ids=["market-items", "market-buyers", "restrict", "welfare", "feasible", "ordering"])
+def test_a_string_where_ids_belong_is_refused(call, what):
+    # read as its characters, "s1" would be the items "s" and "1"
+    m = generate_instance(500001, 3, 2, (1, 3))
+    with pytest.raises(ModelError, match=f"^{what} must be a collection of ids, not a string$"):
+        call(m, market_graph(m))
+
+
+def reference_market_graph(m: Market) -> BipartiteGraph:
+    """The market's graph through `BipartiteGraph.build`, weights listed buyer by buyer."""
+    weight = {(s, t): m.value[(t, s)] for t in m.buyers for s in m.items}
+    return BipartiteGraph.build(m.items, m.buyers, weight,
+                                {s: 1 for s in m.items} | {t: m.demand[t] for t in m.buyers})
+
+
+@pytest.mark.parametrize("fractional", [False, True], ids=["int", "pq"])
+@pytest.mark.parametrize("demands", ["unit", "bi", "mixed"])
+def test_market_graph_is_the_built_graph(demands, fractional):
+    # market_graph assembles the graph itself; it must be build's, field for
+    # field and in order, down every restrict_market chain to no buyers
+    rng = random.Random(f"{demands}-{fractional}")
+    for _ in range(12):
+        buyers = [f"t{i}" for i in range(rng.randint(1, 6))]
+        demand = {t: {"unit": 1, "bi": 2}.get(demands) or rng.randint(1, 3) for t in buyers}
+        items = [f"s{i}" for i in range(rng.randint(1, sum(demand.values()) + 2))]
+        rng.shuffle(items)
+        rng.shuffle(buyers)
+        vals = {(t, s): Fraction(rng.randint(0, 6), rng.randint(1, 4)) if fractional
+                else rng.randint(0, 6) for t in buyers for s in items}
+        m = Market.build(items, buyers, demand, vals)
+        while True:
+            assert graph_fields(market_graph(m)) == graph_fields(reference_market_graph(m))
+            if not m.buyers:
+                break
+            t = rng.choice(m.buyers)
+            m = restrict_market(m, t, rng.sample(m.items, min(len(m.items),
+                                                              rng.randint(0, m.demand[t]))))
 
 
 @settings(max_examples=30, deadline=None)

@@ -169,7 +169,8 @@ def test_set_queries_refuse_unknown_buyers():
     g = market_graph(generate_instance(500001, 3, 2, (1, 3)))
     for query in (lambda: surplus(g, ["s1"]), lambda: is_dangerous(g, ["nobody"]),
                   lambda: min_surplus_set(g, include=["s1"]),
-                  lambda: min_surplus_set(g, exclude=["nobody"])):
+                  lambda: min_surplus_set(g, exclude=["nobody"]),
+                  lambda: surplus(g, [1, "zz"])):   # ids of mixed types are listed too
         with pytest.raises(ModelError, match="^unknown buyers"):
             query()
 
