@@ -51,7 +51,7 @@ def walk(args) -> int:
         rp = multi_round(residual, lambda gpi: dispatch_ordering(gpi, trace))
         print(f"\nround {round_no}: pi = "
               + " ".join(f"{v}={rp.pi.pi[v]}" for v in rp.trimmed.items + rp.trimmed.buyers))
-        print(f"  sigma = {list(rp.sigma.items_in_order())}, delta = {rp.prices.delta}")
+        print(f"  sigma = {list(rp.sigma)}, delta = {rp.prices.delta}")
         if trace:
             print("  case trace:", [e["case"] for e in trace])
         print("  prices:", {s: str(p) for s, p in rp.prices.price.items()})

@@ -15,8 +15,8 @@ from .dual import (StructuredCovering, compute_slack, is_legal_edge,
                    refine_covering, tight_subgraph)
 from .sets import (feasible_bundle, legal_classes_3, maximal_dangerous_set,
                    min_surplus_set, minimal_dangerous_disjoint)
-from .orderings import (Ordering, adequate_bidemand, adequate_three_buyers,
-                        adequate_two_buyers, combine, verify_adequate)
+from .orderings import (adequate_bidemand, adequate_three_buyers, adequate_two_buyers,
+                        combine, verify_adequate)
 from .pricing import PriceVector, RoundPricing, multi_round, unit_round
 from .simulation import (RunTrace, Step, Verdict, best_bundles, oracle_feasible,
                          oracle_opt, oracle_opt_value, run_exhaustive, run_once,

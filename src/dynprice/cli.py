@@ -223,7 +223,7 @@ def _cmd_order(args) -> int:
     sigma = dispatch_ordering(tm.gpi, trace)
     _dump({
         "method": ordering_method(tm.gpi),
-        "ordering": list(sigma.items_in_order()),
+        "ordering": list(sigma),
         "trimmed_away": sorted(tm.removed),
         "case_trace": trace,
     }, args)
@@ -238,7 +238,7 @@ def _cmd_price(args) -> int:
         "mode": mode,
         "prices": {s: rational_to_str(p) for s, p in rp.prices.price.items()},
         "pi": _pi_json(rp.pi),
-        "sigma": None if rp.sigma is None else list(rp.sigma.items_in_order()),
+        "sigma": None if rp.sigma is None else list(rp.sigma),
         "delta": rational_to_str(rp.prices.delta),
         "trimmed_away": sorted(rp.removed),
     }, args)

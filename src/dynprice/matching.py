@@ -155,7 +155,7 @@ class BipartiteGraph:
     @cached_property
     def scaled(self) -> tuple[dict[Edge, int], int]:
         """Integer weights w * D and their common denominator D."""
-        denom = math.lcm(1, *(w.denominator for w in self.weight.values()))
+        denom = math.lcm(1, *{w.denominator for w in self.weight.values()})
         return ({e: w.numerator * (denom // w.denominator) for e, w in self.weight.items()},
                 denom)
 

@@ -1,12 +1,15 @@
 """Adequate item orderings.
 
-An ordering of the items is adequate for a tight graph when, for every buyer,
-matching the buyer to its first b(t) tight neighbors still leaves a graph with
-a b-factor.  Both constructions take the tight graph alone, and
-`pricing.ordering_method` picks one from that graph's buyers and capacities:
-one rule for up to three buyers (items tight for a single buyer first, then
-the rest, sorted by a labeling for three buyers), and the recursive case
-analysis for bi-demand graphs driven by dangerous sets.  `pricing.dispatch_ordering`
+An ordering is a tuple of the items, first picked first.  It is adequate for a
+tight graph when, for every buyer, matching the buyer to its first b(t) tight
+neighbors still leaves a graph with a b-factor.  Where an ordering comes from
+outside (a strategy's result in `pricing.multi_round`, `verify_adequate` and
+`combine`), `checked_ordering` refuses anything but distinct hashable items.
+Both constructions take the tight graph alone, and `pricing.ordering_method`
+picks one from that graph's buyers and capacities: one rule for up to three
+buyers (items tight for a single buyer first, then the rest, sorted by a
+labeling for three buyers), and the recursive case analysis for bi-demand
+graphs driven by dangerous sets.  `pricing.dispatch_ordering`
 certifies each result with `verify_adequate`; each construction checks its
 input once, by `_require_tight`.  The case analysis starts from the caller's
 tight graph (unit weights, every edge in a b-factor), with no refine: its dual
@@ -34,9 +37,8 @@ some buyer in Y, Z a maximal dangerous set and X a minimal one disjoint from Z:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping, Optional, Sequence
 
 from . import matching, sets
 from .dual import refine_covering, tight_subgraph
@@ -44,45 +46,34 @@ from .errors import ContractViolationError, InternalConsistencyError, ModelError
 from .matching import BipartiteGraph, BuyerId, Covering, ItemId, id_tuple
 
 
-@dataclass(frozen=True)
-class Ordering:
-    """Bijection from items to int ranks 1..n; rank 1 is picked up first."""
-
-    rank: Mapping[ItemId, int]
-
-    def __post_init__(self):
-        if not isinstance(self.rank, Mapping):
-            raise ModelError("ordering ranks must be a mapping from items")
-        if any(type(r) is not int for r in self.rank.values()):
-            raise ModelError("ordering ranks must be ints")
-        ranks = sorted(self.rank.values())
-        if ranks != list(range(1, len(self.rank) + 1)):
-            raise ModelError("ordering ranks must be a bijection onto 1..n")
-
-    @staticmethod
-    def from_sequence(items: Iterable[ItemId]) -> "Ordering":
-        items = id_tuple(items, "items")
-        return Ordering({s: k + 1 for k, s in enumerate(items)})
-
-    def items_in_order(self) -> tuple[ItemId, ...]:
-        return tuple(sorted(self.rank, key=self.rank.__getitem__))
+def checked_ordering(sigma: Iterable[ItemId], items: Optional[Iterable[ItemId]] = None
+                     ) -> tuple[ItemId, ...]:
+    """sigma as a tuple of items, first picked first.  A string, a mapping (read as
+    its keys, it would drop its ranks), a non-iterable, unhashable entries, a
+    repeated item and, when `items` is given, any other set of items are a ModelError."""
+    if isinstance(sigma, Mapping):
+        raise ModelError("ordering must be a sequence of items, not a mapping")
+    seq = id_tuple(sigma, "ordering")
+    if len(set(seq)) != len(seq):
+        raise ModelError("ordering lists an item twice")
+    if items is not None and set(seq) != set(items):
+        raise ModelError("ordering domain does not match graph items")
+    return seq
 
 
-def combine(pi: Covering, sigma: Ordering) -> Ordering:
-    """Pre-order by pi values non-decreasing, break ties by sigma."""
+def combine(pi: Covering, sigma: Sequence[ItemId]) -> tuple[ItemId, ...]:
+    """sigma stably sorted by pi: pi values non-decreasing, ties in sigma's order."""
     try:
-        key = {s: (pi.pi[s], sigma.rank[s]) for s in sigma.rank}
+        return tuple(sorted(checked_ordering(sigma), key=pi.pi.__getitem__))
     except KeyError as exc:
         raise ModelError(f"pi not defined on item {exc}") from exc
-    return Ordering.from_sequence(sorted(sigma.rank, key=key.__getitem__))
 
 
-def verify_adequate(gpi: BipartiteGraph, sigma: Ordering) -> bool:
+def verify_adequate(gpi: BipartiteGraph, sigma: Sequence[ItemId]) -> bool:
     """Check adequacy directly: every buyer's first b(t) neighbors extend to a b-factor."""
-    if set(sigma.rank) != set(gpi.items):
-        raise ModelError("ordering domain does not match graph items")
+    rank = {s: k for k, s in enumerate(checked_ordering(sigma, gpi.items))}
     for t in gpi.buyers:
-        nbrs = sorted(gpi.buyer_adj[t], key=sigma.rank.__getitem__)
+        nbrs = sorted(gpi.buyer_adj[t], key=rank.__getitem__)
         if len(nbrs) < gpi.capacity[t] or not sets.feasible_bundle(gpi, t, nbrs[:gpi.capacity[t]]):
             return False
     return True
@@ -129,7 +120,7 @@ def three_buyer_labeling(gpi: BipartiteGraph) -> dict[ItemId, int]:
     return theta
 
 
-def adequate_three_buyers(gpi: BipartiteGraph) -> Ordering:
+def adequate_three_buyers(gpi: BipartiteGraph) -> tuple[ItemId, ...]:
     """Adequate ordering for at most three buyers with arbitrary demands.
 
     Items tight for a single buyer go first, then the others in item order,
@@ -145,10 +136,10 @@ def adequate_three_buyers(gpi: BipartiteGraph) -> Ordering:
     key = {s: 0 if len(gpi.item_adj[s]) == 1 else 1 for s in gpi.items}
     if len(gpi.buyers) == 3:
         key.update(three_buyer_labeling(gpi))
-    return Ordering.from_sequence(sorted(gpi.items, key=key.__getitem__))  # ties keep item order
+    return tuple(sorted(gpi.items, key=key.__getitem__))  # ties keep item order
 
 
-def adequate_two_buyers(gpi: BipartiteGraph) -> Ordering:
+def adequate_two_buyers(gpi: BipartiteGraph) -> tuple[ItemId, ...]:
     """`adequate_three_buyers` on exactly two buyers: items tight for both go last."""
     if len(gpi.buyers) != 2:
         raise ContractViolationError("exactly two buyers required")
@@ -175,7 +166,7 @@ def _components(g: BipartiteGraph) -> list[tuple[list[ItemId], list[BuyerId]]]:
             for k in range(n)]
 
 
-def adequate_bidemand(h: BipartiteGraph, trace: Optional[list] = None) -> Ordering:
+def adequate_bidemand(h: BipartiteGraph, trace: Optional[list] = None) -> tuple[ItemId, ...]:
     """Adequate ordering of a tight graph where every demand is one or two.
 
     h must have unit weights and a b-factor, and every edge must lie in one
@@ -185,7 +176,7 @@ def adequate_bidemand(h: BipartiteGraph, trace: Optional[list] = None) -> Orderi
         if not 1 <= h.capacity[t] <= 2:
             raise ContractViolationError("demands must be one or two")
     _require_tight(h)
-    return Ordering.from_sequence(_bidemand_cases(h, trace if trace is not None else [], 0))
+    return tuple(_bidemand_cases(h, trace if trace is not None else [], 0))
 
 
 def _bidemand_wrapper(h: BipartiteGraph, trace: list, depth: int) -> list[ItemId]:
@@ -200,7 +191,7 @@ def _bidemand_wrapper(h: BipartiteGraph, trace: list, depth: int) -> list[ItemId
         seq = _bidemand_cases(hp, trace, depth)
     except ContractViolationError as exc:
         raise InternalConsistencyError(f"refined graph refused: {exc}") from exc
-    return list(combine(sc.pi, Ordering.from_sequence(seq)).items_in_order())
+    return list(combine(sc.pi, seq))
 
 
 def _bidemand_cases(hp: BipartiteGraph, trace: list, depth: int) -> list[ItemId]:

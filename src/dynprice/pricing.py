@@ -1,8 +1,10 @@
 """One round of posted prices from a structured covering and an adequate ordering.
 
-Multi-demand prices are pi(s) + delta * sigma(s) with delta = slack/(|S|+1);
-unit-demand prices are pi itself.  Both variants trim the market first and
-price trimmed-away items prohibitively so no buyer ever takes them.
+Multi-demand prices are pi(s) + delta * sigma(s) with delta = slack/(|S|+1),
+where sigma(s) is s's position, from 1, in the ordering: a tuple of the items,
+first picked first.  Unit-demand prices are pi itself.  Both variants trim the
+market first and price trimmed-away items prohibitively so no buyer ever takes
+them.
 
 One graph and one weighted solve per round: `trim_items` returns the trimmed
 market's graph and its certified optimum, from which the structured dual
@@ -14,16 +16,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, Optional
+from typing import Callable, Mapping, Optional, Sequence
 
 from .dual import StructuredCovering, refine_covering, tight_subgraph
 from .errors import (ContractViolationError, InternalConsistencyError, ModelError,
                      UnsupportedMarketError)
 from .matching import BipartiteGraph, Covering, ItemId
 from .model import Market, trim_items
-from .orderings import Ordering, adequate_bidemand, adequate_three_buyers, verify_adequate
+from .orderings import (adequate_bidemand, adequate_three_buyers, checked_ordering,
+                        verify_adequate)
 
-OrderingStrategy = Callable[[BipartiteGraph], Ordering]
+OrderingStrategy = Callable[[BipartiteGraph], Sequence[ItemId]]
 
 
 @dataclass(frozen=True)
@@ -40,7 +43,7 @@ class RoundPricing:
 
     prices: PriceVector
     pi: Covering
-    sigma: Optional[Ordering]
+    sigma: Optional[tuple[ItemId, ...]]     # the ordering, first picked first; None in unit mode
     trimmed: Market
     removed: frozenset[ItemId]
 
@@ -66,7 +69,7 @@ def ordering_method(gpi: BipartiteGraph) -> str:
         "no adequate-ordering construction for >3 buyers with demands above two")
 
 
-def dispatch_ordering(gpi: BipartiteGraph, trace: Optional[list] = None) -> Ordering:
+def dispatch_ordering(gpi: BipartiteGraph, trace: Optional[list] = None) -> tuple[ItemId, ...]:
     """Adequate ordering by `ordering_method`, certified; `trace` collects bi-demand cases."""
     three = ordering_method(gpi) == "three-buyer"
     sigma = adequate_three_buyers(gpi) if three else adequate_bidemand(gpi, trace)
@@ -136,17 +139,12 @@ def multi_round(m: Market, ordering_strategy: Optional[OrderingStrategy] = None
     trimmed, removed, sc = tm.trimmed, tm.removed, tm.sc
     if not trimmed.items:
         price = {s: prohibitive_price(m, s) for s in removed}
-        return RoundPricing(PriceVector(price, Fraction(0)), sc.pi,
-                            Ordering.from_sequence(()), trimmed, removed)
-    sigma = (ordering_strategy or dispatch_ordering)(tm.gpi)
-    if not isinstance(sigma, Ordering):
-        raise ModelError(
-            f"the ordering strategy must return an Ordering, not {type(sigma).__name__}")
-    if sigma.rank.keys() != set(trimmed.items):
-        raise ModelError("the ordering must rank exactly the trimmed items")
+        return RoundPricing(PriceVector(price, Fraction(0)), sc.pi, (), trimmed, removed)
+    sigma = checked_ordering((ordering_strategy or dispatch_ordering)(tm.gpi), trimmed.items)
     if sc.slack is None:
         raise InternalConsistencyError("finite slack expected under saturation")
     delta = sc.slack / (len(trimmed.items) + 1)
-    price = {s: sc.pi.pi[s] + delta * sigma.rank[s] for s in trimmed.items}
+    rank = {s: k for k, s in enumerate(sigma, 1)}
+    price = {s: sc.pi.pi[s] + delta * rank[s] for s in trimmed.items}
     price.update({s: prohibitive_price(m, s) for s in removed})
     return RoundPricing(PriceVector(price, delta), sc.pi, sigma, trimmed, removed)

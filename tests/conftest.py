@@ -150,23 +150,23 @@ def reference_feasible_bundle(g: BipartiteGraph, t, F) -> bool:
 
 def reference_verify_adequate(g: BipartiteGraph, sigma) -> bool:
     """Adequacy with every buyer's first b(t) neighbors checked by the cold start."""
+    rank = {s: k for k, s in enumerate(sigma)}
     for t in g.buyers:
-        nbrs = sorted(g.buyer_adj[t], key=sigma.rank.__getitem__)
+        nbrs = sorted(g.buyer_adj[t], key=rank.__getitem__)
         if len(nbrs) < g.capacity[t] or not reference_feasible_bundle(g, t, nbrs[:g.capacity[t]]):
             return False
     return True
 
 
-def reference_two_buyers(g: BipartiteGraph) -> dict:
-    """The ranks of the former orderings for one or two buyers: the identity
-    for one buyer; for two, the symmetric difference of the neighborhoods
-    first and their intersection last, each part in item order."""
+def reference_two_buyers(g: BipartiteGraph) -> tuple:
+    """The former orderings for one or two buyers: the identity for one buyer;
+    for two, the symmetric difference of the neighborhoods first and their
+    intersection last, each part in item order."""
     if len(g.buyers) == 1:
-        return {s: k + 1 for k, s in enumerate(g.items)}
+        return g.items
     t1, t2 = g.buyers
     shared = set(g.buyer_adj[t1]) & set(g.buyer_adj[t2])
-    seq = [s for s in g.items if s not in shared] + [s for s in g.items if s in shared]
-    return {s: k + 1 for k, s in enumerate(seq)}
+    return tuple([s for s in g.items if s not in shared] + [s for s in g.items if s in shared])
 
 
 # ---------------------------------------------------------------------------
@@ -343,8 +343,9 @@ def brute_feasible(g: BipartiteGraph, t, F) -> bool:
 
 
 def brute_verify_adequate(g: BipartiteGraph, sigma) -> bool:
+    rank = {s: k for k, s in enumerate(sigma)}
     for t in g.buyers:
-        nbrs = sorted(g.buyer_adj[t], key=sigma.rank.__getitem__)
+        nbrs = sorted(g.buyer_adj[t], key=rank.__getitem__)
         if len(nbrs) < g.capacity[t]:
             return False
         if not brute_feasible(g, t, nbrs[:g.capacity[t]]):

@@ -82,7 +82,7 @@ def round_lines(params) -> list[str]:
     def dispatch(gpi, trace=None):
         trace = []
         sigma = real_dispatch(gpi, trace)
-        orderings[id(duals[-1])] = (sigma.items_in_order(), trace)
+        orderings[id(duals[-1])] = (tuple(sigma), trace)
         return sigma
 
     lines = []

@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dynprice import (BipartiteGraph, Market, Ordering, check_opt_property,
+from dynprice import (BipartiteGraph, Market, check_opt_property, combine,
                       feasible_bundle, generate_instance, is_legal_edge, market_graph,
                       max_weight_forced_edge, max_weight_reduced_capacity, min_surplus_set,
-                      oracle_feasible, restrict_market, trim_items, welfare)
+                      oracle_feasible, restrict_market, trim_items, verify_adequate, welfare)
 from dynprice.errors import ModelError
+from dynprice.matching import Covering
 from dynprice.simulation import oracle_opt, oracle_opt_value, oracle_structure
 
 from conftest import graph_fields, naive_opt_value
@@ -229,9 +230,9 @@ def test_restrict_market(e1, e2):
     lambda m, g: welfare(m, {"t1": [["s1"]]}),
     lambda m, g: feasible_bundle(g, ["t1"], []),
     lambda m, g: min_surplus_set(g, include=[["t1"]]),
-    lambda m, g: Ordering.from_sequence([["s1"]]),
-    lambda m, g: Ordering.from_sequence(5),
-    lambda m, g: Ordering.from_sequence(None),
+    lambda m, g: verify_adequate(g, [["s1"]]),
+    lambda m, g: verify_adequate(g, 5),
+    lambda m, g: combine(Covering({}), None),
     lambda m, g: Market.build(5, [], {}, {}),
     lambda m, g: Market.build([["s1"]], [], {}, {}),
     lambda m, g: Market.build(["s1"], ["t1"], None, {}),
@@ -261,7 +262,7 @@ def test_unhashable_ids_are_model_errors(call):
     (lambda m, g: restrict_market(m, "t1", "s1"), "items"),
     (lambda m, g: welfare(m, {"t1": "s1"}), "items"),
     (lambda m, g: feasible_bundle(g, "t1", "s1"), "items"),
-    (lambda m, g: Ordering.from_sequence("s1"), "items"),
+    (lambda m, g: verify_adequate(g, "s1"), "ordering"),
 ], ids=["market-items", "market-buyers", "restrict", "welfare", "feasible", "ordering"])
 def test_a_string_where_ids_belong_is_refused(call, what):
     # read as its characters, "s1" would be the items "s" and "1"

@@ -4,10 +4,11 @@ from itertools import permutations
 
 import pytest
 
-from dynprice import (BipartiteGraph, Ordering, adequate_bidemand, matching,
+from dynprice import (BipartiteGraph, adequate_bidemand, matching,
                       adequate_three_buyers, adequate_two_buyers, combine,
                       generate_instance, market_graph, multi_round, orderings,
                       refine_covering, tight_subgraph, verify_adequate)
+from dynprice.pricing import tight_market
 from dynprice.errors import ContractViolationError, InternalConsistencyError, ModelError
 from dynprice.matching import Covering
 
@@ -47,39 +48,74 @@ def random_factor_graph(rng, nb=None):
 
 def brute_find_adequate(g):
     for perm in permutations(g.items):
-        sigma = Ordering.from_sequence(perm)
-        if brute_verify_adequate(g, sigma):
-            return sigma
+        if brute_verify_adequate(g, perm):
+            return perm
     return None
 
 
-def test_ordering_validation():
+ORDERINGS_FROM_OUTSIDE = {
+    "string": lambda items: "".join(items),
+    "int": lambda items: 5,
+    "none": lambda items: None,
+    "mapping": lambda items: {s: k for k, s in enumerate(items, 1)},
+    "unhashable": lambda items: ([items[0]],) + items[1:],
+    "repeated": lambda items: items + items[:1],
+    "missing": lambda items: items[:-1],
+    "foreign": lambda items: items + ("s99",),
+}
+
+
+@pytest.mark.parametrize("case", ORDERINGS_FROM_OUTSIDE)
+@pytest.mark.parametrize("target", ["multi_round", "verify_adequate", "combine"])
+def test_an_ordering_from_outside_is_checked(target, case):
+    # every place an ordering comes in from outside refuses all but a
+    # sequence of the items, each listed once
+    m = generate_instance(500001, 3, 2, (1, 3))
+    tm = tight_market(m)
+    pi, sigma = tm.sc.pi, ORDERINGS_FROM_OUTSIDE[case](tm.gpi.items)
+    if target == "combine" and case == "missing":
+        # combine knows the items through pi alone: there the item goes missing from pi
+        pi = Covering({v: x for v, x in pi.pi.items() if v != tm.gpi.items[-1]})
+        sigma = tm.gpi.items
+    call = {"multi_round": lambda: multi_round(m, lambda gpi: sigma),
+            "verify_adequate": lambda: verify_adequate(tm.gpi, sigma),
+            "combine": lambda: combine(pi, sigma)}[target]
     with pytest.raises(ModelError):
-        Ordering({"s1": 1, "s2": 3})
+        call()
+
+
+def test_ordering_validation():
+    # a rank map with a gap is no bijection; its sequence form is a repeated item
+    m = generate_instance(500001, 3, 2, (1, 3))
+    tm = tight_market(m)
+    sigma = tm.gpi.items[1:] + tm.gpi.items[1:2]
+    for call in (lambda: multi_round(m, lambda gpi: sigma),
+                 lambda: verify_adequate(tm.gpi, sigma),
+                 lambda: combine(tm.sc.pi, sigma)):
+        with pytest.raises(ModelError, match="^ordering lists an item twice$"):
+            call()
 
 
 @pytest.mark.parametrize("to_rank", [float, Fraction, lambda k: k == 1 or k],
                          ids=["float", "fraction", "bool"])
 def test_ordering_refuses_ranks_that_are_not_ints(to_rank):
-    # each sorts equal to [1, 2, ...], but a rank is a price step: it must stay an int
-    with pytest.raises(ModelError, match="^ordering ranks must be ints$"):
-        Ordering({"s1": to_rank(1), "s2": to_rank(2)})
+    # a rank map, the former form of an ordering, is refused whatever its
+    # ranks: read as its keys, it would silently drop them
     m = generate_instance(1, 3, 2, (1, 5))
-    with pytest.raises(ModelError, match="^ordering ranks must be ints$"):
-        multi_round(m, lambda gpi: Ordering(
-            {s: to_rank(k + 1) for k, s in enumerate(gpi.items)}))
+    with pytest.raises(ModelError, match="^ordering must be a sequence of items, not a mapping$"):
+        multi_round(m, lambda gpi: {s: to_rank(k + 1) for k, s in enumerate(gpi.items)})
 
 
 def test_combine_constant_pi():
-    sigma = Ordering.from_sequence(["s2", "s1", "s3"])
+    sigma = ("s2", "s1", "s3")
     pi = Covering({s: Fraction(1) for s in ["s1", "s2", "s3"]})
-    assert combine(pi, sigma).items_in_order() == ("s2", "s1", "s3")
+    assert combine(pi, sigma) == ("s2", "s1", "s3")
 
 
 def test_combine_pi_dominates():
-    sigma = Ordering.from_sequence(["s1", "s2"])
+    sigma = ("s1", "s2")
     pi = Covering({"s1": Fraction(1), "s2": Fraction(0)})
-    assert combine(pi, sigma).items_in_order() == ("s2", "s1")
+    assert combine(pi, sigma) == ("s2", "s1")
     with pytest.raises(ModelError):
         combine(Covering({"s1": Fraction(0)}), sigma)
 
@@ -119,9 +155,9 @@ def test_two_buyers_shared_tail():
     g = unit_graph(["s1", "s2", "s3"], ["t1", "t2"], {"t1": 2, "t2": 1},
                    [("s1", "t1"), ("s2", "t1"), ("s3", "t1"), ("s3", "t2")])
     sigma = adequate_two_buyers(g)
-    assert sigma.rank["s3"] == 3  # shared item ordered last
+    assert sigma[-1] == "s3"  # shared item ordered last
     assert verify_adequate(g, sigma)
-    first_two = sorted(sorted(g.buyer_adj["t1"], key=sigma.rank.__getitem__)[:2])
+    first_two = sorted([s for s in sigma if s in g.buyer_adj["t1"]][:2])
     assert first_two == ["s1", "s2"]
 
 
@@ -188,7 +224,7 @@ def test_three_buyers_on_two_buyers_grows_one_bmatching(monkeypatch):
     g = unit_graph(["s1", "s2", "s3"], ["t1", "t2"], {"t1": 2, "t2": 1},
                    [("s1", "t1"), ("s2", "t1"), ("s3", "t1"), ("s3", "t2")])
     sigma = adequate_three_buyers(g)
-    assert sigma.rank["s3"] == 3
+    assert sigma[-1] == "s3"
     assert len(grown) == 1
 
 
@@ -218,12 +254,12 @@ def test_one_rule_is_the_former_rule_for_one_and_two_buyers():
     moved = unsorted_shared = 0
     for g in graphs:
         want = reference_two_buyers(g)
-        assert adequate_three_buyers(g).rank == want
+        assert adequate_three_buyers(g) == want
         if len(g.buyers) == 2:
-            assert adequate_two_buyers(g).rank == want
+            assert adequate_two_buyers(g) == want
             shared = [s for s in g.items if len(g.item_adj[s]) == 2]
             unsorted_shared += shared != sorted(shared)
-        moved += sorted(want, key=want.__getitem__) != list(g.items)
+        moved += want != g.items
     # enough graphs where the shared items move to the end, and where their
     # item order is not their name order
     assert sum(len(g.buyers) == 1 for g in graphs) >= 40
@@ -234,7 +270,7 @@ def test_three_buyers_figure_market(fig1):
     gpi = tight_of(fig1)
     sigma = adequate_three_buyers(gpi)
     assert verify_adequate(gpi, sigma)
-    first_two = sorted(sorted(gpi.buyer_adj["t1"], key=sigma.rank.__getitem__)[:2])
+    first_two = sorted([s for s in sigma if s in gpi.buyer_adj["t1"]][:2])
     assert first_two != ["s3", "s4"]  # the infeasible pair never comes first
 
 
@@ -402,8 +438,7 @@ def test_bidemand_is_the_refined_pipeline_on_tight_graphs(bidemand_recursion):
     for g in bidemand_recursion:
         sc = refine_covering(g)
         old_trace, trace = [], []
-        old = combine(sc.pi, Ordering.from_sequence(
-            orderings._bidemand_cases(tight_subgraph(sc, g), old_trace, 0)))
+        old = combine(sc.pi, orderings._bidemand_cases(tight_subgraph(sc, g), old_trace, 0))
         if sc.tight_edges == g.edge_set:
             assert adequate_bidemand(g, trace) == old and trace == old_trace
             same += 1
@@ -415,9 +450,9 @@ def test_bidemand_is_the_refined_pipeline_on_tight_graphs(bidemand_recursion):
 
 
 def test_bidemand_item_lists_are_the_ordering_returning_wrapper(bidemand_recursion, monkeypatch):
-    # The former wrapper returned each lift as an Ordering and its callers
-    # listed it again; run with it, the recursion gives the same lifts,
-    # orderings and traces on every graph the bi-demand ordering receives
+    # The former wrapper ranked each lift by (pi, rank) through a rank map and
+    # its callers listed it again; run with it, the recursion gives the same
+    # lifts, orderings and traces on every graph the bi-demand ordering receives
     def ordering_wrapper(h, trace, depth):
         try:
             sc = refine_covering(h, frozenset(h.max_cardinality_bmatching[0].items()))
@@ -427,7 +462,8 @@ def test_bidemand_item_lists_are_the_ordering_returning_wrapper(bidemand_recursi
             seq = orderings._bidemand_cases(hp, trace, depth)
         except ContractViolationError as exc:
             raise InternalConsistencyError(f"refined graph refused: {exc}") from exc
-        return combine(sc.pi, Ordering.from_sequence(seq))
+        rank = {s: k for k, s in enumerate(seq, 1)}
+        return sorted(seq, key=lambda s: (sc.pi.pi[s], rank[s]))
 
     def run(g):
         lift_trace, trace = [], []
@@ -439,8 +475,7 @@ def test_bidemand_item_lists_are_the_ordering_returning_wrapper(bidemand_recursi
         return list(lift), lift_trace, sigma, trace
 
     new = [run(g) for g in bidemand_recursion]
-    monkeypatch.setattr(orderings, "_bidemand_wrapper", lambda h, trace, depth:
-                        list(ordering_wrapper(h, trace, depth).items_in_order()))
+    monkeypatch.setattr(orderings, "_bidemand_wrapper", ordering_wrapper)
     old = [run(g) for g in bidemand_recursion]
     assert new == old
     assert sum(sigma is not None for _, _, sigma, _ in new) >= 300
@@ -502,12 +537,12 @@ def test_a_non_maximum_matching_in_the_recursion_is_an_internal_error(fig1, monk
 
 def test_verify_adequate_single_buyer():
     g = unit_graph(["s1", "s2"], ["t1"], {"t1": 2}, [("s1", "t1"), ("s2", "t1")])
-    assert verify_adequate(g, Ordering.from_sequence(["s1", "s2"]))
-    assert verify_adequate(g, Ordering.from_sequence(["s2", "s1"]))
+    assert verify_adequate(g, ["s1", "s2"])
+    assert verify_adequate(g, ["s2", "s1"])
 
 
 def test_verify_adequate_detects_bad_ordering(d1_graph):
-    bad = Ordering.from_sequence(["s2", "s3", "s1", "s4", "s5", "s6"])
+    bad = ("s2", "s3", "s1", "s4", "s5", "s6")
     assert not verify_adequate(d1_graph, bad)
     assert not brute_verify_adequate(d1_graph, bad)
 
@@ -519,23 +554,23 @@ def test_verify_adequate_matches_brute_force():
         g = random_factor_graph(rng)
         items = list(g.items)
         rng.shuffle(items)
-        sigma = Ordering.from_sequence(items)
-        got = verify_adequate(g, sigma)
-        assert got == brute_verify_adequate(g, sigma)
+        got = verify_adequate(g, items)
+        assert got == brute_verify_adequate(g, items)
         agree_false += not got
     assert agree_false > 0  # random orderings do fail sometimes
 
 
 @pytest.mark.parametrize("call, error, message", [
     (lambda: verify_adequate(tight_of(generate_instance(1, 3, 2, (1, 3))),
-                             Ordering.from_sequence(["x1", "x2"])),
+                             ["x1", "x2"]),
      ModelError, "ordering domain does not match graph items"),
     (lambda: adequate_three_buyers(tight_of(generate_instance(1, 4, 1, (1, 3)))),
      ContractViolationError, "at most three buyers supported"),
     (lambda: adequate_two_buyers(tight_of(generate_instance(1, 3, 2, (1, 3)))),
      ContractViolationError, "exactly two buyers required"),
-    (lambda: Ordering([1]), ModelError, "ordering ranks must be a mapping from items"),
-    (lambda: Ordering(None), ModelError, "ordering ranks must be a mapping from items"),
+    (lambda: verify_adequate(tight_of(generate_instance(1, 3, 2, (1, 3))), [[1]]),
+     ModelError, "ordering must be hashable ids"),
+    (lambda: combine(Covering({}), None), ModelError, "ordering must be hashable ids"),
 ])
 def test_ordering_refusals_are_typed(call, error, message):
     with pytest.raises(error, match=f"^{message}$"):

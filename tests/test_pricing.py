@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from dynprice import (BipartiteGraph, Market, Ordering, best_bundles, dual, feasible_bundle,
+from dynprice import (BipartiteGraph, Market, best_bundles, dual, feasible_bundle,
                       generate_instance, market_graph, model, multi_round, orderings, pricing,
                       refine_covering, run_exhaustive, run_once, run_sampled, tight_subgraph,
                       trim_items, unit_round, verify_adequate)
@@ -102,7 +102,7 @@ def test_multi_utility_invariants():
                 for s2 in others:
                     assert u[s2] < u[s]              # tight beats non-tight strictly
             # the winning bundle is the first b(t) tight neighbors by sigma
-            want = frozenset(sorted(tight, key=rp.sigma.rank.__getitem__)[:m.demand[t]])
+            want = frozenset([s for s in rp.sigma if s in tight][:m.demand[t]])
             got = best_bundles(m, t, rp.prices)
             assert got == [want]
 
@@ -159,15 +159,12 @@ def test_ordering_method_reads_the_graph_alone(caps, method):
 
 
 @pytest.mark.parametrize("foreign, message", [
-    # one trimmed item left unranked, and an item the trimmed market lacks
-    (lambda items: Ordering.from_sequence(items[:-1]),
-     "the ordering must rank exactly the trimmed items"),
-    (lambda items: Ordering.from_sequence(items + ("s99",)),
-     "the ordering must rank exactly the trimmed items"),
-    # no Ordering at all, in every entry point that takes a strategy
-    (lambda items: list(items), "the ordering strategy must return an Ordering, not list"),
-    (lambda items: None, "the ordering strategy must return an Ordering, not NoneType"),
-], ids=["missing-item", "extra-item", "list", "none"])
+    # one trimmed item left out, and an item the trimmed market lacks
+    (lambda items: items[:-1], "ordering domain does not match graph items"),
+    (lambda items: items + ("s99",), "ordering domain does not match graph items"),
+    # no sequence at all, in every entry point that takes a strategy
+    (lambda items: None, "ordering must be hashable ids"),
+], ids=["missing-item", "extra-item", "none"])
 def test_multi_refuses_an_ordering_of_other_items(foreign, message):
     m = generate_instance(500001, 3, 2, (1, 3))
 
@@ -180,6 +177,24 @@ def test_multi_refuses_an_ordering_of_other_items(foreign, message):
                  lambda: run_sampled(m, 2, 1, ordering_strategy=strategy)):
         with pytest.raises(ModelError, match=f"^{message}$"):
             call()
+
+
+@pytest.mark.parametrize("shape", [list, lambda seq: (s for s in seq)],
+                         ids=["list", "generator"])
+def test_a_strategy_may_return_any_sequence_of_the_items(shape):
+    # a list or a generator prices exactly as the tuple it lists, in every
+    # entry point that takes a strategy
+    m = generate_instance(500001, 3, 2, (1, 3))
+
+    def strategy(gpi):
+        return shape(pricing.dispatch_ordering(gpi))
+
+    want, got = multi_round(m), multi_round(m, strategy)
+    assert got.sigma == want.sigma and type(got.sigma) is tuple
+    assert got.prices == want.prices
+    assert run_once(m, m.buyers, ordering_strategy=strategy) == run_once(m, m.buyers)
+    assert run_exhaustive(m, ordering_strategy=strategy) == run_exhaustive(m)
+    assert run_sampled(m, 2, 1, ordering_strategy=strategy) == run_sampled(m, 2, 1)
 
 
 @pytest.mark.parametrize("strategy", ["x", 5])
@@ -347,9 +362,8 @@ def test_adequacy_certificate_matches_the_cold_reference_on_price_pools(monkeypa
     rng = random.Random(12)
     checked = rejected = bundles = 0
     for gpi, sigma in seen:
-        real = sigma.items_in_order()
-        seqs = [real, real[::-1]] + [rng.sample(gpi.items, len(gpi.items)) for _ in range(7)]
-        for seq in map(Ordering.from_sequence, seqs):
+        seqs = [sigma, sigma[::-1]] + [rng.sample(gpi.items, len(gpi.items)) for _ in range(7)]
+        for seq in seqs:
             got = verify_adequate(gpi, seq)
             assert got == reference_verify_adequate(gpi, seq)
             checked += 1
@@ -370,7 +384,7 @@ def test_an_inadequate_construction_is_an_internal_error(monkeypatch, tmp_path, 
     from dynprice.cli import main, serialize_market
 
     def reversing(fn):
-        return lambda gpi, *rest: Ordering.from_sequence(fn(gpi, *rest).items_in_order()[::-1])
+        return lambda gpi, *rest: fn(gpi, *rest)[::-1]
 
     for name in ("adequate_three_buyers", "adequate_bidemand"):
         monkeypatch.setattr(pricing, name, reversing(getattr(pricing, name)))
