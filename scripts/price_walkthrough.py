@@ -3,9 +3,10 @@
 
 Shows the structured dual, the tight graph, the adequate ordering with the
 case trace, the posted prices, and the arriving buyer's unique best bundle.
-Exits 1 when the run's final welfare differs from the optimum, and 2 with one
-`error:` line on a market it cannot walk: one the engine refuses, or one past
-the oracle's 12 items, which the optimum needs.
+Exits 1 when the run's final welfare differs from the optimum, 2 with one
+`error:` line on a market it cannot walk (one the engine refuses, or one past
+the oracle's 12 items, which the optimum needs), and 3 with one
+`internal error:` line on an engine fault, as `dynprice` does.
 
 Usage:
     python scripts/price_walkthrough.py [--seed 3] [--buyers 3] [--demand 2]
@@ -16,8 +17,7 @@ import sys
 
 from dynprice import (best_bundles, generate_instance, multi_round, oracle_opt_value,
                       restrict_market)
-from dynprice.errors import (ContractViolationError, ModelError, OracleCapError,
-                            UnsupportedMarketError)
+from dynprice.cli import exit_code
 from dynprice.pricing import dispatch_ordering
 
 
@@ -27,12 +27,7 @@ def main() -> int:
     ap.add_argument("--buyers", type=int, default=3)
     ap.add_argument("--demand", type=int, default=2)
     ap.add_argument("--value-hi", type=int, default=4)
-    args = ap.parse_args()
-    try:
-        return walk(args)
-    except (ModelError, ContractViolationError, UnsupportedMarketError, OracleCapError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    return exit_code(walk, ap.parse_args())
 
 
 def walk(args) -> int:

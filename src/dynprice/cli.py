@@ -3,9 +3,10 @@ solve/dual/order/price/simulate/verify verbs.
 
 Markets travel as JSON with rationals encoded as decimal integer strings or
 "p/q" strings; the value matrix must be complete.  All outputs are
-machine-readable JSON (``--pretty`` for humans).  Exit codes: 0 success /
-all-optimal, 1 verified-false (counterexample emitted), 2 usage or model
-error, 3 internal error (a failed self-check or any other bug in the engine).
+machine-readable JSON (``--pretty`` for humans).  Each verb in `VERBS` maps a
+market to its JSON object, and `exit_code` alone maps failures to exit codes,
+here and in the walkthrough: 0 success / all-optimal, 1 verified-false, 2 usage
+or model error, 3 internal error (a failed self-check or any other engine bug).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import sys
 import traceback
 from fractions import Fraction
 from itertools import combinations
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from . import sets
 from .dual import refine_covering
@@ -29,7 +30,8 @@ from .matching import solve_with_covering
 from .model import Market, market_graph
 from .pricing import (dispatch_ordering, infer_mode, multi_round, ordering_method,
                       tight_market, unit_round)
-from .simulation import RunTrace, reversed_ordering_strategy, run_exhaustive, run_sampled
+from .simulation import (STATE_BUDGET, RunTrace, reversed_ordering_strategy, run_exhaustive,
+                         run_sampled)
 
 _USAGE_ERROR = 2
 _INTERNAL_ERROR = 3
@@ -153,15 +155,6 @@ def generate_instance(seed: int, buyers: int, demand_profile: int | Sequence[int
     return Market.build(names_s, names_t, dict(zip(names_t, demands)), value)
 
 
-def _dump(obj, args) -> None:
-    print(json.dumps(obj, indent=2 if args.pretty else None, sort_keys=True))
-
-
-def _load_market(args) -> Market:
-    with open(args.input, "rb") as fh:
-        return parse_instance(fh.read())
-
-
 def _pi_json(pi) -> dict:
     return {v: rational_to_str(x) for v, x in pi.pi.items()}
 
@@ -182,83 +175,72 @@ def _trace_json(trace: RunTrace) -> dict:
     }
 
 
-def _cmd_generate(args) -> int:
+def _generate(args) -> Market:
     try:
         demands = [int(x) for x in args.demands.split(",")]
     except ValueError:
         raise ModelError(f"--demands: not an integer or comma list: {args.demands!r}") from None
     if "," not in args.demands:
         demands = demands[0]
-    m = generate_instance(args.seed, args.buyers, demands, (args.value_lo, args.value_hi))
-    _dump(serialize_market(m), args)
-    return 0
+    return generate_instance(args.seed, args.buyers, demands, (args.value_lo, args.value_hi))
 
 
-def _cmd_solve(args) -> int:
-    m = _load_market(args)
+def _solve(m: Market, args) -> dict:
     res = solve_with_covering(market_graph(m))
-    _dump({
+    return {
         "welfare": rational_to_str(res.value),
         "matching": sorted([s, t] for s, t in res.matching),
         "allocation": {t: sorted(s for s, u in res.matching if u == t) for t in m.buyers},
         "pi": _pi_json(res.covering),
-    }, args)
-    return 0
+    }
 
 
-def _cmd_dual(args) -> int:
-    m = _load_market(args)
+def _dual(m: Market, args) -> dict:
     sc = refine_covering(market_graph(m))
-    _dump({
+    return {
         "pi": _pi_json(sc.pi),
         "tight_edges": sorted([s, t] for s, t in sc.tight_edges),
         "slack": None if sc.slack is None else rational_to_str(sc.slack),
-    }, args)
-    return 0
+    }
 
 
-def _cmd_order(args) -> int:
-    tm = tight_market(_load_market(args))
+def _order(m: Market, args) -> dict:
+    tm = tight_market(m)
     trace: list = []
     sigma = dispatch_ordering(tm.gpi, trace)
-    _dump({
+    return {
         "method": ordering_method(tm.gpi),
         "ordering": list(sigma),
         "trimmed_away": sorted(tm.removed),
         "case_trace": trace,
-    }, args)
-    return 0
+    }
 
 
-def _cmd_price(args) -> int:
-    m = _load_market(args)
+def _price(m: Market, args) -> dict:
     mode = infer_mode(m)
     rp = unit_round(m) if mode == "unit" else multi_round(m)
-    _dump({
+    return {
         "mode": mode,
         "prices": {s: rational_to_str(p) for s, p in rp.prices.price.items()},
         "pi": _pi_json(rp.pi),
         "sigma": None if rp.sigma is None else list(rp.sigma),
         "delta": rational_to_str(rp.prices.delta),
         "trimmed_away": sorted(rp.removed),
-    }, args)
-    return 0
+    }
 
 
-def _cmd_simulate(args) -> int:
-    m = _load_market(args)
+def _simulate(m: Market, args) -> dict:
     strategy = reversed_ordering_strategy if args.sabotage == "reversed" else None
     if args.orders and args.budget is not None:
         raise ModelError("--budget bounds the exhaustive search and cannot go with --orders")
     if args.orders:
         verdict = run_sampled(m, args.orders, args.seed, ordering_strategy=strategy)
-    elif args.budget is None:
-        verdict = run_exhaustive(m, ordering_strategy=strategy)
     else:
-        verdict = run_exhaustive(m, budget=args.budget, ordering_strategy=strategy)
+        verdict = run_exhaustive(m, STATE_BUDGET if args.budget is None else args.budget,
+                                 ordering_strategy=strategy)
     if verdict.runs_checked == 0:
         raise ModelError("--budget: the search stopped before any run finished")
-    _dump({
+    return {
         "instance": args.input,
         "mode": infer_mode(m),
         "runs_checked": verdict.runs_checked,
@@ -267,22 +249,19 @@ def _cmd_simulate(args) -> int:
         "optimum": rational_to_str(verdict.optimum),
         "counterexample": None if verdict.counterexample is None
         else _trace_json(verdict.counterexample),
-    }, args)
-    return 0 if verdict.all_optimal else 1
+    }
 
 
-def _cmd_verify(args) -> int:
-    tm = tight_market(_load_market(args))
+def _verify(m: Market, args) -> dict:
+    tm = tight_market(m)
     gpi = tm.gpi
     out: dict = {"trimmed_away": sorted(tm.removed)}
     ms = sets.min_surplus_set(gpi)
     out["min_surplus"] = None if ms is None else ms[1]
     out["dangerous_sets"] = (None if len(gpi.buyers) > sets.DANGEROUS_SETS_BUYER_CAP
                              else [sorted(Y) for Y in sets.all_dangerous_sets(gpi)])
-    if ms is not None and ms[1] == 1:
-        out["maximal_dangerous"] = sorted(sets.grow_dangerous_set(gpi, ms[0]))
-    else:
-        out["maximal_dangerous"] = None
+    out["maximal_dangerous"] = (sorted(sets.grow_dangerous_set(gpi, ms[0]))
+                                if ms is not None and ms[1] == 1 else None)
     feas: dict[str, dict[str, bool]] = {}
     for t in gpi.buyers:
         nbrs = gpi.buyer_adj[t]
@@ -292,55 +271,55 @@ def _cmd_verify(args) -> int:
                 table[",".join(F)] = sets.feasible_bundle(gpi, t, F)
         feas[t] = table
     out["feasibility"] = feas
-    _dump(out, args)
-    return 0
+    return out
+
+
+# verb -> (market, args) -> JSON object, and its help line; `generate`'s market
+# is the generated one.  The parser lists the verbs in this order.
+VERBS = {
+    "generate": (lambda m, args: serialize_market(m), "deterministic random market"),
+    "solve": (_solve, "max-weight allocation and dual"),
+    "dual": (_dual, "structured covering"),
+    "order": (_order, "adequate item ordering"),
+    "price": (_price, "one round of posted prices"),
+    "simulate": (_simulate, "adversarial dynamic runs"),
+    "verify": (_verify, "dangerous sets and feasibility tables"),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="dynprice",
                                   description="dynamic pricing for multi-demand markets")
     sub = top.add_subparsers(dest="verb", required=True)
-
-    def with_io(p):
-        p.add_argument("--input", required=True, help="market JSON file")
+    for verb, (_, text) in VERBS.items():
+        p = sub.add_parser(verb, help=text)
+        if verb == "generate":
+            p.add_argument("--seed", type=int, required=True)
+            p.add_argument("--buyers", type=int, required=True)
+            p.add_argument("--demands", default="1",
+                           help="single demand or comma list, e.g. 2 or 2,2,1")
+            p.add_argument("--value-lo", type=int, default=1)
+            p.add_argument("--value-hi", type=int, default=20)
+        else:
+            p.add_argument("--input", required=True, help="market JSON file")
         p.add_argument("--pretty", action="store_true")
-        return p
-
-    gen = sub.add_parser("generate", help="deterministic random market")
-    gen.add_argument("--seed", type=int, required=True)
-    gen.add_argument("--buyers", type=int, required=True)
-    gen.add_argument("--demands", default="1",
-                     help="single demand or comma list, e.g. 2 or 2,2,1")
-    gen.add_argument("--value-lo", type=int, default=1)
-    gen.add_argument("--value-hi", type=int, default=20)
-    gen.add_argument("--pretty", action="store_true")
-    gen.set_defaults(fn=_cmd_generate)
-
-    with_io(sub.add_parser("solve", help="max-weight allocation and dual")).set_defaults(fn=_cmd_solve)
-    with_io(sub.add_parser("dual", help="structured covering")).set_defaults(fn=_cmd_dual)
-    with_io(sub.add_parser("order", help="adequate item ordering")).set_defaults(fn=_cmd_order)
-
-    with_io(sub.add_parser("price", help="one round of posted prices")).set_defaults(fn=_cmd_price)
-
-    sim = with_io(sub.add_parser("simulate", help="adversarial dynamic runs"))
-    sim.add_argument("--orders", type=int, default=0,
-                     help="sample this many random orders instead")
-    sim.add_argument("--seed", type=int, default=0)
-    sim.add_argument("--budget", type=int, default=None,
-                     help="state budget of the exhaustive search (default 200000); not with --orders")
-    sim.add_argument("--sabotage", choices=["none", "reversed"], default="none",
-                     help="negative control: price with a reversed ordering")
-    sim.set_defaults(fn=_cmd_simulate)
-
-    with_io(sub.add_parser("verify", help="dangerous sets and feasibility tables")).set_defaults(fn=_cmd_verify)
+        if verb == "simulate":
+            p.add_argument("--orders", type=int, default=0,
+                           help="sample this many random orders instead")
+            p.add_argument("--seed", type=int, default=0)
+            p.add_argument("--budget", type=int, default=None,
+                           help=f"state budget of the exhaustive search (default {STATE_BUDGET}); "
+                                "not with --orders")
+            p.add_argument("--sabotage", choices=["none", "reversed"], default="none",
+                           help="negative control: price with a reversed ordering")
     return top
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+def exit_code(run: Callable[..., int], *args) -> int:
+    """run(*args), or 2 with one `error:` line for a typed error or an OSError, or 3
+    with one `internal error:` line for an engine fault, never a verdict's 1."""
     try:
-        return args.fn(args)
+        return run(*args)
     except (ModelError, ContractViolationError, UnsupportedMarketError,
             OracleCapError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -351,6 +330,21 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             traceback.print_exc()
         print(f"internal error: {kind}{exc}", file=sys.stderr)
         return _INTERNAL_ERROR
+
+
+def _run(args) -> int:
+    if args.verb == "generate":
+        m = _generate(args)
+    else:
+        with open(args.input, "rb") as fh:
+            m = parse_instance(fh.read())
+    out = VERBS[args.verb][0](m, args)
+    print(json.dumps(out, indent=2 if args.pretty else None, sort_keys=True))
+    return 1 if out.get("all_optimal") is False else 0
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    return exit_code(_run, _build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

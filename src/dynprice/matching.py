@@ -199,8 +199,8 @@ class BipartiteGraph:
                               self.capacity)
 
     def induced(self, items: Iterable[ItemId], buyers: Iterable[BuyerId]) -> "BipartiteGraph":
-        keep_s = set(items)
-        keep_t = set(buyers)
+        keep_s = frozen_ids(items, "items")
+        keep_t = frozen_ids(buyers, "buyers")
         new_items = tuple(s for s in self.items if s in keep_s)
         new_buyers = tuple(t for t in self.buyers if t in keep_t)
         new_edges = tuple(e for e in self.edges if e[0] in keep_s and e[1] in keep_t)
@@ -209,7 +209,7 @@ class BipartiteGraph:
         return BipartiteGraph(new_items, new_buyers, new_edges, w, cap)
 
     def without(self, vertices: Iterable[str]) -> "BipartiteGraph":
-        drop = set(vertices)
+        drop = frozen_ids(vertices, "vertices")
         return self.induced((s for s in self.items if s not in drop),
                             (t for t in self.buyers if t not in drop))
 

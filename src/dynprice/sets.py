@@ -131,7 +131,7 @@ def grow_dangerous_set(gpi: BipartiteGraph, Y: Iterable[BuyerId]) -> frozenset[B
     Adds each buyer outside Y, in buyer order, whenever some dangerous set
     holds both; same precondition as `maximal_dangerous_set`.
     """
-    Y = frozenset(Y)
+    Y = _known_buyers(gpi, Y)
     for t in gpi.buyers:
         if t in Y:
             continue
@@ -144,7 +144,7 @@ def grow_dangerous_set(gpi: BipartiteGraph, Y: Iterable[BuyerId]) -> frozenset[B
 def minimal_dangerous_disjoint(gpi: BipartiteGraph, Z: Iterable[BuyerId]
                                ) -> Optional[frozenset[BuyerId]]:
     """An inclusionwise minimal dangerous set disjoint from Z, or None."""
-    Z = frozenset(Z)
+    Z = _known_buyers(gpi, Z)
     if not is_dangerous(gpi, Z):
         raise ContractViolationError("Z must be dangerous")
     Y, value = min_surplus_set(gpi, exclude=Z)   # Z is proper: never None

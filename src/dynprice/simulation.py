@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations
@@ -44,6 +45,7 @@ from .pricing import (OrderingStrategy, PriceVector, RoundPricing, dispatch_orde
 ORACLE_ITEM_CAP = 12
 BUNDLE_CAP = 2 ** 22        # most best bundles listed for one buyer: every subset of 22 items
 ORACLE_OPTIMA_CAP = 500000
+STATE_BUDGET = 200000      # states `run_exhaustive` expands by default
 
 
 # ---------------------------------------------------------------------------
@@ -182,6 +184,8 @@ def best_bundles(m: Market, t: BuyerId, p: PriceVector) -> list[frozenset[ItemId
     """
     if not isinstance(p, PriceVector):
         raise ModelError("prices must be a PriceVector")
+    if not isinstance(p.price, Mapping):
+        raise ModelError("prices must map items to prices")
     try:
         b = m.demand[t]
     except (KeyError, TypeError):           # unknown, or unhashable
@@ -316,7 +320,7 @@ def _below_optimum(ordering_strategy: Optional[OrderingStrategy]) -> None:
         raise InternalConsistencyError("a run with the default orderings ended below the optimum")
 
 
-def run_exhaustive(m: Market, budget: int = 200000,
+def run_exhaustive(m: Market, budget: int = STATE_BUDGET,
                    ordering_strategy: Optional[OrderingStrategy] = None) -> Verdict:
     """DFS over every arrival order and every tie-break; verdict against the oracle.
 

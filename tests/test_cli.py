@@ -404,19 +404,62 @@ def test_refine_refusing_trims_optimum_is_an_internal_error(tmp_path, capsys, mo
 
 @pytest.mark.parametrize("argv, code", [
     (["--seed", "14", "--buyers", "6", "--demand", "2", "--value-hi", "2"], 0),
-    (["--buyers", "10", "--demand", "2"], 2)], ids=["all-cases", "past-oracle-cap"])
+    (["--buyers", "10", "--demand", "2"], 2),
+    (["--buyers", "3", "--demand", "2"], 3)],
+    ids=["all-cases", "past-oracle-cap", "engine-fault"])
 def test_price_walkthrough_exit_codes(monkeypatch, capsys, argv, code):
+    # the walkthrough keeps `dynprice`'s exit codes: an engine fault is 3, never 1
+    import dynprice
+    from dynprice.errors import InternalConsistencyError
+
+    def broken(m, ordering_strategy=None):
+        raise InternalConsistencyError("refined dual is not optimal")
+
+    if code == 3:       # the script imports multi_round when it runs
+        monkeypatch.setattr(dynprice, "multi_round", broken)
     script = Path(__file__).resolve().parents[1] / "scripts" / "price_walkthrough.py"
     monkeypatch.setattr(sys, "argv", [str(script), *argv])
     assert runpy.run_path(str(script))["main"]() == code
     out, err = capsys.readouterr()
-    if code:
+    if code == 3:
+        assert err == "internal error: refined dual is not optimal\n"
+    elif code:
         assert err == "error: oracle limited to 12 items\n"
     else:
         cases = {c for ln in out.splitlines() if ln.startswith("  case trace:")
                  for c in ast.literal_eval(ln.split(":", 1)[1])}
         assert cases == {"base", "1", "2.1", "2.2.1", "2.2.2", "3"}
         assert out.endswith("final welfare 24 (optimum 24)\n")
+
+
+def test_cli_pretty_prints_indented_sorted_json(tmp_path, capsys, e2):
+    path = write_market(tmp_path, e2)
+    assert main(["price", "--input", path]) == 0
+    plain = capsys.readouterr().out
+    assert main(["price", "--input", path, "--pretty"]) == 0
+    pretty = capsys.readouterr().out
+    assert plain == json.dumps(json.loads(plain), sort_keys=True) + "\n"
+    assert pretty == json.dumps(json.loads(plain), indent=2, sort_keys=True) + "\n"
+    assert pretty.startswith('{\n  "delta": ')
+
+
+def test_cli_missing_input_is_a_usage_error(tmp_path, capsys):
+    missing = str(tmp_path / "missing.json")
+    for verb in ("solve", "dual", "order", "price", "simulate", "verify"):
+        assert main([verb, "--input", missing]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        assert "missing.json" in err
+
+
+def test_cli_help_lists_the_seven_verbs_in_order(capsys):
+    verbs = ["generate", "solve", "dual", "order", "price", "simulate", "verify"]
+    with pytest.raises(SystemExit, match="^0$"):
+        main(["--help"])
+    out = capsys.readouterr().out
+    assert "{" + ",".join(verbs) + "}" in out
+    assert [ln.split()[0] for ln in out.splitlines()
+            if ln.startswith("    ") and ln.split()[0] in verbs] == verbs
 
 
 def test_cli_price_market_without_buyers(tmp_path, capsys):

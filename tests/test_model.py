@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 from dynprice import (BipartiteGraph, Market, check_opt_property, combine,
                       feasible_bundle, generate_instance, is_legal_edge, market_graph,
                       max_weight_forced_edge, max_weight_reduced_capacity, min_surplus_set,
-                      oracle_feasible, restrict_market, trim_items, verify_adequate, welfare)
+                      minimal_dangerous_disjoint, oracle_feasible, restrict_market, trim_items,
+                      verify_adequate, welfare)
 from dynprice.errors import ModelError
 from dynprice.matching import Covering
+from dynprice.sets import grow_dangerous_set
 from dynprice.simulation import oracle_opt, oracle_opt_value, oracle_structure
 
 from conftest import graph_fields, naive_opt_value
@@ -243,11 +245,16 @@ def test_restrict_market(e1, e2):
     lambda m, g: is_legal_edge(g, ["s1", "t1"]),
     lambda m, g: max_weight_reduced_capacity(g, ["t1"]),
     lambda m, g: g.with_capacity(["t1"], 1),
+    lambda m, g: g.induced([["s1"]], []),
+    lambda m, g: g.without([["s1"]]),
+    lambda m, g: grow_dangerous_set(g, [["t1"]]),
+    lambda m, g: minimal_dangerous_disjoint(g, [["t1"]]),
 ], ids=["oracle-buyer", "oracle-items", "restrict-buyer", "restrict-items", "welfare",
         "feasible-buyer", "surplus-buyers", "ordering-items", "ordering-int", "ordering-none",
         "market-items-int", "market-items-unhashable", "market-demand-none",
         "market-values-none", "graph-items-int", "graph-weights-none", "forced-edge",
-        "legal-edge", "reduced-capacity", "with-capacity"])
+        "legal-edge", "reduced-capacity", "with-capacity", "induced", "without",
+        "grow-dangerous", "minimal-dangerous"])
 def test_unhashable_ids_are_model_errors(call):
     # a list where an id belongs is bad input, not an engine fault
     m = generate_instance(500001, 3, 2, (1, 3))
@@ -263,7 +270,13 @@ def test_unhashable_ids_are_model_errors(call):
     (lambda m, g: welfare(m, {"t1": "s1"}), "items"),
     (lambda m, g: feasible_bundle(g, "t1", "s1"), "items"),
     (lambda m, g: verify_adequate(g, "s1"), "ordering"),
-], ids=["market-items", "market-buyers", "restrict", "welfare", "feasible", "ordering"])
+    (lambda m, g: g.induced("s1s2", g.buyers), "items"),
+    (lambda m, g: g.induced(g.items, "t1"), "buyers"),
+    (lambda m, g: g.without("t1"), "vertices"),
+    (lambda m, g: grow_dangerous_set(g, "t1"), "buyers"),
+    (lambda m, g: minimal_dangerous_disjoint(g, "t1"), "buyers"),
+], ids=["market-items", "market-buyers", "restrict", "welfare", "feasible", "ordering",
+        "induced-items", "induced-buyers", "without", "grow-dangerous", "minimal-dangerous"])
 def test_a_string_where_ids_belong_is_refused(call, what):
     # read as its characters, "s1" would be the items "s" and "1"
     m = generate_instance(500001, 3, 2, (1, 3))

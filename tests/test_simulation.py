@@ -505,6 +505,8 @@ def test_submarket_preserves_order(e2):
      "unknown buyer ['t1']"),
     (lambda m: best_bundles(m, "t1", dict.fromkeys(m.items, Fraction(0))),
      "prices must be a PriceVector"),
+    (lambda m: best_bundles(m, "t1", PriceVector(5, Fraction(0))),
+     "prices must map items to prices"),
     (lambda m: run_once(m, m.buyers, lambda t, bundles, k: frozenset({"s1", "s2", "s3"})),
      "tiebreak selected a non-maximizing bundle"),
     (lambda m: run_once(m, m.buyers, 5), "the tiebreak must be callable"),
