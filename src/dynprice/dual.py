@@ -19,10 +19,11 @@ b-matching M determines a structured covering:
 * Seller-optimal start.  A queue-based Bellman-Ford from z sets p to the
   shortest-path distances from z: the highest item prices and lowest buyer
   utilities on the face.  M is maximum iff the arcs have no negative cycle.
-* SCC shift.  Nodes that reach the same nodes over the zero-reduced-cost arcs
-  form a component (reach bitsets, the one component search of a refine), and
-  each node moves by eps * (h(v) - h(z)), h the height of its component in the
-  condensation.  Arcs between components become strictly slack, arcs inside
+* SCC shift.  One iterative pass of Tarjan's algorithm over the
+  zero-reduced-cost arcs finds their strong components, the one component
+  search of a refine, and each component's height in the condensation as it
+  completes it.  Each node moves by eps * (h(v) - h(z)), h the height of its
+  component.  Arcs between components become strictly slack, arcs inside
   one stay tight, and eps (the least positive reduced cost over max h + 2)
   keeps every other arc feasible.  The seller-optimal point is unique and
   every M-dependent arc lies on a zero cycle, so pi is a function of the
@@ -31,7 +32,7 @@ b-matching M determines a structured covering:
   optimal, slack edges non-legal and positive duals always saturated.  One
   integer b-matching proves the rest in O(n + m): X_e = K * [e in M] +
   f(s->t) - f(t->s) on each tight edge, where f is a circulation positive on
-  every tight face arc (the shift's arcs whose ends share a reach set) and
+  every tight face arc (the shift's arcs whose ends share a component) and
   K = max f + 1.  No arc is removed: an M-edge's item has no z->s arc, so its
   X-degree is K - f(s->z) and X_e <= K; f adds no weight, the reduced length
   of a tight arc being zero.  The checks 0 <= X_e <= K, degree <= K * b(v)
@@ -42,9 +43,11 @@ b-matching M determines a structured covering:
   zero-dual vertex lowers its degree.  If M holds every tight edge and no
   zero dual is saturated, X = M and K = 1.
 
-The construction and every check run on integers.  The distances come in
-units of 1/D, the denominator of the graph's scaled weights (`g.scaled`);
-the shift multiplies by one more factor, max h + 2, so pi is held in units of
+The construction and every check run on integers, over the graph's edge
+table (`g.table`): nodes are the positions in items + buyers, then z, and the
+table's edge ends serve the face arcs, the gap check and the certificate
+alike.  The distances come in units of 1/D, the table's denominator; the
+shift multiplies by one more factor, max h + 2, so pi is held in units of
 1/(D * factor), and one pass over it checks the gaps, tightness,
 non-negativity and optimality and finds the slack.  The Fractions of pi and
 the slack are built once, on return.  `compute_slack` is the Fraction
@@ -53,7 +56,7 @@ reference the tests hold that slack to.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -94,26 +97,27 @@ def tight_subgraph(sc: StructuredCovering, g: BipartiteGraph) -> BipartiteGraph:
     return g.unit_subgraph(sc.tight_edges)
 
 
-Arcs = list[list[tuple[int, int]]]  # node -> [(head, scaled length)]
+Arcs = list[list[tuple[int, int]]]  # node -> [(head, integer length)]
 
 
-def _face_arcs(g: BipartiteGraph, m_edges: frozenset[Edge], degree: Counter,
-               weight: dict[Edge, int], node: dict[str, int], z: int) -> Arcs:
-    """Difference constraints whose solutions with p(z) = 0 are the optimal duals."""
+def _face_arcs(ends: tuple[tuple[int, int], ...], weight: tuple[int, ...], in_m: list[bool],
+               degree: list[int], cap: list[int], n_items: int) -> Arcs:
+    """Difference constraints whose solutions with p(z) = 0 are the optimal duals;
+    the nodes are the positions in items + buyers, then z."""
+    z = len(cap)
     out: Arcs = [[] for _ in range(z + 1)]
-    for e in g.edges:
-        s, t = node[e[0]], node[e[1]]
-        out[s].append((t, -weight[e]))
-        if e in m_edges:
-            out[t].append((s, weight[e]))
-    for v in g.items:
-        out[node[v]].append((z, 0))
-        if degree[v] < g.capacity[v]:
-            out[z].append((node[v], 0))
-    for v in g.buyers:
-        out[z].append((node[v], 0))
-        if degree[v] < g.capacity[v]:
-            out[node[v]].append((z, 0))
+    for (s, t), w, matched in zip(ends, weight, in_m):
+        out[s].append((t, -w))
+        if matched:
+            out[t].append((s, w))
+    for v in range(n_items):
+        out[v].append((z, 0))
+        if degree[v] < cap[v]:
+            out[z].append((v, 0))
+    for v in range(n_items, z):
+        out[z].append((v, 0))
+        if degree[v] < cap[v]:
+            out[v].append((z, 0))
     return out
 
 
@@ -136,15 +140,61 @@ def _seller_optimal(out: Arcs, z: int) -> list[int]:
     return dist
 
 
+def _components(succ: list[list[int]]) -> tuple[list[int], list[int]]:
+    """The strong components of the digraph succ (node -> heads) and their heights
+    in the condensation, from one iterative pass of Tarjan's algorithm.
+
+    Returns each node's component and each component's height: 0 for a
+    component that no arc leaves, else one more than the highest component an
+    arc leads to.  Tarjan completes a component only after every component it
+    reaches, so its height is known when it is completed.
+    """
+    n = len(succ)
+    index, low, comp = [-1] * n, [0] * n, [-1] * n
+    height: list[int] = []
+    stack: list[int] = []
+    visited = 0
+    for root in range(n):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = visited
+        visited += 1
+        stack.append(root)
+        work = [(root, iter(succ[root]))]
+        while work:
+            a, heads = work[-1]
+            for b in heads:
+                if index[b] < 0:            # a tree arc: descend into b
+                    index[b] = low[b] = visited
+                    visited += 1
+                    stack.append(b)
+                    work.append((b, iter(succ[b])))
+                    break
+                if comp[b] < 0 and index[b] < low[a]:   # b is on the stack
+                    low[a] = index[b]
+            else:                           # a is done
+                work.pop()
+                if work and low[a] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[a]
+                if low[a] == index[a]:      # a roots a component: the stack down to a
+                    c, members = len(height), []
+                    while not members or members[-1] != a:
+                        members.append(stack.pop())
+                        comp[members[-1]] = c
+                    height.append(max([height[comp[b]] + 1 for v in members for b in succ[v]
+                                       if comp[b] != c], default=0))
+    return comp, height
+
+
 def _shift_by_scc(p: list[int], out: Arcs, z: int
                   ) -> tuple[list[int], int, list[list[int]], list[int]]:
-    """Potentials made strictly complementary, scaled by the returned factor, and
-    the tight arcs at p (succ: node -> heads) with each node's reach set over them.
+    """Potentials made strictly complementary, multiplied by the returned factor, the
+    tight arcs at p (succ: node -> heads) and each node's strong component over them.
 
-    Nodes of equal reach set form a strong component.  Node v moves by
-    eps * (h(v) - h(z)), h the height of its component in the condensation, and
-    eps = the least positive reduced cost / (max h + 2); the factor max h + 2 keeps
-    the result integral.  The arcs of succ inside a component stay tight, no other.
+    Node v moves by eps * (h(v) - h(z)), h the height of its component in the
+    condensation, and eps = the least positive reduced cost / (max h + 2); the
+    factor max h + 2 keeps the result integral.  The arcs of succ inside a
+    component stay tight, no other.
     """
     succ: list[list[int]] = [[] for _ in p]
     least: Optional[int] = None
@@ -155,29 +205,12 @@ def _shift_by_scc(p: list[int], out: Arcs, z: int
                 succ[a].append(b)
             elif least is None or rc < least:
                 least = rc
-    reach = [1 << a for a in range(len(p))]
-    changed = True
-    while changed:
-        changed = False
-        for a, heads in enumerate(succ):
-            r = reach[a]
-            for b in heads:
-                r |= reach[b]
-            changed |= r != reach[a]
-            reach[a] = r
-    height = [0] * len(p)
-    changed = True
-    while changed:   # only arcs inside a component close cycles, and they add 0
-        changed = False
-        for a, heads in enumerate(succ):
-            for b in heads:
-                h = height[b] + (reach[a] != reach[b])
-                if h > height[a]:
-                    height[a], changed = h, True
+    comp, height = _components(succ)
     factor = max(height) + 2
     step = 1 if least is None else least
-    shifted = [pa * factor + (h - height[z]) * step for pa, h in zip(p, height)]
-    return shifted, factor, succ, reach
+    base = height[comp[z]]
+    shifted = [pa * factor + (height[c] - base) * step for pa, c in zip(p, comp)]
+    return shifted, factor, succ, comp
 
 
 def _circulation(heads: list[list[int]]) -> dict[tuple[int, int], int]:
@@ -219,9 +252,9 @@ def _circulation(heads: list[list[int]]) -> dict[tuple[int, int], int]:
     return flow
 
 
-def _m_alone(n_tight: int, m_edges: frozenset[Edge], zero_saturated: bool) -> bool:
+def _m_alone(n_tight: int, n_matched: int, zero_saturated: bool) -> bool:
     """X = M, K = 1 is the certificate: M holds every tight edge, no zero dual is saturated."""
-    return n_tight == len(m_edges) and not zero_saturated
+    return n_tight == n_matched and not zero_saturated
 
 
 def refine_covering(g: BipartiteGraph, m: Optional[frozenset[Edge]] = None
@@ -229,35 +262,40 @@ def refine_covering(g: BipartiteGraph, m: Optional[frozenset[Edge]] = None
     """Structured optimal covering of g from m, a maximum-weight b-matching of g
     (one solve supplies it when omitted; see the module notes).  A caller's m
     that is not one raises ContractViolationError."""
-    if m is not None and not (isinstance(m, (set, frozenset)) and m <= g.edge_set):
+    solved = m is None
+    if solved:
+        m = matching.solve_with_covering(g).matching
+    elif not isinstance(m, (set, frozenset)):
         raise ContractViolationError("m is not a set of the graph's edges")
-    m_edges = matching.solve_with_covering(g).matching if m is None else m
-    vertices = g.items + g.buyers
-    z = len(vertices)
-    node = {v: k for k, v in enumerate(vertices)}
-    weight, scale = g.scaled
-    sign = [1] * len(g.items) + [-1] * len(g.buyers)
+    in_m = [e in m for e in g.edges]
+    matched = [k for k, x in enumerate(in_m) if x]
+    if len(matched) != len(m):
+        raise ContractViolationError("m is not a set of the graph's edges")
+    table = g.table
+    ends, weight = table.ends, table.weight
+    cap = matching.capacities(g)
+    n_items, z = len(g.items), len(cap)
     try:   # past a capacity or below the optimum: the caller's m, or an engine bug
-        degree = matching.check_bmatching(g, m_edges)
-        out = _face_arcs(g, m_edges, degree, weight, node, z)
-        p, factor, succ, reach = _shift_by_scc(_seller_optimal(out, z), out, z)
+        degree = matching.check_bmatching(g, matched)
+        out = _face_arcs(ends, weight, in_m, degree, cap, n_items)
+        p, factor, succ, comp = _shift_by_scc(_seller_optimal(out, z), out, z)
     except InternalConsistencyError as exc:
-        if m is None:
+        if solved:
             raise
         raise ContractViolationError(str(exc)) from exc
-    q = [sg * pa for sg, pa in zip(sign, p)]   # pi' in units of 1/(D * factor)
+    q = p[:n_items] + [-x for x in p[n_items:z]]   # pi' in units of 1/(D * factor)
 
     # Verification, always on: an optimal covering, then the certificate
     # X = K * [e in M] + f(s->t) - f(t->s) (module notes), checked exactly on integers.
-    optimum = sum(weight[e] for e in m_edges)
-    tight: set[Edge] = set()
+    optimum = sum(weight[k] for k in matched)
+    tight: list[int] = []
     least: Optional[int] = None
-    for e in g.edges:
-        gap = q[node[e[0]]] + q[node[e[1]]] - weight[e] * factor
+    for k, ((s, t), w) in enumerate(zip(ends, weight)):
+        gap = q[s] + q[t] - w * factor
         if gap < 0:
             raise InternalConsistencyError("refined dual is not a covering")
         if gap == 0:
-            tight.add(e)
+            tight.append(k)
         elif least is None or gap < least:
             least = gap
     for x in q:
@@ -265,36 +303,36 @@ def refine_covering(g: BipartiteGraph, m: Optional[frozenset[Edge]] = None
             raise InternalConsistencyError("refined dual has a negative value")
         if x > 0 and (least is None or x < least):
             least = x
-    if sum(x * g.capacity[v] for x, v in zip(q, vertices)) != optimum * factor:
+    if sum(x * c for x, c in zip(q, cap)) != optimum * factor:
         raise InternalConsistencyError("refined dual is not optimal")
 
-    cert, mult = dict.fromkeys(m_edges, 1), 1   # X, K
-    if not _m_alone(len(tight), m_edges, any(x == 0 and degree[v] == g.capacity[v]
-                                             for x, v in zip(q, vertices))):
-        flow = _circulation([[b for b in heads if reach[b] == reach[a]]
+    cert, mult = dict.fromkeys(matched, 1), 1   # X by edge index, K
+    if not _m_alone(len(tight), len(matched), any(x == 0 and d == c
+                                                  for x, d, c in zip(q, degree, cap))):
+        flow = _circulation([[b for b in heads if comp[b] == comp[a]]
                              for a, heads in enumerate(succ)])
         mult = max(flow.values(), default=0) + 1
-        for e in tight:
-            a, b = node[e[0]], node[e[1]]
-            cert[e] = mult * (e in m_edges) + flow.get((a, b), 0) - flow.get((b, a), 0)
-    load = dict.fromkeys(vertices, 0)
-    for (s, t), x in cert.items():
+        for k in tight:
+            s, t = ends[k]
+            cert[k] = mult * in_m[k] + flow.get((s, t), 0) - flow.get((t, s), 0)
+    load = [0] * z
+    for k, x in cert.items():
         if not 0 <= x <= mult:
             raise InternalConsistencyError("certificate violates an edge bound")
+        s, t = ends[k]
         load[s] += x
         load[t] += x
-    if any(load[v] > mult * g.capacity[v] for v in vertices):
+    if any(d > mult * c for d, c in zip(load, cap)):
         raise InternalConsistencyError("certificate violates a capacity")
-    if sum(weight[e] * x for e, x in cert.items()) != mult * optimum:
+    if sum(weight[k] * x for k, x in cert.items()) != mult * optimum:
         raise InternalConsistencyError("certificate is not a maximum-weight b-matching")
 
-    tight_edges = frozenset(tight)
-    if tight_edges != {e for e, x in cert.items() if x > 0}:
+    if set(tight) != {k for k, x in cert.items() if x > 0}:
         raise InternalConsistencyError("tight/legal mismatch after refinement")
-    if any((x > 0) != (load[v] == mult * g.capacity[v]) for x, v in zip(q, vertices)):
+    if any((x > 0) != (d == mult * c) for x, d, c in zip(q, load, cap)):
         raise InternalConsistencyError("zero-dual/saturation mismatch")
 
-    denom = scale * factor
-    covering = Covering({v: Fraction(x, denom) for v, x in zip(vertices, q)})
+    denom = table.denominator * factor
+    covering = Covering({v: Fraction(x, denom) for v, x in zip(g.items + g.buyers, q)})
     slack = None if least is None else Fraction(least, denom)
-    return StructuredCovering(covering, tight_edges, slack)
+    return StructuredCovering(covering, frozenset(g.edges[k] for k in tight), slack)

@@ -19,6 +19,16 @@ order.  Every other graph is derived from one of those (`induced`,
 `unit_subgraph`, ...) and keeps its edge order, so nothing is validated or
 sorted twice.
 
+Each graph carries its weights once more as integers, in one edge table
+(`BipartiteGraph.table`, an `EdgeTable`): for each edge, in edge order, the
+positions of its item and its buyer in items + buyers, and its weight times
+the least common denominator D of the graph's weights.  Only `build` derives
+the table from Fractions; `market_graph` fills it in the pass that builds the
+graph, and `induced`, `without` and `unit_subgraph` restrict their graph's
+table, dividing out the common factor that dropping edges may leave, so D
+stays the graph's own least common denominator.  The solver, its
+certificate and the structured dual work on positions and these integers.
+
 The Hungarian solver works on the buyer-copy expansion: every buyer vertex
 t with capacity b(t) becomes min(b(t), |S| + 1) unit-capacity copies, items
 keep capacity one, and a rectangular Hungarian algorithm with potentials
@@ -36,12 +46,12 @@ free dummy's slack u <= W, never reaches it.  An int weight keeps the
 arithmetic exact at any size, where a float -inf would overflow past 1e308.
 
 All arithmetic is exact and the Hungarian algorithm runs on integers only.
-Each graph scales its Fraction weights once, by their least common
-denominator D (`BipartiteGraph.scaled`), so the solver returns its value and
-its duals as integers in units of 1/D.  The trim objective "maximum weight,
-then fewest edges" is the integer weight w * D * K - 1 with K = |S| + 1: a
-b-matching has at most |S| edges, so a weight gap of 1/D always outweighs
-any difference in edge count.
+The dense rows are filled straight from the table, so the solver returns its
+value and its duals as integers in units of 1/D, the matched edges by index
+and the duals by position.  The trim objective "maximum weight, then fewest
+edges" is the integer weight w * D * K - 1 with K = |S| + 1: a b-matching has
+at most |S| edges, so a weight gap of 1/D always outweighs any difference in
+edge count.
 
 Every solve is certified before use: `_check_optimal_pair` proves, on the
 integer weights the solve ran on, that M is a b-matching of g
@@ -54,12 +64,12 @@ structured dual, which starts from M (`dual.refine_covering`), solves again.
 from __future__ import annotations
 
 import math
-from collections import Counter
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from types import MappingProxyType
-from typing import AbstractSet, Container, Iterable, Mapping, Optional
+from typing import AbstractSet, Container, Iterable, Mapping, Optional, Sequence
 
 from .errors import ContractViolationError, InternalConsistencyError, ModelError
 
@@ -107,15 +117,45 @@ def contains(known: Container, key) -> bool:
 
 
 @dataclass(frozen=True)
+class EdgeTable:
+    """A graph's edges as integers, in edge order: the positions of each edge's
+    item and buyer in items + buyers, and its weight times the least common
+    denominator of the graph's weights."""
+
+    ends: tuple[tuple[int, int], ...]
+    weight: tuple[int, ...]
+    denominator: int
+
+    @staticmethod
+    def from_ratios(ends: tuple[tuple[int, int], ...],
+                    ratios: list[tuple[int, int]]) -> "EdgeTable":
+        """The table of the weights given as (numerator, denominator) pairs."""
+        d = math.lcm(1, *{y for _, y in ratios})
+        if d == 1:
+            return EdgeTable(ends, tuple([x for x, _ in ratios]), 1)
+        return EdgeTable(ends, tuple([x * (d // y) for x, y in ratios]), d)
+
+    def restricted(self, kept: list[int], moved: list[int]) -> "EdgeTable":
+        """The table of the edges `kept`, their ends moved to new positions, over the
+        least common denominator of their weights: a factor of this one."""
+        weight = [self.weight[k] for k in kept]
+        common = math.gcd(self.denominator, *weight)
+        return EdgeTable(tuple((moved[a], moved[b]) for a, b in (self.ends[k] for k in kept)),
+                         tuple(x // common for x in weight), self.denominator // common)
+
+
+@dataclass(frozen=True)
 class BipartiteGraph:
     """Edge-weighted bipartite graph with vertex capacities (items always 1);
-    edges are in canonical order, by item, then buyer (`build` sorts them)."""
+    edges are in canonical order, by item, then buyer (`build` sorts them),
+    and `table` holds them as integers."""
 
     items: tuple[ItemId, ...]
     buyers: tuple[BuyerId, ...]
     edges: tuple[Edge, ...]
     weight: Mapping[Edge, Fraction]
     capacity: Mapping[str, int]
+    table: EdgeTable
 
     @staticmethod
     def build(items: Iterable[ItemId], buyers: Iterable[BuyerId],
@@ -138,6 +178,9 @@ class BipartiteGraph:
             raise ModelError(f"edge references unknown vertex {exc}") from exc
         w = {e: x if type(x := weight[e]) is Fraction else int_fraction(x, "weights")
              for e in canon}
+        for v in capacity:
+            if v not in item_pos and v not in buyer_pos:
+                raise ModelError(f"capacity for unknown vertex {v!r}")
         cap = dict(capacity)
         for s in items:
             if type(c := cap.get(s, 1)) is not int or c != 1:
@@ -146,18 +189,14 @@ class BipartiteGraph:
         for t in buyers:
             if type(c := cap.get(t)) is not int or c < 0:
                 raise ModelError(f"buyer {t} needs a non-negative int capacity")
-        return BipartiteGraph(items, buyers, canon, w, cap)
+        n = len(items)
+        ends = tuple((item_pos[s], n + buyer_pos[t]) for s, t in canon)
+        table = EdgeTable.from_ratios(ends, [x.as_integer_ratio() for x in w.values()])
+        return BipartiteGraph(items, buyers, canon, w, cap, table)
 
     @cached_property
     def edge_set(self) -> frozenset[Edge]:
         return frozenset(self.edges)
-
-    @cached_property
-    def scaled(self) -> tuple[dict[Edge, int], int]:
-        """Integer weights w * D and their common denominator D."""
-        denom = math.lcm(1, *{w.denominator for w in self.weight.values()})
-        return ({e: w.numerator * (denom // w.denominator) for e, w in self.weight.items()},
-                denom)
 
     @cached_property
     def buyer_adj(self) -> dict[BuyerId, tuple[ItemId, ...]]:
@@ -192,21 +231,29 @@ class BipartiteGraph:
 
     def unit_subgraph(self, edges: AbstractSet[Edge]) -> "BipartiteGraph":
         """The spanning subgraph on `edges`, kept in this graph's order, with unit weights."""
-        if not edges <= self.edge_set:
+        kept = [k for k, e in enumerate(self.edges) if e in edges]
+        if len(kept) != len(edges):
             raise ModelError(f"edges not in graph: {sorted(edges - self.edge_set, key=repr)!r}")
-        kept = tuple(e for e in self.edges if e in edges)
-        return BipartiteGraph(self.items, self.buyers, kept, dict.fromkeys(kept, Fraction(1)),
-                              self.capacity)
+        new_edges = tuple(self.edges[k] for k in kept)
+        ends = self.table.ends
+        table = EdgeTable(tuple(ends[k] for k in kept), (1,) * len(kept), 1)
+        return BipartiteGraph(self.items, self.buyers, new_edges,
+                              dict.fromkeys(new_edges, Fraction(1)), self.capacity, table)
 
     def induced(self, items: Iterable[ItemId], buyers: Iterable[BuyerId]) -> "BipartiteGraph":
         keep_s = frozen_ids(items, "items")
         keep_t = frozen_ids(buyers, "buyers")
         new_items = tuple(s for s in self.items if s in keep_s)
         new_buyers = tuple(t for t in self.buyers if t in keep_t)
-        new_edges = tuple(e for e in self.edges if e[0] in keep_s and e[1] in keep_t)
+        # each kept vertex's position in the induced graph, -1 for a dropped one
+        new_pos = {v: k for k, v in enumerate(new_items + new_buyers)}
+        moved = [new_pos.get(v, -1) for v in self.items + self.buyers]
+        kept = [k for k, (a, b) in enumerate(self.table.ends) if moved[a] >= 0 and moved[b] >= 0]
+        new_edges = tuple(self.edges[k] for k in kept)
         w = {e: self.weight[e] for e in new_edges}
         cap = {v: self.capacity[v] for v in new_items + new_buyers}
-        return BipartiteGraph(new_items, new_buyers, new_edges, w, cap)
+        return BipartiteGraph(new_items, new_buyers, new_edges, w, cap,
+                              self.table.restricted(kept, moved))
 
     def without(self, vertices: Iterable[str]) -> "BipartiteGraph":
         drop = frozen_ids(vertices, "vertices")
@@ -313,81 +360,100 @@ def _hungarian(n_rows: int, n_cols: int, weight: list[list[int]]):
     return [j if j < n_cols else -1 for j in match_row], u, v
 
 
-def _solve(g: BipartiteGraph, weights: Mapping[Edge, int]):
+def _solve(g: BipartiteGraph, weights: Sequence[int]):
     """Solve max-weight b-matching via buyer-copy expansion.
 
-    Takes an integer weight per edge of g and returns (edges, value, pi) as
+    Takes an integer weight per edge of g, in edge order, and returns the
+    matched edges' indices, the value and pi by position in items + buyers, as
     integers in the units of `weights`; `_check_optimal_pair` certifies them.
     """
-    col_of_item = {s: k for k, s in enumerate(g.items)}
+    n = len(g.items)
+    ends = g.table.ends
     # one dense row per buyer, shared by its copies; a non-edge gets a weight
     # that the search never takes (see the module notes)
-    absent = -1 - 3 * max(map(abs, weights.values()), default=0)
-    dense = {t: [absent] * len(g.items) for t in g.buyers}
-    for (s, t), wx in weights.items():
-        dense[t][col_of_item[s]] = wx
+    absent = -1 - 3 * max(map(abs, weights), default=0)
+    dense = [[absent] * n for _ in g.buyers]
+    for (a, b), w in zip(ends, weights):
+        dense[b - n][a] = w
     # t holds at most |S| items; one more copy, never matched, keeps pi(t) = 0
-    rows = [t for t in g.buyers for _ in range(min(g.capacity[t], len(g.items) + 1))]
+    rows = [b for b, t in enumerate(g.buyers) for _ in range(min(g.capacity[t], n + 1))]
 
-    match_row, u, v = _hungarian(len(rows), len(g.items), [dense[t] for t in rows])
+    match_row, u, v = _hungarian(len(rows), n, [dense[b] for b in rows])
 
-    edges = [(g.items[j], rows[i]) for i, j in enumerate(match_row) if j >= 0]
-    edge_set = frozenset(edges)
-    if len(edge_set) != len(edges):
-        raise InternalConsistencyError("expansion produced a repeated edge")
-    value = sum(weights[e] for e in edge_set)
-
-    duals: dict[BuyerId, set[int]] = {t: set() for t in g.buyers}
-    for t, ui in zip(rows, u):
-        duals[t].add(ui)
-    pi: dict[str, int] = {}
-    for t in g.buyers:
-        if len(duals[t]) > 1:
-            raise InternalConsistencyError(f"copies of buyer {t} got unequal duals")
-        # capacity 0 leaves t no copy: the least dual that covers its edges
-        pi[t] = duals[t].pop() if duals[t] else max([0] + [weights[(s, t)] - v[col_of_item[s]]
-                                                          for s in g.buyer_adj[t]])
-    for s in g.items:
-        pi[s] = v[col_of_item[s]]
-    return edge_set, value, pi
-
-
-def check_bmatching(g: BipartiteGraph, edges: frozenset[Edge]) -> Counter:
-    """The degrees of M, certified: every edge in g, no degree above capacity."""
-    deg = Counter(vx for e in edges for vx in e)
-    if not edges <= g.edge_set or any(d > g.capacity[vx] for vx, d in deg.items()):
+    # the ends are in canonical order, sorted, so a matched pair's index is a bisection
+    pairs = [(a, n + rows[i]) for i, a in enumerate(match_row) if a >= 0]
+    matched = [bisect_left(ends, pair) for pair in pairs]
+    if any(k == len(ends) or ends[k] != pair for k, pair in zip(matched, pairs)):
         raise InternalConsistencyError("optimal matching is not a b-matching of the graph")
-    return deg
+    if len(set(matched)) != len(matched):
+        raise InternalConsistencyError("expansion produced a repeated edge")
+    value = sum(weights[k] for k in matched)
+
+    duals: list[set[int]] = [set() for _ in g.buyers]
+    for b, ub in zip(rows, u):
+        duals[b].add(ub)
+    pi = v[:n]
+    for b, dual in enumerate(duals, n):
+        if len(dual) > 1:
+            raise InternalConsistencyError(f"copies of buyer {g.buyers[b - n]} got unequal duals")
+        # capacity 0 leaves t no copy: the least dual that covers its edges
+        pi.append(dual.pop() if dual else max([0] + [w - v[a] for (a, c), w in zip(ends, weights)
+                                                     if c == b]))
+    return matched, value, pi
 
 
-def _check_optimal_pair(g: BipartiteGraph, weight: Mapping[Edge, int],
-                        edges: frozenset[Edge], value: int, pi: Mapping[str, int]) -> None:
+def check_bmatching(g: BipartiteGraph, matched: Iterable[int]) -> list[int]:
+    """The degrees of M, given by edge indices, by position in items + buyers,
+    certified: every index an edge of g, no degree above capacity."""
+    ends = g.table.ends
+    degree = [0] * (len(g.items) + len(g.buyers))
+    for k in matched:
+        if not 0 <= k < len(ends):
+            raise InternalConsistencyError("optimal matching is not a b-matching of the graph")
+        a, b = ends[k]
+        degree[a] += 1
+        degree[b] += 1
+    if any(d > c for d, c in zip(degree, capacities(g))):
+        raise InternalConsistencyError("optimal matching is not a b-matching of the graph")
+    return degree
+
+
+def capacities(g: BipartiteGraph) -> list[int]:
+    """The capacities by position in items + buyers."""
+    return [1] * len(g.items) + [g.capacity[t] for t in g.buyers]
+
+
+def _check_optimal_pair(g: BipartiteGraph, weight: Sequence[int], matched: list[int],
+                        value: int, pi: list[int]) -> None:
     """Certify (M, pi) optimal for the integer `weight` the solve ran on: M a b-matching
-    of g, pi a non-negative covering tight on M, equal values, complementary slackness."""
-    deg = check_bmatching(g, edges)
-    for vx in g.items + g.buyers:
-        if pi[vx] < 0:
-            raise InternalConsistencyError("negative dual value")
-    for (s, t), w in weight.items():
-        if pi[s] + pi[t] < w:
+    of g, pi a non-negative covering tight on M, equal values, complementary slackness.
+    M is given by edge indices, pi by position in items + buyers."""
+    degree = check_bmatching(g, matched)
+    cap = capacities(g)
+    if any(x < 0 for x in pi):
+        raise InternalConsistencyError("negative dual value")
+    ends = g.table.ends
+    for (a, b), w in zip(ends, weight):
+        if pi[a] + pi[b] < w:
             raise InternalConsistencyError("dual is not a covering")
-    for s, t in edges:
-        if pi[s] + pi[t] != weight[(s, t)]:
+    for k in matched:
+        a, b = ends[k]
+        if pi[a] + pi[b] != weight[k]:
             raise InternalConsistencyError("matched edge not tight")
-    if sum(pi[vx] * g.capacity[vx] for vx in g.items + g.buyers) != value:
+    if sum(x * c for x, c in zip(pi, cap)) != value:
         raise InternalConsistencyError("strong duality gap")
-    for vx in g.items + g.buyers:
-        if pi[vx] > 0 and deg[vx] != g.capacity[vx]:
+    for x, d, c in zip(pi, degree, cap):
+        if x > 0 and d != c:
             raise InternalConsistencyError("complementary slackness violated")
 
 
 def solve_with_covering(g: BipartiteGraph) -> SolveResult:
     """Maximum-weight b-matching together with an optimal covering (verified)."""
-    weight, denom = g.scaled
-    edges, value, pi = _solve(g, weight)
-    _check_optimal_pair(g, weight, edges, value, pi)
-    return SolveResult(edges, Fraction(value, denom),
-                       Covering({v: Fraction(x, denom) for v, x in pi.items()}))
+    weight, denom = g.table.weight, g.table.denominator
+    matched, value, pi = _solve(g, weight)
+    _check_optimal_pair(g, weight, matched, value, pi)
+    return SolveResult(frozenset(g.edges[k] for k in matched), Fraction(value, denom),
+                       Covering({v: Fraction(x, denom) for v, x in zip(g.items + g.buyers, pi)}))
 
 
 def max_weight_bmatching(g: BipartiteGraph) -> tuple[frozenset[Edge], Fraction]:
@@ -485,9 +551,10 @@ def lexicographic_min_edge_optimum(g: BipartiteGraph) -> tuple[frozenset[Edge], 
     Solved and certified over the integer weights w * D * K - 1, K = |S| + 1 (see
     the module notes), which order b-matchings by weight first and edge count second.
     """
-    scaled, denom = g.scaled
+    table = g.table
     k = len(g.items) + 1
-    weight = {e: w * k - 1 for e, w in scaled.items()}
-    edges, value, pi = _solve(g, weight)
-    _check_optimal_pair(g, weight, edges, value, pi)
-    return edges, Fraction(sum(scaled[e] for e in edges), denom)
+    weight = [w * k - 1 for w in table.weight]
+    matched, value, pi = _solve(g, weight)
+    _check_optimal_pair(g, weight, matched, value, pi)
+    return (frozenset(g.edges[i] for i in matched),
+            Fraction(sum(table.weight[i] for i in matched), table.denominator))

@@ -15,7 +15,7 @@ from typing import AbstractSet, Iterable, Mapping, Optional
 from . import matching
 from .dual import refine_covering
 from .errors import InternalConsistencyError, ModelError
-from .matching import BipartiteGraph, BuyerId, ItemId, frozen_ids, id_tuple
+from .matching import BipartiteGraph, BuyerId, EdgeTable, ItemId, frozen_ids, id_tuple
 
 
 @dataclass(frozen=True)
@@ -76,12 +76,22 @@ def market_graph(m: Market) -> BipartiteGraph:
     Constructed directly, not by `BipartiteGraph.build`: `Market.build`, whose
     checks `submarket` keeps, has already proved the ids, demands and Fraction
     values that `build` would check again, and the pairs listed item by item,
-    then buyer by buyer, are already in canonical edge order.
+    then buyer by buyer, are already in canonical edge order.  The same pass
+    fills the integer edge table, reading each value's numerator and
+    denominator once, together.
     """
-    weight = {(s, t): m.value[(t, s)] for s in m.items for t in m.buyers}
+    weight: dict[matching.Edge, Fraction] = {}
+    ends, ratios = [], []
+    n = len(m.items)
+    for a, s in enumerate(m.items):
+        for b, t in enumerate(m.buyers, n):
+            v = weight[(s, t)] = m.value[(t, s)]
+            ends.append((a, b))
+            ratios.append(v.as_integer_ratio())
     capacity: dict[str, int] = dict.fromkeys(m.items, 1)
     capacity.update({t: m.demand[t] for t in m.buyers})
-    return BipartiteGraph(m.items, m.buyers, tuple(weight), weight, capacity)
+    return BipartiteGraph(m.items, m.buyers, tuple(weight), weight, capacity,
+                          EdgeTable.from_ratios(tuple(ends), ratios))
 
 
 def welfare(m: Market, bundles: Mapping[BuyerId, Iterable[ItemId]]) -> Fraction:

@@ -5,6 +5,7 @@ recursion and full enumeration only, so they can arbitrate disagreements.
 """
 
 import importlib.util
+import math
 import sys
 from fractions import Fraction
 from itertools import combinations
@@ -16,6 +17,7 @@ from hypothesis import settings
 
 from dynprice import BipartiteGraph, Market, bfactor_exists
 from dynprice.errors import InternalConsistencyError
+from dynprice.matching import EdgeTable
 
 # every run draws the same examples and keeps no example database
 settings.register_profile("deterministic", derandomize=True, database=None)
@@ -132,9 +134,20 @@ def bidemand_recursion() -> list[BipartiteGraph]:
 
 
 def graph_fields(g: BipartiteGraph) -> tuple:
-    """Every field of g in its own order, with the weights' types and `scaled`."""
+    """Every field of g in its own order, with the weights' types and the table."""
     return (g.items, g.buyers, g.edges, list(g.weight.items()),
-            [type(w) for w in g.weight.values()], list(g.capacity.items()), g.scaled)
+            [type(w) for w in g.weight.values()], list(g.capacity.items()), g.table)
+
+
+def reference_table(g: BipartiteGraph) -> EdgeTable:
+    """g's integer edge table derived from its Fractions: the integer weights
+    w * D and the least common denominator D, as a graph once held them in
+    `scaled`, with each edge's ends by position in items + buyers."""
+    denom = math.lcm(1, *{w.denominator for w in g.weight.values()})
+    scaled = {e: w.numerator * (denom // w.denominator) for e, w in g.weight.items()}
+    position = {v: k for k, v in enumerate(g.items + g.buyers)}
+    return EdgeTable(tuple((position[s], position[t]) for s, t in g.edges),
+                     tuple(scaled[e] for e in g.edges), denom)
 
 
 def reference_tight_subgraph(sc, g: BipartiteGraph) -> BipartiteGraph:
@@ -167,6 +180,48 @@ def reference_two_buyers(g: BipartiteGraph) -> tuple:
     t1, t2 = g.buyers
     shared = set(g.buyer_adj[t1]) & set(g.buyer_adj[t2])
     return tuple([s for s in g.items if s not in shared] + [s for s in g.items if s in shared])
+
+
+# ---------------------------------------------------------------------------
+# Structured-dual reference
+
+# The SCC shift as it was before the one-pass Tarjan search, kept to pin
+# `dual._shift_by_scc` to it: components from equal reach sets, and heights
+# from a fixed point over the tight arcs.
+def reference_shift(p: list[int], out, z: int):
+    """(shifted p, factor, tight arcs as node -> heads, each node's reach set as a bitset)."""
+    succ: list[list[int]] = [[] for _ in p]
+    least: Optional[int] = None
+    for a, arcs in enumerate(out):
+        for b, length in arcs:
+            rc = length + p[a] - p[b]
+            if rc == 0:
+                succ[a].append(b)
+            elif least is None or rc < least:
+                least = rc
+    reach = [1 << a for a in range(len(p))]
+    changed = True
+    while changed:
+        changed = False
+        for a, heads in enumerate(succ):
+            r = reach[a]
+            for b in heads:
+                r |= reach[b]
+            changed |= r != reach[a]
+            reach[a] = r
+    height = [0] * len(p)
+    changed = True
+    while changed:   # only arcs inside a component close cycles, and they add 0
+        changed = False
+        for a, heads in enumerate(succ):
+            for b in heads:
+                h = height[b] + (reach[a] != reach[b])
+                if h > height[a]:
+                    height[a], changed = h, True
+    factor = max(height) + 2
+    step = 1 if least is None else least
+    shifted = [pa * factor + (h - height[z]) * step for pa, h in zip(p, height)]
+    return shifted, factor, succ, reach
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ purpose updates the constant in the same change and says why.
 
 import hashlib
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -19,7 +20,7 @@ import pytest
 
 import dynprice.orderings as orderings
 import dynprice.pricing as pricing
-from dynprice import generate_instance, run_exhaustive, run_once
+from dynprice import Market, generate_instance, run_exhaustive, run_once
 from dynprice.simulation import reversed_ordering_strategy
 
 UNIT = [(seed, buyers, 1, (1, 3)) for seed, buyers in
@@ -33,6 +34,14 @@ CASES = [(7, 10, 2, (1, 3)), (32, 8, 2, (1, 2))]
 BIDEMAND_CASES = {"base", "1", "2.1", "2.2.1", "2.2.2", "3"}
 # Two three-buyer markets whose seeded runs together reach all five labels.
 LABELS = [(19, 3, [4, 3, 2], (1, 2)), (14, 3, [4, 3, 2], (1, 3))]
+# Markets with fractional values and items that trim away: each generated
+# value is divided by 1, 2 or 3, and two items are added that every optimum
+# does without, a surplus item worth 1/7 or 2/7 to each buyer, below every
+# other value, and a zero-valued one.  Trimming the surplus item drops 7 from
+# the common denominator.
+FRACTIONAL = [(seed, buyers, demand, (1, 3)) for seed, buyers, demand in
+              ((1, 6, 1), (2, 8, 1), (3, 10, 1), (4, 16, 1),
+               (5, 5, 2), (6, 6, 2), (7, 8, 2), (8, 10, 2))]
 VERDICTS = [(seed, buyers, 1, (1, hi)) for seed, buyers, hi in
             ((1, 4, 4), (2, 5, 20), (3, 6, 4), (4, 6, 20))] + \
            [(seed, 3, demands, (1, 3)) for seed, demands in
@@ -48,6 +57,7 @@ DIGESTS = {
     "verdicts": "54676255366fdf6bcd507ed709c9a411350a259b4942075d7a24c8f03f63dae3",
     "sabotage": "a5d8510a0514d5f8204af564bd078a5ba9afe1bf263b9769a7a7cd72a9953b04",
     "labels": "98bf72f62e0cff40733112677886772bf54f1016a9e7f090811b845b70424529",
+    "fractional": "e1ecea6a398696d9ff6f727d0bd1dcbeca4e8c8e1b80a8cdbb0d3820470418a4",
 }
 
 
@@ -68,8 +78,20 @@ def line(record: dict) -> str:
     return json.dumps(plain(record), sort_keys=True, separators=(",", ":"))
 
 
-def round_lines(params) -> list[str]:
-    """One line per round of a seeded dynamic run on each generated market."""
+def fractional_market(seed, buyers, demand, values) -> Market:
+    """`generate_instance`'s market with every value over a seeded denominator
+    of 1, 2 or 3, plus a surplus item of values 1/7 or 2/7 and a zero-valued item."""
+    m = generate_instance(seed, buyers, demand, values)
+    rng = random.Random(1000 + seed)
+    value = {k: v / rng.choice((1, 2, 3)) for k, v in m.value.items()}
+    for t in m.buyers:
+        value[(t, "surplus")] = Fraction(rng.randint(1, 2), 7)
+        value[(t, "zero")] = Fraction(0)
+    return Market.build(m.items + ("surplus", "zero"), m.buyers, m.demand, value)
+
+
+def round_lines(params, make=generate_instance) -> list[str]:
+    """One line per round of a seeded dynamic run on each market `make` builds."""
     real_refine, real_dispatch = pricing.refine_covering, pricing.dispatch_ordering
     duals: list = []
     orderings: dict = {}            # id of a round's dual -> (ordering, case trace)
@@ -90,7 +112,7 @@ def round_lines(params) -> list[str]:
         mp.setattr(pricing, "refine_covering", refine)
         mp.setattr(pricing, "dispatch_ordering", dispatch)
         for seed, buyers, demands, values in params:
-            m = generate_instance(seed, buyers, demands, values)
+            m = make(seed, buyers, demands, values)
             rng = random.Random(seed)
             order = list(m.buyers)
             rng.shuffle(order)
@@ -137,6 +159,7 @@ RECORDS = {
     "cases": lambda: round_lines(CASES),
     "three": lambda: round_lines(THREE),
     "labels": lambda: round_lines(LABELS),
+    "fractional": lambda: round_lines(FRACTIONAL, fractional_market),
     "verdicts": verdict_lines,
     "sabotage": sabotage_lines,
 }
@@ -156,6 +179,29 @@ def test_cases_record_reaches_every_case(params):
     seen = {entry["case"] for ln in round_lines([params])
             for entry in json.loads(ln).get("case_trace") or ()}
     assert seen == BIDEMAND_CASES
+
+
+def test_fractional_record_trims_and_lowers_the_denominator(monkeypatch):
+    # every round trims the surplus and the zero item away, and the trimmed
+    # graph's weights need a smaller common denominator than the market's
+    import dynprice.model as model
+    real = model.trim_items
+    rounds = []
+
+    def trim(m):
+        out = real(m)
+        rounds.append((m, out))
+        return out
+
+    def denominator(values):
+        return math.lcm(1, *(v.denominator for v in values))
+
+    monkeypatch.setattr(pricing, "trim_items", trim)
+    round_lines(FRACTIONAL, fractional_market)
+    assert rounds and all("zero" in removed for _, (_, _, removed, _) in rounds)
+    assert all(denominator(g.weight.values()) < denominator(m.value.values())
+               for m, (_, g, removed, _) in rounds if "surplus" in removed)
+    assert {denominator(g.weight.values()) for _, (_, g, _, _) in rounds} == {1, 2, 3, 6}
 
 
 def test_labels_record_reaches_every_label(monkeypatch):

@@ -9,6 +9,8 @@ from dynprice.errors import ModelError
 from dynprice.matching import Covering
 from dynprice.simulation import oracle_structure
 
+from conftest import benchmark_workloads, reference_shift
+
 
 def random_market(rng, max_items=6, max_buyers=3, max_demand=3, hi=5):
     nb = rng.randint(1, max_buyers)
@@ -174,8 +176,8 @@ def test_refine_matches_slow_probes_on_corpus():
 def unshifted(shift):
     """`_shift_by_scc` with its tight arcs and components, but p left unshifted."""
     def keep(p, out, z):
-        _, _, succ, reach = shift(p, out, z)
-        return p, 1, succ, reach
+        _, _, succ, comp = shift(p, out, z)
+        return p, 1, succ, comp
     return keep
 
 
@@ -217,6 +219,64 @@ def pinning_corpus():
     return differential_corpus() + recursion[:200]
 
 
+def recorded_faces(monkeypatch, run) -> list:
+    """The (p, out, z) that `refine_covering` hands `_shift_by_scc` while `run()` runs."""
+    import dynprice.dual as dual
+    faces = []
+    real = dual._shift_by_scc
+
+    def recording(p, out, z):
+        faces.append((list(p), out, z))
+        return real(p, out, z)
+
+    monkeypatch.setattr(dual, "_shift_by_scc", recording)
+    run()
+    monkeypatch.setattr(dual, "_shift_by_scc", real)
+    return faces
+
+
+@pytest.fixture(scope="module")
+def workload_faces():
+    """The face graphs shifted in the seed-3 pools of the three benchmark workloads."""
+    workloads = benchmark_workloads()
+
+    def run():
+        for name in ("price-bidemand", "price-unit", "sweep-exhaustive"):
+            step = workloads.step_for(name)
+            for case in workloads.set_up(name, 3):
+                assert step(case).error is None
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(workloads, "probe", lambda: workloads.REFERENCE_S)  # no timing here
+        return recorded_faces(mp, run)
+
+
+def partition(labels) -> set[frozenset[int]]:
+    """The nodes grouped by label."""
+    groups: dict = {}
+    for v, label in enumerate(labels):
+        groups.setdefault(label, set()).add(v)
+    return {frozenset(group) for group in groups.values()}
+
+
+def test_one_pass_shift_is_the_reach_set_reference(monkeypatch, pinning_corpus,
+                                                   bidemand_recursion, workload_faces):
+    # Tarjan's components and condensation heights give the same shifted p,
+    # factor, tight arcs and partition as the reach-set and height fixed points
+    import dynprice.dual as dual
+    graphs = pinning_corpus + bidemand_recursion
+    faces = recorded_faces(monkeypatch, lambda: [refine_covering(g) for g in graphs])
+    assert len(faces) == len(graphs) and len(workload_faces) >= 1000
+    tall = 0
+    for p, out, z in faces + workload_faces:
+        shifted, factor, succ, comp = dual._shift_by_scc(p, out, z)
+        want_shifted, want_factor, want_succ, reach = reference_shift(p, out, z)
+        assert (shifted, factor, succ) == (want_shifted, want_factor, want_succ)
+        assert partition(comp) == partition(reach)
+        tall += factor > 3
+    assert tall >= 1000     # a condensation at least two arcs high
+
+
 def test_integer_refine_matches_fraction_references(pinning_corpus):
     from dynprice.matching import max_weight_value
     for g in pinning_corpus:
@@ -252,7 +312,7 @@ def test_matching_over_a_capacity_trips(monkeypatch):
     with pytest.raises(ContractViolationError, match=over):
         refine_covering(g, frozenset(g.edges))
     monkeypatch.setattr(matching_mod, "_solve", lambda g, weights: (
-        frozenset(g.edges), 2, {"s1": 1, "s2": 1, "t1": 0}))
+        list(range(len(g.edges))), 2, [1, 1, 0]))    # both edges; pi(s1), pi(s2), pi(t1)
     for call in (solve_with_covering, refine_covering):
         with pytest.raises(InternalConsistencyError, match=over):
             call(g)
@@ -321,7 +381,7 @@ def test_certificate_checks_trip_on_a_mutant_circulation(monkeypatch, arc, chang
 
 def test_circulation_is_positive_exactly_inside_strong_components():
     # random digraphs cut to the arcs inside their strong components, as refine
-    # hands over the tight arcs whose ends share a reach set
+    # hands over the tight arcs whose ends share a component
     from dynprice.dual import _circulation
     rng = random.Random(5)
     for _ in range(400):
@@ -384,9 +444,9 @@ def test_refined_dual_checks_trip_on_a_mutant_shift(monkeypatch, vertex, nudge, 
     real = dual._shift_by_scc
 
     def mutant(p, out, z):
-        p, factor, succ, reach = real(p, out, z)
+        p, factor, succ, comp = real(p, out, z)
         p[vertex] += nudge * factor
-        return p, factor, succ, reach
+        return p, factor, succ, comp
 
     monkeypatch.setattr(dual, "_shift_by_scc", mutant)
     with pytest.raises(InternalConsistencyError, match=f"^{message}$"):

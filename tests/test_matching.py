@@ -13,7 +13,7 @@ from dynprice.errors import ContractViolationError, ModelError
 from dynprice.matching import lexicographic_min_edge_optimum, solve_with_covering
 
 from conftest import (brute_bfactor_exists, brute_hall_witness, naive_opt_value,
-                      reference_hungarian)
+                      reference_hungarian, reference_table)
 
 
 def graph_of(items, buyers, caps, weights):
@@ -32,6 +32,45 @@ def random_market_graph(rng, max_items=6, max_buyers=3, max_demand=3, hi=6):
     vals = {(t, s): Fraction(rng.randint(0, hi)) for t in buyers for s in items}
     m = Market.build(items, buyers, demands, vals)
     return m, market_graph(m)
+
+
+def test_every_graph_holds_the_reference_edge_table():
+    # the table, positions included, is the one the graph's Fractions give, on
+    # graphs from market_graph, build, with_capacity, without, unit_subgraph and
+    # induced, over values with denominators 1, 2, 3 and 7 and some zeros
+    from dynprice import Market
+    rng = random.Random(3007)
+    checked = 0
+    for _ in range(300):
+        items = [f"s{i}" for i in range(rng.randint(0, 6))]
+        buyers = [f"t{i}" for i in range(rng.randint(0, 4))]
+        vals = {(t, s): Fraction(rng.choice((0, 1, 2, 5)), rng.choice((1, 2, 3, 7)))
+                for t in buyers for s in items}
+        m = Market.build(items, buyers, {t: rng.randint(1, 3) for t in buyers}, vals)
+        g = market_graph(m)
+        sparse = graph_of(rng.sample(items, len(items)), rng.sample(buyers, len(buyers)),
+                          {t: rng.randint(0, 3) for t in buyers},
+                          {e: w for e, w in g.weight.items() if rng.random() < 0.6})
+        graphs = [g, sparse, g.unit_subgraph({e for e in g.edges if rng.random() < 0.5}),
+                  g.without(rng.sample(items + buyers, rng.randint(0, len(items + buyers)))),
+                  g.induced(rng.sample(items, rng.randint(0, len(items))), buyers)]
+        if buyers:
+            graphs.append(sparse.with_capacity(buyers[0], 2))
+        for h in graphs + [h.without(h.items[:1]) for h in graphs]:
+            assert h.table == reference_table(h)
+            checked += h.table.denominator > 1
+    assert checked >= 500
+    # s2 is the only item with a denominator of 3: without it the table's
+    # denominator falls from 6 to 2, and every integer weight with it
+    g = market_graph(Market.build(["s1", "s2", "s3"], ["t1", "t2"], {"t1": 1, "t2": 1},
+                                  {("t1", "s1"): Fraction(1, 2), ("t1", "s2"): Fraction(2, 3),
+                                   ("t1", "s3"): 1, ("t2", "s1"): 2, ("t2", "s2"): 0,
+                                   ("t2", "s3"): Fraction(3, 2)}))
+    h = g.induced(["s1", "s3"], g.buyers)
+    assert (g.table.denominator, h.table.denominator) == (6, 2)
+    assert h.table == reference_table(h)
+    assert h.table.ends == ((0, 2), (0, 3), (1, 2), (1, 3))
+    assert h.table.weight == (1, 4, 2, 3)
 
 
 def test_build_sorts_edges_and_wraps_only_non_fractions():
@@ -327,23 +366,27 @@ def test_weak_duality_property(vals):
     assert sum(g.weight[e] for e in res.matching) == res.covering.total_value(g)
 
 
-def _drop_one_matched_edge(edges, value, pi):
+# The solve returns M by edge index and pi by position in items + buyers.  The
+# graph below has positions s1 = 0, s2 = 1, t1 = 2, t2 = 3 and, in canonical
+# order, edges (s1, t1) = 0, (s1, t2) = 1, (s2, t1) = 2, (s2, t2) = 3.
+def _drop_one_matched_edge(matched, value, pi):
     # the value stays w(M), so only complementary slackness can see the loss
-    return edges - {min(edges)}, value, pi
+    return [k for k in matched if k != min(matched)], value, pi
 
 
-def _sell_s1_twice(edges, value, pi):
+def _sell_s1_twice(matched, value, pi):
     # s1 (dual 0) goes to both buyers and s2 to none: every edge stays tight,
     # each buyer keeps one item and w(M) is unchanged, only s1's capacity breaks
-    return edges - {("s2", "t2")} | {("s1", "t2")}, value, pi
+    return [k for k in matched if k != 3] + [1], value, pi   # (s2, t2) out, (s1, t2) in
 
 
 @pytest.mark.parametrize("perturb, message", [
-    (lambda edges, value, pi: (edges, value, pi | {"t1": -1}), "negative dual value"),
-    (lambda edges, value, pi: (edges, value, dict.fromkeys(pi, 0)), "dual is not a covering"),
-    (lambda edges, value, pi: (edges, value, pi | {"s1": pi["s1"] + 1}),
+    (lambda matched, value, pi: (matched, value, [*pi[:2], -1, *pi[3:]]),   # pi(t1) = -1
+     "negative dual value"),
+    (lambda matched, value, pi: (matched, value, [0] * len(pi)), "dual is not a covering"),
+    (lambda matched, value, pi: (matched, value, [pi[0] + 1, *pi[1:]]),     # pi(s1) + 1
      "matched edge not tight"),
-    (lambda edges, value, pi: (edges, value + 1, pi), "strong duality gap"),
+    (lambda matched, value, pi: (matched, value + 1, pi), "strong duality gap"),
     (_drop_one_matched_edge, "complementary slackness violated"),
     (_sell_s1_twice, "optimal matching is not a b-matching of the graph"),
 ])
@@ -354,7 +397,8 @@ def test_optimal_pair_check_trips_on_a_perturbed_solve(monkeypatch, perturb, mes
     g = graph_of(["s1", "s2"], ["t1", "t2"], {"t1": 1, "t2": 1},
                  {("s1", "t1"): Fraction(3), ("s2", "t1"): Fraction(1, 2),
                   ("s1", "t2"): Fraction(2), ("s2", "t2"): Fraction(2)})
-    assert g.scaled[1] == 2
+    assert g.table.denominator == 2
+    assert g.edges == (("s1", "t1"), ("s1", "t2"), ("s2", "t1"), ("s2", "t2"))
     assert solve_with_covering(g).matching == {("s1", "t1"), ("s2", "t2")}
     real = matching_mod._solve
 
@@ -374,6 +418,8 @@ def test_optimal_pair_check_trips_on_a_perturbed_solve(monkeypatch, perturb, mes
      "edge references unknown vertex 's2'"),
     (lambda g: BipartiteGraph.build(["s1"], ["t1"], {}, {"s1": 2, "t1": 1}),
      "item s1 must have capacity 1"),
+    (lambda g: BipartiteGraph.build(["s1"], ["t1"], {("s1", "t1"): 2}, {"t1": 1, "x": 5}),
+     "capacity for unknown vertex 'x'"),
     (lambda g: g.with_capacity("nobody", 1), "unknown vertex 'nobody'"),
     (lambda g: g.with_capacity("t1", -1), "buyer t1 needs a non-negative int capacity"),
     (lambda g: g.with_capacity("t1", 1.5), "buyer t1 needs a non-negative int capacity"),

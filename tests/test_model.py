@@ -188,11 +188,13 @@ def test_a_wrong_trim_optimum_is_an_internal_error(monkeypatch, tmp_path, capsys
     real = matching_mod._solve
 
     def wrong(g, weights):
-        if weights is g.scaled[0] or not g.items:
+        if weights is g.table.weight or not g.items:
             return real(g, weights)
+        # the last item's edges come last in edge order: sub's edges are a prefix of g's
         sub = g.without([g.items[-1]])
-        edges, value, pi = real(sub, {e: weights[e] for e in sub.edges})
-        return edges, value, pi | {g.items[-1]: 0}
+        matched, value, pi = real(sub, weights[:len(sub.edges)])
+        n = len(sub.items)
+        return matched, value, pi[:n] + [0] + pi[n:]
 
     m = generate_instance(7, 3, 1, (1, 9))
     path = tmp_path / "m.json"

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -286,7 +287,7 @@ def test_searches_leave_the_graphs_matching_untouched():
         for t in gpi.buyers:
             for F in combinations(gpi.buyer_adj[t], gpi.capacity[t]):
                 feasible_bundle(gpi, t, F)
-        fresh = BipartiteGraph(gpi.items, gpi.buyers, gpi.edges, gpi.weight, gpi.capacity)
+        fresh = dataclasses.replace(gpi)    # the same fields, no cached b-matching
         owner, load, reached = gpi.max_cardinality_bmatching
         want_owner, want_load, want_reached = fresh.max_cardinality_bmatching
         assert dict(owner) == dict(want_owner) and dict(load) == dict(want_load)
