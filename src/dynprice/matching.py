@@ -10,7 +10,8 @@ one grown from empty (`max_cardinality_bmatching`) that all such questions
 share.  Weighted questions go to the Hungarian solver.
 
 `BipartiteGraph.build` is for outside input: it validates the vertices,
-sorts the edges by item, then buyer, and makes weights Fractions.  In the
+sorts the edges by item, then buyer, and checks that weights are ints or
+Fractions.  In the
 package only `with_capacity`, which keeps `build`'s rules for capacities,
 calls it.  `model.market_graph` constructs a market's graph directly: the
 market was validated by `Market.build`, its values are Fractions already,
@@ -19,15 +20,17 @@ order.  Every other graph is derived from one of those (`induced`,
 `unit_subgraph`, ...) and keeps its edge order, so nothing is validated or
 sorted twice.
 
-Each graph carries its weights once more as integers, in one edge table
+A graph holds its weights once, as integers, in one edge table
 (`BipartiteGraph.table`, an `EdgeTable`): for each edge, in edge order, the
 positions of its item and its buyer in items + buyers, and its weight times
-the least common denominator D of the graph's weights.  Only `build` derives
-the table from Fractions; `market_graph` fills it in the pass that builds the
-graph, and `induced`, `without` and `unit_subgraph` restrict their graph's
-table, dividing out the common factor that dropping edges may leave, so D
-stays the graph's own least common denominator.  The solver, its
-certificate and the structured dual work on positions and these integers.
+the least common denominator D of the graph's weights.  `build` and
+`market_graph` fill it from their weights' numerators and denominators, and
+`induced`, `without` and `unit_subgraph` restrict their graph's table,
+dividing out the common factor that dropping edges may leave, so D stays the
+graph's own least common denominator.  The solver, its certificate and the
+structured dual work on positions and these integers; `BipartiteGraph.weight`,
+each edge's weight as a Fraction, is a read-only view of the table made the
+first time something reads it.
 
 The Hungarian solver works on the buyer-copy expansion: every buyer vertex
 t with capacity b(t) becomes min(b(t), |S| + 1) unit-capacity copies, items
@@ -69,20 +72,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from types import MappingProxyType
-from typing import AbstractSet, Container, Iterable, Mapping, Optional, Sequence
+from typing import Container, Iterable, Mapping, Optional, Sequence
 
 from .errors import ContractViolationError, InternalConsistencyError, ModelError
 
 ItemId = str
 BuyerId = str
 Edge = tuple[ItemId, BuyerId]
-
-
-def int_fraction(x, what: str) -> Fraction:
-    """x, an int, as a Fraction; the callers pass Fractions through themselves."""
-    if type(x) is not int:
-        raise ModelError(f"{what} must be ints or Fractions")
-    return Fraction(x)
 
 
 def frozen_ids(ids: Iterable, what: str) -> frozenset:
@@ -148,12 +144,11 @@ class EdgeTable:
 class BipartiteGraph:
     """Edge-weighted bipartite graph with vertex capacities (items always 1);
     edges are in canonical order, by item, then buyer (`build` sorts them),
-    and `table` holds them as integers."""
+    and `table` holds them and their weights as integers."""
 
     items: tuple[ItemId, ...]
     buyers: tuple[BuyerId, ...]
     edges: tuple[Edge, ...]
-    weight: Mapping[Edge, Fraction]
     capacity: Mapping[str, int]
     table: EdgeTable
 
@@ -176,8 +171,8 @@ class BipartiteGraph:
             canon = tuple(sorted(weight, key=lambda e: (item_pos[e[0]], buyer_pos[e[1]])))
         except KeyError as exc:
             raise ModelError(f"edge references unknown vertex {exc}") from exc
-        w = {e: x if type(x := weight[e]) is Fraction else int_fraction(x, "weights")
-             for e in canon}
+        if not all(type(weight[e]) in (int, Fraction) for e in canon):
+            raise ModelError("weights must be ints or Fractions")
         for v in capacity:
             if v not in item_pos and v not in buyer_pos:
                 raise ModelError(f"capacity for unknown vertex {v!r}")
@@ -191,8 +186,14 @@ class BipartiteGraph:
                 raise ModelError(f"buyer {t} needs a non-negative int capacity")
         n = len(items)
         ends = tuple((item_pos[s], n + buyer_pos[t]) for s, t in canon)
-        table = EdgeTable.from_ratios(ends, [x.as_integer_ratio() for x in w.values()])
-        return BipartiteGraph(items, buyers, canon, w, cap, table)
+        table = EdgeTable.from_ratios(ends, [weight[e].as_integer_ratio() for e in canon])
+        return BipartiteGraph(items, buyers, canon, cap, table)
+
+    @cached_property
+    def weight(self) -> Mapping[Edge, Fraction]:
+        """Each edge's weight, read-only: its integer in the table over the denominator."""
+        d = self.table.denominator
+        return MappingProxyType({e: Fraction(w, d) for e, w in zip(self.edges, self.table.weight)})
 
     @cached_property
     def edge_set(self) -> frozenset[Edge]:
@@ -229,16 +230,15 @@ class BipartiteGraph:
     def buyer_capacity_total(self) -> int:
         return sum(self.capacity[t] for t in self.buyers)
 
-    def unit_subgraph(self, edges: AbstractSet[Edge]) -> "BipartiteGraph":
+    def unit_subgraph(self, edges: Iterable[Edge]) -> "BipartiteGraph":
         """The spanning subgraph on `edges`, kept in this graph's order, with unit weights."""
+        edges = frozen_ids(edges, "edges")
         kept = [k for k, e in enumerate(self.edges) if e in edges]
         if len(kept) != len(edges):
             raise ModelError(f"edges not in graph: {sorted(edges - self.edge_set, key=repr)!r}")
-        new_edges = tuple(self.edges[k] for k in kept)
-        ends = self.table.ends
-        table = EdgeTable(tuple(ends[k] for k in kept), (1,) * len(kept), 1)
-        return BipartiteGraph(self.items, self.buyers, new_edges,
-                              dict.fromkeys(new_edges, Fraction(1)), self.capacity, table)
+        table = EdgeTable(tuple(self.table.ends[k] for k in kept), (1,) * len(kept), 1)
+        return BipartiteGraph(self.items, self.buyers, tuple(self.edges[k] for k in kept),
+                              self.capacity, table)
 
     def induced(self, items: Iterable[ItemId], buyers: Iterable[BuyerId]) -> "BipartiteGraph":
         keep_s = frozen_ids(items, "items")
@@ -249,10 +249,8 @@ class BipartiteGraph:
         new_pos = {v: k for k, v in enumerate(new_items + new_buyers)}
         moved = [new_pos.get(v, -1) for v in self.items + self.buyers]
         kept = [k for k, (a, b) in enumerate(self.table.ends) if moved[a] >= 0 and moved[b] >= 0]
-        new_edges = tuple(self.edges[k] for k in kept)
-        w = {e: self.weight[e] for e in new_edges}
         cap = {v: self.capacity[v] for v in new_items + new_buyers}
-        return BipartiteGraph(new_items, new_buyers, new_edges, w, cap,
+        return BipartiteGraph(new_items, new_buyers, tuple(self.edges[k] for k in kept), cap,
                               self.table.restricted(kept, moved))
 
     def without(self, vertices: Iterable[str]) -> "BipartiteGraph":

@@ -47,7 +47,9 @@ class Market:
                 if (t, s) not in value:
                     raise ModelError(f"missing value for buyer {t}, item {s}")
                 if type(v := value[(t, s)]) is not Fraction:
-                    v = matching.int_fraction(v, "values")
+                    if type(v) is not int:
+                        raise ModelError("values must be ints or Fractions")
+                    v = Fraction(v)
                 if v < 0:
                     raise ModelError(f"negative value for buyer {t}, item {s}")
                 vals[(t, s)] = v
@@ -77,20 +79,19 @@ def market_graph(m: Market) -> BipartiteGraph:
     checks `submarket` keeps, has already proved the ids, demands and Fraction
     values that `build` would check again, and the pairs listed item by item,
     then buyer by buyer, are already in canonical edge order.  The same pass
-    fills the integer edge table, reading each value's numerator and
-    denominator once, together.
+    fills the integer edge table, the graph's one copy of its weights, reading
+    each value's numerator and denominator once, together.
     """
-    weight: dict[matching.Edge, Fraction] = {}
-    ends, ratios = [], []
+    edges, ends, ratios = [], [], []
     n = len(m.items)
     for a, s in enumerate(m.items):
         for b, t in enumerate(m.buyers, n):
-            v = weight[(s, t)] = m.value[(t, s)]
+            edges.append((s, t))
             ends.append((a, b))
-            ratios.append(v.as_integer_ratio())
+            ratios.append(m.value[(t, s)].as_integer_ratio())
     capacity: dict[str, int] = dict.fromkeys(m.items, 1)
     capacity.update({t: m.demand[t] for t in m.buyers})
-    return BipartiteGraph(m.items, m.buyers, tuple(weight), weight, capacity,
+    return BipartiteGraph(m.items, m.buyers, tuple(edges), capacity,
                           EdgeTable.from_ratios(tuple(ends), ratios))
 
 
@@ -147,9 +148,15 @@ def trim_items(m: Market) -> tuple[Market, BipartiteGraph, frozenset[ItemId],
     that allocation, which the solve certifies optimal on m and so on the
     trimmed market, whose optima all use every remaining item.  The graph is
     `market_graph` of the trimmed market, not made again: m's graph, induced
-    on the kept items when some item was removed.  Nor does `market_graph` go
-    through `BipartiteGraph.build`: m is a validated market, so there is
-    nothing to check again and its pairs are already in edge order.
+    on the kept items when some item was removed.
+
+    The tie rule: when fewest-edge optima use different item sets, the solve's
+    search order picks one.  At unit demand the kept items are the item set of
+    the earliest fewest-edge optimum, earliest by item position (the least
+    sorted positions).  A buyer of demand above one can keep a later set: for
+    t1 of demand 2 valuing s1..s4 at 1, 1, 0, 2 and t2 of demand 1 at 0, 0, 1,
+    2, the sets are {s1, s2, s4}, {s1, s3, s4} and {s2, s3, s4}, and trim
+    keeps {s1, s3, s4}.
     """
     g = market_graph(m)
     best, _ = matching.lexicographic_min_edge_optimum(g)

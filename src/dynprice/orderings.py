@@ -81,7 +81,7 @@ def verify_adequate(gpi: BipartiteGraph, sigma: Sequence[ItemId]) -> bool:
 
 def _require_tight(g: BipartiteGraph) -> None:
     """Refuse g unless it has unit weights and a b-factor."""
-    if any(w != 1 for w in g.weight.values()):
+    if g.table.denominator != 1 or any(w != 1 for w in g.table.weight):
         raise ContractViolationError("tight graph weights must be one")
     if not matching.bfactor_exists(g)[0]:
         raise ContractViolationError("graph admits no b-factor")

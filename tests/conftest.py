@@ -10,7 +10,7 @@ import sys
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
-from typing import Optional
+from typing import Mapping, Optional
 
 import pytest
 from hypothesis import settings
@@ -139,15 +139,16 @@ def graph_fields(g: BipartiteGraph) -> tuple:
             [type(w) for w in g.weight.values()], list(g.capacity.items()), g.table)
 
 
-def reference_table(g: BipartiteGraph) -> EdgeTable:
-    """g's integer edge table derived from its Fractions: the integer weights
-    w * D and the least common denominator D, as a graph once held them in
-    `scaled`, with each edge's ends by position in items + buyers."""
-    denom = math.lcm(1, *{w.denominator for w in g.weight.values()})
-    scaled = {e: w.numerator * (denom // w.denominator) for e, w in g.weight.items()}
+def reference_table(g: BipartiteGraph, weight: Mapping) -> EdgeTable:
+    """The integer edge table of g's edges under `weight`, Fractions that come
+    from outside g (the market, the dict handed to `build`, ...): the integer
+    weights w * D over their least common denominator D, with each edge's ends
+    by position in items + buyers."""
+    w = [Fraction(weight[e]) for e in g.edges]
+    denom = math.lcm(1, *{x.denominator for x in w})
     position = {v: k for k, v in enumerate(g.items + g.buyers)}
     return EdgeTable(tuple((position[s], position[t]) for s, t in g.edges),
-                     tuple(scaled[e] for e in g.edges), denom)
+                     tuple(x.numerator * (denom // x.denominator) for x in w), denom)
 
 
 def reference_tight_subgraph(sc, g: BipartiteGraph) -> BipartiteGraph:

@@ -35,9 +35,10 @@ def random_market_graph(rng, max_items=6, max_buyers=3, max_demand=3, hi=6):
 
 
 def test_every_graph_holds_the_reference_edge_table():
-    # the table, positions included, is the one the graph's Fractions give, on
-    # graphs from market_graph, build, with_capacity, without, unit_subgraph and
-    # induced, over values with denominators 1, 2, 3 and 7 and some zeros
+    # the table, positions included, is the one that Fractions from outside the
+    # graph give: the market's values for market_graph, the dict handed to build
+    # for build and with_capacity, the parent's for without and induced, and 1
+    # for unit_subgraph; over values with denominators 1, 2, 3 and 7 and some zeros
     from dynprice import Market
     rng = random.Random(3007)
     checked = 0
@@ -48,27 +49,31 @@ def test_every_graph_holds_the_reference_edge_table():
                 for t in buyers for s in items}
         m = Market.build(items, buyers, {t: rng.randint(1, 3) for t in buyers}, vals)
         g = market_graph(m)
+        value = {(s, t): m.value[(t, s)] for s in items for t in buyers}
+        given = {e: w for e, w in value.items() if rng.random() < 0.6}
         sparse = graph_of(rng.sample(items, len(items)), rng.sample(buyers, len(buyers)),
-                          {t: rng.randint(0, 3) for t in buyers},
-                          {e: w for e, w in g.weight.items() if rng.random() < 0.6})
-        graphs = [g, sparse, g.unit_subgraph({e for e in g.edges if rng.random() < 0.5}),
-                  g.without(rng.sample(items + buyers, rng.randint(0, len(items + buyers)))),
-                  g.induced(rng.sample(items, rng.randint(0, len(items))), buyers)]
+                          {t: rng.randint(0, 3) for t in buyers}, given)
+        unit = g.unit_subgraph({e for e in g.edges if rng.random() < 0.5})
+        graphs = [(g, value), (sparse, given), (unit, dict.fromkeys(unit.edges, 1)),
+                  (g.without(rng.sample(items + buyers, rng.randint(0, len(items + buyers)))),
+                   value),
+                  (g.induced(rng.sample(items, rng.randint(0, len(items))), buyers), value)]
         if buyers:
-            graphs.append(sparse.with_capacity(buyers[0], 2))
-        for h in graphs + [h.without(h.items[:1]) for h in graphs]:
-            assert h.table == reference_table(h)
+            graphs.append((sparse.with_capacity(buyers[0], 2), given))
+        for h, weight in graphs + [(h.without(h.items[:1]), weight) for h, weight in graphs]:
+            assert h.table == reference_table(h, weight)
             checked += h.table.denominator > 1
     assert checked >= 500
     # s2 is the only item with a denominator of 3: without it the table's
     # denominator falls from 6 to 2, and every integer weight with it
-    g = market_graph(Market.build(["s1", "s2", "s3"], ["t1", "t2"], {"t1": 1, "t2": 1},
-                                  {("t1", "s1"): Fraction(1, 2), ("t1", "s2"): Fraction(2, 3),
-                                   ("t1", "s3"): 1, ("t2", "s1"): 2, ("t2", "s2"): 0,
-                                   ("t2", "s3"): Fraction(3, 2)}))
+    m = Market.build(["s1", "s2", "s3"], ["t1", "t2"], {"t1": 1, "t2": 1},
+                     {("t1", "s1"): Fraction(1, 2), ("t1", "s2"): Fraction(2, 3),
+                      ("t1", "s3"): 1, ("t2", "s1"): 2, ("t2", "s2"): 0,
+                      ("t2", "s3"): Fraction(3, 2)})
+    g = market_graph(m)
     h = g.induced(["s1", "s3"], g.buyers)
     assert (g.table.denominator, h.table.denominator) == (6, 2)
-    assert h.table == reference_table(h)
+    assert h.table == reference_table(h, {(s, t): m.value[(t, s)] for s, t in h.edges})
     assert h.table.ends == ((0, 2), (0, 3), (1, 2), (1, 3))
     assert h.table.weight == (1, 4, 2, 3)
 
@@ -77,8 +82,37 @@ def test_build_sorts_edges_and_wraps_only_non_fractions():
     half = Fraction(3, 2)
     g = graph_of(["s1", "s2"], ["t1"], {"t1": 1}, {("s2", "t1"): 2, ("s1", "t1"): half})
     assert g.edges == (("s1", "t1"), ("s2", "t1"))
-    assert g.weight[("s1", "t1")] is half
+    assert g.weight[("s1", "t1")] == half and type(g.weight[("s1", "t1")]) is Fraction
     assert type(g.weight[("s2", "t1")]) is Fraction and g.weight[("s2", "t1")] == 2
+
+
+def test_weight_is_a_read_only_view_of_the_table():
+    # on a graph from every constructor, with table denominators 6 and 2 (a unit
+    # subgraph's is 1): each edge's integer weight over the table's denominator
+    from dynprice import Market
+    value = {("s1", "t1"): Fraction(1, 2), ("s2", "t1"): Fraction(2, 3), ("s3", "t1"): 1,
+             ("s1", "t2"): 2, ("s2", "t2"): 0, ("s3", "t2"): Fraction(3, 2)}
+    m = Market.build(["s1", "s2", "s3"], ["t1", "t2"], {"t1": 2, "t2": 1},
+                     {(t, s): w for (s, t), w in value.items()})
+    g = market_graph(m)
+    given = {e: w for e, w in value.items() if w != 2}
+    built = graph_of(["s3", "s1", "s2"], ["t2", "t1"], {"t1": 2, "t2": 1}, given)
+    graphs = [g, built, g.induced(["s1", "s3"], ["t1", "t2"]), g.without(["t2"]),
+              built.with_capacity("t1", 1), g.unit_subgraph(g.edges[:3])]
+    assert [h.table.denominator for h in graphs] == [6, 6, 2, 6, 6, 1]
+    assert g.weight == value and built.weight == built.with_capacity("t1", 1).weight == given
+    for h in graphs:
+        assert h.weight == {e: Fraction(w, h.table.denominator)
+                            for e, w in zip(h.edges, h.table.weight)}
+        assert all(type(w) is Fraction for w in h.weight.values())
+        with pytest.raises(TypeError):
+            h.weight[h.edges[0]] = Fraction(0)
+
+
+def test_unit_subgraph_reads_a_list_of_edges_as_its_set():
+    # as induced and without read theirs: a repeated edge is named once
+    g = graph_of(["s1", "s2"], ["t1"], {"t1": 1}, {("s1", "t1"): 2, ("s2", "t1"): 3})
+    assert g.unit_subgraph([("s2", "t1"), ("s2", "t1")]) == g.unit_subgraph({("s2", "t1")})
 
 
 @pytest.mark.parametrize("key", ["at", ("a", "t", "x"), ("a",)])
@@ -428,6 +462,9 @@ def test_optimal_pair_check_trips_on_a_perturbed_solve(monkeypatch, perturb, mes
     (lambda g: max_weight_reduced_capacity(g, "nobody"), "unknown vertex 'nobody'"),
     (lambda g: g.unit_subgraph({("s1", "t1"), ("s2", "t1"), (1, 2)}),
      "edges not in graph: [('s2', 't1'), (1, 2)]"),
+    (lambda g: g.unit_subgraph([("s1", "t9")]), "edges not in graph: [('s1', 't9')]"),
+    (lambda g: g.unit_subgraph([[1]]), "edges must be hashable ids"),
+    (lambda g: g.unit_subgraph("s1"), "edges must be a collection of ids, not a string"),
 ])
 def test_graph_refusals_are_model_errors(call, message):
     g = graph_of(["s1"], ["t1"], {"t1": 1}, {("s1", "t1"): 1})

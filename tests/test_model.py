@@ -174,6 +174,62 @@ def test_trim_leaves_all_items_used():
             assert used == set(trimmed.items)
 
 
+def tied_surplus_market(rng, max_buyers, max_demand):
+    """A market with 1-4 surplus items, at most 12 items, in which some items
+    repeat another's values and some are worth the same to every buyer."""
+    buyers = [f"t{j}" for j in range(rng.randint(1, max_buyers))]
+    demand = {t: rng.randint(1, max_demand) for t in buyers}
+    hi = rng.choice((1, 2, 3))
+    columns = []
+    while len(columns) < min(12, sum(demand.values()) + rng.randint(1, 4)):
+        kind = rng.random()
+        if columns and kind < 0.3:
+            columns.append(rng.choice(columns))
+        elif kind < 0.5:
+            columns.append([rng.randint(0, hi)] * len(buyers))
+        else:
+            columns.append([rng.randint(0, hi) for _ in buyers])
+    items = [f"s{k}" for k in range(len(columns))]
+    return Market.build(items, buyers, demand, {(t, s): column[j] for s, column in zip(items, columns)
+                                                for j, t in enumerate(buyers)})
+
+
+def fewest_edge_item_sets(m):
+    """The item sets of m's fewest-edge optima, each as its sorted item positions,
+    by brute force."""
+    _, optima = oracle_opt(m)
+    fewest = min(sum(map(len, a.values())) for a in optima)
+    position = {s: k for k, s in enumerate(m.items)}
+    return {tuple(sorted(position[s] for bundle in a.values() for s in bundle))
+            for a in optima if sum(map(len, a.values())) == fewest}
+
+
+def kept_positions(m):
+    kept = trim_items(m)[0].items
+    return tuple(k for k, s in enumerate(m.items) if s in kept)
+
+
+def test_trim_tie_rule_against_brute_force():
+    # at unit demand, on 2000 markets whose fewest-edge optima use more than one
+    # item set, trim keeps the earliest of those sets by item position
+    rng = random.Random(1201)
+    tied = 0
+    while tied < 2000:
+        m = tied_surplus_market(rng, 4, 1)
+        sets = fewest_edge_item_sets(m)
+        tied += len(sets) > 1
+        assert kept_positions(m) == min(sets)
+    # with demands above one it keeps one of those sets, not always the earliest
+    for _ in range(500):
+        m = tied_surplus_market(rng, 3, 2)
+        assert kept_positions(m) in fewest_edge_item_sets(m)
+    m = Market.build(["s1", "s2", "s3", "s4"], ["t1", "t2"], {"t1": 2, "t2": 1},
+                     {("t1", "s1"): 1, ("t1", "s2"): 1, ("t1", "s3"): 0, ("t1", "s4"): 2,
+                      ("t2", "s1"): 0, ("t2", "s2"): 0, ("t2", "s3"): 1, ("t2", "s4"): 2})
+    assert fewest_edge_item_sets(m) == {(0, 1, 3), (0, 2, 3), (1, 2, 3)}
+    assert kept_positions(m) == (0, 2, 3)
+
+
 def test_a_wrong_trim_optimum_is_an_internal_error(monkeypatch, tmp_path, capsys):
     # For trim's objective only, the solver answers g without its last item,
     # with a dual on every vertex.  Its certificate must refuse the answer:
