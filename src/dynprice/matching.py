@@ -6,8 +6,13 @@ there a b-factor, which buyer set breaks Hall's condition, which buyer set has
 the least surplus) go to `augment`, which grows a b-matching along
 alternating paths and returns the buyers reachable from spare capacity: by
 König's theorem, the smallest set of largest deficiency.  Each graph keeps
-one grown from empty (`max_cardinality_bmatching`) that all such questions
-share.  Weighted questions go to the Hungarian solver.
+one maximum b-matching (`max_cardinality_bmatching`) that all such questions
+share, grown from empty unless it is handed down: a derived graph (`induced`,
+`unit_subgraph`) keeps its parent's where that restricts to a b-factor of
+it, and the round's tight graph keeps trim's optimum.  No answer depends on
+which one a graph holds: the surplus searches find the unique minimal min
+cut, and the structured dual is a function of the graph.  Weighted questions
+go to the Hungarian solver.
 
 `BipartiteGraph.build` is for outside input: it validates the vertices,
 sorts the edges by item, then buyer, and checks that weights are ints or
@@ -110,6 +115,15 @@ def contains(known: Container, key) -> bool:
         return key in known
     except TypeError:
         return False
+
+
+def _known_buyers(g: "BipartiteGraph", Y: Iterable) -> frozenset[BuyerId]:
+    """frozenset(Y), refused as `frozen_ids` refuses it, and unknown buyers are a ModelError."""
+    Y = frozen_ids(Y, "buyers")
+    unknown = Y.difference(g.buyer_adj)
+    if unknown:
+        raise ModelError(f"unknown buyers {sorted(unknown, key=repr)!r}")
+    return Y
 
 
 @dataclass(frozen=True)
@@ -221,9 +235,28 @@ class BipartiteGraph:
         reached = augment(self.buyer_adj, self.capacity, owner, load)
         return MappingProxyType(owner), MappingProxyType(load), frozenset(reached)
 
+    def _hold(self, owner: Optional[Mapping[ItemId, BuyerId]]) -> "BipartiteGraph":
+        """This graph, keeping owner restricted to it as its maximum b-matching when that
+        is a b-factor: every item owned along an edge, every load at its capacity."""
+        if owner is not None:
+            owner = {s: owner[s] for s in self.items if owner.get(s) in self.item_adj[s]}
+            load = dict.fromkeys(self.buyers, 0)
+            for t in owner.values():
+                load[t] += 1
+            if len(owner) == len(self.items) and all(load[t] == self.capacity[t] for t in load):
+                # full, it leaves no buyer spare capacity to reach others from
+                self.__dict__["max_cardinality_bmatching"] = (
+                    MappingProxyType(owner), MappingProxyType(load), frozenset())
+        return self
+
+    def _held_owner(self) -> Optional[Mapping[ItemId, BuyerId]]:
+        """The owners of this graph's maximum b-matching once it has one, else None."""
+        held = self.__dict__.get("max_cardinality_bmatching")
+        return held and held[0]
+
     def neighbors(self, buyers: Iterable[BuyerId]) -> frozenset[ItemId]:
         out: set[ItemId] = set()
-        for t in buyers:
+        for t in _known_buyers(self, buyers):
             out.update(self.buyer_adj[t])
         return frozenset(out)
 
@@ -238,7 +271,7 @@ class BipartiteGraph:
             raise ModelError(f"edges not in graph: {sorted(edges - self.edge_set, key=repr)!r}")
         table = EdgeTable(tuple(self.table.ends[k] for k in kept), (1,) * len(kept), 1)
         return BipartiteGraph(self.items, self.buyers, tuple(self.edges[k] for k in kept),
-                              self.capacity, table)
+                              self.capacity, table)._hold(self._held_owner())
 
     def induced(self, items: Iterable[ItemId], buyers: Iterable[BuyerId]) -> "BipartiteGraph":
         keep_s = frozen_ids(items, "items")
@@ -251,7 +284,7 @@ class BipartiteGraph:
         kept = [k for k, (a, b) in enumerate(self.table.ends) if moved[a] >= 0 and moved[b] >= 0]
         cap = {v: self.capacity[v] for v in new_items + new_buyers}
         return BipartiteGraph(new_items, new_buyers, tuple(self.edges[k] for k in kept), cap,
-                              self.table.restricted(kept, moved))
+                              self.table.restricted(kept, moved))._hold(self._held_owner())
 
     def without(self, vertices: Iterable[str]) -> "BipartiteGraph":
         drop = frozen_ids(vertices, "vertices")

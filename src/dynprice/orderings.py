@@ -15,15 +15,19 @@ input once, by `_require_tight`.  The case analysis starts from the caller's
 tight graph (unit weights, every edge in a b-factor), with no refine: its dual
 is constant.  An edge in no b-factor means a buyer set of surplus zero, which
 `sets.maximal_dangerous_set` refuses as a contract error.  After a descent
-that cuts the graph, `_bidemand_wrapper` refines the part from its maximum
-b-matching (no solve), runs the cases on its tight subgraph and lifts them by
-`combine`; a contract error there is an InternalConsistencyError.  Case 3
-refines nothing: each component of a tight graph has a constant dual.
+that cuts the graph, `_bidemand_wrapper` runs the cases on the part as it
+stands when its b-factor digraph is strongly connected on each piece: then
+every edge lies in a b-factor and the dual is constant.  Else it refines the
+part from its maximum b-matching (no solve), runs the cases on its tight
+subgraph and lifts them by `combine`; a contract error there is an
+InternalConsistencyError.  Case 3 refines nothing: each component of a tight
+graph has a constant dual.
 
 `_bidemand_cases` tries the cases in this order; N(Y) is the items tight for
 some buyer in Y, Z a maximal dangerous set and X a minimal one disjoint from Z:
 - base: at most one buyer.  No cut; its items in item order.
-- 3: the graph splits.  Each component in turn, recursing on it as it stands.
+- 3: the graph splits.  Each component in turn, recursing on it as it stands,
+  or, with one buyer, the base case in place.
 - 1: no dangerous set.  No cut; the items in item order.
 - 2.1: no X.  The items outside N(Z), then Z on N(Z) less s0 (the first item of
   N(Z) tight for a buyer outside Z) through the wrapper, then s0.
@@ -40,7 +44,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Iterable, Mapping, Optional, Sequence
 
-from . import matching, sets
+from . import dual, matching, sets
 from .dual import refine_covering, tight_subgraph
 from .errors import ContractViolationError, InternalConsistencyError, ModelError
 from .matching import BipartiteGraph, BuyerId, Covering, ItemId, id_tuple
@@ -179,10 +183,24 @@ def adequate_bidemand(h: BipartiteGraph, trace: Optional[list] = None) -> tuple[
     return tuple(_bidemand_cases(h, trace if trace is not None else [], 0))
 
 
+def _factor_digraph_settled(h: BipartiteGraph) -> bool:
+    """Whether every edge of h, which holds a b-factor, lies in one: whether every arc
+    of its b-factor digraph (buyer -> each of its items, item -> the buyer the b-factor
+    gives it to) lies inside a strong component (Dulmage and Mendelsohn 1958).  An item
+    shares its owner's component, so the digraph is taken on buyers: t -> each owner."""
+    owner, pos = h.max_cardinality_bmatching[0], {t: k for k, t in enumerate(h.buyers)}
+    succ = [[pos[owner[s]] for s in h.buyer_adj[t]] for t in h.buyers]
+    comp, _ = dual._components(succ)
+    return all(comp[a] == comp[b] for a, heads in enumerate(succ) for b in heads)
+
+
 def _bidemand_wrapper(h: BipartiteGraph, trace: list, depth: int) -> list[ItemId]:
-    """Refine h's dual from its maximum b-matching (of maximum weight: h has unit
-    weights), run the case analysis on its tight subgraph, return it lifted by `combine`."""
+    """The case analysis on h as it stands when every edge lies in a b-factor (its dual
+    is constant).  Else refine h's dual from its maximum b-matching (of maximum weight:
+    h has unit weights), run the cases on its tight subgraph, return them lifted by `combine`."""
     try:
+        if matching.bfactor_exists(h)[0] and _factor_digraph_settled(h):
+            return _bidemand_cases(h, trace, depth)
         sc = refine_covering(h, frozenset(h.max_cardinality_bmatching[0].items()))
         # A zero dual marks a vertex that some largest b-matching leaves unsaturated.
         if 0 in sc.pi.pi.values():
@@ -194,10 +212,15 @@ def _bidemand_wrapper(h: BipartiteGraph, trace: list, depth: int) -> list[ItemId
     return list(combine(sc.pi, seq))
 
 
+def _base_case(items: Sequence[ItemId], buyers: Sequence[BuyerId], trace: list,
+               depth: int) -> list[ItemId]:
+    trace.append({"depth": depth, "case": "base", "buyers": list(buyers)})
+    return list(items)
+
+
 def _bidemand_cases(hp: BipartiteGraph, trace: list, depth: int) -> list[ItemId]:
     if len(hp.buyers) <= 1:
-        trace.append({"depth": depth, "case": "base", "buyers": list(hp.buyers)})
-        return list(hp.items)
+        return _base_case(hp.items, hp.buyers, trace, depth)
 
     comps = _components(hp)
     if len(comps) > 1:
@@ -205,7 +228,8 @@ def _bidemand_cases(hp: BipartiteGraph, trace: list, depth: int) -> list[ItemId]
                       "components": [sorted(ts) for _, ts in comps]})
         seq: list[ItemId] = []
         for items_c, buyers_c in comps:
-            seq += _bidemand_cases(hp.induced(items_c, buyers_c), trace, depth + 1)
+            seq += (_base_case(items_c, buyers_c, trace, depth + 1) if len(buyers_c) == 1
+                    else _bidemand_cases(hp.induced(items_c, buyers_c), trace, depth + 1))
         return seq
 
     Z = sets.maximal_dangerous_set(hp)

@@ -8,8 +8,9 @@ them.
 
 One graph and one weighted solve per round: `trim_items` returns the trimmed
 market's graph and its certified optimum, from which the structured dual
-starts, and the tight graph is cut from that graph.  The ordering layer takes
-that graph alone: `ordering_method` reads its buyers and capacities (the demands).
+starts, and the tight graph is cut from that graph, holding that optimum as
+its maximum b-matching.  The ordering layer takes that graph alone:
+`ordering_method` reads its buyers and capacities (the demands).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Callable, Mapping, Optional, Sequence
 from .dual import StructuredCovering, refine_covering, tight_subgraph
 from .errors import (ContractViolationError, InternalConsistencyError, ModelError,
                      UnsupportedMarketError)
-from .matching import BipartiteGraph, Covering, ItemId
+from .matching import BipartiteGraph, Covering, Edge, ItemId
 from .model import Market, trim_items
 from .orderings import (adequate_bidemand, adequate_three_buyers, checked_ordering,
                         verify_adequate)
@@ -78,8 +79,8 @@ def dispatch_ordering(gpi: BipartiteGraph, trace: Optional[list] = None) -> tupl
     return sigma
 
 
-def _trim_and_refine(m: Market
-                     ) -> tuple[Market, BipartiteGraph, frozenset[ItemId], StructuredCovering]:
+def _trim_and_refine(m: Market) -> tuple[Market, BipartiteGraph, frozenset[ItemId],
+                                         frozenset[Edge], StructuredCovering]:
     """`trim_items`, then the structured dual from trim's certified optimum.  Refine
     refusing that optimum is an engine fault, so it is an InternalConsistencyError."""
     trimmed, g, removed, best = trim_items(m)
@@ -87,14 +88,14 @@ def _trim_and_refine(m: Market
         sc = refine_covering(g, best)
     except ContractViolationError as exc:
         raise InternalConsistencyError(f"trimmed optimum refused: {exc}") from exc
-    return trimmed, g, removed, sc
+    return trimmed, g, removed, best, sc
 
 
 def unit_round(m: Market) -> RoundPricing:
     """Unit-demand round: prices are the structured dual restricted to items."""
     if any(m.demand[t] != 1 for t in m.buyers):
         raise ContractViolationError("unit pricing requires all demands equal to one")
-    trimmed, _, removed, sc = _trim_and_refine(m)
+    trimmed, _, removed, _, sc = _trim_and_refine(m)
     price = {s: sc.pi.pi[s] for s in trimmed.items}
     price.update({s: prohibitive_price(m, s) for s in removed})
     return RoundPricing(PriceVector(price, Fraction(0)), sc.pi, None, trimmed, removed)
@@ -117,7 +118,7 @@ def tight_market(m: Market) -> TightMarket:
     Multi-demand pricing, `dynprice order` and `dynprice verify` all start
     here, so they accept and refuse the same markets.
     """
-    trimmed, g, removed, sc = _trim_and_refine(m)
+    trimmed, g, removed, best, sc = _trim_and_refine(m)
     # Trim's optimum uses every kept item, so |S| <= b(T), and a buyer that it
     # leaves short has pi(t) = 0: this one test also refuses |S| != b(T).
     for t in trimmed.buyers:
@@ -127,7 +128,8 @@ def tight_market(m: Market) -> TightMarket:
     for s in trimmed.items:
         if sc.pi.pi[s] == 0:
             raise InternalConsistencyError("trimmed item with zero dual")
-    return TightMarket(trimmed, removed, sc, tight_subgraph(sc, g))
+    # Saturated, trim's optimum is a b-factor of the tight graph: its b-matching.
+    return TightMarket(trimmed, removed, sc, tight_subgraph(sc, g)._hold(dict(best)))
 
 
 def multi_round(m: Market, ordering_strategy: Optional[OrderingStrategy] = None

@@ -25,7 +25,7 @@ from operator import itemgetter
 from typing import Iterable, Optional
 
 from .errors import ContractViolationError, ModelError
-from .matching import BipartiteGraph, BuyerId, ItemId, augment, frozen_ids
+from .matching import BipartiteGraph, BuyerId, ItemId, _known_buyers, augment, frozen_ids
 
 DANGEROUS_SETS_BUYER_CAP = 16  # all_dangerous_sets enumerates 2^|T| buyer sets
 
@@ -47,14 +47,6 @@ def feasible_bundle(gpi: BipartiteGraph, t: BuyerId, F: Iterable[ItemId]) -> boo
         load[u] += 1
     augment({**gpi.buyer_adj, t: ()}, gpi.capacity, owner, load)
     return sum(load.values()) == len(gpi.items)
-
-
-def _known_buyers(gpi: BipartiteGraph, Y: Iterable[BuyerId]) -> frozenset[BuyerId]:
-    Y = frozen_ids(Y, "buyers")
-    unknown = Y.difference(gpi.buyer_adj)
-    if unknown:
-        raise ModelError(f"unknown buyers {sorted(unknown, key=repr)!r}")
-    return Y
 
 
 def surplus(gpi: BipartiteGraph, Y: Iterable[BuyerId]) -> int:

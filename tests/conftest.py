@@ -105,32 +105,72 @@ def benchmark_workloads():
 @pytest.fixture(scope="session")
 def bidemand_recursion() -> list[BipartiteGraph]:
     """The graphs the bi-demand ordering receives on the `price-bidemand` pool
-    (seed 3): each round's tight graph, and each graph the recursion refines."""
+    (seed 3): each round's tight graph, and each graph the recursion cuts and
+    hands `_bidemand_wrapper`."""
     import dynprice.orderings as orderings
     import dynprice.pricing as pricing
     workloads = benchmark_workloads()
     graphs: list[BipartiteGraph] = []
-    adequate, refine = orderings.adequate_bidemand, orderings.refine_covering
+    adequate, wrapper = orderings.adequate_bidemand, orderings._bidemand_wrapper
 
     def receiving(g, trace=None):
         graphs.append(g)
         return adequate(g, trace)
 
-    def refining(g, m):
-        graphs.append(g)
-        return refine(g, m)
+    def wrapping(h, trace, depth):
+        graphs.append(h)
+        return wrapper(h, trace, depth)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(workloads, "probe", lambda: workloads.REFERENCE_S)  # no timing here
         mp.setattr(pricing, "adequate_bidemand", receiving)
-        mp.setattr(orderings, "refine_covering", refining)
+        mp.setattr(orderings, "_bidemand_wrapper", wrapping)
         for case in workloads.set_up("price-bidemand", 3):
             assert workloads.dynamic_run(case, "multi").error is None
     return graphs
 
 
+@pytest.fixture(scope="session")
+def wrapper_corpus() -> list[BipartiteGraph]:
+    """200 unit-weight graphs that the bi-demand recursion cuts and hands
+    `_bidemand_wrapper` while pricing small seeded bi-demand markets."""
+    import dynprice.orderings as orderings
+    from dynprice import generate_instance, multi_round
+    recursion: list[BipartiteGraph] = []
+    real = orderings._bidemand_wrapper
+
+    def recording(h, trace, depth):
+        recursion.append(h)
+        return real(h, trace, depth)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(orderings, "_bidemand_wrapper", recording)
+        seed = 0
+        while len(recursion) < 200:
+            multi_round(generate_instance(seed, 4 + seed % 6, 2, (1, 1 + seed % 3)))
+            seed += 1
+    return recursion[:200]
+
+
 # ---------------------------------------------------------------------------
 # Graph references
+
+
+def reference_bidemand_wrapper(h: BipartiteGraph, trace: list, depth: int) -> list:
+    """The former `_bidemand_wrapper`: it refines every graph it receives, runs the
+    cases on the tight subgraph and ranks the lift by (pi, rank) through a rank map."""
+    from dynprice import orderings, refine_covering, tight_subgraph
+    from dynprice.errors import ContractViolationError
+    try:
+        sc = refine_covering(h, frozenset(h.max_cardinality_bmatching[0].items()))
+        if 0 in sc.pi.pi.values():
+            raise InternalConsistencyError("graph admits no b-factor")
+        hp = h if sc.tight_edges == h.edge_set else tight_subgraph(sc, h)
+        seq = orderings._bidemand_cases(hp, trace, depth)
+    except ContractViolationError as exc:
+        raise InternalConsistencyError(f"refined graph refused: {exc}") from exc
+    rank = {s: k for k, s in enumerate(seq, 1)}
+    return sorted(seq, key=lambda s: (sc.pi.pi[s], rank[s]))
 
 
 def graph_fields(g: BipartiteGraph) -> tuple:

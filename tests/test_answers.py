@@ -42,6 +42,11 @@ LABELS = [(19, 3, [4, 3, 2], (1, 2)), (14, 3, [4, 3, 2], (1, 3))]
 FRACTIONAL = [(seed, buyers, demand, (1, 3)) for seed, buyers, demand in
               ((1, 6, 1), (2, 8, 1), (3, 10, 1), (4, 16, 1),
                (5, 5, 2), (6, 6, 2), (7, 8, 2), (8, 10, 2))]
+# Markets whose surplus items tie, so that trim's tie choice decides which
+# items every round keeps: seeded unit runs of 40 to 80 buyers and bi-demand
+# runs of 24, each with items added that copy another item's values, and
+# items that every buyer values the same, all shuffled into the item order.
+TRIM_TIES = [(1, 40, 1, (1, 3)), (2, 80, 1, (1, 4)), (3, 24, 2, (1, 3)), (4, 24, 2, (1, 6))]
 VERDICTS = [(seed, buyers, 1, (1, hi)) for seed, buyers, hi in
             ((1, 4, 4), (2, 5, 20), (3, 6, 4), (4, 6, 20))] + \
            [(seed, 3, demands, (1, 3)) for seed, demands in
@@ -58,6 +63,7 @@ DIGESTS = {
     "sabotage": "a5d8510a0514d5f8204af564bd078a5ba9afe1bf263b9769a7a7cd72a9953b04",
     "labels": "98bf72f62e0cff40733112677886772bf54f1016a9e7f090811b845b70424529",
     "fractional": "e1ecea6a398696d9ff6f727d0bd1dcbeca4e8c8e1b80a8cdbb0d3820470418a4",
+    "trim-ties": "712b50a379dd31f7c1719e584b693672ed48b609e80697cb69e1504c37df9c4c",
 }
 
 
@@ -88,6 +94,25 @@ def fractional_market(seed, buyers, demand, values) -> Market:
         value[(t, "surplus")] = Fraction(rng.randint(1, 2), 7)
         value[(t, "zero")] = Fraction(0)
     return Market.build(m.items + ("surplus", "zero"), m.buyers, m.demand, value)
+
+
+def tied_market(seed, buyers, demand, values) -> Market:
+    """`generate_instance`'s market plus a quarter as many items again, half of
+    them copies of a seeded item and half valued alike by every buyer."""
+    m = generate_instance(seed, buyers, demand, values)
+    rng = random.Random(2000 + seed)
+    value = dict(m.value)
+    extra = max(2, len(m.items) // 4)
+    for k in range(extra):
+        if k % 2:
+            name, copied = f"copy{k}", rng.choice(m.items)
+            value |= {(t, name): m.value[(t, copied)] for t in m.buyers}
+        else:
+            name, alike = f"alike{k}", Fraction(rng.randint(*values))
+            value |= {(t, name): alike for t in m.buyers}
+    items = list(dict.fromkeys(s for _, s in value))
+    rng.shuffle(items)
+    return Market.build(items, m.buyers, m.demand, value)
 
 
 def round_lines(params, make=generate_instance) -> list[str]:
@@ -160,6 +185,7 @@ RECORDS = {
     "three": lambda: round_lines(THREE),
     "labels": lambda: round_lines(LABELS),
     "fractional": lambda: round_lines(FRACTIONAL, fractional_market),
+    "trim-ties": lambda: round_lines(TRIM_TIES, tied_market),
     "verdicts": verdict_lines,
     "sabotage": sabotage_lines,
 }

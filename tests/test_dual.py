@@ -198,25 +198,10 @@ def test_verification_trips_without_scc_shift(monkeypatch):
 
 
 @pytest.fixture(scope="module")
-def pinning_corpus():
-    """The differential corpus plus 200 unit-weight tight graphs that the
-    bi-demand recursion refines while pricing bi-demand markets."""
-    import dynprice.orderings as orderings
-    from dynprice import generate_instance, multi_round
-    recursion: list[BipartiteGraph] = []
-    real = orderings.refine_covering
-
-    def recording(g, m):
-        recursion.append(g)
-        return real(g, m)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(orderings, "refine_covering", recording)
-        seed = 0
-        while len(recursion) < 200:
-            multi_round(generate_instance(seed, 4 + seed % 6, 2, (1, 1 + seed % 3)))
-            seed += 1
-    return differential_corpus() + recursion[:200]
+def pinning_corpus(wrapper_corpus):
+    """The differential corpus plus 200 unit-weight graphs that the bi-demand
+    recursion cuts and hands `_bidemand_wrapper` while pricing bi-demand markets."""
+    return differential_corpus() + wrapper_corpus
 
 
 def recorded_faces(monkeypatch, run) -> list:

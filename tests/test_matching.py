@@ -465,6 +465,8 @@ def test_optimal_pair_check_trips_on_a_perturbed_solve(monkeypatch, perturb, mes
     (lambda g: g.unit_subgraph([("s1", "t9")]), "edges not in graph: [('s1', 't9')]"),
     (lambda g: g.unit_subgraph([[1]]), "edges must be hashable ids"),
     (lambda g: g.unit_subgraph("s1"), "edges must be a collection of ids, not a string"),
+    (lambda g: g.neighbors("t1"), "buyers must be a collection of ids, not a string"),
+    (lambda g: g.neighbors(["x"]), "unknown buyers ['x']"),
 ])
 def test_graph_refusals_are_model_errors(call, message):
     g = graph_of(["s1"], ["t1"], {"t1": 1}, {("s1", "t1"): 1})

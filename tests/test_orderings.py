@@ -12,7 +12,7 @@ from dynprice.pricing import tight_market
 from dynprice.errors import ContractViolationError, InternalConsistencyError, ModelError
 from dynprice.matching import Covering
 
-from conftest import brute_verify_adequate, reference_two_buyers
+from conftest import brute_verify_adequate, reference_bidemand_wrapper, reference_two_buyers
 
 
 def tight_of(m):
@@ -450,21 +450,10 @@ def test_bidemand_is_the_refined_pipeline_on_tight_graphs(bidemand_recursion):
 
 
 def test_bidemand_item_lists_are_the_ordering_returning_wrapper(bidemand_recursion, monkeypatch):
-    # The former wrapper ranked each lift by (pi, rank) through a rank map and
-    # its callers listed it again; run with it, the recursion gives the same
-    # lifts, orderings and traces on every graph the bi-demand ordering receives
-    def ordering_wrapper(h, trace, depth):
-        try:
-            sc = refine_covering(h, frozenset(h.max_cardinality_bmatching[0].items()))
-            if 0 in sc.pi.pi.values():
-                raise InternalConsistencyError("graph admits no b-factor")
-            hp = h if sc.tight_edges == h.edge_set else tight_subgraph(sc, h)
-            seq = orderings._bidemand_cases(hp, trace, depth)
-        except ContractViolationError as exc:
-            raise InternalConsistencyError(f"refined graph refused: {exc}") from exc
-        rank = {s: k for k, s in enumerate(seq, 1)}
-        return sorted(seq, key=lambda s: (sc.pi.pi[s], rank[s]))
-
+    # The former wrapper refined every graph, ranked each lift by (pi, rank)
+    # through a rank map and its callers listed it again; run with it, the
+    # recursion gives the same lifts, orderings and traces on every graph the
+    # bi-demand ordering receives
     def run(g):
         lift_trace, trace = [], []
         lift = orderings._bidemand_wrapper(g, lift_trace, 0)
@@ -475,11 +464,38 @@ def test_bidemand_item_lists_are_the_ordering_returning_wrapper(bidemand_recursi
         return list(lift), lift_trace, sigma, trace
 
     new = [run(g) for g in bidemand_recursion]
-    monkeypatch.setattr(orderings, "_bidemand_wrapper", ordering_wrapper)
+    monkeypatch.setattr(orderings, "_bidemand_wrapper", reference_bidemand_wrapper)
     old = [run(g) for g in bidemand_recursion]
     assert new == old
     assert sum(sigma is not None for _, _, sigma, _ in new) >= 300
     assert sum(len(lift_trace) > 1 for _, lift_trace, _, _ in new) >= 300
+
+
+def test_refine_is_skipped_exactly_where_its_dual_is_constant(bidemand_recursion,
+                                                               wrapper_corpus, monkeypatch):
+    # Every piece of a graph's b-factor digraph is strongly connected exactly
+    # when refine makes every edge tight at the constant dual, where it would
+    # hand back the graph and the identity; and the refine-always wrapper gives
+    # the same lists and traces as the one that skips it there
+    graphs = bidemand_recursion + wrapper_corpus
+    constant = Fraction(2, 3), Fraction(1, 3)
+    settled = 0
+    for g in graphs:
+        assert matching.bfactor_exists(g)[0]
+        sc = refine_covering(g, frozenset(g.max_cardinality_bmatching[0].items()))
+        flat = sc.tight_edges == g.edge_set and sc.pi.pi == (
+            dict.fromkeys(g.items, constant[0]) | dict.fromkeys(g.buyers, constant[1]))
+        assert orderings._factor_digraph_settled(g) == flat
+        settled += flat
+    assert len(graphs) >= 600 and settled >= 400 and len(graphs) - settled >= 120
+
+    def run(g):
+        trace = []
+        return orderings._bidemand_wrapper(g, trace, 0), trace
+
+    new = [run(g) for g in graphs]
+    monkeypatch.setattr(orderings, "_bidemand_wrapper", reference_bidemand_wrapper)
+    assert [run(g) for g in graphs] == new
 
 
 def test_bidemand_refuses_an_edge_in_no_factor():

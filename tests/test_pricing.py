@@ -313,35 +313,47 @@ def test_one_hungarian_solve_per_round(monkeypatch):
 
 def test_no_round_grows_the_same_bmatching_twice(monkeypatch):
     # every graph of a round, the tight graph and the bi-demand recursion's
-    # graphs included, grows its maximum b-matching once: no copy regrows it
-    from functools import cached_property
-
+    # graphs included, grows its maximum b-matching once: no copy regrows it,
+    # and most of the graphs a round reads hold one handed down instead
     from dynprice import BipartiteGraph
     workloads = benchmark_workloads()
+    name = "max_cardinality_bmatching"
+    grow = getattr(BipartiteGraph, name).func
     grown: list = []
-    rounds = []
-    grow = BipartiteGraph.max_cardinality_bmatching.func
+    read: dict = {}             # id -> each graph whose b-matching the round reads
+    rounds, grown_rounds = [], []
     price = pricing.multi_round
 
-    def counting(g):
-        grown.append((g.edges, frozenset(g.capacity.items())))
-        return grow(g)
+    class Reading:
+        # a data descriptor: it sees every read, of a grown or a handed-down b-matching
+        def __get__(self, g, cls=None):
+            if g is None:
+                return self
+            read[id(g)] = g
+            if name not in g.__dict__:
+                grown.append((g.edges, frozenset(g.capacity.items())))
+                g.__dict__[name] = grow(g)
+            return g.__dict__[name]
+
+        def __set__(self, g, value):
+            raise AttributeError(name)
 
     def round_(m, strategy=None):
         grown.clear()
+        read.clear()
         rp = price(m, strategy)
-        rounds.append(len(grown))
+        rounds.append(len(read))
+        grown_rounds.append(len(grown))
         assert len(set(grown)) == len(grown)
         return rp
 
-    prop = cached_property(counting)
-    prop.__set_name__(BipartiteGraph, "max_cardinality_bmatching")
-    monkeypatch.setattr(BipartiteGraph, "max_cardinality_bmatching", prop)
+    monkeypatch.setattr(BipartiteGraph, name, Reading())
     monkeypatch.setattr(workloads, "probe", lambda: workloads.REFERENCE_S)  # no timing here
     monkeypatch.setattr(pricing, "multi_round", round_)
     for case in workloads.set_up("price-bidemand", 3):
         assert workloads.dynamic_run(case, "multi").error is None
     assert len(rounds) == 240 and sum(rounds) >= 600
+    assert sum(grown_rounds) <= 200
 
 
 def test_adequacy_certificate_matches_the_cold_reference_on_price_pools(monkeypatch):

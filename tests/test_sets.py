@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from dynprice import (BipartiteGraph, feasible_bundle, legal_classes_3,
+from dynprice import (BipartiteGraph, bfactor_exists, feasible_bundle, legal_classes_3,
                       market_graph, maximal_dangerous_set, min_surplus_set,
                       minimal_dangerous_disjoint, refine_covering, tight_subgraph)
 from dynprice.errors import ContractViolationError, ModelError
@@ -402,3 +402,53 @@ def test_set_refusals_are_typed(call, error, message):
     g = market_graph(generate_instance(1, 17, 1, (1, 3)))
     with pytest.raises(error, match=f"^{message}$"):
         call(g)
+
+
+def search_answers(g: BipartiteGraph) -> list:
+    """What the surplus searches, bundle feasibility and the b-factor test say on g;
+    a ContractViolationError is an answer too."""
+    def outcome(call, *args):
+        try:
+            return call(g, *args)
+        except ContractViolationError as exc:
+            return str(exc)
+
+    Z = outcome(maximal_dangerous_set)
+    return ([bfactor_exists(g), min_surplus_set(g), Z]
+            + [outcome(minimal_dangerous_disjoint, Z) if isinstance(Z, frozenset) else None]
+            + [min_surplus_set(g, include=[t]) for t in g.buyers]
+            + [min_surplus_set(g, exclude=[t]) for t in g.buyers]
+            + [feasible_bundle(g, t, F) for t in g.buyers
+               for F in combinations(g.buyer_adj[t], g.capacity[t])])
+
+
+def test_answers_do_not_depend_on_which_bfactor_a_graph_holds(bidemand_recursion, wrapper_corpus):
+    # each graph the bi-demand ordering receives, holding the b-factor handed
+    # down to it, answers as a copy of it that grows its own from empty
+    other = 0
+    for g in bidemand_recursion + wrapper_corpus:
+        fresh = dataclasses.replace(g)
+        assert "max_cardinality_bmatching" not in fresh.__dict__
+        assert search_answers(g) == search_answers(fresh)
+        other += dict(g.max_cardinality_bmatching[0]) != dict(fresh.max_cardinality_bmatching[0])
+    assert other >= 100
+
+
+def test_a_handed_down_bmatching_must_be_a_bfactor_of_the_child(bidemand_recursion,
+                                                                 wrapper_corpus):
+    # a subgraph without one of the parent's b-factor edges grows its own b-matching;
+    # without an edge outside it, the subgraph holds the parent's
+    dropped = kept = 0
+    for g in bidemand_recursion + wrapper_corpus:
+        owner = dict(g.max_cardinality_bmatching[0])
+        matched = next(iter(owner.items()))
+        child = g.unit_subgraph(set(g.edges) - {matched})
+        assert "max_cardinality_bmatching" not in child.__dict__
+        assert matched not in child.max_cardinality_bmatching[0].items()
+        dropped += 1
+        spare = next((e for e in g.edges if owner[e[0]] != e[1]), None)
+        if spare is not None:
+            child = g.unit_subgraph(set(g.edges) - {spare})
+            assert dict(child.__dict__["max_cardinality_bmatching"][0]) == owner
+            kept += 1
+    assert dropped >= 600 and kept >= 400
