@@ -39,8 +39,11 @@ _INTERNAL_ERROR = 3
 GENERATE_CELL_CAP = 100_000
 
 
-def rational_to_str(x: Fraction) -> str:
-    return str(x)
+def rational_to_str(x: Fraction | int, d: int = 1) -> str:
+    """x / d in lowest terms, as "p" or "p/q"."""
+    n, q = x.numerator, x.denominator * d
+    common = math.gcd(n, q)
+    return str(n // common) if common == q else f"{n // common}/{q // common}"
 
 
 _RATIONAL_RE = re.compile(r"-?[0-9]+(/[0-9]+)?$")
@@ -111,7 +114,7 @@ def serialize_market(m: Market) -> dict:
         "items": list(m.items),
         "buyers": [
             {"id": t, "demand": m.demand[t],
-             "values": {s: rational_to_str(m.value[(t, s)]) for s in m.items}}
+             "values": {s: rational_to_str(x, m.denominator) for s, x in zip(m.items, m.column(t))}}
             for t in m.buyers
         ],
     }

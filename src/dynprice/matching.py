@@ -19,19 +19,21 @@ sorts the edges by item, then buyer, and checks that weights are ints or
 Fractions.  In the
 package only `with_capacity`, which keeps `build`'s rules for capacities,
 calls it.  `model.market_graph` constructs a market's graph directly: the
-market was validated by `Market.build`, its values are Fractions already,
-and listing its pairs item by item, then buyer by buyer, is the canonical
-order.  Every other graph is derived from one of those (`induced`,
-`unit_subgraph`, ...) and keeps its edge order, so nothing is validated or
-sorted twice.
+market was validated by `Market.build`, it holds its values as integers
+over one denominator already, and listing its pairs item by item, then
+buyer by buyer, is the canonical order.  Every other graph is derived from
+one of those (`induced`, `unit_subgraph`, ...) and keeps its edge order, so
+nothing is validated or sorted twice.
 
 A graph holds its weights once, as integers, in one edge table
 (`BipartiteGraph.table`, an `EdgeTable`): for each edge, in edge order, the
 positions of its item and its buyer in items + buyers, and its weight times
-the least common denominator D of the graph's weights.  `build` and
-`market_graph` fill it from their weights' numerators and denominators, and
-`induced`, `without` and `unit_subgraph` restrict their graph's table,
-dividing out the common factor that dropping edges may leave, so D stays the
+the least common denominator D of the graph's weights.  Weights become
+integers only where they come from outside: `build` and `Market.build`
+share `integer_weights`, and `market_graph` takes its market's integers and
+denominator as they are.  `induced`, `without` and `unit_subgraph` restrict
+their graph's table, dividing out the common factor that dropping edges may
+leave (`lowest_terms`, which `model.submarket` shares), so D stays the
 graph's own least common denominator.  The solver, its certificate and the
 structured dual work on positions and these integers; `BipartiteGraph.weight`,
 each edge's weight as a Fraction, is a read-only view of the table made the
@@ -136,22 +138,29 @@ class EdgeTable:
     weight: tuple[int, ...]
     denominator: int
 
-    @staticmethod
-    def from_ratios(ends: tuple[tuple[int, int], ...],
-                    ratios: list[tuple[int, int]]) -> "EdgeTable":
-        """The table of the weights given as (numerator, denominator) pairs."""
-        d = math.lcm(1, *{y for _, y in ratios})
-        if d == 1:
-            return EdgeTable(ends, tuple([x for x, _ in ratios]), 1)
-        return EdgeTable(ends, tuple([x * (d // y) for x, y in ratios]), d)
-
     def restricted(self, kept: list[int], moved: list[int]) -> "EdgeTable":
         """The table of the edges `kept`, their ends moved to new positions, over the
         least common denominator of their weights: a factor of this one."""
-        weight = [self.weight[k] for k in kept]
-        common = math.gcd(self.denominator, *weight)
         return EdgeTable(tuple((moved[a], moved[b]) for a, b in (self.ends[k] for k in kept)),
-                         tuple(x // common for x in weight), self.denominator // common)
+                         *lowest_terms([self.weight[k] for k in kept], self.denominator))
+
+
+def integer_weights(values: list, what: str) -> tuple[tuple[int, ...], int]:
+    """Ints or Fractions as integers w * D over their least common denominator D;
+    a value of any other type is a ModelError."""
+    if not all(type(x) is Fraction or type(x) is int for x in values):
+        raise ModelError(f"{what} must be ints or Fractions")
+    d = math.lcm(1, *{x.denominator for x in values})
+    return tuple([x.numerator * (d // x.denominator) for x in values]), d
+
+
+def lowest_terms(weight: list[int], denominator: int) -> tuple[tuple[int, ...], int]:
+    """Integer weights over a denominator with the factor all of them share divided
+    out: some of a table's weights, over their own least common denominator."""
+    common = math.gcd(denominator, *weight)
+    if common == 1:
+        return tuple(weight), denominator
+    return tuple([x // common for x in weight]), denominator // common
 
 
 @dataclass(frozen=True)
@@ -185,8 +194,6 @@ class BipartiteGraph:
             canon = tuple(sorted(weight, key=lambda e: (item_pos[e[0]], buyer_pos[e[1]])))
         except KeyError as exc:
             raise ModelError(f"edge references unknown vertex {exc}") from exc
-        if not all(type(weight[e]) in (int, Fraction) for e in canon):
-            raise ModelError("weights must be ints or Fractions")
         for v in capacity:
             if v not in item_pos and v not in buyer_pos:
                 raise ModelError(f"capacity for unknown vertex {v!r}")
@@ -200,7 +207,7 @@ class BipartiteGraph:
                 raise ModelError(f"buyer {t} needs a non-negative int capacity")
         n = len(items)
         ends = tuple((item_pos[s], n + buyer_pos[t]) for s, t in canon)
-        table = EdgeTable.from_ratios(ends, [weight[e].as_integer_ratio() for e in canon])
+        table = EdgeTable(ends, *integer_weights([weight[e] for e in canon], "weights"))
         return BipartiteGraph(items, buyers, canon, cap, table)
 
     @cached_property

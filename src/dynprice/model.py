@@ -2,15 +2,23 @@
 item trimming.
 
 Markets are complete bipartite: every (buyer, item) pair carries a value, with
-zero-valued pairs being real edges.  All values are exact rationals
-(fractions.Fraction); nothing in the engine rounds.
+zero-valued pairs being real edges.  All values are exact rationals, and
+nothing in the engine rounds.  A market holds them once, as integers: each
+value times the values' least common denominator D, item by item, then buyer
+by buyer, which is the order of the market graph's edges, so `market_graph`
+takes them as its edge table's weights as they are.  `Market.build` turns the
+values it is given into these integers; `submarket` slices the kept rows and
+columns and divides out their common factor with D, so a residual market is
+over its own least common denominator, as a fresh build would be.
+`Market.value` reads them back as Fractions, one per lookup.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import AbstractSet, Iterable, Mapping, Optional
+from functools import cached_property
+from typing import AbstractSet, Iterable, Iterator, Mapping, Optional
 
 from . import matching
 from .dual import refine_covering
@@ -18,14 +26,41 @@ from .errors import InternalConsistencyError, ModelError
 from .matching import BipartiteGraph, BuyerId, EdgeTable, ItemId, frozen_ids, id_tuple
 
 
+class _Values(Mapping):
+    """A market's values v_t(s), read-only, keyed (buyer, item) buyer by buyer: one
+    Fraction made from the integer weights per lookup."""
+
+    def __init__(self, m: "Market"):
+        self._weight, self._denominator = m.weight, m.denominator
+        self._row = {s: k * len(m.buyers) for k, s in enumerate(m.items)}
+        self._column = {t: k for k, t in enumerate(m.buyers)}
+
+    def __getitem__(self, key) -> Fraction:
+        try:        # a key that is not a pair, holds an unknown id or is unhashable
+            t, s = key if isinstance(key, tuple) else ()
+            k = self._row[s] + self._column[t]
+        except (ValueError, KeyError, TypeError):
+            raise KeyError(key) from None
+        return Fraction(self._weight[k], self._denominator)
+
+    def __iter__(self) -> Iterator[tuple[BuyerId, ItemId]]:
+        return ((t, s) for t in self._column for s in self._row)
+
+    def __len__(self) -> int:
+        return len(self._weight)
+
+
 @dataclass(frozen=True)
 class Market:
-    """Items, buyers, per-buyer demands b(t) and per-pair values v_t(s)."""
+    """Items, buyers, per-buyer demands b(t) and per-pair values v_t(s), held as
+    `weight`: v_t(s) * `denominator` for each pair, item by item, then buyer by buyer,
+    over the values' least common denominator."""
 
     items: tuple[ItemId, ...]
     buyers: tuple[BuyerId, ...]
     demand: Mapping[BuyerId, int]
-    value: Mapping[tuple[BuyerId, ItemId], Fraction]
+    weight: tuple[int, ...]
+    denominator: int
 
     @staticmethod
     def build(items: Iterable[ItemId], buyers: Iterable[BuyerId],
@@ -41,19 +76,27 @@ class Market:
         for t in buyers:
             if t not in demand or type(demand[t]) is not int or demand[t] < 1:
                 raise ModelError(f"buyer {t} needs an int demand >= 1")
-        vals: dict[tuple[BuyerId, ItemId], Fraction] = {}
-        for t in buyers:
-            for s in items:
-                if (t, s) not in value:
-                    raise ModelError(f"missing value for buyer {t}, item {s}")
-                if type(v := value[(t, s)]) is not Fraction:
-                    if type(v) is not int:
-                        raise ModelError("values must be ints or Fractions")
-                    v = Fraction(v)
-                if v < 0:
-                    raise ModelError(f"negative value for buyer {t}, item {s}")
-                vals[(t, s)] = v
-        return Market(items, buyers, {t: demand[t] for t in buyers}, vals)
+        try:
+            values = [value[(t, s)] for s in items for t in buyers]
+        except KeyError as exc:
+            raise ModelError(f"missing value for (buyer, item) {exc}") from None
+        if len(demand) + len(value) != len(buyers) + len(values):
+            extra = [*set(demand).difference(buyers),
+                     *set(value).difference((t, s) for t in buyers for s in items)]
+            raise ModelError(f"demands or values for unknown ids: {sorted(extra, key=repr)!r}")
+        weight, denominator = matching.integer_weights(values, "values")
+        if any(x < 0 for x in weight):
+            raise ModelError("values must be non-negative")
+        return Market(items, buyers, {t: demand[t] for t in buyers}, weight, denominator)
+
+    @cached_property
+    def value(self) -> Mapping[tuple[BuyerId, ItemId], Fraction]:
+        """v_t(s) for each (buyer, item), buyer by buyer, read-only: a view of the weights."""
+        return _Values(self)
+
+    def column(self, t: BuyerId) -> tuple[int, ...]:
+        """Buyer t's values times the denominator, item by item."""
+        return self.weight[self.buyers.index(t)::len(self.buyers)]
 
 
 @dataclass(frozen=True)
@@ -65,34 +108,31 @@ class OptReport:
 
 def submarket(m: Market, items: AbstractSet[ItemId],
               buyers: AbstractSet[BuyerId]) -> Market:
-    """The market on the given items and buyers, kept in m's order."""
-    its = tuple(s for s in m.items if s in items)
-    bys = tuple(t for t in m.buyers if t in buyers)
-    return Market(its, bys, {t: m.demand[t] for t in bys},
-                  {(t, s): m.value[(t, s)] for t in bys for s in its})
+    """The market on the given items and buyers, kept in m's order: m's weights on the
+    kept rows and columns, over their own least common denominator."""
+    n, w = len(m.buyers), m.weight
+    rows = [k for k, s in enumerate(m.items) if s in items]
+    columns = [k for k, t in enumerate(m.buyers) if t in buyers]
+    bys = tuple(m.buyers[k] for k in columns)
+    weight = [w[r * n + k] for r in rows for k in columns]
+    return Market(tuple(m.items[k] for k in rows), bys, {t: m.demand[t] for t in bys},
+                  *matching.lowest_terms(weight, m.denominator))
 
 
 def market_graph(m: Market) -> BipartiteGraph:
     """The complete edge-weighted bipartite graph of the market.
 
     Constructed directly, not by `BipartiteGraph.build`: `Market.build`, whose
-    checks `submarket` keeps, has already proved the ids, demands and Fraction
-    values that `build` would check again, and the pairs listed item by item,
-    then buyer by buyer, are already in canonical edge order.  The same pass
-    fills the integer edge table, the graph's one copy of its weights, reading
-    each value's numerator and denominator once, together.
+    checks `submarket` keeps, has already proved the ids, demands and values
+    that `build` would check again, and the market's pairs, item by item, then
+    buyer by buyer, are the canonical edge order.  The market's integer weights
+    and denominator are the edge table's, as they are.
     """
-    edges, ends, ratios = [], [], []
     n = len(m.items)
-    for a, s in enumerate(m.items):
-        for b, t in enumerate(m.buyers, n):
-            edges.append((s, t))
-            ends.append((a, b))
-            ratios.append(m.value[(t, s)].as_integer_ratio())
-    capacity: dict[str, int] = dict.fromkeys(m.items, 1)
-    capacity.update({t: m.demand[t] for t in m.buyers})
-    return BipartiteGraph(m.items, m.buyers, tuple(edges), capacity,
-                          EdgeTable.from_ratios(tuple(ends), ratios))
+    capacity = {**dict.fromkeys(m.items, 1), **m.demand}
+    ends = tuple([(a, b) for a in range(n) for b in range(n, n + len(m.buyers))])
+    return BipartiteGraph(m.items, m.buyers, tuple([(s, t) for s in m.items for t in m.buyers]),
+                          capacity, EdgeTable(ends, m.weight, m.denominator))
 
 
 def welfare(m: Market, bundles: Mapping[BuyerId, Iterable[ItemId]]) -> Fraction:
@@ -148,7 +188,8 @@ def trim_items(m: Market) -> tuple[Market, BipartiteGraph, frozenset[ItemId],
     that allocation, which the solve certifies optimal on m and so on the
     trimmed market, whose optima all use every remaining item.  The graph is
     `market_graph` of the trimmed market, not made again: m's graph, induced
-    on the kept items when some item was removed.
+    on the kept items when some item was removed, and the trimmed market
+    takes that graph's table's weights.
 
     The tie rule: when fewest-edge optima use different item sets, the solve's
     search order picks one.  At unit demand the kept items are the item set of
@@ -163,7 +204,8 @@ def trim_items(m: Market) -> tuple[Market, BipartiteGraph, frozenset[ItemId],
     used = {s for s, _ in best}
     removed = frozenset(s for s in m.items if s not in used)
     if removed:
-        m, g = submarket(m, used, set(m.buyers)), g.induced(used, m.buyers)
+        g = g.induced(used, m.buyers)
+        m = Market(g.items, m.buyers, m.demand, g.table.weight, g.table.denominator)
     return m, g, removed, best
 
 

@@ -151,23 +151,18 @@ def adequate_two_buyers(gpi: BipartiteGraph) -> tuple[ItemId, ...]:
 
 
 def _components(g: BipartiteGraph) -> list[tuple[list[ItemId], list[BuyerId]]]:
-    comp: dict[str, int] = {}
-    n = 0
-    for start in g.buyers:
-        if start in comp:
-            continue
-        comp[start] = n
-        frontier = [start]
-        for v in frontier:
-            for w in g.buyer_adj.get(v) or g.item_adj.get(v) or ():
-                if w not in comp:
-                    comp[w] = n
-                    frontier.append(w)
-        n += 1
-    if any(s not in comp for s in g.items):
+    """g's connected components, the strong components of its symmetric digraph, by
+    first buyer, each as its items and its buyers in g's orders."""
+    n = len(g.items)
+    succ: list[list[int]] = [[] for _ in g.items + g.buyers]
+    for a, b in g.table.ends:
+        succ[a].append(b)
+        succ[b].append(a)
+    comp = dual._components(succ)[0]
+    if not set(comp[:n]) <= set(comp[n:]):
         raise InternalConsistencyError("isolated item in tight graph")
-    return [([s for s in g.items if comp[s] == k], [t for t in g.buyers if comp[t] == k])
-            for k in range(n)]
+    return [([s for s, c in zip(g.items, comp) if c == k],
+             [t for t, c in zip(g.buyers, comp[n:]) if c == k]) for k in dict.fromkeys(comp[n:])]
 
 
 def adequate_bidemand(h: BipartiteGraph, trace: Optional[list] = None) -> tuple[ItemId, ...]:

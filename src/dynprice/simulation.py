@@ -6,11 +6,12 @@ capacities; it is independent of the matching solver and of LP duality, and
 backs every derived expected value in the test suite.  `oracle_structure`
 reads both structured-dual facts off one DP pass.
 
-`best_bundles` compares margins as ints and builds the best bundles from the
-margin order: the items above the cut (the b(t)-th largest positive margin,
-or 0) are fixed, and only the items at the cut are enumerated.  It counts the
-bundles before listing them and refuses more than `BUNDLE_CAP`, however many
-items have a non-negative margin.
+`best_bundles` compares margins as ints, from the market's integer values of
+the buyer and the prices over one common denominator, and builds the best
+bundles from the margin order: the items above the cut (the b(t)-th largest
+positive margin, or 0) are fixed, and only the items at the cut are
+enumerated.  It counts the bundles before listing them and refuses more than
+`BUNDLE_CAP`, however many items have a non-negative margin.
 
 `infer_mode` on the root market picks each run's pricing path, kept to the end
 even when only demand-one buyers remain.  An ordering strategy maps a round's
@@ -20,9 +21,9 @@ arrival order and, at each step, every utility-maximizing bundle.  Prices
 depend only on the residual market, so states are memoized, with their first
 least-welfare move, on (remaining buyers, remaining items); the run count
 still reflects all distinct order/tie-break combinations.  Its welfare sums
-run in the DP oracle's integer units, and only the verdict's optimum is a
-Fraction.  A counterexample replays those moves from the root through
-`run_once`.
+run in the DP oracle's integer units, the root market's integer values over
+its denominator, and only the verdict's optimum is a Fraction.  A
+counterexample replays those moves from the root through `run_once`.
 """
 
 from __future__ import annotations
@@ -53,8 +54,8 @@ STATE_BUDGET = 200000      # states `run_exhaustive` expands by default
 
 
 class _Oracle:
-    """Exhaustive welfare DP over item-to-buyer assignments, on integers: w[i][j]
-    is item i's value to buyer j times D, the values' least common denominator."""
+    """Exhaustive welfare DP over item-to-buyer assignments, on the market's
+    integers: w[i][j] is item i's value to buyer j times D, the market's denominator."""
 
     def __init__(self, m: Market):
         if len(m.items) > ORACLE_ITEM_CAP:
@@ -62,9 +63,9 @@ class _Oracle:
         self.items = m.items
         self.buyers = m.buyers
         self.start = tuple(m.demand[t] for t in m.buyers)
-        self.denom = math.lcm(1, *(x.denominator for x in m.value.values()))
-        self.w = [[m.value[(t, s)].numerator * (self.denom // m.value[(t, s)].denominator)
-                   for t in m.buyers] for s in m.items]
+        self.denom = m.denominator
+        columns = [m.column(t) for t in m.buyers]
+        self.w = [[c[i] for c in columns] for i in range(len(m.items))]
         self._memo: dict[tuple[int, tuple[int, ...]], int] = {}
 
     def best_from(self, i: int, caps: tuple[int, ...]) -> int:
@@ -173,8 +174,9 @@ def best_bundles(m: Market, t: BuyerId, p: PriceVector) -> list[frozenset[ItemId
     """All utility-maximizing bundles of size at most b(t), in canonical order:
     by size, then by the items' index tuple in `m.items`.
 
-    Margins are compared as ints: the buyer's values and the prices are scaled
-    by the lcm of their denominators.  The cut is the b(t)-th largest positive
+    Margins are compared as ints: the market's integer values of the buyer
+    (`Market.column`) and the prices, both scaled to the lcm of the market's
+    denominator and the prices'.  The cut is the b(t)-th largest positive
     margin, or 0 when fewer than b(t) margins are positive.  Every best bundle
     holds the items above the cut and fills its other slots from the items at
     it: all of them when the cut is positive, any few enough zero-margin items
@@ -196,10 +198,10 @@ def best_bundles(m: Market, t: BuyerId, p: PriceVector) -> list[frozenset[ItemId
     prices = [p.price[s] for s in m.items]
     if any(type(x) not in (Fraction, int) for x in prices):
         raise ModelError("prices must be ints or Fractions")
-    values = [m.value[(t, s)] for s in m.items]
-    d = math.lcm(1, *(x.denominator for x in values), *(x.denominator for x in prices))
-    margin = [v.numerator * (d // v.denominator) - x.numerator * (d // x.denominator)
-              for v, x in zip(values, prices)]
+    d = math.lcm(m.denominator, *(x.denominator for x in prices))
+    scale = d // m.denominator
+    margin = [v * scale - x.numerator * (d // x.denominator)
+              for v, x in zip(m.column(t), prices)]
     positive = sorted((x for x in margin if x > 0), reverse=True)
     cut = positive[b - 1] if len(positive) >= b else 0
     fixed = [i for i, x in enumerate(margin) if x > cut]

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from dynprice import (BipartiteGraph, bfactor_exists, market_graph,
                       max_weight_bmatching, max_weight_forced_edge,
-                      max_weight_reduced_capacity, optimal_covering)
+                      max_weight_reduced_capacity, optimal_covering, restrict_market)
 from dynprice.errors import ContractViolationError, ModelError
 from dynprice.matching import lexicographic_min_edge_optimum, solve_with_covering
 
@@ -34,11 +34,12 @@ def random_market_graph(rng, max_items=6, max_buyers=3, max_demand=3, hi=6):
     return m, market_graph(m)
 
 
-def test_every_graph_holds_the_reference_edge_table():
+def test_every_graph_holds_the_reference_edge_table(monkeypatch):
     # the table, positions included, is the one that Fractions from outside the
-    # graph give: the market's values for market_graph, the dict handed to build
-    # for build and with_capacity, the parent's for without and induced, and 1
-    # for unit_subgraph; over values with denominators 1, 2, 3 and 7 and some zeros
+    # graph give: the dict handed to Market.build for market_graph, the dict
+    # handed to build for build and with_capacity, the parent's for without and
+    # induced, and 1 for unit_subgraph; over values with denominators 1, 2, 3
+    # and 7 and some zeros
     from dynprice import Market
     rng = random.Random(3007)
     checked = 0
@@ -49,7 +50,7 @@ def test_every_graph_holds_the_reference_edge_table():
                 for t in buyers for s in items}
         m = Market.build(items, buyers, {t: rng.randint(1, 3) for t in buyers}, vals)
         g = market_graph(m)
-        value = {(s, t): m.value[(t, s)] for s in items for t in buyers}
+        value = {(s, t): vals[(t, s)] for s in items for t in buyers}
         given = {e: w for e, w in value.items() if rng.random() < 0.6}
         sparse = graph_of(rng.sample(items, len(items)), rng.sample(buyers, len(buyers)),
                           {t: rng.randint(0, 3) for t in buyers}, given)
@@ -66,16 +67,83 @@ def test_every_graph_holds_the_reference_edge_table():
     assert checked >= 500
     # s2 is the only item with a denominator of 3: without it the table's
     # denominator falls from 6 to 2, and every integer weight with it
-    m = Market.build(["s1", "s2", "s3"], ["t1", "t2"], {"t1": 1, "t2": 1},
-                     {("t1", "s1"): Fraction(1, 2), ("t1", "s2"): Fraction(2, 3),
-                      ("t1", "s3"): 1, ("t2", "s1"): 2, ("t2", "s2"): 0,
-                      ("t2", "s3"): Fraction(3, 2)})
+    vals = {("t1", "s1"): Fraction(1, 2), ("t1", "s2"): Fraction(2, 3), ("t1", "s3"): 1,
+            ("t2", "s1"): 2, ("t2", "s2"): 0, ("t2", "s3"): Fraction(3, 2)}
+    m = Market.build(["s1", "s2", "s3"], ["t1", "t2"], {"t1": 1, "t2": 1}, vals)
     g = market_graph(m)
     h = g.induced(["s1", "s3"], g.buyers)
     assert (g.table.denominator, h.table.denominator) == (6, 2)
-    assert h.table == reference_table(h, {(s, t): m.value[(t, s)] for s, t in h.edges})
+    assert h.table == reference_table(h, {(s, t): vals[(t, s)] for s, t in h.edges})
     assert h.table.ends == ((0, 2), (0, 3), (1, 2), (1, 3))
     assert h.table.weight == (1, 4, 2, 3)
+    # m.value is a read-only Mapping of those Fractions, keyed buyer by buyer,
+    # that no non-pair, unknown or unhashable key is in; m holds integers only
+    assert len(m.value) == 6 and list(m.value) == list(vals) and dict(m.value) == vals
+    assert m.weight == (3, 12, 4, 0, 6, 9) and m.denominator == 6
+    for key in [("t1", "s9"), ("t9", "s1"), ("s1", "t1"), ("t1",), ("t1", "s1", "s2"), "t1",
+                None, ["t1", "s1"], (["t1"], "s1"), {}]:
+        assert key not in m.value and m.value.get(key) is None
+        with pytest.raises(KeyError):
+            m.value[key]
+    with pytest.raises(TypeError):
+        m.value[("t1", "s1")] = 1
+    # a residual market, and its graph, hold the values handed to Market.build
+    # restricted to its items and buyers, over their own least common denominator
+    r = restrict_market(m, "t2", ["s2"])
+    assert (r.denominator, market_graph(r).table.weight) == (2, (1, 2))
+    _check_residual_markets(monkeypatch)
+
+
+def _holds_the_reference(r, vals) -> bool:
+    """Does the residual market r hold `vals`, the Fractions handed to Market.build,
+    on its items and buyers, as its values and as its graph's table?"""
+    expect = {(t, s): Fraction(vals[(t, s)]) for t in r.buyers for s in r.items}
+    g = market_graph(r)
+    return (len(r.value) == len(expect) and list(r.value.items()) == list(expect.items())
+            and all(type(v) is Fraction for v in r.value.values())
+            and g.table == reference_table(g, {(s, t): v for (t, s), v in expect.items()}))
+
+
+def _check_residual_markets(monkeypatch):
+    # restrict_market chains, trim_items' trimmed markets and the states of
+    # run_exhaustive, which slices the root market by Python sets; over values with
+    # denominators 1, 2, 3 and 7 and some zeros, so that trim removes items and a
+    # slice's least common denominator is often below its parent's
+    from dynprice import Market, simulation, trim_items
+    states = []
+    slice_of = simulation.submarket
+
+    def recorded(m, items, buyers):
+        states.append(slice_of(m, items, buyers))
+        return states[-1]
+
+    monkeypatch.setattr(simulation, "submarket", recorded)
+    rng = random.Random(3011)
+    seen = {"chain": 0, "trimmed": 0, "state": 0, "lower": 0}
+    for _ in range(60):
+        items = [f"s{i}" for i in range(rng.randint(1, 5))]
+        buyers = [f"t{i}" for i in range(rng.randint(1, 3))]
+        vals = {(t, s): Fraction(rng.choice((0, 0, 1, 2, 5)), rng.choice((1, 2, 3, 7)))
+                for t in buyers for s in items}
+        unit = rng.random() < 0.5
+        m = Market.build(items, buyers, {t: 1 if unit else rng.randint(1, 3) for t in buyers},
+                         vals)
+        residuals = [("chain", m)]
+        r = m
+        for t in rng.sample(buyers, len(buyers)):
+            sold = rng.sample(r.items, rng.randint(0, min(len(r.items), r.demand[t])))
+            r = restrict_market(r, t, sold)
+            residuals.append(("chain", r))
+        residuals += [("trimmed", trim_items(chained)[0]) for _, chained in residuals]
+        if unit:
+            states.clear()
+            simulation.run_exhaustive(m)
+            residuals += [("state", r) for r in states]
+        for kind, r in residuals:
+            assert _holds_the_reference(r, vals), (kind, r)
+            seen[kind] += 1
+            seen["lower"] += r.denominator < m.denominator
+    assert min(seen.values()) >= 100, seen
 
 
 def test_build_sorts_edges_and_wraps_only_non_fractions():

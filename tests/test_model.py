@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -52,6 +53,21 @@ def test_market_build_validation():
         Market.build(["s1", "s1"], ["t1"], {"t1": 1}, {("t1", "s1"): 1})
     with pytest.raises(ModelError):
         Market.build(["s1"], ["t1"], {"t1": 1}, {("t1", "s1"): -1})
+
+
+@pytest.mark.parametrize("demand, value, unknown", [
+    ({"t1": 1, "tX": 7}, {}, "'tX'"),                          # a demand of an unknown buyer
+    ({"t1": 1}, {("t1", "sTYPO"): 5}, "('t1', 'sTYPO')"),      # a value of an unknown item
+    ({"t1": 1}, {("tX", "s1"): 9}, "('tX', 's1')"),            # a value of an unknown buyer
+    ({"t1": 1}, {("s1", "t1"): 9}, "('s1', 't1')"),            # a pair the wrong way round
+    ({"t1": 1}, {"t1": 9}, "'t1'"),                            # a key that is not a pair
+    ({"t1": 1, "tX": 7}, {("t1", "sTYPO"): 5, ("tX", "s1"): 9},
+     "'tX', ('t1', 'sTYPO'), ('tX', 's1')"),
+])
+def test_market_build_refuses_entries_for_unknown_ids(demand, value, unknown):
+    message = f"demands or values for unknown ids: [{unknown}]"
+    with pytest.raises(ModelError, match=re.escape(message)):
+        Market.build(["s1"], ["t1"], demand, {("t1", "s1"): 3, **value})
 
 
 def build_market(count, value):
