@@ -50,8 +50,9 @@ alike.  The distances come in units of 1/D, the table's denominator; the
 shift multiplies by one more factor, max h + 2, so pi is held in units of
 1/(D * factor), and one pass over it checks the gaps, tightness,
 non-negativity and optimality and finds the slack.  The Fractions of pi and
-the slack are built once, on return.  `compute_slack` is the Fraction
-reference the tests hold that slack to.
+the slack are built once, on return, beside those integers (`q`, over
+`unit` = D * factor), which a round's prices and its residual's trim read.
+`compute_slack` is the Fraction reference the tests hold that slack to.
 """
 
 from __future__ import annotations
@@ -73,6 +74,8 @@ class StructuredCovering:
     pi: Covering
     tight_edges: frozenset[Edge]
     slack: Optional[Fraction]
+    q: tuple[int, ...] = ()     # pi by position in items + buyers, times unit
+    unit: int = 1
 
 
 def compute_slack(g: BipartiteGraph, pi: Covering) -> Optional[Fraction]:
@@ -335,4 +338,5 @@ def refine_covering(g: BipartiteGraph, m: Optional[frozenset[Edge]] = None
     denom = table.denominator * factor
     covering = Covering({v: Fraction(x, denom) for v, x in zip(g.items + g.buyers, q)})
     slack = None if least is None else Fraction(least, denom)
-    return StructuredCovering(covering, frozenset(g.edges[k] for k in tight), slack)
+    return StructuredCovering(covering, frozenset(g.edges[k] for k in tight), slack,
+                              tuple(q), denom)

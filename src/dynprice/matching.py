@@ -69,12 +69,16 @@ integer weights the solve ran on, that M is a b-matching of g
 M, with complementary slackness.  On the trim weights that proves M of
 maximum weight and, among those, of fewest edges, so neither trimming nor the
 structured dual, which starts from M (`dual.refine_covering`), solves again.
+A residual's trim starts instead from its parent round's optimum and dual,
+optimal there once a buyer leaves with a bundle some optimum holds (Shapley and
+Shubik 1971; `warm_min_edge_optimum`); where they prove none, the solver runs.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -596,3 +600,31 @@ def lexicographic_min_edge_optimum(g: BipartiteGraph) -> tuple[frozenset[Edge], 
     _check_optimal_pair(g, weight, matched, value, pi)
     return (frozenset(g.edges[i] for i in matched),
             Fraction(sum(table.weight[i] for i in matched), table.denominator))
+
+
+def warm_min_edge_optimum(g: BipartiteGraph, m: Iterable[Edge], pi: Sequence[int],
+                          unit: int) -> Optional[frozenset[Edge]]:
+    """A fewest-edge maximum-weight b-matching grown from m along the tight edges of
+    pi, a covering by position in items + buyers in units of 1/unit; None where
+    that proves none.  With pi positive on every item, every optimum uses every
+    item, so one that saturates every item and every buyer of positive pi is one:
+    certified on the trim weights w * unit/D * K - 1 by K * pi, less one on items."""
+    table, n = g.table, len(g.items)
+    if unit % table.denominator or min(pi[:n], default=1) <= 0:
+        return None
+    scale, k = unit // table.denominator, n + 1
+    tight = {g.edges[e]: e for e, ((a, b), w) in enumerate(zip(table.ends, table.weight))
+             if pi[a] + pi[b] == w * scale}        # tight edge -> its index, in edge order
+    adj: dict[BuyerId, list[ItemId]] = {t: [] for t in g.buyers}
+    for s, t in tight:                  # canonical order: each buyer's items come sorted
+        adj[t].append(s)
+    owner = {s: t for s, t in m if (s, t) in tight}
+    load = dict.fromkeys(g.buyers, 0) | Counter(owner.values())
+    augment(adj, g.capacity, owner, load)
+    if len(owner) < n or any(x and load[t] < g.capacity[t] for t, x in zip(g.buyers, pi[n:])):
+        return None
+    weight = [w * scale * k - 1 for w in table.weight]
+    matched = [tight[e] for e in owner.items()]
+    _check_optimal_pair(g, weight, matched, sum(weight[e] for e in matched),
+                        [x * k - 1 for x in pi[:n]] + [x * k for x in pi[n:]])
+    return frozenset(owner.items())

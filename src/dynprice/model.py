@@ -96,7 +96,13 @@ class Market:
 
     def column(self, t: BuyerId) -> tuple[int, ...]:
         """Buyer t's values times the denominator, item by item."""
+        if t not in self.buyers:
+            raise ModelError(f"unknown buyer {t!r}")
         return self.weight[self.buyers.index(t)::len(self.buyers)]
+
+    def _hold(self, m: frozenset[matching.Edge], q: tuple[int, ...], unit: int) -> None:
+        """Keep an optimum m and its dual q / unit for `restrict_market` to hand down."""
+        self.__dict__["basis"] = (m, q, unit)
 
 
 @dataclass(frozen=True)
@@ -198,9 +204,15 @@ def trim_items(m: Market) -> tuple[Market, BipartiteGraph, frozenset[ItemId],
     t1 of demand 2 valuing s1..s4 at 1, 1, 0, 2 and t2 of demand 1 at 0, 0, 1,
     2, the sets are {s1, s2, s4}, {s1, s3, s4} and {s2, s3, s4}, and trim
     keeps {s1, s3, s4}.
+
+    A market that inherited an optimum and dual (`restrict_market`) drops them and
+    starts from them; an optimum they prove uses every item, as the solve's then does.
     """
     g = market_graph(m)
-    best, _ = matching.lexicographic_min_edge_optimum(g)
+    inherited = m.__dict__.pop("inherited", None)
+    best = inherited and matching.warm_min_edge_optimum(g, *inherited)
+    if not best:
+        best, _ = matching.lexicographic_min_edge_optimum(g)
     used = {s for s, _ in best}
     removed = frozenset(s for s in m.items if s not in used)
     if removed:
@@ -210,7 +222,8 @@ def trim_items(m: Market) -> tuple[Market, BipartiteGraph, frozenset[ItemId],
 
 
 def restrict_market(m: Market, departed: BuyerId, sold: Iterable[ItemId]) -> Market:
-    """The market after a buyer leaves with (possibly zero, at most its demand) sold items."""
+    """The market after a buyer leaves with (possibly zero, at most its demand) sold items;
+    it takes over, restricted, the optimum and dual m holds (`Market._hold`)."""
     sold = frozen_ids(sold, "items")
     if departed not in m.buyers:
         raise ModelError(f"unknown buyer {departed!r}")
@@ -219,4 +232,11 @@ def restrict_market(m: Market, departed: BuyerId, sold: Iterable[ItemId]) -> Mar
         raise ModelError(f"unknown items {sorted(unknown, key=repr)!r}")
     if len(sold) > m.demand[departed]:
         raise ModelError(f"bundle of {departed} exceeds demand")
-    return submarket(m, set(m.items) - sold, set(m.buyers) - {departed})
+    residual = submarket(m, set(m.items) - sold, set(m.buyers) - {departed})
+    if "basis" in m.__dict__:
+        best, q, unit = m.__dict__.pop("basis")
+        q = dict(zip(m.items + m.buyers, q))
+        residual.__dict__["inherited"] = (
+            frozenset((s, t) for s, t in best if t != departed and s not in sold),
+            tuple([q[v] for v in residual.items + residual.buyers]), unit)
+    return residual

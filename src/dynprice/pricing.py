@@ -6,10 +6,12 @@ first picked first.  Unit-demand prices are pi itself.  Both variants trim the
 market first and price trimmed-away items prohibitively so no buyer ever takes
 them.
 
-One graph and one weighted solve per round: `trim_items` returns the trimmed
-market's graph and its certified optimum, from which the structured dual
-starts, and the tight graph is cut from that graph, holding that optimum as
-its maximum b-matching.  The ordering layer takes that graph alone:
+One graph and at most one weighted solve per round: `trim_items` returns the
+trimmed market's graph and its certified optimum, from which the structured
+dual starts, and the tight graph is cut from that graph, holding that optimum
+as its maximum b-matching.  A market trimmed of nothing keeps that optimum and
+dual, from which its residual's trim starts (`restrict_market`), so a run's
+later rounds rarely solve.  The ordering layer takes the tight graph alone:
 `ordering_method` reads its buyers and capacities (the demands).
 """
 
@@ -88,6 +90,8 @@ def _trim_and_refine(m: Market) -> tuple[Market, BipartiteGraph, frozenset[ItemI
         sc = refine_covering(g, best)
     except ContractViolationError as exc:
         raise InternalConsistencyError(f"trimmed optimum refused: {exc}") from exc
+    if not removed:
+        trimmed._hold(best, sc.q, sc.unit)
     return trimmed, g, removed, best, sc
 
 
@@ -121,13 +125,11 @@ def tight_market(m: Market) -> TightMarket:
     trimmed, g, removed, best, sc = _trim_and_refine(m)
     # Trim's optimum uses every kept item, so |S| <= b(T), and a buyer that it
     # leaves short has pi(t) = 0: this one test also refuses |S| != b(T).
-    for t in trimmed.buyers:
-        if sc.pi.pi[t] == 0:
-            raise UnsupportedMarketError(
-                "saturation property fails: optimum leaves a buyer short of b(t) items")
-    for s in trimmed.items:
-        if sc.pi.pi[s] == 0:
-            raise InternalConsistencyError("trimmed item with zero dual")
+    if 0 in sc.q[len(trimmed.items):]:
+        raise UnsupportedMarketError(
+            "saturation property fails: optimum leaves a buyer short of b(t) items")
+    if 0 in sc.q[:len(trimmed.items)]:
+        raise InternalConsistencyError("trimmed item with zero dual")
     # Saturated, trim's optimum is a b-factor of the tight graph: its b-matching.
     return TightMarket(trimmed, removed, sc, tight_subgraph(sc, g)._hold(dict(best)))
 
@@ -145,8 +147,10 @@ def multi_round(m: Market, ordering_strategy: Optional[OrderingStrategy] = None
     sigma = checked_ordering((ordering_strategy or dispatch_ordering)(tm.gpi), trimmed.items)
     if sc.slack is None:
         raise InternalConsistencyError("finite slack expected under saturation")
-    delta = sc.slack / (len(trimmed.items) + 1)
+    # pi(s) + delta * rank(s), with pi = q / unit and delta = slack / n
+    n, least = len(trimmed.items) + 1, int(sc.slack * sc.unit)
     rank = {s: k for k, s in enumerate(sigma, 1)}
-    price = {s: sc.pi.pi[s] + delta * rank[s] for s in trimmed.items}
+    price = {s: Fraction(x * n + least * rank[s], sc.unit * n)
+             for s, x in zip(trimmed.items, sc.q)}
     price.update({s: prohibitive_price(m, s) for s in removed})
-    return RoundPricing(PriceVector(price, delta), sc.pi, sigma, trimmed, removed)
+    return RoundPricing(PriceVector(price, sc.slack / n), sc.pi, sigma, trimmed, removed)

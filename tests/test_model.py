@@ -323,12 +323,13 @@ def test_restrict_market(e1, e2):
     lambda m, g: g.without([["s1"]]),
     lambda m, g: grow_dangerous_set(g, [["t1"]]),
     lambda m, g: minimal_dangerous_disjoint(g, [["t1"]]),
+    lambda m, g: m.column(["t1"]),
 ], ids=["oracle-buyer", "oracle-items", "restrict-buyer", "restrict-items", "welfare",
         "feasible-buyer", "surplus-buyers", "ordering-items", "ordering-int", "ordering-none",
         "market-items-int", "market-items-unhashable", "market-demand-none",
         "market-values-none", "graph-items-int", "graph-weights-none", "forced-edge",
         "legal-edge", "reduced-capacity", "with-capacity", "induced", "without",
-        "grow-dangerous", "minimal-dangerous"])
+        "grow-dangerous", "minimal-dangerous", "column"])
 def test_unhashable_ids_are_model_errors(call):
     # a list where an id belongs is bad input, not an engine fault
     m = generate_instance(500001, 3, 2, (1, 3))
@@ -387,6 +388,14 @@ def test_market_graph_is_the_built_graph(demands, fractional):
             t = rng.choice(m.buyers)
             m = restrict_market(m, t, rng.sample(m.items, min(len(m.items),
                                                               rng.randint(0, m.demand[t]))))
+
+
+@pytest.mark.parametrize("buyer", ["zz", ["t1"], None, "s1"])
+def test_a_column_of_an_unknown_buyer_is_refused(buyer):
+    m = generate_instance(500001, 3, 2, (1, 3))
+    with pytest.raises(ModelError, match=re.escape(f"unknown buyer {buyer!r}")):
+        m.column(buyer)
+    assert m.column("t2") == tuple(m.weight[1::3])
 
 
 @settings(max_examples=30, deadline=None)

@@ -276,9 +276,11 @@ def test_rounds_refine_the_trimmed_graph_on_price_pools(monkeypatch, workload):
     assert (counts["tight"] > rounds) == (mode == "multi")
 
 
-def test_one_hungarian_solve_per_round(monkeypatch):
-    # trim's solve is a round's only weighted solve: the structured duals, the
-    # bi-demand recursion's included, start from optima their callers hold
+def test_one_hungarian_solve_per_run(monkeypatch):
+    # trim's solve on the run's first market is its only weighted solve: the
+    # structured duals, the bi-demand recursion's included, start from optima
+    # their callers hold, and each later round's trim starts from the optimum
+    # and the dual its residual inherited from the round before
     import dynprice.matching as matching_mod
     solves = []
     hungarian = matching_mod._hungarian
@@ -301,14 +303,121 @@ def test_one_hungarian_solve_per_round(monkeypatch):
         for m, price in ((generate_instance(seed, 4 + seed % 5, 2, (1, 3)), multi_round),
                          (generate_instance(seed, 3, [1, 2, 3], (1, 4)), multi_round),
                          (generate_instance(seed, 6 + seed % 4, 1, (1, 3)), unit_round)):
+            first = True
             while m.buyers:
                 before = len(solves)
                 rp = price(m)
-                assert len(solves) - before == 1
-                rounds += 1
+                assert len(solves) - before == first
+                first, rounds = False, rounds + 1
                 t = m.buyers[seed % len(m.buyers)]
                 m = model.restrict_market(m, t, best_bundles(m, t, rp.prices)[0])
     assert rounds > 350 and len(recursions) > 50 and set(recursions) == {0}
+
+
+def _round_fields(rp):
+    return (rp.prices.price, rp.prices.delta, rp.sigma, rp.pi.pi, rp.removed, rp.trimmed)
+
+
+def _run_against_fresh_copies(m, price, pick, rng, cold, warm):
+    """Price a run on m in a random order, the buyer taking `pick` of its best bundles.
+    Every round equals the round on a fresh `Market.build` copy of the same values,
+    which inherits nothing.  Returns, for each round after the first, "warm" when no
+    cold solve ran, "refused" when the inherited basis was tried and refused, and
+    "none" when the residual inherited nothing."""
+    paths = []
+    for k, t in enumerate(rng.sample(m.buyers, len(m.buyers))):
+        fresh = Market.build(m.items, m.buyers, m.demand, dict(m.value))
+        solves, tries = len(cold), len(warm)
+        rp = price(m)
+        if k:
+            paths.append("warm" if len(cold) == solves else
+                         "refused" if len(warm) > tries else "none")
+        assert "inherited" not in m.__dict__       # released once trim has read it
+        assert _round_fields(rp) == _round_fields(price(fresh))
+        choice = pick(best_bundles(m, t, rp.prices))
+        m = model.restrict_market(m, t, choice)
+    return paths
+
+
+def test_a_round_from_an_inherited_basis_is_the_round_from_scratch(monkeypatch):
+    # a residual starts trim from its parent round's certified optimum and dual;
+    # where that start proves nothing, the cold solve runs; either way every
+    # price, delta, ordering, dual, trimmed item and trimmed market is the one a
+    # market with no basis gets
+    from dynprice import matching
+    from dynprice.simulation import reversed_ordering_strategy
+    cold, warm = [], []
+    solve, start = matching.lexicographic_min_edge_optimum, matching.warm_min_edge_optimum
+
+    def counting_solve(g):
+        cold.append(1)
+        return solve(g)
+
+    def counting_start(*args):
+        warm.append(start(*args))
+        return warm[-1]
+
+    monkeypatch.setattr(matching, "lexicographic_min_edge_optimum", counting_solve)
+    monkeypatch.setattr(matching, "warm_min_edge_optimum", counting_start)
+    rng = random.Random(34)
+    reversed_round = lambda m: multi_round(m, reversed_ordering_strategy)
+    empties = []
+
+    def take_empty(bundles):        # the empty bundle wherever it is a best one
+        empties.append(min(bundles, key=len))
+        return empties[-1]
+
+    def with_items(m, extra, value):
+        values = dict(m.value) | {(t, x): value(j, k) for j, t in enumerate(m.buyers)
+                                  for k, x in enumerate(extra)}
+        return Market.build(m.items + extra, m.buyers, m.demand, values)
+
+    def crowded(seed):              # six unit buyers, four items, values 0..2
+        r = random.Random(seed)
+        items, buyers = [f"s{k}" for k in range(4)], [f"t{j}" for j in range(6)]
+        return Market.build(items, buyers, dict.fromkeys(buyers, 1),
+                            {(t, s): r.randint(0, 2) for t in buyers for s in items})
+
+    paths = {kind: [] for kind in ("unit", "three", "bidemand", "zero", "surplus", "empty",
+                                   "reversed")}
+    for seed in range(12):
+        runs = [("unit", generate_instance(seed, 6 + seed % 7, 1, (1, 3)), unit_round),
+                ("three", generate_instance(seed, 3, [3, 2, 1], (1, 4)), multi_round),
+                ("bidemand", generate_instance(seed, 4 + seed % 5, 2, (1, 3)), multi_round),
+                ("zero", with_items(generate_instance(seed, 6, 1, (1, 3)), ("z",),
+                                    lambda j, k: 0), unit_round),
+                ("surplus", with_items(generate_instance(seed, 5, 2, (1, 4)), ("x1", "x2"),
+                                       lambda j, k: Fraction((j + k) % 3, 5)), multi_round),
+                ("empty", crowded(seed), unit_round),
+                ("reversed", generate_instance(500001 + seed, 3, 2, (1, 3)), reversed_round),
+                ("reversed", generate_instance(seed, 5, 2, (1, 3)), reversed_round)]
+        for kind, m, price in runs:
+            pick = take_empty if kind == "empty" else (lambda bundles: bundles[0])
+            paths[kind] += _run_against_fresh_copies(m, price, pick, rng, cold, warm)
+    for kind in ("unit", "three", "bidemand"):
+        assert len(paths[kind]) >= 24 and set(paths[kind]) == {"warm"}, kind
+    # a trimmed item leaves the residual nothing to inherit
+    assert len(paths["zero"]) > 30 and set(paths["zero"]) == {"none"}
+    assert len(paths["surplus"]) > 30 and set(paths["surplus"]) == {"none"}
+    # a buyer of dual zero leaving empty-handed keeps the dual optimal, but the
+    # b-matching grown from the parent's can leave a buyer of positive dual short
+    assert empties.count(frozenset()) > 10
+    assert paths["empty"].count("warm") > 30 and "refused" in paths["empty"]
+    # a bundle in no optimum leaves a dual that no tight b-matching saturates
+    assert paths["reversed"].count("refused") > 10 and "warm" in paths["reversed"]
+
+
+def test_an_inherited_dual_of_zero_on_an_item_is_refused():
+    # s2 is worth nothing to anyone, so (q, m) below is an optimal pair that uses
+    # it; a fewest-edge optimum leaves it out, so the warm start must not be taken
+    from dynprice import matching
+    m = Market.build(["s1", "s2"], ["t1", "t2"], {"t1": 1, "t2": 1},
+                     {("t1", "s1"): 2, ("t1", "s2"): 0, ("t2", "s1"): 0, ("t2", "s2"): 0})
+    g, start = market_graph(m), matching.warm_min_edge_optimum
+    assert start(g, {("s1", "t1"), ("s2", "t2")}, (2, 0, 0, 0), 1) is None
+    # with a dual of 1 on s2, no edge to s2 is tight, so nothing saturates it
+    assert start(g, {("s1", "t1")}, (2, 1, 0, 0), 1) is None
+    assert trim_items(m)[2] == {"s2"}
 
 
 def test_no_round_grows_the_same_bmatching_twice(monkeypatch):
