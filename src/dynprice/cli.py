@@ -2,11 +2,13 @@
 solve/dual/order/price/simulate/verify verbs.
 
 Markets travel as JSON with rationals encoded as decimal integer strings or
-"p/q" strings; the value matrix must be complete.  All outputs are
-machine-readable JSON (``--pretty`` for humans).  Each verb in `VERBS` maps a
-market to its JSON object, and `exit_code` alone maps failures to exit codes,
-here and in the walkthrough: 0 success / all-optimal, 1 verified-false, 2 usage
-or model error, 3 internal error (a failed self-check or any other engine bug).
+"p/q" strings; the value matrix must be complete.  An integer value is handed
+to `Market.build` as an int, and a Fraction is made only for "p/q".  All
+outputs are machine-readable JSON (``--pretty`` for humans).  Each verb in
+`VERBS` maps a market to its JSON object, and `exit_code` alone maps failures
+to exit codes, here and in the walkthrough: 0 success / all-optimal, 1
+verified-false, 2 usage or model error, 3 internal error (a failed self-check
+or any other engine bug).
 """
 
 from __future__ import annotations
@@ -49,7 +51,8 @@ def rational_to_str(x: Fraction | int, d: int = 1) -> str:
 _RATIONAL_RE = re.compile(r"-?[0-9]+(/[0-9]+)?$")
 
 
-def rational_from_str(raw: object, path: str = "value") -> Fraction:
+def rational_from_str(raw: object, path: str = "value") -> int | Fraction:
+    """The rational a "p" or "p/q" string spells: an int for "p", a Fraction for "p/q"."""
     if not isinstance(raw, str):
         raise ModelError(f"{path}: rationals must be strings, got {type(raw).__name__}")
     if not _RATIONAL_RE.fullmatch(raw):
@@ -61,7 +64,7 @@ def rational_from_str(raw: object, path: str = "value") -> Fraction:
         raise ModelError(f"{path}: {exc}") from None
     if d == 0:
         raise ModelError(f"{path}: denominator must be positive in {raw!r}")
-    return Fraction(n, d)
+    return Fraction(n, d) if slash else n
 
 
 def parse_instance(raw: bytes | str) -> Market:
@@ -80,7 +83,7 @@ def parse_instance(raw: bytes | str) -> Market:
         raise ModelError("buyers: must be a list")
     buyers: list[str] = []
     demand: dict[str, int] = {}
-    value: dict[tuple[str, str], Fraction] = {}
+    value: dict[tuple[str, str], int | Fraction] = {}
     for k, entry in enumerate(buyers_raw):
         path = f"buyers[{k}]"
         if not isinstance(entry, dict):
@@ -154,7 +157,7 @@ def generate_instance(seed: int, buyers: int, demand_profile: int | Sequence[int
     names_t = [f"t{k + 1}" for k in range(buyers)]
     names_s = [f"s{k + 1}" for k in range(sum(demands))]
     rng = random.Random(seed)
-    value = {(t, s): Fraction(rng.randint(lo, hi)) for t in names_t for s in names_s}
+    value = {(t, s): rng.randint(lo, hi) for t in names_t for s in names_s}
     return Market.build(names_s, names_t, dict(zip(names_t, demands)), value)
 
 

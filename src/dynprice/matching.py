@@ -151,7 +151,9 @@ class EdgeTable:
 
 def integer_weights(values: list, what: str) -> tuple[tuple[int, ...], int]:
     """Ints or Fractions as integers w * D over their least common denominator D;
-    a value of any other type is a ModelError."""
+    a value of any other type is a ModelError.  All ints are taken as they are, D = 1."""
+    if all(type(x) is int for x in values):
+        return tuple(values), 1
     if not all(type(x) is Fraction or type(x) is int for x in values):
         raise ModelError(f"{what} must be ints or Fractions")
     d = math.lcm(1, *{x.denominator for x in values})

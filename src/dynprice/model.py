@@ -211,7 +211,7 @@ def trim_items(m: Market) -> tuple[Market, BipartiteGraph, frozenset[ItemId],
     g = market_graph(m)
     inherited = m.__dict__.pop("inherited", None)
     best = inherited and matching.warm_min_edge_optimum(g, *inherited)
-    if not best:
+    if best is None:        # an empty optimum, of a residual with no items, is one too
         best, _ = matching.lexicographic_min_edge_optimum(g)
     used = {s for s, _ in best}
     removed = frozenset(s for s in m.items if s not in used)

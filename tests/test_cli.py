@@ -6,12 +6,13 @@ import runpy
 import sys
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dynprice import generate_instance, parse_instance, serialize_market
+from dynprice import Market, cli, generate_instance, parse_instance, serialize_market
 from dynprice.cli import main, rational_from_str, rational_to_str
 from dynprice.errors import ModelError
 
@@ -77,6 +78,106 @@ def test_parse_errors():
 @given(st.fractions(min_value=0, max_value=100))
 def test_rational_string_roundtrip(x):
     assert rational_from_str(rational_to_str(x)) == x
+
+
+def reference_parse_instance(raw) -> Market:
+    """`parse_instance` with one Fraction per value, integers included: the boundary
+    as it was before integer strings were handed over as ints."""
+    original = cli.rational_from_str
+
+    def fraction_from_str(raw, path="value"):
+        original(raw, path)             # the refusals, with their messages
+        return Fraction(raw)            # the value, by Fraction's own parse
+
+    with mock.patch.object(cli, "rational_from_str", fraction_from_str):
+        return parse_instance(raw)
+
+
+_EDGE_VALUES = ["0", "-0", "0/5", "-0/5", "007", "6/3", "1" * 30, "9" * 30 + "/7",
+                "12/" + "4" * 30]
+_REFUSED_VALUES = ["-1", "-2/3", "1/0", "3/-5", "+1", " 1", "1.0", "\u0661", "", "1/", "/2",
+                   "1" * 5000, "1/" + "7" * 5000, 1, 0, None, 1.5, True, ["1"]]
+_VALUES = st.one_of(
+    st.integers(0, 10**6).map(str),
+    st.tuples(st.integers(0, 10**6), st.integers(1, 360)).map(lambda pq: f"{pq[0]}/{pq[1]}"),
+    st.sampled_from(_EDGE_VALUES))
+
+
+@st.composite
+def market_documents(draw):
+    """A market document, mostly valid: integer, "p/q" and edge-case values, and now
+    and then a refused value, a value that is not a string, or a missing or extra item."""
+    items = draw(st.lists(st.sampled_from(["s1", "s2", "s3", "s4"]), unique=True,
+                          min_size=1, max_size=4))
+    buyers = []
+    for k in range(draw(st.integers(1, 3))):
+        values = {s: draw(st.sampled_from(_REFUSED_VALUES)
+                          if draw(st.sampled_from([False] * 7 + [True])) else _VALUES)
+                  for s in items}
+        change = draw(st.sampled_from(["none"] * 30 + ["drop", "extra"]))
+        if change == "drop":
+            del values[draw(st.sampled_from(items))]
+        elif change == "extra":
+            values["x9"] = "1"
+        buyers.append({"id": f"t{k + 1}", "demand": draw(st.integers(1, 2)), "values": values})
+    return json.dumps({"items": items, "buyers": buyers})
+
+
+def _parsed(parse, raw):
+    """The market's fields and its weights' types, or the ModelError's message."""
+    try:
+        m = parse(raw)
+    except ModelError as exc:
+        return str(exc)
+    return (m.items, m.buyers, dict(m.demand), m.weight, m.denominator,
+            {type(w) for w in m.weight})
+
+
+def test_parse_is_the_one_fraction_per_value_reference():
+    # an integer value is handed over as an int, a "p/q" value as a Fraction; the
+    # market, or the refusal and its message, is the reference parse's
+    seen = []
+
+    @settings(max_examples=400, deadline=None)
+    @given(market_documents())
+    def check(raw):
+        seen.append(_parsed(parse_instance, raw))
+        assert seen[-1] == _parsed(reference_parse_instance, raw)
+
+    check()
+    # the documents meet integer and fractional markets and each kind of refusal
+    markets = [m for m in seen if isinstance(m, tuple)]
+    errors = " ".join(m for m in seen if isinstance(m, str))
+    assert sum(m[4] > 1 for m in markets) > 50 and sum(m[4] == 1 for m in markets) > 50
+    for message in ("malformed rational", "denominator must be positive", "must be non-negative",
+                    "rationals must be strings", "missing (value matrix is complete)",
+                    "unknown items"):
+        assert message in errors, message
+
+
+@pytest.mark.parametrize("value", _EDGE_VALUES + _REFUSED_VALUES,
+                         ids=[f"{k}:{v!r:.12}"
+                              for k, v in enumerate(_EDGE_VALUES + _REFUSED_VALUES)])
+def test_parse_of_each_edge_case_is_the_reference(value):
+    # each value of the documents above, alone and beside a "p/q" value
+    for values in ({"s1": value}, {"s1": value, "s2": "1/2"}):
+        raw = json.dumps({"items": list(values), "buyers": [
+            {"id": "t1", "demand": 1, "values": values}]})
+        parsed = _parsed(parse_instance, raw)
+        assert parsed == _parsed(reference_parse_instance, raw)
+        assert isinstance(parsed, str) == (value in _REFUSED_VALUES)
+
+
+def test_generate_draws_one_int_per_value_in_buyer_order():
+    # the same random draws as a market of one Fraction per value, over denominator one
+    for seed, buyers, profile, (lo, hi) in [(1, 3, 2, (1, 3)), (7, 4, [1, 3, 2, 1], (2, 9)),
+                                            (12, 2, 1, (10**20, 10**20 + 5))]:
+        m = generate_instance(seed, buyers, profile, (lo, hi))
+        rng = random.Random(seed)
+        drawn = [rng.randint(lo, hi) for _ in m.buyers for _ in m.items]
+        assert [x for t in m.buyers for x in m.column(t)] == drawn and m.denominator == 1
+        assert m == Market.build(m.items, m.buyers, m.demand,
+                                 {key: Fraction(v) for key, v in m.value.items()})
 
 
 def test_generate_deterministic():

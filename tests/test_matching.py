@@ -10,7 +10,8 @@ from dynprice import (BipartiteGraph, bfactor_exists, market_graph,
                       max_weight_bmatching, max_weight_forced_edge,
                       max_weight_reduced_capacity, optimal_covering, restrict_market)
 from dynprice.errors import ContractViolationError, ModelError
-from dynprice.matching import lexicographic_min_edge_optimum, solve_with_covering
+from dynprice.matching import (integer_weights, lexicographic_min_edge_optimum,
+                               solve_with_covering)
 
 from conftest import (brute_bfactor_exists, brute_hall_witness, naive_opt_value,
                       reference_hungarian, reference_table)
@@ -152,6 +153,26 @@ def test_build_sorts_edges_and_wraps_only_non_fractions():
     assert g.edges == (("s1", "t1"), ("s2", "t1"))
     assert g.weight[("s1", "t1")] == half and type(g.weight[("s1", "t1")]) is Fraction
     assert type(g.weight[("s2", "t1")]) is Fraction and g.weight[("s2", "t1")] == 2
+
+
+@pytest.mark.parametrize("values", [[3, 0, 7], [], [0], [10**30, 1, 10**30 + 1]])
+def test_integer_weights_take_a_list_of_ints_as_it_is(values):
+    # the same integers and denominator as the same values given as Fractions
+    as_fractions = integer_weights([Fraction(x) for x in values], "values")
+    assert integer_weights(values, "values") == as_fractions == (tuple(values), 1)
+    assert all(type(x) is int for x in integer_weights(values, "values")[0])
+
+
+@pytest.mark.parametrize("values", [[True], [1, True], [1, 2.0], [Fraction(1, 2), 1.5], [1, "2"]])
+def test_integer_weights_refuse_a_bool_or_a_float_among_ints(values):
+    with pytest.raises(ModelError, match="^values must be ints or Fractions$"):
+        integer_weights(values, "values")
+
+
+def test_integer_weights_scale_a_list_of_ints_and_fractions():
+    assert integer_weights([1, Fraction(1, 2), 3], "values") == ((2, 1, 6), 2)
+    assert integer_weights([Fraction(4, 2), 3, Fraction(0, 5)], "values") == ((2, 3, 0), 1)
+    assert integer_weights([2, Fraction(5, 6), Fraction(1, 4)], "values") == ((24, 10, 3), 12)
 
 
 def test_weight_is_a_read_only_view_of_the_table():
