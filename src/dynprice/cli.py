@@ -2,13 +2,13 @@
 solve/dual/order/price/simulate/verify verbs.
 
 Markets travel as JSON with rationals encoded as decimal integer strings or
-"p/q" strings; the value matrix must be complete.  An integer value is handed
-to `Market.build` as an int, and a Fraction is made only for "p/q".  All
-outputs are machine-readable JSON (``--pretty`` for humans).  Each verb in
-`VERBS` maps a market to its JSON object, and `exit_code` alone maps failures
-to exit codes, here and in the walkthrough: 0 success / all-optimal, 1
-verified-false, 2 usage or model error, 3 internal error (a failed self-check
-or any other engine bug).
+"p/q" strings; the value matrix must be complete.  Each value crosses once, in
+its buyer's column for `Market.from_columns`: ASCII digits become an int with no
+regex, other values go through `rational_from_str`.  Outputs are JSON (``--pretty``
+for humans).  Each verb in `VERBS` maps a market to its JSON object, and
+`exit_code` alone maps failures to exit codes, here and in the walkthrough: 0
+success / all-optimal, 1 verified-false, 2 usage or model error, 3 internal
+error (a failed self-check or any other engine bug).
 """
 
 from __future__ import annotations
@@ -81,9 +81,10 @@ def parse_instance(raw: bytes | str) -> Market:
     buyers_raw = data.get("buyers")
     if not isinstance(buyers_raw, list):
         raise ModelError("buyers: must be a list")
+    known = set(items)
     buyers: list[str] = []
     demand: dict[str, int] = {}
-    value: dict[tuple[str, str], int | Fraction] = {}
+    columns: list[list[int | Fraction]] = []
     for k, entry in enumerate(buyers_raw):
         path = f"buyers[{k}]"
         if not isinstance(entry, dict):
@@ -97,29 +98,33 @@ def parse_instance(raw: bytes | str) -> Market:
         values = entry.get("values")
         if not isinstance(values, dict):
             raise ModelError(f"{path}.values: must be an object")
-        extra = set(values) - set(items)
+        extra = values.keys() - known
         if extra:
             raise ModelError(f"{path}.values: unknown items {sorted(extra)!r}")
+        column: list[int | Fraction] = []
         for s in items:
             if s not in values:
                 raise ModelError(f"{path}.values.{s}: missing (value matrix is complete)")
-            v = rational_from_str(values[s], f"{path}.values.{s}")
-            if v < 0:
+            v = values[s]
+            if type(v) is str and v.isascii() and v.isdigit() and len(v) <= 640:
+                v = int(v)      # 640 digits are within any limit on `int`
+            elif (v := rational_from_str(v, f"{path}.values.{s}")) < 0:
                 raise ModelError(f"{path}.values.{s}: must be non-negative")
-            value[(bid, s)] = v
+            column.append(v)
         buyers.append(bid)
         demand[bid] = dem
-    return Market.build(items, buyers, demand, value)
+        columns.append(column)
+    return Market.from_columns(items, buyers, demand, columns)
 
 
 def serialize_market(m: Market) -> dict:
+    d, n = m.denominator, len(m.buyers)
+    columns = (m.weight[k::n] for k in range(n))
     return {
         "items": list(m.items),
-        "buyers": [
-            {"id": t, "demand": m.demand[t],
-             "values": {s: rational_to_str(x, m.denominator) for s, x in zip(m.items, m.column(t))}}
-            for t in m.buyers
-        ],
+        "buyers": [{"id": t, "demand": m.demand[t], "values": dict(zip(
+                        m.items, map(str, w) if d == 1 else [rational_to_str(x, d) for x in w]))}
+                   for t, w in zip(m.buyers, columns)],
     }
 
 
@@ -156,9 +161,9 @@ def generate_instance(seed: int, buyers: int, demand_profile: int | Sequence[int
         raise ModelError("demand profile must list a positive demand per buyer")
     names_t = [f"t{k + 1}" for k in range(buyers)]
     names_s = [f"s{k + 1}" for k in range(sum(demands))]
-    rng = random.Random(seed)
-    value = {(t, s): rng.randint(lo, hi) for t in names_t for s in names_s}
-    return Market.build(names_s, names_t, dict(zip(names_t, demands)), value)
+    draw = random.Random(seed).randrange       # randint(lo, hi) is randrange(lo, hi + 1)
+    columns = [[draw(lo, hi + 1) for _ in names_s] for _ in names_t]
+    return Market.from_columns(names_s, names_t, dict(zip(names_t, demands)), columns)
 
 
 def _pi_json(pi) -> dict:

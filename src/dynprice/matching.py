@@ -19,7 +19,7 @@ sorts the edges by item, then buyer, and checks that weights are ints or
 Fractions.  In the
 package only `with_capacity`, which keeps `build`'s rules for capacities,
 calls it.  `model.market_graph` constructs a market's graph directly: the
-market was validated by `Market.build`, it holds its values as integers
+market was validated by `Market.from_columns`, it holds its values as integers
 over one denominator already, and listing its pairs item by item, then
 buyer by buyer, is the canonical order.  Every other graph is derived from
 one of those (`induced`, `unit_subgraph`, ...) and keeps its edge order, so
@@ -29,7 +29,7 @@ A graph holds its weights once, as integers, in one edge table
 (`BipartiteGraph.table`, an `EdgeTable`): for each edge, in edge order, the
 positions of its item and its buyer in items + buyers, and its weight times
 the least common denominator D of the graph's weights.  Weights become
-integers only where they come from outside: `build` and `Market.build`
+integers only where they come from outside: `build` and `Market.from_columns`
 share `integer_weights`, and `market_graph` takes its market's integers and
 denominator as they are.  `induced`, `without` and `unit_subgraph` restrict
 their graph's table, dividing out the common factor that dropping edges may

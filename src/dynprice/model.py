@@ -5,9 +5,10 @@ Markets are complete bipartite: every (buyer, item) pair carries a value, with
 zero-valued pairs being real edges.  All values are exact rationals, and
 nothing in the engine rounds.  A market holds them once, as integers: each
 value times the values' least common denominator D, item by item, then buyer
-by buyer, which is the order of the market graph's edges, so `market_graph`
-takes them as its edge table's weights as they are.  `Market.build` turns the
-values it is given into these integers; `submarket` slices the kept rows and
+by buyer, the order of the market graph's edges, which `market_graph` takes
+as they are.  `Market.from_columns` makes them from one column of values per
+buyer and holds every check of ids, demands and values; `Market.build` hands
+it a (buyer, item) mapping's columns.  `submarket` slices the kept rows and
 columns and divides out their common factor with D, so a residual market is
 over its own least common denominator, as a fresh build would be.
 `Market.value` reads them back as Fractions, one per lookup.
@@ -18,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import AbstractSet, Iterable, Iterator, Mapping, Optional
+from typing import AbstractSet, Iterable, Iterator, Mapping, Optional, Sequence
 
 from . import matching
 from .dual import refine_covering
@@ -63,12 +64,10 @@ class Market:
     denominator: int
 
     @staticmethod
-    def build(items: Iterable[ItemId], buyers: Iterable[BuyerId],
-              demand: Mapping[BuyerId, int],
-              value: Mapping[tuple[BuyerId, ItemId], Fraction | int]) -> "Market":
+    def from_columns(items: Iterable[ItemId], buyers: Iterable[BuyerId],
+                     demand: Mapping[BuyerId, int], columns: Iterable[Sequence]) -> "Market":
+        """The market whose k-th buyer's values, ints or Fractions, item by item, are columns[k]."""
         items, buyers = id_tuple(items, "items"), id_tuple(buyers, "buyers")
-        if not isinstance(demand, Mapping) or not isinstance(value, Mapping):
-            raise ModelError("demands and values must be mappings")
         if len(set(items)) != len(items) or len(set(buyers)) != len(buyers):
             raise ModelError("duplicate ids")
         if set(items) & set(buyers):
@@ -76,18 +75,33 @@ class Market:
         for t in buyers:
             if t not in demand or type(demand[t]) is not int or demand[t] < 1:
                 raise ModelError(f"buyer {t} needs an int demand >= 1")
-        try:
-            values = [value[(t, s)] for s in items for t in buyers]
-        except KeyError as exc:
-            raise ModelError(f"missing value for (buyer, item) {exc}") from None
-        if len(demand) + len(value) != len(buyers) + len(values):
-            extra = [*set(demand).difference(buyers),
-                     *set(value).difference((t, s) for t in buyers for s in items)]
-            raise ModelError(f"demands or values for unknown ids: {sorted(extra, key=repr)!r}")
-        weight, denominator = matching.integer_weights(values, "values")
-        if any(x < 0 for x in weight):
+        columns = list(columns)
+        if len(columns) != len(buyers) or any(len(c) != len(items) for c in columns):
+            raise ModelError("values must be one column per buyer, one value per item")
+        weight, d = matching.integer_weights([x for r in zip(*columns) for x in r], "values")
+        if min(weight, default=0) < 0:
             raise ModelError("values must be non-negative")
-        return Market(items, buyers, {t: demand[t] for t in buyers}, weight, denominator)
+        return Market(items, buyers, {t: demand[t] for t in buyers}, weight, d)
+
+    @staticmethod
+    def build(items: Iterable[ItemId], buyers: Iterable[BuyerId],
+              demand: Mapping[BuyerId, int],
+              value: Mapping[tuple[BuyerId, ItemId], Fraction | int]) -> "Market":
+        """`from_columns` of a (buyer, item) -> value mapping; keys of unknown ids are refused."""
+        items, buyers = id_tuple(items, "items"), id_tuple(buyers, "buyers")
+        if not isinstance(demand, Mapping) or not isinstance(value, Mapping):
+            raise ModelError("demands and values must be mappings")
+
+        def columns():      # read by `from_columns` once the ids and demands pass
+            try:
+                yield from ([value[(t, s)] for s in items] for t in buyers)
+            except KeyError as exc:
+                raise ModelError(f"missing value for (buyer, item) {exc}") from None
+            if len(demand) + len(value) != len(buyers) * (1 + len(items)):
+                extra = [*set(demand).difference(buyers),
+                         *set(value).difference((t, s) for t in buyers for s in items)]
+                raise ModelError(f"demands or values for unknown ids: {sorted(extra, key=repr)!r}")
+        return Market.from_columns(items, buyers, demand, columns())
 
     @cached_property
     def value(self) -> Mapping[tuple[BuyerId, ItemId], Fraction]:

@@ -1,12 +1,12 @@
 import ast
 import json
+import math
 import random
 import re
 import runpy
 import sys
 from fractions import Fraction
 from pathlib import Path
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -81,22 +81,75 @@ def test_rational_string_roundtrip(x):
 
 
 def reference_parse_instance(raw) -> Market:
-    """`parse_instance` with one Fraction per value, integers included: the boundary
-    as it was before integer strings were handed over as ints."""
-    original = cli.rational_from_str
-
-    def fraction_from_str(raw, path="value"):
-        original(raw, path)             # the refusals, with their messages
-        return Fraction(raw)            # the value, by Fraction's own parse
-
-    with mock.patch.object(cli, "rational_from_str", fraction_from_str):
-        return parse_instance(raw)
+    """The format's parse written out with no code of `cli`'s: one Fraction per value,
+    read by its own pattern, each refusal's message spelled out, and the weights scaled
+    over the values' least common denominator here, not by `Market`'s constructors."""
+    try:
+        data = json.loads(raw)
+    except (ValueError, RecursionError) as exc:
+        raise ModelError(f"invalid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ModelError("top level must be an object")
+    items = data.get("items")
+    if not isinstance(items, list) or not all(isinstance(s, str) for s in items):
+        raise ModelError("items: must be a list of strings")
+    if not isinstance(data.get("buyers"), list):
+        raise ModelError("buyers: must be a list")
+    buyers, demand, value = [], {}, {}
+    for k, entry in enumerate(data["buyers"]):
+        path = f"buyers[{k}]"
+        if not isinstance(entry, dict):
+            raise ModelError(f"{path}: must be an object")
+        if not isinstance(entry.get("id"), str):
+            raise ModelError(f"{path}.id: must be a string")
+        if type(entry.get("demand")) is not int or entry["demand"] < 1:
+            raise ModelError(f"{path}.demand: must be a positive integer")
+        if not isinstance(entry.get("values"), dict):
+            raise ModelError(f"{path}.values: must be an object")
+        if set(entry["values"]) - set(items):
+            raise ModelError(f"{path}.values: unknown items "
+                             f"{sorted(set(entry['values']) - set(items))!r}")
+        for s in items:
+            where = f"{path}.values.{s}"
+            if s not in entry["values"]:
+                raise ModelError(f"{where}: missing (value matrix is complete)")
+            text = entry["values"][s]
+            if not isinstance(text, str):
+                raise ModelError(f"{where}: rationals must be strings, got {type(text).__name__}")
+            spelled = re.fullmatch(r"(-?[0-9]+)(?:/([0-9]+))?", text)
+            if spelled is None:
+                raise ModelError(f"{where}: malformed rational {text!r}")
+            try:
+                p, q = int(spelled[1]), int(spelled[2] or "1")
+            except ValueError as exc:
+                raise ModelError(f"{where}: {exc}") from None
+            if q == 0:
+                raise ModelError(f"{where}: denominator must be positive in {text!r}")
+            if p < 0:
+                raise ModelError(f"{where}: must be non-negative")
+            value[(entry["id"], s)] = Fraction(p, q)
+        buyers.append(entry["id"])
+        demand[entry["id"]] = entry["demand"]
+    if len(set(items)) != len(items) or len(set(buyers)) != len(buyers):
+        raise ModelError("duplicate ids")
+    if set(items) & set(buyers):
+        raise ModelError("item and buyer ids must be distinct")
+    d = math.lcm(1, *(x.denominator for x in value.values()))
+    weight = tuple(int(value[(t, s)] * d) for s in items for t in buyers)
+    return Market(tuple(items), tuple(buyers), demand, weight, d)
 
 
 _EDGE_VALUES = ["0", "-0", "0/5", "-0/5", "007", "6/3", "1" * 30, "9" * 30 + "/7",
-                "12/" + "4" * 30]
+                "12/" + "4" * 30, "1" * 4300]
 _REFUSED_VALUES = ["-1", "-2/3", "1/0", "3/-5", "+1", " 1", "1.0", "\u0661", "", "1/", "/2",
-                   "1" * 5000, "1/" + "7" * 5000, 1, 0, None, 1.5, True, ["1"]]
+                   "1" * 5000, "1/" + "7" * 5000, 1, 0, None, 1.5, True, ["1"],
+                   "\u00b2", "\u0663", "1" * 4301]
+# The digit fast path's boundary, listed last so that the cases before keep their ids:
+# digits that `str.isdigit` accepts but are not ASCII, and the interpreter's 4300-digit
+# limit on `int`.  "+1", "-0" and "007", which `int` reads too, are listed above.
+_BOUNDARY_VALUES = ["1" * 4300, "\u00b2", "\u0663", "1" * 4301]
+_CASES = [*(v for v in _EDGE_VALUES + _REFUSED_VALUES if v not in _BOUNDARY_VALUES),
+          *_BOUNDARY_VALUES]
 _VALUES = st.one_of(
     st.integers(0, 10**6).map(str),
     st.tuples(st.integers(0, 10**6), st.integers(1, 360)).map(lambda pq: f"{pq[0]}/{pq[1]}"),
@@ -155,9 +208,7 @@ def test_parse_is_the_one_fraction_per_value_reference():
         assert message in errors, message
 
 
-@pytest.mark.parametrize("value", _EDGE_VALUES + _REFUSED_VALUES,
-                         ids=[f"{k}:{v!r:.12}"
-                              for k, v in enumerate(_EDGE_VALUES + _REFUSED_VALUES)])
+@pytest.mark.parametrize("value", _CASES, ids=[f"{k}:{v!r:.12}" for k, v in enumerate(_CASES)])
 def test_parse_of_each_edge_case_is_the_reference(value):
     # each value of the documents above, alone and beside a "p/q" value
     for values in ({"s1": value}, {"s1": value, "s2": "1/2"}):
@@ -225,6 +276,62 @@ def test_cli_generate(capsys):
     data = json.loads(capsys.readouterr().out)
     m = parse_instance(json.dumps(data))
     assert m.demand == {"t1": 2, "t2": 1} and len(m.items) == 3
+
+
+# the output of `dynprice generate --seed 1 --buyers 4 --demands 2`, pinned byte for byte
+_GENERATED_SEED_1 = (
+    '{"buyers": [{"demand": 2, "id": "t1", "values": {"s1": "5", "s2": "19", "s3": "3", '
+    '"s4": "9", "s5": "4", "s6": "16", "s7": "15", "s8": "16"}}, {"demand": 2, "id": "t2", '
+    '"values": {"s1": "13", "s2": "7", "s3": "4", "s4": "16", "s5": "1", "s6": "13", "s7": '
+    '"14", "s8": "20"}}, {"demand": 2, "id": "t3", "values": {"s1": "1", "s2": "15", "s3": '
+    '"9", "s4": "8", "s5": "19", "s6": "4", "s7": "11", "s8": "1"}}, {"demand": 2, "id": '
+    '"t4", "values": {"s1": "1", "s2": "1", "s3": "18", "s4": "1", "s5": "13", "s6": "7", '
+    '"s7": "14", "s8": "1"}}], "items": ["s1", "s2", "s3", "s4", "s5", "s6", "s7", "s8"]}')
+
+
+def test_cli_generate_prints_the_same_bytes(capsys):
+    assert main(["generate", "--seed", "1", "--buyers", "4", "--demands", "2"]) == 0
+    assert capsys.readouterr().out == _GENERATED_SEED_1 + "\n"
+
+
+def reference_serialize_market(m: Market) -> dict:
+    """`serialize_market` with one `rational_to_str` per value, read through `Market.value`."""
+    return {"items": list(m.items),
+            "buyers": [{"id": t, "demand": m.demand[t],
+                        "values": {s: rational_to_str(m.value[(t, s)]) for s in m.items}}
+                       for t in m.buyers]}
+
+
+@st.composite
+def value_markets(draw):
+    """A market of up to 4 items and 4 buyers: ints, zeros, and now and then Fractions."""
+    items = [f"s{k + 1}" for k in range(draw(st.integers(0, 4)))]
+    buyers = [f"t{k + 1}" for k in range(draw(st.integers(0, 4)))]
+    values = st.integers(0, 30) | st.sampled_from([0, 10**40])
+    if draw(st.booleans()):
+        values |= st.fractions(0, 30, max_denominator=12)
+    return Market.build(items, buyers, {t: draw(st.integers(1, 2)) for t in buyers},
+                        {(t, s): draw(values) for t in buyers for s in items})
+
+
+@settings(max_examples=150, deadline=None)
+@given(value_markets())
+def test_serialize_is_the_one_string_per_value_reference(m):
+    # every value, in item order, over the market's denominator or as the int it is
+    assert json.dumps(serialize_market(m)) == json.dumps(reference_serialize_market(m))
+    assert parse_instance(json.dumps(serialize_market(m))) == m
+
+
+def test_serialize_meets_ints_zeros_and_denominators_above_one():
+    zeros = Market.build(["s1", "s2"], ["t1"], {"t1": 1}, {("t1", "s1"): 0, ("t1", "s2"): 0})
+    halves = Market.build(["s1", "s2"], ["t1", "t2"], {"t1": 1, "t2": 1},
+                          {("t1", "s1"): Fraction(1, 2), ("t1", "s2"): 0,
+                           ("t2", "s1"): Fraction(7, 6), ("t2", "s2"): 3})
+    assert halves.denominator == 6
+    for m in (generate_instance(5, 3, 2, (1, 9)), zeros, halves):
+        assert serialize_market(m) == reference_serialize_market(m)
+    assert serialize_market(halves)["buyers"][1]["values"] == {"s1": "7/6", "s2": "3"}
+    assert serialize_market(zeros)["buyers"][0]["values"] == {"s1": "0", "s2": "0"}
 
 
 @pytest.mark.parametrize("size", [["--buyers", "1", "--demands", "1000000000"],

@@ -70,6 +70,80 @@ def test_market_build_refuses_entries_for_unknown_ids(demand, value, unknown):
         Market.build(["s1"], ["t1"], demand, {("t1", "s1"): 3, **value})
 
 
+def _built(make):
+    """The market's fields, or the ModelError's message."""
+    try:
+        m = make()
+    except ModelError as exc:
+        return str(exc)
+    return m.items, m.buyers, dict(m.demand), m.weight, m.denominator
+
+
+def _from_mapping(items, buyers, demand, columns, more_demand=(), more_value=()):
+    """`Market.build` on the (buyer, item) mapping of the columns, and more entries."""
+    value = {(t, s): x for t, column in zip(buyers, columns) for s, x in zip(items, column)}
+    return Market.build(items, buyers, {**demand, **dict(more_demand)},
+                        {**value, **dict(more_value)})
+
+
+_COLUMN_MARKET = (["s1", "s2", "s3"], ["t1", "t2"], {"t1": 2, "t2": 1},
+                  [[1, Fraction(1, 2), 0], [Fraction(5, 3), 4, 7]])
+
+
+@pytest.mark.parametrize("items, buyers, demand, columns", [
+    _COLUMN_MARKET,
+    (["s1", "s2"], ["t1"], {"t1": 1}, [[3, 0]]),
+    (["s1"], [], {}, []),
+    ([], ["t1", "t2"], {"t1": 1, "t2": 2}, [[], []]),
+    (["s1", "s1"], ["t1"], {"t1": 1}, [[1, 2]]),                         # duplicate items
+    (["s1"], ["t1", "t1"], {"t1": 1}, [[1], [1]]),                       # duplicate buyers
+    (["s1", "t2"], ["t1", "t2"], {"t1": 1, "t2": 1}, [[1, 1], [1, 1]]),  # an id clash
+    (["s1"], ["t1", "t2"], {"t1": 1}, [[1], [1]]),                       # a missing demand
+    (["s1"], ["t1"], {"t1": 0}, [[1]]),
+    (["s1"], ["t1"], {"t1": True}, [[1]]),
+    (["s1"], ["t1"], {"t1": 1.0}, [[1]]),
+    (["s1", "s2"], ["t1"], {"t1": 1}, [[1, -1]]),
+    (["s1", "s2"], ["t1"], {"t1": 1}, [[1, Fraction(-1, 2)]]),
+    (["s1", "s2"], ["t1"], {"t1": 1}, [[1, 1.5]]),
+    (["s1", "s2"], ["t1"], {"t1": 1}, [[1, True]]),
+    (["s1", "s1"], ["t1"], {"t1": 0}, [[1, -1]]),                        # the first check wins
+    (["s1"], ["t1"], {"t1": 0}, [[-1]]),
+], ids=["fractions", "ints", "no-buyers", "no-items", "dup-items", "dup-buyers", "clash",
+        "no-demand", "demand-zero", "demand-bool", "demand-float", "negative",
+        "negative-fraction", "float", "bool", "dup-and-demand", "demand-and-negative"])
+def test_build_and_from_columns_are_one_check_path(items, buyers, demand, columns):
+    # the same market, or the same refusal with the same message
+    by_columns = _built(lambda: Market.from_columns(items, buyers, demand, columns))
+    assert by_columns == _built(lambda: _from_mapping(items, buyers, demand, columns))
+    if isinstance(by_columns, tuple):
+        assert {type(w) for w in by_columns[3]} <= {int}
+
+
+@pytest.mark.parametrize("more_demand, more_value, unknown", [
+    ({"tX": 1}, {}, "'tX'"),
+    ({}, {("t1", "sX"): 1}, "('t1', 'sX')"),
+    ({}, {("t1", "sX"): -1, ("t1", "s1"): -1}, "('t1', 'sX')"),  # before the value's sign
+])
+def test_only_build_refuses_missing_values_and_unknown_ids(more_demand, more_value, unknown):
+    # a mapping can hold entries no column has, and miss one a column has
+    items, buyers, demand, columns = _COLUMN_MARKET
+    assert isinstance(_built(lambda: Market.from_columns(items, buyers, demand, columns)), tuple)
+    refusal = _built(lambda: _from_mapping(items, buyers, demand, columns, more_demand,
+                                           more_value))
+    assert refusal == f"demands or values for unknown ids: [{unknown}]"
+    value = {(t, s): x for t, column in zip(buyers, columns) for s, x in zip(items, column)}
+    del value[("t2", "s3")]
+    assert _built(lambda: Market.build(items, buyers, demand, value)) == \
+        "missing value for (buyer, item) ('t2', 's3')"
+
+
+@pytest.mark.parametrize("columns", [[[1, 2]], [[1], [2]], [[1, 2, 3], [1, 2]], [[1, 2], [3]]])
+def test_from_columns_refuses_columns_of_the_wrong_shape(columns):
+    message = "^values must be one column per buyer, one value per item$"
+    with pytest.raises(ModelError, match=message):
+        Market.from_columns(["s1", "s2"], ["t1", "t2"], {"t1": 1, "t2": 1}, columns)
+
+
 def build_market(count, value):
     return Market.build(["s1"], ["t1"], {"t1": count}, {("t1", "s1"): value})
 
