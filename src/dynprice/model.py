@@ -110,13 +110,19 @@ class Market:
 
     def column(self, t: BuyerId) -> tuple[int, ...]:
         """Buyer t's values times the denominator, item by item."""
-        if t not in self.buyers:
-            raise ModelError(f"unknown buyer {t!r}")
-        return self.weight[self.buyers.index(t)::len(self.buyers)]
+        try:
+            k = self.buyers.index(t)
+        except ValueError:
+            raise ModelError(f"unknown buyer {t!r}") from None
+        return self.weight[k::len(self.buyers)]
 
     def _hold(self, m: frozenset[matching.Edge], q: tuple[int, ...], unit: int) -> None:
-        """Keep an optimum m and its dual q / unit for `restrict_market` to hand down."""
-        self.__dict__["basis"] = (m, q, unit)
+        """Keep trim's optimum m and its dual q / unit, q by position in items + buyers, in
+        one slot, the market's basis, with q keyed by vertex.  A round that trims nothing
+        writes it; `restrict_market` moves it whole, `trim_items` pops it and takes only
+        what `warm_min_edge_optimum` certifies.  It is no argument: the benchmark's runs
+        (perfbench/workloads.py) price a market, then restrict that same object."""
+        self.__dict__["basis"] = (m, dict(zip(self.items + self.buyers, q)), unit)
 
 
 @dataclass(frozen=True)
@@ -219,12 +225,13 @@ def trim_items(m: Market) -> tuple[Market, BipartiteGraph, frozenset[ItemId],
     2, the sets are {s1, s2, s4}, {s1, s3, s4} and {s2, s3, s4}, and trim
     keeps {s1, s3, s4}.
 
-    A market that inherited an optimum and dual (`restrict_market`) drops them and
-    starts from them; an optimum they prove uses every item, as the solve's then does.
+    A market holding a basis (`Market._hold`) drops it and starts from it, its dual read
+    at the graph's vertices; an optimum it proves uses every item, as the solve's does.
     """
     g = market_graph(m)
-    inherited = m.__dict__.pop("inherited", None)
-    best = inherited and matching.warm_min_edge_optimum(g, *inherited)
+    basis = m.__dict__.pop("basis", None)
+    best = basis and matching.warm_min_edge_optimum(
+        g, basis[0], [basis[1][v] for v in g.items + g.buyers], basis[2])
     if best is None:        # an empty optimum, of a residual with no items, is one too
         best, _ = matching.lexicographic_min_edge_optimum(g)
     used = {s for s, _ in best}
@@ -237,7 +244,7 @@ def trim_items(m: Market) -> tuple[Market, BipartiteGraph, frozenset[ItemId],
 
 def restrict_market(m: Market, departed: BuyerId, sold: Iterable[ItemId]) -> Market:
     """The market after a buyer leaves with (possibly zero, at most its demand) sold items;
-    it takes over, restricted, the optimum and dual m holds (`Market._hold`)."""
+    the basis m holds (`Market._hold`) moves to it whole, for its trim to certify."""
     sold = frozen_ids(sold, "items")
     if departed not in m.buyers:
         raise ModelError(f"unknown buyer {departed!r}")
@@ -248,9 +255,5 @@ def restrict_market(m: Market, departed: BuyerId, sold: Iterable[ItemId]) -> Mar
         raise ModelError(f"bundle of {departed} exceeds demand")
     residual = submarket(m, set(m.items) - sold, set(m.buyers) - {departed})
     if "basis" in m.__dict__:
-        best, q, unit = m.__dict__.pop("basis")
-        q = dict(zip(m.items + m.buyers, q))
-        residual.__dict__["inherited"] = (
-            frozenset((s, t) for s, t in best if t != departed and s not in sold),
-            tuple([q[v] for v in residual.items + residual.buyers]), unit)
+        residual.__dict__["basis"] = m.__dict__.pop("basis")
     return residual

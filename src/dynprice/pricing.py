@@ -10,9 +10,10 @@ One graph and at most one weighted solve per round: `trim_items` returns the
 trimmed market's graph and its certified optimum, from which the structured
 dual starts, and the tight graph is cut from that graph, holding that optimum
 as its maximum b-matching.  A market trimmed of nothing keeps that optimum and
-dual, from which its residual's trim starts (`restrict_market`), so a run's
-later rounds rarely solve.  The ordering layer takes the tight graph alone:
-`ordering_method` reads its buyers and capacities (the demands).
+dual as its basis (`Market._hold`), which `restrict_market` moves whole to its
+residual, whose trim starts from it, so a run's later rounds rarely solve.  The
+ordering layer takes the tight graph alone: `ordering_method` reads its buyers
+and capacities (the demands).
 """
 
 from __future__ import annotations

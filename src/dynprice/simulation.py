@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 import random
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import chain, combinations
 from typing import Callable, Iterable, Optional, Sequence
@@ -64,8 +64,8 @@ class _Oracle:
         self.buyers = m.buyers
         self.start = tuple(m.demand[t] for t in m.buyers)
         self.denom = m.denominator
-        columns = [m.column(t) for t in m.buyers]
-        self.w = [[c[i] for c in columns] for i in range(len(m.items))]
+        n = len(m.buyers)
+        self.w = [m.weight[i * n:(i + 1) * n] for i in range(len(m.items))]
         self._memo: dict[tuple[int, tuple[int, ...]], int] = {}
 
     def best_from(self, i: int, caps: tuple[int, ...]) -> int:
@@ -161,7 +161,7 @@ def oracle_feasible(m: Market, t: BuyerId, F: Iterable[ItemId]) -> bool:
     F = frozen_ids(F, "items")
     if t in m.buyers and len(F) > m.demand[t] and F <= set(m.items):
         return False
-    rest = restrict_market(m, t, F)     # ModelError on an unknown buyer or item
+    rest = restrict_market(replace(m), t, F)    # a copy keeps m's basis; ModelError on unknown ids
     bundle_value = sum((m.value[(t, s)] for s in F), Fraction(0))
     return bundle_value + oracle_opt_value(rest) == oracle_opt_value(m)
 

@@ -332,20 +332,19 @@ def _run_against_fresh_copies(m, price, pick, rng, cold, warm):
         if k:
             paths.append("warm" if len(cold) == solves else
                          "refused" if len(warm) > tries else "none")
-        assert "inherited" not in m.__dict__       # released once trim has read it
+        basis = m.__dict__.get("basis")     # its own basis or none, never its parent's
+        assert basis is None or set(basis[1]) == set(m.items + m.buyers)
         assert _round_fields(rp) == _round_fields(price(fresh))
         choice = pick(best_bundles(m, t, rp.prices))
         m = model.restrict_market(m, t, choice)
     return paths
 
 
-def test_a_round_from_an_inherited_basis_is_the_round_from_scratch(monkeypatch):
-    # a residual starts trim from its parent round's certified optimum and dual;
-    # where that start proves nothing, the cold solve runs; either way every
-    # price, delta, ordering, dual, trimmed item and trimmed market is the one a
-    # market with no basis gets
+@pytest.fixture
+def trim_starts(monkeypatch):
+    """Two lists that grow by one on each cold trim solve and on each warm start
+    tried, which appends what it returns: None where it proves no optimum."""
     from dynprice import matching
-    from dynprice.simulation import reversed_ordering_strategy
     cold, warm = [], []
     solve, start = matching.lexicographic_min_edge_optimum, matching.warm_min_edge_optimum
 
@@ -359,6 +358,16 @@ def test_a_round_from_an_inherited_basis_is_the_round_from_scratch(monkeypatch):
 
     monkeypatch.setattr(matching, "lexicographic_min_edge_optimum", counting_solve)
     monkeypatch.setattr(matching, "warm_min_edge_optimum", counting_start)
+    return cold, warm
+
+
+def test_a_round_from_an_inherited_basis_is_the_round_from_scratch(trim_starts):
+    # a residual starts trim from its parent round's certified optimum and dual;
+    # where that start proves nothing, the cold solve runs; either way every
+    # price, delta, ordering, dual, trimmed item and trimmed market is the one a
+    # market with no basis gets
+    from dynprice.simulation import reversed_ordering_strategy
+    cold, warm = trim_starts
     rng = random.Random(34)
     reversed_round = lambda m: multi_round(m, reversed_ordering_strategy)
     empties = []
@@ -407,6 +416,67 @@ def test_a_round_from_an_inherited_basis_is_the_round_from_scratch(monkeypatch):
     assert paths["reversed"].count("refused") > 10 and "warm" in paths["reversed"]
 
 
+def test_a_market_priced_twice_reprices_from_its_own_basis(trim_starts):
+    # the second pricing of a market that trimmed nothing starts from the basis
+    # the first left on it, solves nothing and prices the same round
+    cold, _ = trim_starts
+    warm_rounds = 0
+    for seed in range(12):
+        for m, price in ((generate_instance(seed, 6 + seed % 7, 1, (1, 3)), unit_round),
+                         (generate_instance(seed, 3, [3, 2, 1], (1, 4)), multi_round),
+                         (generate_instance(seed, 4 + seed % 5, 2, (1, 3)), multi_round)):
+            first = price(m)
+            held = "basis" in m.__dict__
+            solves = len(cold)
+            assert _round_fields(price(m)) == _round_fields(first)
+            assert held == (not first.removed)
+            warm_rounds += held
+            assert len(cold) == solves + (not held)
+    assert warm_rounds >= 30
+
+
+def test_a_residual_restricted_twice_hands_on_the_older_basis(trim_starts):
+    # restricted again before it is priced, a residual moves the basis it holds
+    # on; its round equals a fresh copy's whether that start is taken or refused
+    cold, warm = trim_starts
+    paths = []
+    for seed in range(24):
+        for m, price in ((generate_instance(seed, 5 + seed % 5, 1, (1, 3)), unit_round),
+                         (generate_instance(seed, 4 + seed % 4, 2, (1, 3)), multi_round)):
+            rp = price(m)
+            if rp.removed:
+                continue
+            best = m.__dict__["basis"][0]
+            t1, t2 = m.buyers[:2]
+            first = best_bundles(m, t1, rp.prices)[0]
+            # t2 takes its items in trim's optimum, or leaves with nothing
+            second = [frozenset(s for s, t in best if t == t2 and s not in first), frozenset()]
+            r = model.restrict_market(m, t1, first)
+            r = model.restrict_market(r, t2, second[seed % 2])
+            assert "basis" in r.__dict__
+            fresh = Market.build(r.items, r.buyers, r.demand, dict(r.value))
+            solves, tries = len(cold), len(warm)
+            got = price(r)
+            assert len(warm) == tries + 1
+            paths.append("warm" if len(cold) == solves else "refused")
+            assert _round_fields(got) == _round_fields(price(fresh))
+    assert paths.count("warm") >= 10 and paths.count("refused") >= 10
+
+
+def test_oracle_feasible_leaves_a_priced_market_its_basis(trim_starts):
+    # a read-only query: the round after it still starts from the market's basis
+    cold, _ = trim_starts
+    for seed in range(1, 7):
+        m = generate_instance(seed, 5, 1, (1, 3))
+        rp = unit_round(m)
+        t = m.buyers[0]
+        bundle = best_bundles(m, t, rp.prices)[0]
+        assert oracle_feasible(m, t, bundle) and "basis" in m.__dict__
+        solves = len(cold)
+        unit_round(model.restrict_market(m, t, bundle))
+        assert len(cold) == solves
+
+
 def test_an_inherited_dual_of_zero_on_an_item_is_refused():
     # s2 is worth nothing to anyone, so (q, m) below is an optimal pair that uses
     # it; a fewest-edge optimum leaves it out, so the warm start must not be taken
@@ -422,47 +492,55 @@ def test_an_inherited_dual_of_zero_on_an_item_is_refused():
 
 def test_no_round_grows_the_same_bmatching_twice(monkeypatch):
     # every graph of a round, the tight graph and the bi-demand recursion's
-    # graphs included, grows its maximum b-matching once: no copy regrows it,
-    # and most of the graphs a round reads hold one handed down instead
+    # graphs included, grows its maximum b-matching at most once: no copy
+    # regrows it, and the tight graph grows none, holding trim's optimum
     from dynprice import BipartiteGraph
     workloads = benchmark_workloads()
     name = "max_cardinality_bmatching"
     grow = getattr(BipartiteGraph, name).func
     grown: list = []
     read: dict = {}             # id -> each graph whose b-matching the round reads
-    rounds, grown_rounds = [], []
-    price = pricing.multi_round
+    tight: list = []            # each round's tight graph
+    rounds, tight_read = [], 0
+    price, cut = pricing.multi_round, pricing.tight_subgraph
 
     class Reading:
-        # a data descriptor: it sees every read, of a grown or a handed-down b-matching
+        # a data descriptor: it sees every read, of a grown or a seeded b-matching
         def __get__(self, g, cls=None):
             if g is None:
                 return self
             read[id(g)] = g
             if name not in g.__dict__:
-                grown.append((g.edges, frozenset(g.capacity.items())))
+                grown.append(g)
                 g.__dict__[name] = grow(g)
             return g.__dict__[name]
 
         def __set__(self, g, value):
             raise AttributeError(name)
 
+    def tight_subgraph(sc, g):
+        tight.append(cut(sc, g))
+        return tight[-1]
+
     def round_(m, strategy=None):
+        nonlocal tight_read
         grown.clear()
         read.clear()
         rp = price(m, strategy)
         rounds.append(len(read))
-        grown_rounds.append(len(grown))
-        assert len(set(grown)) == len(grown)
+        keys = [(g.edges, frozenset(g.capacity.items())) for g in grown]
+        assert len(set(keys)) == len(keys)
+        assert not any(g is tight[-1] for g in grown)
+        tight_read += id(tight[-1]) in read
         return rp
 
     monkeypatch.setattr(BipartiteGraph, name, Reading())
     monkeypatch.setattr(workloads, "probe", lambda: workloads.REFERENCE_S)  # no timing here
     monkeypatch.setattr(pricing, "multi_round", round_)
+    monkeypatch.setattr(pricing, "tight_subgraph", tight_subgraph)
     for case in workloads.set_up("price-bidemand", 3):
         assert workloads.dynamic_run(case, "multi").error is None
-    assert len(rounds) == 240 and sum(rounds) >= 600
-    assert sum(grown_rounds) <= 200
+    assert len(rounds) == 240 and sum(rounds) >= 600 and tight_read == len(rounds)
 
 
 def test_adequacy_certificate_matches_the_cold_reference_on_price_pools(monkeypatch):

@@ -422,33 +422,50 @@ def search_answers(g: BipartiteGraph) -> list:
                for F in combinations(g.buyer_adj[t], g.capacity[t])])
 
 
+def reversed_bfactor(g: BipartiteGraph) -> dict:
+    """The owners of a maximum b-matching of g grown over its buyers and their
+    items in reverse order, most often another one than g grows."""
+    from dynprice.matching import augment
+    owner, load = {}, dict.fromkeys(reversed(g.buyers), 0)
+    augment({t: adj[::-1] for t, adj in g.buyer_adj.items()}, g.capacity, owner, load)
+    return owner
+
+
 def test_answers_do_not_depend_on_which_bfactor_a_graph_holds(bidemand_recursion, wrapper_corpus):
-    # each graph the bi-demand ordering receives, holding the b-factor handed
-    # down to it, answers as a copy of it that grows its own from empty
+    # each graph the bi-demand ordering receives answers the same holding a
+    # b-factor grown in reverse order as a copy of it that grows its own from empty
     other = 0
     for g in bidemand_recursion + wrapper_corpus:
         fresh = dataclasses.replace(g)
         assert "max_cardinality_bmatching" not in fresh.__dict__
-        assert search_answers(g) == search_answers(fresh)
-        other += dict(g.max_cardinality_bmatching[0]) != dict(fresh.max_cardinality_bmatching[0])
+        seeded = dataclasses.replace(g)._hold(reversed_bfactor(g))
+        assert "max_cardinality_bmatching" in seeded.__dict__
+        assert search_answers(seeded) == search_answers(fresh)
+        other += (dict(seeded.max_cardinality_bmatching[0])
+                  != dict(fresh.max_cardinality_bmatching[0]))
     assert other >= 100
 
 
 def test_a_handed_down_bmatching_must_be_a_bfactor_of_the_child(bidemand_recursion,
                                                                  wrapper_corpus):
-    # a subgraph without one of the parent's b-factor edges grows its own b-matching;
-    # without an edge outside it, the subgraph holds the parent's
+    # `_hold` keeps the owners it is handed only where they are a b-factor of its
+    # graph: not without one matched edge, nor on a subgraph without one; it keeps
+    # them on a subgraph without an edge outside them
     dropped = kept = 0
     for g in bidemand_recursion + wrapper_corpus:
         owner = dict(g.max_cardinality_bmatching[0])
+        held = dataclasses.replace(g)._hold(owner)
+        assert dict(held.__dict__["max_cardinality_bmatching"][0]) == owner
         matched = next(iter(owner.items()))
-        child = g.unit_subgraph(set(g.edges) - {matched})
+        short = dataclasses.replace(g)._hold({s: t for s, t in owner.items() if s != matched[0]})
+        assert "max_cardinality_bmatching" not in short.__dict__
+        child = g.unit_subgraph(set(g.edges) - {matched})._hold(owner)
         assert "max_cardinality_bmatching" not in child.__dict__
         assert matched not in child.max_cardinality_bmatching[0].items()
         dropped += 1
         spare = next((e for e in g.edges if owner[e[0]] != e[1]), None)
         if spare is not None:
-            child = g.unit_subgraph(set(g.edges) - {spare})
+            child = g.unit_subgraph(set(g.edges) - {spare})._hold(owner)
             assert dict(child.__dict__["max_cardinality_bmatching"][0]) == owner
             kept += 1
     assert dropped >= 600 and kept >= 400
