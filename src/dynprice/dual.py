@@ -64,7 +64,7 @@ from typing import Optional
 
 from . import matching
 from .errors import ContractViolationError, InternalConsistencyError, ModelError
-from .matching import BipartiteGraph, Covering, Edge, contains
+from .matching import BipartiteGraph, Covering, Edge, contains, strong_components
 
 
 @dataclass(frozen=True)
@@ -143,52 +143,6 @@ def _seller_optimal(out: Arcs, z: int) -> list[int]:
     return dist
 
 
-def _components(succ: list[list[int]]) -> tuple[list[int], list[int]]:
-    """The strong components of the digraph succ (node -> heads) and their heights
-    in the condensation, from one iterative pass of Tarjan's algorithm.
-
-    Returns each node's component and each component's height: 0 for a
-    component that no arc leaves, else one more than the highest component an
-    arc leads to.  Tarjan completes a component only after every component it
-    reaches, so its height is known when it is completed.
-    """
-    n = len(succ)
-    index, low, comp = [-1] * n, [0] * n, [-1] * n
-    height: list[int] = []
-    stack: list[int] = []
-    visited = 0
-    for root in range(n):
-        if index[root] >= 0:
-            continue
-        index[root] = low[root] = visited
-        visited += 1
-        stack.append(root)
-        work = [(root, iter(succ[root]))]
-        while work:
-            a, heads = work[-1]
-            for b in heads:
-                if index[b] < 0:            # a tree arc: descend into b
-                    index[b] = low[b] = visited
-                    visited += 1
-                    stack.append(b)
-                    work.append((b, iter(succ[b])))
-                    break
-                if comp[b] < 0 and index[b] < low[a]:   # b is on the stack
-                    low[a] = index[b]
-            else:                           # a is done
-                work.pop()
-                if work and low[a] < low[work[-1][0]]:
-                    low[work[-1][0]] = low[a]
-                if low[a] == index[a]:      # a roots a component: the stack down to a
-                    c, members = len(height), []
-                    while not members or members[-1] != a:
-                        members.append(stack.pop())
-                        comp[members[-1]] = c
-                    height.append(max([height[comp[b]] + 1 for v in members for b in succ[v]
-                                       if comp[b] != c], default=0))
-    return comp, height
-
-
 def _shift_by_scc(p: list[int], out: Arcs, z: int
                   ) -> tuple[list[int], int, list[list[int]], list[int]]:
     """Potentials made strictly complementary, multiplied by the returned factor, the
@@ -208,7 +162,7 @@ def _shift_by_scc(p: list[int], out: Arcs, z: int
                 succ[a].append(b)
             elif least is None or rc < least:
                 least = rc
-    comp, height = _components(succ)
+    comp, height = strong_components(succ)
     factor = max(height) + 2
     step = 1 if least is None else least
     base = height[comp[z]]

@@ -247,6 +247,20 @@ class BipartiteGraph:
         reached = augment(self.buyer_adj, self.capacity, owner, load)
         return MappingProxyType(owner), MappingProxyType(load), frozenset(reached)
 
+    @cached_property
+    def factor_components(self) -> Optional[tuple[frozenset[BuyerId], ...]]:
+        """The strong components of the held b-factor's buyer digraph, t -> the owner of
+        each of t's items, or None when the held maximum b-matching is no b-factor: the
+        arcs that leave a buyer set count its surplus (`sets`)."""
+        owner = self.max_cardinality_bmatching[0]
+        if not len(owner) == len(self.items) == self.buyer_capacity_total():
+            return None
+        pos = {t: k for k, t in enumerate(self.buyers)}
+        comp, height = strong_components([[pos[owner[s]] for s in self.buyer_adj[t]]
+                                          for t in self.buyers])
+        return tuple(frozenset(t for t, c in zip(self.buyers, comp) if c == k)
+                     for k in range(len(height)))
+
     def _hold(self, owner: Mapping[ItemId, BuyerId]) -> "BipartiteGraph":
         """This graph, keeping owner restricted to it as its maximum b-matching when that
         is a b-factor: every item owned along an edge, every load at its capacity.  Only
@@ -563,6 +577,48 @@ def augment(adj: Mapping[BuyerId, tuple[ItemId, ...]], cap: Mapping[BuyerId, flo
                 load[t] += 1
                 break
             s, t = came[t]
+
+
+def strong_components(succ: list[list[int]]) -> tuple[list[int], list[int]]:
+    """Each node's strong component in the digraph succ (node -> heads) and each
+    component's height in the condensation: 0 where no arc leaves it, else one more
+    than the highest component an arc leads to.  One iterative pass of Tarjan's
+    algorithm, which completes a component after every component it reaches."""
+    n = len(succ)
+    index, low, comp = [-1] * n, [0] * n, [-1] * n
+    height: list[int] = []
+    stack: list[int] = []
+    visited = 0
+    for root in range(n):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = visited
+        visited += 1
+        stack.append(root)
+        work = [(root, iter(succ[root]))]
+        while work:
+            a, heads = work[-1]
+            for b in heads:
+                if index[b] < 0:            # a tree arc: descend into b
+                    index[b] = low[b] = visited
+                    visited += 1
+                    stack.append(b)
+                    work.append((b, iter(succ[b])))
+                    break
+                if comp[b] < 0 and index[b] < low[a]:   # b is on the stack
+                    low[a] = index[b]
+            else:                           # a is done
+                work.pop()
+                if work and low[a] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[a]
+                if low[a] == index[a]:      # a roots a component: the stack down to a
+                    c, members = len(height), []
+                    while not members or members[-1] != a:
+                        members.append(stack.pop())
+                        comp[members[-1]] = c
+                    height.append(max([height[comp[b]] + 1 for v in members for b in succ[v]
+                                       if comp[b] != c], default=0))
+    return comp, height
 
 
 def bfactor_exists(g: BipartiteGraph) -> tuple[bool, Optional[frozenset[BuyerId]]]:

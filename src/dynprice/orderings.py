@@ -16,18 +16,18 @@ tight graph (unit weights, every edge in a b-factor), with no refine: its dual
 is constant.  An edge in no b-factor means a buyer set of surplus zero, which
 `sets.maximal_dangerous_set` refuses as a contract error.  After a descent
 that cuts the graph, `_bidemand_wrapper` runs the cases on the part as it
-stands when its b-factor digraph is strongly connected on each piece: then
-every edge lies in a b-factor and the dual is constant.  Else it refines the
-part from its maximum b-matching (no solve), runs the cases on its tight
-subgraph and lifts them by `combine`; a contract error there is an
-InternalConsistencyError.  Case 3 refines nothing: each component of a tight
-graph has a constant dual.
+stands when no arc leaves a strong component of its b-factor digraph, which the
+surplus searches read too: then every edge lies in a b-factor and the dual is
+constant.  Else it refines the part from its maximum b-matching (no solve),
+runs the cases on its tight subgraph and lifts them by `combine`; a contract
+error there is an InternalConsistencyError.  Case 3 refines nothing: each
+component of a tight graph has a constant dual.
 
 `_bidemand_cases` tries the cases in this order; N(Y) is the items tight for
 some buyer in Y, Z a maximal dangerous set and X a minimal one disjoint from Z:
 - base: at most one buyer.  No cut; its items in item order.
-- 3: the graph splits.  Each component in turn, recursing on it as it stands,
-  or, with one buyer, the base case in place.
+- 3: the graph splits (one breadth-first search).  Each component in turn,
+  recursing on it as it stands, or, with one buyer, the base case in place.
 - 1: no dangerous set.  No cut; the items in item order.
 - 2.1: no X.  The items outside N(Z), then Z on N(Z) less s0 (the first item of
   N(Z) tight for a buyer outside Z) through the wrapper, then s0.
@@ -41,10 +41,11 @@ some buyer in Y, Z a maximal dangerous set and X a minimal one disjoint from Z:
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping, Sequence
 from itertools import combinations
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Optional
 
-from . import dual, matching, sets
+from . import matching, sets
 from .dual import refine_covering, tight_subgraph
 from .errors import ContractViolationError, InternalConsistencyError, ModelError
 from .matching import BipartiteGraph, BuyerId, Covering, ItemId, id_tuple
@@ -151,15 +152,21 @@ def adequate_two_buyers(gpi: BipartiteGraph) -> tuple[ItemId, ...]:
 
 
 def _components(g: BipartiteGraph) -> list[tuple[list[ItemId], list[BuyerId]]]:
-    """g's connected components, the strong components of its symmetric digraph, by
-    first buyer, each as its items and its buyers in g's orders."""
+    """g's connected components, by first buyer, each as its items and its buyers in
+    g's orders: one breadth-first search from each buyer that none has reached."""
     n = len(g.items)
-    succ: list[list[int]] = [[] for _ in g.items + g.buyers]
+    adj: list[list[int]] = [[] for _ in g.items + g.buyers]
     for a, b in g.table.ends:
-        succ[a].append(b)
-        succ[b].append(a)
-    comp = dual._components(succ)[0]
-    if not set(comp[:n]) <= set(comp[n:]):
+        adj[a].append(b)
+        adj[b].append(a)
+    comp = [-1] * len(adj)          # each vertex's first buyer
+    for root in range(n, len(adj)):
+        queue = [root]
+        for a in queue:                 # grows while scanned: breadth first
+            if comp[a] < 0:
+                comp[a] = root
+                queue += adj[a]
+    if -1 in comp:
         raise InternalConsistencyError("isolated item in tight graph")
     return [([s for s, c in zip(g.items, comp) if c == k],
              [t for t, c in zip(g.buyers, comp[n:]) if c == k]) for k in dict.fromkeys(comp[n:])]
@@ -179,14 +186,10 @@ def adequate_bidemand(h: BipartiteGraph, trace: Optional[list] = None) -> tuple[
 
 
 def _factor_digraph_settled(h: BipartiteGraph) -> bool:
-    """Whether every edge of h, which holds a b-factor, lies in one: whether every arc
-    of its b-factor digraph (buyer -> each of its items, item -> the buyer the b-factor
-    gives it to) lies inside a strong component (Dulmage and Mendelsohn 1958).  An item
-    shares its owner's component, so the digraph is taken on buyers: t -> each owner."""
-    owner, pos = h.max_cardinality_bmatching[0], {t: k for k, t in enumerate(h.buyers)}
-    succ = [[pos[owner[s]] for s in h.buyer_adj[t]] for t in h.buyers]
-    comp, _ = dual._components(succ)
-    return all(comp[a] == comp[b] for a, heads in enumerate(succ) for b in heads)
+    """Whether h holds a b-factor and every edge lies in one: whether no arc of its buyer
+    digraph leaves a strong component (Dulmage and Mendelsohn 1958), each of surplus 0."""
+    comps = h.factor_components
+    return comps is not None and all(sets.surplus(h, c) == 0 for c in comps)
 
 
 def _bidemand_wrapper(h: BipartiteGraph, trace: list, depth: int) -> list[ItemId]:
@@ -194,7 +197,7 @@ def _bidemand_wrapper(h: BipartiteGraph, trace: list, depth: int) -> list[ItemId
     is constant).  Else refine h's dual from its maximum b-matching (of maximum weight:
     h has unit weights), run the cases on its tight subgraph, return them lifted by `combine`."""
     try:
-        if matching.bfactor_exists(h)[0] and _factor_digraph_settled(h):
+        if _factor_digraph_settled(h):
             return _bidemand_cases(h, trace, depth)
         sc = refine_covering(h, frozenset(h.max_cardinality_bmatching[0].items()))
         # A zero dual marks a vertex that some largest b-matching leaves unsaturated.

@@ -145,7 +145,8 @@ def multi_round(m: Market, ordering_strategy: Optional[OrderingStrategy] = None
     if not trimmed.items:
         price = {s: prohibitive_price(m, s) for s in removed}
         return RoundPricing(PriceVector(price, Fraction(0)), sc.pi, (), trimmed, removed)
-    sigma = checked_ordering((ordering_strategy or dispatch_ordering)(tm.gpi), trimmed.items)
+    sigma = (dispatch_ordering(tm.gpi) if ordering_strategy is None
+             else checked_ordering(ordering_strategy(tm.gpi), trimmed.items))
     if sc.slack is None:
         raise InternalConsistencyError("finite slack expected under saturation")
     # pi(s) + delta * rank(s), with pi = q / unit and delta = slack / n

@@ -15,11 +15,19 @@ search warm-starts from a copy of the graph's maximum b-matching (grown once
 per graph) with the forced-out buyers' items released; with a b-factor, a
 search then takes at most b(forced-out) augmentations.  `feasible_bundle`
 starts from it too, with t holding exactly F and a dead end: at most b(t).
+Where the held b-factor gives t exactly F, it is the witness: no search.
+
+Under a b-factor M, the surplus of Y counts the items of N(Y) that M gives
+outside Y: the arcs leaving Y in M's buyer digraph (`factor_components`).
+Strongly connected, it leaves no nonempty proper set of surplus zero, and
+`min_surplus_set` stops at its first search of surplus one, the full scan's
+answer (ties keep the first); elsewhere it runs every search, as it must.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from itertools import combinations
 from operator import itemgetter
 from typing import Iterable, Optional
@@ -41,10 +49,10 @@ def feasible_bundle(gpi: BipartiteGraph, t: BuyerId, F: Iterable[ItemId]) -> boo
     if len(gpi.items) != gpi.buyer_capacity_total():
         return False
     base_owner = gpi.max_cardinality_bmatching[0]
+    if len(base_owner) == len(gpi.items) and all(base_owner[s] == t for s in F):
+        return True     # the held b-factor gives t exactly F: it is the witness
     owner = {s: u for s, u in base_owner.items() if u != t and s not in F} | dict.fromkeys(F, t)
-    load = dict.fromkeys(gpi.buyers, 0)
-    for u in owner.values():
-        load[u] += 1
+    load = dict.fromkeys(gpi.buyers, 0) | Counter(owner.values())
     augment({**gpi.buyer_adj, t: ()}, gpi.capacity, owner, load)
     return sum(load.values()) == len(gpi.items)
 
@@ -97,7 +105,11 @@ def min_surplus_set(gpi: BipartiteGraph, include: Iterable[BuyerId] = (),
     else:
         t1, rest = frozenset(gpi.buyers[:1]), [frozenset({t}) for t in gpi.buyers[1:]]
         pairs = [(t1, t) for t in rest] + [(t, t1) for t in rest]
-    cuts = [_surplus_cut(gpi, inc, exc) for inc, exc in pairs]
+    cuts = []
+    for inc, exc in pairs:
+        cuts.append(_surplus_cut(gpi, inc, exc))
+        if cuts[-1][1] == 1 and len(gpi.factor_components or ()) == 1:
+            break       # no candidate has surplus 0: 1 is the least
     return min(cuts, key=itemgetter(1), default=None)  # the first on ties
 
 
@@ -114,16 +126,20 @@ def maximal_dangerous_set(gpi: BipartiteGraph) -> Optional[frozenset[BuyerId]]:
         raise ContractViolationError("surplus-zero set exists; graph splits instead")
     if value >= 2:
         return None
-    return grow_dangerous_set(gpi, Y)
+    return _grown(gpi, Y)
 
 
 def grow_dangerous_set(gpi: BipartiteGraph, Y: Iterable[BuyerId]) -> frozenset[BuyerId]:
-    """An inclusionwise maximal dangerous set containing the dangerous set Y.
-
-    Adds each buyer outside Y, in buyer order, whenever some dangerous set
-    holds both; same precondition as `maximal_dangerous_set`.
-    """
+    """An inclusionwise maximal dangerous set holding the dangerous set Y: Y with each
+    buyer outside it, in buyer order, that some dangerous set holds with it.  Any other
+    Y is a ContractViolationError; same precondition as `maximal_dangerous_set`."""
     Y = _known_buyers(gpi, Y)
+    if not is_dangerous(gpi, Y):
+        raise ContractViolationError("Y must be dangerous")
+    return _grown(gpi, Y)
+
+
+def _grown(gpi: BipartiteGraph, Y: frozenset[BuyerId]) -> frozenset[BuyerId]:
     for t in gpi.buyers:
         if t in Y:
             continue

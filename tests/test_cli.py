@@ -479,24 +479,25 @@ def test_cli_simulate_rejects_budget_with_orders(tmp_path, capsys, e1):
 
 def test_cli_verify_searches_unconstrained_surplus_once(tmp_path, capsys, monkeypatch,
                                                         d1_market):
-    # the growth of the maximal dangerous set starts from verify's own minimizer
+    # the growth of the maximal dangerous set starts from verify's own minimizer:
+    # verify makes one unconstrained surplus search, the growth only constrained ones
     import dynprice.sets as sets
     from dynprice import maximal_dangerous_set
     from dynprice.pricing import tight_market
-    unconstrained = 0
-    real = sets._surplus_cut
+    searches = []
+    real = sets.min_surplus_set
 
-    def counting(gpi, include, exclude):
-        nonlocal unconstrained
-        unconstrained += len(include) == 1 and len(exclude) == 1
+    def counting(gpi, include=(), exclude=()):
+        searches.append((frozenset(include), frozenset(exclude)))
         return real(gpi, include, exclude)
 
-    monkeypatch.setattr(sets, "_surplus_cut", counting)
+    monkeypatch.setattr(sets, "min_surplus_set", counting)
     path = write_market(tmp_path, d1_market, "d1.json")
     assert main(["verify", "--input", path]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["min_surplus"] == 1
-    assert unconstrained == 2 * (len(d1_market.buyers) - 1)
+    assert searches.count((frozenset(), frozenset())) == 1
+    assert len(searches) > 1 and all(inc for inc, _ in searches[1:])
     assert out["maximal_dangerous"] == sorted(maximal_dangerous_set(tight_market(d1_market).gpi))
 
 

@@ -356,6 +356,44 @@ def test_bidemand_two_components(monkeypatch):
     assert refines == []
 
 
+def reference_components(g: BipartiteGraph) -> list:
+    """g's connected components by closing each first unreached buyer's
+    neighborhood until it stops growing, as items and buyers in g's orders."""
+    comps, reached = [], set()
+    for t in g.buyers:
+        if t in reached:
+            continue
+        buyers, items = {t}, set()
+        while items != g.neighbors(buyers):
+            items = g.neighbors(buyers)
+            buyers |= {u for s in items for u in g.item_adj[s]}
+        reached |= buyers
+        comps.append(([s for s in g.items if s in items], [u for u in g.buyers if u in buyers]))
+    return comps
+
+
+def test_components_are_the_neighborhood_closures(bidemand_recursion):
+    # the breadth-first components, in order of first buyer, on the recursion's
+    # graphs and on random graphs; an item on no edge is an internal error
+    rng = random.Random(83)
+    graphs, isolated = list(bidemand_recursion), 0
+    for _ in range(400):
+        buyers = [f"t{k}" for k in range(rng.randint(1, 7))]
+        items = [f"s{k}" for k in range(rng.randint(0, 10))]
+        density = rng.random() * 0.5
+        edges = [(s, t) for s in items for t in buyers if rng.random() < density]
+        graphs.append(unit_graph(items, buyers, dict.fromkeys(buyers, 2), edges))
+    for g in graphs:
+        if any(not g.item_adj[s] for s in g.items):
+            isolated += 1
+            with pytest.raises(InternalConsistencyError, match="^isolated item in tight graph$"):
+                orderings._components(g)
+        else:
+            assert orderings._components(g) == reference_components(g)
+    assert isolated >= 100 and len(graphs) - isolated >= 500
+    assert sum(len(reference_components(g)) > 1 for g in graphs) >= 100
+
+
 def test_bidemand_complete_case1():
     items = [f"s{i}" for i in range(6)]
     buyers = ["t1", "t2", "t3"]

@@ -9,7 +9,7 @@ from dynprice import (BipartiteGraph, bfactor_exists, feasible_bundle, legal_cla
                       market_graph, maximal_dangerous_set, min_surplus_set,
                       minimal_dangerous_disjoint, refine_covering, tight_subgraph)
 from dynprice.errors import ContractViolationError, ModelError
-from dynprice.sets import all_dangerous_sets, is_dangerous, surplus
+from dynprice.sets import all_dangerous_sets, grow_dangerous_set, is_dangerous, surplus
 from dynprice.simulation import oracle_feasible
 
 from conftest import (brute_dangerous_sets, brute_feasible, brute_first_min_surplus,
@@ -126,11 +126,54 @@ def random_capacitated(rng, with_factor):
                                 {**{s: 1 for s in items}, **cap})
 
 
-def test_min_surplus_is_the_documented_first_minimizer():
+def full_scan_searches(g: BipartiteGraph, include, exclude) -> int:
+    """How many searches `min_surplus_set` runs on the query without its early stop."""
+    n = len(g.buyers)
+    if include and exclude:
+        return 1
+    if include or exclude:
+        return n - len(include or exclude)
+    return 2 * max(n - 1, 0)
+
+
+def brute_maximal_dangerous(g: BipartiteGraph):
+    """`maximal_dangerous_set`'s answer, or its refusal, from the enumerated first minimizers."""
+    first = brute_first_min_surplus(g)
+    if first is not None and first[1] <= 0:
+        return "surplus-zero set exists; graph splits instead"
+    if first is None or first[1] >= 2:
+        return None
+    Y = first[0]
+    for t in g.buyers:
+        probe = None if t in Y else brute_first_min_surplus(g, Y | {t})
+        if probe is not None and probe[1] == 1:
+            Y = probe[0]
+    return Y
+
+
+def test_min_surplus_is_the_documented_first_minimizer(wrapper_corpus, monkeypatch):
+    # every query shape, on graphs with and without a b-factor, with capacity-0
+    # buyers and surplus-zero sets, and on tight graphs: the answer is the full
+    # grid's first minimizer, also where the scan stops at its first cut of
+    # surplus 1 (the held b-factor's digraph strongly connected), and
+    # maximal_dangerous_set gives the same set or the same refusal
+    import dynprice.sets as sets
+    calls = 0
+    real = sets._surplus_cut
+
+    def counting(gpi, include, exclude):
+        nonlocal calls
+        calls += 1
+        return real(gpi, include, exclude)
+
+    monkeypatch.setattr(sets, "_surplus_cut", counting)
     rng = random.Random(43)
+    graphs = [random_capacitated(rng, with_factor=k % 2 == 0) for k in range(400)]
+    graphs += [random_bidemand_tight(rng, 6) for _ in range(500)]
+    graphs += [g for g in wrapper_corpus if len(g.buyers) <= 7]
     shapes = {"none": 0, "include": 0, "exclude": 0, "both": 0}
-    for k in range(400):
-        g = random_capacitated(rng, with_factor=k % 2 == 0)
+    early = refused = unfactored = capacity_zero = 0
+    for g in graphs:
         buyers = list(g.buyers)
         queries = [("none", (), ())]
         if buyers:
@@ -143,9 +186,20 @@ def test_min_surplus_is_the_documented_first_minimizer():
             queries.append(("both", perm[:split], perm[split:stop]))
         for shape, inc, exc in queries:
             want = brute_first_min_surplus(g, frozenset(inc), frozenset(exc))
+            calls = 0
             assert min_surplus_set(g, include=inc, exclude=exc) == want, (g, inc, exc)
             shapes[shape] += want is not None
-    assert min(shapes.values()) >= 100
+            early += calls < full_scan_searches(g, inc, exc)
+        try:
+            answer = maximal_dangerous_set(g)
+        except ContractViolationError as exc:
+            answer = str(exc)
+            refused += 1
+        assert answer == brute_maximal_dangerous(g)
+        unfactored += g.factor_components is None
+        capacity_zero += any(g.capacity[t] == 0 for t in buyers)
+    assert min(shapes.values()) >= 250 and sum(shapes.values()) >= 1000 and early >= 300
+    assert refused >= 100 and unfactored >= 100 and capacity_zero >= 100
 
 
 def test_min_surplus_needs_the_column_searches():
@@ -396,6 +450,7 @@ def test_feasible_bundle_is_false_when_items_and_demand_differ():
     (lambda g: min_surplus_set(g, include=["t1"], exclude=["t1", "t2"]), ModelError,
      "include and exclude overlap"),
     (lambda g: all_dangerous_sets(g), ContractViolationError, "enumeration limited to 16 buyers"),
+    (lambda g: grow_dangerous_set(g, g.buyers), ContractViolationError, "Y must be dangerous"),
 ])
 def test_set_refusals_are_typed(call, error, message):
     from dynprice import generate_instance
@@ -469,3 +524,62 @@ def test_a_handed_down_bmatching_must_be_a_bfactor_of_the_child(bidemand_recursi
             assert dict(child.__dict__["max_cardinality_bmatching"][0]) == owner
             kept += 1
     assert dropped >= 600 and kept >= 400
+
+
+def test_grow_refuses_a_set_that_is_not_dangerous(d1_market):
+    # all three buyers have surplus 0 and {t2} has surplus 3: neither is dangerous,
+    # and growing either would hand back a set that is not dangerous either
+    from dynprice.pricing import tight_market
+    g = tight_market(d1_market).gpi
+    for Y in (g.buyers, ["t2"], []):
+        with pytest.raises(ContractViolationError, match="^Y must be dangerous$"):
+            grow_dangerous_set(g, Y)
+    assert grow_dangerous_set(g, ["t3"]) == frozenset({"t2", "t3"})
+
+
+def test_feasible_bundle_answers_from_the_witness_or_by_augmenting(monkeypatch):
+    # every bundle of every buyer: the held b-factor answers for the bundle it
+    # gives, and augmenting for every other; both agree with the brute force
+    import dynprice.sets as sets
+    augmented = 0
+    real = sets.augment
+
+    def counting(*args):
+        nonlocal augmented
+        augmented += 1
+        return real(*args)
+
+    monkeypatch.setattr(sets, "augment", counting)
+    rng = random.Random(61)
+    graphs = [random_bidemand_tight(rng, 5) for _ in range(60)]
+    graphs += [random_capacitated(rng, with_factor=k % 4 > 0) for k in range(120)]
+    witness = searched = 0
+    for g in graphs:
+        for t in g.buyers:
+            for F in combinations(g.buyer_adj[t], g.capacity[t]):
+                before = augmented
+                got = feasible_bundle(g, t, F)
+                assert got == brute_feasible(g, t, F), (g, t, F)
+                if augmented > before:
+                    searched += 1
+                elif got:       # else |S| != b(T) answered at once
+                    assert {s for s, u in g.max_cardinality_bmatching[0].items()
+                            if u == t} == set(F)
+                    witness += 1
+    assert witness >= 200 and searched >= 200
+
+
+def test_feasible_bundle_is_false_for_a_bundle_the_held_bfactor_does_not_give():
+    # the held b-factor gives t1 {s1, s2}; t1 taking {s2, s3} leaves s1, which
+    # only t1 wants, unowned: that bundle is in no b-factor
+    items = ["s1", "s2", "s3", "s4", "s5", "s6"]
+    edges = [("s1", "t1"), ("s2", "t1"), ("s3", "t1"), ("s2", "t2"), ("s3", "t2"),
+             ("s4", "t2"), ("s5", "t2"), ("s6", "t2"), ("s4", "t3"), ("s5", "t3"),
+             ("s6", "t3")]
+    g = BipartiteGraph.build(items, ["t1", "t2", "t3"], {e: 1 for e in edges},
+                             {**dict.fromkeys(items, 1), "t1": 2, "t2": 2, "t3": 2})
+    g = g._hold({"s1": "t1", "s2": "t1", "s3": "t2", "s4": "t2", "s5": "t3", "s6": "t3"})
+    assert dict(g.max_cardinality_bmatching[0])["s2"] == "t1"
+    assert feasible_bundle(g, "t1", ["s1", "s2"]) is True
+    assert feasible_bundle(g, "t1", ["s2", "s3"]) is False
+    assert brute_feasible(g, "t1", ["s2", "s3"]) is False
