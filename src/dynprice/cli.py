@@ -71,7 +71,7 @@ def parse_instance(raw: bytes | str) -> Market:
     """Validated market from JSON; errors pinpoint field paths."""
     try:
         data = json.loads(raw)
-    except (ValueError, RecursionError) as exc:   # also a number too long, or nesting too deep
+    except (ValueError, RecursionError, TypeError) as exc:  # also long numbers, deep nests, no text
         raise ModelError(f"invalid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ModelError("top level must be an object")

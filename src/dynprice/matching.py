@@ -248,18 +248,23 @@ class BipartiteGraph:
         return MappingProxyType(owner), MappingProxyType(load), frozenset(reached)
 
     @cached_property
-    def factor_components(self) -> Optional[tuple[frozenset[BuyerId], ...]]:
-        """The strong components of the held b-factor's buyer digraph, t -> the owner of
-        each of t's items, or None when the held maximum b-matching is no b-factor: the
-        arcs that leave a buyer set count its surplus (`sets`)."""
+    def factor_components(self) -> Optional[tuple[Mapping[str, int], tuple[int, ...]]]:
+        """The strong components of the held b-factor's digraph, as `strong_components`
+        finds them: each vertex's component, read-only, and each component's height.  Its
+        arcs run from each item to each buyer tight for it and from each buyer to each
+        item it holds, the structured dual's tight arcs: an item shares its holder's
+        component, and the buyer digraph t -> each buyer tight for an item that t holds
+        has the same components and heights.  An edge lies in a b-factor iff its ends
+        share a component, and the items along which arcs enter a buyer set count its
+        surplus (`sets`).  None when the held maximum b-matching is no b-factor."""
         owner = self.max_cardinality_bmatching[0]
         if not len(owner) == len(self.items) == self.buyer_capacity_total():
             return None
-        pos = {t: k for k, t in enumerate(self.buyers)}
-        comp, height = strong_components([[pos[owner[s]] for s in self.buyer_adj[t]]
-                                          for t in self.buyers])
-        return tuple(frozenset(t for t, c in zip(self.buyers, comp) if c == k)
-                     for k in range(len(height)))
+        pos = {v: k for k, v in enumerate(self.items + self.buyers)}
+        comp, height = strong_components([[pos[t] for t in self.item_adj[s]] for s in self.items]
+                                         + [[pos[s] for s in self.buyer_adj[t] if owner[s] == t]
+                                            for t in self.buyers])
+        return MappingProxyType(dict(zip(pos, comp))), tuple(height)
 
     def _hold(self, owner: Mapping[ItemId, BuyerId]) -> "BipartiteGraph":
         """This graph, keeping owner restricted to it as its maximum b-matching when that

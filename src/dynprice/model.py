@@ -16,10 +16,10 @@ over its own least common denominator, as a fresh build would be.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator, Mapping, Sequence, Set
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import AbstractSet, Iterable, Iterator, Mapping, Optional, Sequence
 
 from . import matching
 from .dual import refine_covering
@@ -72,11 +72,13 @@ class Market:
             raise ModelError("duplicate ids")
         if set(items) & set(buyers):
             raise ModelError("item and buyer ids must be distinct")
+        if not isinstance(demand, Mapping):
+            raise ModelError("demands must be a mapping")
         for t in buyers:
             if t not in demand or type(demand[t]) is not int or demand[t] < 1:
                 raise ModelError(f"buyer {t} needs an int demand >= 1")
-        columns = list(columns)
-        if len(columns) != len(buyers) or any(len(c) != len(items) for c in columns):
+        if (not isinstance(columns, Iterable) or len(columns := list(columns)) != len(buyers)
+                or any(not isinstance(c, Sequence) or len(c) != len(items) for c in columns)):
             raise ModelError("values must be one column per buyer, one value per item")
         weight, d = matching.integer_weights([x for r in zip(*columns) for x in r], "values")
         if min(weight, default=0) < 0:
@@ -89,8 +91,8 @@ class Market:
               value: Mapping[tuple[BuyerId, ItemId], Fraction | int]) -> "Market":
         """`from_columns` of a (buyer, item) -> value mapping; keys of unknown ids are refused."""
         items, buyers = id_tuple(items, "items"), id_tuple(buyers, "buyers")
-        if not isinstance(demand, Mapping) or not isinstance(value, Mapping):
-            raise ModelError("demands and values must be mappings")
+        if not isinstance(value, Mapping):      # `from_columns` refuses other demands
+            raise ModelError("values must be a mapping")
 
         def columns():      # read by `from_columns` once the ids and demands pass
             try:
@@ -129,11 +131,10 @@ class Market:
 class OptReport:
     opt_welfare: Fraction
     opt_property_holds: bool
-    witness: Optional[tuple[BuyerId, Mapping[BuyerId, frozenset[ItemId]]]] = None
+    witness: tuple[BuyerId, Mapping[BuyerId, frozenset[ItemId]]] | None = None
 
 
-def submarket(m: Market, items: AbstractSet[ItemId],
-              buyers: AbstractSet[BuyerId]) -> Market:
+def submarket(m: Market, items: Set[ItemId], buyers: Set[BuyerId]) -> Market:
     """The market on the given items and buyers, kept in m's order: m's weights on the
     kept rows and columns, over their own least common denominator."""
     n, w = len(m.buyers), m.weight

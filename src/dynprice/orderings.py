@@ -12,16 +12,20 @@ labeling for three buyers), and the recursive case analysis for bi-demand
 graphs driven by dangerous sets.  `pricing.dispatch_ordering`
 certifies each result with `verify_adequate`; each construction checks its
 input once, by `_require_tight`.  The case analysis starts from the caller's
-tight graph (unit weights, every edge in a b-factor), with no refine: its dual
-is constant.  An edge in no b-factor means a buyer set of surplus zero, which
-`sets.maximal_dangerous_set` refuses as a contract error.  After a descent
-that cuts the graph, `_bidemand_wrapper` runs the cases on the part as it
-stands when no arc leaves a strong component of its b-factor digraph, which the
-surplus searches read too: then every edge lies in a b-factor and the dual is
-constant.  Else it refines the part from its maximum b-matching (no solve),
-runs the cases on its tight subgraph and lifts them by `combine`; a contract
-error there is an InternalConsistencyError.  Case 3 refines nothing: each
-component of a tight graph has a constant dual.
+tight graph (unit weights, every edge in a b-factor): its dual is constant.  An
+edge in no b-factor means a buyer set of surplus zero, which
+`sets.maximal_dangerous_set` refuses as a contract error.  A descent that cuts
+the graph may leave a part with such edges.  `_bidemand_wrapper` reads that
+part's structured dual off its held b-factor, with no solve and no refine: the
+strong components of the b-factor's digraph (item -> each buyer tight for it,
+buyer -> each item it holds) and their heights, the Dulmage-Mendelsohn
+decomposition (`BipartiteGraph.factor_components`, which the surplus searches
+read too).  An item shares its holder's component.  The cases run on the
+edges whose ends share a component, the legal ones (on the part as it stands
+when all are), and the result is sorted stably by the height of each item's
+component, the dual's order on the items.  A part with no b-factor, or a
+contract error from the cases there, is an InternalConsistencyError.  Case 3
+reads nothing: each component of a tight graph has a constant dual.
 
 `_bidemand_cases` tries the cases in this order; N(Y) is the items tight for
 some buyer in Y, Z a maximal dangerous set and X a minimal one disjoint from Z:
@@ -46,7 +50,6 @@ from itertools import combinations
 from typing import Optional
 
 from . import matching, sets
-from .dual import refine_covering, tight_subgraph
 from .errors import ContractViolationError, InternalConsistencyError, ModelError
 from .matching import BipartiteGraph, BuyerId, Covering, ItemId, id_tuple
 
@@ -67,7 +70,10 @@ def checked_ordering(sigma: Iterable[ItemId], items: Optional[Iterable[ItemId]] 
 
 
 def combine(pi: Covering, sigma: Sequence[ItemId]) -> tuple[ItemId, ...]:
-    """sigma stably sorted by pi: pi values non-decreasing, ties in sigma's order."""
+    """sigma stably sorted by pi: pi values non-decreasing, ties in sigma's order.  A pi
+    that is no Covering is a ModelError, as is any sigma that `checked_ordering` refuses."""
+    if not isinstance(pi, Covering):
+        raise ModelError("pi must be a Covering")
     try:
         return tuple(sorted(checked_ordering(sigma), key=pi.pi.__getitem__))
     except KeyError as exc:
@@ -176,38 +182,33 @@ def adequate_bidemand(h: BipartiteGraph, trace: Optional[list] = None) -> tuple[
     """Adequate ordering of a tight graph where every demand is one or two.
 
     h must have unit weights and a b-factor, and every edge must lie in one
-    (tight = legal); ContractViolationError otherwise.
+    (tight = legal); ContractViolationError otherwise.  The cases taken are appended to
+    `trace`, a list when given; anything else is a ModelError.
     """
+    if trace is not None and not isinstance(trace, list):
+        raise ModelError("trace must be a list")
     for t in h.buyers:
         if not 1 <= h.capacity[t] <= 2:
             raise ContractViolationError("demands must be one or two")
     _require_tight(h)
-    return tuple(_bidemand_cases(h, trace if trace is not None else [], 0))
-
-
-def _factor_digraph_settled(h: BipartiteGraph) -> bool:
-    """Whether h holds a b-factor and every edge lies in one: whether no arc of its buyer
-    digraph leaves a strong component (Dulmage and Mendelsohn 1958), each of surplus 0."""
-    comps = h.factor_components
-    return comps is not None and all(sets.surplus(h, c) == 0 for c in comps)
+    return tuple(_bidemand_cases(h, [] if trace is None else trace, 0))
 
 
 def _bidemand_wrapper(h: BipartiteGraph, trace: list, depth: int) -> list[ItemId]:
-    """The case analysis on h as it stands when every edge lies in a b-factor (its dual
-    is constant).  Else refine h's dual from its maximum b-matching (of maximum weight:
-    h has unit weights), run the cases on its tight subgraph, return them lifted by `combine`."""
+    """The case analysis on h's legal edges, its items stably sorted by the structured
+    dual.  h has unit weights, and the components of its held b-factor's digraph
+    (`factor_components`) give both: an edge is legal iff its ends share a component,
+    and the dual (`dual.refine_covering`), from the seller-optimal 1 on items and 0 on
+    buyers, raises each item by its component's height, so it ranks them by height."""
+    if h.factor_components is None:
+        raise InternalConsistencyError("graph admits no b-factor")
+    comp, height = h.factor_components
+    legal = [(s, t) for s, t in h.edges if comp[s] == comp[t]]
+    hp = h if len(legal) == len(h.edges) else h.unit_subgraph(legal)
     try:
-        if _factor_digraph_settled(h):
-            return _bidemand_cases(h, trace, depth)
-        sc = refine_covering(h, frozenset(h.max_cardinality_bmatching[0].items()))
-        # A zero dual marks a vertex that some largest b-matching leaves unsaturated.
-        if 0 in sc.pi.pi.values():
-            raise InternalConsistencyError("graph admits no b-factor")
-        hp = h if sc.tight_edges == h.edge_set else tight_subgraph(sc, h)
-        seq = _bidemand_cases(hp, trace, depth)
+        return sorted(_bidemand_cases(hp, trace, depth), key=lambda s: height[comp[s]])
     except ContractViolationError as exc:
-        raise InternalConsistencyError(f"refined graph refused: {exc}") from exc
-    return list(combine(sc.pi, seq))
+        raise InternalConsistencyError(f"cut graph refused: {exc}") from exc
 
 
 def _base_case(items: Sequence[ItemId], buyers: Sequence[BuyerId], trace: list,

@@ -18,7 +18,8 @@ starts from it too, with t holding exactly F and a dead end: at most b(t).
 Where the held b-factor gives t exactly F, it is the witness: no search.
 
 Under a b-factor M, the surplus of Y counts the items of N(Y) that M gives
-outside Y: the arcs leaving Y in M's buyer digraph (`factor_components`).
+outside Y: the items along which arcs enter Y in M's buyer digraph
+(`factor_components`: t -> each buyer tight for an item that t holds).
 Strongly connected, it leaves no nonempty proper set of surplus zero, and
 `min_surplus_set` stops at its first search of surplus one, the full scan's
 answer (ties keep the first); elsewhere it runs every search, as it must.
@@ -108,7 +109,7 @@ def min_surplus_set(gpi: BipartiteGraph, include: Iterable[BuyerId] = (),
     cuts = []
     for inc, exc in pairs:
         cuts.append(_surplus_cut(gpi, inc, exc))
-        if cuts[-1][1] == 1 and len(gpi.factor_components or ()) == 1:
+        if cuts[-1][1] == 1 and gpi.factor_components and len(gpi.factor_components[1]) == 1:
             break       # no candidate has surplus 0: 1 is the least
     return min(cuts, key=itemgetter(1), default=None)  # the first on ties
 

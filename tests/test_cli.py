@@ -72,6 +72,8 @@ def test_parse_errors():
         parse_instance(json.dumps(base).replace('"demand": 1', '"demand": ' + "9" * 5000))
     with pytest.raises(ModelError, match="^invalid JSON: "):
         parse_instance("[" * 100000 + "]" * 100000)
+    with pytest.raises(ModelError, match="^invalid JSON: "):
+        parse_instance(5)
 
 
 @settings(max_examples=40, deadline=None)

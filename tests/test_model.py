@@ -137,7 +137,8 @@ def test_only_build_refuses_missing_values_and_unknown_ids(more_demand, more_val
         "missing value for (buyer, item) ('t2', 's3')"
 
 
-@pytest.mark.parametrize("columns", [[[1, 2]], [[1], [2]], [[1, 2, 3], [1, 2]], [[1, 2], [3]]])
+@pytest.mark.parametrize("columns", [[[1, 2]], [[1], [2]], [[1, 2, 3], [1, 2]], [[1, 2], [3]],
+                                     5, [[1, 2], 5], [[1, 2], {1, 2}]])
 def test_from_columns_refuses_columns_of_the_wrong_shape(columns):
     message = "^values must be one column per buyer, one value per item$"
     with pytest.raises(ModelError, match=message):
@@ -387,6 +388,7 @@ def test_restrict_market(e1, e2):
     lambda m, g: Market.build([["s1"]], [], {}, {}),
     lambda m, g: Market.build(["s1"], ["t1"], None, {}),
     lambda m, g: Market.build(["s1"], ["t1"], {"t1": 1}, None),
+    lambda m, g: Market.from_columns(["s1"], ["t1"], ["t1"], [[1]]),
     lambda m, g: BipartiteGraph.build(5, ["t1"], {}, {"t1": 1}),
     lambda m, g: BipartiteGraph.build(["s1"], ["t1"], None, {"t1": 1}),
     lambda m, g: max_weight_forced_edge(g, ["s1", "t1"]),
@@ -401,7 +403,7 @@ def test_restrict_market(e1, e2):
 ], ids=["oracle-buyer", "oracle-items", "restrict-buyer", "restrict-items", "welfare",
         "feasible-buyer", "surplus-buyers", "ordering-items", "ordering-int", "ordering-none",
         "market-items-int", "market-items-unhashable", "market-demand-none",
-        "market-values-none", "graph-items-int", "graph-weights-none", "forced-edge",
+        "market-values-none", "columns-demand-list", "graph-items-int", "graph-weights-none", "forced-edge",
         "legal-edge", "reduced-capacity", "with-capacity", "induced", "without",
         "grow-dangerous", "minimal-dangerous", "column"])
 def test_unhashable_ids_are_model_errors(call):

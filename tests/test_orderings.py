@@ -1,10 +1,11 @@
 import random
 from fractions import Fraction
 from itertools import permutations
+from types import MappingProxyType
 
 import pytest
 
-from dynprice import (BipartiteGraph, adequate_bidemand, matching,
+from dynprice import (BipartiteGraph, adequate_bidemand, dual, matching,
                       adequate_three_buyers, adequate_two_buyers, combine,
                       generate_instance, market_graph, multi_round, orderings,
                       refine_covering, tight_subgraph, verify_adequate)
@@ -342,18 +343,18 @@ def test_bidemand_d1(d1_graph):
 
 def test_bidemand_two_components(monkeypatch):
     # the case analysis runs on the tight graph itself, and case 3 recurses
-    # into each component without refining it: nothing is refined
+    # into each component as it stands: no wrapper is called
     g = unit_graph(["s1", "s2", "s3", "s4"], ["t1", "t2"], {"t1": 2, "t2": 2},
                    [("s1", "t1"), ("s2", "t1"), ("s3", "t2"), ("s4", "t2")])
-    refines = []
-    real = orderings.refine_covering
-    monkeypatch.setattr(orderings, "refine_covering",
-                        lambda h, m: refines.append(h) or real(h, m))
+    wrapped = []
+    real = orderings._bidemand_wrapper
+    monkeypatch.setattr(orderings, "_bidemand_wrapper",
+                        lambda h, trace, depth: wrapped.append(h) or real(h, trace, depth))
     trace = []
     sigma = adequate_bidemand(g, trace)
     assert verify_adequate(g, sigma)
     assert any(e["case"] == "3" for e in trace)
-    assert refines == []
+    assert wrapped == []
 
 
 def reference_components(g: BipartiteGraph) -> list:
@@ -509,21 +510,37 @@ def test_bidemand_item_lists_are_the_ordering_returning_wrapper(bidemand_recursi
     assert sum(len(lift_trace) > 1 for _, lift_trace, _, _ in new) >= 300
 
 
-def test_refine_is_skipped_exactly_where_its_dual_is_constant(bidemand_recursion,
-                                                               wrapper_corpus, monkeypatch):
-    # Every piece of a graph's b-factor digraph is strongly connected exactly
-    # when refine makes every edge tight at the constant dual, where it would
-    # hand back the graph and the identity; and the refine-always wrapper gives
-    # the same lists and traces as the one that skips it there
+def dense_rank(key: dict) -> dict:
+    """Each entry's place among the distinct values of key: the weak order, ties kept."""
+    place = {x: k for k, x in enumerate(sorted(set(key.values())))}
+    return {v: place[x] for v, x in key.items()}
+
+
+def test_factor_components_are_the_refined_dual_of_every_recursion_graph(
+        bidemand_recursion, wrapper_corpus, monkeypatch):
+    # On every graph the bi-demand ordering receives or its recursion cuts, the
+    # components of the held b-factor's digraph give refine's structured dual:
+    # an item shares its holder's component, an edge is tight iff its buyer
+    # shares one with the item's holder, and the holders' heights rank the
+    # items as pi does, ties included.
+    # The dual is constant exactly where every edge is legal; and the wrapper
+    # that reads the components gives the lists and traces of the one that
+    # refines every graph
     graphs = bidemand_recursion + wrapper_corpus
-    constant = Fraction(2, 3), Fraction(1, 3)
     settled = 0
     for g in graphs:
         assert matching.bfactor_exists(g)[0]
-        sc = refine_covering(g, frozenset(g.max_cardinality_bmatching[0].items()))
-        flat = sc.tight_edges == g.edge_set and sc.pi.pi == (
-            dict.fromkeys(g.items, constant[0]) | dict.fromkeys(g.buyers, constant[1]))
-        assert orderings._factor_digraph_settled(g) == flat
+        constant = dict.fromkeys(g.items, Fraction(2, 3)) | dict.fromkeys(g.buyers, Fraction(1, 3))
+        owner = g.max_cardinality_bmatching[0]
+        sc = refine_covering(g, frozenset(owner.items()))
+        comp, height = g.factor_components
+        assert all(comp[s] == comp[t] for s, t in owner.items())
+        legal = frozenset((s, t) for s, t in g.edges if comp[t] == comp[owner[s]])
+        assert legal == sc.tight_edges
+        assert dense_rank({s: height[comp[owner[s]]] for s in g.items}) == \
+            dense_rank({s: sc.pi.pi[s] for s in g.items})
+        flat = sc.pi.pi == constant
+        assert flat == (legal == g.edge_set)
         settled += flat
     assert len(graphs) >= 600 and settled >= 400 and len(graphs) - settled >= 120
 
@@ -534,6 +551,30 @@ def test_refine_is_skipped_exactly_where_its_dual_is_constant(bidemand_recursion
     new = [run(g) for g in graphs]
     monkeypatch.setattr(orderings, "_bidemand_wrapper", reference_bidemand_wrapper)
     assert [run(g) for g in graphs] == new
+
+
+def test_the_bidemand_ordering_refines_nothing(bidemand_recursion, monkeypatch):
+    # orderings imports nothing from the structured dual, and no refine runs
+    # inside adequate_bidemand, its recursion's cut graphs included
+    assert all(v is not dual and getattr(v, "__module__", None) != dual.__name__
+               for v in vars(orderings).values())
+
+    def no_refine(*args):
+        raise AssertionError("the bi-demand ordering refined a graph")
+
+    wrapped = []
+    real = orderings._bidemand_wrapper
+    monkeypatch.setattr(orderings, "_bidemand_wrapper",
+                        lambda h, trace, depth: wrapped.append(h) or real(h, trace, depth))
+    monkeypatch.setattr(dual, "refine_covering", no_refine)
+    monkeypatch.setattr(dual, "_seller_optimal", no_refine)
+    ordered = 0
+    for g in bidemand_recursion:
+        try:
+            ordered += verify_adequate(g, adequate_bidemand(g))
+        except ContractViolationError:
+            pass
+    assert ordered >= 300 and len(wrapped) >= 300
 
 
 def test_bidemand_refuses_an_edge_in_no_factor():
@@ -560,32 +601,33 @@ def test_bidemand_refuses_weights_other_than_one():
 
 
 def test_an_unpruned_recursion_graph_is_an_internal_error(fig1, monkeypatch):
-    # the figure market's recursion refines a graph with an edge in no
-    # b-factor; handed on unpruned, the case analysis refuses it, and that is
-    # the engine's fault, not the caller's
+    # the figure market's recursion cuts a graph with an edge in no b-factor
+    # and prunes it to its legal edges; handed on unpruned, the case analysis
+    # refuses it, and that is the engine's fault, not the caller's
     gpi = tight_of(fig1)
     pruned = []
-    real = orderings.refine_covering
-
-    def refine(h, m):
-        sc = real(h, m)
-        pruned.append(sc.tight_edges != h.edge_set)
-        return sc
-
-    monkeypatch.setattr(orderings, "refine_covering", refine)
-    assert verify_adequate(gpi, adequate_bidemand(gpi)) and any(pruned)
-    monkeypatch.setattr(orderings, "tight_subgraph", lambda sc, h: h)
-    with pytest.raises(InternalConsistencyError, match="refined graph refused"):
+    real = BipartiteGraph.unit_subgraph
+    monkeypatch.setattr(BipartiteGraph, "unit_subgraph",
+                        lambda h, edges: pruned.append(h) or real(h, edges))
+    assert verify_adequate(gpi, adequate_bidemand(gpi)) and pruned
+    monkeypatch.setattr(BipartiteGraph, "unit_subgraph", lambda h, edges: h)
+    with pytest.raises(InternalConsistencyError, match="^cut graph refused: "):
         adequate_bidemand(gpi)
 
 
 def test_a_non_maximum_matching_in_the_recursion_is_an_internal_error(fig1, monkeypatch):
-    # refine refuses a caller's non-maximum m as the caller's error; when the
-    # caller is the bi-demand recursion, that is the engine's fault
+    # a cut graph whose held matching is no b-factor gives no components to
+    # read; in the bi-demand recursion, that is the engine's fault
     gpi = tight_of(fig1)
-    real = orderings.refine_covering
-    monkeypatch.setattr(orderings, "refine_covering", lambda h, m: real(h, frozenset()))
-    with pytest.raises(InternalConsistencyError, match="^refined graph refused: negative cycle"):
+    real = orderings._bidemand_wrapper
+
+    def starved(h, trace, depth):
+        empty = MappingProxyType({}), MappingProxyType(dict.fromkeys(h.buyers, 0))
+        h.__dict__["max_cardinality_bmatching"] = (*empty, frozenset(h.buyers))
+        return real(h, trace, depth)
+
+    monkeypatch.setattr(orderings, "_bidemand_wrapper", starved)
+    with pytest.raises(InternalConsistencyError, match="^graph admits no b-factor$"):
         adequate_bidemand(gpi)
 
 
@@ -625,6 +667,9 @@ def test_verify_adequate_matches_brute_force():
     (lambda: verify_adequate(tight_of(generate_instance(1, 3, 2, (1, 3))), [[1]]),
      ModelError, "ordering must be hashable ids"),
     (lambda: combine(Covering({}), None), ModelError, "ordering must be hashable ids"),
+    (lambda: adequate_bidemand(tight_of(generate_instance(1, 4, 2, (1, 3))), trace=5),
+     ModelError, "trace must be a list"),
+    (lambda: combine({"s1": 1}, ["s1"]), ModelError, "pi must be a Covering"),
 ])
 def test_ordering_refusals_are_typed(call, error, message):
     with pytest.raises(error, match=f"^{message}$"):

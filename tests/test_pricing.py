@@ -237,11 +237,13 @@ def test_multi_trivial_round_without_buyers():
 def test_rounds_refine_the_trimmed_graph_on_price_pools(monkeypatch, workload):
     # Every round refines the graph trim_items returns, which equals
     # market_graph of the trimmed market field for field, starting from trim's
-    # optimum; every tight graph, the bi-demand recursion's included, equals
-    # the from-scratch reference.
+    # optimum; every tight graph equals the from-scratch reference, and so does
+    # every legal graph the bi-demand recursion cuts, on the tight edges of
+    # the cut graph's own refined dual.
     workloads = benchmark_workloads()
     last_trim: list = []
-    counts = {"refine": 0, "tight": 0}
+    wrapped: list = []
+    counts = {"refine": 0, "tight": 0, "cut": 0}
 
     def trim(m):
         trimmed, g, removed, best = model.trim_items(m)
@@ -260,11 +262,26 @@ def test_rounds_refine_the_trimmed_graph_on_price_pools(monkeypatch, workload):
         counts["tight"] += 1
         return gpi
 
+    real_wrapper, real_cut = orderings._bidemand_wrapper, BipartiteGraph.unit_subgraph
+
+    def wrapper(h, trace, depth):
+        wrapped[:] = [h]
+        return real_wrapper(h, trace, depth)
+
+    def cut(h, edges):
+        gpi = real_cut(h, edges)
+        if wrapped and h is wrapped[0]:     # the wrapper prunes the graph it holds
+            sc = dual.refine_covering(h, frozenset(h.max_cardinality_bmatching[0].items()))
+            assert graph_fields(gpi) == graph_fields(reference_tight_subgraph(sc, h))
+            counts["cut"] += 1
+        return gpi
+
     monkeypatch.setattr(workloads, "probe", lambda: workloads.REFERENCE_S)  # no timing here
     monkeypatch.setattr(pricing, "trim_items", trim)
     monkeypatch.setattr(pricing, "refine_covering", refine)
     monkeypatch.setattr(pricing, "tight_subgraph", tight)
-    monkeypatch.setattr(orderings, "tight_subgraph", tight)
+    monkeypatch.setattr(orderings, "_bidemand_wrapper", wrapper)
+    monkeypatch.setattr(BipartiteGraph, "unit_subgraph", cut)
     mode = "unit" if workload == "price-unit" else "multi"
     rounds = 0
     for seed in (3, 41):
@@ -273,7 +290,8 @@ def test_rounds_refine_the_trimmed_graph_on_price_pools(monkeypatch, workload):
             assert out.error is None
             rounds += len(out.rounds)
     assert counts["refine"] == rounds
-    assert (counts["tight"] > rounds) == (mode == "multi")
+    assert counts["tight"] == (rounds if mode == "multi" else 0)
+    assert (counts["cut"] > 0) == (mode == "multi")
 
 
 def test_one_hungarian_solve_per_run(monkeypatch):
