@@ -81,10 +81,12 @@ class StructuredCovering:
 def compute_slack(g: BipartiteGraph, pi: Covering) -> Optional[Fraction]:
     """min over non-tight edge gaps and positive dual values; None when empty.
 
-    The Fraction reference for the slack that `refine_covering` finds on integers.
+    The Fraction reference for the slack that `refine_covering` finds on integers.  A pi
+    that `matching.covering_values` refuses is a ModelError.
     """
-    gaps = [pi.pi[s] + pi.pi[t] - g.weight[(s, t)] for s, t in g.edges]
-    return min((x for x in gaps + [pi.pi[v] for v in g.items + g.buyers] if x > 0), default=None)
+    val = matching.covering_values(pi, g.items + g.buyers)
+    gaps = [val[s] + val[t] - g.weight[(s, t)] for s, t in g.edges]
+    return min((x for x in gaps + [val[v] for v in g.items + g.buyers] if x > 0), default=None)
 
 
 def is_legal_edge(g: BipartiteGraph, e: Edge) -> bool:

@@ -78,11 +78,12 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from collections import Counter
+from collections.abc import Container, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from types import MappingProxyType
-from typing import Container, Iterable, Mapping, Optional, Sequence
+from typing import Optional
 
 from .errors import ContractViolationError, InternalConsistencyError, ModelError
 
@@ -249,22 +250,22 @@ class BipartiteGraph:
 
     @cached_property
     def factor_components(self) -> Optional[tuple[Mapping[str, int], tuple[int, ...]]]:
-        """The strong components of the held b-factor's digraph, as `strong_components`
-        finds them: each vertex's component, read-only, and each component's height.  Its
-        arcs run from each item to each buyer tight for it and from each buyer to each
-        item it holds, the structured dual's tight arcs: an item shares its holder's
-        component, and the buyer digraph t -> each buyer tight for an item that t holds
-        has the same components and heights.  An edge lies in a b-factor iff its ends
-        share a component, and the items along which arcs enter a buyer set count its
-        surplus (`sets`).  None when the held maximum b-matching is no b-factor."""
+        """The strong components of the held b-factor's buyer digraph, t -> each buyer
+        tight for an item that t holds, as `strong_components` finds them, with each item
+        in its holder's: each vertex's component, read-only, and each component's height.
+        These are the components and heights of the digraph with an arc from each item to
+        each buyer tight for it and from each buyer to each item it holds, the structured
+        dual's tight arcs.  An edge lies in a b-factor iff its ends share a component, and
+        the items along which arcs enter a buyer set count its surplus (`sets`).  None when
+        the held maximum b-matching is no b-factor."""
         owner = self.max_cardinality_bmatching[0]
         if not len(owner) == len(self.items) == self.buyer_capacity_total():
             return None
-        pos = {v: k for k, v in enumerate(self.items + self.buyers)}
-        comp, height = strong_components([[pos[t] for t in self.item_adj[s]] for s in self.items]
-                                         + [[pos[s] for s in self.buyer_adj[t] if owner[s] == t]
-                                            for t in self.buyers])
-        return MappingProxyType(dict(zip(pos, comp))), tuple(height)
+        pos = {t: k for k, t in enumerate(self.buyers)}
+        comp, height = strong_components([[pos[u] for s in self.buyer_adj[t] if owner[s] == t
+                                           for u in self.item_adj[s]] for t in self.buyers])
+        held = dict(zip(self.buyers, comp))
+        return MappingProxyType({s: held[owner[s]] for s in self.items} | held), tuple(height)
 
     def _hold(self, owner: Mapping[ItemId, BuyerId]) -> "BipartiteGraph":
         """This graph, keeping owner restricted to it as its maximum b-matching when that
@@ -328,18 +329,36 @@ class BipartiteGraph:
 
 @dataclass(frozen=True)
 class Covering:
-    """Non-negative dual vector pi with pi(s) + pi(t) >= w(st) on every edge."""
+    """Non-negative dual vector pi with pi(s) + pi(t) >= w(st) on every edge.  Its
+    readers take a graph and refuse a pi that `covering_values` refuses on its vertices."""
 
     pi: Mapping[str, Fraction]
 
     def total_value(self, g: BipartiteGraph) -> Fraction:
-        return sum((self.pi[v] * g.capacity[v] for v in g.items + g.buyers), Fraction(0))
+        pi = covering_values(self, g.items + g.buyers)
+        return sum((pi[v] * g.capacity[v] for v in g.items + g.buyers), Fraction(0))
 
     def is_covering(self, g: BipartiteGraph) -> bool:
-        return all(self.pi[s] + self.pi[t] >= g.weight[(s, t)] for s, t in g.edges)
+        pi = covering_values(self, g.items + g.buyers)
+        return all(pi[s] + pi[t] >= g.weight[(s, t)] for s, t in g.edges)
 
     def tight_edges(self, g: BipartiteGraph) -> frozenset[Edge]:
-        return frozenset(e for e in g.edges if self.pi[e[0]] + self.pi[e[1]] == g.weight[e])
+        pi = covering_values(self, g.items + g.buyers)
+        return frozenset(e for e in g.edges if pi[e[0]] + pi[e[1]] == g.weight[e])
+
+
+def covering_values(pi: Covering, vertices: Sequence[str]) -> Mapping[str, Fraction]:
+    """pi's values, for the readers of a dual that may come from outside: a pi that is
+    no Covering, whose values are no mapping or that lacks one of `vertices` is a
+    ModelError."""
+    if not isinstance(pi, Covering):
+        raise ModelError("pi must be a Covering")
+    if not isinstance(pi.pi, Mapping):
+        raise ModelError("pi must be a mapping")
+    missing = [v for v in vertices if v not in pi.pi]
+    if missing:
+        raise ModelError(f"pi not defined on {missing[0]!r}")
+    return pi.pi
 
 
 @dataclass(frozen=True)

@@ -12,26 +12,27 @@ labeling for three buyers), and the recursive case analysis for bi-demand
 graphs driven by dangerous sets.  `pricing.dispatch_ordering`
 certifies each result with `verify_adequate`; each construction checks its
 input once, by `_require_tight`.  The case analysis starts from the caller's
-tight graph (unit weights, every edge in a b-factor): its dual is constant.  An
-edge in no b-factor means a buyer set of surplus zero, which
-`sets.maximal_dangerous_set` refuses as a contract error.  A descent that cuts
-the graph may leave a part with such edges.  `_bidemand_wrapper` reads that
-part's structured dual off its held b-factor, with no solve and no refine: the
-strong components of the b-factor's digraph (item -> each buyer tight for it,
-buyer -> each item it holds) and their heights, the Dulmage-Mendelsohn
-decomposition (`BipartiteGraph.factor_components`, which the surplus searches
-read too).  An item shares its holder's component.  The cases run on the
-edges whose ends share a component, the legal ones (on the part as it stands
-when all are), and the result is sorted stably by the height of each item's
-component, the dual's order on the items.  A part with no b-factor, or a
-contract error from the cases there, is an InternalConsistencyError.  Case 3
-reads nothing: each component of a tight graph has a constant dual.
+tight graph (unit weights, every edge in a b-factor, which `adequate_bidemand`
+checks at entry): its dual is constant.  Each graph it reads splits along the
+strong components of its held b-factor's buyer digraph (t -> each buyer tight
+for an item that t holds), each item in its holder's: the Dulmage-Mendelsohn
+decomposition, read once per graph (`BipartiteGraph.factor_components`, which
+the surplus searches read too).  An edge lies in a b-factor iff its ends share
+a component.  A descent that cuts the graph may leave a part with edges in no
+b-factor.  Such a part has two components at least, so case 3 splits it first,
+and `induced` keeps only the edges inside each, the legal ones.
+`_bidemand_wrapper` runs the cases on the part as it stands, with no solve, no
+refine and no copy, and sorts the result stably by the height of each item's
+component, the structured dual's order on the items.  A part with no b-factor,
+or a contract error from the cases there, is an InternalConsistencyError.  Case
+3 reads nothing more: each component has a constant dual.
 
 `_bidemand_cases` tries the cases in this order; N(Y) is the items tight for
 some buyer in Y, Z a maximal dangerous set and X a minimal one disjoint from Z:
 - base: at most one buyer.  No cut; its items in item order.
-- 3: the graph splits (one breadth-first search).  Each component in turn,
-  recursing on it as it stands, or, with one buyer, the base case in place.
+- 3: the graph splits: its held b-factor has two components or more.  Each
+  component in turn, recursing on the graph it induces, or, with one buyer, the
+  base case in place.
 - 1: no dangerous set.  No cut; the items in item order.
 - 2.1: no X.  The items outside N(Z), then Z on N(Z) less s0 (the first item of
   N(Z) tight for a buyer outside Z) through the wrapper, then s0.
@@ -70,14 +71,11 @@ def checked_ordering(sigma: Iterable[ItemId], items: Optional[Iterable[ItemId]] 
 
 
 def combine(pi: Covering, sigma: Sequence[ItemId]) -> tuple[ItemId, ...]:
-    """sigma stably sorted by pi: pi values non-decreasing, ties in sigma's order.  A pi
-    that is no Covering is a ModelError, as is any sigma that `checked_ordering` refuses."""
-    if not isinstance(pi, Covering):
-        raise ModelError("pi must be a Covering")
-    try:
-        return tuple(sorted(checked_ordering(sigma), key=pi.pi.__getitem__))
-    except KeyError as exc:
-        raise ModelError(f"pi not defined on item {exc}") from exc
+    """sigma stably sorted by pi: pi values non-decreasing, ties in sigma's order.  Any
+    sigma that `checked_ordering` refuses is a ModelError, and then any pi that
+    `matching.covering_values` refuses on sigma's items."""
+    seq = checked_ordering(sigma)
+    return tuple(sorted(seq, key=matching.covering_values(pi, seq).__getitem__))
 
 
 def verify_adequate(gpi: BipartiteGraph, sigma: Sequence[ItemId]) -> bool:
@@ -158,32 +156,23 @@ def adequate_two_buyers(gpi: BipartiteGraph) -> tuple[ItemId, ...]:
 
 
 def _components(g: BipartiteGraph) -> list[tuple[list[ItemId], list[BuyerId]]]:
-    """g's connected components, by first buyer, each as its items and its buyers in
-    g's orders: one breadth-first search from each buyer that none has reached."""
-    n = len(g.items)
-    adj: list[list[int]] = [[] for _ in g.items + g.buyers]
-    for a, b in g.table.ends:
-        adj[a].append(b)
-        adj[b].append(a)
-    comp = [-1] * len(adj)          # each vertex's first buyer
-    for root in range(n, len(adj)):
-        queue = [root]
-        for a in queue:                 # grows while scanned: breadth first
-            if comp[a] < 0:
-                comp[a] = root
-                queue += adj[a]
-    if -1 in comp:
-        raise InternalConsistencyError("isolated item in tight graph")
-    return [([s for s, c in zip(g.items, comp) if c == k],
-             [t for t, c in zip(g.buyers, comp[n:]) if c == k]) for k in dict.fromkeys(comp[n:])]
+    """The strong components of g's held b-factor (`factor_components`), by first buyer,
+    each as its items and its buyers in g's orders: the connected components of g's
+    legal edges.  A graph with no b-factor is an InternalConsistencyError."""
+    if g.factor_components is None:
+        raise InternalConsistencyError("graph admits no b-factor")
+    comp = g.factor_components[0]
+    return [([s for s in g.items if comp[s] == c], [t for t in g.buyers if comp[t] == c])
+            for c in dict.fromkeys(comp[t] for t in g.buyers)]
 
 
 def adequate_bidemand(h: BipartiteGraph, trace: Optional[list] = None) -> tuple[ItemId, ...]:
     """Adequate ordering of a tight graph where every demand is one or two.
 
     h must have unit weights and a b-factor, and every edge must lie in one
-    (tight = legal); ContractViolationError otherwise.  The cases taken are appended to
-    `trace`, a list when given; anything else is a ModelError.
+    (tight = legal: its ends share a component of the held b-factor); ContractViolationError
+    otherwise.  The cases taken are appended to `trace`, a list when given; anything else
+    is a ModelError.
     """
     if trace is not None and not isinstance(trace, list):
         raise ModelError("trace must be a list")
@@ -191,22 +180,23 @@ def adequate_bidemand(h: BipartiteGraph, trace: Optional[list] = None) -> tuple[
         if not 1 <= h.capacity[t] <= 2:
             raise ContractViolationError("demands must be one or two")
     _require_tight(h)
+    if any(h.factor_components[1]):     # an arc leaves a component: an edge in no b-factor
+        raise ContractViolationError("every edge must lie in a b-factor")
     return tuple(_bidemand_cases(h, [] if trace is None else trace, 0))
 
 
 def _bidemand_wrapper(h: BipartiteGraph, trace: list, depth: int) -> list[ItemId]:
-    """The case analysis on h's legal edges, its items stably sorted by the structured
-    dual.  h has unit weights, and the components of its held b-factor's digraph
-    (`factor_components`) give both: an edge is legal iff its ends share a component,
-    and the dual (`dual.refine_covering`), from the seller-optimal 1 on items and 0 on
-    buyers, raises each item by its component's height, so it ranks them by height."""
+    """The case analysis on h as it stands, its items stably sorted by the structured
+    dual.  h has unit weights, and the components of its held b-factor
+    (`factor_components`) give the rest: an edge in no b-factor joins two of them, so case
+    3 splits h first and leaves that edge out, and the dual (`dual.refine_covering`), from
+    the seller-optimal 1 on items and 0 on buyers, raises each item by its component's
+    height, so it ranks them by height."""
     if h.factor_components is None:
         raise InternalConsistencyError("graph admits no b-factor")
     comp, height = h.factor_components
-    legal = [(s, t) for s, t in h.edges if comp[s] == comp[t]]
-    hp = h if len(legal) == len(h.edges) else h.unit_subgraph(legal)
     try:
-        return sorted(_bidemand_cases(hp, trace, depth), key=lambda s: height[comp[s]])
+        return sorted(_bidemand_cases(h, trace, depth), key=lambda s: height[comp[s]])
     except ContractViolationError as exc:
         raise InternalConsistencyError(f"cut graph refused: {exc}") from exc
 

@@ -74,7 +74,10 @@ def ordering_method(gpi: BipartiteGraph) -> str:
 
 
 def dispatch_ordering(gpi: BipartiteGraph, trace: Optional[list] = None) -> tuple[ItemId, ...]:
-    """Adequate ordering by `ordering_method`, certified; `trace` collects bi-demand cases."""
+    """Adequate ordering by `ordering_method`, certified; `trace` collects bi-demand cases
+    and, whichever construction runs, a trace that is no list is a ModelError."""
+    if trace is not None and not isinstance(trace, list):
+        raise ModelError("trace must be a list")
     three = ordering_method(gpi) == "three-buyer"
     sigma = adequate_three_buyers(gpi) if three else adequate_bidemand(gpi, trace)
     if not verify_adequate(gpi, sigma):

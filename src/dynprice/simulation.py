@@ -333,12 +333,11 @@ def run_exhaustive(m: Market, budget: int = STATE_BUDGET,
     if type(budget) is not int or budget < 0:
         raise ModelError("budget must be a non-negative int")
     mode = _run_mode(m, ordering_strategy)
-    # Welfare runs on the oracle's integers: values times its denominator.
-    oracle = _Oracle(m)
-    opt = oracle.best_from(0, oracle.start)
-    opt_value = Fraction(opt, oracle.denom)
-    value = {(t, s): oracle.w[i][j]
-             for i, s in enumerate(m.items) for j, t in enumerate(m.buyers)}
+    # Welfare runs on the market's integers: values times its denominator.  The optimum
+    # comes through `oracle_opt_value`, so that a traced run times the oracle's DP there.
+    opt_value = oracle_opt_value(m)
+    opt = int(opt_value * m.denominator)
+    value = dict(zip(((t, s) for s in m.items for t in m.buyers), m.weight))
     # state -> (least welfare, greatest welfare, run count, first least move)
     memo: dict[tuple, tuple[int, int, int, Move]] = {}
     expansions = 0

@@ -197,6 +197,22 @@ def reference_tight_subgraph(sc, g: BipartiteGraph) -> BipartiteGraph:
                                 dict(g.capacity))
 
 
+def reference_components(g: BipartiteGraph) -> list:
+    """g's connected components by closing each first unreached buyer's
+    neighborhood until it stops growing, as items and buyers in g's orders."""
+    comps, reached = [], set()
+    for t in g.buyers:
+        if t in reached:
+            continue
+        buyers, items = {t}, set()
+        while items != g.neighbors(buyers):
+            items = g.neighbors(buyers)
+            buyers |= {u for s in items for u in g.item_adj[s]}
+        reached |= buyers
+        comps.append(([s for s in g.items if s in items], [u for u in g.buyers if u in buyers]))
+    return comps
+
+
 def reference_feasible_bundle(g: BipartiteGraph, t, F) -> bool:
     """Bundle feasibility from a cold start: a b-factor of a copy of g without t and F."""
     return bfactor_exists(g.without(frozenset(F) | {t}))[0]

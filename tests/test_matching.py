@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dynprice import (BipartiteGraph, bfactor_exists, market_graph,
+from dynprice import (BipartiteGraph, bfactor_exists, compute_slack, market_graph,
                       max_weight_bmatching, max_weight_forced_edge,
                       max_weight_reduced_capacity, optimal_covering, restrict_market)
 from dynprice.errors import ContractViolationError, ModelError
-from dynprice.matching import (integer_weights, lexicographic_min_edge_optimum,
+from dynprice.matching import (Covering, integer_weights, lexicographic_min_edge_optimum,
                                solve_with_covering)
 
 from conftest import (brute_bfactor_exists, brute_hall_witness, naive_opt_value,
@@ -556,6 +556,12 @@ def test_optimal_pair_check_trips_on_a_perturbed_solve(monkeypatch, perturb, mes
     (lambda g: g.unit_subgraph("s1"), "edges must be a collection of ids, not a string"),
     (lambda g: g.neighbors("t1"), "buyers must be a collection of ids, not a string"),
     (lambda g: g.neighbors(["x"]), "unknown buyers ['x']"),
+    (lambda g: Covering({}).tight_edges(g), "pi not defined on 's1'"),
+    (lambda g: Covering({}).total_value(g), "pi not defined on 's1'"),
+    (lambda g: Covering({"s1": 1}).is_covering(g), "pi not defined on 't1'"),
+    (lambda g: Covering(None).tight_edges(g), "pi must be a mapping"),
+    (lambda g: compute_slack(g, Covering({})), "pi not defined on 's1'"),
+    (lambda g: compute_slack(g, {"s1": 1}), "pi must be a Covering"),
 ])
 def test_graph_refusals_are_model_errors(call, message):
     g = graph_of(["s1"], ["t1"], {"t1": 1}, {("s1", "t1"): 1})

@@ -9,11 +9,12 @@ from dynprice import (BipartiteGraph, adequate_bidemand, dual, matching,
                       adequate_three_buyers, adequate_two_buyers, combine,
                       generate_instance, market_graph, multi_round, orderings,
                       refine_covering, tight_subgraph, verify_adequate)
-from dynprice.pricing import tight_market
+from dynprice.pricing import dispatch_ordering, tight_market
 from dynprice.errors import ContractViolationError, InternalConsistencyError, ModelError
 from dynprice.matching import Covering
 
-from conftest import brute_verify_adequate, reference_bidemand_wrapper, reference_two_buyers
+from conftest import (brute_verify_adequate, reference_bidemand_wrapper, reference_components,
+                      reference_tight_subgraph, reference_two_buyers)
 
 
 def tight_of(m):
@@ -357,42 +358,36 @@ def test_bidemand_two_components(monkeypatch):
     assert wrapped == []
 
 
-def reference_components(g: BipartiteGraph) -> list:
-    """g's connected components by closing each first unreached buyer's
-    neighborhood until it stops growing, as items and buyers in g's orders."""
-    comps, reached = [], set()
-    for t in g.buyers:
-        if t in reached:
-            continue
-        buyers, items = {t}, set()
-        while items != g.neighbors(buyers):
-            items = g.neighbors(buyers)
-            buyers |= {u for s in items for u in g.item_adj[s]}
-        reached |= buyers
-        comps.append(([s for s in g.items if s in items], [u for u in g.buyers if u in buyers]))
-    return comps
-
-
 def test_components_are_the_neighborhood_closures(bidemand_recursion):
-    # the breadth-first components, in order of first buyer, on the recursion's
-    # graphs and on random graphs; an item on no edge is an internal error
+    # the held b-factor's strong components, in order of first buyer, are the
+    # connected components of the legal edges (of the graph itself where every
+    # edge is legal), on the recursion's graphs and on random graphs around a
+    # planted b-factor or none; a graph with no b-factor is an internal error
     rng = random.Random(83)
-    graphs, isolated = list(bidemand_recursion), 0
-    for _ in range(400):
+    graphs, refused, answered, split = list(bidemand_recursion), 0, 0, 0
+    for _ in range(600):
         buyers = [f"t{k}" for k in range(rng.randint(1, 7))]
-        items = [f"s{k}" for k in range(rng.randint(0, 10))]
-        density = rng.random() * 0.5
-        edges = [(s, t) for s in items for t in buyers if rng.random() < density]
-        graphs.append(unit_graph(items, buyers, dict.fromkeys(buyers, 2), edges))
+        caps = {t: rng.randint(1, 2) for t in buyers}
+        items = [f"s{k}" for k in range(sum(caps.values()) + rng.choice([0, 0, 0, -1, 1]))]
+        planted = rng.sample(items, len(items))
+        edges = {(planted.pop(), t) for t in buyers for _ in range(caps[t]) if planted}
+        density = rng.random() * 0.3
+        edges |= {(s, t) for s in items for t in buyers if rng.random() < density}
+        graphs.append(unit_graph(items, buyers, caps, sorted(edges)))
     for g in graphs:
-        if any(not g.item_adj[s] for s in g.items):
-            isolated += 1
-            with pytest.raises(InternalConsistencyError, match="^isolated item in tight graph$"):
+        if not matching.bfactor_exists(g)[0]:
+            refused += 1
+            with pytest.raises(InternalConsistencyError, match="^graph admits no b-factor$"):
                 orderings._components(g)
-        else:
-            assert orderings._components(g) == reference_components(g)
-    assert isolated >= 100 and len(graphs) - isolated >= 500
-    assert sum(len(reference_components(g)) > 1 for g in graphs) >= 100
+            continue
+        legal = reference_tight_subgraph(refine_covering(g), g)
+        comps = orderings._components(g)
+        assert comps == reference_components(legal)
+        if legal.edge_set == g.edge_set:
+            assert comps == reference_components(g)
+        answered += 1
+        split += len(comps) > 1
+    assert answered >= 500 and refused >= 100 and split >= 100
 
 
 def test_bidemand_complete_case1():
@@ -577,6 +572,25 @@ def test_the_bidemand_ordering_refines_nothing(bidemand_recursion, monkeypatch):
     assert ordered >= 300 and len(wrapped) >= 300
 
 
+def test_the_bidemand_ordering_copies_no_graph(bidemand_recursion, monkeypatch):
+    # the recursion splits along the held b-factor's components and cuts by
+    # `induced`: with no copy onto a subset of the edges, it orders every graph
+    # whose edges all lie in a b-factor, and refuses the others at entry
+    legal = [refine_covering(g).tight_edges == g.edge_set for g in bidemand_recursion]
+
+    def no_copy(*args):
+        raise AssertionError("the bi-demand ordering copied a graph onto some of its edges")
+
+    monkeypatch.setattr(BipartiteGraph, "unit_subgraph", no_copy)
+    for g, settled in zip(bidemand_recursion, legal):
+        if settled:
+            assert verify_adequate(g, adequate_bidemand(g))
+        else:
+            with pytest.raises(ContractViolationError, match="^every edge must lie in a b-factor$"):
+                adequate_bidemand(g)
+    assert sum(legal) >= 300 and len(legal) - sum(legal) >= 50
+
+
 def test_bidemand_refuses_an_edge_in_no_factor():
     # t1 must take s1 and s2, so the edge (s1, t2) lies in no b-factor; the
     # graph is refused whole and with a disconnected third buyer alongside
@@ -586,7 +600,7 @@ def test_bidemand_refuses_an_edge_in_no_factor():
                        {"t1": 2, "t2": 1, "t3": 2}, edges + [("s4", "t3"), ("s5", "t3")])
     for g in (connected, split):
         assert matching.bfactor_exists(g)[0]
-        with pytest.raises(ContractViolationError):
+        with pytest.raises(ContractViolationError, match="^every edge must lie in a b-factor$"):
             adequate_bidemand(g)
 
 
@@ -600,18 +614,21 @@ def test_bidemand_refuses_weights_other_than_one():
         adequate_bidemand(g)
 
 
-def test_an_unpruned_recursion_graph_is_an_internal_error(fig1, monkeypatch):
-    # the figure market's recursion cuts a graph with an edge in no b-factor
-    # and prunes it to its legal edges; handed on unpruned, the case analysis
-    # refuses it, and that is the engine's fault, not the caller's
+def test_a_surplus_zero_cut_graph_reaching_the_cases_is_an_internal_error(fig1, monkeypatch):
+    # the figure market's recursion cuts a graph with an edge in no b-factor:
+    # one connected component, but more than one strong component of its held
+    # b-factor.  Split by connectivity instead, that graph reaches the cases
+    # whole, and its surplus-zero set, refused there, is the engine's fault
     gpi = tight_of(fig1)
-    pruned = []
-    real = BipartiteGraph.unit_subgraph
-    monkeypatch.setattr(BipartiteGraph, "unit_subgraph",
-                        lambda h, edges: pruned.append(h) or real(h, edges))
-    assert verify_adequate(gpi, adequate_bidemand(gpi)) and pruned
-    monkeypatch.setattr(BipartiteGraph, "unit_subgraph", lambda h, edges: h)
-    with pytest.raises(InternalConsistencyError, match="^cut graph refused: "):
+    cut = []
+    real = orderings._bidemand_wrapper
+    monkeypatch.setattr(orderings, "_bidemand_wrapper",
+                        lambda h, trace, depth: cut.append(h) or real(h, trace, depth))
+    assert verify_adequate(gpi, adequate_bidemand(gpi))
+    assert any(len(reference_components(h)) < len(orderings._components(h)) for h in cut)
+    monkeypatch.setattr(orderings, "_components", reference_components)
+    with pytest.raises(InternalConsistencyError,
+                       match="^cut graph refused: surplus-zero set exists; graph splits instead$"):
         adequate_bidemand(gpi)
 
 
@@ -670,6 +687,9 @@ def test_verify_adequate_matches_brute_force():
     (lambda: adequate_bidemand(tight_of(generate_instance(1, 4, 2, (1, 3))), trace=5),
      ModelError, "trace must be a list"),
     (lambda: combine({"s1": 1}, ["s1"]), ModelError, "pi must be a Covering"),
+    pytest.param(lambda: dispatch_ordering(tight_market(generate_instance(1, 3, 2, (1, 3))).gpi,
+                                           trace=5),
+                 ModelError, "trace must be a list", id="dispatch-trace-three-buyers"),
 ])
 def test_ordering_refusals_are_typed(call, error, message):
     with pytest.raises(error, match=f"^{message}$"):

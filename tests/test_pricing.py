@@ -11,8 +11,9 @@ from dynprice import (BipartiteGraph, Market, best_bundles, dual, feasible_bundl
 from dynprice.errors import ContractViolationError, ModelError, UnsupportedMarketError
 from dynprice.simulation import oracle_feasible
 
-from conftest import (benchmark_workloads, graph_fields, reference_feasible_bundle,
-                      reference_tight_subgraph, reference_verify_adequate)
+from conftest import (benchmark_workloads, graph_fields, reference_components,
+                      reference_feasible_bundle, reference_tight_subgraph,
+                      reference_verify_adequate)
 
 
 def test_unit_prices_e1(e1):
@@ -237,13 +238,12 @@ def test_multi_trivial_round_without_buyers():
 def test_rounds_refine_the_trimmed_graph_on_price_pools(monkeypatch, workload):
     # Every round refines the graph trim_items returns, which equals
     # market_graph of the trimmed market field for field, starting from trim's
-    # optimum; every tight graph equals the from-scratch reference, and so does
-    # every legal graph the bi-demand recursion cuts, on the tight edges of
-    # the cut graph's own refined dual.
+    # optimum; every tight graph equals the from-scratch reference; and the
+    # components of every graph the bi-demand recursion cuts are the connected
+    # components of the from-scratch tight graph of its own refined dual.
     workloads = benchmark_workloads()
     last_trim: list = []
-    wrapped: list = []
-    counts = {"refine": 0, "tight": 0, "cut": 0}
+    counts = {"refine": 0, "tight": 0, "split": 0}
 
     def trim(m):
         trimmed, g, removed, best = model.trim_items(m)
@@ -262,26 +262,20 @@ def test_rounds_refine_the_trimmed_graph_on_price_pools(monkeypatch, workload):
         counts["tight"] += 1
         return gpi
 
-    real_wrapper, real_cut = orderings._bidemand_wrapper, BipartiteGraph.unit_subgraph
+    real_wrapper = orderings._bidemand_wrapper
 
     def wrapper(h, trace, depth):
-        wrapped[:] = [h]
+        sc = dual.refine_covering(h, frozenset(h.max_cardinality_bmatching[0].items()))
+        comps = orderings._components(h)
+        assert comps == reference_components(reference_tight_subgraph(sc, h))
+        counts["split"] += len(comps) > 1
         return real_wrapper(h, trace, depth)
-
-    def cut(h, edges):
-        gpi = real_cut(h, edges)
-        if wrapped and h is wrapped[0]:     # the wrapper prunes the graph it holds
-            sc = dual.refine_covering(h, frozenset(h.max_cardinality_bmatching[0].items()))
-            assert graph_fields(gpi) == graph_fields(reference_tight_subgraph(sc, h))
-            counts["cut"] += 1
-        return gpi
 
     monkeypatch.setattr(workloads, "probe", lambda: workloads.REFERENCE_S)  # no timing here
     monkeypatch.setattr(pricing, "trim_items", trim)
     monkeypatch.setattr(pricing, "refine_covering", refine)
     monkeypatch.setattr(pricing, "tight_subgraph", tight)
     monkeypatch.setattr(orderings, "_bidemand_wrapper", wrapper)
-    monkeypatch.setattr(BipartiteGraph, "unit_subgraph", cut)
     mode = "unit" if workload == "price-unit" else "multi"
     rounds = 0
     for seed in (3, 41):
@@ -291,7 +285,7 @@ def test_rounds_refine_the_trimmed_graph_on_price_pools(monkeypatch, workload):
             rounds += len(out.rounds)
     assert counts["refine"] == rounds
     assert counts["tight"] == (rounds if mode == "multi" else 0)
-    assert (counts["cut"] > 0) == (mode == "multi")
+    assert (counts["split"] > 0) == (mode == "multi")
 
 
 def test_one_hungarian_solve_per_run(monkeypatch):

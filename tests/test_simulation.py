@@ -295,6 +295,23 @@ def test_run_exhaustive_budget(e2):
     assert v.counterexample is None
 
 
+def test_run_exhaustive_takes_its_optimum_from_the_oracle(e2, monkeypatch):
+    # the optimum comes through the module's `oracle_opt_value`, so a traced
+    # run times the oracle's DP there; a refused mode still comes before the cap
+    calls = []
+    monkeypatch.setattr(simulation, "oracle_opt_value",
+                        lambda m: calls.append(m) or oracle_opt_value(m))
+    v = run_exhaustive(e2)
+    assert calls == [e2] and v.optimum == 14 and v.all_optimal and v.complete
+    items = [f"s{i}" for i in range(13)]
+    m = Market.build(items, ["t1"], {"t1": 1}, {("t1", s): 1 for s in items})
+    with pytest.raises(ModelError, match="^a unit-demand market takes no ordering strategy$"):
+        run_exhaustive(m, ordering_strategy=reversed_ordering_strategy)
+    with pytest.raises(OracleCapError, match="^oracle limited to 12 items$"):
+        run_exhaustive(m)
+    assert calls == [e2, m]
+
+
 def _divided(m, denominators):
     """m with buyer j's values divided by denominators[j]."""
     return Market.build(m.items, m.buyers, dict(m.demand),
