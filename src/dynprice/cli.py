@@ -132,7 +132,8 @@ def generate_instance(seed: int, buyers: int, demand_profile: int | Sequence[int
                       value_range: tuple[int, int] = (1, 20)) -> Market:
     """Deterministic random market with |S| = total demand and positive values,
     refused (ModelError) beyond GENERATE_CELL_CAP values, before anything is built,
-    and for a seed, buyer count, demand or value bound that is not an int (bool included).
+    for a negative buyer count, and for a seed, buyer count, demand or value bound
+    that is not an int (bool included).
 
     Such a market always has the saturation property: an optimum that left a
     buyer short would leave an item unsold, since |S| = b(T), and giving that
@@ -140,8 +141,8 @@ def generate_instance(seed: int, buyers: int, demand_profile: int | Sequence[int
     """
     if type(seed) is not int:
         raise ModelError("seed must be an int")
-    if type(buyers) is not int:
-        raise ModelError("buyers must be an int")
+    if type(buyers) is not int or buyers < 0:
+        raise ModelError("buyers must be an int >= 0")
     uniform = type(demand_profile) is int
     if not uniform and (not isinstance(demand_profile, Sequence)
                         or any(type(d) is not int for d in demand_profile)):

@@ -68,16 +68,23 @@ integer weights the solve ran on, that M is a b-matching of g
 M, with complementary slackness.  On the trim weights that proves M of
 maximum weight and, among those, of fewest edges, so neither trimming nor the
 structured dual, which starts from M (`dual.refine_covering`), solves again.
-A residual's trim starts instead from its parent round's optimum and dual,
-optimal there once a buyer leaves with a bundle some optimum holds (Shapley and
-Shubik 1971; `warm_min_edge_optimum`); where they prove none, the solver runs.
+
+Trim's solve alone starts greedily: each buyer copy first takes the first free
+item it values most, and only the copies left over search for augmenting
+paths.  The start can end at another optimum among ties, so it is taken only
+where the answer is the same from every optimum: every pair an edge of
+positive weight and b(T) >= |S|.  Then a b-matching that left an item unsold
+would leave a buyer copy free, which could take it, so every optimum uses
+every item and trim keeps them all; the structured dual and the tight graph
+are functions of the graph, whichever b-factor it holds.  Anywhere else, a
+zero value or fewer copies than items, the solve runs from no start, and trim's
+tie rule is the search order's.  `solve_with_covering` never takes the start.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from collections import Counter
 from collections.abc import Container, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -370,7 +377,7 @@ class SolveResult:
     covering: Covering
 
 
-def _hungarian(n_rows: int, n_cols: int, weight: list[list[int]]):
+def _hungarian(n_rows: int, n_cols: int, weight: list[list[int]], greedy: bool = False):
     """Row-perfect max-weight integer assignment where a row may take a zero-weight
     dummy column instead of a real one; weight[i][j] is row i's weight on real column j.
 
@@ -378,6 +385,13 @@ def _hungarian(n_rows: int, n_cols: int, weight: list[list[int]]):
     free dummy.  Free dummies would all have v = 0 and the same slack, and the
     search takes the lowest index on ties, so only the first could be chosen:
     the next opens when it is taken.
+
+    With `greedy`, each row in order first takes the first free real column
+    whose weight is its row maximum u[i] (Jonker and Volgenant 1987), and a row
+    so matched needs no tree search.  The potentials u = row maximum, v = 0 stay
+    feasible and the pairs tight, so the search's invariants hold from there;
+    the optimum found may be another among ties, which is why only a caller
+    whose answer is the same from every optimum sets it (the module notes).
 
     Returns (match_row, u, v) where match_row[i] is the real column matched to
     row i or -1 (row absorbed by a dummy), and (u, v) are non-negative
@@ -389,8 +403,15 @@ def _hungarian(n_rows: int, n_cols: int, weight: list[list[int]]):
     v = [0] * (n_cols + 1)
     match_row = [-1] * n_rows             # row -> column (real or dummy)
     match_col = [-1] * (n_cols + 1)       # column -> row
+    if greedy:
+        for i, row in enumerate(weight):
+            j = next((j for j, w in enumerate(row) if w == u[i] and match_col[j] < 0), -1)
+            if j >= 0:
+                match_row[i], match_col[j] = j, i
 
     for root in range(n_rows):
+        if match_row[root] >= 0:
+            continue
         n = len(v)
         dummy_weights = [0] * (n - n_cols)
         slack = [math.inf] * n
@@ -437,12 +458,13 @@ def _hungarian(n_rows: int, n_cols: int, weight: list[list[int]]):
     return [j if j < n_cols else -1 for j in match_row], u, v
 
 
-def _solve(g: BipartiteGraph, weights: Sequence[int]):
+def _solve(g: BipartiteGraph, weights: Sequence[int], greedy: bool = False):
     """Solve max-weight b-matching via buyer-copy expansion.
 
     Takes an integer weight per edge of g, in edge order, and returns the
     matched edges' indices, the value and pi by position in items + buyers, as
     integers in the units of `weights`; `_check_optimal_pair` certifies them.
+    `greedy` is `_hungarian`'s start, which only trim's solve takes.
     """
     n = len(g.items)
     ends = g.table.ends
@@ -455,7 +477,7 @@ def _solve(g: BipartiteGraph, weights: Sequence[int]):
     # t holds at most |S| items; one more copy, never matched, keeps pi(t) = 0
     rows = [b for b, t in enumerate(g.buyers) for _ in range(min(g.capacity[t], n + 1))]
 
-    match_row, u, v = _hungarian(len(rows), n, [dense[b] for b in rows])
+    match_row, u, v = _hungarian(len(rows), n, [dense[b] for b in rows], greedy)
 
     # the ends are in canonical order, sorted, so a matched pair's index is a bisection
     pairs = [(a, n + rows[i]) for i, a in enumerate(match_row) if a >= 0]
@@ -669,39 +691,14 @@ def lexicographic_min_edge_optimum(g: BipartiteGraph) -> tuple[frozenset[Edge], 
 
     Solved and certified over the integer weights w * D * K - 1, K = |S| + 1 (see
     the module notes), which order b-matchings by weight first and edge count second.
+    The solve starts greedily only where every optimum uses every item: every pair
+    an edge of positive weight, and b(T) >= |S|.
     """
-    table = g.table
-    k = len(g.items) + 1
-    weight = [w * k - 1 for w in table.weight]
-    matched, value, pi = _solve(g, weight)
+    table, n = g.table, len(g.items)
+    weight = [w * (n + 1) - 1 for w in table.weight]
+    greedy = (min(weight, default=1) > 0 and len(weight) == n * len(g.buyers)
+              and g.buyer_capacity_total() >= n)
+    matched, value, pi = _solve(g, weight, greedy=greedy)
     _check_optimal_pair(g, weight, matched, value, pi)
     return (frozenset(g.edges[i] for i in matched),
             Fraction(sum(table.weight[i] for i in matched), table.denominator))
-
-
-def warm_min_edge_optimum(g: BipartiteGraph, m: Iterable[Edge], pi: Sequence[int],
-                          unit: int) -> Optional[frozenset[Edge]]:
-    """A fewest-edge maximum-weight b-matching grown from m along the tight edges of
-    pi, a covering by position in items + buyers in units of 1/unit; None where
-    that proves none.  With pi positive on every item, every optimum uses every
-    item, so one that saturates every item and every buyer of positive pi is one:
-    certified on the trim weights w * unit/D * K - 1 by K * pi, less one on items."""
-    table, n = g.table, len(g.items)
-    if unit % table.denominator or min(pi[:n], default=1) <= 0:
-        return None
-    scale, k = unit // table.denominator, n + 1
-    tight = {g.edges[e]: e for e, ((a, b), w) in enumerate(zip(table.ends, table.weight))
-             if pi[a] + pi[b] == w * scale}        # tight edge -> its index, in edge order
-    adj: dict[BuyerId, list[ItemId]] = {t: [] for t in g.buyers}
-    for s, t in tight:                  # canonical order: each buyer's items come sorted
-        adj[t].append(s)
-    owner = {s: t for s, t in m if (s, t) in tight}
-    load = dict.fromkeys(g.buyers, 0) | Counter(owner.values())
-    augment(adj, g.capacity, owner, load)
-    if len(owner) < n or any(x and load[t] < g.capacity[t] for t, x in zip(g.buyers, pi[n:])):
-        return None
-    weight = [w * scale * k - 1 for w in table.weight]
-    matched = [tight[e] for e in owner.items()]
-    _check_optimal_pair(g, weight, matched, sum(weight[e] for e in matched),
-                        [x * k - 1 for x in pi[:n]] + [x * k for x in pi[n:]])
-    return frozenset(owner.items())

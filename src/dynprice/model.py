@@ -118,14 +118,6 @@ class Market:
             raise ModelError(f"unknown buyer {t!r}") from None
         return self.weight[k::len(self.buyers)]
 
-    def _hold(self, m: frozenset[matching.Edge], q: tuple[int, ...], unit: int) -> None:
-        """Keep trim's optimum m and its dual q / unit, q by position in items + buyers, in
-        one slot, the market's basis, with q keyed by vertex.  A round that trims nothing
-        writes it; `restrict_market` moves it whole, `trim_items` pops it and takes only
-        what `warm_min_edge_optimum` certifies.  It is no argument: the benchmark's runs
-        (perfbench/workloads.py) price a market, then restrict that same object."""
-        self.__dict__["basis"] = (m, dict(zip(self.items + self.buyers, q)), unit)
-
 
 @dataclass(frozen=True)
 class OptReport:
@@ -224,17 +216,12 @@ def trim_items(m: Market) -> tuple[Market, BipartiteGraph, frozenset[ItemId],
     sorted positions).  A buyer of demand above one can keep a later set: for
     t1 of demand 2 valuing s1..s4 at 1, 1, 0, 2 and t2 of demand 1 at 0, 0, 1,
     2, the sets are {s1, s2, s4}, {s1, s3, s4} and {s2, s3, s4}, and trim
-    keeps {s1, s3, s4}.
-
-    A market holding a basis (`Market._hold`) drops it and starts from it, its dual read
-    at the graph's vertices; an optimum it proves uses every item, as the solve's does.
+    keeps {s1, s3, s4}.  Where every value is positive and b(T) >= |S|, every
+    optimum uses every item and trim keeps them all; only there does the solve
+    start greedily (`matching.lexicographic_min_edge_optimum`).  m is left as it was.
     """
     g = market_graph(m)
-    basis = m.__dict__.pop("basis", None)
-    best = basis and matching.warm_min_edge_optimum(
-        g, basis[0], [basis[1][v] for v in g.items + g.buyers], basis[2])
-    if best is None:        # an empty optimum, of a residual with no items, is one too
-        best, _ = matching.lexicographic_min_edge_optimum(g)
+    best, _ = matching.lexicographic_min_edge_optimum(g)
     used = {s for s, _ in best}
     removed = frozenset(s for s in m.items if s not in used)
     if removed:
@@ -244,8 +231,8 @@ def trim_items(m: Market) -> tuple[Market, BipartiteGraph, frozenset[ItemId],
 
 
 def restrict_market(m: Market, departed: BuyerId, sold: Iterable[ItemId]) -> Market:
-    """The market after a buyer leaves with (possibly zero, at most its demand) sold items;
-    the basis m holds (`Market._hold`) moves to it whole, for its trim to certify."""
+    """The market after a buyer leaves with (possibly zero, at most its demand) sold items,
+    a new market; m is left as it was."""
     sold = frozen_ids(sold, "items")
     if departed not in m.buyers:
         raise ModelError(f"unknown buyer {departed!r}")
@@ -254,7 +241,4 @@ def restrict_market(m: Market, departed: BuyerId, sold: Iterable[ItemId]) -> Mar
         raise ModelError(f"unknown items {sorted(unknown, key=repr)!r}")
     if len(sold) > m.demand[departed]:
         raise ModelError(f"bundle of {departed} exceeds demand")
-    residual = submarket(m, set(m.items) - sold, set(m.buyers) - {departed})
-    if "basis" in m.__dict__:
-        residual.__dict__["basis"] = m.__dict__.pop("basis")
-    return residual
+    return submarket(m, set(m.items) - sold, set(m.buyers) - {departed})

@@ -6,14 +6,14 @@ first picked first.  Unit-demand prices are pi itself.  Both variants trim the
 market first and price trimmed-away items prohibitively so no buyer ever takes
 them.
 
-One graph and at most one weighted solve per round: `trim_items` returns the
+One graph and one weighted solve per round, trim's: `trim_items` returns the
 trimmed market's graph and its certified optimum, from which the structured
 dual starts, and the tight graph is cut from that graph, holding that optimum
-as its maximum b-matching.  A market trimmed of nothing keeps that optimum and
-dual as its basis (`Market._hold`), which `restrict_market` moves whole to its
-residual, whose trim starts from it, so a run's later rounds rarely solve.  The
-ordering layer takes the tight graph alone: `ordering_method` reads its buyers
-and capacities (the demands).
+as its maximum b-matching.  A round is a function of its market's fields: it
+reads nothing that an earlier round left and leaves nothing on the market, so
+pricing a market twice, or a residual and a fresh copy of it, gives one round.
+The ordering layer takes the tight graph alone: `ordering_method` reads its
+buyers and capacities (the demands).
 """
 
 from __future__ import annotations
@@ -94,8 +94,6 @@ def _trim_and_refine(m: Market) -> tuple[Market, BipartiteGraph, frozenset[ItemI
         sc = refine_covering(g, best)
     except ContractViolationError as exc:
         raise InternalConsistencyError(f"trimmed optimum refused: {exc}") from exc
-    if not removed:
-        trimmed._hold(best, sc.q, sc.unit)
     return trimmed, g, removed, best, sc
 
 

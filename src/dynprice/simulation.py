@@ -31,7 +31,7 @@ from __future__ import annotations
 import math
 import random
 from collections.abc import Mapping
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations
 from typing import Callable, Iterable, Optional, Sequence
@@ -161,7 +161,7 @@ def oracle_feasible(m: Market, t: BuyerId, F: Iterable[ItemId]) -> bool:
     F = frozen_ids(F, "items")
     if t in m.buyers and len(F) > m.demand[t] and F <= set(m.items):
         return False
-    rest = restrict_market(replace(m), t, F)    # a copy keeps m's basis; ModelError on unknown ids
+    rest = restrict_market(m, t, F)     # ModelError on unknown ids
     bundle_value = sum((m.value[(t, s)] for s in F), Fraction(0))
     return bundle_value + oracle_opt_value(rest) == oracle_opt_value(m)
 

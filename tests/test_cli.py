@@ -364,6 +364,16 @@ def test_generate_refuses_counts_and_bounds_that_are_not_ints(args):
         generate_instance(1, *args)
 
 
+@pytest.mark.parametrize("profile", [1, [1, 1, 1]], ids=["uniform", "list"])
+def test_generate_refuses_a_negative_buyer_count_by_name(profile, capsys):
+    # refused before the cell cap and the profile are read, naming the buyers
+    with pytest.raises(ModelError, match="^buyers must be an int >= 0$"):
+        generate_instance(1, -3, profile)
+    assert main(["generate", "--seed", "1", "--buyers", "-3"]) == 2
+    assert capsys.readouterr() == ("", "error: buyers must be an int >= 0\n")
+    assert generate_instance(1, 0, []).buyers == ()
+
+
 @pytest.mark.parametrize("seed", [1.5, "1", True, None, [1]],
                          ids=["float", "str", "bool", "none", "list"])
 def test_generate_refuses_a_seed_that_is_not_an_int(seed):

@@ -320,9 +320,9 @@ def test_expansion_caps_copies_at_items_plus_one(monkeypatch):
     rows = []
     hungarian = matching_mod._hungarian
 
-    def counting(n_rows, n_cols, adj):
+    def counting(n_rows, n_cols, adj, greedy=False):
         rows.append(n_rows)
-        return hungarian(n_rows, n_cols, adj)
+        return hungarian(n_rows, n_cols, adj, greedy)
 
     monkeypatch.setattr(matching_mod, "_hungarian", counting)
     g = graph_of(["s1", "s2"], ["t1", "t2"], {"t1": 50, "t2": 2},
@@ -358,6 +358,32 @@ def test_hungarian_is_the_per_row_dummy_reference():
         match_row, u, v = matching_mod._hungarian(len(adj), n_cols, dense)
         want_row, want_u, want_v = reference_hungarian(len(adj), n_cols, adj)
         assert (match_row, u, v[:n_cols]) == (want_row, want_u, want_v[:n_cols])
+
+
+def test_the_greedy_start_reaches_the_reference_optimum():
+    # on 1500 random graphs, dense or sparse, capacities 0-3, with the plain and
+    # the trim weights: the solve from the greedy start passes the certificate
+    # and weighs what the start-free reference does, some at another optimum
+    import dynprice.matching as matching_mod
+    rng = random.Random(4101)
+    other = 0
+    for _ in range(1500):
+        items = [f"s{i}" for i in range(rng.randint(0, 7))]
+        buyers = [f"t{i}" for i in range(rng.randint(0, 4))]
+        density = rng.choice([0.5, 1.0])
+        weights = {(s, t): Fraction(rng.randint(0, 2), rng.choice((1, 1, 2)))
+                   for s in items for t in buyers if rng.random() < density}
+        g = graph_of(items, buyers, {t: rng.randint(0, 3) for t in buyers}, weights)
+        n = len(items)
+        rows = [b for b, t in enumerate(buyers) for _ in range(min(g.capacity[t], n + 1))]
+        for w in (list(g.table.weight), [x * (n + 1) - 1 for x in g.table.weight]):
+            matched, value, pi = matching_mod._solve(g, w, greedy=True)
+            matching_mod._check_optimal_pair(g, w, matched, value, pi)
+            adj = [[(a, x) for (a, c), x in zip(g.table.ends, w) if c == n + b] for b in rows]
+            want, _, _ = reference_hungarian(len(adj), n, adj)
+            assert value == sum(dict(r)[j] for r, j in zip(adj, want) if j >= 0)
+            other += set(matched) != set(matching_mod._solve(g, w)[0])
+    assert other >= 40
 
 
 def test_zero_capacity_buyers_change_no_value_and_refine_certifies():

@@ -321,6 +321,35 @@ def test_trim_tie_rule_against_brute_force():
     assert kept_positions(m) == (0, 2, 3)
 
 
+def test_trim_keeps_the_same_items_from_the_greedy_start(monkeypatch):
+    # on 1000 tied markets of positive values whose demands total at least the
+    # items, trim keeps every item, from the greedy start as from the start-free
+    # solve, though their optima often differ; and the rounds priced are the same
+    import dynprice.matching as matching_mod
+    from dynprice import multi_round, unit_round
+    rng = random.Random(4103)
+    real = matching_mod._solve
+    tied = other = 0
+    while tied < 1000:
+        buyers = [f"t{j}" for j in range(rng.randint(1, 3))]
+        demand = {t: rng.randint(1, 3) for t in buyers}
+        items = [f"s{k}" for k in range(rng.randint(1, min(6, sum(demand.values()))))]
+        m = Market.build(items, buyers, demand,
+                         {(t, s): rng.randint(1, 2) for t in buyers for s in items})
+        tied += len(oracle_opt(m)[1]) > 1
+        price = unit_round if set(demand.values()) == {1} else multi_round
+        priced = len(items) == sum(demand.values()) or price is unit_round
+        answers = []
+        for solve in (real, lambda g, weights, greedy=False: real(g, weights)):
+            monkeypatch.setattr(matching_mod, "_solve", solve)
+            trimmed, _, removed, best = trim_items(m)
+            rp = price(m) if priced else None
+            answers.append((trimmed, removed, rp and (rp.prices, rp.sigma, rp.pi), best))
+        assert answers[0][:3] == answers[1][:3] and answers[0][1] == frozenset()
+        other += answers[0][3] != answers[1][3]
+    assert other >= 100
+
+
 def test_a_wrong_trim_optimum_is_an_internal_error(monkeypatch, tmp_path, capsys):
     # For trim's objective only, the solver answers g without its last item,
     # with a dual on every vertex.  Its certificate must refuse the answer:
@@ -334,12 +363,12 @@ def test_a_wrong_trim_optimum_is_an_internal_error(monkeypatch, tmp_path, capsys
     from dynprice.simulation import run_exhaustive
     real = matching_mod._solve
 
-    def wrong(g, weights):
+    def wrong(g, weights, greedy=False):
         if weights is g.table.weight or not g.items:
-            return real(g, weights)
+            return real(g, weights, greedy)
         # the last item's edges come last in edge order: sub's edges are a prefix of g's
         sub = g.without([g.items[-1]])
-        matched, value, pi = real(sub, weights[:len(sub.edges)])
+        matched, value, pi = real(sub, weights[:len(sub.edges)], greedy)
         n = len(sub.items)
         return matched, value, pi[:n] + [0] + pi[n:]
 

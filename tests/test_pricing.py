@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -288,218 +289,197 @@ def test_rounds_refine_the_trimmed_graph_on_price_pools(monkeypatch, workload):
     assert (counts["split"] > 0) == (mode == "multi")
 
 
-def test_one_hungarian_solve_per_run(monkeypatch):
-    # trim's solve on the run's first market is its only weighted solve: the
-    # structured duals, the bi-demand recursion's included, start from optima
-    # their callers hold, and each later round's trim starts from the optimum
-    # and the dual its residual inherited from the round before
+def test_one_hungarian_solve_per_round(monkeypatch):
+    # each round's trim makes the round's one weighted solve: the structured
+    # duals, the bi-demand recursion's included, start from optima their callers
+    # hold, and no round reads anything an earlier round left
     import dynprice.matching as matching_mod
-    solves = []
-    hungarian = matching_mod._hungarian
-    recursions = []
+    solves = []                 # per solve: was it made inside trim?
+    hungarian, trim = matching_mod._hungarian, pricing.trim_items
+    inside = [False]
+    refines, recursions = [], []
 
-    def counting(*args):
-        solves.append(1)
-        return hungarian(*args)
+    def counting(*args, **kwargs):
+        solves.append(inside[0])
+        return hungarian(*args, **kwargs)
 
-    def bidemand(gpi, trace=None):
-        before = len(solves)
-        sigma = orderings.adequate_bidemand(gpi, trace)
-        recursions.append(len(solves) - before)
-        return sigma
+    def trimming(m):
+        inside[0] = True
+        try:
+            return trim(m)
+        finally:
+            inside[0] = False
+
+    def solves_in(call, sink):          # the solves each call of `call` makes
+        def spy(*args):
+            before = len(solves)
+            out = call(*args)
+            sink.append(len(solves) - before)
+            return out
+        return spy
 
     monkeypatch.setattr(matching_mod, "_hungarian", counting)
-    monkeypatch.setattr(pricing, "adequate_bidemand", bidemand)
+    monkeypatch.setattr(pricing, "trim_items", trimming)
+    monkeypatch.setattr(pricing, "refine_covering", solves_in(pricing.refine_covering, refines))
+    monkeypatch.setattr(pricing, "adequate_bidemand",
+                        solves_in(orderings.adequate_bidemand, recursions))
     rounds = 0
     for seed in range(24):
         for m, price in ((generate_instance(seed, 4 + seed % 5, 2, (1, 3)), multi_round),
                          (generate_instance(seed, 3, [1, 2, 3], (1, 4)), multi_round),
                          (generate_instance(seed, 6 + seed % 4, 1, (1, 3)), unit_round)):
-            first = True
             while m.buyers:
                 before = len(solves)
                 rp = price(m)
-                assert len(solves) - before == first
-                first, rounds = False, rounds + 1
+                assert solves[before:] == [True]
+                rounds += 1
                 t = m.buyers[seed % len(m.buyers)]
                 m = model.restrict_market(m, t, best_bundles(m, t, rp.prices)[0])
-    assert rounds > 350 and len(recursions) > 50 and set(recursions) == {0}
+    assert rounds > 350 and len(refines) == rounds and set(refines) == {0}
+    assert len(recursions) > 50 and set(recursions) == {0}
 
 
 def _round_fields(rp):
     return (rp.prices.price, rp.prices.delta, rp.sigma, rp.pi.pi, rp.removed, rp.trimmed)
 
 
-def _run_against_fresh_copies(m, price, pick, rng, cold, warm):
+def _run_against_fresh_copies(m, price, pick, rng):
     """Price a run on m in a random order, the buyer taking `pick` of its best bundles.
-    Every round equals the round on a fresh `Market.build` copy of the same values,
-    which inherits nothing.  Returns, for each round after the first, "warm" when no
-    cold solve ran, "refused" when the inherited basis was tried and refused, and
-    "none" when the residual inherited nothing."""
-    paths = []
+    Every round equals the round on a fresh `Market.build` copy of the same values.
+    Returns the number of rounds after the first."""
+    rounds = 0
     for k, t in enumerate(rng.sample(m.buyers, len(m.buyers))):
         fresh = Market.build(m.items, m.buyers, m.demand, dict(m.value))
-        solves, tries = len(cold), len(warm)
         rp = price(m)
-        if k:
-            paths.append("warm" if len(cold) == solves else
-                         "refused" if len(warm) > tries else "none")
-        basis = m.__dict__.get("basis")     # its own basis or none, never its parent's
-        assert basis is None or set(basis[1]) == set(m.items + m.buyers)
+        rounds += k > 0
         assert _round_fields(rp) == _round_fields(price(fresh))
-        choice = pick(best_bundles(m, t, rp.prices))
-        m = model.restrict_market(m, t, choice)
-    return paths
+        m = model.restrict_market(m, t, pick(best_bundles(m, t, rp.prices)))
+    return rounds
 
 
-@pytest.fixture
-def trim_starts(monkeypatch):
-    """Two lists that grow by one on each cold trim solve and on each warm start
-    tried, which appends what it returns: None where it proves no optimum."""
-    from dynprice import matching
-    cold, warm = [], []
-    solve, start = matching.lexicographic_min_edge_optimum, matching.warm_min_edge_optimum
-
-    def counting_solve(g):
-        cold.append(1)
-        return solve(g)
-
-    def counting_start(*args):
-        warm.append(start(*args))
-        return warm[-1]
-
-    monkeypatch.setattr(matching, "lexicographic_min_edge_optimum", counting_solve)
-    monkeypatch.setattr(matching, "warm_min_edge_optimum", counting_start)
-    return cold, warm
-
-
-def test_a_round_from_an_inherited_basis_is_the_round_from_scratch(trim_starts):
-    # a residual starts trim from its parent round's certified optimum and dual;
-    # where that start proves nothing, the cold solve runs; either way every
-    # price, delta, ordering, dual, trimmed item and trimmed market is the one a
-    # market with no basis gets
+def _market_corpus(seed):
+    """(kind, market, pricing) for the runs of the round tests: unit, three-buyer
+    and bi-demand markets, with a zero-valued or surplus item, crowded with more
+    buyers than items, and under the reversed ordering."""
     from dynprice.simulation import reversed_ordering_strategy
-    cold, warm = trim_starts
-    rng = random.Random(34)
     reversed_round = lambda m: multi_round(m, reversed_ordering_strategy)
-    empties = []
-
-    def take_empty(bundles):        # the empty bundle wherever it is a best one
-        empties.append(min(bundles, key=len))
-        return empties[-1]
 
     def with_items(m, extra, value):
         values = dict(m.value) | {(t, x): value(j, k) for j, t in enumerate(m.buyers)
                                   for k, x in enumerate(extra)}
         return Market.build(m.items + extra, m.buyers, m.demand, values)
 
-    def crowded(seed):              # six unit buyers, four items, values 0..2
-        r = random.Random(seed)
-        items, buyers = [f"s{k}" for k in range(4)], [f"t{j}" for j in range(6)]
-        return Market.build(items, buyers, dict.fromkeys(buyers, 1),
-                            {(t, s): r.randint(0, 2) for t in buyers for s in items})
+    r = random.Random(seed)         # six unit buyers, four items, values 0..2
+    items, buyers = [f"s{k}" for k in range(4)], [f"t{j}" for j in range(6)]
+    crowded = Market.build(items, buyers, dict.fromkeys(buyers, 1),
+                           {(t, s): r.randint(0, 2) for t in buyers for s in items})
+    return [("unit", generate_instance(seed, 6 + seed % 7, 1, (1, 3)), unit_round),
+            ("three", generate_instance(seed, 3, [3, 2, 1], (1, 4)), multi_round),
+            ("bidemand", generate_instance(seed, 4 + seed % 5, 2, (1, 3)), multi_round),
+            ("zero", with_items(generate_instance(seed, 6, 1, (1, 3)), ("z",),
+                                lambda j, k: 0), unit_round),
+            ("surplus", with_items(generate_instance(seed, 5, 2, (1, 4)), ("x1", "x2"),
+                                   lambda j, k: Fraction((j + k) % 3, 5)), multi_round),
+            ("empty", crowded, unit_round),
+            ("reversed", generate_instance(500001 + seed, 3, 2, (1, 3)), reversed_round),
+            ("reversed", generate_instance(seed, 5, 2, (1, 3)), reversed_round)]
 
-    paths = {kind: [] for kind in ("unit", "three", "bidemand", "zero", "surplus", "empty",
-                                   "reversed")}
+
+def test_every_round_of_a_run_is_the_round_of_a_fresh_copy():
+    # every price, delta, ordering, dual, trimmed item and trimmed market of a
+    # run's rounds is the one a fresh copy of the residual gets: the markets
+    # that trim, that sell a bundle in no optimum or that an empty-handed buyer
+    # leaves included
+    rng = random.Random(34)
+    empties = []
+
+    def take_empty(bundles):        # the empty bundle wherever it is a best one
+        empties.append(min(bundles, key=len))
+        return empties[-1]
+
+    rounds = dict.fromkeys(("unit", "three", "bidemand", "zero", "surplus", "empty",
+                            "reversed"), 0)
     for seed in range(12):
-        runs = [("unit", generate_instance(seed, 6 + seed % 7, 1, (1, 3)), unit_round),
-                ("three", generate_instance(seed, 3, [3, 2, 1], (1, 4)), multi_round),
-                ("bidemand", generate_instance(seed, 4 + seed % 5, 2, (1, 3)), multi_round),
-                ("zero", with_items(generate_instance(seed, 6, 1, (1, 3)), ("z",),
-                                    lambda j, k: 0), unit_round),
-                ("surplus", with_items(generate_instance(seed, 5, 2, (1, 4)), ("x1", "x2"),
-                                       lambda j, k: Fraction((j + k) % 3, 5)), multi_round),
-                ("empty", crowded(seed), unit_round),
-                ("reversed", generate_instance(500001 + seed, 3, 2, (1, 3)), reversed_round),
-                ("reversed", generate_instance(seed, 5, 2, (1, 3)), reversed_round)]
-        for kind, m, price in runs:
+        for kind, m, price in _market_corpus(seed):
             pick = take_empty if kind == "empty" else (lambda bundles: bundles[0])
-            paths[kind] += _run_against_fresh_copies(m, price, pick, rng, cold, warm)
+            rounds[kind] += _run_against_fresh_copies(m, price, pick, rng)
     for kind in ("unit", "three", "bidemand"):
-        assert len(paths[kind]) >= 24 and set(paths[kind]) == {"warm"}, kind
-    # a trimmed item leaves the residual nothing to inherit
-    assert len(paths["zero"]) > 30 and set(paths["zero"]) == {"none"}
-    assert len(paths["surplus"]) > 30 and set(paths["surplus"]) == {"none"}
-    # a buyer of dual zero leaving empty-handed keeps the dual optimal, and so
-    # does the last item leaving: the residual with no items keeps its empty optimum
+        assert rounds[kind] >= 24, kind
+    for kind in ("zero", "surplus", "empty", "reversed"):
+        assert rounds[kind] > 30, kind
     assert empties.count(frozenset()) > 10
-    assert len(paths["empty"]) > 30 and set(paths["empty"]) == {"warm"}
-    # a bundle in no optimum leaves a dual that no tight b-matching saturates
-    assert paths["reversed"].count("refused") > 10 and "warm" in paths["reversed"]
 
 
-def test_a_market_priced_twice_reprices_from_its_own_basis(trim_starts):
-    # the second pricing of a market that trimmed nothing starts from the basis
-    # the first left on it, solves nothing and prices the same round
-    cold, _ = trim_starts
-    warm_rounds = 0
+def test_trim_starts_greedily_only_where_every_optimum_uses_every_item(monkeypatch):
+    # each round's one solve takes the greedy start exactly on the markets whose
+    # values are all positive and whose demands total at least the items, and
+    # never on the markets with a zero-valued or a surplus item
+    import dynprice.matching as matching_mod
+    hungarian, starts = matching_mod._hungarian, []
+
+    def spying(n_rows, n_cols, weight, greedy=False):
+        starts.append(greedy)
+        return hungarian(n_rows, n_cols, weight, greedy)
+
+    def recording(price):
+        def priced(m):
+            before = len(starts)
+            rp = price(m)
+            guarded = min(m.weight, default=1) > 0 and sum(m.demand.values()) >= len(m.items)
+            assert starts[before:] == [guarded]
+            rounds[kind, guarded] += 1
+            return rp
+        return priced
+
+    monkeypatch.setattr(matching_mod, "_hungarian", spying)
+    rounds = Counter()              # (kind, start taken) -> rounds
+    rng = random.Random(41)
     for seed in range(12):
-        for m, price in ((generate_instance(seed, 6 + seed % 7, 1, (1, 3)), unit_round),
-                         (generate_instance(seed, 3, [3, 2, 1], (1, 4)), multi_round),
-                         (generate_instance(seed, 4 + seed % 5, 2, (1, 3)), multi_round)):
+        for kind, m, price in _market_corpus(seed):
+            _run_against_fresh_copies(m, recording(price), lambda bundles: bundles[0], rng)
+    assert rounds["zero", True] == rounds["surplus", True] == 0
+    assert min(rounds["zero", False], rounds["surplus", False]) >= 60
+    assert min(rounds[kind, True] for kind in ("unit", "three", "bidemand", "reversed")) >= 60
+
+
+def test_a_market_priced_twice_gives_the_same_round_and_keeps_its_vars():
+    # a round writes nothing on the market it prices, so the second pricing of
+    # a market is the first one again
+    priced = 0
+    for seed in range(12):
+        for _, m, price in _market_corpus(seed):
+            m.value                 # the one cached property a round may read
+            before = dict(vars(m))
             first = price(m)
-            held = "basis" in m.__dict__
-            solves = len(cold)
             assert _round_fields(price(m)) == _round_fields(first)
-            assert held == (not first.removed)
-            warm_rounds += held
-            assert len(cold) == solves + (not held)
-    assert warm_rounds >= 30
+            assert vars(m) == before
+            priced += 1
+    assert priced == 96
 
 
-def test_a_residual_restricted_twice_hands_on_the_older_basis(trim_starts):
-    # restricted again before it is priced, a residual moves the basis it holds
-    # on; its round equals a fresh copy's whether that start is taken or refused
-    cold, warm = trim_starts
-    paths = []
+def test_restrict_market_leaves_its_input_as_it_was():
+    # restricted twice, a market gives equal residuals and stays equal to a fresh
+    # copy with the same vars; a residual restricted again prices as a fresh copy
+    restricted = 0
     for seed in range(24):
         for m, price in ((generate_instance(seed, 5 + seed % 5, 1, (1, 3)), unit_round),
                          (generate_instance(seed, 4 + seed % 4, 2, (1, 3)), multi_round)):
             rp = price(m)
-            if rp.removed:
-                continue
-            best = m.__dict__["basis"][0]
+            fresh = Market.build(m.items, m.buyers, m.demand, dict(m.value))
+            before = dict(vars(m))
+            best = trim_items(m)[3]
             t1, t2 = m.buyers[:2]
             first = best_bundles(m, t1, rp.prices)[0]
+            r = model.restrict_market(m, t1, first)
+            assert r == model.restrict_market(m, t1, first)
+            assert m == fresh and vars(m) == before
             # t2 takes its items in trim's optimum, or leaves with nothing
             second = [frozenset(s for s, t in best if t == t2 and s not in first), frozenset()]
-            r = model.restrict_market(m, t1, first)
             r = model.restrict_market(r, t2, second[seed % 2])
-            assert "basis" in r.__dict__
-            fresh = Market.build(r.items, r.buyers, r.demand, dict(r.value))
-            solves, tries = len(cold), len(warm)
-            got = price(r)
-            assert len(warm) == tries + 1
-            paths.append("warm" if len(cold) == solves else "refused")
-            assert _round_fields(got) == _round_fields(price(fresh))
-    assert paths.count("warm") >= 10 and paths.count("refused") >= 10
-
-
-def test_oracle_feasible_leaves_a_priced_market_its_basis(trim_starts):
-    # a read-only query: the round after it still starts from the market's basis
-    cold, _ = trim_starts
-    for seed in range(1, 7):
-        m = generate_instance(seed, 5, 1, (1, 3))
-        rp = unit_round(m)
-        t = m.buyers[0]
-        bundle = best_bundles(m, t, rp.prices)[0]
-        assert oracle_feasible(m, t, bundle) and "basis" in m.__dict__
-        solves = len(cold)
-        unit_round(model.restrict_market(m, t, bundle))
-        assert len(cold) == solves
-
-
-def test_an_inherited_dual_of_zero_on_an_item_is_refused():
-    # s2 is worth nothing to anyone, so (q, m) below is an optimal pair that uses
-    # it; a fewest-edge optimum leaves it out, so the warm start must not be taken
-    from dynprice import matching
-    m = Market.build(["s1", "s2"], ["t1", "t2"], {"t1": 1, "t2": 1},
-                     {("t1", "s1"): 2, ("t1", "s2"): 0, ("t2", "s1"): 0, ("t2", "s2"): 0})
-    g, start = market_graph(m), matching.warm_min_edge_optimum
-    assert start(g, {("s1", "t1"), ("s2", "t2")}, (2, 0, 0, 0), 1) is None
-    # with a dual of 1 on s2, no edge to s2 is tight, so nothing saturates it
-    assert start(g, {("s1", "t1")}, (2, 1, 0, 0), 1) is None
-    assert trim_items(m)[2] == {"s2"}
+            again = Market.build(r.items, r.buyers, r.demand, dict(r.value))
+            assert _round_fields(price(r)) == _round_fields(price(again))
+            restricted += 1
+    assert restricted == 48
 
 
 def test_no_round_grows_the_same_bmatching_twice(monkeypatch):

@@ -211,6 +211,53 @@ def test_best_bundles_unique_under_multi_prices(e2):
 # ---------------------------------------------------------------------------
 # Dynamic runs
 
+def test_no_market_a_run_touches_holds_more_than_its_fields(monkeypatch):
+    # every market that run_once, run_sampled, run_exhaustive and oracle_feasible
+    # are handed, price, restrict to or get back from a round holds its fields and
+    # at most its cached values, nothing a round could hand the next one.  The
+    # price pools run dynamically; the calls that need the oracle run on the
+    # sweep's markets, which are within its item cap.
+    import dataclasses
+
+    from dynprice.simulation import ORACLE_ITEM_CAP
+    from conftest import benchmark_workloads
+    workloads = benchmark_workloads()
+    seen: dict[int, Market] = {}
+
+    def keep(x):
+        if isinstance(x, Market):
+            seen[id(x)] = x
+
+    def spy(call):
+        def spying(*args, **kwargs):
+            for x in args:
+                keep(x)
+            out = call(*args, **kwargs)
+            keep(out)
+            keep(getattr(out, "trimmed", None))
+            return out
+        return spying
+
+    for name in ("restrict_market", "submarket", "unit_round", "multi_round"):
+        monkeypatch.setattr(simulation, name, spy(getattr(simulation, name)))
+    for workload in ("price-unit", "price-bidemand"):
+        for case in workloads.set_up(workload, 3):
+            keep(case.market)
+            run_once(case.market, case.order)
+    sweep = [case.market for case in workloads.set_up("sweep-exhaustive", 3)]
+    assert max(len(m.items) for m in sweep) <= ORACLE_ITEM_CAP
+    for k, m in enumerate(sweep):
+        keep(m)
+        assert run_exhaustive(m).all_optimal and run_sampled(m, 2, k).all_optimal
+        rp = simulation._price_round(m, simulation.infer_mode(m), None)
+        t = m.buyers[k % len(m.buyers)]
+        assert oracle_feasible(m, t, best_bundles(m, t, rp.prices)[0])
+    fields = {f.name for f in dataclasses.fields(Market)}
+    assert len(seen) > 5000
+    for m in seen.values():
+        assert set(vars(m)) <= fields | {"value"}, set(vars(m)) - fields
+
+
 def test_run_once_e2_both_orders(e2):
     for order in (["t1", "t2"], ["t2", "t1"]):
         trace = run_once(e2, order)
