@@ -320,7 +320,7 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="sample this many random orders instead")
             p.add_argument("--seed", type=int, default=0)
             p.add_argument("--budget", type=int, default=None,
-                           help=f"state budget of the exhaustive search (default {STATE_BUDGET}); "
+                           help=f"rounds the exhaustive search may price (default {STATE_BUDGET}); "
                                 "not with --orders")
             p.add_argument("--sabotage", choices=["none", "reversed"], default="none",
                            help="negative control: price with a reversed ordering")

@@ -12,6 +12,14 @@ dual starts, and the tight graph is cut from that graph, holding that optimum
 as its maximum b-matching.  A round is a function of its market's fields: it
 reads nothing that an earlier round left and leaves nothing on the market, so
 pricing a market twice, or a residual and a fresh copy of it, gives one round.
+Ids are labels: every tie a round breaks, in trim's solve, the structured
+dual and the orderings, is broken by position in the market's items and
+buyers, and `prohibitive_price` and `best_bundles`' canonical order read
+positions too.  So a round is a function of its positional market, the
+demands by buyer position, the integer weights and the denominator: a market
+under other ids in the same positions gets the same prices, delta, ordering,
+removed items and pi by position.  `run_exhaustive` shares one subtree
+between such markets.
 The ordering layer takes the tight graph alone: `ordering_method` reads its
 buyers and capacities (the demands).
 """

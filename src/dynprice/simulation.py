@@ -17,13 +17,28 @@ enumerated.  It counts the bundles before listing them and refuses more than
 even when only demand-one buyers remain.  An ordering strategy maps a round's
 tight graph to an ordering; a unit run refuses one before its first round, as
 unit prices have no ordering.  `run_exhaustive` explores every
-arrival order and, at each step, every utility-maximizing bundle.  Prices
-depend only on the residual market, so states are memoized, with their first
-least-welfare move, on (remaining buyers, remaining items); the run count
-still reflects all distinct order/tie-break combinations.  Its welfare sums
-run in the DP oracle's integer units, the root market's integer values over
-its denominator, and only the verdict's optimum is a Fraction.  A
-counterexample replays those moves from the root through `run_once`.
+arrival order and, at each step, every utility-maximizing bundle.  A state is
+the residual market left by the buyers gone so far: its remaining buyers and
+items.  Prices depend only on the residual market, so states are memoized,
+with their first least-welfare move, on (remaining buyers, remaining items);
+the run count still reflects all distinct order/tie-break combinations.
+
+With the default orderings a round is a function of its positional market
+(pricing's notes), and so, by induction, are a state's least and greatest
+welfare and its run count.  So a state whose residual market equals an
+earlier one's in demands by buyer position, integer weights and denominator
+takes the earlier entry without a round.  Both markets' weights are the
+root's divided by one factor, the root's denominator over theirs, so the
+entry's welfare, in root units, holds for both.  The budget counts the
+distinct markets priced.  A caller's strategy sees ids and may read them, so
+under one no state is shared.  A shared entry's move names its first state's
+ids.  It is never read: only a strategy's run below the optimum is replayed,
+as under the default orderings such a run is an InternalConsistencyError.
+
+Its welfare sums run in the DP oracle's integer units, the root market's
+integer values over its denominator, and only the verdict's optimum is a
+Fraction.  A counterexample replays the memoized moves from the root through
+`run_once`.
 """
 
 from __future__ import annotations
@@ -46,7 +61,7 @@ from .pricing import (OrderingStrategy, PriceVector, RoundPricing, dispatch_orde
 ORACLE_ITEM_CAP = 12
 BUNDLE_CAP = 2 ** 22        # most best bundles listed for one buyer: every subset of 22 items
 ORACLE_OPTIMA_CAP = 500000
-STATE_BUDGET = 200000      # states `run_exhaustive` expands by default
+STATE_BUDGET = 200000      # rounds `run_exhaustive` prices by default
 
 
 # ---------------------------------------------------------------------------
@@ -326,9 +341,14 @@ def run_exhaustive(m: Market, budget: int = STATE_BUDGET,
                    ordering_strategy: Optional[OrderingStrategy] = None) -> Verdict:
     """DFS over every arrival order and every tie-break; verdict against the oracle.
 
-    Exceeding the state budget yields an explicit partial verdict
-    (complete=False, no counterexample trace) rather than silent truncation.
-    Only an explicit `ordering_strategy` can make a counterexample (`_below_optimum`).
+    A state is the remaining buyers and items.  `budget` bounds the rounds
+    priced: one per distinct state, or, with the default orderings, one per
+    distinct residual market up to renaming, as states whose markets match in
+    demands, weights and denominator by position share one subtree (module
+    notes).  A strategy may read ids, so with one no state is shared.
+    Exceeding the budget yields an explicit partial verdict (complete=False,
+    no counterexample trace) rather than silent truncation.  Only an explicit
+    `ordering_strategy` can make a counterexample (`_below_optimum`).
     """
     if type(budget) is not int or budget < 0:
         raise ModelError("budget must be a non-negative int")
@@ -340,6 +360,9 @@ def run_exhaustive(m: Market, budget: int = STATE_BUDGET,
     value = dict(zip(((t, s) for s in m.items for t in m.buyers), m.weight))
     # state -> (least welfare, greatest welfare, run count, first least move)
     memo: dict[tuple, tuple[int, int, int, Move]] = {}
+    # positional market (demands, weights, denominator) -> the same; default orderings only
+    twins: dict[tuple, tuple[int, int, int, Move]] = {}
+    share = ordering_strategy is None
     expansions = 0
     runs_walked = 0
     violation_seen = False
@@ -354,6 +377,12 @@ def run_exhaustive(m: Market, budget: int = STATE_BUDGET,
             return 0, 0, 1, None
         key = (buyers, items)
         hit = memo.get(key)
+        if hit is None:
+            residual = submarket(m, items, buyers)
+            shape = (tuple(residual.demand[t] for t in residual.buyers),
+                     residual.weight, residual.denominator)
+            if share and shape in twins:
+                hit = memo[key] = twins[shape]
         if hit is not None:
             if acc + hit[0] != opt:
                 violation_seen = True
@@ -361,7 +390,6 @@ def run_exhaustive(m: Market, budget: int = STATE_BUDGET,
         expansions += 1
         if expansions > budget:
             raise _BudgetExceeded
-        residual = submarket(m, items, buyers)
         rp = _price_round(residual, mode, ordering_strategy, is_root=len(buyers) == len(m.buyers))
         mn = mx = move = None
         count = 0
@@ -378,6 +406,10 @@ def run_exhaustive(m: Market, budget: int = STATE_BUDGET,
                 mx = hi if mx is None or hi > mx else mx
                 count += sub_n
         memo[key] = (mn, mx, count, move)
+        if share:
+            # A twin's move names this state's ids, but it is never read: below the
+            # optimum, a default run is an InternalConsistencyError, not a replay.
+            twins[shape] = memo[key]
         return memo[key]
 
     try:

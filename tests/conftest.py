@@ -373,6 +373,81 @@ def reference_hungarian(n_rows: int, n_cols: int, adj: list[list[tuple[int, int]
 
 
 # ---------------------------------------------------------------------------
+# Exhaustive-search reference
+
+def reference_run_exhaustive(m: Market, budget: int = 200000, ordering_strategy=None):
+    """`run_exhaustive` as it was before residual markets were shared up to renaming:
+    states memoized on (remaining buyers, remaining items) alone, so every distinct
+    state's round is priced, through `simulation._price_round`, and counts against
+    the budget.  Returns the same `Verdict`."""
+    from dynprice import simulation
+    from dynprice.model import submarket
+    mode = simulation._run_mode(m, ordering_strategy)
+    opt_value = simulation.oracle_opt_value(m)
+    opt = int(opt_value * m.denominator)
+    value = dict(zip(((t, s) for s in m.items for t in m.buyers), m.weight))
+    memo: dict = {}
+    expansions = runs_walked = 0
+    violation_seen = False
+
+    class Exceeded(Exception):
+        pass
+
+    def explore(items, buyers, acc):
+        nonlocal expansions, runs_walked, violation_seen
+        if not buyers:
+            runs_walked += 1
+            violation_seen |= acc != opt
+            return 0, 0, 1, None
+        hit = memo.get((buyers, items))
+        if hit is not None:
+            violation_seen |= acc + hit[0] != opt
+            return hit
+        expansions += 1
+        if expansions > budget:
+            raise Exceeded
+        residual = submarket(m, items, buyers)
+        rp = simulation._price_round(residual, mode, ordering_strategy,
+                                     is_root=len(buyers) == len(m.buyers))
+        mn = mx = move = None
+        count = 0
+        for t in residual.buyers:
+            bundles = simulation.best_bundles(residual, t, rp.prices)
+            if mode == "multi" and len(bundles) != 1:
+                raise InternalConsistencyError("multi-demand prices must pin a unique bundle")
+            for bundle in bundles:
+                gain = sum(value[(t, s)] for s in bundle)
+                sub_mn, sub_mx, sub_n, _ = explore(items - bundle, buyers - {t}, acc + gain)
+                if mn is None or gain + sub_mn < mn:
+                    mn, move = gain + sub_mn, (t, bundle)
+                mx = gain + sub_mx if mx is None else max(mx, gain + sub_mx)
+                count += sub_n
+        memo[(buyers, items)] = (mn, mx, count, move)
+        return memo[(buyers, items)]
+
+    try:
+        mn, mx, count, _ = explore(frozenset(m.items), frozenset(m.buyers), 0)
+    except Exceeded:
+        if violation_seen:
+            simulation._below_optimum(ordering_strategy)
+        return simulation.Verdict(runs_walked, not violation_seen, None, False, opt_value)
+    if mx > opt:
+        raise InternalConsistencyError("a run exceeded the oracle optimum")
+    if mn == opt:
+        return simulation.Verdict(count, True, None, True, opt_value)
+    simulation._below_optimum(ordering_strategy)
+    items, buyers = frozenset(m.items), frozenset(m.buyers)
+    order, picks = [], []
+    while buyers:
+        t, bundle = memo[(buyers, items)][3]
+        order.append(t)
+        picks.append(bundle)
+        items, buyers = items - bundle, buyers - {t}
+    trace = simulation.run_once(m, order, lambda t, bundles, k: picks[k], ordering_strategy)
+    return simulation.Verdict(count, False, trace, True, opt_value)
+
+
+# ---------------------------------------------------------------------------
 # Independent brute force (no solver, no DP)
 
 def naive_opt_value(m: Market) -> Fraction:

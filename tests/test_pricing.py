@@ -482,6 +482,59 @@ def test_restrict_market_leaves_its_input_as_it_was():
     assert restricted == 48
 
 
+def _renamed(m, rng):
+    """m under fresh ids in the same positions, and the map from old ids to new.  The
+    new ids are drawn at random, so their sorted order and hashes follow no position."""
+    draws = rng.sample(range(10 ** 6), len(m.items) + len(m.buyers))
+    name = {v: f"{'sb'[k >= len(m.items)]}{x}" for k, (v, x) in
+            enumerate(zip(m.items + m.buyers, draws))}
+    return Market.build([name[s] for s in m.items], [name[t] for t in m.buyers],
+                        {name[t]: m.demand[t] for t in m.buyers},
+                        {(name[t], name[s]): x for (t, s), x in m.value.items()}), name
+
+
+def test_a_round_is_a_function_of_its_positional_market():
+    # Ids are labels: under fresh names in the same positions, every round of a run
+    # posts the same prices, delta, ordering, removed items and pi by position, and
+    # every buyer's best bundles are the same by position.  `run_exhaustive` shares
+    # one subtree between residual markets equal up to renaming on this ground.
+    workloads = benchmark_workloads()
+    rng = random.Random(43)
+    regime_of = dict(zip((name for name, _ in workloads.SWEEP_REGIMES),
+                         ("unit", "three", "bidemand")))
+    runs = [(regime_of[case.label.split("#")[0]], case.market, case.order)
+            for case in workloads.set_up("sweep-exhaustive", 3)]
+    for seed in range(60):
+        for regime, m in (("unit", generate_instance(seed, 2 + seed % 6, 1, (1, 1 + seed % 3))),
+                          ("three", generate_instance(seed, 3, [4, 3, 2], (1, 1 + seed % 3))),
+                          ("bidemand", generate_instance(seed, 2 + seed % 5, 2,
+                                                         (1, 1 + seed % 3)))):
+            runs.append((regime, m, tuple(rng.sample(m.buyers, len(m.buyers)))))
+    markets, rounds = Counter(), 0
+    for regime, m, order in runs:
+        price = unit_round if pricing.infer_mode(m) == "unit" else multi_round
+        twin, name = _renamed(m, rng)
+        markets[regime] += 1
+        for t in order:
+            rp, rq = price(m), price(twin)
+            assert [rq.prices.price[name[s]] for s in m.items] == \
+                [rp.prices.price[s] for s in m.items]
+            assert rq.prices.delta == rp.prices.delta
+            assert rq.sigma == (None if rp.sigma is None else tuple(name[s] for s in rp.sigma))
+            assert rq.removed == {name[s] for s in rp.removed}
+            assert [rq.pi.pi[name[v]] for v in m.items + m.buyers] == \
+                [rp.pi.pi[v] for v in m.items + m.buyers]
+            bundles = best_bundles(m, t, rp.prices)
+            assert best_bundles(twin, name[t], rq.prices) == \
+                [{name[s] for s in bundle} for bundle in bundles]
+            pick = rng.randrange(len(bundles))
+            m = model.restrict_market(m, t, bundles[pick])
+            twin = model.restrict_market(twin, name[t], {name[s] for s in bundles[pick]})
+            rounds += 1
+    assert sum(markets.values()) >= 300 and min(markets.values()) >= 50, markets
+    assert rounds > 1000
+
+
 def test_no_round_grows_the_same_bmatching_twice(monkeypatch):
     # every graph of a round, the tight graph and the bi-demand recursion's
     # graphs included, grows its maximum b-matching at most once: no copy

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 import re
 from fractions import Fraction
@@ -15,7 +17,8 @@ from dynprice.matching import solve_with_covering
 from dynprice.model import restrict_market, submarket
 from dynprice.simulation import oracle_structure, reversed_ordering_strategy
 
-from conftest import naive_opt_value, reference_best_bundles
+from conftest import (benchmark_workloads, naive_opt_value, reference_best_bundles,
+                      reference_run_exhaustive)
 
 
 # ---------------------------------------------------------------------------
@@ -497,6 +500,121 @@ def test_sabotage_always_caught():
         assert v.counterexample.final_welfare < v.optimum
         caught += 1
     assert caught >= 5
+
+
+def _counting_rounds(monkeypatch):
+    """A list that grows by one for each round `_price_round` prices."""
+    rounds, real = [], simulation._price_round
+    monkeypatch.setattr(simulation, "_price_round",
+                        lambda *args, **kwargs: rounds.append(1) or real(*args, **kwargs))
+    return rounds
+
+
+def test_run_exhaustive_matches_the_reference_search(monkeypatch):
+    # Sharing one subtree between residual markets equal up to renaming keeps
+    # every verdict of the search that memoizes on (buyers, items) alone: the
+    # sweep-exhaustive pool's three regimes, and symmetric and tie-rich markets
+    # where most residuals are twins.  It never prices more rounds.  Halved
+    # values give twins in weights over other denominators, and two markets of
+    # mixed demands give residuals equal in weights but not in demands.
+    workloads = benchmark_workloads()
+    markets = [case.market for case in workloads.set_up("sweep-exhaustive", 5)]
+    for seed in range(20):
+        for values in ((1, 1), (1, 2)):
+            markets += [generate_instance(seed, 2 + seed % 5, 1, values),
+                        generate_instance(seed, 3, [1 + seed % 4, 1 + seed // 4 % 4, 2], values),
+                        generate_instance(seed, 2 + seed % 3, 2, values)]
+    for seed in range(10):
+        for m in (generate_instance(seed, 2 + seed % 4, 1, (1, 2)),
+                  generate_instance(seed, 2 + seed % 3, 2, (1, 2))):
+            markets.append(_divided(m, [2] * len(m.buyers)))
+    markets += [generate_instance(22, 4, [1, 2, 1, 2], (1, 2)),
+                generate_instance(48, 4, [2, 1, 2, 1], (1, 2))]
+    rounds = _counting_rounds(monkeypatch)
+    fewer = 0
+    for m in markets:
+        start = len(rounds)
+        v = run_exhaustive(m)
+        mid = len(rounds)
+        assert v == reference_run_exhaustive(m)
+        assert v.complete and v.all_optimal and v.counterexample is None
+        assert mid - start <= len(rounds) - mid
+        fewer += mid - start < len(rounds) - mid
+    assert len(markets) >= 300 and fewer >= 100
+
+
+def test_a_tie_rich_market_prices_each_positional_market_once(monkeypatch):
+    # seven unit buyers who value every item at 1: each residual size is one
+    # positional market, so seven rounds price all 7!^2 runs, and a budget of 50
+    # rounds, far below the 3431 distinct states, completes the verdict
+    m = generate_instance(1, 7, 1, (1, 1))
+    rounds = _counting_rounds(monkeypatch)
+    v = run_exhaustive(m)
+    assert len(rounds) <= 7
+    assert (v.runs_checked, v.all_optimal, v.complete) == (25401600, True, True)
+    shared = len(rounds)
+    assert reference_run_exhaustive(m) == v and len(rounds) - shared == 3431
+    assert run_exhaustive(m, budget=50) == v
+    partial = reference_run_exhaustive(m, budget=50)
+    assert (partial.runs_checked, partial.all_optimal, partial.complete) == (15, True, False)
+
+
+# CI's `simulate --sabotage reversed` markets, as generate_instance's arguments, and the
+# sha256 of the verdict it prints, without the input path, as the unshared reference
+# search gives it: a strategy's search shares no subtree
+SABOTAGE = {
+    "labels19": ((19, 3, [4, 3, 2], (1, 2)),
+                 "a316541f8a6025960f3461f0976b00b0cd975d713c4afa58fca4e585ac0fb02f"),
+    "labels14": ((14, 3, [4, 3, 2], (1, 3)),
+                 "d50e32b5427089ab54b1092cda29cfd373e9641195a04da38ba1a01a8666c347"),
+    "bi5": ((1, 5, 2, (1, 3)),
+            "af06aa48777aa646b5242b6e734e3eaea9a872c9cec0092145b797c264e6b16b"),
+    "sabotage": ((500001, 3, 2, (1, 3)),
+                 "b02888fe0f0439975ee826f7b07a894e477a6a7ae995137b29a5a0bb565949c0"),
+}
+
+
+@pytest.mark.parametrize("market", sorted(SABOTAGE))
+def test_sabotage_counterexamples_are_the_reference_traces(market, tmp_path, capsys):
+    params, digest = SABOTAGE[market]
+    seed, buyers, demands, (_, hi) = params
+    demands = ",".join(map(str, demands)) if isinstance(demands, list) else str(demands)
+    assert main(["generate", "--seed", str(seed), "--buyers", str(buyers),
+                 "--demands", demands, "--value-hi", str(hi)]) == 0
+    path = tmp_path / f"{market}.json"
+    path.write_text(capsys.readouterr().out)
+    assert main(["simulate", "--sabotage", "reversed", "--input", str(path)]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out.pop("instance") == str(path)
+    assert hashlib.sha256(json.dumps(out, sort_keys=True).encode()).hexdigest() == digest
+    m = generate_instance(*params)
+    v = run_exhaustive(m, ordering_strategy=reversed_ordering_strategy)
+    assert v == reference_run_exhaustive(m, ordering_strategy=reversed_ordering_strategy)
+    assert not v.all_optimal and v.counterexample is not None
+
+
+def test_a_strategy_that_reads_ids_shares_no_subtree(monkeypatch):
+    # A caller's strategy sees the tight graph's ids and may read them, as this
+    # one does: under it, twins need not price alike, so the search is the
+    # reference's, round for round, on markets where the default one shares
+    def by_id(gpi):
+        return sorted(gpi.items)
+
+    markets = [generate_instance(*params) for params, _ in SABOTAGE.values()]
+    markets += [generate_instance(seed, n, 2, (1, 1 + seed % 2))
+                for seed in range(6) for n in (3, 4)]
+    rounds = _counting_rounds(monkeypatch)
+    fewer = 0
+    for m in markets:
+        start = len(rounds)
+        v = run_exhaustive(m, ordering_strategy=by_id)
+        mid = len(rounds)
+        assert v == reference_run_exhaustive(m, ordering_strategy=by_id)
+        assert mid - start == len(rounds) - mid
+        end = len(rounds)
+        assert run_exhaustive(m).all_optimal
+        fewer += len(rounds) - end < mid - start
+    assert fewer >= 5
 
 
 def test_healthy_run_chooses_feasible_bundles():
