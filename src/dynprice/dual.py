@@ -98,7 +98,10 @@ def is_legal_edge(g: BipartiteGraph, e: Edge) -> bool:
 
 def tight_subgraph(sc: StructuredCovering, g: BipartiteGraph) -> BipartiteGraph:
     """The spanning subgraph of g on the tight edges, in g's order, with unit
-    weights; derived from g, so a tight edge that g lacks raises ModelError."""
+    weights; derived from g, so a tight edge that g lacks raises ModelError, as
+    does an sc that is no StructuredCovering."""
+    if not isinstance(sc, StructuredCovering):
+        raise ModelError("sc must be a StructuredCovering")
     return g.unit_subgraph(sc.tight_edges)
 
 

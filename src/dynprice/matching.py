@@ -58,9 +58,16 @@ All arithmetic is exact and the Hungarian algorithm runs on integers only.
 The dense rows are filled straight from the table, so the solver returns its
 value and its duals as integers in units of 1/D, the matched edges by index
 and the duals by position.  The trim objective "maximum weight, then fewest
-edges" is the integer weight w * D * K - 1 with K = |S| + 1: a b-matching has
-at most |S| edges, so a weight gap of 1/D always outweighs any difference in
-edge count.
+edges" is the integer weight W = w * D * K - 1 with K = |S| + 1: a b-matching
+has at most |S| edges, so a weight gap of 1/D always outweighs any difference
+in edge count.  Where fewest-edge optima may use different item sets, trim
+breaks the tie by item position: the edge weight is W * L + |S| - pos(s), with
+L = |S|(|S| + 1)/2 + 1.  The item terms of a b-matching total less than L, one
+unit of W, so the order by W stays; among the fewest-edge optima, whose item
+sets are the bases of a matroid (assignment valuations are M-natural concave:
+Shapley 1962, Murota 2003), distinct terms that fall with position make the
+earliest item set the unique one of greatest total.  Where every optimum uses
+every item (below) no such tie can arise, and W stays as it is.
 
 Every solve is certified before use: `_check_optimal_pair` proves, on the
 integer weights the solve ran on, that M is a b-matching of g
@@ -71,14 +78,15 @@ structured dual, which starts from M (`dual.refine_covering`), solves again.
 
 Trim's solve alone starts greedily: each buyer copy first takes the first free
 item it values most, and only the copies left over search for augmenting
-paths.  The start can end at another optimum among ties, so it is taken only
-where the answer is the same from every optimum: every pair an edge of
-positive weight and b(T) >= |S|.  Then a b-matching that left an item unsold
-would leave a buyer copy free, which could take it, so every optimum uses
-every item and trim keeps them all; the structured dual and the tight graph
-are functions of the graph, whichever b-factor it holds.  Anywhere else, a
-zero value or fewer copies than items, the solve runs from no start, and trim's
-tie rule is the search order's.  `solve_with_covering` never takes the start.
+paths.  The start can end at another optimum among ties, and no answer depends
+on which: the kept items are the unique earliest set, and the structured dual
+and the tight graph are functions of the graph, whichever b-factor it holds.
+Where every pair is an edge of positive weight and b(T) >= |S|, a b-matching
+that left an item unsold would leave a buyer copy free, which could take it,
+so every optimum uses every item and trim keeps them all.  There the position
+terms are left out: they only cost time, since they leave each row one
+maximum and the start matches few rows.  `solve_with_covering` never takes
+the start.
 """
 
 from __future__ import annotations
@@ -390,8 +398,8 @@ def _hungarian(n_rows: int, n_cols: int, weight: list[list[int]], greedy: bool =
     whose weight is its row maximum u[i] (Jonker and Volgenant 1987), and a row
     so matched needs no tree search.  The potentials u = row maximum, v = 0 stay
     feasible and the pairs tight, so the search's invariants hold from there;
-    the optimum found may be another among ties, which is why only a caller
-    whose answer is the same from every optimum sets it (the module notes).
+    the optimum found may be another among ties, so a caller sets it only where
+    its answer is the same from every optimum (the module notes).
 
     Returns (match_row, u, v) where match_row[i] is the real column matched to
     row i or -1 (row absorbed by a dummy), and (u, v) are non-negative
@@ -689,16 +697,20 @@ def bfactor_exists(g: BipartiteGraph) -> tuple[bool, Optional[frozenset[BuyerId]
 def lexicographic_min_edge_optimum(g: BipartiteGraph) -> tuple[frozenset[Edge], Fraction]:
     """Maximum-weight b-matching using the fewest edges among all optima.
 
-    Solved and certified over the integer weights w * D * K - 1, K = |S| + 1 (see
-    the module notes), which order b-matchings by weight first and edge count second.
-    The solve starts greedily only where every optimum uses every item: every pair
-    an edge of positive weight, and b(T) >= |S|.
+    Solved from the greedy start and certified over the integer weights
+    W = w * D * K - 1, K = |S| + 1 (see the module notes), which order b-matchings
+    by weight first and edge count second.  Unless every optimum uses every item
+    (every pair an edge of positive weight, and b(T) >= |S|), the position terms
+    W * L + |S| - pos(s) make the optimum's item set the earliest among the
+    fewest-edge optima, whatever the solver's search order.
     """
     table, n = g.table, len(g.items)
     weight = [w * (n + 1) - 1 for w in table.weight]
-    greedy = (min(weight, default=1) > 0 and len(weight) == n * len(g.buyers)
-              and g.buyer_capacity_total() >= n)
-    matched, value, pi = _solve(g, weight, greedy=greedy)
+    if not (min(weight, default=1) > 0 and len(weight) == n * len(g.buyers)
+            and g.buyer_capacity_total() >= n):
+        spread = n * (n + 1) // 2 + 1       # above the item terms' largest total
+        weight = [w * spread + n - a for (a, _), w in zip(table.ends, weight)]
+    matched, value, pi = _solve(g, weight, greedy=True)
     _check_optimal_pair(g, weight, matched, value, pi)
     return (frozenset(g.edges[i] for i in matched),
             Fraction(sum(table.weight[i] for i in matched), table.denominator))

@@ -145,8 +145,11 @@ def market_graph(m: Market) -> BipartiteGraph:
     checks `submarket` keeps, has already proved the ids, demands and values
     that `build` would check again, and the market's pairs, item by item, then
     buyer by buyer, are the canonical edge order.  The market's integer weights
-    and denominator are the edge table's, as they are.
+    and denominator are the edge table's, as they are.  Anything but a Market is
+    a ModelError, so `check_opt_property` and `trim_items` refuse it too.
     """
+    if not isinstance(m, Market):
+        raise ModelError("the market must be a Market")
     n = len(m.items)
     capacity = {**dict.fromkeys(m.items, 1), **m.demand}
     ends = tuple([(a, b) for a in range(n) for b in range(n, n + len(m.buyers))])
@@ -210,15 +213,15 @@ def trim_items(m: Market) -> tuple[Market, BipartiteGraph, frozenset[ItemId],
     on the kept items when some item was removed, and the trimmed market
     takes that graph's table's weights.
 
-    The tie rule: when fewest-edge optima use different item sets, the solve's
-    search order picks one.  At unit demand the kept items are the item set of
-    the earliest fewest-edge optimum, earliest by item position (the least
-    sorted positions).  A buyer of demand above one can keep a later set: for
-    t1 of demand 2 valuing s1..s4 at 1, 1, 0, 2 and t2 of demand 1 at 0, 0, 1,
-    2, the sets are {s1, s2, s4}, {s1, s3, s4} and {s2, s3, s4}, and trim
-    keeps {s1, s3, s4}.  Where every value is positive and b(T) >= |S|, every
-    optimum uses every item and trim keeps them all; only there does the solve
-    start greedily (`matching.lexicographic_min_edge_optimum`).  m is left as it was.
+    The tie rule, at every demand: when fewest-edge optima use different item
+    sets, trim keeps the earliest by item position, the least sorted positions.
+    Those sets are the bases of a matroid, so the earliest is also the one of
+    greatest total weight under any item weights that fall with position, and
+    the solve finds it as such (`matching.lexicographic_min_edge_optimum`); it
+    is a function of the market, not of the solver's search order.  For t1 of
+    demand 2 valuing s1..s4 at 1, 1, 0, 2 and t2 of demand 1 at 0, 0, 1, 2, the
+    sets are {s1, s2, s4}, {s1, s3, s4} and {s2, s3, s4}, and trim keeps
+    {s1, s2, s4}.  m is left as it was.
     """
     g = market_graph(m)
     best, _ = matching.lexicographic_min_edge_optimum(g)

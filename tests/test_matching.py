@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dynprice import (BipartiteGraph, bfactor_exists, compute_slack, market_graph,
-                      max_weight_bmatching, max_weight_forced_edge,
-                      max_weight_reduced_capacity, optimal_covering, restrict_market)
+from dynprice import (BipartiteGraph, bfactor_exists, check_opt_property, compute_slack,
+                      market_graph, max_weight_bmatching, max_weight_forced_edge,
+                      max_weight_reduced_capacity, optimal_covering, restrict_market,
+                      tight_subgraph, trim_items)
 from dynprice.errors import ContractViolationError, ModelError
 from dynprice.matching import (Covering, integer_weights, lexicographic_min_edge_optimum,
                                solve_with_covering)
@@ -588,6 +589,11 @@ def test_optimal_pair_check_trips_on_a_perturbed_solve(monkeypatch, perturb, mes
     (lambda g: Covering(None).tight_edges(g), "pi must be a mapping"),
     (lambda g: compute_slack(g, Covering({})), "pi not defined on 's1'"),
     (lambda g: compute_slack(g, {"s1": 1}), "pi must be a Covering"),
+    # a graph where a market belongs, and no structured covering
+    (lambda g: trim_items(g), "the market must be a Market"),
+    (lambda g: check_opt_property(g), "the market must be a Market"),
+    (lambda g: market_graph(g), "the market must be a Market"),
+    (lambda g: tight_subgraph(None, g), "sc must be a StructuredCovering"),
 ])
 def test_graph_refusals_are_model_errors(call, message):
     g = graph_of(["s1"], ["t1"], {"t1": 1}, {("s1", "t1"): 1})

@@ -301,53 +301,67 @@ def kept_positions(m):
 
 
 def test_trim_tie_rule_against_brute_force():
-    # at unit demand, on 2000 markets whose fewest-edge optima use more than one
-    # item set, trim keeps the earliest of those sets by item position
+    # on markets whose fewest-edge optima use more than one item set, trim keeps
+    # the earliest of those sets by item position: 2000 at unit demand, 500 with
+    # demands up to two and 300 with demands up to three
     rng = random.Random(1201)
-    tied = 0
-    while tied < 2000:
-        m = tied_surplus_market(rng, 4, 1)
-        sets = fewest_edge_item_sets(m)
-        tied += len(sets) > 1
-        assert kept_positions(m) == min(sets)
-    # with demands above one it keeps one of those sets, not always the earliest
-    for _ in range(500):
-        m = tied_surplus_market(rng, 3, 2)
-        assert kept_positions(m) in fewest_edge_item_sets(m)
+    for max_buyers, max_demand, floor in ((4, 1, 2000), (3, 2, 500), (3, 3, 300)):
+        tied = 0
+        while tied < floor:
+            m = tied_surplus_market(rng, max_buyers, max_demand)
+            sets = fewest_edge_item_sets(m)
+            tied += len(sets) > 1
+            assert kept_positions(m) == min(sets)
+    # a buyer of demand two: the earliest set, not the later (0, 2, 3) that a
+    # tie rule left to the solver's search order keeps
     m = Market.build(["s1", "s2", "s3", "s4"], ["t1", "t2"], {"t1": 2, "t2": 1},
                      {("t1", "s1"): 1, ("t1", "s2"): 1, ("t1", "s3"): 0, ("t1", "s4"): 2,
                       ("t2", "s1"): 0, ("t2", "s2"): 0, ("t2", "s3"): 1, ("t2", "s4"): 2})
     assert fewest_edge_item_sets(m) == {(0, 1, 3), (0, 2, 3), (1, 2, 3)}
-    assert kept_positions(m) == (0, 2, 3)
+    assert kept_positions(m) == (0, 1, 3)
 
 
 def test_trim_keeps_the_same_items_from_the_greedy_start(monkeypatch):
-    # on 1000 tied markets of positive values whose demands total at least the
-    # items, trim keeps every item, from the greedy start as from the start-free
-    # solve, though their optima often differ; and the rounds priced are the same
+    # on 1500 tied markets, at least 300 of them with a zero value or a surplus
+    # item and an item that trim removes, trim keeps the same items from the
+    # greedy start as from the start-free solve, though their optima differ on at
+    # least 100; and the rounds priced, or the refusals, are the same.  Where every
+    # value is positive and the demands total at least the items, it keeps them all
     import dynprice.matching as matching_mod
     from dynprice import multi_round, unit_round
+    from dynprice.errors import UnsupportedMarketError
     rng = random.Random(4103)
     real = matching_mod._solve
-    tied = other = 0
-    while tied < 1000:
-        buyers = [f"t{j}" for j in range(rng.randint(1, 3))]
-        demand = {t: rng.randint(1, 3) for t in buyers}
-        items = [f"s{k}" for k in range(rng.randint(1, min(6, sum(demand.values()))))]
-        m = Market.build(items, buyers, demand,
-                         {(t, s): rng.randint(1, 2) for t in buyers for s in items})
-        tied += len(oracle_opt(m)[1]) > 1
-        price = unit_round if set(demand.values()) == {1} else multi_round
-        priced = len(items) == sum(demand.values()) or price is unit_round
+    tied = removing = other = 0
+    while tied < 1500:
+        if rng.random() < 0.7:      # positive values, the demands total at least the items
+            buyers = [f"t{j}" for j in range(rng.randint(1, 3))]
+            demand = {t: rng.randint(1, 3) for t in buyers}
+            items = [f"s{k}" for k in range(rng.randint(1, min(6, sum(demand.values()))))]
+            m = Market.build(items, buyers, demand,
+                             {(t, s): rng.randint(1, 2) for t in buyers for s in items})
+        else:
+            m = tied_surplus_market(rng, 3, 3)
+        if len(oracle_opt(m)[1]) == 1:
+            continue
+        tied += 1
+        price = unit_round if set(m.demand.values()) == {1} else multi_round
         answers = []
         for solve in (real, lambda g, weights, greedy=False: real(g, weights)):
             monkeypatch.setattr(matching_mod, "_solve", solve)
             trimmed, _, removed, best = trim_items(m)
-            rp = price(m) if priced else None
-            answers.append((trimmed, removed, rp and (rp.prices, rp.sigma, rp.pi), best))
-        assert answers[0][:3] == answers[1][:3] and answers[0][1] == frozenset()
+            try:
+                rp = price(m)
+                priced = (rp.prices, rp.sigma, rp.pi, rp.removed)
+            except UnsupportedMarketError as exc:
+                priced = str(exc)
+            answers.append((trimmed, removed, priced, best))
+        assert answers[0][:3] == answers[1][:3]
+        plain = min(m.weight) > 0 and sum(m.demand.values()) >= len(m.items)
+        assert not (plain and answers[0][1])
+        removing += bool(answers[0][1])
         other += answers[0][3] != answers[1][3]
-    assert other >= 100
+    assert removing >= 300 and other >= 100
 
 
 def test_a_wrong_trim_optimum_is_an_internal_error(monkeypatch, tmp_path, capsys):

@@ -410,36 +410,39 @@ def test_every_round_of_a_run_is_the_round_of_a_fresh_copy():
     assert empties.count(frozenset()) > 10
 
 
-def test_trim_starts_greedily_only_where_every_optimum_uses_every_item(monkeypatch):
-    # each round's one solve takes the greedy start exactly on the markets whose
-    # values are all positive and whose demands total at least the items, and
-    # never on the markets with a zero-valued or a surplus item
+def test_every_trim_starts_greedily_and_adds_position_terms_where_an_item_may_go(monkeypatch):
+    # each round's one solve takes the greedy start; trim's weights carry the
+    # position terms exactly on the markets with a zero value or a surplus item,
+    # where an optimum may leave an item unused: on every round of the zero and
+    # surplus runs, and on none of the unit, three-buyer, bi-demand or reversed runs
     import dynprice.matching as matching_mod
-    hungarian, starts = matching_mod._hungarian, []
+    solve, solves = matching_mod._solve, []
 
-    def spying(n_rows, n_cols, weight, greedy=False):
-        starts.append(greedy)
-        return hungarian(n_rows, n_cols, weight, greedy)
+    def spying(g, weights, greedy=False):
+        n = len(g.items)
+        solves.append((greedy, list(weights) != [w * (n + 1) - 1 for w in g.table.weight]))
+        return solve(g, weights, greedy)
 
     def recording(price):
         def priced(m):
-            before = len(starts)
+            before = len(solves)
             rp = price(m)
-            guarded = min(m.weight, default=1) > 0 and sum(m.demand.values()) >= len(m.items)
-            assert starts[before:] == [guarded]
-            rounds[kind, guarded] += 1
+            perturbed = min(m.weight, default=1) == 0 or sum(m.demand.values()) < len(m.items)
+            assert solves[before:] == [(True, perturbed)]
+            rounds[kind, perturbed] += 1
             return rp
         return priced
 
-    monkeypatch.setattr(matching_mod, "_hungarian", spying)
-    rounds = Counter()              # (kind, start taken) -> rounds
+    monkeypatch.setattr(matching_mod, "_solve", spying)
+    rounds = Counter()              # (kind, weights perturbed) -> rounds
     rng = random.Random(41)
     for seed in range(12):
         for kind, m, price in _market_corpus(seed):
             _run_against_fresh_copies(m, recording(price), lambda bundles: bundles[0], rng)
-    assert rounds["zero", True] == rounds["surplus", True] == 0
-    assert min(rounds["zero", False], rounds["surplus", False]) >= 60
-    assert min(rounds[kind, True] for kind in ("unit", "three", "bidemand", "reversed")) >= 60
+    assert rounds["zero", False] == rounds["surplus", False] == 0
+    assert min(rounds["zero", True], rounds["surplus", True]) >= 60
+    for kind in ("unit", "three", "bidemand", "reversed"):
+        assert rounds[kind, True] == 0 and rounds[kind, False] >= 60, kind
 
 
 def test_a_market_priced_twice_gives_the_same_round_and_keeps_its_vars():
